@@ -60,46 +60,82 @@ func HasSpanningTreeWithin(g *graph.Graph, d int) (bool, error) {
 // DegreeLowerBound returns a lower bound on Δ*: removing any vertex v splits
 // a spanning tree into deg_T(v) subtrees, each containing a component of
 // G - v, so Δ* >= components(G-v) for every v; and any tree on n >= 3 nodes
-// has a vertex of degree at least 2.
+// has a vertex of degree at least 2. It runs in O(n+m) time and memory, so
+// it certifies runs at any size.
 func DegreeLowerBound(g *graph.Graph) int {
 	return degreeLowerBound(g.Compile())
 }
 
-// degreeLowerBound is DegreeLowerBound over a snapshot: n dense BFS sweeps
-// sharing one visited array, no maps.
+// degreeLowerBound is DegreeLowerBound over a snapshot. One iterative DFS
+// with articulation-point low-links yields components(G-v) for every v at
+// once. With C the number of components of G, removing v leaves the other
+// C-1 components untouched and splits v's own component into one piece
+// per DFS child c with low[c] >= disc[v] (no back edge from c's subtree
+// climbs above v), plus the piece holding v's DFS parent when v is not a
+// root:
+//
+//	components(G-v) = C - 1 + #{children c : low[c] >= disc[v]} + [v not a root]
+//
+// A root's children always qualify, and an isolated vertex contributes
+// C - 1.
 func degreeLowerBound(c *graph.CSR) int {
 	n := c.N()
 	lb := 1
 	if n >= 3 {
 		lb = 2
 	}
-	visited := make([]bool, n)
-	stack := make([]int32, 0, n)
-	for v := int32(0); int(v) < n; v++ {
-		clear(visited)
-		visited[v] = true
-		comps := 0
-		for s := int32(0); int(s) < n; s++ {
-			if visited[s] {
+	if n == 0 {
+		return lb
+	}
+	disc := make([]int32, n) // 1-based discovery time; 0 = unvisited
+	low := make([]int32, n)
+	next := make([]int32, n)  // cursor into each vertex's neighbour list
+	split := make([]int32, n) // children c with low[c] >= disc[v]
+	var stack []int32
+	comps, clock, most := 0, int32(0), 0
+	for s := int32(0); int(s) < n; s++ {
+		if disc[s] != 0 {
+			continue
+		}
+		comps++
+		clock++
+		disc[s], low[s] = clock, clock
+		stack = append(stack[:0], s)
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			if nb := c.Neighbors(u); int(next[u]) < len(nb) {
+				w := nb[next[u]]
+				next[u]++
+				if disc[w] == 0 {
+					clock++
+					disc[w], low[w] = clock, clock
+					stack = append(stack, w)
+				} else if disc[w] < low[u] {
+					low[u] = disc[w]
+				}
 				continue
 			}
-			comps++
-			visited[s] = true
-			stack = append(stack[:0], s)
-			for len(stack) > 0 {
-				u := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				for _, w := range c.Neighbors(u) {
-					if !visited[w] {
-						visited[w] = true
-						stack = append(stack, w)
-					}
+			// u is finished: split[u] is final, and u's parent (if any)
+			// is the vertex below it on the stack.
+			stack = stack[:len(stack)-1]
+			pieces := int(split[u])
+			if len(stack) > 0 {
+				pieces++
+				p := stack[len(stack)-1]
+				if low[u] < low[p] {
+					low[p] = low[u]
+				}
+				if low[u] >= disc[p] {
+					split[p]++
 				}
 			}
+			if pieces > most {
+				most = pieces
+			}
 		}
-		if comps > lb {
-			lb = comps
-		}
+	}
+	if k := comps - 1 + most; k > lb {
+		lb = k
 	}
 	return lb
 }

@@ -1,8 +1,10 @@
 package exact
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mdegst/internal/graph"
 )
@@ -103,6 +105,147 @@ func TestDegreeLowerBound(t *testing.T) {
 		if got := DegreeLowerBound(tc.g); got != tc.want {
 			t.Errorf("%s: LB=%d, want %d", tc.name, got, tc.want)
 		}
+	}
+}
+
+// sweepLowerBound is the O(n·m) definition of the bound, kept as the
+// differential oracle: one DFS sweep over G-v per vertex v.
+func sweepLowerBound(c *graph.CSR) int {
+	n := c.N()
+	lb := 1
+	if n >= 3 {
+		lb = 2
+	}
+	visited := make([]bool, n)
+	stack := make([]int32, 0, n)
+	for v := int32(0); int(v) < n; v++ {
+		clear(visited)
+		visited[v] = true
+		comps := 0
+		for s := int32(0); int(s) < n; s++ {
+			if visited[s] {
+				continue
+			}
+			comps++
+			visited[s] = true
+			stack = append(stack[:0], s)
+			for len(stack) > 0 {
+				u := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, w := range c.Neighbors(u) {
+					if !visited[w] {
+						visited[w] = true
+						stack = append(stack, w)
+					}
+				}
+			}
+		}
+		if comps > lb {
+			lb = comps
+		}
+	}
+	return lb
+}
+
+// randomLowerBoundGraph draws one differential case: a random multigraph-
+// free edge set over n nodes, with isolated vertices and several
+// components as likely as connected ones, or one of the structured
+// families whose cut vertices the bound is about.
+func randomLowerBoundGraph(rng *rand.Rand) *graph.Graph {
+	switch rng.Intn(10) {
+	case 0:
+		return graph.Path(2 + rng.Intn(30))
+	case 1:
+		return graph.Star(2 + rng.Intn(30))
+	case 2:
+		return graph.Ring(3 + rng.Intn(30))
+	case 3:
+		return graph.Wheel(4 + rng.Intn(30))
+	case 4:
+		return graph.BarabasiAlbert(4+rng.Intn(60), 1+rng.Intn(2), rng.Int63())
+	case 5:
+		// Disjoint union of small trees and cliques: several components
+		// and cut vertices in each.
+		g := graph.New()
+		base := graph.NodeID(0)
+		for parts := 1 + rng.Intn(4); parts > 0; parts-- {
+			var h *graph.Graph
+			if rng.Intn(2) == 0 {
+				h = graph.RandomTree(1+rng.Intn(12), rng.Int63())
+			} else {
+				h = graph.Complete(1 + rng.Intn(5))
+			}
+			for _, v := range h.Nodes() {
+				g.AddNode(base + v)
+			}
+			for _, e := range h.Edges() {
+				g.MustAddEdge(base+e.U, base+e.V)
+			}
+			base += graph.NodeID(h.N())
+		}
+		return g
+	}
+	// Uniform random graphs over 0..40 nodes, sparse enough to leave
+	// isolated vertices and several components regularly.
+	n := rng.Intn(41)
+	g := graph.New()
+	for v := 0; v < n; v++ {
+		g.AddNode(graph.NodeID(v))
+	}
+	if n >= 2 {
+		for m := rng.Intn(2 * n); m > 0; m-- {
+			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+			if u != v && !g.HasEdge(u, v) {
+				g.MustAddEdge(u, v)
+			}
+		}
+	}
+	return g
+}
+
+// TestLowerBoundMatchesSweep holds the linear-time bound to the O(n·m)
+// per-vertex sweep on seeded random graphs of every shape the bound must
+// handle, plus the degenerate sizes n = 0, 1, 2.
+func TestLowerBoundMatchesSweep(t *testing.T) {
+	empty := graph.New()
+	one := graph.New()
+	one.AddNode(4)
+	two := graph.New()
+	two.AddNode(1)
+	two.AddNode(2)
+	for _, g := range []*graph.Graph{empty, one, two, graph.Path(2), graph.Path(3), graph.Complete(3)} {
+		c := g.Compile()
+		if got, want := degreeLowerBound(c), sweepLowerBound(c); got != want {
+			t.Errorf("n=%d m=%d: bound %d, sweep %d", g.N(), g.M(), got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 2500; i++ {
+		g := randomLowerBoundGraph(rng)
+		c := g.Compile()
+		if got, want := degreeLowerBound(c), sweepLowerBound(c); got != want {
+			t.Fatalf("case %d (n=%d m=%d): bound %d, sweep %d\n%v", i, g.N(), g.M(), got, want, g)
+		}
+	}
+}
+
+// TestLowerBoundScale runs the bound on a 1000×1000 grid — a million
+// nodes, where the per-vertex sweep would take hours — and requires the
+// answer 2 (a grid has no cut vertex) within a second.
+func TestLowerBoundScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("million-node grid")
+	}
+	c := graph.Grid(1000, 1000).Compile()
+	start := time.Now()
+	lb := degreeLowerBound(c)
+	took := time.Since(start)
+	t.Logf("1000x1000 grid: bound %d in %v", lb, took)
+	if lb != 2 {
+		t.Errorf("grid lower bound %d, want 2", lb)
+	}
+	if took > time.Second {
+		t.Errorf("bound took %v on a 1000x1000 grid, want under 1s", took)
 	}
 }
 

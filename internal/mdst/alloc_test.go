@@ -1,0 +1,60 @@
+package mdst
+
+import (
+	"errors"
+	"io"
+	"testing"
+
+	"mdegst/internal/graph"
+	"mdegst/internal/sim"
+	"mdegst/internal/spanning"
+)
+
+// TestRoundEngineCounterAllocFlat pins the round engine's pooled (round,
+// opcode) counter slab: an improvement on gnm-256 stopped at engine round
+// 40 and one stopped at round 800 must allocate the same up to a constant.
+// Every delivery bumps the slab, so a counter that allocated per round or
+// per protocol round would show up 20-fold. The stop is a checkpoint
+// barrier written to io.Discard.
+//
+// The protocol's own slices (child lists, deferred lists) grow as the run
+// goes on, which would mask the engine's count, so the factory carries
+// each node's slice capacity over from the previous run: after the warm-up
+// run, the protocol allocates the same per run at any length.
+func TestRoundEngineCounterAllocFlat(t *testing.T) {
+	g := graph.Gnm(256, 768, 1)
+	c := g.Compile()
+	t0, err := spanning.BFSTree(g, g.Nodes()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := FactoryFromTree(Hybrid, 0, t0)
+	prev := make(map[sim.NodeID]*Node, g.N())
+	f := func(id sim.NodeID, nbrs []sim.NodeID) sim.Protocol {
+		n := inner(id, nbrs).(*Node)
+		if old := prev[id]; old != nil {
+			n.children = append(old.children[:0], n.children...)
+			n.deferred = old.deferred[:0]
+		}
+		prev[id] = n
+		return n
+	}
+	measure := func(rounds int64) float64 {
+		run := func() {
+			eng := &sim.EventEngine{Delay: sim.UnitDelay, Checkpoint: &sim.CheckpointSpec{Round: rounds, W: io.Discard}}
+			if _, _, err := eng.RunSnapshot(c, f); !errors.Is(err, sim.ErrCheckpointed) {
+				t.Fatalf("run to round %d: %v", rounds, err)
+			}
+		}
+		run() // warm the pooled slabs and the node slices for this length
+		return testing.AllocsPerRun(10, run)
+	}
+	short, long := measure(40), measure(800)
+	t.Logf("allocs per run: 40 rounds -> %.0f, 800 rounds -> %.0f", short, long)
+	// The slack covers the checkpoint's (kind, round) table, which holds a
+	// few more protocol rounds at the later barrier, and pool entries a GC
+	// may steal mid-measure.
+	if long > short+32 {
+		t.Errorf("allocs grew with round count: 40 rounds -> %.0f, 800 rounds -> %.0f", short, long)
+	}
+}

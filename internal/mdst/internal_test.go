@@ -186,35 +186,37 @@ func TestMessageWords(t *testing.T) {
 	}
 }
 
+func ptr(m sim.WireMsg) *sim.WireMsg { return &m }
+
 // TestMessageRoundTrip pins the decode layer against the constructors:
 // every record decodes back to the field values it was built from.
 func TestMessageRoundTrip(t *testing.T) {
 	rep := edgeReport{u: 7, v: 9, du: 3, dv: 2, vroot: 11}
-	if got := decStart(newStart(4, true, Multi)); got != (mStart{round: 4, clear: true, phase: Multi}) {
+	if got := decStart(ptr(newStart(4, true, Multi))); got != (mStart{round: 4, clear: true, phase: Multi}) {
 		t.Errorf("start round-trip: %+v", got)
 	}
-	if got := decDeg(newDeg(4, 6, noCand)); got != (mDeg{round: 4, k: 6, cand: noCand}) {
+	if got := decDeg(ptr(newDeg(4, 6, noCand))); got != (mDeg{round: 4, k: 6, cand: noCand}) {
 		t.Errorf("deg round-trip: %+v", got)
 	}
-	if got := decMove(newMove(4, 6, 9)); got != (mMove{round: 4, k: 6, target: 9}) {
+	if got := decMove(ptr(newMove(4, 6, 9))); got != (mMove{round: 4, k: 6, target: 9}) {
 		t.Errorf("move round-trip: %+v", got)
 	}
-	if got := decCut(newCut(4, 6, 2)); got != (mCut{round: 4, k: 6, owner: 2}) {
+	if got := decCut(ptr(newCut(4, 6, 2))); got != (mCut{round: 4, k: 6, owner: 2}) {
 		t.Errorf("cut round-trip: %+v", got)
 	}
-	if got := decBFS(newBFS(4, 6, 2, 3)); got != (mBFS{round: 4, k: 6, owner: 2, fragRoot: 3}) {
+	if got := decBFS(ptr(newBFS(4, 6, 2, 3))); got != (mBFS{round: 4, k: 6, owner: 2, fragRoot: 3}) {
 		t.Errorf("bfs round-trip: %+v", got)
 	}
-	if got := decCousin(newCousin(4, 6, 2, 3)); got != (mCousin{round: 4, deg: 6, owner: 2, fragRoot: 3}) {
+	if got := decCousin(ptr(newCousin(4, 6, 2, 3))); got != (mCousin{round: 4, deg: 6, owner: 2, fragRoot: 3}) {
 		t.Errorf("cousin round-trip: %+v", got)
 	}
-	if got := decBFSBack(newBFSBack(4, true, rep, true)); got != (mBFSBack{round: 4, hasReport: true, report: rep, improved: true}) {
+	if got := decBFSBack(ptr(newBFSBack(4, true, rep, true))); got != (mBFSBack{round: 4, hasReport: true, report: rep, improved: true}) {
 		t.Errorf("bfsback long round-trip: %+v", got)
 	}
-	if got := decBFSBack(newBFSBack(4, false, edgeReport{}, true)); got != (mBFSBack{round: 4, improved: true}) {
+	if got := decBFSBack(ptr(newBFSBack(4, false, edgeReport{}, true))); got != (mBFSBack{round: 4, improved: true}) {
 		t.Errorf("bfsback short round-trip: %+v", got)
 	}
-	if got := decUpdate(newUpdate(4, 7, 9, true)); got != (mUpdate{round: 4, u: 7, v: 9, first: true}) {
+	if got := decUpdate(ptr(newUpdate(4, 7, 9, true))); got != (mUpdate{round: 4, u: 7, v: 9, first: true}) {
 		t.Errorf("update round-trip: %+v", got)
 	}
 }

@@ -63,10 +63,10 @@ type mStart struct {
 }
 
 func newStart(round int, clear bool, phase Mode) sim.WireMsg {
-	return sim.Msg(opStart, int64(round), sim.B2W(clear), int64(phase))
+	return sim.WireMsg{Op: opStart, Nw: 3, W: [sim.MaxPayloadWords]int64{int64(round), sim.B2W(clear), int64(phase)}}
 }
 
-func decStart(m sim.WireMsg) mStart {
+func decStart(m *sim.WireMsg) mStart {
 	return mStart{round: int(m.W[0]), clear: m.W[1] != 0, phase: Mode(m.W[2])}
 }
 
@@ -80,10 +80,10 @@ type mDeg struct {
 }
 
 func newDeg(round, k int, cand sim.NodeID) sim.WireMsg {
-	return sim.Msg(opDeg, int64(round), int64(k), int64(cand))
+	return sim.WireMsg{Op: opDeg, Nw: 3, W: [sim.MaxPayloadWords]int64{int64(round), int64(k), int64(cand)}}
 }
 
-func decDeg(m sim.WireMsg) mDeg {
+func decDeg(m *sim.WireMsg) mDeg {
 	return mDeg{round: int(m.W[0]), k: int(m.W[1]), cand: sim.NodeID(m.W[2])}
 }
 
@@ -96,10 +96,10 @@ type mMove struct {
 }
 
 func newMove(round, k int, target sim.NodeID) sim.WireMsg {
-	return sim.Msg(opMove, int64(round), int64(k), int64(target))
+	return sim.WireMsg{Op: opMove, Nw: 3, W: [sim.MaxPayloadWords]int64{int64(round), int64(k), int64(target)}}
 }
 
-func decMove(m sim.WireMsg) mMove {
+func decMove(m *sim.WireMsg) mMove {
 	return mMove{round: int(m.W[0]), k: int(m.W[1]), target: sim.NodeID(m.W[2])}
 }
 
@@ -112,10 +112,10 @@ type mCut struct {
 }
 
 func newCut(round, k int, owner sim.NodeID) sim.WireMsg {
-	return sim.Msg(opCut, int64(round), int64(k), int64(owner))
+	return sim.WireMsg{Op: opCut, Nw: 3, W: [sim.MaxPayloadWords]int64{int64(round), int64(k), int64(owner)}}
 }
 
-func decCut(m sim.WireMsg) mCut {
+func decCut(m *sim.WireMsg) mCut {
 	return mCut{round: int(m.W[0]), k: int(m.W[1]), owner: sim.NodeID(m.W[2])}
 }
 
@@ -128,10 +128,10 @@ type mBFS struct {
 }
 
 func newBFS(round, k int, owner, fragRoot sim.NodeID) sim.WireMsg {
-	return sim.Msg(opBFS, int64(round), int64(k), int64(owner), int64(fragRoot))
+	return sim.WireMsg{Op: opBFS, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(k), int64(owner), int64(fragRoot)}}
 }
 
-func decBFS(m sim.WireMsg) mBFS {
+func decBFS(m *sim.WireMsg) mBFS {
 	return mBFS{round: int(m.W[0]), k: int(m.W[1]), owner: sim.NodeID(m.W[2]), fragRoot: sim.NodeID(m.W[3])}
 }
 
@@ -146,10 +146,10 @@ type mCousin struct {
 }
 
 func newCousin(round, deg int, owner, fragRoot sim.NodeID) sim.WireMsg {
-	return sim.Msg(opCousin, int64(round), int64(deg), int64(owner), int64(fragRoot))
+	return sim.WireMsg{Op: opCousin, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(deg), int64(owner), int64(fragRoot)}}
 }
 
-func decCousin(m sim.WireMsg) mCousin {
+func decCousin(m *sim.WireMsg) mCousin {
 	return mCousin{round: int(m.W[0]), deg: int(m.W[1]), owner: sim.NodeID(m.W[2]), fragRoot: sim.NodeID(m.W[3])}
 }
 
@@ -184,7 +184,7 @@ func newBFSBack(round int, hasReport bool, report edgeReport, improved bool) sim
 	return m
 }
 
-func decBFSBack(m sim.WireMsg) mBFSBack {
+func decBFSBack(m *sim.WireMsg) mBFSBack {
 	if m.Nw == 2 {
 		return mBFSBack{round: int(m.W[0]), improved: m.W[1] != 0}
 	}
@@ -209,10 +209,10 @@ type mUpdate struct {
 }
 
 func newUpdate(round int, u, v sim.NodeID, first bool) sim.WireMsg {
-	return sim.Msg(opUpdate, int64(round), int64(u), int64(v), sim.B2W(first))
+	return sim.WireMsg{Op: opUpdate, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(u), int64(v), sim.B2W(first)}}
 }
 
-func decUpdate(m sim.WireMsg) mUpdate {
+func decUpdate(m *sim.WireMsg) mUpdate {
 	return mUpdate{round: int(m.W[0]), u: sim.NodeID(m.W[1]), v: sim.NodeID(m.W[2]), first: m.W[3] != 0}
 }
 
@@ -221,7 +221,7 @@ type mChild struct {
 	round int
 }
 
-func newChild(round int) sim.WireMsg { return sim.Msg(opChild, int64(round)) }
+func newChild(round int) sim.WireMsg { return roundOnly(opChild, round) }
 
 // mRoundDone notifies the waiting owner that its exchange completed ("a
 // round is terminated when a node received a child message"); the paper
@@ -231,7 +231,7 @@ type mRoundDone struct {
 	round int
 }
 
-func newRoundDone(round int) sim.WireMsg { return sim.Msg(opRoundDone, int64(round)) }
+func newRoundDone(round int) sim.WireMsg { return roundOnly(opRoundDone, round) }
 
 // mTerm is the final broadcast: the tree is locally optimal (or a chain);
 // every node learns termination by process.
@@ -239,7 +239,12 @@ type mTerm struct {
 	round int
 }
 
-func newTerm(round int) sim.WireMsg { return sim.Msg(opTerm, int64(round)) }
+func newTerm(round int) sim.WireMsg { return roundOnly(opTerm, round) }
+
+// roundOnly encodes the records whose whole payload is the round.
+func roundOnly(op sim.Op, round int) sim.WireMsg {
+	return sim.WireMsg{Op: op, Nw: 1, W: [sim.MaxPayloadWords]int64{int64(round)}}
+}
 
 // edgeReport describes a recorded outgoing edge: u is the endpoint on the
 // recording (smaller fragment identity) side, v the far endpoint, du/dv

@@ -180,32 +180,61 @@ func (n *Node) Init(ctx sim.Context) {
 // "the answer has to be delayed until x learns its fragment identity").
 // Messages are flat wire records: deferring one is a value copy, and a
 // processed one simply goes out of scope.
+//
+// Every deferred message was rejected under the node's current deferral
+// state (see deferState), so the list is replayed only when a processed
+// message changed that state; otherwise each entry would be rejected
+// again.
 func (n *Node) Recv(ctx sim.Context, from sim.NodeID, m sim.WireMsg) {
-	if !n.process(ctx, from, m) {
+	pending := len(n.deferred) > 0
+	before := n.deferState()
+	if !n.process(ctx, from, &m) {
 		n.deferred = append(n.deferred, deferredMsg{from: from, msg: m})
 		return
 	}
-	n.retryDeferred(ctx)
+	if pending && n.deferState() != before {
+		n.retryDeferred(ctx)
+	}
 }
 
+// deferState is everything process reads to decide whether to defer: the
+// round, the fragment and owner flags and the tree parent (a BFS from the
+// parent is never deferred), plus termination, after which any delivery
+// is a protocol violation.
+type deferState struct {
+	round                                  int
+	parent                                 sim.NodeID
+	hasParent, fragKnown, isOwner, stopped bool
+}
+
+func (n *Node) deferState() deferState {
+	return deferState{n.round, n.parent, n.hasParent, n.fragKnown, n.isOwner, n.terminated}
+}
+
+// retryDeferred replays the deferred list in arrival order, compacting
+// the entries that stay deferred in place, and passes over it again only
+// while a replayed message changed the deferral state.
 func (n *Node) retryDeferred(ctx sim.Context) {
-	for progress := true; progress; {
-		progress = false
-		for i := 0; i < len(n.deferred); i++ {
+	for again := true; again; {
+		again = false
+		kept := n.deferred[:0]
+		for i := range n.deferred {
 			d := n.deferred[i]
-			if n.process(ctx, d.from, d.msg) {
-				n.deferred = append(n.deferred[:i], n.deferred[i+1:]...)
-				progress = true
-				i--
+			before := n.deferState()
+			if !n.process(ctx, d.from, &d.msg) {
+				kept = append(kept, d)
+			} else if n.deferState() != before {
+				again = true
 			}
 		}
+		n.deferred = kept
 	}
 }
 
 // process handles one message, returning false to defer it. The wire
 // record decodes to its typed view here, at the protocol boundary; the
 // handlers below work on the structs.
-func (n *Node) process(ctx sim.Context, from sim.NodeID, m sim.WireMsg) bool {
+func (n *Node) process(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) bool {
 	if n.terminated {
 		panic(fmt.Sprintf("mdst: node %d received %s after termination", n.id, m.Kind()))
 	}

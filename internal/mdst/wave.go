@@ -44,12 +44,13 @@ func (n *Node) enterFragment(ctx sim.Context, f fragID) {
 	n.fragKnown = true
 	n.frag = f
 	n.bfsPending = 0
+	m := newBFS(n.round, n.kAll, f.owner, f.root)
 	for _, w := range ctx.Neighbors() {
 		if n.hasParent && w == n.parent {
 			continue
 		}
 		n.bfsPending++
-		ctx.Send(w, newBFS(n.round, n.kAll, f.owner, f.root))
+		ctx.Send(w, m)
 	}
 	if n.bfsPending == 0 {
 		n.sendAggregate(ctx)

@@ -282,7 +282,7 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (r *si
 		// total are barrier-agreed values, so every process takes the same
 		// branch.
 		if delivered > maxMsgs || (delivered >= maxMsgs && total > 0) {
-			return nil, nil, fmt.Errorf("sim: exceeded %d messages; protocol livelock?", maxMsgs)
+			return nil, nil, sim.NewBudgetError(delivered, maxMsgs)
 		}
 		if total == 0 {
 			break

@@ -146,6 +146,7 @@ type DistScratch struct {
 	out    [][]OutMsg
 	counts []RankCount
 	sent   []int64
+	kr     krSlab
 }
 
 // NewDistRunner builds the process's share of a run: protocol instances
@@ -213,6 +214,7 @@ func NewDistRunnerScratch(c *graph.CSR, owner []int32, nprocs, self int, f Facto
 		r.sent[i] = 0
 	}
 	r.report.adoptDenseSent(r.sent, ids)
+	r.report.adoptKR(&sc.kr)
 	return r
 }
 
@@ -309,7 +311,8 @@ func (r *DistRunner) PlayInit() {
 // so the engine may alias it to reusable scratch.
 func (r *DistRunner) PlayRound(round int64, inbox []OutMsg) {
 	r.resetPhase()
-	for _, d := range inbox {
+	for i := range inbox {
+		d := &inbox[i]
 		li := r.local[d.To]
 		if li < 0 {
 			panic(fmt.Sprintf("sim: delivery for dense node %d not owned by process %d", d.To, r.self))
@@ -317,9 +320,9 @@ func (r *DistRunner) PlayRound(round int64, inbox []OutMsg) {
 		ctx := &r.ctxs[li]
 		ctx.rank = d.Parent
 		ctx.sends = 0
-		r.report.recordFast(d.From, d.Msg, round)
+		r.report.recordFast(d.From, &d.Msg, round)
 		r.protos[d.To].Recv(ctx, r.ids[d.From], d.Msg)
-		r.counts = append(r.counts, RankCount{Rank: d.Parent, Count: int64(ctx.sends)})
+		r.counts = append(r.counts, RankCount{Rank: ctx.rank, Count: int64(ctx.sends)})
 	}
 }
 

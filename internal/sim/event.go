@@ -63,6 +63,25 @@ func UniformDelay(lo float64) DelayFn {
 // DefaultMaxMessages caps runaway protocols in the event engine.
 const DefaultMaxMessages = 200_000_000
 
+// BudgetError is the typed abort of a run that reached its message budget
+// (MaxMessages, DefaultMaxMessages when unset): Messages had been delivered
+// and the run still had deliveries pending. Every engine aborts through
+// NewBudgetError; callers match it with errors.As.
+type BudgetError struct {
+	Messages int64 // deliveries made when the run aborted
+	Limit    int64 // the budget
+}
+
+func (e *BudgetError) Error() string {
+	return fmt.Sprintf("sim: exceeded %d messages; protocol livelock?", e.Limit)
+}
+
+// NewBudgetError builds the budget abort after delivered messages under
+// limit.
+func NewBudgetError(delivered, limit int64) error {
+	return &BudgetError{Messages: delivered, Limit: limit}
+}
+
 // EventEngine is a deterministic discrete-event simulator: events are
 // delivered in (time, sequence) order, delays come from a seeded RNG, and
 // the whole run is reproducible.
@@ -322,7 +341,7 @@ func (e *EventEngine) runSnapshotDense(c *graph.CSR, f Factory) ([]Protocol, *Re
 	for !er.wheel.empty() {
 		ev := er.wheel.pop()
 		if er.report.Messages >= maxMsgs {
-			return nil, nil, fmt.Errorf("sim: exceeded %d messages; protocol livelock?", maxMsgs)
+			return nil, nil, NewBudgetError(er.report.Messages, maxMsgs)
 		}
 		ctx := &scratch.ctxs[ev.toDense]
 		ctx.now = ev.t

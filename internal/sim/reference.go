@@ -139,7 +139,7 @@ func (e *ReferenceEngine) RunSnapshot(c *graph.CSR, f Factory) (protos map[NodeI
 	for rr.queue.Len() > 0 {
 		ev := heap.Pop(&rr.queue).(event)
 		if rr.report.Messages >= maxMsgs {
-			return nil, nil, fmt.Errorf("sim: exceeded %d messages; protocol livelock?", maxMsgs)
+			return nil, nil, NewBudgetError(rr.report.Messages, maxMsgs)
 		}
 		di := idx.MustOf(ev.to)
 		ctx := &ctxs[di]

@@ -46,18 +46,77 @@ type Report struct {
 	kindRound map[kindRoundKey]int64
 	finalized bool
 
-	// The recordFast accumulators, armed by adoptDenseSent on the round
-	// engines' hot paths. sentDense counts sends by dense node index — one
-	// array increment per message instead of a map op on a 64-bit key —
-	// and (lastKey, lastCount) memoise the kindRound counter: deliveries
-	// of one round overwhelmingly share the (opcode, round) key, so the
-	// hot path bumps a scalar and touches the map only on key change.
-	// syncHot folds both into the public accumulators; finalize,
-	// MergeParallel and checkpoint capture all sync first.
+	// The recordFast accumulators, armed by adoptDenseSent and adoptKR on
+	// the round engines' hot paths. sentDense counts sends by dense node
+	// index — one array increment per message instead of a map op on a
+	// 64-bit key — and kr counts deliveries per (round, opcode) in a dense
+	// slab, so the hot path never touches kindRound. syncHot folds both
+	// into the map-backed accumulators; finalize, MergeParallel and
+	// checkpoint capture all sync first.
 	sentDense []int64
 	sentIDs   []NodeID
-	lastKey   kindRoundKey
-	lastCount int64
+	kr        *krSlab
+}
+
+// krSlab is the dense delivery counter behind recordKR. It binds to the
+// wire schema of the first delivery it counts — an engine run executes one
+// protocol, so in practice every delivery — and c[round*w + op-base]
+// counts the deliveries of one of that schema's w opcodes in one
+// algorithm round; every entry at or beyond hi is zero. Rows one schema
+// wide rather than NumOps() wide, and 32-bit counters, keep the slab
+// small (an mdst row is 44 bytes); a wrap carries 2^32 into the kindRound
+// map. Engines keep one in their pooled scratch and lend it to each run's
+// report (adoptKR), so a warm engine grows it once and then counts
+// without allocating. Other schemas' opcodes and rounds outside
+// [0, krMaxRounds) fall back to the kindRound map.
+type krSlab struct {
+	c    []uint32
+	base Op  // first opcode of the bound schema
+	w    int // opcodes in the bound schema; 0 while unbound
+	hi   int
+}
+
+// krMaxRounds caps the slab at krMaxRounds rows.
+const krMaxRounds = 1 << 16
+
+// krMinRows is the slab's first allocation, in rounds.
+const krMinRows = 64
+
+// bind ties an unbound slab to op's schema. OpNone and unknown opcodes
+// leave it unbound.
+func (s *krSlab) bind(op Op) {
+	if info := opInfo(op); info != nil && info.schema != nil {
+		s.base, s.w = info.schema.base, len(info.schema.specs)
+	}
+}
+
+// grow makes index i addressable, at least doubling the slab. Entries
+// beyond hi stay zero: the copy carries them over and make zeroes the rest.
+func (s *krSlab) grow(i int) {
+	rows := 2 * len(s.c) / s.w
+	if rows < krMinRows {
+		rows = krMinRows
+	}
+	for rows*s.w <= i {
+		rows *= 2
+	}
+	if rows > krMaxRounds {
+		rows = krMaxRounds
+	}
+	c := make([]uint32, rows*s.w)
+	copy(c, s.c[:s.hi])
+	s.c = c
+}
+
+// drain calls f for every nonzero counter and zeroes the slab.
+func (s *krSlab) drain(f func(op Op, round int, v int64)) {
+	for i, v := range s.c[:s.hi] {
+		if v != 0 {
+			f(s.base+Op(i%s.w), i/s.w, int64(v))
+			s.c[i] = 0
+		}
+	}
+	s.hi = 0
 }
 
 // kindRoundKey is the allocation-free composite key of the hot-path
@@ -109,21 +168,24 @@ func (r *Report) adoptDenseSent(slab []int64, ids []NodeID) {
 	r.sentIDs = ids
 }
 
+// adoptKR lends the report an engine's pooled (round, opcode) counter
+// slab. The slab may hold counts of an aborted earlier run: they are
+// cleared here. finalize detaches it again; reports that are never
+// finalized (shard and process shares) must not outlive their run.
+func (r *Report) adoptKR(s *krSlab) {
+	clear(s.c[:s.hi])
+	s.hi, s.w = 0, 0
+	r.kr = s
+}
+
 // recordKR accounts one delivery with the map ops taken off the
-// per-message path — all the scalar counters plus the memoised (opcode,
-// round) counter, but no sender accounting. The sharded round path uses
+// per-message path — all the scalar counters plus the dense (round,
+// opcode) counter, but no sender accounting. The sharded round path uses
 // it directly: senders are counted at send time into the run's shared
 // dense slab, where each shard touches only its own nodes' entries.
-func (r *Report) recordKR(m WireMsg, depth int64) {
+func (r *Report) recordKR(m *WireMsg, depth int64) {
 	r.Messages++
-	if k := (kindRoundKey{m.Op, m.MsgRound()}); k == r.lastKey && r.lastCount > 0 {
-		r.lastCount++
-	} else {
-		if r.lastCount > 0 {
-			r.kindRound[r.lastKey] += r.lastCount
-		}
-		r.lastKey, r.lastCount = k, 1
-	}
+	r.countKR(m)
 	w := m.Words()
 	r.Words += int64(w)
 	if w > r.MaxWords {
@@ -134,18 +196,48 @@ func (r *Report) recordKR(m WireMsg, depth int64) {
 	}
 }
 
+// countKR bumps m's (round, opcode) counter: one slab increment when a
+// slab is lent and m's opcode and round fit it, else the kindRound map.
+func (r *Report) countKR(m *WireMsg) {
+	if s := r.kr; s != nil {
+		if s.w == 0 {
+			s.bind(m.Op)
+		}
+		if col := int(m.Op) - int(s.base); uint(col) < uint(s.w) {
+			round := 0
+			if wireReg.infos[m.Op].rounded {
+				round = int(m.W[0])
+			}
+			if uint(round) < krMaxRounds {
+				i := round*s.w + col
+				if i >= len(s.c) {
+					s.grow(i)
+				}
+				if s.c[i]++; s.c[i] == 0 {
+					r.kindRound[kindRoundKey{m.Op, round}] += 1 << 32
+				}
+				if i >= s.hi {
+					s.hi = i + 1
+				}
+				return
+			}
+		}
+	}
+	r.kindRound[kindRoundKey{m.Op, m.MsgRound()}]++
+}
+
 // recordFast is recordKR plus sender accounting by dense index into the
 // adopted slab. Callers must have armed adoptDenseSent.
-func (r *Report) recordFast(fromDense int32, m WireMsg, depth int64) {
+func (r *Report) recordFast(fromDense int32, m *WireMsg, depth int64) {
 	r.recordKR(m, depth)
 	r.sentDense[fromDense]++
 }
 
-// syncMemo flushes the kindRound memo into the map.
-func (r *Report) syncMemo() {
-	if r.lastCount > 0 {
-		r.kindRound[r.lastKey] += r.lastCount
-		r.lastKey, r.lastCount = kindRoundKey{}, 0
+// foldKR folds the slab's counts into the kindRound map and zeroes it;
+// the slab stays lent, so counting continues on top.
+func (r *Report) foldKR() {
+	if r.kr != nil {
+		r.kr.drain(func(op Op, round int, v int64) { r.kindRound[kindRoundKey{op, round}] += v })
 	}
 }
 
@@ -166,25 +258,39 @@ func (r *Report) foldDense() {
 // syncHot folds every recordFast accumulator into the map-backed state,
 // making kindRound and SentBy authoritative again.
 func (r *Report) syncHot() {
-	r.syncMemo()
+	r.foldKR()
 	r.foldDense()
 }
 
 // finalize materialises the public breakdown maps from the hot-path
-// accumulator: one string formatting per distinct (kind, round) pair instead
-// of one per message. Idempotent; engines call it once per run.
+// accumulators: one string formatting per distinct (kind, round) pair
+// instead of one per message. The counter slab drains straight into the
+// public maps and goes back to its engine; kindRound is dropped once
+// folded, so every finalized report holds its counts in the public maps
+// only, whichever path accumulated them. Idempotent; engines call it
+// once per run.
 func (r *Report) finalize() {
 	if r.finalized {
 		return
 	}
 	r.finalized = true
-	r.syncHot()
-	for k, v := range r.kindRound {
-		kind := opKind(k.op)
-		r.ByKind[kind] += v
-		r.ByRound[k.round] += v
-		r.ByKindRound[fmt.Sprintf("%s/%d", kind, k.round)] += v
+	r.foldDense()
+	if r.kr != nil {
+		r.kr.drain(r.addKindRound)
+		r.kr = nil
 	}
+	for k, v := range r.kindRound {
+		r.addKindRound(k.op, k.round, v)
+	}
+	r.kindRound = nil
+}
+
+// addKindRound adds v deliveries of (op, round) to the public breakdowns.
+func (r *Report) addKindRound(op Op, round int, v int64) {
+	kind := opKind(op)
+	r.ByKind[kind] += v
+	r.ByRound[round] += v
+	r.ByKindRound[fmt.Sprintf("%s/%d", kind, round)] += v
 }
 
 // MergeParallel merges o into r as the accounting of a disjoint state
@@ -213,7 +319,7 @@ func (r *Report) MergeParallel(o *Report) {
 			r.ByKindRound[k] += v
 		}
 	} else {
-		o.syncMemo()
+		o.foldKR()
 		// Same-run shard reports share one dense send slab shape: sum them
 		// as vectors and defer the single map fold to finalize. A shape
 		// mismatch (or a plain-map accumulator on either side) falls back

@@ -88,6 +88,7 @@ type roundScratch struct {
 	protos    []Protocol
 	cur, next []roundDelivery
 	sent      []int64 // dense send counters lent to the report
+	kr        krSlab  // (round, opcode) counters lent to the report
 }
 
 var roundPool = sync.Pool{New: func() any { return new(roundScratch) }}
@@ -141,6 +142,7 @@ func (e *EventEngine) runRoundsFrom(c *graph.CSR, f Factory, maxMsgs int64, star
 	scratch.reset(n)
 	rr.cur, rr.next = scratch.cur, scratch.next
 	rr.report.adoptDenseSent(scratch.sent, ids)
+	rr.report.adoptKR(&scratch.kr)
 
 	for i := 0; i < n; i++ {
 		di := int32(i)
@@ -182,11 +184,11 @@ func (e *EventEngine) runRoundsFrom(c *graph.CSR, f Factory, maxMsgs int64, star
 		rr.round++
 		t := float64(rr.round)
 		for i := range rr.cur {
-			d := rr.cur[i]
+			d := &rr.cur[i]
 			if rr.report.Messages >= maxMsgs {
-				return nil, nil, fmt.Errorf("sim: exceeded %d messages; protocol livelock?", maxMsgs)
+				return nil, nil, NewBudgetError(rr.report.Messages, maxMsgs)
 			}
-			rr.report.recordFast(d.fromDense, d.msg, rr.round)
+			rr.report.recordFast(d.fromDense, &d.msg, rr.round)
 			if rr.trace != nil {
 				rr.trace(TraceEvent{Time: t, Depth: rr.round, From: d.from, To: ids[d.toDense], Msg: d.msg})
 			}

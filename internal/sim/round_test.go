@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -102,7 +103,8 @@ func TestRoundEngineConcurrent(t *testing.T) {
 func TestRoundEngineLivelockGuard(t *testing.T) {
 	g := graph.Ring(4)
 	_, _, err := (&EventEngine{Delay: UnitDelay, MaxMessages: 500}).Run(g, func(NodeID, []NodeID) Protocol { return chainReaction{} })
-	if err == nil {
-		t.Fatal("expected livelock error")
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Messages != 500 || be.Limit != 500 {
+		t.Fatalf("want a budget abort at 500 messages, got %v", err)
 	}
 }

@@ -201,6 +201,7 @@ type roundShard struct {
 	report *Report
 	stage  [][]shardDelivery // [destination shard]: staged sends, key-sorted
 	inbox  []shardDelivery   // next/current round, rank-sorted, scatter-filled
+	kr     krSlab            // (round, opcode) counters lent to report
 	// Pad shards apart: each is written by exactly one worker per phase
 	// (append cursors, report counters), and without padding two shards'
 	// hot words can share a cache line and ping-pong between cores.
@@ -305,7 +306,7 @@ func (sh *roundShard) playRound() {
 		row := r.cntv[base : base+S]
 		clear(row)
 		ctx.row = row
-		sh.report.recordKR(d.msg, round)
+		sh.report.recordKR(&d.msg, round)
 		sh.protos[d.toLocal].Recv(ctx, d.from, d.msg)
 	}
 }
@@ -387,7 +388,7 @@ func (r *shardedRoundRun) playRoundSerial() {
 		row := r.cntv[base : base+S]
 		clear(row)
 		ctx.row = row
-		sh.report.recordKR(d.msg, r.round)
+		sh.report.recordKR(&d.msg, r.round)
 		if r.trace != nil {
 			r.trace(TraceEvent{Time: t, Depth: r.round, From: d.from, To: ctx.id, Msg: d.msg})
 		}
@@ -587,6 +588,7 @@ func (s *shardedScratch) reset(c *graph.CSR, part *graph.Partition) {
 		}
 		sh.protos = s.protos[si][:len(nodes)]
 		sh.report = newReport()
+		sh.report.adoptKR(&sh.kr)
 		if cap(sh.stage) < S {
 			sh.stage = make([][]shardDelivery, S)
 		}
@@ -1001,7 +1003,7 @@ func (e *ShardedEngine) runShardedRounds(c *graph.CSR, part *graph.Partition, f 
 		// window that crossed the cap errors here even if the protocol
 		// quiesced inside it.
 		if delivered > maxMsgs || (delivered >= maxMsgs && total > 0) {
-			return nil, nil, fmt.Errorf("sim: exceeded %d messages; protocol livelock?", maxMsgs)
+			return nil, nil, NewBudgetError(delivered, maxMsgs)
 		}
 		if total == 0 {
 			break
@@ -1504,7 +1506,7 @@ func (e *ShardedEngine) runShardedWheel(c *graph.CSR, part *graph.Partition, f F
 		sh := &run.shards[best]
 		for {
 			if delivered >= maxMsgs {
-				return nil, nil, fmt.Errorf("sim: exceeded %d messages; protocol livelock?", maxMsgs)
+				return nil, nil, NewBudgetError(delivered, maxMsgs)
 			}
 			ev := sh.wheel.pop()
 			li := run.local[ev.toDense]

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -332,8 +333,9 @@ func TestShardedLivelock(t *testing.T) {
 	g := graph.Ring(8)
 	eng := &ShardedEngine{Shards: 4, Workers: 2, Delay: UnitDelay, MaxMessages: 500}
 	_, _, err := eng.Run(g, func(id NodeID, _ []NodeID) Protocol { return &chatterNode{budget: 1 << 30} })
-	if err == nil || !strings.Contains(err.Error(), "livelock") {
-		t.Fatalf("want livelock abort, got %v", err)
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Limit != 500 || be.Messages < 500 {
+		t.Fatalf("want a budget abort at or past 500 messages, got %v", err)
 	}
 }
 

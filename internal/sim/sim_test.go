@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -233,12 +235,25 @@ func (chainReaction) Recv(ctx Context, from NodeID, _ WireMsg) {
 	ctx.Send(from, tokenMsg(0))
 }
 
+// TestLivelockGuard pins the typed budget abort on every single-process
+// tier: each stops exactly before the delivery that would exceed the cap.
 func TestLivelockGuard(t *testing.T) {
 	g := graph.Ring(4)
-	eng := &EventEngine{Delay: UnitDelay, MaxMessages: 1000}
-	_, _, err := eng.Run(g, func(NodeID, []NodeID) Protocol { return chainReaction{} })
-	if err == nil || !strings.Contains(err.Error(), "livelock") {
-		t.Errorf("want livelock error, got %v", err)
+	engines := map[string]Engine{
+		"rounds":    &EventEngine{Delay: UnitDelay, MaxMessages: 1000},
+		"wheel":     &EventEngine{Delay: UniformDelay(0.5), Seed: 1, MaxMessages: 1000},
+		"reference": &ReferenceEngine{Delay: UnitDelay, MaxMessages: 1000},
+	}
+	for name, eng := range engines {
+		_, _, err := eng.Run(g, func(NodeID, []NodeID) Protocol { return chainReaction{} })
+		var be *BudgetError
+		if !errors.As(err, &be) {
+			t.Errorf("%s: want *BudgetError, got %v", name, err)
+			continue
+		}
+		if be.Messages != 1000 || be.Limit != 1000 {
+			t.Errorf("%s: aborted at %d of %d messages, want 1000 of 1000", name, be.Messages, be.Limit)
+		}
 	}
 }
 
@@ -275,5 +290,54 @@ func TestTraceEvents(t *testing.T) {
 	}
 	if events[0].From != 0 || events[0].To != 1 {
 		t.Errorf("first event = %+v", events[0])
+	}
+}
+
+// krWire registers one rounded opcode for the dense counter tests.
+var krWire = Register("simkr", OpSpec{Kind: "kr.round", MinPayload: 1, MaxPayload: 1, Rounded: true})
+
+// TestDenseCounterMatchesMap feeds the same deliveries to the map-backed
+// record path and to the dense (round, opcode) slab, across slab growth,
+// a mid-run fold, another schema's opcode, rounds outside the slab's range
+// and a 32-bit counter wrap, and requires identical public breakdowns.
+func TestDenseCounterMatchesMap(t *testing.T) {
+	a, b := newReport(), newReport()
+	var slab krSlab
+	b.adoptKR(&slab)
+	deliver := func(round int) {
+		m := WireMsg{Op: krWire.Op(0), Nw: 1}
+		m.W[0] = int64(round)
+		a.record(1, m, 1)
+		b.recordKR(&m, 1)
+	}
+	for round := 0; round < 300; round++ {
+		for k := 0; k <= round%3; k++ {
+			deliver(round)
+		}
+		if round == 150 {
+			b.syncHot() // a checkpoint capture mid-run
+		}
+	}
+	tok := tokenMsg(7)
+	a.record(1, tok, 1)
+	b.recordKR(&tok, 1)
+	deliver(-1)
+	deliver(krMaxRounds)
+	// Wrap one 32-bit counter: both sides hold 2^32-1 deliveries of round 5
+	// before one more arrives.
+	a.kindRound[kindRoundKey{krWire.Op(0), 5}] += 1<<32 - 1
+	slab.c[5*slab.w+int(krWire.Op(0)-slab.base)] = 1<<32 - 1
+	deliver(5)
+	a.finalize()
+	b.finalize()
+	if b.kr != nil {
+		t.Error("finalize kept the lent slab")
+	}
+	if !reflect.DeepEqual(a.ByKind, b.ByKind) || !reflect.DeepEqual(a.ByRound, b.ByRound) ||
+		!reflect.DeepEqual(a.ByKindRound, b.ByKindRound) || a.Messages != b.Messages {
+		t.Errorf("dense counter diverged from the map path:\nmap:   %v\ndense: %v", a.ByRound, b.ByRound)
+	}
+	if got := b.ByKindRound["kr.round/5"]; got != 1<<32+3 {
+		t.Errorf("wrapped counter = %d, want %d", got, int64(1<<32+3))
 	}
 }

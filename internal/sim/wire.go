@@ -129,7 +129,7 @@ func (s *Schema) Spec(i int) OpSpec { return s.specs[i] }
 // Kind/MsgRound and report accounting.
 type wireInfo struct {
 	kind       string
-	proto      string
+	schema     *Schema
 	minW, maxW uint8
 	rounded    bool
 }
@@ -171,7 +171,7 @@ func Register(proto string, specs ...OpSpec) *Schema {
 		wireReg.kinds[sp.Kind] = Op(len(wireReg.infos))
 		wireReg.infos = append(wireReg.infos, wireInfo{
 			kind:    sp.Kind,
-			proto:   proto,
+			schema:  s,
 			minW:    uint8(sp.MinPayload),
 			maxW:    uint8(sp.MaxPayload),
 			rounded: sp.Rounded,
