@@ -1,6 +1,7 @@
 package mdegst_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -42,15 +43,80 @@ func TestBuildSpanningTreeErrors(t *testing.T) {
 	}
 }
 
+// TestImproveRejectsBadTree holds every facade entry point that takes a
+// caller-supplied initial tree to the same input contract: a tree that is
+// not a spanning tree of the graph — wrong graph, non-edge parent link,
+// Children disagreeing with Parent, detached or cyclic nodes — is an error,
+// never a run.
 func TestImproveRejectsBadTree(t *testing.T) {
 	g := mdegst.Ring(6)
-	other := mdegst.Ring(8)
-	t0, _, err := mdegst.BuildSpanningTree(other, mdegst.InitialFlood, mdegst.Options{})
+	c := mdegst.Compile(g)
+	// path is the spanning path 0-1-2-3-4-5 of the ring, rooted at 0.
+	path := func() *mdegst.Tree {
+		return &mdegst.Tree{
+			Root:     0,
+			Parent:   map[mdegst.NodeID]mdegst.NodeID{1: 0, 2: 1, 3: 2, 4: 3, 5: 4},
+			Children: map[mdegst.NodeID][]mdegst.NodeID{0: {1}, 1: {2}, 2: {3}, 3: {4}, 4: {5}, 5: nil},
+		}
+	}
+	other, _, err := mdegst.BuildSpanningTree(mdegst.Ring(8), mdegst.InitialFlood, mdegst.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mdegst.Improve(g, t0, mdegst.Options{}); err == nil {
-		t.Error("tree of a different graph accepted")
+	bad := map[string]*mdegst.Tree{
+		"different graph": other,
+		"non-edge parent": func() *mdegst.Tree {
+			tr := path()
+			tr.Parent[3] = 0
+			tr.Children[2], tr.Children[0] = nil, []mdegst.NodeID{1, 3}
+			return tr
+		}(),
+		"children disagree": func() *mdegst.Tree {
+			tr := path()
+			tr.Children[4] = nil
+			tr.Children[0] = []mdegst.NodeID{1, 5}
+			return tr
+		}(),
+		"detached node": func() *mdegst.Tree {
+			tr := path()
+			delete(tr.Parent, 5)
+			tr.Children[4] = nil
+			return tr
+		}(),
+		"cycle": func() *mdegst.Tree {
+			tr := path()
+			tr.Parent[1], tr.Parent[2] = 2, 1
+			tr.Children[0], tr.Children[1], tr.Children[2] = nil, []mdegst.NodeID{2}, []mdegst.NodeID{1, 3}
+			return tr
+		}(),
+	}
+	var ck bytes.Buffer
+	if ok, err := mdegst.CheckpointImprove(c, path(), mdegst.Options{}, 0, &ck); err != nil || !ok {
+		t.Fatalf("checkpoint of the valid tree: %v, written %v", err, ok)
+	}
+	entries := map[string]func(*mdegst.Tree) error{
+		"Improve": func(tr *mdegst.Tree) error {
+			_, err := mdegst.Improve(g, tr, mdegst.Options{})
+			return err
+		},
+		"ImproveCompiled": func(tr *mdegst.Tree) error {
+			_, err := mdegst.ImproveCompiled(c, tr, mdegst.Options{})
+			return err
+		},
+		"ResumeImprove": func(tr *mdegst.Tree) error {
+			_, err := mdegst.ResumeImprove(c, tr, mdegst.Options{}, bytes.NewReader(ck.Bytes()))
+			return err
+		},
+	}
+	for ename, run := range entries {
+		if err := run(path()); err != nil {
+			t.Errorf("%s: valid tree rejected: %v", ename, err)
+		}
+		for tname, tr := range bad {
+			if err := run(tr); err == nil {
+				t.Errorf("%s: %s accepted", ename, tname)
+			}
+		}
 	}
 }
 
