@@ -11,6 +11,7 @@ import (
 	"mdegst/internal/mdst"
 	"mdegst/internal/sim"
 	"mdegst/internal/spanning"
+	"mdegst/internal/tree"
 )
 
 // The checkpoint/resume differential corpus for the real protocols: an
@@ -92,7 +93,7 @@ func TestMDSTCheckpointResumeEveryBarrier(t *testing.T) {
 				}
 				var resumeTrace []sim.TraceEvent
 				reng := checkpointTraceEngine(shards, nil, func(e sim.TraceEvent) { resumeTrace = append(resumeTrace, e) })
-				if _, _, err := reng.ResumeSnapshot(c, improveFactory(mode, t0), ck); err != nil {
+				if _, _, err := reng.Resume(c, improveFactory(t, c, mode, t0), ck); err != nil {
 					t.Fatal(err)
 				}
 				whole := append(append([]sim.TraceEvent{}, prefix...), resumeTrace...)
@@ -110,9 +111,9 @@ func TestMDSTCheckpointResumeEveryBarrier(t *testing.T) {
 func TestFloodCheckpointResume(t *testing.T) {
 	g := mdegst.Gnm(40, 120, 3)
 	c := mdegst.Compile(g)
-	factory := spanning.NewFloodFactory(g.Nodes()[0])
+	factory := spanning.NewFloodFactory(c, g.Nodes()[0])
 
-	fullT, fullRep, err := spanning.BuildCompiled(&sim.EventEngine{Delay: sim.UnitDelay, FIFO: true}, c, factory)
+	fullT, fullRep, err := spanning.Build(&sim.EventEngine{Delay: sim.UnitDelay, FIFO: true}, c, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestFloodCheckpointResume(t *testing.T) {
 	for r := int64(0); r <= finalRound; r++ {
 		var buf bytes.Buffer
 		eng := &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true, Checkpoint: &sim.CheckpointSpec{Round: r, W: &buf}}
-		if _, _, err := eng.RunSnapshot(c, factory); !errors.Is(err, sim.ErrCheckpointed) {
+		if _, _, err := eng.Run(c, factory); !errors.Is(err, sim.ErrCheckpointed) {
 			t.Fatalf("barrier %d: %v, want ErrCheckpointed", r, err)
 		}
 		ck, err := sim.ReadCheckpoint(bytes.NewReader(buf.Bytes()))
@@ -129,15 +130,15 @@ func TestFloodCheckpointResume(t *testing.T) {
 		}
 		for _, shards := range []int{1, 3} {
 			eng := &sim.ShardedEngine{Shards: shards, Delay: sim.UnitDelay, FIFO: true}
-			protos, rep, err := eng.ResumeSnapshot(c, factory, ck)
+			protos, rep, err := eng.Resume(c, factory, ck)
 			if err != nil {
 				t.Fatalf("barrier %d shards %d: %v", r, shards, err)
 			}
-			tr, err := spanning.Extract(g, protos)
+			tr, err := spanning.Extract(c, protos)
 			if err != nil {
 				t.Fatalf("barrier %d shards %d: %v", r, shards, err)
 			}
-			if !tr.Equal(fullT) {
+			if !tr.ToTree().Equal(fullT.ToTree()) {
 				t.Fatalf("barrier %d shards %d: tree differs", r, shards)
 			}
 			assertSameReport(t, fmt.Sprintf("flood barrier %d shards %d", r, shards), rep, fullRep)
@@ -147,8 +148,13 @@ func TestFloodCheckpointResume(t *testing.T) {
 
 // improveFactory is the improvement protocol factory used for the raw
 // engine-level resume leg.
-func improveFactory(mode mdegst.Mode, t0 *mdegst.Tree) sim.Factory {
-	return mdst.FactoryFromTree(mode, 0, t0)
+func improveFactory(t *testing.T, c *mdegst.CompiledGraph, mode mdegst.Mode, t0 *mdegst.Tree) sim.Factory {
+	t.Helper()
+	d, err := tree.FromTree(t0, c.Index())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mdst.NewFactory(mode, 0, d)
 }
 
 // traceEngine builds the tracing unit-delay engine at the shard count.

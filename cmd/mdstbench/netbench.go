@@ -83,7 +83,7 @@ func newNetCluster(c *graph.CSR, k int) (*netCluster, error) {
 		// One slab factory per process: each serves that process's
 		// sequential runs with zero per-node allocations; the processes
 		// run concurrently, so they must not share one arena.
-		cl.fs[i] = spanning.NewFloodFactorySnap(c, root)
+		cl.fs[i] = spanning.NewFloodFactory(c, root)
 	}
 	lns := make([]gonet.Listener, k)
 	addrs := make([]string, k)
@@ -125,11 +125,10 @@ func newNetCluster(c *graph.CSR, k int) (*netCluster, error) {
 	return cl, nil
 }
 
-// run executes one distributed flood build across the live mesh, with the
-// slab flood factory on the dense extraction path — the same choices as
-// the -scaling suite: the suite measures the engine, so it must not spend
-// its wall time growing per-node children lists or materialising an
-// identity-keyed result map it immediately drops.
+// run executes one distributed flood build across the live mesh, with one
+// reused slab flood factory per process — the same choice as the -scaling
+// suite: the suite measures the engine, so it must not spend its wall time
+// setting up per-node state it immediately drops.
 func (cl *netCluster) run(c *graph.CSR) error {
 	errs := make([]error, cl.k)
 	var wg sync.WaitGroup
@@ -137,7 +136,7 @@ func (cl *netCluster) run(c *graph.CSR) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, rep, err := spanning.BuildCompiledDense(cl.engs[i], c, cl.fs[i])
+			_, rep, err := spanning.Build(cl.engs[i], c, cl.fs[i])
 			if err != nil {
 				errs[i] = fmt.Errorf("process %d: %w", i, err)
 				return

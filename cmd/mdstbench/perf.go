@@ -14,6 +14,7 @@ import (
 	mdnet "mdegst/internal/net"
 	"mdegst/internal/sim"
 	"mdegst/internal/spanning"
+	"mdegst/internal/tree"
 	"mdegst/internal/workload"
 )
 
@@ -67,7 +68,9 @@ func benchToEntry(name string, r testing.BenchmarkResult) perfEntry {
 }
 
 // benchEngine runs the full improvement protocol (wheel-free Gnm workload,
-// star start, hybrid mode) on the given engine construction.
+// star start, hybrid mode) on the given engine construction. Like
+// benchFlood it compiles the snapshot (and converts the start tree over
+// it) per iteration, to stay comparable with the recorded trajectory.
 func benchEngine(mk func() sim.Engine) testing.BenchmarkResult {
 	g := graph.Gnm(96, 288, 1)
 	t0, err := spanning.StarTree(g)
@@ -77,7 +80,12 @@ func benchEngine(mk func() sim.Engine) testing.BenchmarkResult {
 	return testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := mdst.Run(mk(), g, t0, mdst.Hybrid); err != nil {
+			c := g.Compile()
+			d, err := tree.FromTree(t0, c.Index())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := mdst.Run(mk(), c, d, mdst.Hybrid, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -93,7 +101,8 @@ func benchFlood(mk func() sim.Engine) testing.BenchmarkResult {
 	return testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := spanning.Build(mk(), g, spanning.NewFloodFactory(g.Nodes()[0])); err != nil {
+			c := g.Compile()
+			if _, _, err := spanning.Build(mk(), c, spanning.NewFloodFactory(c, g.Nodes()[0])); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -109,7 +118,7 @@ func benchFloodSnap(c *graph.CSR, mk func() sim.Engine) testing.BenchmarkResult 
 	return testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := spanning.BuildCompiled(mk(), c, spanning.NewFloodFactory(root)); err != nil {
+			if _, _, err := spanning.Build(mk(), c, spanning.NewFloodFactory(c, root)); err != nil {
 				b.Fatal(err)
 			}
 		}

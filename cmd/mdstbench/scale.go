@@ -162,8 +162,8 @@ func runScale(path string, procs int, phases bool) (*perfReport, error) {
 			// cache alive across iterations — the untimed warm-up run grows
 			// the arenas once so first-touch setup doesn't smear into the
 			// steady-state numbers.
-			f := spanning.NewFloodFactorySnap(c, root)
-			if _, _, err := spanning.BuildCompiledDense(eng, c, f); err != nil {
+			f := spanning.NewFloodFactory(c, root)
+			if _, _, err := spanning.Build(eng, c, f); err != nil {
 				return nil, err
 			}
 			// Stats arm after the warm-up so the recorded breakdown covers
@@ -174,7 +174,7 @@ func runScale(path string, procs int, phases bool) (*perfReport, error) {
 				sharded.Stats = st
 			}
 			iters, medianNs, allocsPerOp, bytesPerOp, err := benchCell(func() error {
-				_, _, err := spanning.BuildCompiledDense(eng, c, f)
+				_, _, err := spanning.Build(eng, c, f)
 				return err
 			})
 			if err != nil {

@@ -44,7 +44,7 @@ func main() {
 		{"star (worst case)", star},
 		{"MDegST (improved)", improved},
 	} {
-		res, err := apps.RunSync(&sim.AsyncEngine{}, g, apps.SyncConfig{
+		res, err := apps.RunSync(&sim.AsyncEngine{}, g.Compile(), apps.SyncConfig{
 			Tree:       tc.ctrl,
 			NewMachine: apps.NewBFSMachine(source),
 		})

@@ -18,7 +18,7 @@ func TestBroadcastReachesEveryone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(unit(), g, Config{Tree: st})
+	res, err := Run(unit(), g.Compile(), Config{Tree: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestBroadcastLoadIsRootDegreeBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(unit(), g, Config{Tree: st})
+	res, err := Run(unit(), g.Compile(), Config{Tree: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestConvergecastSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(unit(), g, Config{
+	res, err := Run(unit(), g.Compile(), Config{
 		Tree:  st,
 		Ack:   true,
 		Value: func(id sim.NodeID) int64 { return int64(id) },
@@ -87,11 +87,11 @@ func TestImprovementReducesMeasuredLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resBefore, err := Run(unit(), g, Config{Tree: before})
+	resBefore, err := Run(unit(), g.Compile(), Config{Tree: before})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resAfter, err := Run(unit(), g, Config{Tree: after})
+	resAfter, err := Run(unit(), g.Compile(), Config{Tree: after})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestBroadcastOnAsyncEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(&sim.AsyncEngine{}, g, Config{Tree: st, Ack: true})
+	res, err := Run(&sim.AsyncEngine{}, g.Compile(), Config{Tree: st, Ack: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestRejectsForeignTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(unit(), g, Config{Tree: st}); err == nil {
+	if _, err := Run(unit(), g.Compile(), Config{Tree: st}); err == nil {
 		t.Error("tree of a different graph accepted")
 	}
 }

@@ -213,21 +213,22 @@ func (n *syncNode) halt(ctx sim.Context, truncated bool) {
 	}
 }
 
-// RunSync executes a synchronous algorithm over the asynchronous network g,
+// RunSync executes a synchronous algorithm over the asynchronous network c,
 // synchronized by the spanning tree in cfg.
-func RunSync(eng sim.Engine, g *graph.Graph, cfg SyncConfig) (*SyncResult, error) {
-	if err := cfg.Tree.Validate(g); err != nil {
+func RunSync(eng sim.Engine, c *graph.CSR, cfg SyncConfig) (*SyncResult, error) {
+	if err := cfg.Tree.Validate(c.Source()); err != nil {
 		return nil, fmt.Errorf("apps: sync tree invalid: %w", err)
 	}
 	if cfg.NewMachine == nil {
 		return nil, fmt.Errorf("apps: sync needs a machine constructor")
 	}
-	protos, rep, err := eng.Run(g, newSyncFactory(cfg))
+	protos, rep, err := eng.Run(c, newSyncFactory(cfg))
 	if err != nil {
 		return nil, err
 	}
 	res := &SyncResult{Machines: make(map[sim.NodeID]Machine, len(protos)), Report: rep}
-	for id, p := range protos {
+	for i, p := range protos {
+		id := c.Index().ID(int32(i))
 		sn, ok := p.(*syncNode)
 		if !ok {
 			return nil, fmt.Errorf("apps: node %d runs %T", id, p)

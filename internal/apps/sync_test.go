@@ -31,7 +31,7 @@ func TestSyncBFSDistances(t *testing.T) {
 	want := bfsDistances(g, source)
 	for name, eng := range syncEngines() {
 		t.Run(name, func(t *testing.T) {
-			res, err := RunSync(eng, g, SyncConfig{Tree: st, NewMachine: NewBFSMachine(source)})
+			res, err := RunSync(eng, g.Compile(), SyncConfig{Tree: st, NewMachine: NewBFSMachine(source)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +83,7 @@ func TestSyncControlLoadFollowsTreeDegree(t *testing.T) {
 		t.Fatal(err)
 	}
 	runOn := func(ctrl *tree.Tree) *SyncResult {
-		res, err := RunSync(&sim.EventEngine{Delay: sim.UnitDelay}, g, SyncConfig{
+		res, err := RunSync(&sim.EventEngine{Delay: sim.UnitDelay}, g.Compile(), SyncConfig{
 			Tree:       ctrl,
 			NewMachine: NewBFSMachine(source),
 		})
@@ -113,7 +113,7 @@ func TestSyncTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSync(&sim.EventEngine{Delay: sim.UnitDelay}, g, SyncConfig{
+	res, err := RunSync(&sim.EventEngine{Delay: sim.UnitDelay}, g.Compile(), SyncConfig{
 		Tree:       st,
 		NewMachine: func(id sim.NodeID, ns []sim.NodeID) Machine { return neverDone{} },
 		MaxRounds:  5,
@@ -139,7 +139,7 @@ func TestSyncConfigErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSync(&sim.EventEngine{}, g, SyncConfig{Tree: st}); err == nil {
+	if _, err := RunSync(&sim.EventEngine{}, g.Compile(), SyncConfig{Tree: st}); err == nil {
 		t.Error("missing machine constructor accepted")
 	}
 	other := graph.Ring(9)
@@ -147,7 +147,7 @@ func TestSyncConfigErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSync(&sim.EventEngine{}, g, SyncConfig{Tree: stOther, NewMachine: NewBFSMachine(0)}); err == nil {
+	if _, err := RunSync(&sim.EventEngine{}, g.Compile(), SyncConfig{Tree: stOther, NewMachine: NewBFSMachine(0)}); err == nil {
 		t.Error("foreign tree accepted")
 	}
 }

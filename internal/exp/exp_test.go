@@ -28,15 +28,15 @@ func TestEngineForRoutesLargeWorkloads(t *testing.T) {
 		t.Fatalf("sharded route uses %d shards", sharded.Shards)
 	}
 	root := large.Source().Nodes()[0]
-	tS, repS, err := spanning.BuildCompiled(engineFor(large), large, spanning.NewFloodFactory(root))
+	tS, repS, err := spanning.Build(engineFor(large), large, spanning.NewFloodFactory(large, root))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tU, repU, err := spanning.BuildCompiled(unitEngine(), large, spanning.NewFloodFactory(root))
+	tU, repU, err := spanning.Build(unitEngine(), large, spanning.NewFloodFactory(large, root))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tS.Equal(tU) || repS.Messages != repU.Messages || repS.CausalDepth != repU.CausalDepth {
+	if !tS.ToTree().Equal(tU.ToTree()) || repS.Messages != repU.Messages || repS.CausalDepth != repU.CausalDepth {
 		t.Fatalf("sharded routing changed results: %d msgs vs %d", repS.Messages, repU.Messages)
 	}
 }

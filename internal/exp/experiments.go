@@ -111,11 +111,21 @@ func mustStar(g *graph.Graph) *tree.Tree {
 }
 
 func mustRun(c *graph.CSR, t0 *tree.Tree, mode mdst.Mode) *mdst.Result {
-	res, err := mdst.RunSnapshot(engineFor(c), c, t0, mode)
+	res, err := improve(engineFor(c), c, t0, mode)
 	if err != nil {
 		panic(fmt.Sprintf("exp: %v", err))
 	}
 	return res
+}
+
+// improve runs the improvement protocol on eng from a sequentially built
+// tree of c's graph.
+func improve(eng sim.Engine, c *graph.CSR, t0 *tree.Tree, mode mdst.Mode) (*mdst.Result, error) {
+	d, err := tree.FromTree(t0, c.Index())
+	if err != nil {
+		return nil, err
+	}
+	return mdst.Run(eng, c, d, mode, 0)
 }
 
 func mustTwin(c *graph.CSR, t0 *tree.Tree, mode mdst.Mode) (*tree.Tree, fr.TwinStats) {
@@ -681,20 +691,20 @@ func e9Spec(cfg Config) spec {
 		name  string
 		build func(c *graph.CSR) (*tree.Tree, *sim.Report)
 	}
-	distributed := func(factory func(g *graph.Graph) sim.Factory) func(c *graph.CSR) (*tree.Tree, *sim.Report) {
+	distributed := func(factory func(c *graph.CSR) sim.Factory) func(c *graph.CSR) (*tree.Tree, *sim.Report) {
 		return func(c *graph.CSR) (*tree.Tree, *sim.Report) {
-			tr, rep, err := spanning.BuildCompiled(engineFor(c), c, factory(c.Source()))
+			d, rep, err := spanning.Build(engineFor(c), c, factory(c))
 			if err != nil {
 				panic(err)
 			}
-			return tr, rep
+			return d.ToTree(), rep
 		}
 	}
 	builders := []builder{
-		{"flood(BFS)", distributed(func(g *graph.Graph) sim.Factory { return spanning.NewFloodFactory(g.Nodes()[0]) })},
-		{"dfs", distributed(func(g *graph.Graph) sim.Factory { return spanning.NewDFSFactory(g.Nodes()[0]) })},
-		{"ghs", distributed(func(g *graph.Graph) sim.Factory { return spanning.NewGHSFactory() })},
-		{"election", distributed(func(g *graph.Graph) sim.Factory { return spanning.NewElectionFactory() })},
+		{"flood(BFS)", distributed(func(c *graph.CSR) sim.Factory { return spanning.NewFloodFactory(c, c.Source().Nodes()[0]) })},
+		{"dfs", distributed(func(c *graph.CSR) sim.Factory { return spanning.NewDFSFactory(c.Source().Nodes()[0]) })},
+		{"ghs", distributed(func(*graph.CSR) sim.Factory { return spanning.NewGHSFactory() })},
+		{"election", distributed(func(*graph.CSR) sim.Factory { return spanning.NewElectionFactory() })},
 		{"star(worst)", func(c *graph.CSR) (*tree.Tree, *sim.Report) { return mustStar(c.Source()), nil }},
 		{"random", func(c *graph.CSR) (*tree.Tree, *sim.Report) {
 			tr, err := spanning.RandomST(c.Source(), 7)
@@ -760,11 +770,11 @@ func e10Spec(cfg Config) spec {
 			final, _ := mustTwin(c, t0, mdst.Hybrid)
 			before, _ := t0.MaxDegree()
 			after, _ := final.MaxDegree()
-			rb, err := apps.RunCompiled(engineFor(c), c, apps.Config{Tree: t0, Ack: true})
+			rb, err := apps.Run(engineFor(c), c, apps.Config{Tree: t0, Ack: true})
 			if err != nil {
 				panic(err)
 			}
-			ra, err := apps.RunCompiled(engineFor(c), c, apps.Config{Tree: final, Ack: true})
+			ra, err := apps.Run(engineFor(c), c, apps.Config{Tree: final, Ack: true})
 			if err != nil {
 				panic(err)
 			}
@@ -919,7 +929,7 @@ func a3Spec(cfg Config) spec {
 	for _, e := range engines {
 		trials = append(trials, func() any {
 			c := w.snap(0)
-			res, err := mdst.RunSnapshot(e.mk(), c, mustStar(c.Source()), mdst.Hybrid)
+			res, err := improve(e.mk(), c, mustStar(c.Source()), mdst.Hybrid)
 			if err != nil {
 				panic(err)
 			}

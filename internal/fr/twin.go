@@ -67,7 +67,7 @@ func Twin(g *graph.Graph, initial *tree.Tree, mode mdst.Mode) (*tree.Tree, TwinS
 	return TwinTarget(g, initial, mode, 0)
 }
 
-// TwinTarget is Twin with the degree-target stop used by mdst.RunTarget.
+// TwinTarget is Twin with the degree-target stop of mdst.Run.
 func TwinTarget(g *graph.Graph, initial *tree.Tree, mode mdst.Mode, target int) (*tree.Tree, TwinStats, error) {
 	return TwinTargetSnapshot(g.Compile(), initial, mode, target)
 }

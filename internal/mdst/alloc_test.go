@@ -8,6 +8,7 @@ import (
 	"mdegst/internal/graph"
 	"mdegst/internal/sim"
 	"mdegst/internal/spanning"
+	"mdegst/internal/tree"
 )
 
 // TestRoundEngineCounterAllocFlat pins the round engine's pooled (round,
@@ -28,7 +29,11 @@ func TestRoundEngineCounterAllocFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := FactoryFromTree(Hybrid, 0, t0)
+	d, err := tree.FromTree(t0, c.Index())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := NewFactory(Hybrid, 0, d)
 	prev := make(map[sim.NodeID]*Node, g.N())
 	f := func(id sim.NodeID, nbrs []sim.NodeID) sim.Protocol {
 		n := inner(id, nbrs).(*Node)
@@ -42,7 +47,7 @@ func TestRoundEngineCounterAllocFlat(t *testing.T) {
 	measure := func(rounds int64) float64 {
 		run := func() {
 			eng := &sim.EventEngine{Delay: sim.UnitDelay, Checkpoint: &sim.CheckpointSpec{Round: rounds, W: io.Discard}}
-			if _, _, err := eng.RunSnapshot(c, f); !errors.Is(err, sim.ErrCheckpointed) {
+			if _, _, err := eng.Run(c, f); !errors.Is(err, sim.ErrCheckpointed) {
 				t.Fatalf("run to round %d: %v", rounds, err)
 			}
 		}

@@ -22,7 +22,7 @@ func BenchmarkImprovementRound(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			eng := &sim.EventEngine{Delay: sim.UnitDelay}
 			for i := 0; i < b.N; i++ {
-				if _, err := mdst.Run(eng, g, t0, mdst.Single); err != nil {
+				if _, err := improve(eng, g, t0, mdst.Single, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -43,7 +43,7 @@ func BenchmarkFullImprovement(b *testing.B) {
 			eng := &sim.EventEngine{Delay: sim.UnitDelay}
 			var msgs int64
 			for i := 0; i < b.N; i++ {
-				res, err := mdst.Run(eng, g, t0, mode)
+				res, err := improve(eng, g, t0, mode, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -8,6 +8,7 @@ import (
 	"mdegst/internal/graph"
 	"mdegst/internal/sim"
 	"mdegst/internal/spanning"
+	"mdegst/internal/tree"
 )
 
 // Deferral replay pinning. Under non-FIFO delivery a node defers BFS probes
@@ -49,20 +50,24 @@ func runCounted(t *testing.T, eng sim.Engine, g *graph.Graph, mode Mode) (string
 	if err != nil {
 		t.Fatal(err)
 	}
-	var counts deferralCounts
-	inner := FactoryFromTree(mode, 0, t0)
-	f := func(id sim.NodeID, nbrs []sim.NodeID) sim.Protocol {
-		return countingNode{Node: inner(id, nbrs).(*Node), c: &counts}
-	}
-	protos, rep, err := sim.RunCompiled(eng, g.Compile(), f)
+	c := g.Compile()
+	d, err := tree.FromTree(t0, c.Index())
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := make(map[sim.NodeID]sim.Protocol, len(protos))
-	for id, p := range protos {
-		nodes[id] = p.(countingNode).Node
+	var counts deferralCounts
+	inner := NewFactory(mode, 0, d)
+	f := func(id sim.NodeID, nbrs []sim.NodeID) sim.Protocol {
+		return countingNode{Node: inner(id, nbrs).(*Node), c: &counts}
 	}
-	res, err := Extract(g, t0, nodes, rep)
+	protos, rep, err := eng.Run(c, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range protos {
+		protos[i] = p.(countingNode).Node
+	}
+	res, err := extract(c, d, protos, rep)
 	if err != nil {
 		t.Fatal(err)
 	}

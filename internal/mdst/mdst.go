@@ -23,6 +23,7 @@ import (
 
 	"mdegst/internal/graph"
 	"mdegst/internal/sim"
+	"mdegst/internal/spanning"
 	"mdegst/internal/tree"
 )
 
@@ -43,110 +44,58 @@ type Result struct {
 	FinalDegree   int
 }
 
-// FactoryFromTree builds the protocol factory for an initial tree.
-func FactoryFromTree(mode Mode, target int, t *tree.Tree) sim.Factory {
-	parent := make(map[sim.NodeID]sim.NodeID, t.N())
-	children := make(map[sim.NodeID][]sim.NodeID, t.N())
-	for v, p := range t.Parent {
-		parent[v] = p
-	}
-	parent[t.Root] = t.Root
-	for v, ch := range t.Children {
-		children[v] = ch
-	}
-	return NewFactory(mode, target, t.Root, parent, children)
-}
-
-// Run executes the improvement protocol on the engine, starting from the
-// given spanning tree of g, and returns the validated result.
-func Run(eng sim.Engine, g *graph.Graph, initial *tree.Tree, mode Mode) (*Result, error) {
-	return RunTarget(eng, g, initial, mode, 0)
-}
-
-// RunTarget is Run with a degree target: the protocol stops as soon as the
-// maximum degree is at most target (the paper's "cannot exceed a given
-// value k" variant). A target of 0 improves to local optimality.
-func RunTarget(eng sim.Engine, g *graph.Graph, initial *tree.Tree, mode Mode, target int) (*Result, error) {
-	return RunTargetSnapshot(eng, g.Compile(), initial, mode, target)
-}
-
-// RunSnapshot is Run over a pre-compiled snapshot: the harness compiles each
-// workload once and shares the snapshot across trials and engines.
-func RunSnapshot(eng sim.Engine, c *graph.CSR, initial *tree.Tree, mode Mode) (*Result, error) {
-	return RunTargetSnapshot(eng, c, initial, mode, 0)
-}
-
-// RunTargetSnapshot is RunTarget over a pre-compiled snapshot.
-func RunTargetSnapshot(eng sim.Engine, c *graph.CSR, initial *tree.Tree, mode Mode, target int) (*Result, error) {
-	g := c.Source()
-	if err := initial.Validate(g); err != nil {
+// Run executes the improvement protocol on the engine over the snapshot,
+// starting from the given spanning tree of it, and returns the validated
+// result. A positive target stops the protocol as soon as the maximum
+// degree is at most target (the paper's "cannot exceed a given value k"
+// variant); 0 improves to local optimality.
+func Run(eng sim.Engine, c *graph.CSR, initial *tree.Dense, mode Mode, target int) (*Result, error) {
+	if err := initial.Validate(c); err != nil {
 		return nil, fmt.Errorf("mdst: initial tree invalid: %w", err)
 	}
-	protos, rep, err := sim.RunCompiled(eng, c, FactoryFromTree(mode, target, initial))
+	protos, rep, err := eng.Run(c, NewFactory(mode, target, initial))
 	if err != nil {
 		return nil, err
 	}
-	return Extract(g, initial, protos, rep)
+	return extract(c, initial, protos, rep)
 }
 
-// ResumeTargetSnapshot continues a checkpointed improvement run: the
-// factory is rebuilt from the same initial tree and mode, the engine
-// restores the frozen states and pending messages, and the completed
-// Result — tree, report, rounds, swaps — is identical to the uninterrupted
-// run's.
-func ResumeTargetSnapshot(eng sim.ResumableEngine, c *graph.CSR, initial *tree.Tree, mode Mode, target int, ck *sim.Checkpoint) (*Result, error) {
-	g := c.Source()
-	if err := initial.Validate(g); err != nil {
+// Resume continues a checkpointed improvement run: the factory is rebuilt
+// from the same initial tree and mode, the engine restores the frozen
+// states and pending messages, and the completed Result — tree, report,
+// rounds, swaps — is identical to the uninterrupted run's.
+func Resume(eng sim.ResumableEngine, c *graph.CSR, initial *tree.Dense, mode Mode, target int, ck *sim.Checkpoint) (*Result, error) {
+	if err := initial.Validate(c); err != nil {
 		return nil, fmt.Errorf("mdst: initial tree invalid: %w", err)
 	}
-	protos, rep, err := eng.ResumeSnapshot(c, FactoryFromTree(mode, target, initial), ck)
+	protos, rep, err := eng.Resume(c, NewFactory(mode, target, initial), ck)
 	if err != nil {
 		return nil, err
 	}
-	return Extract(g, initial, protos, rep)
+	return extract(c, initial, protos, rep)
 }
 
-// Extract assembles a Result from final protocol states.
-func Extract(g *graph.Graph, initial *tree.Tree, protos map[sim.NodeID]sim.Protocol, rep *sim.Report) (*Result, error) {
-	var root sim.NodeID
-	roots := 0
-	parent := make(map[graph.NodeID]graph.NodeID, len(protos))
+// extract assembles a Result from the engine's dense final protocol states.
+// The final tree is read and proved a spanning tree of c by
+// spanning.Extract, which every mdst Node satisfies.
+func extract(c *graph.CSR, initial *tree.Dense, protos []sim.Protocol, rep *sim.Report) (*Result, error) {
 	rounds, swaps := 0, 0
-	for id, p := range protos {
+	for i, p := range protos {
 		node, ok := p.(*Node)
 		if !ok {
-			return nil, fmt.Errorf("mdst: node %d runs %T, not the mdst protocol", id, p)
+			return nil, fmt.Errorf("mdst: node %d runs %T, not the mdst protocol", c.Index().ID(int32(i)), p)
 		}
-		if !node.Finished() {
-			return nil, fmt.Errorf("mdst: node %d did not learn termination", id)
-		}
-		par, _, isRoot := node.TreeInfo()
-		if isRoot {
-			root = id
-			roots++
-			parent[id] = id
-		} else {
-			parent[id] = par
-		}
-		if node.Round() > rounds {
-			rounds = node.Round()
-		}
+		rounds = max(rounds, node.Round())
 		swaps += node.Swaps()
 	}
-	if roots != 1 {
-		return nil, fmt.Errorf("mdst: %d roots, want exactly 1", roots)
-	}
-	t, err := tree.FromParentMap(root, parent)
+	final, err := spanning.Extract(c, protos)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mdst: final tree: %w", err)
 	}
-	if err := t.Validate(g); err != nil {
-		return nil, fmt.Errorf("mdst: final tree invalid: %w", err)
-	}
-	initDeg, _ := initial.MaxDegree()
-	finalDeg, _ := t.MaxDegree()
+	initDeg, _ := initial.MaxDegree(nil)
+	finalDeg, _ := final.MaxDegree(nil)
 	return &Result{
-		Tree:          t,
+		Tree:          final.ToTree(),
 		Report:        rep,
 		Rounds:        rounds,
 		Swaps:         swaps,

@@ -14,6 +14,17 @@ import (
 
 func unitEngine() sim.Engine { return &sim.EventEngine{Delay: sim.UnitDelay} }
 
+// improve runs mdst.Run over g's snapshot from a map-keyed tree of g, the
+// form the sequential builders produce.
+func improve(eng sim.Engine, g *graph.Graph, t0 *tree.Tree, mode mdst.Mode, target int) (*mdst.Result, error) {
+	c := g.Compile()
+	d, err := tree.FromTree(t0, c.Index())
+	if err != nil {
+		return nil, err
+	}
+	return mdst.Run(eng, c, d, mode, target)
+}
+
 func testGraphs() []struct {
 	name string
 	g    *graph.Graph
@@ -68,7 +79,7 @@ func TestDistributedMatchesSequentialTwin(t *testing.T) {
 			for _, mode := range []mdst.Mode{mdst.Single, mdst.Multi, mdst.Hybrid} {
 				name := fmt.Sprintf("%s/%s/%s", tc.name, tname, mode)
 				t.Run(name, func(t *testing.T) {
-					res, err := mdst.Run(unitEngine(), tc.g, t0, mode)
+					res, err := improve(unitEngine(), tc.g, t0, mode, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -120,7 +131,7 @@ func TestDeliveryOrderIndependence(t *testing.T) {
 			for ename, mk := range engines {
 				name := fmt.Sprintf("g%d/%s/%s", gi, mode, ename)
 				t.Run(name, func(t *testing.T) {
-					res, err := mdst.Run(mk(), g, t0, mode)
+					res, err := improve(mk(), g, t0, mode, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -164,7 +175,7 @@ func TestFigure1Exchange(t *testing.T) {
 	if deg0 != 3 || at[0] != 0 {
 		t.Fatalf("setup: max degree %d at %v, want 3 at node 0", deg0, at)
 	}
-	res, err := mdst.Run(unitEngine(), g, t0, mdst.Single)
+	res, err := improve(unitEngine(), g, t0, mdst.Single, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +200,7 @@ func TestStarWorstCase(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []mdst.Mode{mdst.Single, mdst.Multi} {
-		res, err := mdst.Run(unitEngine(), g, t0, mode)
+		res, err := improve(unitEngine(), g, t0, mode, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +224,7 @@ func TestWheelImprovesHubStar(t *testing.T) {
 		t.Fatalf("setup: star tree degree %d, want 11", d0)
 	}
 	for _, mode := range []mdst.Mode{mdst.Single, mdst.Multi} {
-		res, err := mdst.Run(unitEngine(), g, t0, mode)
+		res, err := improve(unitEngine(), g, t0, mode, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +242,7 @@ func TestChainStopsAtK2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mdst.Run(unitEngine(), g, t0, mdst.Single)
+	res, err := improve(unitEngine(), g, t0, mdst.Single, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +261,7 @@ func TestTinyNetworks(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range []mdst.Mode{mdst.Single, mdst.Multi} {
-			res, err := mdst.Run(unitEngine(), g, t0, mode)
+			res, err := improve(unitEngine(), g, t0, mode, 0)
 			if err != nil {
 				t.Fatalf("n=%d: %v", g.N(), err)
 			}
@@ -274,7 +285,7 @@ func TestAsyncRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mdst.Run(&sim.AsyncEngine{}, g, t0, mdst.Multi)
+		res, err := improve(&sim.AsyncEngine{}, g, t0, mdst.Multi, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mdegst/internal/sim"
+	"mdegst/internal/tree"
 )
 
 // Mode selects how many maximum-degree nodes act per round.
@@ -128,22 +129,28 @@ type Node struct {
 }
 
 // NewFactory returns a sim.Factory for the improvement protocol starting
-// from the given initial rooted spanning tree view. The maps give, for every
-// node, its parent (roots map to themselves) and sorted children. A positive
-// target stops the algorithm as soon as the maximum degree reaches it — the
+// from the given initial rooted spanning tree: each node's view (parent,
+// sorted children) is read from the dense tree's slices. A positive target
+// stops the algorithm as soon as the maximum degree reaches it — the
 // paper's "cannot exceed a given value k" variant; zero improves to local
 // optimality.
-func NewFactory(mode Mode, target int, root sim.NodeID, parent map[sim.NodeID]sim.NodeID, children map[sim.NodeID][]sim.NodeID) sim.Factory {
+func NewFactory(mode Mode, target int, initial *tree.Dense) sim.Factory {
+	idx := initial.Index()
 	return func(id sim.NodeID, _ []sim.NodeID) sim.Protocol {
+		di := idx.MustOf(id)
+		kids := initial.Children(di)
 		n := &Node{
 			id:       id,
 			mode:     mode,
 			phase:    mode.initialPhase(),
 			target:   target,
-			children: append([]sim.NodeID(nil), children[id]...),
+			children: make([]sim.NodeID, len(kids)),
 		}
-		if id != root {
-			n.parent = parent[id]
+		for k, ch := range kids {
+			n.children[k] = idx.ID(ch)
+		}
+		if p := initial.Parent(di); p != tree.NoParent {
+			n.parent = idx.ID(p)
 			n.hasParent = true
 		}
 		return n

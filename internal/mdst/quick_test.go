@@ -29,7 +29,7 @@ func TestQuickDistributedEqualsTwin(t *testing.T) {
 		}
 		mode := []mdst.Mode{mdst.Single, mdst.Multi, mdst.Hybrid}[modeRaw%3]
 		target := int(targetRaw % 6)
-		res, err := mdst.RunTarget(unitEngine(), g, t0, mode, target)
+		res, err := improve(unitEngine(), g, t0, mode, target)
 		if err != nil {
 			return false
 		}
@@ -56,7 +56,7 @@ func TestQuickPerRoundMessageBudget(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := mdst.Run(unitEngine(), g, t0, mdst.Multi)
+		res, err := improve(unitEngine(), g, t0, mdst.Multi, 0)
 		if err != nil {
 			return false
 		}
@@ -81,12 +81,12 @@ func TestQuickAsyncAdversary(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ref, err := mdst.Run(unitEngine(), g, t0, mdst.Hybrid)
+		ref, err := improve(unitEngine(), g, t0, mdst.Hybrid, 0)
 		if err != nil {
 			return false
 		}
 		adv := &sim.EventEngine{Delay: sim.UniformDelay(0.01), Seed: seed, FIFO: fifo}
-		res, err := mdst.Run(adv, g, t0, mdst.Hybrid)
+		res, err := improve(adv, g, t0, mdst.Hybrid, 0)
 		if err != nil {
 			return false
 		}

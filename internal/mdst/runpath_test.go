@@ -139,13 +139,13 @@ func TestRunPathPinned(t *testing.T) {
 			run  func(eng sim.Engine, h hash.Hash) error
 		}{
 			{"flood-hybrid", func(eng sim.Engine, h hash.Hash) error {
-				t0, rep, err := spanning.BuildCompiled(eng, c, spanning.NewFloodFactory(root))
+				t0, rep, err := spanning.Build(eng, c, spanning.NewFloodFactory(c, root))
 				if err != nil {
 					return err
 				}
-				digestTree(h, t0)
+				digestTree(h, t0.ToTree())
 				digestReport(h, rep)
-				res, err := mdst.RunTargetSnapshot(eng, c, t0, mdst.Hybrid, 0)
+				res, err := mdst.Run(eng, c, t0, mdst.Hybrid, 0)
 				if err != nil {
 					return err
 				}
@@ -177,11 +177,11 @@ func TestRunPathPinned(t *testing.T) {
 
 func buildDigest(c *graph.CSR, f sim.Factory) func(sim.Engine, hash.Hash) error {
 	return func(eng sim.Engine, h hash.Hash) error {
-		tr, rep, err := spanning.BuildCompiled(eng, c, f)
+		tr, rep, err := spanning.Build(eng, c, f)
 		if err != nil {
 			return err
 		}
-		digestTree(h, tr)
+		digestTree(h, tr.ToTree())
 		digestReport(h, rep)
 		return nil
 	}

@@ -10,7 +10,7 @@ import (
 	"mdegst/internal/spanning"
 )
 
-// TestTargetDifferential: RunTarget must match TwinTarget exactly for every
+// TestTargetDifferential: a targeted Run must match TwinTarget exactly for every
 // target value, as the untargeted runs do.
 func TestTargetDifferential(t *testing.T) {
 	g := graph.BarabasiAlbert(40, 2, 17)
@@ -22,7 +22,7 @@ func TestTargetDifferential(t *testing.T) {
 	for _, mode := range []mdst.Mode{mdst.Single, mdst.Multi, mdst.Hybrid} {
 		for target := 0; target <= k0; target += 3 {
 			t.Run(fmt.Sprintf("%v/target=%d", mode, target), func(t *testing.T) {
-				res, err := mdst.RunTarget(unitEngine(), g, t0, mode, target)
+				res, err := improve(unitEngine(), g, t0, mode, target)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -50,14 +50,14 @@ func TestTargetSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := mdst.Run(unitEngine(), g, t0, mdst.Single)
+	full, err := improve(unitEngine(), g, t0, mdst.Single, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kStar := full.FinalDegree
 	k0 := full.InitialDegree
 	for target := 0; target <= k0+1; target++ {
-		res, err := mdst.RunTarget(unitEngine(), g, t0, mdst.Single, target)
+		res, err := improve(unitEngine(), g, t0, mdst.Single, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestTargetAlreadyMet(t *testing.T) {
 		t.Fatal(err)
 	}
 	k0, _ := t0.MaxDegree()
-	res, err := mdst.RunTarget(unitEngine(), g, t0, mdst.Hybrid, k0)
+	res, err := improve(unitEngine(), g, t0, mdst.Hybrid, k0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +108,12 @@ func TestTargetBelowTwoActsAsUnbounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := mdst.Run(unitEngine(), g, t0, mdst.Single)
+	ref, err := improve(unitEngine(), g, t0, mdst.Single, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for target := 0; target <= 2; target++ {
-		res, err := mdst.RunTarget(unitEngine(), g, t0, mdst.Single, target)
+		res, err := improve(unitEngine(), g, t0, mdst.Single, target)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -132,17 +132,17 @@ func refPeriodic(t *testing.T, c *graph.CSR, every int64, refDir string) (*tree.
 	t.Helper()
 	root := c.Source().Nodes()[0]
 	base := &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true}
-	initial, setup, err := spanning.BuildCompiled(base, c, spanning.NewFloodFactory(root))
+	initial, setup, err := spanning.Build(base, c, spanning.NewFloodFactory(c, root))
 	if err != nil {
 		t.Fatal(err)
 	}
 	armed := &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true,
 		Checkpoint: &sim.CheckpointSpec{Every: every, Sink: &sim.CheckpointDir{Dir: refDir}}}
-	res, err := mdst.RunTargetSnapshot(armed, c, initial, mdst.Single, 0)
+	res, err := mdst.Run(armed, c, initial, mdst.Single, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return initial, setup, res
+	return initial.ToTree(), setup, res
 }
 
 // checkCommittedFiles requires the cluster's checkpoint directory to hold

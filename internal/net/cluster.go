@@ -88,14 +88,14 @@ func RunPipeline(t *Transport, c *graph.CSR, owner []int32, p Pipeline) (*Pipeli
 	}
 	eng := &DistEngine{T: t, Owner: owner, MaxMessages: p.MaxMessages, Stop: p.Stop, Stats: p.Stats}
 	root := c.Source().Nodes()[0]
-	initial, setup, err := spanning.BuildCompiled(eng, c, spanning.NewFloodFactory(root))
+	initial, setup, err := spanning.Build(eng, c, spanning.NewFloodFactory(c, root))
 	if errors.Is(err, sim.ErrStopped) {
 		return &PipelineResult{Stopped: true}, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("net: flood phase: %w", err)
 	}
-	out := &PipelineResult{Initial: initial, Setup: setup}
+	out := &PipelineResult{Initial: initial.ToTree(), Setup: setup}
 	if p.CheckpointEvery > 0 {
 		eng.Checkpoint = &sim.CheckpointSpec{Every: p.CheckpointEvery, Sink: p.CheckpointSink}
 	} else if p.CheckpointRound >= 0 && p.Resume == nil {
@@ -103,9 +103,9 @@ func RunPipeline(t *Transport, c *graph.CSR, owner []int32, p Pipeline) (*Pipeli
 	}
 	var res *mdst.Result
 	if p.Resume != nil {
-		res, err = mdst.ResumeTargetSnapshot(eng, c, initial, p.Mode, p.Target, p.Resume)
+		res, err = mdst.Resume(eng, c, initial, p.Mode, p.Target, p.Resume)
 	} else {
-		res, err = mdst.RunTargetSnapshot(eng, c, initial, p.Mode, p.Target)
+		res, err = mdst.Run(eng, c, initial, p.Mode, p.Target)
 	}
 	switch {
 	case err == nil:

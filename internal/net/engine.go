@@ -16,7 +16,7 @@ import (
 // (DESIGN.md §7) verbatim — deliveries keyed (parent rank, send position),
 // rank offsets from a prefix sum over broadcast send counts — so the
 // distributed run is tree-, report- and checkpoint-byte-equivalent to the
-// in-process engines. DistEngine is a drop-in sim.SnapshotEngine: the
+// in-process engines. DistEngine is a drop-in sim.ResumableEngine: the
 // spanning and mdst pipelines run on it unchanged.
 //
 // One barrier exchange per round, per peer: a single round frame carrying
@@ -79,10 +79,10 @@ type DistEngine struct {
 // goroutine-only and sized by the high-water mark of the rounds driven so
 // far.
 type roundScratch struct {
-	cnt   []int64      // rank slab: counts scattered, prefix-summed into offsets
-	base  []int64      // per-parent local placement cursors for the splice
-	inbox []sim.OutMsg // spliced global-order delivery plane handed to PlayRound
-	enc   [][]byte     // per-peer frame encode slabs
+	cnt   []int64        // rank slab: counts scattered, prefix-summed into offsets
+	base  []int64        // per-parent local placement cursors for the splice
+	inbox []sim.OutMsg   // spliced global-order delivery plane handed to PlayRound
+	enc   [][]byte       // per-peer frame encode slabs
 	rx    [][]sim.OutMsg // per-peer decoded-batch slabs
 
 	states     []ownedState // owned-state headers for the all-gather / checkpoint
@@ -127,47 +127,32 @@ func (s *roundScratch) grownInbox(n int) []sim.OutMsg {
 	return s.inbox[:n]
 }
 
-// Run compiles g and executes the protocol (see RunSnapshot).
-func (e *DistEngine) Run(g *graph.Graph, f sim.Factory) (map[sim.NodeID]sim.Protocol, *sim.Report, error) {
-	return e.RunSnapshot(g.Compile(), f)
+// Run executes the protocol to quiescence across the mesh. The runner
+// already addresses every node's state densely and the final all-gather
+// writes peer states into that same slice, so it is the result. It is
+// recycled by the engine: the slice stays valid until the engine's next
+// Run or Resume.
+func (e *DistEngine) Run(c *graph.CSR, f sim.Factory) ([]sim.Protocol, *sim.Report, error) {
+	return denseResult(e.run(c, f, nil))
 }
 
-// RunSnapshot executes the protocol to quiescence across the mesh.
-func (e *DistEngine) RunSnapshot(c *graph.CSR, f sim.Factory) (map[sim.NodeID]sim.Protocol, *sim.Report, error) {
-	r, rep, err := e.run(c, f, nil)
-	if err != nil {
-		return nil, nil, err
+// Resume continues a checkpointed run: every process decodes the full
+// frozen state plane from ck (each process reads the checkpoint file
+// itself — there is no state redistribution), takes over the pending
+// deliveries it owns, and the run proceeds exactly as if never stopped.
+func (e *DistEngine) Resume(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) ([]sim.Protocol, *sim.Report, error) {
+	if ck == nil {
+		return nil, nil, &sim.CheckpointError{Reason: "nil checkpoint"}
 	}
-	return r.FinalProtos(), rep, nil
+	return denseResult(e.run(c, f, ck))
 }
 
-// RunSnapshotDense is RunSnapshot returning the final protocol instances
-// dense-indexed (sim.DenseSnapshotEngine): the runner already addresses
-// every node's state densely and the final all-gather writes peer states
-// into that same slice, so the dense result skips the identity-keyed map —
-// on a large workload the single biggest allocation of a quiesced
-// distributed run.
-func (e *DistEngine) RunSnapshotDense(c *graph.CSR, f sim.Factory) ([]sim.Protocol, *sim.Report, error) {
-	r, rep, err := e.run(c, f, nil)
+// denseResult unwraps a finished run into the dense result.
+func denseResult(r *sim.DistRunner, rep *sim.Report, err error) ([]sim.Protocol, *sim.Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
 	return r.Protos(), rep, nil
-}
-
-// ResumeSnapshot continues a checkpointed run: every process decodes the
-// full frozen state plane from ck (each process reads the checkpoint file
-// itself — there is no state redistribution), takes over the pending
-// deliveries it owns, and the run proceeds exactly as if never stopped.
-func (e *DistEngine) ResumeSnapshot(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (map[sim.NodeID]sim.Protocol, *sim.Report, error) {
-	if ck == nil {
-		return nil, nil, &sim.CheckpointError{Reason: "nil checkpoint"}
-	}
-	r, rep, err := e.run(c, f, ck)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.FinalProtos(), rep, nil
 }
 
 func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (r *sim.DistRunner, rep *sim.Report, err error) {
@@ -744,5 +729,4 @@ func mergeByKey(streams [][]sim.OutMsg) []sim.OutMsg {
 	}
 }
 
-var _ sim.SnapshotEngine = (*DistEngine)(nil)
 var _ sim.ResumableEngine = (*DistEngine)(nil)

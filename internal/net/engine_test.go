@@ -80,15 +80,15 @@ func waitOrFatal(t *testing.T, wg *sync.WaitGroup, d time.Duration, msg string) 
 func runInProcess(t *testing.T, c *graph.CSR, eng sim.Engine) (*tree.Tree, *sim.Report, *mdst.Result) {
 	t.Helper()
 	root := c.Source().Nodes()[0]
-	initial, setup, err := spanning.BuildCompiled(eng, c, spanning.NewFloodFactory(root))
+	initial, setup, err := spanning.Build(eng, c, spanning.NewFloodFactory(c, root))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mdst.RunTargetSnapshot(eng, c, initial, mdst.Single, 0)
+	res, err := mdst.Run(eng, c, initial, mdst.Single, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return initial, setup, res
+	return initial.ToTree(), setup, res
 }
 
 // normalizeReport strips the fields that legitimately differ between
@@ -256,7 +256,7 @@ func TestMdstdCheckpointKillRestart(t *testing.T) {
 func inProcessCheckpoint(t *testing.T, c *graph.CSR, base sim.Engine, round int64) []byte {
 	t.Helper()
 	root := c.Source().Nodes()[0]
-	initial, _, err := spanning.BuildCompiled(base, c, spanning.NewFloodFactory(root))
+	initial, _, err := spanning.Build(base, c, spanning.NewFloodFactory(c, root))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func inProcessCheckpoint(t *testing.T, c *graph.CSR, base sim.Engine, round int6
 	default:
 		armed = &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true, Checkpoint: spec}
 	}
-	if _, err := mdst.RunTargetSnapshot(armed, c, initial, mdst.Single, 0); !errors.Is(err, sim.ErrCheckpointed) {
+	if _, err := mdst.Run(armed, c, initial, mdst.Single, 0); !errors.Is(err, sim.ErrCheckpointed) {
 		t.Fatalf("in-process run did not freeze: %v", err)
 	}
 	return buf.Bytes()

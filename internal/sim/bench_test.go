@@ -51,7 +51,7 @@ func BenchmarkEventEngineFlood(b *testing.B) {
 			b.ReportAllocs()
 			var msgs int64
 			for i := 0; i < b.N; i++ {
-				_, rep, err := (&EventEngine{Delay: UnitDelay}).Run(g, benchFactory)
+				_, rep, err := (&EventEngine{Delay: UnitDelay}).Run(g.Compile(), benchFactory)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -71,7 +71,7 @@ func BenchmarkReferenceEngineFlood(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := (&ReferenceEngine{Delay: UnitDelay}).Run(g, benchFactory); err != nil {
+				if _, _, err := (&ReferenceEngine{Delay: UnitDelay}).Run(g.Compile(), benchFactory); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -88,7 +88,7 @@ func BenchmarkEventEngineFloodLarge(b *testing.B) {
 	c := workload.Gnm4096().Compile()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := (&EventEngine{Delay: UnitDelay}).RunSnapshot(c, benchFactory); err != nil {
+		if _, _, err := (&EventEngine{Delay: UnitDelay}).Run(c, benchFactory); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func BenchmarkShardedEngineFlood(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				eng := &ShardedEngine{Shards: shards, Partition: part, Delay: UnitDelay, FIFO: true}
-				if _, _, err := eng.RunSnapshotDense(c, benchFactory); err != nil {
+				if _, _, err := eng.Run(c, benchFactory); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -129,7 +129,7 @@ func BenchmarkCalendarQueueSparse(b *testing.B) {
 	almostUnit := func(rng *rand.Rand, from, to NodeID) float64 { return 1 }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := (&EventEngine{Delay: almostUnit, FIFO: true}).Run(g, tokenFactory(4000)); err != nil {
+		if _, _, err := (&EventEngine{Delay: almostUnit, FIFO: true}).Run(g.Compile(), tokenFactory(4000)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -140,7 +140,7 @@ func BenchmarkEventEngineFIFORandom(b *testing.B) {
 	g := graph.Gnm(256, 1024, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := (&EventEngine{Delay: UniformDelay(0.05), FIFO: true, Seed: int64(i)}).Run(g, benchFactory); err != nil {
+		if _, _, err := (&EventEngine{Delay: UniformDelay(0.05), FIFO: true, Seed: int64(i)}).Run(g.Compile(), benchFactory); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func BenchmarkReferenceEngineFIFORandom(b *testing.B) {
 	g := graph.Gnm(256, 1024, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := (&ReferenceEngine{Delay: UniformDelay(0.05), FIFO: true, Seed: int64(i)}).Run(g, benchFactory); err != nil {
+		if _, _, err := (&ReferenceEngine{Delay: UniformDelay(0.05), FIFO: true, Seed: int64(i)}).Run(g.Compile(), benchFactory); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -164,7 +164,7 @@ func BenchmarkAsyncEngineFlood(b *testing.B) {
 		g := graph.Gnm(n, 4*n, 1)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := (&AsyncEngine{}).Run(g, benchFactory); err != nil {
+				if _, _, err := (&AsyncEngine{}).Run(g.Compile(), benchFactory); err != nil {
 					b.Fatal(err)
 				}
 			}

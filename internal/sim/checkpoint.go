@@ -85,10 +85,11 @@ type CheckpointError struct{ Reason string }
 func (e *CheckpointError) Error() string { return "sim: checkpoint: " + e.Reason }
 
 // ResumableEngine is implemented by engines that can continue a
-// checkpointed run over a compiled snapshot.
+// checkpointed run over a compiled snapshot. Resume returns the same dense
+// result as Run.
 type ResumableEngine interface {
-	SnapshotEngine
-	ResumeSnapshot(c *graph.CSR, f Factory, ck *Checkpoint) (map[NodeID]Protocol, *Report, error)
+	Engine
+	Resume(c *graph.CSR, f Factory, ck *Checkpoint) ([]Protocol, *Report, error)
 }
 
 // PendingDelivery is one in-flight message of the checkpointed barrier:

@@ -24,11 +24,11 @@ func (n *tokenNode) DecodeState(d *StateDecoder) error {
 }
 
 // runTraced executes the factory on eng collecting the trace.
-func runTraced(t *testing.T, mkEng func(trace func(TraceEvent)) Engine, c *graph.CSR, f Factory) (map[NodeID]Protocol, *Report, []TraceEvent) {
+func runTraced(t *testing.T, mkEng func(trace func(TraceEvent)) Engine, c *graph.CSR, f Factory) ([]Protocol, *Report, []TraceEvent) {
 	t.Helper()
 	var events []TraceEvent
 	eng := mkEng(func(e TraceEvent) { events = append(events, e) })
-	protos, rep, err := RunCompiled(eng, c, f)
+	protos, rep, err := eng.Run(c, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestCheckpointResumeEveryBarrier(t *testing.T) {
 			var buf bytes.Buffer
 			var prefix []TraceEvent
 			eng := ckEng.mk(&CheckpointSpec{Round: r, W: &buf}, func(e TraceEvent) { prefix = append(prefix, e) })
-			_, _, err := RunCompiled(eng, c, factory)
+			_, _, err := eng.Run(c, factory)
 			if !errors.Is(err, ErrCheckpointed) {
 				t.Fatalf("%s r=%d: err = %v, want ErrCheckpointed", ckEng.name, r, err)
 			}
@@ -95,7 +95,7 @@ func TestCheckpointResumeEveryBarrier(t *testing.T) {
 			for _, res := range resumers {
 				var resumeTrace []TraceEvent
 				reng := res.mk(func(e TraceEvent) { resumeTrace = append(resumeTrace, e) })
-				protos, rep, err := reng.ResumeSnapshot(c, factory, ck)
+				protos, rep, err := reng.Resume(c, factory, ck)
 				if err != nil {
 					t.Fatalf("%s r=%d resume on %s: %v", ckEng.name, r, res.name, err)
 				}
@@ -144,7 +144,7 @@ func TestCheckpointFileDeterminism(t *testing.T) {
 		case *ShardedEngine:
 			e.Checkpoint = &CheckpointSpec{Round: 4, W: &buf}
 		}
-		if _, _, err := RunCompiled(eng, c, factory); !errors.Is(err, ErrCheckpointed) {
+		if _, _, err := eng.Run(c, factory); !errors.Is(err, ErrCheckpointed) {
 			t.Fatalf("err = %v", err)
 		}
 		return buf.Bytes()
@@ -169,14 +169,14 @@ func TestCheckpointErrors(t *testing.T) {
 	// Non-unit tiers have no barriers.
 	var buf bytes.Buffer
 	eng := &EventEngine{Delay: UniformDelay(0.1), FIFO: true, Checkpoint: &CheckpointSpec{Round: 1, W: &buf}}
-	if _, _, err := RunCompiled(eng, c, tokenFactory(10)); !errors.Is(err, errCheckpointTier) {
+	if _, _, err := eng.Run(c, tokenFactory(10)); !errors.Is(err, errCheckpointTier) {
 		t.Errorf("wheel tier checkpoint: %v", err)
 	}
 
 	// A checkpoint resumed against a different graph is rejected.
 	buf.Reset()
 	eng = &EventEngine{Delay: UnitDelay, FIFO: true, Checkpoint: &CheckpointSpec{Round: 2, W: &buf}}
-	if _, _, err := RunCompiled(eng, c, tokenFactory(10)); !errors.Is(err, ErrCheckpointed) {
+	if _, _, err := eng.Run(c, tokenFactory(10)); !errors.Is(err, ErrCheckpointed) {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	ck, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
@@ -184,21 +184,21 @@ func TestCheckpointErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := graph.Gnm(13, 30, 2).Compile()
-	if _, _, err := (&EventEngine{Delay: UnitDelay, FIFO: true}).ResumeSnapshot(other, tokenFactory(10), ck); !errors.As(err, &ce) {
+	if _, _, err := (&EventEngine{Delay: UnitDelay, FIFO: true}).Resume(other, tokenFactory(10), ck); !errors.As(err, &ce) {
 		t.Errorf("mismatched snapshot: %v", err)
 	}
 
 	// Protocols without StateCodec cannot checkpoint.
 	buf.Reset()
 	eng = &EventEngine{Delay: UnitDelay, Checkpoint: &CheckpointSpec{Round: 1, W: &buf}}
-	if _, _, err := eng.Run(graph.Ring(4), func(NodeID, []NodeID) Protocol { return chainReaction{} }); !errors.As(err, &ce) {
+	if _, _, err := eng.Run(graph.Ring(4).Compile(), func(NodeID, []NodeID) Protocol { return chainReaction{} }); !errors.As(err, &ce) {
 		t.Errorf("no StateCodec: %v", err)
 	}
 
 	// Corrupted files fail with a typed error.
 	buf.Reset()
 	eng = &EventEngine{Delay: UnitDelay, FIFO: true, Checkpoint: &CheckpointSpec{Round: 2, W: &buf}}
-	if _, _, err := RunCompiled(eng, c, tokenFactory(10)); !errors.Is(err, ErrCheckpointed) {
+	if _, _, err := eng.Run(c, tokenFactory(10)); !errors.Is(err, ErrCheckpointed) {
 		t.Fatal(err)
 	}
 	corrupt := append([]byte{}, buf.Bytes()...)
@@ -219,7 +219,7 @@ func TestBinaryTraceRoundTrip(t *testing.T) {
 		want = append(want, e)
 		bw.Trace(e)
 	}}
-	if _, _, err := RunCompiled(eng, c, loggingTokenFactory(40)); err != nil {
+	if _, _, err := eng.Run(c, loggingTokenFactory(40)); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Close(); err != nil {
@@ -261,14 +261,14 @@ func TestBinaryTraceRoundTrip(t *testing.T) {
 func TestCheckpointHugeCountsRejected(t *testing.T) {
 	craft := func(mutate func(body []byte) []byte) []byte {
 		var body []byte
-		body = appendVarint(body, 2)      // round
-		body = appendUvarint(body, 4)     // n
-		body = appendUvarint(body, 8)     // halfEdges
-		body = appendVarint(body, 10)     // messages
-		body = appendVarint(body, 20)     // words
-		body = appendUvarint(body, 2)     // maxWords
-		body = appendVarint(body, 2)      // causalDepth
-		body = mutate(body)               // section counts under attack
+		body = appendVarint(body, 2)  // round
+		body = appendUvarint(body, 4) // n
+		body = appendUvarint(body, 8) // halfEdges
+		body = appendVarint(body, 10) // messages
+		body = appendVarint(body, 20) // words
+		body = appendUvarint(body, 2) // maxWords
+		body = appendVarint(body, 2)  // causalDepth
+		body = mutate(body)           // section counts under attack
 		var out []byte
 		out = append(out, ckptMagic[:]...)
 		out = appendUvarint(out, CheckpointVersion)

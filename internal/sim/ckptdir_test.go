@@ -39,7 +39,7 @@ func TestPeriodicCheckpointCadence(t *testing.T) {
 	c := graph.Gnm(24, 72, 5).Compile()
 	factory := tokenFactory(30)
 
-	plainProtos, plainRep, err := RunCompiled(&EventEngine{Delay: UnitDelay, FIFO: true}, c, factory)
+	plainProtos, plainRep, err := (&EventEngine{Delay: UnitDelay, FIFO: true}).Run(c, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestPeriodicCheckpointCadence(t *testing.T) {
 	freeze := func(round int64) []byte {
 		var buf bytes.Buffer
 		eng := &EventEngine{Delay: UnitDelay, FIFO: true, Checkpoint: &CheckpointSpec{Round: round, W: &buf}}
-		if _, _, err := RunCompiled(eng, c, factory); !errors.Is(err, ErrCheckpointed) {
+		if _, _, err := eng.Run(c, factory); !errors.Is(err, ErrCheckpointed) {
 			t.Fatalf("freeze r=%d: err = %v, want ErrCheckpointed", round, err)
 		}
 		return buf.Bytes()
@@ -71,7 +71,7 @@ func TestPeriodicCheckpointCadence(t *testing.T) {
 	}
 	for _, eng := range engines {
 		sink := &memSink{}
-		protos, rep, err := RunCompiled(eng.mk(&CheckpointSpec{Every: every, Sink: sink}), c, factory)
+		protos, rep, err := eng.mk(&CheckpointSpec{Every: every, Sink: sink}).Run(c, factory)
 		if err != nil {
 			t.Fatalf("%s: periodic run failed: %v", eng.name, err)
 		}
@@ -106,8 +106,7 @@ func TestPeriodicResumeEquivalence(t *testing.T) {
 	const every = int64(2)
 
 	full := &memSink{}
-	fullProtos, fullRep, err := RunCompiled(
-		&EventEngine{Delay: UnitDelay, FIFO: true, Checkpoint: &CheckpointSpec{Every: every, Sink: full}}, c, factory)
+	fullProtos, fullRep, err := (&EventEngine{Delay: UnitDelay, FIFO: true, Checkpoint: &CheckpointSpec{Every: every, Sink: full}}).Run(c, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +121,7 @@ func TestPeriodicResumeEquivalence(t *testing.T) {
 		}
 		rest := &memSink{}
 		eng := &EventEngine{Delay: UnitDelay, FIFO: true, Checkpoint: &CheckpointSpec{Every: every, Sink: rest}}
-		protos, rep, err := eng.ResumeSnapshot(c, factory, ck)
+		protos, rep, err := eng.Resume(c, factory, ck)
 		if err != nil {
 			t.Fatalf("resume from r=%d: %v", from, err)
 		}

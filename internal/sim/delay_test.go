@@ -76,7 +76,7 @@ func TestOutOfRangeDelayRejected(t *testing.T) {
 			{"reference", func(d DelayFn) Engine { return &ReferenceEngine{Delay: d, FIFO: true} }},
 		} {
 			t.Run(eng.name+"/"+tc.name, func(t *testing.T) {
-				_, _, err := eng.mk(constDelay(tc.d)).Run(g, tokenFactory(10))
+				_, _, err := eng.mk(constDelay(tc.d)).Run(g.Compile(), tokenFactory(10))
 				if err == nil {
 					t.Fatal("expected an error for out-of-range delay")
 				}
@@ -100,12 +100,12 @@ func TestOutOfRangeDelayRejected(t *testing.T) {
 // corrupted wheel behind for the next run.
 func TestEngineHealthyAfterDelayRejection(t *testing.T) {
 	g := graph.Gnp(24, 0.3, 42)
-	if _, _, err := (&EventEngine{Delay: constDelay(2)}).Run(g, tokenFactory(10)); err == nil {
+	if _, _, err := (&EventEngine{Delay: constDelay(2)}).Run(g.Compile(), tokenFactory(10)); err == nil {
 		t.Fatal("expected rejection")
 	}
 	var first *Report
 	for i := 0; i < 3; i++ {
-		_, rep, err := (&EventEngine{Delay: UniformDelay(0.05), Seed: 99, FIFO: true}).Run(g, tokenFactory(40))
+		_, rep, err := (&EventEngine{Delay: UniformDelay(0.05), Seed: 99, FIFO: true}).Run(g.Compile(), tokenFactory(40))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestDelayedTokenAllDelays(t *testing.T) {
 	g := graph.Ring(12)
 	for _, d := range []float64{1e-6, 1.0 / wheelSpan / 2, 0.01, 0.5, 1} {
 		t.Run(fmt.Sprintf("d=%g", d), func(t *testing.T) {
-			_, rep, err := (&EventEngine{Delay: constDelay(d), FIFO: true}).Run(g, tokenFactory(30))
+			_, rep, err := (&EventEngine{Delay: constDelay(d), FIFO: true}).Run(g.Compile(), tokenFactory(30))
 			if err != nil {
 				t.Fatal(err)
 			}

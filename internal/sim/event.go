@@ -257,45 +257,23 @@ func (s *eventScratch) release() {
 	scratchPool.Put(s)
 }
 
-// Run compiles g and executes the protocol to quiescence over the snapshot.
-func (e *EventEngine) Run(g *graph.Graph, f Factory) (map[NodeID]Protocol, *Report, error) {
-	return e.RunSnapshot(g.Compile(), f)
-}
-
-// RunSnapshot executes the protocol to quiescence over a compiled snapshot.
+// Run executes the protocol to quiescence over a compiled snapshot.
 // Protocol panics are converted to errors so a buggy node cannot take down
 // the harness. The scheduler tier is picked here: UnitDelay runs the
 // synchronous round engine, every other delay model the calendar queue —
 // both delivery-trace-equivalent to ReferenceEngine.
-func (e *EventEngine) RunSnapshot(c *graph.CSR, f Factory) (protos map[NodeID]Protocol, rep *Report, err error) {
+func (e *EventEngine) Run(c *graph.CSR, f Factory) (protos []Protocol, rep *Report, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			protos, rep = nil, nil
 			err = recoverRun(p)
 		}
 	}()
-	dense, rep, err := e.runSnapshotDense(c, f)
-	if err != nil {
-		return nil, nil, err
-	}
-	return denseProtoMap(c.Index().IDs(), dense), rep, nil
+	return e.run(c, f)
 }
 
-// RunSnapshotDense is RunSnapshot returning the final protocol instances
-// dense-indexed (see DenseSnapshotEngine).
-func (e *EventEngine) RunSnapshotDense(c *graph.CSR, f Factory) (protos []Protocol, rep *Report, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			protos, rep = nil, nil
-			err = recoverRun(p)
-		}
-	}()
-	return e.runSnapshotDense(c, f)
-}
-
-// runSnapshotDense is the common body of RunSnapshot and RunSnapshotDense;
-// callers own panic recovery.
-func (e *EventEngine) runSnapshotDense(c *graph.CSR, f Factory) ([]Protocol, *Report, error) {
+// run is the body of Run; callers own panic recovery.
+func (e *EventEngine) run(c *graph.CSR, f Factory) ([]Protocol, *Report, error) {
 	start := time.Now()
 	delay := e.Delay
 	maxMsgs := e.MaxMessages
@@ -361,18 +339,13 @@ func (e *EventEngine) runSnapshotDense(c *graph.CSR, f Factory) ([]Protocol, *Re
 	return append([]Protocol(nil), scratch.protos...), er.report, nil
 }
 
-// Resume compiles g and continues a checkpointed run (see ResumeSnapshot).
-func (e *EventEngine) Resume(g *graph.Graph, f Factory, ck *Checkpoint) (map[NodeID]Protocol, *Report, error) {
-	return e.ResumeSnapshot(g.Compile(), f, ck)
-}
-
-// ResumeSnapshot continues a run frozen at a round barrier: the factory
-// rebuilds the protocol instances (each must implement StateCodec), the
-// checkpoint restores their states, the report counters and the pending
-// delivery slab, and the run proceeds to quiescence. The resumed run's
-// Report, delivery trace and final protocol states are identical to the
+// Resume continues a run frozen at a round barrier: the factory rebuilds
+// the protocol instances (each must implement StateCodec), the checkpoint
+// restores their states, the report counters and the pending delivery
+// slab, and the run proceeds to quiescence. The resumed run's Report,
+// delivery trace and final protocol states are identical to the
 // uninterrupted run's.
-func (e *EventEngine) ResumeSnapshot(c *graph.CSR, f Factory, ck *Checkpoint) (protos map[NodeID]Protocol, rep *Report, err error) {
+func (e *EventEngine) Resume(c *graph.CSR, f Factory, ck *Checkpoint) (protos []Protocol, rep *Report, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			protos, rep = nil, nil
@@ -390,13 +363,7 @@ func (e *EventEngine) ResumeSnapshot(c *graph.CSR, f Factory, ck *Checkpoint) (p
 	if maxMsgs == 0 {
 		maxMsgs = DefaultMaxMessages
 	}
-	dense, rep, err := e.runRoundsFrom(c, f, maxMsgs, start, ck)
-	if err != nil {
-		return nil, nil, err
-	}
-	return denseProtoMap(c.Index().IDs(), dense), rep, nil
+	return e.runRoundsFrom(c, f, maxMsgs, start, ck)
 }
 
-var _ SnapshotEngine = (*EventEngine)(nil)
-var _ DenseSnapshotEngine = (*EventEngine)(nil)
 var _ ResumableEngine = (*EventEngine)(nil)

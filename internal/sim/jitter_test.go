@@ -14,7 +14,7 @@ func TestAsyncJitterPreservesFIFO(t *testing.T) {
 	const count = 32
 	factory := func(id NodeID, _ []NodeID) Protocol { return &seqSender{id: id, count: count} }
 	eng := &AsyncEngine{Seed: 7, Jitter: 200 * time.Microsecond}
-	protos, rep, err := eng.Run(g, factory)
+	protos, rep, err := eng.Run(g.Compile(), factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestAsyncJitterPreservesFIFO(t *testing.T) {
 func TestAsyncJitterFullProtocol(t *testing.T) {
 	g := graph.Gnp(20, 0.3, 5)
 	eng := &AsyncEngine{Seed: 3, Jitter: 100 * time.Microsecond}
-	protos, rep, err := eng.Run(g, benchFactory)
+	protos, rep, err := eng.Run(g.Compile(), benchFactory)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,14 +93,9 @@ func (rr *refRun) send(c *refCtx, to NodeID, m WireMsg) {
 	heap.Push(&rr.queue, event{t: t, seq: rr.seq, depth: c.depth + 1, from: c.id, to: to, msg: m})
 }
 
-// Run compiles g and executes the protocol over the snapshot.
-func (e *ReferenceEngine) Run(g *graph.Graph, f Factory) (map[NodeID]Protocol, *Report, error) {
-	return e.RunSnapshot(g.Compile(), f)
-}
-
-// RunSnapshot executes the protocol to quiescence, mirroring
-// EventEngine.RunSnapshot with the unoptimised data structures.
-func (e *ReferenceEngine) RunSnapshot(c *graph.CSR, f Factory) (protos map[NodeID]Protocol, rep *Report, err error) {
+// Run executes the protocol to quiescence, mirroring EventEngine.Run with
+// the unoptimised data structures.
+func (e *ReferenceEngine) Run(c *graph.CSR, f Factory) (protos []Protocol, rep *Report, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			protos, rep = nil, nil
@@ -156,11 +151,7 @@ func (e *ReferenceEngine) RunSnapshot(c *graph.CSR, f Factory) (protos map[NodeI
 	}
 	rr.report.finalize()
 	rr.report.Wall = time.Since(start)
-	protos = make(map[NodeID]Protocol, n)
-	for i, p := range plist {
-		protos[ids[i]] = p
-	}
-	return protos, rr.report, nil
+	return plist, rr.report, nil
 }
 
-var _ SnapshotEngine = (*ReferenceEngine)(nil)
+var _ Engine = (*ReferenceEngine)(nil)

@@ -37,11 +37,11 @@ func TestEventMatchesReference(t *testing.T) {
 			t.Run(gname+"/"+c.name, func(t *testing.T) {
 				fast := &EventEngine{Delay: c.delay, FIFO: c.fifo, Seed: c.seed}
 				ref := &ReferenceEngine{Delay: c.delay, FIFO: c.fifo, Seed: c.seed}
-				fp, frep, err := fast.Run(g, tokenFactory(60))
+				fp, frep, err := fast.Run(g.Compile(), tokenFactory(60))
 				if err != nil {
 					t.Fatal(err)
 				}
-				rp, rrep, err := ref.Run(g, tokenFactory(60))
+				rp, rrep, err := ref.Run(g.Compile(), tokenFactory(60))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -86,7 +86,7 @@ func TestEventMatchesReferenceTrace(t *testing.T) {
 				steps = append(steps, step{ev.Time, ev.From, ev.To, ev.Msg.Kind()})
 			}
 		}
-		if _, _, err := eng.Run(g, tokenFactory(50)); err != nil {
+		if _, _, err := eng.Run(g.Compile(), tokenFactory(50)); err != nil {
 			t.Fatal(err)
 		}
 		return steps
@@ -120,7 +120,7 @@ func TestCalendarQueueFIFOTraceGnm512(t *testing.T) {
 		eng := mk(func(ev TraceEvent) {
 			steps = append(steps, step{ev.Time, ev.From, ev.To, ev.Msg.Kind()})
 		})
-		if _, _, err := eng.Run(g, chatter); err != nil {
+		if _, _, err := eng.Run(g.Compile(), chatter); err != nil {
 			t.Fatal(err)
 		}
 		return steps
@@ -178,7 +178,7 @@ func TestEventEngineScratchReuse(t *testing.T) {
 	var first *Report
 	for i := 0; i < 5; i++ {
 		eng := &EventEngine{Delay: UniformDelay(0.05), Seed: 99, FIFO: true}
-		_, rep, err := eng.Run(g, tokenFactory(40))
+		_, rep, err := eng.Run(g.Compile(), tokenFactory(40))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,10 +191,10 @@ func TestEventEngineScratchReuse(t *testing.T) {
 		}
 	}
 	// Interleave a differently-shaped graph to force scratch resizing.
-	if _, _, err := (&EventEngine{}).Run(graph.Ring(100), tokenFactory(10)); err != nil {
+	if _, _, err := (&EventEngine{}).Run(graph.Ring(100).Compile(), tokenFactory(10)); err != nil {
 		t.Fatal(err)
 	}
-	_, rep, err := (&EventEngine{Delay: UniformDelay(0.05), Seed: 99, FIFO: true}).Run(g, tokenFactory(40))
+	_, rep, err := (&EventEngine{Delay: UniformDelay(0.05), Seed: 99, FIFO: true}).Run(g.Compile(), tokenFactory(40))
 	if err != nil {
 		t.Fatal(err)
 	}

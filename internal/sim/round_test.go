@@ -46,7 +46,7 @@ func TestRoundEngineMatchesWheel(t *testing.T) {
 				eng := &EventEngine{Delay: d, FIFO: true, Trace: func(ev TraceEvent) {
 					steps = append(steps, step{ev.Time, ev.Depth, ev.From, ev.To, ev.Msg.Kind()})
 				}}
-				if _, _, err := eng.Run(g, tokenFactory(50)); err != nil {
+				if _, _, err := eng.Run(g.Compile(), tokenFactory(50)); err != nil {
 					t.Fatal(err)
 				}
 				return steps
@@ -66,7 +66,7 @@ func TestRoundEngineMatchesWheel(t *testing.T) {
 // and the per-run reports are properly isolated.
 func TestRoundEngineConcurrent(t *testing.T) {
 	c := graph.Gnm(64, 192, 3).Compile()
-	_, want, err := (&EventEngine{}).RunSnapshot(c, tokenFactory(60))
+	_, want, err := (&EventEngine{}).Run(c, tokenFactory(60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestRoundEngineConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				_, rep, err := (&EventEngine{}).RunSnapshot(c, tokenFactory(60))
+				_, rep, err := (&EventEngine{}).Run(c, tokenFactory(60))
 				if err != nil {
 					errs <- err
 					return
@@ -102,7 +102,7 @@ func TestRoundEngineConcurrent(t *testing.T) {
 // exact path after tier selection).
 func TestRoundEngineLivelockGuard(t *testing.T) {
 	g := graph.Ring(4)
-	_, _, err := (&EventEngine{Delay: UnitDelay, MaxMessages: 500}).Run(g, func(NodeID, []NodeID) Protocol { return chainReaction{} })
+	_, _, err := (&EventEngine{Delay: UnitDelay, MaxMessages: 500}).Run(g.Compile(), func(NodeID, []NodeID) Protocol { return chainReaction{} })
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Messages != 500 || be.Limit != 500 {
 		t.Fatalf("want a budget abort at 500 messages, got %v", err)

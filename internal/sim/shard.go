@@ -641,44 +641,17 @@ func (s *shardedScratch) release() {
 	s.run.stats = nil
 }
 
-// Run compiles g and executes the protocol over the snapshot.
-func (e *ShardedEngine) Run(g *graph.Graph, f Factory) (map[NodeID]Protocol, *Report, error) {
-	return e.RunSnapshot(g.Compile(), f)
-}
-
-// RunSnapshot executes the protocol to quiescence over a compiled snapshot
-// with the state plane split across shards. The scheduler tier mirrors
+// Run executes the protocol to quiescence over a compiled snapshot with
+// the state plane split across shards. The scheduler tier mirrors
 // EventEngine: unit delays run the window-parallel sharded round path,
 // anything else the sharded calendar wheels in global order.
-func (e *ShardedEngine) RunSnapshot(c *graph.CSR, f Factory) (protos map[NodeID]Protocol, rep *Report, err error) {
+func (e *ShardedEngine) Run(c *graph.CSR, f Factory) (protos []Protocol, rep *Report, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			protos, rep = nil, nil
 			err = recoverRun(p)
 		}
 	}()
-	dense, rep, err := e.runSnapshotDense(c, f)
-	if err != nil {
-		return nil, nil, err
-	}
-	return denseProtoMap(c.Index().IDs(), dense), rep, nil
-}
-
-// RunSnapshotDense is RunSnapshot returning the final protocol instances
-// dense-indexed (see DenseSnapshotEngine).
-func (e *ShardedEngine) RunSnapshotDense(c *graph.CSR, f Factory) (protos []Protocol, rep *Report, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			protos, rep = nil, nil
-			err = recoverRun(p)
-		}
-	}()
-	return e.runSnapshotDense(c, f)
-}
-
-// runSnapshotDense is the common body of RunSnapshot and RunSnapshotDense;
-// callers own panic recovery.
-func (e *ShardedEngine) runSnapshotDense(c *graph.CSR, f Factory) ([]Protocol, *Report, error) {
 	start := time.Now()
 	part := e.Partition
 	S := e.Shards
@@ -702,7 +675,7 @@ func (e *ShardedEngine) runSnapshotDense(c *graph.CSR, f Factory) ([]Protocol, *
 		// One shard is the event engine, definitionally: the N-shard runs
 		// are trace-equivalent to this path.
 		ev := &EventEngine{Seed: e.Seed, Delay: e.Delay, FIFO: e.FIFO, MaxMessages: e.MaxMessages, Trace: e.Trace, Checkpoint: e.Checkpoint}
-		return ev.runSnapshotDense(c, f)
+		return ev.run(c, f)
 	}
 	if part == nil {
 		part = graph.PartitionContiguous(c, S)
@@ -716,18 +689,13 @@ func (e *ShardedEngine) runSnapshotDense(c *graph.CSR, f Factory) ([]Protocol, *
 	return e.runShardedWheel(c, part, f, maxMsgs, start)
 }
 
-// Resume compiles g and continues a checkpointed run (see ResumeSnapshot).
-func (e *ShardedEngine) Resume(g *graph.Graph, f Factory, ck *Checkpoint) (map[NodeID]Protocol, *Report, error) {
-	return e.ResumeSnapshot(g.Compile(), f, ck)
-}
-
-// ResumeSnapshot continues a run frozen at a round barrier with the state
-// plane sharded: protocol states decode into their owner shards, the
-// pending slab reseeds the shard inboxes in canonical rank order, and the
-// run proceeds window-parallel. Checkpoints are engine-agnostic: any
+// Resume continues a run frozen at a round barrier with the state plane
+// sharded: protocol states decode into their owner shards, the pending
+// slab reseeds the shard inboxes in canonical rank order, and the run
+// proceeds window-parallel. Checkpoints are engine-agnostic: any
 // unit-delay engine resumes any barrier checkpoint to the identical
 // report, trace and final states.
-func (e *ShardedEngine) ResumeSnapshot(c *graph.CSR, f Factory, ck *Checkpoint) (protos map[NodeID]Protocol, rep *Report, err error) {
+func (e *ShardedEngine) Resume(c *graph.CSR, f Factory, ck *Checkpoint) (protos []Protocol, rep *Report, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			protos, rep = nil, nil
@@ -761,16 +729,12 @@ func (e *ShardedEngine) ResumeSnapshot(c *graph.CSR, f Factory, ck *Checkpoint) 
 	}
 	if S <= 1 {
 		ev := &EventEngine{Delay: e.Delay, FIFO: e.FIFO, MaxMessages: e.MaxMessages, Trace: e.Trace, Checkpoint: e.Checkpoint}
-		return ev.ResumeSnapshot(c, f, ck)
+		return ev.Resume(c, f, ck)
 	}
 	if part == nil {
 		part = graph.PartitionContiguous(c, S)
 	}
-	dense, rep, err := e.runShardedRounds(c, part, f, maxMsgs, start, ck)
-	if err != nil {
-		return nil, nil, err
-	}
-	return denseProtoMap(c.Index().IDs(), dense), rep, nil
+	return e.runShardedRounds(c, part, f, maxMsgs, start, ck)
 }
 
 // workerCount resolves the effective OS-level parallelism of the round
@@ -1184,8 +1148,8 @@ const (
 // atomic under its mutex, so the waking side can skip the futex entirely
 // when nobody is parked — a steady-state round costs no syscalls at all.
 type phaseBarrier struct {
-	gen       atomic.Uint64
-	kind      phaseKind // published by the gen bump: written before the
+	gen  atomic.Uint64
+	kind phaseKind // published by the gen bump: written before the
 	// bump, read only after observing it (the atomic creates the
 	// happens-before), and never written again until every worker checked
 	// in — so the plain field is race-free.
@@ -1291,7 +1255,7 @@ func (b *phaseBarrier) awaitDone() {
 // park barrier — the steady state is handful-of-atomics cheap, with no
 // futex wake on either side — and the returned phase function blocks until
 // every worker finished, re-raising the first (lowest-shard) protocol
-// panic on the coordinator, where RunSnapshot's recover converts it. stop
+// panic on the coordinator, where Run's recover converts it. stop
 // must be called exactly once to release the workers.
 func (e *ShardedEngine) startWorkers(run *shardedRoundRun) (stop func(), phase func(phaseKind)) {
 	S := len(run.shards)
@@ -1330,7 +1294,6 @@ func (e *ShardedEngine) startWorkers(run *shardedRoundRun) (stop func(), phase f
 	}
 	return stop, phase
 }
-
 
 // --- randomised-delay path: sharded state, global (time, seq) order ---
 
@@ -1548,6 +1511,4 @@ func (e *ShardedEngine) runShardedWheel(c *graph.CSR, part *graph.Partition, f F
 	return protos, rep, nil
 }
 
-var _ SnapshotEngine = (*ShardedEngine)(nil)
-var _ DenseSnapshotEngine = (*ShardedEngine)(nil)
 var _ ResumableEngine = (*ShardedEngine)(nil)

@@ -22,7 +22,7 @@ func TestShardedSteadyStateZeroAlloc(t *testing.T) {
 		measure := func(hops int) float64 {
 			run := func() {
 				eng := &ShardedEngine{Shards: 4, Workers: workers, Partition: part, Delay: UnitDelay, FIFO: true}
-				if _, _, err := eng.RunSnapshot(c, tokenFactory(hops)); err != nil {
+				if _, _, err := eng.Run(c, tokenFactory(hops)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -51,7 +51,7 @@ func TestShardedShardCountAllocBudget(t *testing.T) {
 		part := graph.PartitionContiguous(c, shards)
 		run := func() {
 			eng := &ShardedEngine{Shards: shards, Workers: shards, Partition: part, Delay: UnitDelay, FIFO: true}
-			if _, _, err := eng.RunSnapshot(c, tokenFactory(400)); err != nil {
+			if _, _, err := eng.Run(c, tokenFactory(400)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -78,12 +78,12 @@ func TestShardedOversubscribedSpinBarrier(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	for gname, g := range shardCorpus() {
 		c := g.Compile()
-		want, wantRep, err := (&EventEngine{Delay: UnitDelay, FIFO: true}).RunSnapshot(c, tokenFactory(60))
+		want, wantRep, err := (&EventEngine{Delay: UnitDelay, FIFO: true}).Run(c, tokenFactory(60))
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng := &ShardedEngine{Shards: 16, Workers: 16, Delay: UnitDelay, FIFO: true}
-		got, gotRep, err := eng.RunSnapshot(c, tokenFactory(60))
+		got, gotRep, err := eng.Run(c, tokenFactory(60))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,13 +102,13 @@ func TestShardedOversubscribedSpinBarrier(t *testing.T) {
 // (same report as the event engine).
 func TestShardedPhaseStats(t *testing.T) {
 	c := graph.Grid(12, 12).Compile()
-	_, wantRep, err := (&EventEngine{Delay: UnitDelay, FIFO: true}).RunSnapshot(c, tokenFactory(80))
+	_, wantRep, err := (&EventEngine{Delay: UnitDelay, FIFO: true}).Run(c, tokenFactory(80))
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := &PhaseStats{}
 	eng := &ShardedEngine{Shards: 4, Workers: 4, Delay: UnitDelay, FIFO: true, Stats: st}
-	_, gotRep, err := eng.RunSnapshot(c, tokenFactory(80))
+	_, gotRep, err := eng.Run(c, tokenFactory(80))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestShardedPhaseStats(t *testing.T) {
 	}
 	// A second armed run accumulates on the same instance.
 	before := st.Rounds
-	if _, _, err := eng.RunSnapshot(c, tokenFactory(80)); err != nil {
+	if _, _, err := eng.Run(c, tokenFactory(80)); err != nil {
 		t.Fatal(err)
 	}
 	if st.Rounds != 2*before {

@@ -67,14 +67,14 @@ func TestShardedMatchesEventUnit(t *testing.T) {
 	for gname, g := range shardCorpus() {
 		c := g.Compile()
 		for pname, f := range protocols {
-			want, wantRep, err := (&EventEngine{Delay: UnitDelay, FIFO: true}).RunSnapshot(c, f)
+			want, wantRep, err := (&EventEngine{Delay: UnitDelay, FIFO: true}).Run(c, f)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, shards := range []int{2, 3, 5, 8} {
 				t.Run(gname+"/"+pname+"/shards="+itoa(shards), func(t *testing.T) {
 					eng := &ShardedEngine{Shards: shards, Workers: shards, Delay: UnitDelay, FIFO: true}
-					got, gotRep, err := eng.RunSnapshot(c, f)
+					got, gotRep, err := eng.Run(c, f)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -137,11 +137,11 @@ func TestShardedMatchesReferenceUniform(t *testing.T) {
 				Trace: func(ev TraceEvent) { got = append(got, step{ev.Time, ev.From, ev.To, ev.Msg.Kind()}) }}
 			ref := &ReferenceEngine{Delay: UniformDelay(0.05), FIFO: fifo, Seed: 9,
 				Trace: func(ev TraceEvent) { want = append(want, step{ev.Time, ev.From, ev.To, ev.Msg.Kind()}) }}
-			_, gotRep, err := sh.Run(g, tokenFactory(50))
+			_, gotRep, err := sh.Run(g.Compile(), tokenFactory(50))
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, wantRep, err := ref.Run(g, tokenFactory(50))
+			_, wantRep, err := ref.Run(g.Compile(), tokenFactory(50))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func TestShardedTraceUnit(t *testing.T) {
 		case *ShardedEngine:
 			e.Trace = tr
 		}
-		if _, _, err := eng.Run(g, loggingTokenFactory(40)); err != nil {
+		if _, _, err := eng.Run(g.Compile(), loggingTokenFactory(40)); err != nil {
 			t.Fatal(err)
 		}
 		return steps
@@ -219,7 +219,7 @@ func (l *loggingProto) Recv(ctx Context, from NodeID, m WireMsg) {
 func TestShardedPartitionStrategies(t *testing.T) {
 	for gname, g := range shardCorpus() {
 		c := g.Compile()
-		want, wantRep, err := (&EventEngine{Delay: UnitDelay, FIFO: true}).RunSnapshot(c, tokenFactory(60))
+		want, wantRep, err := (&EventEngine{Delay: UnitDelay, FIFO: true}).Run(c, tokenFactory(60))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestShardedPartitionStrategies(t *testing.T) {
 				t.Fatalf("%s: %v", gname, err)
 			}
 			eng := &ShardedEngine{Partition: part, Workers: part.Shards(), Delay: UnitDelay, FIFO: true}
-			got, gotRep, err := eng.RunSnapshot(c, tokenFactory(60))
+			got, gotRep, err := eng.Run(c, tokenFactory(60))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,7 +246,7 @@ func TestShardedPartitionStrategies(t *testing.T) {
 		// A partition disagreeing with Shards is rejected, not silently
 		// repartitioned.
 		bad := &ShardedEngine{Shards: 2, Partition: graph.PartitionContiguous(c, 4), Delay: UnitDelay}
-		if _, _, err := bad.RunSnapshot(c, tokenFactory(10)); err == nil || !strings.Contains(err.Error(), "disagrees") {
+		if _, _, err := bad.Run(c, tokenFactory(10)); err == nil || !strings.Contains(err.Error(), "disagrees") {
 			t.Errorf("%s: mismatched Shards/Partition accepted: %v", gname, err)
 		}
 	}
@@ -270,7 +270,7 @@ func TestShardedReportMerge(t *testing.T) {
 	for gname, g := range shardCorpus() {
 		c := g.Compile()
 		for _, cf := range configs {
-			_, want, err := (&ShardedEngine{Shards: 1, Delay: cf.delay, FIFO: cf.fifo, Seed: 5}).RunSnapshot(c, tokenFactory(40))
+			_, want, err := (&ShardedEngine{Shards: 1, Delay: cf.delay, FIFO: cf.fifo, Seed: 5}).Run(c, tokenFactory(40))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -280,7 +280,7 @@ func TestShardedReportMerge(t *testing.T) {
 				go func(shards int) {
 					defer wg.Done()
 					eng := &ShardedEngine{Shards: shards, Workers: shards, Delay: cf.delay, FIFO: cf.fifo, Seed: 5}
-					_, got, err := eng.RunSnapshot(c, tokenFactory(40))
+					_, got, err := eng.Run(c, tokenFactory(40))
 					if err != nil {
 						t.Errorf("%s/%s shards=%d: %v", gname, cf.name, shards, err)
 						return
@@ -302,7 +302,7 @@ func TestShardedScratchReuse(t *testing.T) {
 	var first *Report
 	for i := 0; i < 5; i++ {
 		eng := &ShardedEngine{Shards: 4, Workers: 2, Delay: UnitDelay, FIFO: true}
-		_, rep, err := eng.RunSnapshot(c, tokenFactory(50))
+		_, rep, err := eng.Run(c, tokenFactory(50))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,13 +313,13 @@ func TestShardedScratchReuse(t *testing.T) {
 		reportsEquivalent(t, "reuse run "+itoa(i), rep, first)
 	}
 	// Interleave different shapes and shard counts to force slab resizing.
-	if _, _, err := (&ShardedEngine{Shards: 7, Workers: 3, Delay: UnitDelay}).Run(graph.Ring(100), tokenFactory(10)); err != nil {
+	if _, _, err := (&ShardedEngine{Shards: 7, Workers: 3, Delay: UnitDelay}).Run(graph.Ring(100).Compile(), tokenFactory(10)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := (&ShardedEngine{Shards: 2, Workers: 2, Delay: UnitDelay}).Run(graph.Ring(6), tokenFactory(5)); err != nil {
+	if _, _, err := (&ShardedEngine{Shards: 2, Workers: 2, Delay: UnitDelay}).Run(graph.Ring(6).Compile(), tokenFactory(5)); err != nil {
 		t.Fatal(err)
 	}
-	_, rep, err := (&ShardedEngine{Shards: 4, Workers: 2, Delay: UnitDelay, FIFO: true}).RunSnapshot(c, tokenFactory(50))
+	_, rep, err := (&ShardedEngine{Shards: 4, Workers: 2, Delay: UnitDelay, FIFO: true}).Run(c, tokenFactory(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestShardedScratchReuse(t *testing.T) {
 func TestShardedLivelock(t *testing.T) {
 	g := graph.Ring(8)
 	eng := &ShardedEngine{Shards: 4, Workers: 2, Delay: UnitDelay, MaxMessages: 500}
-	_, _, err := eng.Run(g, func(id NodeID, _ []NodeID) Protocol { return &chatterNode{budget: 1 << 30} })
+	_, _, err := eng.Run(g.Compile(), func(id NodeID, _ []NodeID) Protocol { return &chatterNode{budget: 1 << 30} })
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Limit != 500 || be.Messages < 500 {
 		t.Fatalf("want a budget abort at or past 500 messages, got %v", err)
@@ -347,13 +347,13 @@ func TestShardedLivelock(t *testing.T) {
 func TestShardedMessageCapEquivalence(t *testing.T) {
 	c := graph.Gnm(48, 160, 3).Compile()
 	flood := func(id NodeID, _ []NodeID) Protocol { return &chatterNode{budget: 4} }
-	_, full, err := (&EventEngine{Delay: UnitDelay, FIFO: true}).RunSnapshot(c, flood)
+	_, full, err := (&EventEngine{Delay: UnitDelay, FIFO: true}).Run(c, flood)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cap := range []int64{full.Messages, full.Messages - 1, full.Messages / 2} {
-		_, _, errEvent := (&EventEngine{Delay: UnitDelay, FIFO: true, MaxMessages: cap}).RunSnapshot(c, flood)
-		_, _, errShard := (&ShardedEngine{Shards: 4, Workers: 2, Delay: UnitDelay, FIFO: true, MaxMessages: cap}).RunSnapshot(c, flood)
+		_, _, errEvent := (&EventEngine{Delay: UnitDelay, FIFO: true, MaxMessages: cap}).Run(c, flood)
+		_, _, errShard := (&ShardedEngine{Shards: 4, Workers: 2, Delay: UnitDelay, FIFO: true, MaxMessages: cap}).Run(c, flood)
 		if (errEvent == nil) != (errShard == nil) {
 			t.Fatalf("cap %d (full run %d msgs): event engine err=%v, sharded err=%v",
 				cap, full.Messages, errEvent, errShard)
@@ -369,7 +369,7 @@ func TestShardedProtocolPanic(t *testing.T) {
 	boom := func(id NodeID, _ []NodeID) Protocol { return &panicNode{at: 5} }
 	for _, shards := range []int{2, 4} {
 		eng := &ShardedEngine{Shards: shards, Workers: shards, Delay: UnitDelay}
-		_, _, err := eng.Run(g, boom)
+		_, _, err := eng.Run(g.Compile(), boom)
 		if err == nil || !strings.Contains(err.Error(), "protocol panic") {
 			t.Fatalf("shards=%d: want protocol panic error, got %v", shards, err)
 		}
@@ -435,7 +435,7 @@ func TestShardedOutboxAllocsFlat(t *testing.T) {
 	measure := func(hops int) float64 {
 		run := func() {
 			eng := &ShardedEngine{Shards: 4, Workers: 1, Partition: part, Delay: UnitDelay, FIFO: true}
-			if _, _, err := eng.RunSnapshot(c, tokenFactory(hops)); err != nil {
+			if _, _, err := eng.Run(c, tokenFactory(hops)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -460,13 +460,13 @@ func TestShardedParallelScanEquivalence(t *testing.T) {
 	defer func() { parallelScanMin = old }()
 	for gname, g := range shardCorpus() {
 		c := g.Compile()
-		want, wantRep, err := (&EventEngine{Delay: UnitDelay, FIFO: true}).RunSnapshot(c, tokenFactory(60))
+		want, wantRep, err := (&EventEngine{Delay: UnitDelay, FIFO: true}).Run(c, tokenFactory(60))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, shards := range []int{2, 4, 8} {
 			eng := &ShardedEngine{Shards: shards, Workers: shards, Delay: UnitDelay, FIFO: true}
-			got, gotRep, err := eng.RunSnapshot(c, tokenFactory(60))
+			got, gotRep, err := eng.Run(c, tokenFactory(60))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -486,7 +486,7 @@ func TestShardedParallelScanEquivalence(t *testing.T) {
 func TestShardedRefinedPartitionEquivalence(t *testing.T) {
 	for gname, g := range shardCorpus() {
 		c := g.Compile()
-		want, wantRep, err := (&EventEngine{Delay: UnitDelay, FIFO: true}).RunSnapshot(c, tokenFactory(60))
+		want, wantRep, err := (&EventEngine{Delay: UnitDelay, FIFO: true}).Run(c, tokenFactory(60))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -496,7 +496,7 @@ func TestShardedRefinedPartitionEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			eng := &ShardedEngine{Partition: part, Workers: shards, Delay: UnitDelay, FIFO: true}
-			got, gotRep, err := eng.RunSnapshot(c, tokenFactory(60))
+			got, gotRep, err := eng.Run(c, tokenFactory(60))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -538,7 +538,7 @@ func TestShardedWheelSpeculativeWindows(t *testing.T) {
 				var want []step
 				ref := &ReferenceEngine{Delay: d, FIFO: fifo, Seed: 21,
 					Trace: func(ev TraceEvent) { want = append(want, step{ev.Time, ev.From, ev.To, ev.Msg.Kind()}) }}
-				_, wantRep, err := ref.RunSnapshot(c, func(id NodeID, _ []NodeID) Protocol { return &chatterNode{budget: 6} })
+				_, wantRep, err := ref.Run(c, func(id NodeID, _ []NodeID) Protocol { return &chatterNode{budget: 6} })
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -551,7 +551,7 @@ func TestShardedWheelSpeculativeWindows(t *testing.T) {
 						var got []step
 						sh := &ShardedEngine{Partition: part, Delay: d, FIFO: fifo, Seed: 21,
 							Trace: func(ev TraceEvent) { got = append(got, step{ev.Time, ev.From, ev.To, ev.Msg.Kind()}) }}
-						_, gotRep, err := sh.RunSnapshot(c, func(id NodeID, _ []NodeID) Protocol { return &chatterNode{budget: 6} })
+						_, gotRep, err := sh.Run(c, func(id NodeID, _ []NodeID) Protocol { return &chatterNode{budget: 6} })
 						if err != nil {
 							t.Fatal(err)
 						}

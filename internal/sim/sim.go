@@ -3,7 +3,12 @@
 // edges of an undirected graph, with no shared memory, no global clock, and
 // event-driven nodes.
 //
-// Four interchangeable engines execute a Protocol over a graph:
+// Four interchangeable engines implement Engine, the package's single run
+// entry point: a Protocol executes over a compiled graph snapshot
+// (graph.CSR) and the final protocol states come back as a slice indexed
+// by the snapshot's dense node index, the same index the engines address
+// all per-node state by. Engines that can continue a checkpointed run also
+// implement ResumableEngine, whose Resume returns the same result.
 //
 //   - EventEngine: a deterministic, seeded discrete-event simulator. With
 //     UnitDelay it realises exactly the paper's time-complexity measure (the
@@ -78,78 +83,14 @@ type Context interface {
 // ascending and must not be modified.
 type Factory func(id NodeID, neighbors []NodeID) Protocol
 
-// Engine runs a protocol over a graph until global quiescence (no messages
-// in flight, all handlers idle) and returns the final protocol instance of
-// every node plus the run report.
+// Engine runs a protocol over a compiled snapshot until global quiescence
+// (no messages in flight, all handlers idle) and returns the final protocol
+// instance of every node plus the run report. Engines address all per-node
+// and per-link state by the snapshot's dense index, and so do their
+// results: protos[i] belongs to c.Index().ID(i). The snapshot is immutable
+// and safe to share across runs, trials and goroutines.
 type Engine interface {
-	Run(g *graph.Graph, f Factory) (map[NodeID]Protocol, *Report, error)
-}
-
-// SnapshotEngine is implemented by engines that execute directly over a
-// compiled CSR snapshot, addressing all per-node and per-link state by the
-// snapshot's dense index. Compiling once and running many times is the hot
-// path of the experiment harness: the snapshot is immutable and safe to
-// share across runs, trials and goroutines. All engines in this package
-// implement it; Engine.Run(g, f) is equivalent to
-// RunSnapshot(g.Compile(), f).
-type SnapshotEngine interface {
-	Engine
-	RunSnapshot(c *graph.CSR, f Factory) (map[NodeID]Protocol, *Report, error)
-}
-
-// RunCompiled executes f over the snapshot on eng, using the dense fast path
-// when the engine supports it and falling back to the snapshot's source
-// graph for third-party engines.
-func RunCompiled(eng Engine, c *graph.CSR, f Factory) (map[NodeID]Protocol, *Report, error) {
-	if se, ok := eng.(SnapshotEngine); ok {
-		return se.RunSnapshot(c, f)
-	}
-	return eng.Run(c.Source(), f)
-}
-
-// DenseSnapshotEngine is implemented by engines whose snapshot path can hand
-// the final protocol instances back as a dense slice — protos[i] belongs to
-// c.Index().ID(i) — skipping the map materialisation of RunSnapshot. The
-// engines address all state densely anyway; on a million-node workload the
-// identity-keyed result map is the single largest allocation of a quiesced
-// run, and consumers like spanning tree extraction immediately index the
-// states densely again.
-type DenseSnapshotEngine interface {
-	SnapshotEngine
-	RunSnapshotDense(c *graph.CSR, f Factory) ([]Protocol, *Report, error)
-}
-
-// RunCompiledDense executes f over the snapshot on eng and returns the final
-// protocol instances dense-indexed. Engines implementing DenseSnapshotEngine
-// take the map-free path; anything else runs through RunCompiled and the map
-// result is folded down.
-func RunCompiledDense(eng Engine, c *graph.CSR, f Factory) ([]Protocol, *Report, error) {
-	if de, ok := eng.(DenseSnapshotEngine); ok {
-		return de.RunSnapshotDense(c, f)
-	}
-	byID, rep, err := RunCompiled(eng, c, f)
-	if err != nil {
-		return nil, nil, err
-	}
-	idx := c.Index()
-	protos := make([]Protocol, c.N())
-	for id, p := range byID {
-		di, ok := idx.Of(id)
-		if !ok {
-			return nil, nil, fmt.Errorf("sim: engine returned state for node %d, not in the snapshot", id)
-		}
-		protos[di] = p
-	}
-	return protos, rep, nil
-}
-
-// denseProtoMap materialises the map view of a dense protocol slice.
-func denseProtoMap(ids []NodeID, protos []Protocol) map[NodeID]Protocol {
-	m := make(map[NodeID]Protocol, len(protos))
-	for i, p := range protos {
-		m[ids[i]] = p
-	}
-	return m
+	Run(c *graph.CSR, f Factory) ([]Protocol, *Report, error)
 }
 
 // TraceEvent describes one observable simulator step for tools that render

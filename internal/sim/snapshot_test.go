@@ -16,7 +16,7 @@ func TestSharedSnapshotConcurrentRuns(t *testing.T) {
 	g := graph.Gnm(64, 256, 9)
 	c := g.Compile()
 
-	want, wantRep, err := (&EventEngine{Delay: UniformDelay(0.05), FIFO: true, Seed: 5}).RunSnapshot(c, tokenFactory(40))
+	want, wantRep, err := (&EventEngine{Delay: UniformDelay(0.05), FIFO: true, Seed: 5}).Run(c, tokenFactory(40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestSharedSnapshotConcurrentRuns(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			eng := &EventEngine{Delay: UniformDelay(0.05), FIFO: true, Seed: 5}
-			protos, rep, err := eng.RunSnapshot(c, tokenFactory(40))
+			protos, rep, err := eng.Run(c, tokenFactory(40))
 			if err != nil {
 				errs[w] = err
 				return
@@ -52,13 +52,8 @@ func TestSharedSnapshotConcurrentRuns(t *testing.T) {
 	// The async engine shares the same snapshot concurrently with the event
 	// engine runs above having finished; interleave a few runs for -race.
 	for i := 0; i < 3; i++ {
-		if _, _, err := (&AsyncEngine{}).RunSnapshot(c, tokenFactory(20)); err != nil {
+		if _, _, err := (&AsyncEngine{}).Run(c, tokenFactory(20)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// And RunCompiled dispatches to the snapshot path for engines that
-	// support it.
-	if _, rep, err := RunCompiled(&EventEngine{Delay: UniformDelay(0.05), FIFO: true, Seed: 5}, c, tokenFactory(40)); err != nil || rep.Messages != wantRep.Messages {
-		t.Fatalf("RunCompiled diverged: %v, %v", rep, err)
 	}
 }

@@ -165,11 +165,11 @@ func TestWheelBoundaryDelaysEngine(t *testing.T) {
 	g := shardCorpus()["gnm-dense"]
 	fast := &EventEngine{Delay: mkDelay(), FIFO: true}
 	ref := &ReferenceEngine{Delay: mkDelay(), FIFO: true}
-	fp, frep, err := fast.Run(g, tokenFactory(60))
+	fp, frep, err := fast.Run(g.Compile(), tokenFactory(60))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, rrep, err := ref.Run(g, tokenFactory(60))
+	rp, rrep, err := ref.Run(g.Compile(), tokenFactory(60))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,13 @@ import (
 func BenchmarkConstruction(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		g := graph.Gnm(n, 4*n, 1)
+		c := g.Compile()
 		root := g.Nodes()[0]
 		protocols := []struct {
 			name    string
 			factory sim.Factory
 		}{
-			{"flood", NewFloodFactory(root)},
+			{"flood", NewFloodFactory(c, root)},
 			{"dfs", NewDFSFactory(root)},
 			{"ghs", NewGHSFactory()},
 			{"election", NewElectionFactory()},
@@ -27,7 +28,7 @@ func BenchmarkConstruction(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d", p.name, n), func(b *testing.B) {
 				var msgs int64
 				for i := 0; i < b.N; i++ {
-					_, rep, err := Build(&sim.EventEngine{Delay: sim.UnitDelay}, g, p.factory)
+					_, rep, err := Build(&sim.EventEngine{Delay: sim.UnitDelay}, c, p.factory)
 					if err != nil {
 						b.Fatal(err)
 					}

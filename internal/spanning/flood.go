@@ -26,32 +26,21 @@ type FloodNode struct {
 	pending  int // unresolved neighbours (tree responses or crossing floods)
 }
 
-// NewFloodFactory returns a factory for the flooding protocol rooted at root.
-func NewFloodFactory(root sim.NodeID) sim.Factory {
-	return func(id sim.NodeID, _ []sim.NodeID) sim.Protocol {
-		return &FloodNode{id: id, root: id == root}
-	}
-}
-
-// NewFloodFactorySnap returns a flooding factory bound to a snapshot: all n
-// node states live in one slab and the children lists are capacity-bounded
-// sub-slices of one arena laid out by node degree — children are always a
-// subset of neighbours, so insertID never grows a list out of the arena and
-// a whole run performs zero per-node allocations. The factory resets a
-// node's state every time it is asked for it, so one factory serves any
-// number of *sequential* runs (the benchmark steady state); it owns a
-// single slab, so concurrent runs must each get their own factory.
-func NewFloodFactorySnap(c *graph.CSR, root sim.NodeID) sim.Factory {
+// NewFloodFactory returns a factory for the flooding protocol rooted at
+// root, bound to the snapshot the engine runs: all n node states live in
+// one slab and the children lists are capacity-bounded sub-slices of one
+// arena laid out by node degree — children are always a subset of
+// neighbours, so insertID never grows a list out of the arena and a whole
+// run performs zero per-node allocations. The factory resets a node's
+// state every time it is asked for it, so one factory serves any number of
+// *sequential* runs (the benchmark steady state); it owns a single slab,
+// so concurrent runs must each get their own factory.
+func NewFloodFactory(c *graph.CSR, root sim.NodeID) sim.Factory {
 	idx := c.Index()
 	nodes := make([]FloodNode, c.N())
 	arena := make([]sim.NodeID, c.HalfEdges())
 	return func(id sim.NodeID, _ []sim.NodeID) sim.Protocol {
-		di, ok := idx.Of(id)
-		if !ok {
-			// Not a snapshot node (a foreign engine ran a different graph):
-			// degrade to the heap-allocating form rather than misbehave.
-			return &FloodNode{id: id, root: id == root}
-		}
+		di := idx.MustOf(id)
 		lo, hi := c.HalfEdge(di, 0), c.HalfEdge(di, c.Degree(di))
 		n := &nodes[di]
 		*n = FloodNode{id: id, root: id == root, children: arena[lo:lo:hi]}

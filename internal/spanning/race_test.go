@@ -28,7 +28,7 @@ func TestShardedDenseGrid100kFloodRaceScale(t *testing.T) {
 	root := c.Index().ID(0)
 	part := graph.PartitionRefined(c, 8)
 	eng := &sim.ShardedEngine{Shards: 8, Partition: part, Workers: 4, Delay: sim.UnitDelay, FIFO: true}
-	tr, rep, err := BuildCompiledDense(eng, c, NewFloodFactorySnap(c, root))
+	tr, rep, err := Build(eng, c, NewFloodFactory(c, root))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestShardedWheelUniformDelayRaceScale(t *testing.T) {
 	root := c.Index().ID(0)
 	part := graph.PartitionRefined(c, 8)
 	eng := &sim.ShardedEngine{Shards: 8, Partition: part, Delay: sim.UniformDelay(0.3), Seed: 9, FIFO: true}
-	tr, rep, err := BuildCompiledDense(eng, c, NewFloodFactorySnap(c, root))
+	tr, rep, err := Build(eng, c, NewFloodFactory(c, root))
 	if err != nil {
 		t.Fatal(err)
 	}

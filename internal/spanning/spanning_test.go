@@ -41,10 +41,10 @@ func relabelled() *graph.Graph {
 	return g
 }
 
-func protocolFactories(g *graph.Graph) map[string]sim.Factory {
-	root := g.Nodes()[0]
+func protocolFactories(c *graph.CSR) map[string]sim.Factory {
+	root := c.Source().Nodes()[0]
 	return map[string]sim.Factory{
-		"flood":    NewFloodFactory(root),
+		"flood":    NewFloodFactory(c, root),
 		"dfs":      NewDFSFactory(root),
 		"ghs":      NewGHSFactory(),
 		"election": NewElectionFactory(),
@@ -60,18 +60,29 @@ func testEngines() map[string]sim.Engine {
 	}
 }
 
+// buildTree runs Build over c and returns the map-keyed view of the tree
+// that the assertions below read.
+func buildTree(eng sim.Engine, c *graph.CSR, f sim.Factory) (*tree.Tree, *sim.Report, error) {
+	d, rep, err := Build(eng, c, f)
+	if err != nil {
+		return nil, nil, err
+	}
+	return d.ToTree(), rep, nil
+}
+
 // TestProtocolsProduceSpanningTrees runs every protocol over every graph on
 // every engine and validates the result.
 func TestProtocolsProduceSpanningTrees(t *testing.T) {
 	for gname, g := range testGraphs() {
-		for pname, factory := range protocolFactories(g) {
+		c := g.Compile()
+		for pname, factory := range protocolFactories(c) {
 			for ename, eng := range testEngines() {
 				if pname == "ghs" && ename == "event-nofifo" {
 					continue // GHS assumes FIFO channels, like the original
 				}
 				name := gname + "/" + pname + "/" + ename
 				t.Run(name, func(t *testing.T) {
-					st, rep, err := Build(eng, g, factory)
+					st, rep, err := buildTree(eng, c, factory)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -91,8 +102,9 @@ func TestProtocolsProduceSpanningTrees(t *testing.T) {
 // a breadth-first tree: every node's depth equals its BFS distance.
 func TestFloodUnitDelayIsBFS(t *testing.T) {
 	g := graph.Gnp(40, 0.15, 21)
+	c := g.Compile()
 	root := g.Nodes()[0]
-	st, _, err := Build(&sim.EventEngine{Delay: sim.UnitDelay}, g, NewFloodFactory(root))
+	st, _, err := buildTree(&sim.EventEngine{Delay: sim.UnitDelay}, c, NewFloodFactory(c, root))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +124,10 @@ func TestFloodUnitDelayIsBFS(t *testing.T) {
 func TestDFSDeterministicAcrossEngines(t *testing.T) {
 	g := graph.Gnp(30, 0.2, 33)
 	root := g.Nodes()[0]
+	c := g.Compile()
 	var trees []*tree.Tree
 	for _, eng := range testEngines() {
-		st, _, err := Build(eng, g, NewDFSFactory(root))
+		st, _, err := buildTree(eng, c, NewDFSFactory(root))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,13 +181,14 @@ func TestGHSMatchesKruskal(t *testing.T) {
 		if g.N() < 2 {
 			continue
 		}
+		c := g.Compile()
 		want := kruskalLex(g)
 		for ename, eng := range testEngines() {
 			if ename == "event-nofifo" {
 				continue // GHS assumes FIFO channels
 			}
 			t.Run(gname+"/"+ename, func(t *testing.T) {
-				st, _, err := Build(eng, g, NewGHSFactory())
+				st, _, err := buildTree(eng, c, NewGHSFactory())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -201,14 +215,16 @@ func TestGHSMatchesKruskal(t *testing.T) {
 // TestElectionPicksMinID verifies the extinction winner.
 func TestElectionPicksMinID(t *testing.T) {
 	g := graph.Gnp(25, 0.25, 55)
+	c := g.Compile()
 	for ename, eng := range testEngines() {
 		t.Run(ename, func(t *testing.T) {
-			protos, _, err := eng.Run(g, NewElectionFactory())
+			protos, _, err := eng.Run(c, NewElectionFactory())
 			if err != nil {
 				t.Fatal(err)
 			}
 			min := g.Nodes()[0]
-			for id, p := range protos {
+			for i, p := range protos {
+				id := c.Index().ID(int32(i))
 				leader := p.(*ElectionNode).Leader()
 				if leader != (id == min) {
 					t.Errorf("node %d leader=%v, want %v", id, leader, id == min)
@@ -222,7 +238,7 @@ func TestElectionPicksMinID(t *testing.T) {
 // generous constant.
 func TestGHSMessageComplexity(t *testing.T) {
 	g := graph.Gnp(64, 0.15, 77)
-	_, rep, err := Build(&sim.EventEngine{Delay: sim.UnitDelay}, g, NewGHSFactory())
+	_, rep, err := Build(&sim.EventEngine{Delay: sim.UnitDelay}, g.Compile(), NewGHSFactory())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,11 +157,6 @@ func FromParentDense(idx *graph.Index, root int32, parent []int32) (*Dense, erro
 	return d, nil
 }
 
-// CompileDense builds the dense form of t over a fresh index of g.
-func CompileDense(t *Tree, g *graph.Graph) (*Dense, error) {
-	return FromTree(t, graph.NewIndex(g))
-}
-
 // ToTree converts back to the map-keyed facade tree.
 func (d *Dense) ToTree() *Tree {
 	t := New(d.idx.ID(d.root))

@@ -234,28 +234,50 @@ func BuildSpanningTree(g *Graph, method InitialTree, opts Options) (*Tree, *Repo
 // BuildSpanningTreeCompiled is BuildSpanningTree over a pre-compiled
 // snapshot.
 func BuildSpanningTreeCompiled(c *CompiledGraph, method InitialTree, opts Options) (*Tree, *Report, error) {
+	d, rep, err := buildInitial(c, method, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return d.ToTree(), rep, nil
+}
+
+// buildInitial builds the startup spanning tree in the dense form the
+// improvement protocol starts from.
+func buildInitial(c *CompiledGraph, method InitialTree, opts Options) (*tree.Dense, *Report, error) {
 	if c.N() == 0 {
 		return nil, nil, fmt.Errorf("mdegst: empty graph")
 	}
 	g := c.Source()
+	var f sim.Factory
 	switch method {
 	case InitialFlood:
-		return spanning.BuildCompiled(opts.engine(), c, spanning.NewFloodFactory(g.Nodes()[0]))
+		f = spanning.NewFloodFactory(c, g.Nodes()[0])
 	case InitialDFS:
-		return spanning.BuildCompiled(opts.engine(), c, spanning.NewDFSFactory(g.Nodes()[0]))
+		f = spanning.NewDFSFactory(g.Nodes()[0])
 	case InitialGHS:
-		return spanning.BuildCompiled(opts.engine(), c, spanning.NewGHSFactory())
+		f = spanning.NewGHSFactory()
 	case InitialElection:
-		return spanning.BuildCompiled(opts.engine(), c, spanning.NewElectionFactory())
+		f = spanning.NewElectionFactory()
 	case InitialStar:
 		t, err := spanning.StarTree(g)
-		return t, nil, err
+		return sequentialInitial(c, t, err)
 	case InitialRandom:
 		t, err := spanning.RandomST(g, opts.Seed)
-		return t, nil, err
+		return sequentialInitial(c, t, err)
 	default:
 		return nil, nil, fmt.Errorf("mdegst: unknown initial tree method %v", method)
 	}
+	return spanning.Build(opts.engine(), c, f)
+}
+
+// sequentialInitial converts a sequential builder's tree; such trees carry
+// no message report.
+func sequentialInitial(c *CompiledGraph, t *Tree, err error) (*tree.Dense, *Report, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	d, err := tree.FromTree(t, c.Index())
+	return d, nil, err
 }
 
 // Run executes the full pipeline: build the startup spanning tree, then
@@ -270,14 +292,15 @@ func Run(g *Graph, opts Options) (*Result, error) {
 
 // RunCompiled is Run over a pre-compiled snapshot.
 func RunCompiled(c *CompiledGraph, opts Options) (*Result, error) {
-	initial, setup, err := BuildSpanningTreeCompiled(c, opts.Initial, opts)
+	initial, setup, err := buildInitial(c, opts.Initial, opts)
 	if err != nil {
 		return nil, err
 	}
-	res, err := ImproveCompiled(c, initial, opts)
+	r, err := mdst.Run(opts.engine(), c, initial, opts.Mode, opts.TargetDegree)
 	if err != nil {
 		return nil, err
 	}
+	res := improvement(initial.ToTree(), r)
 	res.Setup = setup
 	if setup != nil {
 		res.Total.Add(setup)
@@ -292,10 +315,29 @@ func Improve(g *Graph, initial *Tree, opts Options) (*Result, error) {
 
 // ImproveCompiled is Improve over a pre-compiled snapshot.
 func ImproveCompiled(c *CompiledGraph, initial *Tree, opts Options) (*Result, error) {
-	r, err := mdst.RunTargetSnapshot(opts.engine(), c, initial, opts.Mode, opts.TargetDegree)
+	d, err := denseInitial(c, initial)
 	if err != nil {
 		return nil, err
 	}
+	r, err := mdst.Run(opts.engine(), c, d, opts.Mode, opts.TargetDegree)
+	if err != nil {
+		return nil, err
+	}
+	return improvement(initial, r), nil
+}
+
+// denseInitial checks a caller-supplied tree against the snapshot's graph
+// and converts it to the dense form the protocol starts from. The full
+// Validate comes first because tree.FromTree reads only Parent.
+func denseInitial(c *CompiledGraph, initial *Tree) (*tree.Dense, error) {
+	if err := initial.Validate(c.Source()); err != nil {
+		return nil, fmt.Errorf("mdegst: initial tree invalid: %w", err)
+	}
+	return tree.FromTree(initial, c.Index())
+}
+
+// improvement wraps an improvement run's result for the facade.
+func improvement(initial *Tree, r *mdst.Result) *Result {
 	total := sim.NewReport()
 	total.Add(r.Report)
 	return &Result{
@@ -307,7 +349,7 @@ func ImproveCompiled(c *CompiledGraph, initial *Tree, opts Options) (*Result, er
 		Swaps:         r.Swaps,
 		Improvement:   r.Report,
 		Total:         total,
-	}, nil
+	}
 }
 
 // Checkpoint is a run of the improvement protocol frozen at a round
@@ -327,8 +369,12 @@ func CheckpointImprove(c *CompiledGraph, initial *Tree, opts Options, round int6
 	if opts.Engine != nil {
 		return false, fmt.Errorf("mdegst: checkpointing picks its own unit-delay engine; Options.Engine must be nil")
 	}
+	d, err := denseInitial(c, initial)
+	if err != nil {
+		return false, err
+	}
 	spec := &sim.CheckpointSpec{Round: round, W: w}
-	_, err := mdst.RunTargetSnapshot(opts.checkpointEngine(spec), c, initial, opts.Mode, opts.TargetDegree)
+	_, err = mdst.Run(opts.checkpointEngine(spec), c, d, opts.Mode, opts.TargetDegree)
 	switch {
 	case err == nil:
 		return false, nil
@@ -353,22 +399,15 @@ func ResumeImprove(c *CompiledGraph, initial *Tree, opts Options, r io.Reader) (
 	if err != nil {
 		return nil, err
 	}
-	res, err := mdst.ResumeTargetSnapshot(opts.checkpointEngine(nil), c, initial, opts.Mode, opts.TargetDegree, ck)
+	d, err := denseInitial(c, initial)
 	if err != nil {
 		return nil, err
 	}
-	total := sim.NewReport()
-	total.Add(res.Report)
-	return &Result{
-		Initial:       initial,
-		Final:         res.Tree,
-		InitialDegree: res.InitialDegree,
-		FinalDegree:   res.FinalDegree,
-		Rounds:        res.Rounds,
-		Swaps:         res.Swaps,
-		Improvement:   res.Report,
-		Total:         total,
-	}, nil
+	res, err := mdst.Resume(opts.checkpointEngine(nil), c, d, opts.Mode, opts.TargetDegree, ck)
+	if err != nil {
+		return nil, err
+	}
+	return improvement(initial, res), nil
 }
 
 // checkpointEngine builds the concrete unit-delay engine (sharded per
