@@ -118,8 +118,8 @@ func main() {
 	flag.IntVar(&opts.ckptKeep, "checkpoint-keep", 3, "periodic mode: retain the newest K recovery points")
 	flag.StringVar(&opts.resume, "resume", "", "resume the improvement phase from this checkpoint file (readable by every process)")
 	flag.StringVar(&opts.faults, "faults", "", "deterministic fault injection plan (chaos testing; see internal/net.ParseFaultPlan)")
-	flag.DurationVar(&opts.heartbeat, "heartbeat", 500*time.Millisecond, "peer liveness beacon interval (0 disables)")
-	flag.DurationVar(&opts.liveness, "liveness", 10*time.Second, "declare a peer down after this long without evidence of life (0 disables)")
+	flag.DurationVar(&opts.heartbeat, "heartbeat", 500*time.Millisecond, "peer liveness beacon interval (0 disables; then -liveness must be 0 too)")
+	flag.DurationVar(&opts.liveness, "liveness", 10*time.Second, "declare a peer down after this long without evidence of life (0 disables; needs -heartbeat)")
 	flag.DurationVar(&opts.timeout, "timeout", 30*time.Second, "mesh establishment deadline")
 	flag.IntVar(&opts.restarts, "restarts", 0, "supervisor mode: relaunch a failed cluster up to this many times from the latest recovery point")
 	flag.BoolVar(&opts.phases, "phases", false, "print this process's wire and barrier counters (frames, bytes, flushes, barrier wait) to stderr at exit")
@@ -132,19 +132,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if opts.ckptOut != "" && opts.resume != "" {
-		fatal(fmt.Errorf("-checkpoint and -resume are mutually exclusive"))
-	}
-	if opts.ckptOut != "" && opts.ckptDir != "" {
-		fatal(fmt.Errorf("-checkpoint (freeze) and -checkpoint-dir (periodic) are mutually exclusive"))
-	}
-	if opts.ckptEvery > 0 && opts.ckptDir == "" {
-		fatal(fmt.Errorf("-checkpoint-every requires -checkpoint-dir"))
-	}
-	if opts.ckptDir != "" && opts.ckptEvery <= 0 {
-		fatal(fmt.Errorf("-checkpoint-dir requires -checkpoint-every"))
-	}
-	if _, err := net.ParseFaultPlan(opts.faults); err != nil {
+	if err := opts.validate(); err != nil {
 		fatal(err)
 	}
 
@@ -160,6 +148,27 @@ func main() {
 	if err := runProcess(cfg, *id, opts); err != nil {
 		fatal(err)
 	}
+}
+
+// validate rejects flag combinations that cannot run.
+func (o runOptions) validate() error {
+	switch {
+	case o.ckptOut != "" && o.resume != "":
+		return fmt.Errorf("-checkpoint and -resume are mutually exclusive")
+	case o.ckptOut != "" && o.ckptDir != "":
+		return fmt.Errorf("-checkpoint (freeze) and -checkpoint-dir (periodic) are mutually exclusive")
+	case o.ckptEvery > 0 && o.ckptDir == "":
+		return fmt.Errorf("-checkpoint-every requires -checkpoint-dir")
+	case o.ckptDir != "" && o.ckptEvery <= 0:
+		return fmt.Errorf("-checkpoint-dir requires -checkpoint-every")
+	case o.liveness > 0 && o.heartbeat <= 0:
+		// A process idle in a peer's solo stretch (DESIGN.md §13) may hear
+		// no data frame for the whole stretch; only heartbeats tell that
+		// silence from a dead peer.
+		return fmt.Errorf("-liveness %v requires -heartbeat > 0 (or -liveness 0)", o.liveness)
+	}
+	_, err := net.ParseFaultPlan(o.faults)
+	return err
 }
 
 func readConfig(path string) (*clusterConfig, error) {

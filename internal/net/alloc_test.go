@@ -2,12 +2,8 @@ package net
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	gonet "net"
-	"sync"
 	"testing"
-	"time"
 
 	"mdegst/internal/graph"
 	"mdegst/internal/sim"
@@ -82,94 +78,6 @@ func allocTokenFactory(limit int64) sim.Factory {
 	}
 }
 
-// allocMesh is one live loopback mesh with an engine per process, reused
-// across a measurement's iterations.
-type allocMesh struct {
-	trs  []*Transport
-	engs []*DistEngine
-}
-
-func newAllocMesh(t *testing.T, c *graph.CSR, k int) *allocMesh {
-	t.Helper()
-	part := graph.PartitionContiguous(c, k)
-	owner := part.Owners()
-	lns := make([]gonet.Listener, k)
-	addrs := make([]string, k)
-	for i := range lns {
-		ln, err := Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	fp := Fingerprint{Procs: k, N: c.N(), HalfEdges: c.HalfEdges()}
-	m := &allocMesh{trs: make([]*Transport, k), engs: make([]*DistEngine, k)}
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tr := NewTransport(lns[i], i, addrs, fp)
-			if err := tr.Establish(10 * time.Second); err != nil {
-				errs[i] = err
-				tr.Close()
-				return
-			}
-			m.trs[i] = tr
-			m.engs[i] = &DistEngine{T: tr, Owner: owner}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			m.close()
-			t.Fatal(err)
-		}
-	}
-	t.Cleanup(m.close)
-	return m
-}
-
-func (m *allocMesh) close() {
-	for _, tr := range m.trs {
-		if tr != nil {
-			tr.Close()
-		}
-	}
-}
-
-// each runs one engine step per process concurrently and fails the test
-// on the first error that is not one of the allowed sentinels.
-func (m *allocMesh) each(t *testing.T, allowed []error, f func(eng *DistEngine) error) {
-	t.Helper()
-	errs := make([]error, len(m.engs))
-	var wg sync.WaitGroup
-	for i, eng := range m.engs {
-		wg.Add(1)
-		go func(i int, eng *DistEngine) {
-			defer wg.Done()
-			errs[i] = f(eng)
-		}(i, eng)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		ok := false
-		for _, a := range allowed {
-			if errors.Is(err, a) {
-				ok = true
-			}
-		}
-		if !ok {
-			t.Fatalf("process %d: %v", i, err)
-		}
-	}
-}
-
 // allocSlack absorbs what legitimately still allocates across a run pair:
 // the report's per-(kind, round) breakdown maps grow amortised with the
 // round count on every process, plus runtime noise from K goroutines of
@@ -185,7 +93,7 @@ func TestDistSteadyStateAllocBudget(t *testing.T) {
 	for _, k := range []int{2, 4} {
 		t.Run(fmt.Sprintf("procs=%d", k), func(t *testing.T) {
 			measure := func(hops int64) float64 {
-				m := newAllocMesh(t, c, k)
+				m := newEngineMesh(t, c, k)
 				run := func() {
 					m.each(t, nil, func(eng *DistEngine) error {
 						_, _, err := eng.Run(c, allocTokenFactory(hops))
@@ -214,7 +122,7 @@ func TestDistResumeSteadyStateAllocBudget(t *testing.T) {
 	c := graph.Ring(64).Compile()
 	const k = 2
 	measure := func(hops int64) float64 {
-		m := newAllocMesh(t, c, k)
+		m := newEngineMesh(t, c, k)
 		// Freeze a run at round 3, then resume it repeatedly.
 		var buf bytes.Buffer
 		for i, eng := range m.engs {

@@ -25,9 +25,10 @@ import (
 // same-parent position delta is a typed *FrameError, so a corrupt peer can
 // never smuggle an out-of-order run past the receiver's splice.
 //
-// Accumulated values are bounded during decode (ranks and parents below
-// 1<<62, positions in int32, endpoints in int31, counts below 1<<32) so
-// hostile deltas cannot overflow the receiver's prefix sums or indices.
+// Accumulated values are bounded during decode (ranks, parents, rank
+// spaces and delivered counts below 1<<62, positions in int32, endpoints
+// in int31, counts below 1<<32) so hostile deltas cannot overflow the
+// receiver's prefix sums or indices.
 
 // Decode-side bounds for accumulated delta values.
 const (
@@ -38,36 +39,58 @@ const (
 )
 
 // roundFlagStop is the graceful-stop bit of a round frame's flags: the
-// sender has a stop request latched. Every process ORs all K flags of a
-// barrier, so the cluster agrees on the stop at the same barrier.
+// sender has a stop request latched. Every process ORs the flags of the
+// frames it heard at a barrier, so the cluster agrees on the stop at the
+// same barrier.
 const roundFlagStop = uint64(1)
 
-// roundMsg is one process's barrier contribution: which run and round it
-// belongs to, its control flags, the (rank, send count) pairs of the
+// roundHeader is the control prefix of a round frame: the run and round
+// the frame closes, the sender's control flags, the round's rank space
+// (its global delivery count) and the cluster's cumulative delivered
+// count through that round. On the wire the sender's next-round activity
+// set follows it — the processes it queued records for, itself included —
+// which is how every process learns whether the next round is a solo
+// round (DESIGN.md §13).
+type roundHeader struct {
+	seq       uint64
+	round     int64
+	flags     uint64
+	rankSpace int64
+	delivered int64
+}
+
+// roundMsg is one process's barrier contribution, materialised: the
+// header, the activity set, the (rank, send count) pairs of the
 // deliveries the sender played, and the delivery batch destined to the
 // receiving process.
 type roundMsg struct {
-	seq    uint64
-	round  int64
-	flags  uint64
+	roundHeader
+	active []int32
 	counts []sim.RankCount
 	batch  []sim.OutMsg
 }
 
-func appendRoundMsg(b []byte, seq uint64, round int64, flags uint64, counts []sim.RankCount, batch []sim.OutMsg, t *WireTable) []byte {
-	b = appendRoundHeader(b, seq, round, flags, counts)
+func appendRoundMsg(b []byte, h roundHeader, active []int32, counts []sim.RankCount, batch []sim.OutMsg, t *WireTable) []byte {
+	b = appendRoundHeader(b, h, active, counts)
 	return appendRoundBatch(b, batch, t)
 }
 
-// appendRoundHeader encodes the control prefix and the delta-encoded
-// (rank, count) header; the split from the batch encoder lets the engine
-// meter header bytes separately (NetStats.HeaderBytes). The first entry
-// carries its rank absolutely; each later entry carries rank - prevRank,
-// which the strictly-ascending invariant keeps positive (and usually 1).
-func appendRoundHeader(b []byte, seq uint64, round int64, flags uint64, counts []sim.RankCount) []byte {
-	b = appendUvarint(b, seq)
-	b = appendVarint(b, round)
-	b = appendUvarint(b, flags)
+// appendRoundHeader encodes the control prefix, the activity set
+// (strictly ascending process ids) and the delta-encoded (rank, count)
+// header; the split from the batch encoder lets the engine meter header
+// bytes separately (NetStats.HeaderBytes). The first count entry carries
+// its rank absolutely; each later entry carries rank - prevRank, which
+// the strictly-ascending invariant keeps positive (and usually 1).
+func appendRoundHeader(b []byte, h roundHeader, active []int32, counts []sim.RankCount) []byte {
+	b = appendUvarint(b, h.seq)
+	b = appendVarint(b, h.round)
+	b = appendUvarint(b, h.flags)
+	b = appendUvarint(b, uint64(h.rankSpace))
+	b = appendUvarint(b, uint64(h.delivered))
+	b = appendUvarint(b, uint64(len(active)))
+	for _, q := range active {
+		b = appendUvarint(b, uint64(q))
+	}
 	b = appendUvarint(b, uint64(len(counts)))
 	prev := int64(0)
 	for i, c := range counts {
@@ -80,6 +103,49 @@ func appendRoundHeader(b []byte, seq uint64, round int64, flags uint64, counts [
 		prev = c.Rank
 	}
 	return b
+}
+
+// decodeRoundHeader parses a round frame's control prefix and activity
+// set, marking every process the set names in act — one entry per
+// cluster process, so a name outside the cluster is a typed error.
+func decodeRoundHeader(r *frameReader, act []bool) (roundHeader, error) {
+	var h roundHeader
+	var err error
+	if h.seq, err = r.uvarint(); err != nil {
+		return h, err
+	}
+	if h.round, err = r.varint(); err != nil {
+		return h, err
+	}
+	if h.flags, err = r.uvarint(); err != nil {
+		return h, err
+	}
+	if h.rankSpace, err = r.rank("rank space"); err != nil {
+		return h, err
+	}
+	if h.delivered, err = r.rank("delivered count"); err != nil {
+		return h, err
+	}
+	n, err := r.count(1)
+	if err != nil {
+		return h, err
+	}
+	prev := int64(-1)
+	for i := 0; i < n; i++ {
+		q, err := r.uvarint()
+		if err != nil {
+			return h, err
+		}
+		if q >= uint64(len(act)) {
+			return h, r.fail(fmt.Sprintf("activity set names process %d of a %d-process cluster", q, len(act)))
+		}
+		if int64(q) <= prev {
+			return h, r.fail("activity set not strictly ascending")
+		}
+		prev = int64(q)
+		act[q] = true
+	}
+	return h, nil
 }
 
 // countsDecoder accumulates the header's rank deltas, rejecting
@@ -230,21 +296,22 @@ func (d *batchDecoder) next(r *frameReader, t *WireTable, m *sim.OutMsg) error {
 	return nil
 }
 
-// parseRoundMsg is the materializing round-frame parser — tests, fuzzing
-// and anything that wants the whole frame as values. The engine's hot path
-// uses the streaming decodeRound instead.
-func parseRoundMsg(payload []byte, t *WireTable) (*roundMsg, error) {
+// parseRoundMsg is the materializing round-frame parser for a cluster of
+// procs processes — tests, fuzzing and anything that wants the whole
+// frame as values. The engine's hot path uses the streaming decodeRound
+// instead.
+func parseRoundMsg(payload []byte, t *WireTable, procs int) (*roundMsg, error) {
 	r := &frameReader{typ: frameRound, buf: payload}
-	m := &roundMsg{}
-	var err error
-	if m.seq, err = r.uvarint(); err != nil {
+	act := make([]bool, procs)
+	h, err := decodeRoundHeader(r, act)
+	if err != nil {
 		return nil, err
 	}
-	if m.round, err = r.varint(); err != nil {
-		return nil, err
-	}
-	if m.flags, err = r.uvarint(); err != nil {
-		return nil, err
+	m := &roundMsg{roundHeader: h}
+	for q, a := range act {
+		if a {
+			m.active = append(m.active, int32(q))
+		}
 	}
 	nc, err := r.count(2)
 	if err != nil {
@@ -266,36 +333,82 @@ func parseRoundMsg(payload []byte, t *WireTable) (*roundMsg, error) {
 	return m, nil
 }
 
-// roundHeader is the control prefix of a streamed round frame.
-type roundHeader struct {
-	seq   uint64
-	round int64
-	flags uint64
+// roundExpect is what the local barrier knows when it decodes a peer's
+// round frame. At a full barrier the frame must close exactly the local
+// round, with the local rank space and delivered count. A process idle
+// in a peer's solo stretch (solo) knows only the last round it closed and
+// the next forced barrier (limit, -1 for none): the frame may close any
+// round after the first and up to the second, and its counts alone must
+// cover the rank space it declares.
+type roundExpect struct {
+	seq       uint64
+	round     int64
+	rankSpace int64
+	delivered int64
+	solo      bool
+	limit     int64
 }
 
-// decodeRound is the engine's zero-copy round-frame decode: the header's
-// counts scatter straight into the barrier's persistent rank slab
-// (bounds-checked against the round's rank space) and the batch records
-// append into the per-peer reusable slab, so an unperturbed barrier
-// allocates nothing. covered returns the count-entry total for the
-// barrier's coverage cross-check. On any error the scratch contents are
-// unspecified — the caller aborts the run.
-func decodeRound(payload []byte, t *WireTable, rankSpace int64, cnt []int64, batch *[]sim.OutMsg) (roundHeader, int64, error) {
+// check validates a decoded header from process q against the local
+// barrier.
+func (x *roundExpect) check(q int, h roundHeader) error {
+	fail := func(format string, args ...any) error {
+		return &FrameError{Type: frameRound, Reason: fmt.Sprintf("process %d: ", q) + fmt.Sprintf(format, args...)}
+	}
+	switch {
+	case h.seq != x.seq:
+		return fail("frame for run %d, local run is %d", h.seq, x.seq)
+	case x.solo && h.round <= x.round:
+		return fail("frame for round %d, not after the local round %d", h.round, x.round)
+	case x.solo && x.limit >= 0 && h.round > x.limit:
+		return fail("frame for round %d passes the forced barrier at round %d", h.round, x.limit)
+	case x.solo:
+		return nil
+	case h.round != x.round:
+		return fail("frame for round %d, local barrier is round %d", h.round, x.round)
+	case h.rankSpace != x.rankSpace:
+		return fail("rank space %d disagrees with the local barrier's %d", h.rankSpace, x.rankSpace)
+	case h.delivered != x.delivered:
+		return fail("delivered count %d disagrees with the local barrier's %d", h.delivered, x.delivered)
+	}
+	return nil
+}
+
+// decodeRound is the engine's zero-copy decode of process q's round
+// frame: the activity set marks into the step's activity slab, the
+// header's counts scatter straight into the barrier's persistent rank
+// slab (bounds-checked against the round's rank space) and the batch
+// records append into q's reusable slab, so an unperturbed barrier
+// allocates nothing. A solo-mode decode adopts the frame's rank space,
+// growing the rank slab to it — bounded first by the frame's own length,
+// since every count entry costs at least two bytes. Returns the header
+// and its count-entry total for the barrier's coverage cross-check. On
+// any error the scratch contents are unspecified — the caller aborts the
+// run.
+func (s *roundScratch) decodeRound(q int, payload []byte, t *WireTable, x *roundExpect) (roundHeader, int64, error) {
 	r := &frameReader{typ: frameRound, buf: payload}
-	var h roundHeader
-	var err error
-	if h.seq, err = r.uvarint(); err != nil {
+	h, err := decodeRoundHeader(r, s.act)
+	if err != nil {
 		return h, 0, err
 	}
-	if h.round, err = r.varint(); err != nil {
+	if err := x.check(q, h); err != nil {
 		return h, 0, err
 	}
-	if h.flags, err = r.uvarint(); err != nil {
-		return h, 0, err
+	rankSpace := x.rankSpace
+	if x.solo {
+		if h.rankSpace > int64(len(r.buf)-r.at)/2 {
+			return h, 0, r.fail(fmt.Sprintf("solo frame cannot cover its %d-delivery rank space", h.rankSpace))
+		}
+		rankSpace = h.rankSpace
+		s.slabs(rankSpace)
 	}
+	cnt := s.cnt[:rankSpace]
 	nc, err := r.count(2)
 	if err != nil {
 		return h, 0, err
+	}
+	if x.solo && int64(nc) != rankSpace {
+		return h, 0, r.fail(fmt.Sprintf("solo frame covers %d of its %d delivery ranks", nc, rankSpace))
 	}
 	cd := newCountsDecoder()
 	for i := 0; i < nc; i++ {
@@ -312,7 +425,7 @@ func decodeRound(payload []byte, t *WireTable, rankSpace int64, cnt []int64, bat
 	if err != nil {
 		return h, 0, err
 	}
-	out := (*batch)[:0]
+	out := s.rx[q][:0]
 	bd := newBatchDecoder()
 	var rec sim.OutMsg
 	for i := 0; i < nb; i++ {
@@ -324,7 +437,7 @@ func decodeRound(payload []byte, t *WireTable, rankSpace int64, cnt []int64, bat
 		}
 		out = append(out, rec)
 	}
-	*batch = out
+	s.rx[q] = out
 	if err := r.done(); err != nil {
 		return h, 0, err
 	}

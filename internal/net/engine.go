@@ -11,27 +11,31 @@ import (
 
 // DistEngine executes a protocol run across the OS processes of an
 // established Transport mesh: each process hosts the nodes its Owner table
-// assigns to it and drives unit-delay rounds separated by an all-to-all
-// barrier. The barrier reuses the sharded engine's determinism machinery
-// (DESIGN.md §7) verbatim — deliveries keyed (parent rank, send position),
-// rank offsets from a prefix sum over broadcast send counts — so the
+// assigns to it and drives unit-delay rounds separated by barriers. The
+// barrier reuses the sharded engine's determinism machinery (DESIGN.md
+// §7) verbatim — deliveries keyed (parent rank, send position), rank
+// offsets from a prefix sum over broadcast send counts — so the
 // distributed run is tree-, report- and checkpoint-byte-equivalent to the
 // in-process engines. DistEngine is a drop-in sim.ResumableEngine: the
 // spanning and mdst pipelines run on it unchanged.
 //
-// One barrier exchange per round, per peer: a single round frame carrying
-// the sender's (rank, count) pairs and the delivery batch destined to that
-// peer, coalesced and flushed once. Quiescence (a round with no sends
-// anywhere) triggers the final all-gather: every process broadcasts its
-// report counters and its owned nodes' encoded states, so every process
-// finishes holding the complete final state plane and extracts the
-// identical tree. The all-gather doubles as the run-closing barrier; a
-// run-sequence number in every frame keeps the two pipeline phases (flood
-// build, improvement) apart on the shared connections.
+// A barrier exchanges at most one round frame per peer: the sender's
+// (rank, count) pairs, its next-round activity set and the delivery batch
+// destined to that peer, coalesced and flushed once. When exactly one
+// process has deliveries in a round, that round is a solo round (DESIGN.md
+// §13): the lone process closes it locally and sends only when a peer must
+// hear, while every other process waits for its next frame. Quiescence (a
+// round with no sends anywhere) triggers the final all-gather: every
+// process broadcasts its report counters and its owned nodes' encoded
+// states, so every process finishes holding the complete final state
+// plane and extracts the identical tree. The all-gather doubles as the
+// run-closing barrier; a run-sequence number in every frame keeps the two
+// pipeline phases (flood build, improvement) apart on the shared
+// connections.
 //
 // All processes of one run must be constructed with identical Owner,
-// MaxMessages and Checkpoint.Round configuration — the topology config
-// file is that single source of truth for cmd/mdstd.
+// MaxMessages and Checkpoint.Round/Every configuration — the topology
+// config file is that single source of truth for cmd/mdstd.
 type DistEngine struct {
 	// T is the established transport mesh.
 	T *Transport
@@ -50,14 +54,17 @@ type DistEngine struct {
 	// same commit protocol at every barrier whose round is a positive
 	// multiple of Every, with process 0 writing through Checkpoint.Sink,
 	// and the cluster keeps running — there is always a recent recovery
-	// point.
+	// point. Commit and freeze barriers are always full exchanges.
 	Checkpoint *sim.CheckpointSpec
-	// Stop, polled at each barrier, requests a graceful cluster-wide stop:
-	// the process latches the request into its round frames' stop flag,
-	// every process ORs the barrier's K flags, and on agreement the run
-	// commits a final checkpoint (when Checkpoint is armed) and returns
-	// sim.ErrStopped at the same barrier everywhere — no process dies
-	// mid-barrier.
+	// Stop, polled whenever this process closes a round it takes part in,
+	// requests a graceful cluster-wide stop: the process latches the
+	// request into the stop flag of every round frame it sends from then
+	// on, every process ORs the flags of the frames it hears at a barrier,
+	// and on agreement the run commits a final checkpoint (when Checkpoint
+	// is armed) and returns sim.ErrStopped at the same barrier everywhere
+	// — no process dies mid-barrier. A process idle in a peer's solo
+	// stretch sends nothing, so its request takes effect at the next
+	// barrier it sends a frame at.
 	Stop func() bool
 	// Stats, when non-nil, accumulates per-run wire and barrier counters
 	// (frames, bytes, header share, flushes, barrier wait). Engine
@@ -84,6 +91,8 @@ type roundScratch struct {
 	inbox []sim.OutMsg   // spliced global-order delivery plane handed to PlayRound
 	enc   [][]byte       // per-peer frame encode slabs
 	rx    [][]sim.OutMsg // per-peer decoded-batch slabs
+	act   []bool         // next-round activity: the union of the activity sets heard this step
+	own   []int32        // this process's activity set: the processes it queued records for
 
 	states     []ownedState // owned-state headers for the all-gather / checkpoint
 	stateBytes []byte       // arena behind the states' blobs
@@ -91,10 +100,27 @@ type roundScratch struct {
 	runner sim.DistScratch // the runner's recycled slabs (protos, contexts, outboxes)
 }
 
+// begin readies the per-process tables for one barrier step: activity
+// marks cleared and peer batch slabs emptied, since a step that hears
+// from only some peers splices only theirs.
+func (s *roundScratch) begin(procs int) {
+	if len(s.enc) < procs {
+		s.enc = make([][]byte, procs)
+		s.rx = make([][]sim.OutMsg, procs)
+		s.act = make([]bool, procs)
+		s.own = make([]int32, 0, procs)
+	}
+	s.act = s.act[:procs]
+	for q := range s.act {
+		s.act[q] = false
+		s.rx[q] = s.rx[q][:0]
+	}
+}
+
 // slabs ensures the two rank-indexed slabs hold rankSpace entries (grown
-// by doubling, never shrunk) and the per-peer slab tables cover procs,
-// returning the zeroed cnt and base views for this barrier.
-func (s *roundScratch) slabs(procs int, rankSpace int64) (cnt, base []int64) {
+// by doubling, never shrunk) and returns the zeroed rank slab for this
+// barrier; the zeroed placement cursors wait in base for the splice.
+func (s *roundScratch) slabs(rankSpace int64) []int64 {
 	if int64(cap(s.cnt)) < rankSpace {
 		grow := 2 * int64(cap(s.cnt))
 		if grow < rankSpace {
@@ -103,16 +129,12 @@ func (s *roundScratch) slabs(procs int, rankSpace int64) (cnt, base []int64) {
 		s.cnt = make([]int64, grow)
 		s.base = make([]int64, grow)
 	}
-	if len(s.enc) < procs {
-		s.enc = make([][]byte, procs)
-		s.rx = make([][]sim.OutMsg, procs)
-	}
-	cnt, base = s.cnt[:rankSpace], s.base[:rankSpace]
+	cnt, base := s.cnt[:rankSpace], s.base[:rankSpace]
 	for i := range cnt {
 		cnt[i] = 0
 		base[i] = 0
 	}
-	return cnt, base
+	return cnt
 }
 
 // grownInbox returns an n-record view of the inbox slab.
@@ -126,6 +148,55 @@ func (s *roundScratch) grownInbox(n int) []sim.OutMsg {
 	}
 	return s.inbox[:n]
 }
+
+// barrierState is what a process knows once a barrier closes.
+type barrierState struct {
+	round     int64        // the round the barrier closed (0: Init)
+	off       []int64      // next round's rank offsets (aliasing engine scratch)
+	total     int64        // next round's global delivery count
+	inbox     []sim.OutMsg // this process's next-round deliveries, in global order
+	delivered int64        // the cluster's cumulative delivered count
+	stop      bool         // the barrier agreed a graceful stop
+	active    int          // processes with deliveries next round
+	lone      int          // the active process when active == 1
+}
+
+// census counts the processes the activity marks name.
+func (st *barrierState) census(act []bool) {
+	st.active, st.lone = 0, -1
+	for q, a := range act {
+		if a {
+			st.active++
+			st.lone = q
+		}
+	}
+}
+
+// capTrips is the sharded cap predicate at barrier granularity: delivered
+// and total are barrier-agreed values, so every process takes the same
+// branch.
+func capTrips(delivered, total, maxMsgs int64) bool {
+	return delivered > maxMsgs || (delivered >= maxMsgs && total > 0)
+}
+
+// nextForced returns the first round after round whose barrier commits or
+// freezes a checkpoint, or -1 when none is armed. Every process knows
+// these rounds in advance, and their barriers are always full exchanges.
+func (e *DistEngine) nextForced(round int64) int64 {
+	spec := e.Checkpoint
+	switch {
+	case spec == nil:
+		return -1
+	case spec.Every > 0:
+		return (round/spec.Every + 1) * spec.Every
+	case spec.Round > round:
+		return spec.Round
+	}
+	return -1
+}
+
+// forcedAt reports whether round's barrier is a forced full barrier.
+func (e *DistEngine) forcedAt(round int64) bool { return e.nextForced(round-1) == round }
 
 // Run executes the protocol to quiescence across the mesh. The runner
 // already addresses every node's state densely and the final all-gather
@@ -164,6 +235,7 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (r *si
 	}()
 	start := time.Now()
 	t := e.T
+	self := t.Self()
 	if len(e.Owner) != c.N() {
 		return nil, nil, fmt.Errorf("net: owner table covers %d nodes, snapshot has %d", len(e.Owner), c.N())
 	}
@@ -173,25 +245,20 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (r *si
 	}
 	e.seq++
 	seq := e.seq
-	r = sim.NewDistRunnerScratch(c, e.Owner, t.Procs(), t.Self(), f, &e.sc.runner)
+	r = sim.NewDistRunnerScratch(c, e.Owner, t.Procs(), self, f, &e.sc.runner)
 	// Harvest the runner's slabs for the next run once this one ends
 	// (bound to the runner now, so the recover path's r=nil cannot skip
 	// it). Results returned to the caller stay valid until that next run.
 	defer r.Release(&e.sc.runner)
 
-	var (
-		off       []int64
-		total     int64
-		inbox     []sim.OutMsg
-		round     int64
-		delivered int64
-		stop      bool
-	)
+	var st barrierState
 	if ck == nil {
 		r.PlayInit()
-		off, total, inbox, stop, err = e.barrier(r, seq, 0, int64(c.N()))
-		if err != nil {
+		if err := e.fullBarrier(r, seq, &st, int64(c.N()), -1); err != nil {
 			return nil, nil, decorateBarrier(err, 0)
+		}
+		if e.Stats != nil {
+			e.Stats.Rounds++
 		}
 	} else {
 		// Reseed from the checkpoint: full state plane everywhere, the
@@ -200,27 +267,33 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (r *si
 		// delivery i of the frozen round, so the offsets are the identity
 		// and the owned records carry their rank directly. The same
 		// reseeding the sharded engine does, with processes for shards.
+		// Every process reads the whole slab, so every process derives the
+		// first round's activity from it.
 		if err := ck.ValidateAgainst(c); err != nil {
 			return nil, nil, err
 		}
 		if err := ck.RestoreStates(r.Protos()); err != nil {
 			return nil, nil, err
 		}
-		if t.Self() == 0 {
+		if self == 0 {
 			ck.RestoreCounters(r.Report())
 		}
-		round = ck.Round
-		delivered = ck.Messages
-		total = int64(len(ck.Pending))
-		off = make([]int64, len(ck.Pending))
-		for i := range off {
-			off[i] = int64(i)
+		st.round = ck.Round
+		st.delivered = ck.Messages
+		st.total = int64(len(ck.Pending))
+		st.off = make([]int64, len(ck.Pending))
+		for i := range st.off {
+			st.off[i] = int64(i)
 		}
+		e.sc.begin(t.Procs())
 		for i, p := range ck.Pending {
-			if e.Owner[p.To] == int32(t.Self()) {
-				inbox = append(inbox, sim.OutMsg{Parent: int64(i), From: p.From, To: p.To, Msg: p.Msg})
+			q := e.Owner[p.To]
+			e.sc.act[q] = true
+			if q == int32(self) {
+				st.inbox = append(st.inbox, sim.OutMsg{Parent: int64(i), From: p.From, To: p.To, Msg: p.Msg})
 			}
 		}
+		st.census(e.sc.act)
 	}
 
 	spec := e.Checkpoint
@@ -228,64 +301,66 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (r *si
 		// An armed crash fault is honoured first: the process abandons the
 		// run abruptly, tearing its connections down mid-protocol — the
 		// chaos tests' stand-in for a real crash.
-		if t.Faults != nil && t.Faults.crashAt(t.Self(), int64(seq), round) {
+		if t.Faults != nil && t.Faults.crashAt(self, int64(seq), st.round) {
 			t.Close()
-			return nil, nil, &InjectedCrashError{Run: int64(seq), Round: round}
+			return nil, nil, &InjectedCrashError{Run: int64(seq), Round: st.round}
 		}
 		// A barrier-agreed stop outranks everything but quiescence: commit
 		// a final recovery point when checkpointing is armed, then stop
 		// cleanly on every process at this same barrier.
-		if stop && total > 0 {
+		if st.stop && st.total > 0 {
 			if spec != nil {
-				if err := e.commit(r, c, seq, round, off, total); err != nil {
-					return nil, nil, decorateBarrier(err, round)
+				if err := e.commit(r, c, seq, st.round, st.off, st.total); err != nil {
+					return nil, nil, decorateBarrier(err, st.round)
 				}
 			}
 			return nil, nil, sim.ErrStopped
 		}
-		if spec != nil && ck == nil {
-			if spec.Every > 0 {
-				// Periodic cadence: commit at every positive multiple of
-				// Every and keep running.
-				if round > 0 && round%spec.Every == 0 {
-					if err := e.commit(r, c, seq, round, off, total); err != nil {
-						return nil, nil, decorateBarrier(err, round)
-					}
-					// The commit's counter capture folded and detached the
-					// report's dense sender slab; the run continues, so
-					// re-arm it for the rounds after the recovery point.
-					r.RearmFast()
-				}
-			} else if round == spec.Round {
-				if err := e.commit(r, c, seq, round, off, total); err != nil {
-					return nil, nil, decorateBarrier(err, round)
-				}
+		if spec != nil && ck == nil && e.forcedAt(st.round) {
+			if err := e.commit(r, c, seq, st.round, st.off, st.total); err != nil {
+				return nil, nil, decorateBarrier(err, st.round)
+			}
+			if spec.Every == 0 {
 				return nil, nil, sim.ErrCheckpointed
 			}
+			// Periodic cadence: the commit's counter capture folded and
+			// detached the report's dense sender slab; the run continues,
+			// so re-arm it for the rounds after the recovery point.
+			r.RearmFast()
 		}
-		// The sharded cap predicate at barrier granularity: delivered and
-		// total are barrier-agreed values, so every process takes the same
-		// branch.
-		if delivered > maxMsgs || (delivered >= maxMsgs && total > 0) {
-			return nil, nil, sim.NewBudgetError(delivered, maxMsgs)
+		if capTrips(st.delivered, st.total, maxMsgs) {
+			return nil, nil, sim.NewBudgetError(st.delivered, maxMsgs)
 		}
-		if total == 0 {
+		if st.total == 0 {
 			break
 		}
-		round++
-		r.PlayRound(round, inbox)
-		delivered += total
-		off, total, inbox, stop, err = e.barrier(r, seq, round, total)
+		prev := st.round
+		if st.active == 1 && st.lone != self {
+			err = e.awaitLone(r, seq, &st)
+		} else {
+			st.round++
+			r.PlayRound(st.round, st.inbox)
+			rankSpace := st.total
+			st.delivered += rankSpace
+			if st.active == 1 && !e.forcedAt(st.round) {
+				err = e.soloBarrier(r, seq, &st, rankSpace, maxMsgs)
+			} else {
+				err = e.fullBarrier(r, seq, &st, rankSpace, -1)
+			}
+		}
 		if err != nil {
-			return nil, nil, decorateBarrier(err, round)
+			return nil, nil, decorateBarrier(err, st.round)
+		}
+		if e.Stats != nil {
+			e.Stats.Rounds += st.round - prev
 		}
 		// A checkpoint barrier reached by replaying past a resume must not
 		// re-commit; only barriers beyond the resume point fire above.
-		if ck != nil && round > ck.Round {
+		if ck != nil && st.round > ck.Round {
 			ck = nil
 		}
 	}
-	rep, err = e.finish(r, c, seq, round, start)
+	rep, err = e.finish(r, c, seq, st.round, start)
 	return r, rep, err
 }
 
@@ -300,11 +375,171 @@ func decorateBarrier(err error, round int64) error {
 	return err
 }
 
-// barrier closes one phase: broadcast this process's rank counts, control
-// flags and per-peer delivery batches, collect every peer's, scatter all
-// counts into the rank slab and prefix-sum it into the next round's
-// offsets, then splice the incoming runs (the process's own loopback
-// outbox plus one decoded batch per peer) into the next round's inbox.
+// stopFlags polls the stop request (sticky once seen) and returns the
+// flags word of this process's next round frame.
+func (e *DistEngine) stopFlags() uint64 {
+	if e.Stop != nil && e.Stop() {
+		e.stopLatched = true
+	}
+	if e.stopLatched {
+		return roundFlagStop
+	}
+	return 0
+}
+
+// markOwn records this process's activity set — the processes it queued
+// next-round records for, itself included — in sc.own and the step's
+// activity marks, reporting whether it names a peer.
+func (e *DistEngine) markOwn(r *sim.DistRunner) bool {
+	self := e.T.Self()
+	own := e.sc.own[:0]
+	peers := false
+	for q := range e.sc.act {
+		if len(r.Outbox(q)) > 0 {
+			own = append(own, int32(q))
+			e.sc.act[q] = true
+			peers = peers || q != self
+		}
+	}
+	e.sc.own = own
+	return peers
+}
+
+// sendRound sends this process's round frame to every peer — the header,
+// its activity set and counts, and the peer's delivery batch — then
+// flushes once.
+func (e *DistEngine) sendRound(r *sim.DistRunner, h roundHeader) error {
+	t := e.T
+	for q := 0; q < t.Procs(); q++ {
+		if q == t.Self() {
+			continue
+		}
+		body := appendRoundHeader(e.sc.enc[q][:0], h, e.sc.own, r.Counts())
+		hdr := len(body)
+		body = appendRoundBatch(body, r.Outbox(q), t.Table())
+		e.sc.enc[q] = body
+		if st := e.Stats; st != nil {
+			st.FramesSent++
+			st.BytesSent += int64(len(body))
+			st.HeaderBytes += int64(hdr)
+		}
+		if err := t.Send(q, frameRound, body); err != nil {
+			return err
+		}
+	}
+	if st := e.Stats; st != nil {
+		st.Flushes++
+	}
+	return t.FlushAll()
+}
+
+// fullBarrier closes round st.round with the all-to-all exchange: send
+// this process's frame to every peer, hear every peer's, scatter all
+// counts into the rank slab (verifying exact coverage and that every
+// frame agrees on the round, rank space and delivered count), OR the stop
+// flags and activity sets, then splice. have names a peer whose frame
+// this process already decoded — the lone process of a solo stretch whose
+// frame closed a forced barrier, its stop flag already in st.stop — or is
+// -1.
+func (e *DistEngine) fullBarrier(r *sim.DistRunner, seq uint64, st *barrierState, rankSpace int64, have int) error {
+	t := e.T
+	self := t.Self()
+	stop := false
+	covered := int64(0)
+	if have < 0 {
+		e.sc.begin(t.Procs())
+		e.sc.slabs(rankSpace)
+	} else {
+		stop, covered = st.stop, rankSpace
+	}
+	e.markOwn(r)
+	h := roundHeader{seq: seq, round: st.round, flags: e.stopFlags(), rankSpace: rankSpace, delivered: st.delivered}
+	if err := e.sendRound(r, h); err != nil {
+		return err
+	}
+	// Scatter the local counts (trusted: ranks come from this process's own
+	// prefix sums), then each peer's — decodeRound scatters and
+	// bounds-checks while parsing, straight into the slab.
+	cnt := e.sc.cnt[:rankSpace]
+	for _, c := range r.Counts() {
+		cnt[c.Rank] = c.Count
+	}
+	covered += int64(len(r.Counts()))
+	stop = stop || h.flags&roundFlagStop != 0
+	x := roundExpect{seq: seq, round: st.round, rankSpace: rankSpace, delivered: st.delivered}
+	for q := 0; q < t.Procs(); q++ {
+		if q == self || q == have {
+			continue
+		}
+		ph, cov, err := e.recvRound(q, &x)
+		if err != nil {
+			return err
+		}
+		stop = stop || ph.flags&roundFlagStop != 0
+		covered += cov
+	}
+	if covered != rankSpace {
+		return &FrameError{Type: frameRound, Reason: fmt.Sprintf("barrier covered %d of %d delivery ranks", covered, rankSpace)}
+	}
+	st.stop = stop
+	return e.splice(r, st, rankSpace)
+}
+
+// soloBarrier closes a round this process played alone. Its counts cover
+// the whole rank space, so it computes the offsets and its next inbox
+// locally, and it sends a frame — to every peer — only when one must
+// hear: it queued records for a peer, the run goes quiescent, the message
+// cap trips, or it latched a stop. Forced barriers never come here.
+func (e *DistEngine) soloBarrier(r *sim.DistRunner, seq uint64, st *barrierState, rankSpace, maxMsgs int64) error {
+	counts := r.Counts()
+	if int64(len(counts)) != rankSpace {
+		return &FrameError{Type: frameRound, Reason: fmt.Sprintf("solo round played %d of %d deliveries", len(counts), rankSpace)}
+	}
+	e.sc.begin(e.T.Procs())
+	cnt := e.sc.slabs(rankSpace)
+	for _, c := range counts {
+		cnt[c.Rank] = c.Count
+	}
+	peers := e.markOwn(r)
+	flags := e.stopFlags()
+	st.stop = flags&roundFlagStop != 0
+	if err := e.splice(r, st, rankSpace); err != nil {
+		return err
+	}
+	if peers || st.total == 0 || st.stop || capTrips(st.delivered, st.total, maxMsgs) {
+		return e.sendRound(r, roundHeader{seq: seq, round: st.round, flags: flags, rankSpace: rankSpace, delivered: st.delivered})
+	}
+	return nil
+}
+
+// awaitLone is the step of a process idle in a peer's solo stretch: it
+// plays nothing and blocks for the lone process's next frame, whatever
+// round that frame closes, adopting the frame's round, rank space,
+// counts, delivered count, stop flag and activity set. A frame closing a
+// forced barrier continues into the full exchange.
+func (e *DistEngine) awaitLone(r *sim.DistRunner, seq uint64, st *barrierState) error {
+	lone := st.lone
+	// The sends of the last round this process played were delivered at
+	// the barrier that closed it.
+	r.Idle()
+	e.sc.begin(e.T.Procs())
+	x := roundExpect{seq: seq, round: st.round, solo: true, limit: e.nextForced(st.round)}
+	h, _, err := e.recvRound(lone, &x)
+	if err != nil {
+		return err
+	}
+	st.round, st.delivered = h.round, h.delivered
+	st.stop = h.flags&roundFlagStop != 0
+	if e.forcedAt(h.round) {
+		return e.fullBarrier(r, seq, st, h.rankSpace, lone)
+	}
+	return e.splice(r, st, h.rankSpace)
+}
+
+// splice turns the barrier's rank slab into the next round's offsets and
+// delivery total, and places this process's next-round records — its own
+// loopback outbox plus every peer batch heard this step — into the inbox
+// in global delivery order.
 //
 // The splice is a counting sort, not a merge (DESIGN.md §13): every
 // parent rank's deliveries are played by exactly one process, so all of a
@@ -316,94 +551,32 @@ func decorateBarrier(err error, round int64) error {
 // follows parent rank and within-parent order follows the run, so the
 // inbox is exactly the canonical (Parent, Pos) delivery order the old
 // K-way merge produced — in O(records + rankSpace) with zero comparisons
-// and, after warm-up, zero allocations.
-//
-// Returns the offsets, the next round's delivery total, the spliced inbox
-// (aliasing engine scratch — valid until the next barrier) and the OR of
-// the barrier's stop flags — the same value on every process, so a
-// graceful stop is a cluster-wide agreement, not a race.
-func (e *DistEngine) barrier(r *sim.DistRunner, seq uint64, round, rankSpace int64) ([]int64, int64, []sim.OutMsg, bool, error) {
+// and, after warm-up, zero allocations. The inbox aliases engine scratch
+// and is valid until the next barrier.
+func (e *DistEngine) splice(r *sim.DistRunner, st *barrierState, rankSpace int64) error {
 	t := e.T
 	self := t.Self()
-	counts := r.Counts()
-	if e.Stop != nil && e.Stop() {
-		e.stopLatched = true
-	}
-	var flags uint64
-	if e.stopLatched {
-		flags |= roundFlagStop
-	}
-	cnt, base := e.sc.slabs(t.Procs(), rankSpace)
-	for q := 0; q < t.Procs(); q++ {
-		if q == self {
-			continue
-		}
-		body := appendRoundHeader(e.sc.enc[q][:0], seq, round, flags, counts)
-		hdr := len(body)
-		body = appendRoundBatch(body, r.Outbox(q), t.Table())
-		e.sc.enc[q] = body
-		if st := e.Stats; st != nil {
-			st.FramesSent++
-			st.BytesSent += int64(len(body))
-			st.HeaderBytes += int64(hdr)
-		}
-		if err := t.Send(q, frameRound, body); err != nil {
-			return nil, 0, nil, false, err
-		}
-	}
-	if err := t.FlushAll(); err != nil {
-		return nil, 0, nil, false, err
-	}
-	if st := e.Stats; st != nil {
-		st.Rounds++
-		st.Flushes++
-	}
-
-	// Scatter the local counts (trusted: ranks come from this process's own
-	// prefix sums), then each peer's — decodeRound scatters and
-	// bounds-checks while parsing, straight into the slab.
-	for _, c := range counts {
-		cnt[c.Rank] = c.Count
-	}
-	covered := int64(len(counts))
-	nrec := len(r.Outbox(self))
-	stop := flags&roundFlagStop != 0
-	for q := 0; q < t.Procs(); q++ {
-		if q == self {
-			continue
-		}
-		h, cov, err := e.recvRound(q, seq, round, rankSpace, cnt, &e.sc.rx[q])
-		if err != nil {
-			return nil, 0, nil, false, err
-		}
-		stop = stop || h.flags&roundFlagStop != 0
-		covered += cov
-		nrec += len(e.sc.rx[q])
-	}
-	if covered != rankSpace {
-		return nil, 0, nil, false, &FrameError{Type: frameRound, Reason: fmt.Sprintf("barrier covered %d of %d delivery ranks", covered, rankSpace)}
-	}
+	cnt, base := e.sc.cnt[:rankSpace], e.sc.base[:rankSpace]
 	var total int64
 	for i, c := range cnt {
 		cnt[i] = total
 		total += c
 	}
 
-	// Splice. First pass: local records per parent; exclusive prefix sum
-	// turns base into block cursors; second pass places each record and
+	// First pass: local records per parent; exclusive prefix sum turns
+	// base into block cursors; second pass places each record and
 	// materialises its global rank. Peer records are ownership-checked here
 	// (their endpoints came off a socket); loopback records were routed by
 	// the local owner table.
+	nrec := len(r.Outbox(self))
 	for _, m := range r.Outbox(self) {
 		base[m.Parent]++
 	}
-	for q := 0; q < t.Procs(); q++ {
-		if q == self {
-			continue
-		}
-		for _, m := range e.sc.rx[q] {
+	for _, rx := range e.sc.rx {
+		for _, m := range rx {
 			base[m.Parent]++
 		}
+		nrec += len(rx)
 	}
 	var at int64
 	for i := range base {
@@ -421,28 +594,30 @@ func (e *DistEngine) barrier(r *sim.DistRunner, seq uint64, round, rankSpace int
 	for _, m := range r.Outbox(self) {
 		place(m)
 	}
-	for q := 0; q < t.Procs(); q++ {
-		if q == self {
-			continue
-		}
-		for _, m := range e.sc.rx[q] {
+	for q, rx := range e.sc.rx {
+		for _, m := range rx {
 			if int(m.To) >= len(e.Owner) || e.Owner[m.To] != int32(self) || int(m.From) >= len(e.Owner) {
-				return nil, 0, nil, false, &FrameError{Type: frameRound, Reason: fmt.Sprintf(
+				return &FrameError{Type: frameRound, Reason: fmt.Sprintf(
 					"process %d sent a delivery %d->%d this process does not own", q, m.From, m.To)}
 			}
 			place(m)
 		}
 	}
-	return cnt, total, inbox, stop, nil
+	if (nrec > 0) != e.sc.act[self] {
+		return &FrameError{Type: frameRound, Reason: fmt.Sprintf(
+			"activity sets disagree with the %d records this process receives next round", nrec)}
+	}
+	st.off, st.total, st.inbox = cnt, total, inbox
+	st.census(e.sc.act)
+	return nil
 }
 
-// recvRound reads and stream-decodes the peer's round frame for (seq,
-// round): counts scatter into cnt, the batch lands in the peer's reusable
-// slab. Per-peer FIFO delivery and the all-gather barrier between runs
-// guarantee it is the next frame on the connection; anything else is a
-// protocol violation. Returns the frame's header and its count-entry
-// total for the coverage cross-check.
-func (e *DistEngine) recvRound(q int, seq uint64, round, rankSpace int64, cnt []int64, dst *[]sim.OutMsg) (roundHeader, int64, error) {
+// recvRound reads and stream-decodes peer q's next round frame against
+// the local barrier's expectation. Per-peer FIFO delivery and the
+// all-gather barrier between runs guarantee it is the next frame on the
+// connection; anything else is a protocol violation. Returns the frame's
+// header and its count-entry total for the coverage cross-check.
+func (e *DistEngine) recvRound(q int, x *roundExpect) (roundHeader, int64, error) {
 	var t0 time.Time
 	if e.Stats != nil {
 		t0 = time.Now()
@@ -461,15 +636,7 @@ func (e *DistEngine) recvRound(q int, seq uint64, round, rankSpace int64, cnt []
 	if typ != frameRound {
 		return roundHeader{}, 0, &FrameError{Type: typ, Reason: fmt.Sprintf("process %d sent frame type %d at a round barrier", q, typ)}
 	}
-	h, covered, err := decodeRound(payload, e.T.Table(), rankSpace, cnt, dst)
-	if err != nil {
-		return h, 0, err
-	}
-	if h.seq != seq || h.round != round {
-		return h, 0, &FrameError{Type: typ, Reason: fmt.Sprintf(
-			"process %d is at run %d round %d, local barrier is run %d round %d", q, h.seq, h.round, seq, round)}
-	}
-	return h, covered, nil
+	return e.sc.decodeRound(q, payload, e.T.Table(), x)
 }
 
 // ownedStates encodes the states of the nodes this process owns with the

@@ -43,10 +43,11 @@ type FaultPlan struct {
 	// peer before letting TCP through, exercising the retry/backoff path.
 	RefuseDials int
 
-	// Crash makes process CrashProc abandon the run at barrier CrashRound
-	// (0 disarms) of engine run CrashRun (the pipeline's improvement run is
-	// 2; 0 means any run), returning *InjectedCrashError. The distributed
-	// engine honours it; the transport only carries it.
+	// Crash makes process CrashProc abandon the run at the first barrier
+	// it reaches at or after CrashRound (0 disarms) of engine run CrashRun
+	// (the pipeline's improvement run is 2; 0 means any run), returning
+	// *InjectedCrashError. The distributed engine honours it; the
+	// transport only carries it.
 	CrashProc  int
 	CrashRound int64
 	CrashRun   int64
@@ -111,9 +112,12 @@ func (f *FaultPlan) delayFor(from, to int, n int64) time.Duration {
 // refuseDial reports whether dial attempt i (0-based) should be refused.
 func (f *FaultPlan) refuseDial(attempt int) bool { return attempt < f.RefuseDials }
 
-// crashAt reports whether process self must crash at this barrier.
+// crashAt reports whether process self must crash at this barrier: the
+// first one it reaches at or after CrashRound. A process idle in a peer's
+// solo stretch skips the stretch's rounds, so its crash fires at the
+// barrier that wakes it.
 func (f *FaultPlan) crashAt(self int, run, round int64) bool {
-	return f.CrashRound > 0 && self == f.CrashProc && round == f.CrashRound &&
+	return f.CrashRound > 0 && self == f.CrashProc && round >= f.CrashRound &&
 		(f.CrashRun == 0 || run == f.CrashRun)
 }
 

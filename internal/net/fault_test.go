@@ -71,6 +71,9 @@ func TestFaultPlanKillAndCrash(t *testing.T) {
 		want       bool
 	}{
 		{2, 2, 5, true}, {2, 1, 5, false}, {2, 2, 4, false}, {1, 2, 5, false},
+		// A process that sleeps through round 5 in a peer's solo stretch
+		// crashes at the first barrier it reaches after it.
+		{2, 2, 9, true},
 	}
 	for _, tc := range cases {
 		if got := p.crashAt(tc.self, tc.run, tc.round); got != tc.want {

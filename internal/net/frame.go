@@ -173,6 +173,19 @@ func (r *frameReader) varint() (int64, error) {
 	return v, nil
 }
 
+// rank reads a non-negative rank-sized value (a rank space or a delivered
+// count), bounded like the decoders' accumulated ranks.
+func (r *frameReader) rank(what string) (int64, error) {
+	v, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if v >= uint64(limitRank) {
+		return 0, r.fail(what + " outside the rank bound")
+	}
+	return int64(v), nil
+}
+
 func (r *frameReader) bytes(n uint64) ([]byte, error) {
 	if n > uint64(len(r.buf)-r.at) {
 		return nil, r.fail("truncated bytes")

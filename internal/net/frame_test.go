@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"testing"
 
 	"mdegst/internal/sim"
@@ -139,17 +140,22 @@ func sampleIdx(table *WireTable) uint64 {
 
 func TestRoundMsgRoundTrip(t *testing.T) {
 	table := CanonicalTable()
+	h := roundHeader{seq: 11, round: 4, flags: roundFlagStop, rankSpace: 6, delivered: 1234}
+	active := []int32{0, 2}
 	counts := []sim.RankCount{{Rank: 0, Count: 2}, {Rank: 5, Count: 0}}
 	batch := []sim.OutMsg{
 		{Parent: 3, Pos: 1, From: 2, To: 9, Msg: wireSample(table, sampleIdx(table))},
 	}
-	payload := appendRoundMsg(nil, 11, 4, roundFlagStop, counts, batch, table)
-	m, err := parseRoundMsg(payload, table)
+	payload := appendRoundMsg(nil, h, active, counts, batch, table)
+	m, err := parseRoundMsg(payload, table, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.seq != 11 || m.round != 4 || m.flags != roundFlagStop {
-		t.Fatalf("header lost: %+v", m)
+	if m.roundHeader != h {
+		t.Fatalf("header lost: got %+v want %+v", m.roundHeader, h)
+	}
+	if !slices.Equal(m.active, active) {
+		t.Fatalf("activity set lost: %v", m.active)
 	}
 	if len(m.counts) != 2 || m.counts[0] != counts[0] || m.counts[1] != counts[1] {
 		t.Fatalf("counts lost: %+v", m.counts)
@@ -175,8 +181,9 @@ func TestRoundHeaderDeltaSizeBound(t *testing.T) {
 	for i := range counts {
 		counts[i] = sim.RankCount{Rank: base + int64(i), Count: int64(i % 3)}
 	}
-	empty := len(appendRoundHeader(nil, 7, 9, 0, nil))
-	hdr := len(appendRoundHeader(nil, 7, 9, 0, counts)) - empty
+	h := roundHeader{seq: 7, round: 9}
+	empty := len(appendRoundHeader(nil, h, nil, nil))
+	hdr := len(appendRoundHeader(nil, h, nil, counts)) - empty
 	// First entry absolute, every later consecutive entry 1 rank byte +
 	// 1 count byte, plus the larger length prefix.
 	bound := uvarintLen(uint64(base)) + 1 + (n-1)*2 + uvarintLen(n) - uvarintLen(0)
@@ -191,7 +198,7 @@ func TestRoundHeaderDeltaSizeBound(t *testing.T) {
 		t.Errorf("delta header %d bytes does not halve the absolute encoding's %d", hdr, absolute)
 	}
 	// And the compressed form round-trips unchanged.
-	m, err := parseRoundMsg(appendRoundMsg(nil, 7, 9, 0, counts, nil, CanonicalTable()), CanonicalTable())
+	m, err := parseRoundMsg(appendRoundMsg(nil, h, nil, counts, nil, CanonicalTable()), CanonicalTable(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,6 +227,9 @@ func badRoundPayloads(table *WireTable) map[string][]byte {
 		b := appendUvarint(nil, 1) // seq
 		b = appendVarint(b, 0)     // round
 		b = appendUvarint(b, 0)    // flags
+		b = appendUvarint(b, 64)   // rank space
+		b = appendUvarint(b, 0)    // delivered
+		b = appendUvarint(b, 0)    // empty activity set
 		return appendUvarint(b, ncounts)
 	}
 	dupRank := prefix(2)
@@ -245,22 +255,127 @@ func badRoundPayloads(table *WireTable) map[string][]byte {
 	}
 }
 
+// fullExpect is the local barrier the sorted-run corpus is decoded
+// against: run 1, round 0, a 64-delivery rank space.
+func fullExpect() *roundExpect { return &roundExpect{seq: 1, rankSpace: 64, limit: -1} }
+
+// decodeScratch is a fresh engine arena for a procs-process cluster with
+// the rank slab sized for a full barrier of rankSpace deliveries.
+func decodeScratch(procs int, rankSpace int64) *roundScratch {
+	s := &roundScratch{}
+	s.begin(procs)
+	s.slabs(rankSpace)
+	return s
+}
+
 func TestRoundMsgSortedRunViolations(t *testing.T) {
 	table := CanonicalTable()
 	for name, payload := range badRoundPayloads(table) {
 		t.Run(name, func(t *testing.T) {
-			_, err := parseRoundMsg(payload, table)
+			_, err := parseRoundMsg(payload, table, 2)
 			var fe *FrameError
 			if !errors.As(err, &fe) {
 				t.Errorf("parseRoundMsg: got %v, want *FrameError", err)
 			}
-			cnt := make([]int64, 64)
-			var batch []sim.OutMsg
-			_, _, err = decodeRound(payload, table, 64, cnt, &batch)
+			_, _, err = decodeScratch(2, 64).decodeRound(1, payload, table, fullExpect())
 			if !errors.As(err, &fe) {
 				t.Errorf("decodeRound: got %v, want *FrameError", err)
 			}
 		})
+	}
+}
+
+// soloHeaderCases are round frames whose solo-round header fields
+// disagree with the receiving barrier, each with the expectation it is
+// decoded against (a 2-process cluster). Every one must fail typed.
+func soloHeaderCases(table *WireTable) []struct {
+	name    string
+	payload []byte
+	x       *roundExpect
+} {
+	counts := func(n int64) []sim.RankCount {
+		cs := make([]sim.RankCount, n)
+		for i := range cs {
+			cs[i] = sim.RankCount{Rank: int64(i), Count: 1}
+		}
+		return cs
+	}
+	msg := func(h roundHeader, active []int32, cs []sim.RankCount) []byte {
+		h.seq = 1
+		return appendRoundMsg(nil, h, active, cs, nil, table)
+	}
+	return []struct {
+		name    string
+		payload []byte
+		x       *roundExpect
+	}{
+		{"rank space disagrees with the local barrier",
+			msg(roundHeader{round: 5, rankSpace: 3, delivered: 9}, []int32{1}, counts(3)),
+			&roundExpect{seq: 1, round: 5, rankSpace: 4, delivered: 9, limit: -1}},
+		{"delivered count disagrees with the local barrier",
+			msg(roundHeader{round: 5, rankSpace: 3, delivered: 8}, []int32{1}, counts(3)),
+			&roundExpect{seq: 1, round: 5, rankSpace: 3, delivered: 9, limit: -1}},
+		{"solo frame does not cover its rank space",
+			msg(roundHeader{round: 7, rankSpace: 3, delivered: 9}, []int32{1}, counts(2)),
+			&roundExpect{seq: 1, round: 5, solo: true, limit: -1}},
+		{"solo rank space outruns the frame",
+			msg(roundHeader{round: 7, rankSpace: 1 << 40, delivered: 9}, []int32{1}, counts(2)),
+			&roundExpect{seq: 1, round: 5, solo: true, limit: -1}},
+		{"activity set names a process outside the cluster",
+			msg(roundHeader{round: 5, rankSpace: 3, delivered: 9}, []int32{2}, counts(3)),
+			&roundExpect{seq: 1, round: 5, rankSpace: 3, delivered: 9, limit: -1}},
+		{"activity set not ascending",
+			msg(roundHeader{round: 5, rankSpace: 3, delivered: 9}, []int32{1, 0}, counts(3)),
+			&roundExpect{seq: 1, round: 5, rankSpace: 3, delivered: 9, limit: -1}},
+		{"frame for an earlier round than the local one",
+			msg(roundHeader{round: 4, rankSpace: 3, delivered: 9}, []int32{1}, counts(3)),
+			&roundExpect{seq: 1, round: 5, solo: true, limit: -1}},
+		{"frame for the local round in a solo wait",
+			msg(roundHeader{round: 5, rankSpace: 3, delivered: 9}, []int32{1}, counts(3)),
+			&roundExpect{seq: 1, round: 5, solo: true, limit: -1}},
+		{"solo frame passes the forced barrier",
+			msg(roundHeader{round: 9, rankSpace: 3, delivered: 9}, []int32{1}, counts(3)),
+			&roundExpect{seq: 1, round: 5, solo: true, limit: 8}},
+		{"full-barrier frame for another round",
+			msg(roundHeader{round: 6, rankSpace: 3, delivered: 9}, []int32{1}, counts(3)),
+			&roundExpect{seq: 1, round: 5, rankSpace: 3, delivered: 9, limit: -1}},
+	}
+}
+
+func TestRoundFrameSoloHeaderViolations(t *testing.T) {
+	table := CanonicalTable()
+	for _, tc := range soloHeaderCases(table) {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := decodeScratch(2, 4).decodeRound(1, tc.payload, table, tc.x)
+			var fe *FrameError
+			if !errors.As(err, &fe) {
+				t.Fatalf("decodeRound: got %v, want *FrameError", err)
+			}
+		})
+	}
+}
+
+// TestRoundFrameSoloAdoption: a process idle in a solo stretch adopts the
+// lone process's frame — round, rank space, delivered count, activity set
+// and counts — even when the frame's rank space outgrows the slabs.
+func TestRoundFrameSoloAdoption(t *testing.T) {
+	table := CanonicalTable()
+	h := roundHeader{seq: 1, round: 12, rankSpace: 5, delivered: 40}
+	cs := []sim.RankCount{{Rank: 0, Count: 1}, {Rank: 1}, {Rank: 2, Count: 2}, {Rank: 3}, {Rank: 4, Count: 1}}
+	payload := appendRoundMsg(nil, h, []int32{0, 1}, cs, nil, table)
+	s := decodeScratch(2, 1)
+	got, covered, err := s.decodeRound(0, payload, table, &roundExpect{seq: 1, round: 7, solo: true, limit: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != h || covered != 5 {
+		t.Fatalf("adopted %+v covering %d, want %+v covering 5", got, covered, h)
+	}
+	if !s.act[0] || !s.act[1] {
+		t.Fatalf("activity marks %v, want both processes", s.act)
+	}
+	if want := []int64{1, 0, 2, 0, 1}; !slices.Equal(s.cnt[:5], want) {
+		t.Fatalf("rank slab %v, want %v", s.cnt[:5], want)
 	}
 }
 
@@ -288,6 +403,22 @@ func typedOrNil(t *testing.T, what string, err error) {
 	}
 }
 
+// decodeRoundTyped runs the engine's streaming decoder over payload as a
+// full barrier and as a solo wait: either way it must succeed or fail
+// typed, and a solo adoption must never grow the rank slab past what the
+// frame itself can cover.
+func decodeRoundTyped(t *testing.T, payload []byte, table *WireTable, procs int) {
+	t.Helper()
+	_, _, err := decodeScratch(procs, 64).decodeRound(1, payload, table, fullExpect())
+	typedOrNil(t, "decodeRound(full)", err)
+	s := decodeScratch(procs, 0)
+	_, _, err = s.decodeRound(1, payload, table, &roundExpect{seq: 1, round: -1, solo: true, limit: -1})
+	typedOrNil(t, "decodeRound(solo)", err)
+	if cap(s.cnt) > len(payload) {
+		t.Errorf("solo decode grew the rank slab to %d entries from a %d-byte frame", cap(s.cnt), len(payload))
+	}
+}
+
 // FuzzFrameCodec feeds arbitrary bytes to every parser of the plane — the
 // frame decoder, the handshake, and all payload codecs. The contract under
 // fuzzing: a parser either succeeds or returns its typed error; it never
@@ -303,7 +434,7 @@ func FuzzFrameCodec(f *testing.F) {
 	states := []ownedState{{dense: 0, blob: []byte{1, 2, 3}}}
 
 	f.Add(appendFrame(nil, frameHello, appendHello(nil, 0, fp, table)))
-	f.Add(appendFrame(nil, frameRound, appendRoundMsg(nil, 1, 0, 0, []sim.RankCount{{Rank: 0, Count: 1}}, batch, table)))
+	f.Add(appendFrame(nil, frameRound, appendRoundMsg(nil, roundHeader{seq: 1, rankSpace: 1}, []int32{1}, []sim.RankCount{{Rank: 0, Count: 1}}, batch, table)))
 	f.Add(appendFrame(nil, frameFinal, appendFinalMsg(nil, 1, counters, states, table)))
 	f.Add(appendFrame(nil, frameCkpt, appendCkptMsg(nil, 1, 2, counters, states, batch, table)))
 	f.Add(appendFrame(nil, frameCkptAck, appendCkptAck(nil, 1, 2)))
@@ -314,6 +445,10 @@ func FuzzFrameCodec(f *testing.F) {
 	// non-strictly-sorted batch keys must fail typed, never mis-splice.
 	for _, payload := range badRoundPayloads(table) {
 		f.Add(appendFrame(nil, frameRound, payload))
+	}
+	// Solo-round header fields that disagree with the receiving barrier.
+	for _, tc := range soloHeaderCases(table) {
+		f.Add(appendFrame(nil, frameRound, tc.payload))
 	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -331,8 +466,9 @@ func FuzzFrameCodec(f *testing.F) {
 				_, err := parseHello(payload, fp, table)
 				typedOrNil(t, "parseHello", err)
 			case frameRound:
-				_, err := parseRoundMsg(payload, table)
+				_, err := parseRoundMsg(payload, table, fp.Procs)
 				typedOrNil(t, "parseRoundMsg", err)
+				decodeRoundTyped(t, payload, table, fp.Procs)
 			case frameFinal:
 				_, err := parseFinalMsg(payload, table)
 				typedOrNil(t, "parseFinalMsg", err)
@@ -348,8 +484,9 @@ func FuzzFrameCodec(f *testing.F) {
 		// fail typed: frames from a corrupt peer can declare any type.
 		_, err := parseHello(b, fp, table)
 		typedOrNil(t, "parseHello(raw)", err)
-		_, err = parseRoundMsg(b, table)
+		_, err = parseRoundMsg(b, table, fp.Procs)
 		typedOrNil(t, "parseRoundMsg(raw)", err)
+		decodeRoundTyped(t, b, table, fp.Procs)
 		_, err = parseFinalMsg(b, table)
 		typedOrNil(t, "parseFinalMsg(raw)", err)
 		_, err = parseCkptMsg(b, table)

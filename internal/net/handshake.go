@@ -26,8 +26,10 @@ import (
 // runs to the pre-ranked delta encoding (strictly-ascending rank headers
 // and (Parent, Pos) batch keys carried as deltas, DESIGN.md §13) — the
 // same byte streams parsed as version 2 would mis-accumulate keys, so
-// the version gates it.
-const handshakeVersion = 3
+// the version gates it. Version 4 added the solo-round header fields
+// (rank space, cumulative delivered count, next-round activity set) to
+// round frames (DESIGN.md §13).
+const handshakeVersion = 4
 
 // handshakeMagic opens every hello payload.
 var handshakeMagic = [8]byte{'M', 'D', 'S', 'T', 'N', 'E', 'T', '1'}

@@ -16,10 +16,16 @@ import (
 // barrier. All fields are written by the engine goroutine only; read them
 // after the run returns.
 type NetStats struct {
-	// Rounds counts completed barriers (the Init exchange included).
+	// Rounds counts protocol rounds (the Init exchange included) — every
+	// round of the run on every process, whether it closed the round in a
+	// full exchange, alone in a solo round, or slept through it in a peer's
+	// solo stretch (DESIGN.md §13).
 	Rounds int64 `json:"rounds"`
 	// FramesSent / BytesSent cover the round frames this process encoded,
-	// BytesSent measuring payload bytes handed to the transport.
+	// BytesSent measuring payload bytes handed to the transport. Solo
+	// rounds send a frame only when a peer must hear, so FramesSent/Rounds
+	// is below the every-round exchange's K-1 per process (on the 2-process
+	// gnm-256 improvement the cluster sends 1.25 frames per round, not 2).
 	FramesSent int64 `json:"frames_sent"`
 	BytesSent  int64 `json:"bytes_sent"`
 	// HeaderBytes is the share of BytesSent spent on the rank/count
@@ -30,11 +36,12 @@ type NetStats struct {
 	FramesRecv int64 `json:"frames_recv"`
 	BytesRecv  int64 `json:"bytes_recv"`
 	// Flushes counts write-coalescing flush sweeps (one FlushAll per
-	// barrier in the steady state).
+	// barrier this process sends frames at).
 	Flushes int64 `json:"flushes"`
 	// BarrierWaitNs is the time the engine goroutine spent blocked in Recv
-	// at round barriers — the distributed sibling of PhaseStats' barrier
-	// phase. Wire decode time is excluded.
+	// at round barriers, including whole solo stretches slept through —
+	// the distributed sibling of PhaseStats' barrier phase. Wire decode
+	// time is excluded.
 	BarrierWaitNs int64 `json:"barrier_wait_ns"`
 }
 

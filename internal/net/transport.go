@@ -42,7 +42,10 @@ type Transport struct {
 	// peer is healthy: total silence for Liveness, or heartbeats claiming
 	// more frames than arrived while Recv starved for Liveness, yields a
 	// *PeerDownError instead of hanging. Set before Establish; off by
-	// default.
+	// default. Deployments pair it with Heartbeat: a process idle in a
+	// peer's solo stretch (DESIGN.md §13) legitimately hears no data frame
+	// for the whole stretch, so silence-only detection — Liveness without
+	// Heartbeat — is for transport tests.
 	Liveness time.Duration
 	// Faults, when non-nil, arms deterministic send-side fault injection
 	// (chaos tests only). Set before Establish; nil by default.
@@ -64,12 +67,12 @@ var ErrTransportClosed = errors.New("net: transport closed")
 // TCP backpressure.
 const inboxDepth = 128
 
-// ringSlots is the per-peer count of reusable payload buffers backing the
-// inbox: one per buffered frame, plus one for the frame a Recv may still
-// hold (payloads are valid until the next Recv from the peer) and one for
-// the frame the reader is filling. The reader reuses slot w%ringSlots for
-// frame w only once the consumer has completed Recv number w-ringSlots+2,
-// so a live payload is never scribbled over.
+// ringSlots bounds the per-peer payload buffers backing the inbox: one per
+// buffered frame, plus one for the frame a Recv may still hold (payloads
+// are valid until the next Recv from the peer) and one for the frame the
+// reader is filling. Frame w lives in slot w%ringSlots, and the reader
+// fills that slot only once the consumer has completed Recv number
+// w-ringSlots+2, so a live payload is never scribbled over.
 const ringSlots = inboxDepth + 2
 
 type frame struct {
@@ -86,10 +89,12 @@ type peerConn struct {
 	err  error
 	live *time.Ticker // lazily built liveness ticker (under mu); stopped in Close
 
-	// slots is the reader's payload ring (reader goroutine only); recvRet
+	// slots is the reader's payload ring and free holds the buffers it
+	// reclaimed from released slots (both reader goroutine only); recvRet
 	// counts completed Recvs, releasing slots, with released as the cap-1
 	// wakeup the reader waits on when the ring is momentarily full.
 	slots    [ringSlots][]byte
+	free     [][]byte
 	recvRet  atomic.Int64
 	released chan struct{}
 
@@ -328,24 +333,43 @@ func (t *Transport) dialRetry(addr string, deadline time.Time) (gonet.Conn, erro
 //
 // Payloads live in the peer's slot ring: frame w is read into slot
 // w%ringSlots once the consumer's completed-Recv count shows the slot's
-// previous occupant can no longer be referenced. In steady state the ring
-// never grows and no per-frame buffers are allocated. A reader stalled on
-// a slot implies at least inboxDepth undelivered frames, so the
-// consumer's next Recv both succeeds and releases it — the wait cannot
-// deadlock. Heartbeats reuse the current slot in place without advancing
-// the ring.
+// previous occupant can no longer be referenced. Buffers move rather than
+// stay put: the reader reclaims every released slot's buffer onto its
+// free list and hands a free buffer to the slot it fills next, so the
+// buffers in use track the frames in flight, not the frames ever read. A
+// connection carrying fewer than ringSlots frames per run therefore
+// recycles the same warm buffers instead of first-filling fresh slots,
+// and in steady state no per-frame buffers are allocated. A reader
+// stalled on a slot implies at least inboxDepth undelivered frames, so
+// the consumer's next Recv both succeeds and releases it — the wait
+// cannot deadlock. Heartbeats reuse the current slot in place without
+// advancing the ring.
 func (t *Transport) readLoop(id int, p *peerConn) {
 	defer t.readers.Done()
-	var w int64 // data frames read into the ring
+	var w, lo int64 // data frames read into the ring; frames reclaimed from it
 	for {
-		for w >= ringSlots && p.recvRet.Load() < w-ringSlots+2 {
+		for {
+			for lo < w && p.recvRet.Load() >= lo+2 {
+				slot := &p.slots[lo%ringSlots]
+				p.free = append(p.free, *slot)
+				*slot = nil
+				lo++
+			}
+			if w-lo < ringSlots {
+				break
+			}
 			select {
 			case <-p.released:
 			case <-t.done:
 				return
 			}
 		}
-		typ, payload, err := readFrameReuse(p.r, &p.slots[w%ringSlots])
+		slot := &p.slots[w%ringSlots]
+		if *slot == nil && len(p.free) > 0 {
+			*slot = p.free[len(p.free)-1]
+			p.free = p.free[:len(p.free)-1]
+		}
+		typ, payload, err := readFrameReuse(p.r, slot)
 		if err != nil {
 			if err == io.EOF {
 				err = fmt.Errorf("net: process %d closed the connection", id)
@@ -434,7 +458,7 @@ func (t *Transport) Send(peer int, typ byte, body []byte) error {
 			}
 			p.sent.Add(1)
 			p.wmu.Unlock()
-			return err
+			return t.writeFailed(peer, err)
 		case faultTrunc:
 			// A frame cut mid-payload: write the header and half the bytes,
 			// then kill the connection — the receiver sees a truncated-
@@ -460,7 +484,27 @@ func (t *Transport) Send(peer int, typ byte, body []byte) error {
 		p.sent.Add(1)
 	}
 	p.wmu.Unlock()
-	return err
+	return t.writeFailed(peer, err)
+}
+
+// writeFailed types a failed write on peer's connection — the reset or
+// broken pipe a crashed process leaves behind — as *PeerDownError, unless
+// the frame itself was rejected or this transport is closing. Writes can
+// see the crash first: a solo round's lone process may send to a peer
+// several times before it next reads from it.
+func (t *Transport) writeFailed(peer int, err error) error {
+	if err == nil {
+		return nil
+	}
+	if fe := (*FrameError)(nil); errors.As(err, &fe) {
+		return err
+	}
+	select {
+	case <-t.done:
+		return ErrTransportClosed
+	default:
+	}
+	return &PeerDownError{Peer: peer, Barrier: -1, Cause: fmt.Errorf("writing: %w", err)}
 }
 
 // Flush pushes the peer's coalesced frames to the socket.
@@ -470,8 +514,9 @@ func (t *Transport) Flush(peer int) error {
 		return fmt.Errorf("net: no connection to process %d", peer)
 	}
 	p.wmu.Lock()
-	defer p.wmu.Unlock()
-	return p.w.Flush()
+	err := p.w.Flush()
+	p.wmu.Unlock()
+	return t.writeFailed(peer, err)
 }
 
 // FlushAll flushes every peer buffer — the end of a barrier's write phase.
@@ -484,7 +529,7 @@ func (t *Transport) FlushAll() error {
 		err := p.w.Flush()
 		p.wmu.Unlock()
 		if err != nil {
-			return fmt.Errorf("net: flushing to process %d: %w", id, err)
+			return t.writeFailed(id, err)
 		}
 	}
 	return nil

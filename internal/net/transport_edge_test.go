@@ -271,3 +271,31 @@ func TestLivenessLostFrameClaims(t *testing.T) {
 	trs[1].Close()
 	checkNoLeaks(t, baseline)
 }
+
+// TestWriteToCrashedPeer: a process that only writes to a crashed peer —
+// the lone process of a solo stretch does, several rounds before it next
+// reads — must see the reset or broken pipe as a typed *PeerDownError, not
+// an untyped socket error, while writes after its own Close stay
+// ErrTransportClosed.
+func TestWriteToCrashedPeer(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	trs := newMeshTuned(t, 2, nil)
+	trs[1].Close()
+	deadline := time.Now().Add(5 * time.Second)
+	var err error
+	for err == nil && time.Now().Before(deadline) {
+		if err = trs[0].Send(1, frameRound, make([]byte, 1024)); err == nil {
+			err = trs[0].FlushAll()
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var pd *PeerDownError
+	if !errors.As(err, &pd) || pd.Peer != 1 {
+		t.Fatalf("got %v, want *PeerDownError for peer 1", err)
+	}
+	trs[0].Close()
+	if err := trs[0].Send(1, frameRound, nil); !errors.Is(err, ErrTransportClosed) {
+		t.Fatalf("send after Close: got %v, want ErrTransportClosed", err)
+	}
+	checkNoLeaks(t, baseline)
+}

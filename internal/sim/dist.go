@@ -317,6 +317,11 @@ func (r *DistRunner) PlayRound(round int64, inbox []OutMsg) {
 	}
 }
 
+// Idle clears the phase's counts and outboxes for a process that plays no
+// deliveries while a peer runs solo rounds (DESIGN.md §13): the sends of
+// the last round it played were delivered at the barrier that closed it.
+func (r *DistRunner) Idle() { r.resetPhase() }
+
 // Outbox returns the phase's deliveries destined to process dst, sorted by
 // key. Valid until the next Play phase; the caller encodes or merges it
 // before then.
