@@ -157,41 +157,28 @@ func BenchmarkEngines(b *testing.B) {
 
 // BenchmarkLargeFlood measures raw engine throughput at the scale the
 // bounded-delay schedulers unlocked: distributed flood spanning-tree
-// construction over 4k–100k-node workloads on one compiled snapshot (the
-// recorded trajectory entries live in the `mdstbench -perf` suite). All
-// three cases run by default; the 100k grid costs a couple of seconds of
-// one-off generation plus ~0.3s per iteration, affordable since the
-// schedulers and the O(n) tree extraction landed.
+// construction over 4k–1M-node workloads on one compiled snapshot (the
+// recorded trajectory entries live in the `mdstbench -perf` suite).
 func BenchmarkLargeFlood(b *testing.B) {
 	// The graphs come from the shared catalog (internal/workload) so these
-	// names stay byte-for-byte the workloads recorded in BENCH_*.json.
+	// names stay byte-for-byte the workloads recorded in BENCH_wire.json.
 	for _, w := range workload.Large() {
-		// shards=1 is the plain event engine; shards=4 runs the
-		// shard-partitioned runtime (window-parallel on multi-core hosts,
-		// same results everywhere — pinned by the sim differential tests).
-		for _, shards := range []int{1, 4} {
-			name := w.Name
-			if shards > 1 {
-				name = fmt.Sprintf("%s/shards=%d", w.Name, shards)
-			}
-			b.Run(name, func(b *testing.B) {
-				c := mdegst.Compile(w.Gen())
-				opts := mdegst.Options{Shards: shards}
-				b.ResetTimer()
-				var msgs int64
-				for i := 0; i < b.N; i++ {
-					tr, rep, err := mdegst.BuildSpanningTreeCompiled(c, mdegst.InitialFlood, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if tr == nil {
-						b.Fatal("no tree built")
-					}
-					msgs = rep.Messages
+		b.Run(w.Name, func(b *testing.B) {
+			c := mdegst.Compile(w.Gen())
+			b.ResetTimer()
+			var msgs int64
+			for i := 0; i < b.N; i++ {
+				tr, rep, err := mdegst.BuildSpanningTreeCompiled(c, mdegst.InitialFlood, mdegst.Options{})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(msgs), "msgs")
-			})
-		}
+				if tr == nil {
+					b.Fatal("no tree built")
+				}
+				msgs = rep.Messages
+			}
+			b.ReportMetric(float64(msgs), "msgs")
+		})
 	}
 }
 

@@ -126,11 +126,11 @@ func inspectFile(path string) error {
 }
 
 // printPartitionStats reports, for each shipped partitioner at typical
-// shard counts, the numbers that decide a `mdstrun -shards` run's fate on
-// the sharded runtime: the cut fraction (share of messages crossing shards
-// under uniform edge load), the boundary-node count (states whose sends can
+// process counts, the numbers that decide how an mdstd cluster's partition
+// performs: the cut fraction (share of messages crossing processes under
+// uniform edge load), the boundary-node count (states whose sends can
 // leave their shard — total and the worst shard's share), and the size
-// imbalance (the straggler factor of a window-parallel round).
+// imbalance (the straggler factor of a round barrier).
 func printPartitionStats(c *mdegst.CompiledGraph) {
 	if c.N() < 2 || c.M() == 0 {
 		return

@@ -7,10 +7,10 @@ import (
 )
 
 // The benchmark regression gate behind `mdstbench -perf out.json -compare
-// baseline.json`: the fresh perf suite is diffed against a recorded
-// trajectory file (BENCH_baseline.json, BENCH_csr.json, ...) workload by
-// workload, and the process exits non-zero when any shared workload
-// regressed past the thresholds. Time comparisons get a generous multiplier
+// BENCH_wire.json` and `mdstbench -netbench out.json -compare
+// BENCH_net.json`: the fresh suite is diffed against its recorded baseline
+// workload by workload, and the process exits non-zero when any shared
+// workload regressed past the thresholds. Time comparisons get a generous multiplier
 // because wall time is machine- and load-dependent; allocation counts are
 // deterministic for a fixed workload, so their threshold is tight.
 
@@ -48,6 +48,20 @@ func loadPerf(path string) (*perfReport, error) {
 	return &rep, nil
 }
 
+// gate diffs fresh against the recorded baseline file and returns an error
+// when any shared workload regressed past the thresholds.
+func gate(baselinePath string, fresh *perfReport, nsThreshold float64) error {
+	baseline, err := loadPerf(baselinePath)
+	if err != nil {
+		return err
+	}
+	if comparePerf(baseline, fresh, nsThreshold) {
+		return fmt.Errorf("performance regressed against %s", baselinePath)
+	}
+	fmt.Fprintf(os.Stderr, "mdstbench: no regression against %s\n", baselinePath)
+	return nil
+}
+
 // comparePerf diffs fresh against the recorded baseline. nsThreshold is the
 // allowed ns/op growth factor (e.g. 1.25 = 25% slower fails the gate).
 // Workloads present in only one report (renamed suites, different worker
@@ -59,9 +73,10 @@ func comparePerf(baseline *perfReport, fresh *perfReport, nsThreshold float64) (
 	}
 	// Wall time across different parallelism widths is not a regression
 	// signal: a baseline recorded at GOMAXPROCS=8 compared on a 2-core
-	// runner would fail every sharded entry on hardware alone. On mismatch,
-	// warn loudly and downgrade ns/op regressions to warnings; allocation
-	// counts are deterministic regardless of width and stay a hard gate.
+	// runner would fail the multi-process entries on hardware alone. On
+	// mismatch, warn loudly and downgrade ns/op regressions to warnings;
+	// allocation counts are deterministic regardless of width and stay a
+	// hard gate.
 	widthMismatch := baseline.GOMAXPROCS != fresh.GOMAXPROCS
 	if widthMismatch {
 		fmt.Fprintf(os.Stderr,

@@ -13,18 +13,10 @@
 //	mdstbench -progress         # live per-trial progress on stderr
 //	mdstbench -json out.json    # machine-readable tables ("-" for stdout)
 //	mdstbench -perf bench.json  # engine/harness micro-benchmarks instead of tables
-//	mdstbench -perf bench.json -shards 8
-//	                            # ... with the sharded scaling entries at 8 shards
-//	mdstbench -perf bench.json -compare BENCH_shard.json
-//	                            # ... and fail (exit 1) on regression vs the recorded trajectory
+//	mdstbench -perf bench.json -compare BENCH_wire.json
+//	                            # ... and fail (exit 1) on regression vs the recorded baseline
 //	mdstbench -perf bench.json -cpuprofile cpu.pprof -memprofile mem.pprof
 //	                            # ... with pprof evidence for perf work
-//	mdstbench -scaling scale.json
-//	                            # shards×GOMAXPROCS scaling suite (BENCH_scale.json trajectory)
-//	mdstbench -scaling scale.json -procs 8 -compare BENCH_scale.json
-//	                            # ... gated against the recorded scaling baseline
-//	mdstbench -scaling scale.json -phases
-//	                            # ... with the sharded engine's per-phase time breakdown
 //	mdstbench -netbench net.json
 //	                            # loopback distributed-engine suite (BENCH_net.json trajectory)
 //	mdstbench -netbench net.json -compare BENCH_net.json
@@ -57,13 +49,9 @@ type options struct {
 	progress   bool
 	jsonOut    string
 	perfOut    string
-	scaleOut   string
 	netOut     string
-	procs      int
-	phases     bool
 	compare    string
 	nsThresh   float64
-	shards     int
 	cpuProfile string
 	memProfile string
 }
@@ -78,13 +66,9 @@ func parseFlags() options {
 	flag.BoolVar(&o.progress, "progress", false, "report per-trial progress on stderr")
 	flag.StringVar(&o.jsonOut, "json", "", "also write tables as JSON to this file (\"-\" for stdout)")
 	flag.StringVar(&o.perfOut, "perf", "", "run the perf suite instead of the tables and write JSON here (\"-\" for stdout)")
-	flag.StringVar(&o.scaleOut, "scaling", "", "run the shards×GOMAXPROCS scaling suite instead of the tables and write JSON here (\"-\" for stdout)")
 	flag.StringVar(&o.netOut, "netbench", "", "run the loopback distributed-engine suite instead of the tables and write JSON here (\"-\" for stdout)")
-	flag.IntVar(&o.procs, "procs", 8, "with -scaling: GOMAXPROCS forced for the suite (the recorded axis)")
-	flag.BoolVar(&o.phases, "phases", false, "with -scaling: record the sharded engine's per-phase time breakdown in the report")
-	flag.StringVar(&o.compare, "compare", "", "with -perf or -scaling: diff the fresh suite against this recorded baseline (e.g. BENCH_wire.json, BENCH_scale.json) and exit non-zero on regression")
+	flag.StringVar(&o.compare, "compare", "", "with -perf or -netbench: diff the fresh suite against this recorded baseline (BENCH_wire.json, BENCH_net.json) and exit non-zero on regression")
 	flag.Float64Var(&o.nsThresh, "threshold", 1.25, "with -compare: allowed ns/op growth factor before the gate fails")
-	flag.IntVar(&o.shards, "shards", 4, "with -perf: state shards for the sharded scaling entries (flood/grid-*/sharded-N)")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole run (tables or -perf) to this file")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write an end-of-run heap profile to this file")
 	flag.Parse()
@@ -137,94 +121,32 @@ func mainE() int {
 }
 
 func run(o options) error {
-	if o.compare != "" && o.perfOut == "" && o.scaleOut == "" && o.netOut == "" {
-		return fmt.Errorf("-compare requires -perf, -scaling or -netbench")
+	if o.compare != "" && o.perfOut == "" && o.netOut == "" {
+		return fmt.Errorf("-compare requires -perf or -netbench")
 	}
-	suites := 0
-	for _, s := range []string{o.perfOut, o.scaleOut, o.netOut} {
-		if s != "" {
-			suites++
+	if o.perfOut != "" && o.netOut != "" {
+		return fmt.Errorf("-perf and -netbench are separate suites; run them separately")
+	}
+	if o.netOut != "" || o.perfOut != "" {
+		var fresh *perfReport
+		var err error
+		if o.netOut != "" {
+			if o.which != "" || o.quick || o.seeds > 0 || o.scale > 0 || o.jsonOut != "" || o.progress || o.parallel != 0 {
+				return fmt.Errorf("-netbench runs a fixed benchmark suite; it is incompatible with -exp, -quick, -seeds, -scale, -parallel, -json and -progress")
+			}
+			fresh, err = runNetbench(o.netOut)
+		} else {
+			// The perf suite runs fixed workloads; only -parallel feeds
+			// into it.
+			if o.which != "" || o.quick || o.seeds > 0 || o.scale > 0 || o.jsonOut != "" || o.progress {
+				return fmt.Errorf("-perf runs a fixed benchmark suite; it is incompatible with -exp, -quick, -seeds, -scale, -json and -progress")
+			}
+			fresh, err = runPerf(o.perfOut, o.parallel)
 		}
-	}
-	if suites > 1 {
-		return fmt.Errorf("-perf, -scaling and -netbench are separate suites; run them separately")
-	}
-	if o.perfOut == "" && o.shards != 4 {
-		return fmt.Errorf("-shards configures the -perf suite's sharded entries")
-	}
-	if o.scaleOut == "" && o.procs != 8 {
-		return fmt.Errorf("-procs configures the -scaling suite's GOMAXPROCS axis")
-	}
-	if o.scaleOut == "" && o.phases {
-		return fmt.Errorf("-phases records the -scaling suite's phase breakdown")
-	}
-	if o.netOut != "" {
-		if o.which != "" || o.quick || o.seeds > 0 || o.scale > 0 || o.jsonOut != "" || o.progress || o.parallel != 0 || o.phases {
-			return fmt.Errorf("-netbench runs a fixed benchmark suite; it is incompatible with -exp, -quick, -seeds, -scale, -parallel, -json, -progress and -phases")
-		}
-		fresh, err := runNetbench(o.netOut)
-		if err != nil {
+		if err != nil || o.compare == "" {
 			return err
 		}
-		if o.compare != "" {
-			baseline, err := loadPerf(o.compare)
-			if err != nil {
-				return err
-			}
-			if comparePerf(baseline, fresh, o.nsThresh) {
-				return fmt.Errorf("performance regressed against %s", o.compare)
-			}
-			fmt.Fprintf(os.Stderr, "mdstbench: no regression against %s\n", o.compare)
-		}
-		return nil
-	}
-	if o.scaleOut != "" {
-		if o.which != "" || o.quick || o.seeds > 0 || o.scale > 0 || o.jsonOut != "" || o.progress || o.parallel != 0 {
-			return fmt.Errorf("-scaling runs a fixed benchmark suite; it is incompatible with -exp, -quick, -seeds, -scale, -parallel, -json and -progress")
-		}
-		if o.procs < 1 {
-			return fmt.Errorf("-procs must be at least 1")
-		}
-		fresh, err := runScale(o.scaleOut, o.procs, o.phases)
-		if err != nil {
-			return err
-		}
-		if o.compare != "" {
-			baseline, err := loadPerf(o.compare)
-			if err != nil {
-				return err
-			}
-			if comparePerf(baseline, fresh, o.nsThresh) {
-				return fmt.Errorf("performance regressed against %s", o.compare)
-			}
-			fmt.Fprintf(os.Stderr, "mdstbench: no regression against %s\n", o.compare)
-		}
-		return nil
-	}
-	if o.perfOut != "" {
-		// The perf suite runs fixed workloads; only -parallel and -shards
-		// feed into it.
-		if o.which != "" || o.quick || o.seeds > 0 || o.scale > 0 || o.jsonOut != "" || o.progress {
-			return fmt.Errorf("-perf runs a fixed benchmark suite; it is incompatible with -exp, -quick, -seeds, -scale, -json and -progress")
-		}
-		if o.shards < 2 {
-			return fmt.Errorf("-shards must be at least 2 for the sharded perf entries")
-		}
-		fresh, err := runPerf(o.perfOut, o.parallel, o.shards)
-		if err != nil {
-			return err
-		}
-		if o.compare != "" {
-			baseline, err := loadPerf(o.compare)
-			if err != nil {
-				return err
-			}
-			if comparePerf(baseline, fresh, o.nsThresh) {
-				return fmt.Errorf("performance regressed against %s", o.compare)
-			}
-			fmt.Fprintf(os.Stderr, "mdstbench: no regression against %s\n", o.compare)
-		}
-		return nil
+		return gate(o.compare, fresh, o.nsThresh)
 	}
 
 	cfg := exp.Default()

@@ -1,12 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	gonet "net"
 	"os"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -19,33 +18,30 @@ import (
 
 // The loopback networked suite behind `mdstbench -netbench out.json`: the
 // distributed round engine's round-loop throughput and allocation volume,
-// recorded as BENCH_net.json. Where -scaling measures the in-process
-// sharded plane, this suite measures the plane ROADMAP item 1 built: K
-// mdstd-shaped processes — one goroutine each, real TCP over 127.0.0.1 —
-// flooding gnm-4096 and grid-100k at 2 and 4 processes. grid-100k is the
-// round-dominated cell (hundreds of barriers of small frames, the
-// always-on daemon's steady state); gnm-4096 is the batch-dominated one
-// (few rounds, large frames).
+// recorded as BENCH_net.json. K mdstd-shaped processes — one goroutine
+// each, real TCP over 127.0.0.1 — flood gnm-4096 and grid-100k at 2 and 4
+// processes. grid-100k is the round-dominated cell (hundreds of barriers
+// of small frames, the always-on daemon's steady state); gnm-4096 is the
+// batch-dominated one (few rounds, large frames).
 //
 // Each cell establishes its mesh once and reuses the engines across every
 // measured iteration — the steady state being measured is "run the
-// protocol again over a live mesh", exactly like the -scaling suite reuses
-// its arenas — with one untimed warm-up run so slab growth does not smear
-// into the numbers. Process 0's engine is armed with NetStats over the
-// measured iterations; the per-round wire and allocation costs land in the
-// report's derived map and the raw counters in its "net" map (the artifact
-// CI uploads).
+// protocol again over a live mesh" — with one untimed warm-up run so slab
+// growth does not smear into the numbers. Process 0's engine is armed with
+// NetStats over the measured iterations; the per-round wire and allocation
+// costs land in the report's derived map and the raw counters in its "net"
+// map (the artifact CI uploads).
 //
 // Allocation counts are whole-process (all K engine goroutines plus the
 // transports' readers), which is the point: the zero-alloc steady-state
 // contract covers the plane end to end, not one goroutine of it.
 
 const (
-	// netMinIters / netMinWall set the per-cell measurement floor — lower
-	// than the -scaling floors because a grid-100k cell crosses several
-	// hundred real TCP barriers per iteration.
-	netMinIters = 3
-	netMinWall  = 300 * time.Millisecond
+	// netMinIters / netMinWall set the per-cell measurement floor: at
+	// least this many timed iterations AND at least this much summed wall
+	// time, whichever demands more.
+	netMinIters = 5
+	netMinWall  = time.Second
 	// netMeshTimeout bounds one cell's mesh establishment.
 	netMeshTimeout = 10 * time.Second
 )
@@ -126,8 +122,7 @@ func newNetCluster(c *graph.CSR, k int) (*netCluster, error) {
 }
 
 // run executes one distributed flood build across the live mesh, with one
-// reused slab flood factory per process — the same choice as the -scaling
-// suite: the suite measures the engine, so it must not spend its wall time
+// reused slab flood factory per process: the suite measures the engine, so it must not spend its wall time
 // setting up per-node state it immediately drops.
 func (cl *netCluster) run(c *graph.CSR) error {
 	errs := make([]error, cl.k)
@@ -200,7 +195,6 @@ func runNetbench(path string) (*perfReport, error) {
 				NsPerOp:     medianNs,
 				AllocsPerOp: allocsPerOp,
 				BytesPerOp:  bytesPerOp,
-				Procs:       k,
 			})
 			rep.Net[name] = st
 			rounds := cl.rounds
@@ -217,15 +211,42 @@ func runNetbench(path string) (*perfReport, error) {
 			}
 		}
 	}
-	if err := writeTo(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
-	}); err != nil {
+	if err := writeReport(path, rep); err != nil {
 		return nil, err
 	}
-	for k, v := range rep.Derived {
-		fmt.Fprintf(os.Stderr, "mdstbench: %-38s %s\n", k, v)
-	}
 	return rep, nil
+}
+
+// benchCell measures one cell: fn runs at least netMinIters times and for
+// at least netMinWall of summed wall time, every iteration timed
+// individually. The reported ns/op is the median iteration — robust
+// against a GC pause or scheduler hiccup landing in one sample — and
+// allocs/bytes per op are exact averages from the allocator's monotonic
+// counters (mallocs and total-alloc never decrease, so GC during the cell
+// cannot skew them).
+func benchCell(fn func() error) (iters int, medianNs, allocsPerOp, bytesPerOp int64, err error) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var times []time.Duration
+	var total time.Duration
+	for len(times) < netMinIters || total < netMinWall {
+		t0 := time.Now()
+		if err := fn(); err != nil {
+			return 0, 0, 0, 0, err
+		}
+		d := time.Since(t0)
+		times = append(times, d)
+		total += d
+	}
+	runtime.ReadMemStats(&after)
+	iters = len(times)
+	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+	medianNs = int64(times[iters/2])
+	if iters%2 == 0 {
+		medianNs = int64(times[iters/2-1]+times[iters/2]) / 2
+	}
+	allocsPerOp = int64(after.Mallocs-before.Mallocs) / int64(iters)
+	bytesPerOp = int64(after.TotalAlloc-before.TotalAlloc) / int64(iters)
+	return iters, medianNs, allocsPerOp, bytesPerOp, nil
 }

@@ -19,14 +19,13 @@ import (
 )
 
 // The perf suite behind `mdstbench -perf`: a fixed-seed set of
-// micro-benchmarks run through testing.Benchmark, emitted as JSON. It
-// maintains the repository's performance trajectory (BENCH_baseline.json ->
-// BENCH_csr.json -> BENCH_queue.json): the EventEngine scheduler tiers
-// (round engine under unit delays, calendar queue under random delays)
-// measured against the unoptimised ReferenceEngine oracle, the parallel
-// experiment harness measured against sequential execution, and — since the
-// bounded-delay schedulers made them affordable — large-graph flood
-// workloads up to a 100k-node grid that pin the scaling the README claims.
+// micro-benchmarks run through testing.Benchmark, emitted as JSON and gated
+// in CI against BENCH_wire.json: the EventEngine scheduler tiers (round
+// engine under unit delays, calendar queue under random delays) measured
+// against the unoptimised ReferenceEngine oracle, the parallel experiment
+// harness measured against sequential execution, and large-graph flood
+// workloads up to a million-node grid that pin the scaling the README
+// claims.
 
 type perfEntry struct {
 	Name        string `json:"name"`
@@ -34,10 +33,6 @@ type perfEntry struct {
 	NsPerOp     int64  `json:"ns_per_op"`
 	AllocsPerOp int64  `json:"allocs_per_op"`
 	BytesPerOp  int64  `json:"bytes_per_op"`
-	// Shards and Procs annotate the -scale suite's axis (0 on the classic
-	// perf entries, whose names already carry any width that matters).
-	Shards int `json:"shards,omitempty"`
-	Procs  int `json:"procs,omitempty"`
 }
 
 type perfReport struct {
@@ -45,15 +40,9 @@ type perfReport struct {
 	GOMAXPROCS int               `json:"gomaxprocs"`
 	Workloads  []perfEntry       `json:"workloads"`
 	Derived    map[string]string `json:"derived"`
-	// Phases carries the -scaling suite's per-phase breakdown when recorded
-	// with -phases: entry name -> PhaseStats accumulated over every measured
-	// iteration of that cell (divide by Rounds for per-round costs). Absent
-	// from the classic -perf suite and from baselines recorded without the
-	// flag; the compare gate ignores it.
-	Phases map[string]*sim.PhaseStats `json:"phases,omitempty"`
 	// Net carries the -netbench suite's per-cell wire counters (entry name
 	// -> NetStats accumulated over every measured iteration). Absent from
-	// the other suites; the compare gate ignores it.
+	// the -perf suite; the compare gate ignores it.
 	Net map[string]*mdnet.NetStats `json:"net,omitempty"`
 }
 
@@ -109,8 +98,7 @@ func benchFlood(mk func() sim.Engine) testing.BenchmarkResult {
 	})
 }
 
-// benchFloodSnap floods a pre-compiled workload. The snapshot (and, for
-// the sharded entries, the partition inside the engine maker) is built
+// benchFloodSnap floods a pre-compiled workload. The snapshot is built
 // once outside the timed loop — at 100k+ nodes recompiling the CSR per
 // iteration would dominate the engine being measured.
 func benchFloodSnap(c *graph.CSR, mk func() sim.Engine) testing.BenchmarkResult {
@@ -146,28 +134,7 @@ func ratio(num, den int64) string {
 	return fmt.Sprintf("%.1fx", float64(den)/float64(num))
 }
 
-// largeWorkloads are the scale tier the bounded-delay schedulers unlocked:
-// flood (pure engine throughput) over the catalog's 4k–100k graphs, run on
-// the unit-delay round engine. Generated lazily — they are the dominant
-// setup cost of the suite.
-func largeWorkloads() []struct {
-	name string
-	gen  func() *graph.Graph
-} {
-	out := make([]struct {
-		name string
-		gen  func() *graph.Graph
-	}, 0, len(workload.Large()))
-	for _, w := range workload.Large() {
-		out = append(out, struct {
-			name string
-			gen  func() *graph.Graph
-		}{"flood/" + w.Name + "/event-engine", w.Gen})
-	}
-	return out
-}
-
-func runPerf(path string, parallel, shards int) (*perfReport, error) {
+func runPerf(path string, parallel int) (*perfReport, error) {
 	unit := func() sim.Engine { return &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true} }
 	ref := func() sim.Engine { return &sim.ReferenceEngine{Delay: sim.UnitDelay, FIFO: true} }
 	uniform := func() sim.Engine { return &sim.EventEngine{Delay: sim.UniformDelay(0.05), FIFO: true, Seed: 1} }
@@ -206,50 +173,13 @@ func runPerf(path string, parallel, shards int) (*perfReport, error) {
 			"wheel_time_speedup":      ratio(wheelFlood.NsPerOp(), refUniformFlood.NsPerOp()),
 		},
 	}
-	large := make(map[string]testing.BenchmarkResult)
-	for _, w := range largeWorkloads() {
-		fmt.Fprintf(os.Stderr, "mdstbench: large workload %s...\n", w.name)
-		res := benchFloodSnap(w.gen().Compile(), unit)
-		large[w.name] = res
-		rep.Workloads = append(rep.Workloads, benchToEntry(w.name, res))
-	}
-
-	// Shard-partitioned scaling tier (the BENCH_shard.json trajectory):
-	// the grid-100k flood plus the grid-1M flood, single-shard vs the
-	// sharded runtime on a precomputed contiguous partition. Entry names
-	// carry the shard count so the -compare gate never diffs runs of
-	// different widths; speedup is hardware-bound (min(shards, GOMAXPROCS)
-	// cores drive the window phases — on one core the ratio measures pure
-	// runtime overhead, and the report's gomaxprocs field says which it
-	// was).
-	shardTier := []struct {
-		base string
-		gen  func() *graph.Graph
-	}{
-		{"grid-100k", workload.Grid100k},
-		{"grid-1M", workload.Grid1M},
-	}
-	for _, w := range shardTier {
-		singleName := fmt.Sprintf("flood/%s/event-engine", w.base)
-		shardedName := fmt.Sprintf("flood/%s/sharded-%d", w.base, shards)
-		fmt.Fprintf(os.Stderr, "mdstbench: shard tier %s (%d shards)...\n", w.base, shards)
-		c := w.gen().Compile()
-		single, ok := large[singleName]
-		if !ok {
-			single = benchFloodSnap(c, unit)
-			rep.Workloads = append(rep.Workloads, benchToEntry(singleName, single))
-		}
-		part := graph.PartitionContiguous(c, shards)
-		sharded := benchFloodSnap(c, func() sim.Engine {
-			return &sim.ShardedEngine{Partition: part, Delay: sim.UnitDelay, FIFO: true}
-		})
-		rep.Workloads = append(rep.Workloads, benchToEntry(shardedName, sharded))
-		rep.Derived[fmt.Sprintf("shard_speedup_%s", w.base)] = ratio(sharded.NsPerOp(), single.NsPerOp())
-		rep.Derived[fmt.Sprintf("shard_cut_fraction_%s", w.base)] = fmt.Sprintf("%.1f%%", 100*part.CutFraction())
-	}
-	if cores := runtime.GOMAXPROCS(0); cores < shards {
-		rep.Derived["shard_note"] = fmt.Sprintf(
-			"sharded entries recorded at GOMAXPROCS=%d < %d shards: the phases ran inline, so the ratios measure the sharded plane's overhead, not parallel speedup", cores, shards)
+	// The large tier: flood (pure engine throughput) over the catalog's
+	// 4k-node to 1M-node graphs on the unit-delay round engine. Generated
+	// lazily — they are the dominant setup cost of the suite.
+	for _, w := range workload.Large() {
+		name := "flood/" + w.Name + "/event-engine"
+		fmt.Fprintf(os.Stderr, "mdstbench: large workload %s...\n", name)
+		rep.Workloads = append(rep.Workloads, benchToEntry(name, benchFloodSnap(w.Gen().Compile(), unit)))
 	}
 	// The parallel-harness measurement only exists on multi-core machines;
 	// on one core it would duplicate the sequential entry under a second
@@ -263,15 +193,24 @@ func runPerf(path string, parallel, shards int) (*perfReport, error) {
 		rep.Derived["harness_parallel_speedup"] = "n/a (1 worker)"
 	}
 
+	if err := writeReport(path, &rep); err != nil {
+		return nil, err
+	}
+	return &rep, nil
+}
+
+// writeReport writes rep as indented JSON to path ("-" for stdout) and
+// echoes its derived figures on stderr.
+func writeReport(path string, rep *perfReport) error {
 	if err := writeTo(path, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
 	}); err != nil {
-		return nil, err
+		return err
 	}
 	for k, v := range rep.Derived {
-		fmt.Fprintf(os.Stderr, "mdstbench: %-26s %s\n", k, v)
+		fmt.Fprintf(os.Stderr, "mdstbench: %-38s %s\n", k, v)
 	}
-	return &rep, nil
+	return nil
 }

@@ -3,7 +3,7 @@
 // length-framed TCP transport of internal/net (DESIGN.md §9). Every
 // process of a cluster runs the identical pipeline — flood spanning tree,
 // then the improvement protocol — over unit-delay rounds separated by a
-// barrier protocol that reuses the sharded engine's rank machinery, so a
+// barrier protocol that rebuilds the single-process delivery order, so a
 // K-process run produces the tree, report and checkpoint files
 // byte-identical to the in-process simulator.
 //

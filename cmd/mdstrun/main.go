@@ -41,7 +41,6 @@ func main() {
 		initial  = flag.String("initial", "flood", "initial tree: flood|dfs|ghs|election|star|random")
 		mode     = flag.String("mode", "single", "improvement mode: single|multi|hybrid")
 		engine   = flag.String("engine", "unit", "engine: unit|random|async")
-		shards   = flag.Int("shards", 1, "state shards for one run (unit engine only): >1 executes each delivery window across shards in parallel, same results")
 		target   = flag.Int("target", 0, "stop once the maximum degree is at most this (0: improve fully)")
 		trials   = flag.Int("trials", 1, "number of independent seeded trials (seed, seed+1, ...)")
 		parallel = flag.Int("parallel", 0, "workers for -trials > 1 (0: GOMAXPROCS)")
@@ -73,14 +72,6 @@ func main() {
 	case "unit", "random", "async":
 	default:
 		fatal(fmt.Errorf("unknown engine %q", *engine))
-	}
-	if *shards < 1 {
-		fatal(fmt.Errorf("-shards must be at least 1"))
-	}
-	if *shards > 1 && *engine != "unit" {
-		// The sharded runtime's parallel window schedule exists under the
-		// unit-delay model only (DESIGN.md §7).
-		fatal(fmt.Errorf("-shards requires -engine unit"))
 	}
 	// A graph that does not depend on the trial seed — an -in file or a
 	// deterministic family (buildGraph reports which) — is built and
@@ -136,7 +127,7 @@ func main() {
 			}
 			c = mdegst.Compile(g)
 		}
-		opts := mdegst.Options{Seed: *seed, TargetDegree: *target, Mode: runMode, Initial: runInitial, Shards: *shards}
+		opts := mdegst.Options{Seed: *seed, TargetDegree: *target, Mode: runMode, Initial: runInitial}
 		t0, setup, err := mdegst.BuildSpanningTreeCompiled(c, runInitial, opts)
 		if err != nil {
 			fatal(err)
@@ -228,11 +219,7 @@ func main() {
 		case "unit":
 			// The tracing constructors treat a nil callback as plain
 			// engines, so one wiring covers -tracebin and ordinary runs.
-			if *shards > 1 {
-				opts.Engine = mdegst.NewTracingShardedEngine(*shards, trace)
-			} else {
-				opts.Engine = mdegst.NewTracingEngine(trace)
-			}
+			opts.Engine = mdegst.NewTracingEngine(trace)
 		case "random":
 			opts.Engine = mdegst.NewTracingRandomDelayEngine(s, trace)
 		case "async":
@@ -352,9 +339,6 @@ func printSingle(g *mdegst.Graph, res *mdegst.Result, initial string, verbose bo
 	}
 	fmt.Printf("total:        %d messages, %d words, max message %d words\n",
 		res.Total.Messages, res.Total.Words, res.Total.MaxWords)
-	if res.Total.Shards > 1 {
-		fmt.Printf("sharding:     %d state shards (results identical to 1)\n", res.Total.Shards)
-	}
 
 	if verbose {
 		fmt.Println("\nmessages by kind:")

@@ -3,43 +3,7 @@ package exp
 import (
 	"strings"
 	"testing"
-
-	"mdegst/internal/graph"
-	"mdegst/internal/sim"
-	"mdegst/internal/spanning"
 )
-
-// TestEngineForRoutesLargeWorkloads pins the sharded-path routing: graphs
-// at the threshold run on the shard-partitioned engine, smaller ones on
-// the plain event engine — and the routing is invisible in the results
-// (the golden-table test holds the byte-identity end to end; this checks
-// the mechanism at the seam).
-func TestEngineForRoutesLargeWorkloads(t *testing.T) {
-	small := graph.Gnm(shardNodeThreshold-1, 3*(shardNodeThreshold-1), 1).Compile()
-	large := graph.Gnm(shardNodeThreshold+44, 3*shardNodeThreshold, 1).Compile()
-	if _, ok := engineFor(small).(*sim.EventEngine); !ok {
-		t.Fatalf("below threshold: got %T, want *sim.EventEngine", engineFor(small))
-	}
-	sharded, ok := engineFor(large).(*sim.ShardedEngine)
-	if !ok {
-		t.Fatalf("at threshold: got %T, want *sim.ShardedEngine", engineFor(large))
-	}
-	if sharded.Shards < 2 {
-		t.Fatalf("sharded route uses %d shards", sharded.Shards)
-	}
-	root := large.Source().Nodes()[0]
-	tS, repS, err := spanning.Build(engineFor(large), large, spanning.NewFloodFactory(large, root))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tU, repU, err := spanning.Build(unitEngine(), large, spanning.NewFloodFactory(large, root))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tS.ToTree().Equal(tU.ToTree()) || repS.Messages != repU.Messages || repS.CausalDepth != repU.CausalDepth {
-		t.Fatalf("sharded routing changed results: %d msgs vs %d", repS.Messages, repU.Messages)
-	}
-}
 
 // TestAllExperimentsRun executes every driver at quick scale and checks the
 // tables are well-formed.

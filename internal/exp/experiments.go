@@ -78,30 +78,6 @@ func IDs() []string {
 
 func unitEngine() sim.Engine { return &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true} }
 
-// shardNodeThreshold routes workloads at or above this node count through
-// the shard-partitioned engine. Sharding is result-invariant (the N-shard
-// engine is delivery-trace-equivalent to the 1-shard one, pinned by the
-// sim differential tests), so the golden tables stay byte-identical — the
-// routing only buys wall-clock time on the sweep's largest graphs, where a
-// single trial dominates a worker's schedule.
-const shardNodeThreshold = 256
-
-// engineFor returns the unit-delay engine sized to the workload: the
-// sharded runtime for the largest graphs, the plain event engine below the
-// threshold (where round barriers would cost more than they parallelise).
-// Workers is pinned to 1 because the Runner already saturates the host
-// with one trial per core — nesting phase workers inside trial workers
-// would oversubscribe the CPU and stall every round barrier on the
-// slowest descheduled worker. The per-run contiguous partition build is
-// O(n+m) — microseconds against the tens of milliseconds a routed trial
-// costs — so it is not cached across trials.
-func engineFor(c *graph.CSR) sim.Engine {
-	if c.N() >= shardNodeThreshold {
-		return &sim.ShardedEngine{Shards: 4, Workers: 1, Delay: sim.UnitDelay, FIFO: true}
-	}
-	return unitEngine()
-}
-
 func mustStar(g *graph.Graph) *tree.Tree {
 	t, err := spanning.StarTree(g)
 	if err != nil {
@@ -111,7 +87,7 @@ func mustStar(g *graph.Graph) *tree.Tree {
 }
 
 func mustRun(c *graph.CSR, t0 *tree.Tree, mode mdst.Mode) *mdst.Result {
-	res, err := improve(engineFor(c), c, t0, mode)
+	res, err := improve(unitEngine(), c, t0, mode)
 	if err != nil {
 		panic(fmt.Sprintf("exp: %v", err))
 	}
@@ -693,7 +669,7 @@ func e9Spec(cfg Config) spec {
 	}
 	distributed := func(factory func(c *graph.CSR) sim.Factory) func(c *graph.CSR) (*tree.Tree, *sim.Report) {
 		return func(c *graph.CSR) (*tree.Tree, *sim.Report) {
-			d, rep, err := spanning.Build(engineFor(c), c, factory(c))
+			d, rep, err := spanning.Build(unitEngine(), c, factory(c))
 			if err != nil {
 				panic(err)
 			}
@@ -770,11 +746,11 @@ func e10Spec(cfg Config) spec {
 			final, _ := mustTwin(c, t0, mdst.Hybrid)
 			before, _ := t0.MaxDegree()
 			after, _ := final.MaxDegree()
-			rb, err := apps.Run(engineFor(c), c, apps.Config{Tree: t0, Ack: true})
+			rb, err := apps.Run(unitEngine(), c, apps.Config{Tree: t0, Ack: true})
 			if err != nil {
 				panic(err)
 			}
-			ra, err := apps.Run(engineFor(c), c, apps.Config{Tree: final, Ack: true})
+			ra, err := apps.Run(unitEngine(), c, apps.Config{Tree: final, Ack: true})
 			if err != nil {
 				panic(err)
 			}

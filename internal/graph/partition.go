@@ -5,14 +5,14 @@ import (
 	"math"
 )
 
-// Partitioning for the shard-partitioned simulation runtime (DESIGN.md §7).
+// Partitioning for the networked deployment plane (DESIGN.md §9, §13).
 // A Partition splits a snapshot's dense node range into k disjoint shards;
-// the sharded engine gives each shard exclusive ownership of its nodes'
-// protocol instances, mailboxes and per-link state. Partitions never change
-// what a run computes — the sharded engine is delivery-trace-equivalent at
-// any shard assignment — they only change how much message traffic crosses
-// shard boundaries, which the cut statistics make visible before a run
-// (`graphgen -inspect`).
+// each mdstd process (internal/net's DistEngine) owns one shard's protocol
+// instances and outboxes. Partitions never change what a run computes —
+// a distributed run is delivery-trace-equivalent to the single-process
+// engine at any assignment — they only change how much message traffic
+// crosses process boundaries, which the cut statistics make visible before
+// a run (`graphgen -inspect`).
 //
 // Three deterministic strategies are shipped:
 //
@@ -29,8 +29,8 @@ import (
 //     restricted to cut-reducing moves, inside hard balance bounds) on top
 //     of the BFS regions. The BFS grower optimises balance, not cut; the
 //     refinement trades a bounded amount of balance (RefineSlack) for
-//     strictly fewer cut edges — and cut edges are exactly the cross-shard
-//     merge traffic of the sharded runtime.
+//     strictly fewer cut edges — and cut edges are exactly the
+//     cross-process traffic of a distributed run.
 //
 // All are pure functions of the snapshot, so a partition can be computed
 // once and shared by every run over that snapshot, like the CSR itself.
@@ -247,8 +247,7 @@ const refinePasses = 12
 // the lowest shard index, so the result is a pure function of the snapshot
 // — deterministic across runs, machines and GOMAXPROCS.
 //
-// The starting point and the move rule give two guarantees the sharded
-// runtime leans on: the cut never exceeds PartitionBFS's cut on the same
+// The starting point and the move rule give two guarantees: the cut never exceeds PartitionBFS's cut on the same
 // snapshot, and shard sizes stay within the RefineSlack tolerance of
 // balanced.
 func PartitionRefined(c *CSR, k int) *Partition {
@@ -351,8 +350,8 @@ func (p *Partition) Imbalance() float64 {
 
 // BoundaryNodes returns, per shard, how many of its nodes have at least
 // one neighbour in a different shard. Boundary nodes are the nodes whose
-// sends can cross shards — together with CutEdges they describe the merge
-// traffic a partition induces on the sharded runtime.
+// sends can cross shards — together with CutEdges they describe the
+// cross-process traffic a partition induces on a distributed run.
 func (p *Partition) BoundaryNodes(c *CSR) []int {
 	counts := make([]int, p.Shards())
 	for i := range p.owner {

@@ -135,7 +135,7 @@ func TestPartitionRefinedInvariants(t *testing.T) {
 
 // TestPartitionRefinedDeterministic pins that refinement is a pure
 // function of the snapshot — identical owners across repeated and
-// concurrent construction (the sharded runtime's determinism depends on
+// concurrent construction (a distributed run's determinism depends on
 // every process computing the same partition).
 func TestPartitionRefinedDeterministic(t *testing.T) {
 	c := RandomGeometric(90, 0.25, 7).Compile()

@@ -9,8 +9,8 @@ import (
 	"mdegst/internal/sim"
 )
 
-// TestDistSteadyStateAllocBudget pins the distributed twin of the sharded
-// engine's zero-alloc contract (DESIGN.md §13): once an engine's round
+// TestDistSteadyStateAllocBudget pins the networked plane's zero-alloc
+// contract (DESIGN.md §13): once an engine's round
 // arena and the transport's payload rings are warm, the networked round
 // loop — encode, flush, decode, splice, play — allocates nothing per
 // unperturbed round, so whole-process allocations per run must not grow

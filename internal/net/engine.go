@@ -12,9 +12,9 @@ import (
 // DistEngine executes a protocol run across the OS processes of an
 // established Transport mesh: each process hosts the nodes its Owner table
 // assigns to it and drives unit-delay rounds separated by barriers. The
-// barrier reuses the sharded engine's determinism machinery (DESIGN.md
-// §7) verbatim — deliveries keyed (parent rank, send position), rank
-// offsets from a prefix sum over broadcast send counts — so the
+// barrier rebuilds the single-process engine's delivery order (DESIGN.md
+// §13) — deliveries keyed (parent rank, send position), rank offsets from
+// a prefix sum over broadcast send counts — so the
 // distributed run is tree-, report- and checkpoint-byte-equivalent to the
 // in-process engines. DistEngine is a drop-in sim.ResumableEngine: the
 // spanning and mdst pipelines run on it unchanged.
@@ -42,8 +42,8 @@ type DistEngine struct {
 	// Owner maps every dense node to its owning process.
 	Owner []int32
 	// MaxMessages aborts the run when exceeded, checked at barrier
-	// granularity exactly like the sharded engine (0 means
-	// sim.DefaultMaxMessages).
+	// granularity with the same outcome as EventEngine's per-delivery
+	// check (0 means sim.DefaultMaxMessages).
 	MaxMessages int64
 	// Checkpoint, when non-nil, arms barrier checkpointing. Freeze mode
 	// (Every == 0) stops the run at the barrier after round
@@ -172,9 +172,10 @@ func (st *barrierState) census(act []bool) {
 	}
 }
 
-// capTrips is the sharded cap predicate at barrier granularity: delivered
-// and total are barrier-agreed values, so every process takes the same
-// branch.
+// capTrips is EventEngine's cap predicate at barrier granularity: the run
+// fails exactly when delivering the pending messages would exceed the cap.
+// delivered and total are barrier-agreed values, so every process takes
+// the same branch.
 func capTrips(delivered, total, maxMsgs int64) bool {
 	return delivered > maxMsgs || (delivered >= maxMsgs && total > 0)
 }
@@ -265,10 +266,9 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (r *si
 		// counters on process 0 only (the final merge sums them back), and
 		// the pending slab replayed as an already-spliced inbox — rank i is
 		// delivery i of the frozen round, so the offsets are the identity
-		// and the owned records carry their rank directly. The same
-		// reseeding the sharded engine does, with processes for shards.
-		// Every process reads the whole slab, so every process derives the
-		// first round's activity from it.
+		// and the owned records carry their rank directly. Every process
+		// reads the whole slab, so every process derives the first round's
+		// activity from it.
 		if err := ck.ValidateAgainst(c); err != nil {
 			return nil, nil, err
 		}
@@ -663,9 +663,8 @@ func (e *DistEngine) ownedStates(r *sim.DistRunner) ([]ownedState, error) {
 // finish is the quiescence all-gather: broadcast counters and owned
 // states, decode every peer's states into the local instances, merge the
 // reports, and return the complete final state plane. Matching the
-// single-process engines, the merged report carries Shards=1 (the
-// distribution is a deployment detail, not a different execution) and
-// VirtualTime = the final round.
+// single-process engines, the merged report carries VirtualTime = the
+// final round.
 func (e *DistEngine) finish(r *sim.DistRunner, c *graph.CSR, seq uint64, round int64, start time.Time) (*sim.Report, error) {
 	t := e.T
 	self := t.Self()
@@ -720,7 +719,6 @@ func (e *DistEngine) finish(r *sim.DistRunner, c *graph.CSR, seq uint64, round i
 			}
 		}
 	}
-	merged.Shards = 1
 	merged.VirtualTime = float64(round)
 	merged.Finalize()
 	merged.Wall = time.Since(start)

@@ -91,14 +91,11 @@ func runInProcess(t *testing.T, c *graph.CSR, eng sim.Engine) (*tree.Tree, *sim.
 	return initial.ToTree(), setup, res
 }
 
-// normalizeReport strips the fields that legitimately differ between
-// runtime configurations of the same execution: wall-clock time and the
-// shard count (a 4-shard in-process run reports Shards=4; the distributed
-// engine reports the run as one logical shard).
+// normalizeReport strips the field that legitimately differs between
+// runtime configurations of the same execution: wall-clock time.
 func normalizeReport(r *sim.Report) *sim.Report {
 	cp := *r
 	cp.Wall = 0
-	cp.Shards = 0
 	return &cp
 }
 
@@ -152,18 +149,13 @@ func testGraphs() []struct {
 
 // TestMdstdLoopbackEquivalence pins the acceptance bar: for gnm-96 and
 // grid-256, a 1-, 2- and 4-process loopback cluster produces the tree and
-// Report counters bit-identical to both the unit event engine and the
-// 4-shard ShardedEngine, and every process of a cluster finishes holding
-// the identical result.
+// Report counters bit-identical to the unit event engine, and every
+// process of a cluster finishes holding the identical result.
 func TestMdstdLoopbackEquivalence(t *testing.T) {
 	for _, tg := range testGraphs() {
 		t.Run(tg.name, func(t *testing.T) {
 			c := tg.g.Compile()
 			wantInit, wantSetup, wantRes := runInProcess(t, c, &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true})
-			shInit, shSetup, shRes := runInProcess(t, c, &sim.ShardedEngine{Shards: 4, Delay: sim.UnitDelay, FIFO: true})
-			checkTree(t, "sharded initial", shInit, wantInit)
-			checkReport(t, "sharded setup", shSetup, wantSetup)
-			checkResult(t, "sharded", shRes, wantRes)
 			for _, k := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("procs-%d", k), func(t *testing.T) {
 					rs, errs := runLoopback(t, c, k, func(int) Pipeline { return Pipeline{CheckpointRound: -1} })
@@ -210,12 +202,8 @@ func TestMdstdCheckpointKillRestart(t *testing.T) {
 	c := graph.Gnm(96, 288, 1).Compile()
 	_, _, wantRes := runInProcess(t, c, &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true})
 
-	// In-process checkpoint bytes of the same run, unsharded and sharded.
-	wantCk := inProcessCheckpoint(t, c, &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true}, freezeRound)
-	shCk := inProcessCheckpoint(t, c, &sim.ShardedEngine{Shards: 4, Delay: sim.UnitDelay, FIFO: true}, freezeRound)
-	if !bytes.Equal(wantCk, shCk) {
-		t.Fatal("in-process engines disagree on checkpoint bytes (sharded vs unsharded)")
-	}
+	// In-process checkpoint bytes of the same run.
+	wantCk := inProcessCheckpoint(t, c, freezeRound)
 
 	// Distributed run up to the armed barrier; process 0 holds the file.
 	var ckFile bytes.Buffer
@@ -253,22 +241,15 @@ func TestMdstdCheckpointKillRestart(t *testing.T) {
 	checkResult(t, "resumed process 1", rs[1].Result, wantRes)
 }
 
-func inProcessCheckpoint(t *testing.T, c *graph.CSR, base sim.Engine, round int64) []byte {
+func inProcessCheckpoint(t *testing.T, c *graph.CSR, round int64) []byte {
 	t.Helper()
 	root := c.Source().Nodes()[0]
-	initial, _, err := spanning.Build(base, c, spanning.NewFloodFactory(c, root))
+	initial, _, err := spanning.Build(&sim.EventEngine{Delay: sim.UnitDelay, FIFO: true}, c, spanning.NewFloodFactory(c, root))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	spec := &sim.CheckpointSpec{Round: round, W: &buf}
-	var armed sim.Engine
-	switch base.(type) {
-	case *sim.ShardedEngine:
-		armed = &sim.ShardedEngine{Shards: 4, Delay: sim.UnitDelay, FIFO: true, Checkpoint: spec}
-	default:
-		armed = &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true, Checkpoint: spec}
-	}
+	armed := &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true, Checkpoint: &sim.CheckpointSpec{Round: round, W: &buf}}
 	if _, err := mdst.Run(armed, c, initial, mdst.Single, 0); !errors.Is(err, sim.ErrCheckpointed) {
 		t.Fatalf("in-process run did not freeze: %v", err)
 	}

@@ -6,13 +6,12 @@
 // tree-, report- and checkpoint-byte-equivalent to the in-process
 // simulator. The cmd/mdstd daemon is its operational face.
 //
-// The plane deliberately reuses the sharded runtime's determinism
-// machinery (DESIGN.md §7): deliveries are keyed (parent rank, send
-// position), cross-process batches merge canonically, and round ranks come
-// from a prefix sum over per-delivery send counts broadcast at each
-// barrier. A K-process run over loopback therefore produces bit-identical
-// results to the 1-shard engine — which is what the differential loopback
-// suite pins.
+// Determinism comes from a canonical delivery order (DESIGN.md §13):
+// deliveries are keyed (parent rank, send position), cross-process
+// batches splice canonically, and round ranks come from a prefix sum over
+// per-delivery send counts broadcast at each barrier. A K-process run over
+// loopback therefore produces bit-identical results to the single-process
+// EventEngine — which is what the differential loopback suite pins.
 package net
 
 import (

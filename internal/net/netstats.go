@@ -5,9 +5,8 @@ import (
 	"time"
 )
 
-// NetStats is the distributed plane's observability counterpart of
-// sim.PhaseStats: per-run wire and barrier counters accumulated by a
-// DistEngine when its Stats field is armed. The counters answer the two
+// NetStats holds the distributed plane's per-run wire and barrier
+// counters, accumulated by a DistEngine when its Stats field is armed. The counters answer the two
 // questions a round-dominated deployment always asks — how many bytes does
 // a round cost on the wire, and how much of the wall clock is barrier wait
 // rather than protocol work. Divide by Rounds for per-round costs.
@@ -39,9 +38,8 @@ type NetStats struct {
 	// barrier this process sends frames at).
 	Flushes int64 `json:"flushes"`
 	// BarrierWaitNs is the time the engine goroutine spent blocked in Recv
-	// at round barriers, including whole solo stretches slept through —
-	// the distributed sibling of PhaseStats' barrier phase. Wire decode
-	// time is excluded.
+	// at round barriers, including whole solo stretches slept through.
+	// Wire decode time is excluded.
 	BarrierWaitNs int64 `json:"barrier_wait_ns"`
 }
 

@@ -94,31 +94,6 @@ func BenchmarkEventEngineFloodLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedEngineFlood measures the shard-partitioned round path
-// against the shard counts: shards=1 is exactly the event engine, larger
-// counts pay the outbox/merge plane and (on multi-core hosts) buy window
-// parallelism. The partition is precomputed (cut-minimizing refined, as the
-// scaling suite uses) and the dense result path skips the per-node result
-// map, so the loop measures the engine, not the hand-off.
-func BenchmarkShardedEngineFlood(b *testing.B) {
-	c := workload.Gnm4096().Compile()
-	for _, shards := range []int{1, 2, 4} {
-		var part *graph.Partition
-		if shards > 1 {
-			part = graph.PartitionRefined(c, shards)
-		}
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eng := &ShardedEngine{Shards: shards, Partition: part, Delay: UnitDelay, FIFO: true}
-				if _, _, err := eng.Run(c, benchFactory); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCalendarQueueSparse drives a schedule with one event per time
 // unit over thousands of units — the wheel's worst case, where pop crosses
 // hundreds of empty buckets per delivery and leans on the occupancy bitmap.

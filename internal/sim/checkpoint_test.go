@@ -38,8 +38,7 @@ func runTraced(t *testing.T, mkEng func(trace func(TraceEvent)) Engine, c *graph
 // TestCheckpointResumeEveryBarrier is the core differential: a run
 // interrupted at every reachable round barrier and resumed must reproduce
 // the uninterrupted run's delivery trace (checkpoint-leg prefix + resume
-// leg), Report and final protocol states — on the round engine and on the
-// sharded engine, resuming on either.
+// leg), Report and final protocol states.
 func TestCheckpointResumeEveryBarrier(t *testing.T) {
 	c := graph.Gnm(24, 72, 5).Compile()
 	factory := tokenFactory(30)
@@ -52,64 +51,37 @@ func TestCheckpointResumeEveryBarrier(t *testing.T) {
 		t.Fatalf("workload too short for the barrier sweep: %v rounds", finalRound)
 	}
 
-	type resumeEngine struct {
-		name string
-		mk   func(trace func(TraceEvent)) ResumableEngine
-	}
-	resumers := []resumeEngine{
-		{"event", func(tr func(TraceEvent)) ResumableEngine {
-			return &EventEngine{Delay: UnitDelay, FIFO: true, Trace: tr}
-		}},
-		{"sharded-3", func(tr func(TraceEvent)) ResumableEngine {
-			return &ShardedEngine{Shards: 3, Delay: UnitDelay, FIFO: true, Trace: tr}
-		}},
-	}
-	checkpointers := []struct {
-		name string
-		mk   func(spec *CheckpointSpec, trace func(TraceEvent)) Engine
-	}{
-		{"event", func(spec *CheckpointSpec, tr func(TraceEvent)) Engine {
-			return &EventEngine{Delay: UnitDelay, FIFO: true, Trace: tr, Checkpoint: spec}
-		}},
-		{"sharded-3", func(spec *CheckpointSpec, tr func(TraceEvent)) Engine {
-			return &ShardedEngine{Shards: 3, Delay: UnitDelay, FIFO: true, Trace: tr, Checkpoint: spec}
-		}},
-	}
-
-	for _, ckEng := range checkpointers {
-		for r := int64(0); r <= finalRound; r++ {
-			var buf bytes.Buffer
-			var prefix []TraceEvent
-			eng := ckEng.mk(&CheckpointSpec{Round: r, W: &buf}, func(e TraceEvent) { prefix = append(prefix, e) })
-			_, _, err := eng.Run(c, factory)
-			if !errors.Is(err, ErrCheckpointed) {
-				t.Fatalf("%s r=%d: err = %v, want ErrCheckpointed", ckEng.name, r, err)
-			}
-			ck, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("%s r=%d: read: %v", ckEng.name, r, err)
-			}
-			if ck.Round != r {
-				t.Fatalf("%s r=%d: checkpoint round %d", ckEng.name, r, ck.Round)
-			}
-			for _, res := range resumers {
-				var resumeTrace []TraceEvent
-				reng := res.mk(func(e TraceEvent) { resumeTrace = append(resumeTrace, e) })
-				protos, rep, err := reng.Resume(c, factory, ck)
-				if err != nil {
-					t.Fatalf("%s r=%d resume on %s: %v", ckEng.name, r, res.name, err)
-				}
-				whole := append(append([]TraceEvent{}, prefix...), resumeTrace...)
-				if !reflect.DeepEqual(whole, fullTrace) {
-					t.Fatalf("%s r=%d resume on %s: stitched trace diverges (%d+%d vs %d events)",
-						ckEng.name, r, res.name, len(prefix), len(resumeTrace), len(fullTrace))
-				}
-				assertReportsEqual(t, fmt.Sprintf("%s r=%d on %s", ckEng.name, r, res.name), rep, fullRep)
-				for id, p := range protos {
-					if p.(*tokenNode).seen != fullProtos[id].(*tokenNode).seen {
-						t.Fatalf("%s r=%d resume on %s: node %d state diverged", ckEng.name, r, res.name, id)
-					}
-				}
+	for r := int64(0); r <= finalRound; r++ {
+		var buf bytes.Buffer
+		var prefix []TraceEvent
+		eng := &EventEngine{Delay: UnitDelay, FIFO: true, Checkpoint: &CheckpointSpec{Round: r, W: &buf},
+			Trace: func(e TraceEvent) { prefix = append(prefix, e) }}
+		_, _, err := eng.Run(c, factory)
+		if !errors.Is(err, ErrCheckpointed) {
+			t.Fatalf("r=%d: err = %v, want ErrCheckpointed", r, err)
+		}
+		ck, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("r=%d: read: %v", r, err)
+		}
+		if ck.Round != r {
+			t.Fatalf("r=%d: checkpoint round %d", r, ck.Round)
+		}
+		var resumeTrace []TraceEvent
+		reng := &EventEngine{Delay: UnitDelay, FIFO: true, Trace: func(e TraceEvent) { resumeTrace = append(resumeTrace, e) }}
+		protos, rep, err := reng.Resume(c, factory, ck)
+		if err != nil {
+			t.Fatalf("r=%d resume: %v", r, err)
+		}
+		whole := append(append([]TraceEvent{}, prefix...), resumeTrace...)
+		if !reflect.DeepEqual(whole, fullTrace) {
+			t.Fatalf("r=%d resume: stitched trace diverges (%d+%d vs %d events)",
+				r, len(prefix), len(resumeTrace), len(fullTrace))
+		}
+		assertReportsEqual(t, fmt.Sprintf("r=%d", r), rep, fullRep)
+		for id, p := range protos {
+			if p.(*tokenNode).seen != fullProtos[id].(*tokenNode).seen {
+				t.Fatalf("r=%d resume: node %d state diverged", r, id)
 			}
 		}
 	}
@@ -132,31 +104,19 @@ func assertReportsEqual(t *testing.T, label string, got, want *Report) {
 }
 
 // TestCheckpointFileDeterminism pins byte-exactness: the same barrier
-// produces the same file on the round engine and any sharded engine.
+// produces the same file on every run.
 func TestCheckpointFileDeterminism(t *testing.T) {
 	c := graph.Gnm(24, 72, 5).Compile()
 	factory := tokenFactory(30)
-	write := func(eng Engine) []byte {
+	write := func() []byte {
 		var buf bytes.Buffer
-		switch e := eng.(type) {
-		case *EventEngine:
-			e.Checkpoint = &CheckpointSpec{Round: 4, W: &buf}
-		case *ShardedEngine:
-			e.Checkpoint = &CheckpointSpec{Round: 4, W: &buf}
-		}
+		eng := &EventEngine{Delay: UnitDelay, FIFO: true, Checkpoint: &CheckpointSpec{Round: 4, W: &buf}}
 		if _, _, err := eng.Run(c, factory); !errors.Is(err, ErrCheckpointed) {
 			t.Fatalf("err = %v", err)
 		}
 		return buf.Bytes()
 	}
-	ref := write(&EventEngine{Delay: UnitDelay, FIFO: true})
-	for _, shards := range []int{2, 3, 5} {
-		got := write(&ShardedEngine{Shards: shards, Delay: UnitDelay, FIFO: true})
-		if !bytes.Equal(ref, got) {
-			t.Errorf("shards=%d: checkpoint bytes differ from the round engine's", shards)
-		}
-	}
-	if again := write(&EventEngine{Delay: UnitDelay, FIFO: true}); !bytes.Equal(ref, again) {
+	if ref, again := write(), write(); !bytes.Equal(ref, again) {
 		t.Error("repeated checkpoint not byte-identical")
 	}
 }
@@ -252,6 +212,27 @@ func TestBinaryTraceRoundTrip(t *testing.T) {
 	if _, err := ReadBinaryTrace(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated trace accepted")
 	}
+}
+
+// loggingTokenFactory wraps the token protocol with a Logf note per
+// handler call, so trace tests cover note ordering too.
+func loggingTokenFactory(limit int) Factory {
+	inner := tokenFactory(limit)
+	return func(id NodeID, nbrs []NodeID) Protocol {
+		return &loggingProto{p: inner(id, nbrs)}
+	}
+}
+
+type loggingProto struct{ p Protocol }
+
+func (l *loggingProto) Init(ctx Context) {
+	ctx.Logf("init %d", ctx.ID())
+	l.p.Init(ctx)
+}
+
+func (l *loggingProto) Recv(ctx Context, from NodeID, m WireMsg) {
+	ctx.Logf("recv %d<-%d", ctx.ID(), from)
+	l.p.Recv(ctx, from, m)
 }
 
 // TestCheckpointHugeCountsRejected pins the allocation bound: a tiny

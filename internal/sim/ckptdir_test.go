@@ -34,7 +34,7 @@ func (s *memSink) Commit(round int64, write func(io.Writer) error) error {
 // TestPeriodicCheckpointCadence pins the Every-K mode: the run completes
 // normally with an untouched result, commits land at exactly the cadence
 // barriers, and each committed file is byte-identical to a freeze-at-that-
-// round checkpoint of the same run — on both unit-delay engines.
+// round checkpoint of the same run.
 func TestPeriodicCheckpointCadence(t *testing.T) {
 	c := graph.Gnm(24, 72, 5).Compile()
 	factory := tokenFactory(30)
@@ -58,40 +58,27 @@ func TestPeriodicCheckpointCadence(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	engines := []struct {
-		name string
-		mk   func(spec *CheckpointSpec) Engine
-	}{
-		{"event", func(spec *CheckpointSpec) Engine {
-			return &EventEngine{Delay: UnitDelay, FIFO: true, Checkpoint: spec}
-		}},
-		{"sharded-3", func(spec *CheckpointSpec) Engine {
-			return &ShardedEngine{Shards: 3, Delay: UnitDelay, FIFO: true, Checkpoint: spec}
-		}},
+	sink := &memSink{}
+	protos, rep, err := (&EventEngine{Delay: UnitDelay, FIFO: true, Checkpoint: &CheckpointSpec{Every: every, Sink: sink}}).Run(c, factory)
+	if err != nil {
+		t.Fatalf("periodic run failed: %v", err)
 	}
-	for _, eng := range engines {
-		sink := &memSink{}
-		protos, rep, err := eng.mk(&CheckpointSpec{Every: every, Sink: sink}).Run(c, factory)
-		if err != nil {
-			t.Fatalf("%s: periodic run failed: %v", eng.name, err)
+	assertReportsEqual(t, "periodic", rep, plainRep)
+	for id, p := range protos {
+		if p.(*tokenNode).seen != plainProtos[id].(*tokenNode).seen {
+			t.Fatalf("node %d state diverged after periodic run", id)
 		}
-		assertReportsEqual(t, eng.name+" periodic", rep, plainRep)
-		for id, p := range protos {
-			if p.(*tokenNode).seen != plainProtos[id].(*tokenNode).seen {
-				t.Fatalf("%s: node %d state diverged after periodic run", eng.name, id)
-			}
-		}
-		var want []int64
-		for r := every; r <= finalRound; r += every {
-			want = append(want, r)
-		}
-		if fmt.Sprint(sink.order) != fmt.Sprint(want) {
-			t.Fatalf("%s: committed rounds %v, want %v", eng.name, sink.order, want)
-		}
-		for _, r := range sink.order {
-			if !bytes.Equal(sink.commits[r], freeze(r)) {
-				t.Fatalf("%s: periodic commit at round %d differs from the freeze-mode file", eng.name, r)
-			}
+	}
+	var want []int64
+	for r := every; r <= finalRound; r += every {
+		want = append(want, r)
+	}
+	if fmt.Sprint(sink.order) != fmt.Sprint(want) {
+		t.Fatalf("committed rounds %v, want %v", sink.order, want)
+	}
+	for _, r := range sink.order {
+		if !bytes.Equal(sink.commits[r], freeze(r)) {
+			t.Fatalf("periodic commit at round %d differs from the freeze-mode file", r)
 		}
 	}
 }

@@ -7,33 +7,30 @@ import (
 )
 
 // The process-distributed face of the unit-delay round runtime (DESIGN.md
-// §9). A DistRunner hosts one process's share of a partitioned run — the
-// protocol instances, contexts and outboxes of the nodes a deployment
-// process owns — and exposes the sharded engine's rank/outbox machinery
-// (DESIGN.md §7) as explicit phases, so a transport layer (internal/net)
-// can drive barrier-separated rounds across OS processes connected by real
-// sockets. The determinism story is byte-for-byte the sharded engine's:
+// §9, §13). A DistRunner hosts one process's share of a partitioned run —
+// the protocol instances, contexts and outboxes of the nodes a deployment
+// process owns — and exposes the round as explicit phases, so a transport
+// layer (internal/net) can drive barrier-separated rounds across OS
+// processes connected by real sockets. Determinism rests on a canonical
+// delivery order that every process computes from the same data:
 //
 //   - Every delivery of a round has a global rank — its position in the
-//     1-shard engine's delivery order.
+//     single-process EventEngine's delivery order.
 //   - A message is keyed (Parent, Pos): the rank of the delivery whose
 //     handler sent it, and the send's index within that handler call.
-//     Merging incoming streams by key reconstructs the 1-shard order.
+//     EventEngine appends sends in exactly this order, so ordering a round
+//     by key reconstructs its delivery order.
 //   - Ranks of the next round come from a prefix sum over per-delivery
-//     send counts. In-process the counts live in one shared slice; across
-//     processes each process broadcasts the (rank, count) pairs of the
+//     send counts: each process broadcasts the (rank, count) pairs of the
 //     deliveries it played, and everyone scatters them into a local slab
 //     and prefix-sums identically.
 //
-// The delivery plane mirrors the in-process sharded engine's single-copy
-// scatter (DESIGN.md §12) across the socket boundary (§13): every batch a
-// process sends is already one key-sorted run, and each parent rank's
-// deliveries are played by exactly one process, so all of a parent's sends
-// to one receiver arrive in exactly one run. The engine therefore splices
-// the K runs by rank arithmetic — a counting sort over parent ranks, no
-// merge tournament — and hands PlayRound a single inbox already in global
-// delivery order with ranks materialised. The rank/key/prefix-sum
-// contract above is unchanged and still shared with the sharded engine.
+// Every batch a process sends is already one key-sorted run, and each
+// parent rank's deliveries are played by exactly one process, so all of a
+// parent's sends to one receiver arrive in exactly one run. The engine
+// therefore splices the K runs by rank arithmetic — a counting sort over
+// parent ranks, no merge tournament — and hands PlayRound a single inbox
+// already in global delivery order with ranks materialised.
 //
 // The runner deliberately holds protocol instances for every node, not
 // just owned ones: protocols implementing StateCodec let the processes
@@ -43,8 +40,7 @@ import (
 
 // OutMsg is one cross-process delivery record of the distributed round
 // plane: the canonical merge key (Parent, Pos), dense endpoints and the
-// flat wire record. Like shardDelivery it is pointer-free, so outboxes are
-// plain slabs and the byte form on the socket mirrors the in-memory form.
+// flat wire record. It is pointer-free, so outboxes are plain slabs and the byte form on the socket mirrors the in-memory form.
 type OutMsg struct {
 	Parent int64 // global rank of the sending delivery (dense index for Init sends)
 	Pos    int32 // index of this send within the sending handler call
@@ -63,8 +59,7 @@ func (m OutMsg) KeyLess(o OutMsg) bool {
 }
 
 // RankCount reports the send count of one played delivery at its global
-// rank — the distributed form of the sharded engine's cnt slice. Each
-// barrier broadcast carries one entry per delivery the process played, in
+// rank. Each barrier broadcast carries one entry per delivery the process played, in
 // ascending rank order.
 type RankCount struct {
 	Rank  int64
@@ -72,7 +67,7 @@ type RankCount struct {
 }
 
 // distCtx is the Context handed to protocols on the distributed round
-// plane, mirroring shardRoundCtx: rank is the global rank of the delivery
+// plane: rank is the global rank of the delivery
 // being processed (the dense node index while Init runs), sends counts the
 // handler's sends so far.
 type distCtx struct {
@@ -110,7 +105,7 @@ func (c *distCtx) Send(to NodeID, m WireMsg) {
 // global-order trace would serialise the processes; use the simulator).
 func (c *distCtx) Logf(string, ...any) {}
 
-// DistRunner drives one process's shard of a partitioned unit-delay run.
+// DistRunner drives one process's part of a partitioned unit-delay run.
 // The caller (the transport engine) owns the barrier: it exchanges the
 // outboxes and rank counts between phases, computes the next round's rank
 // offsets by prefix sum, and hands the merged incoming streams back to
@@ -132,8 +127,7 @@ type DistRunner struct {
 }
 
 // DistScratch recycles a runner's slabs across one engine's sequential
-// runs — the distributed counterpart of the sharded engine's pooled
-// arenas. The transport engine owns one, seeds each run's runner from it
+// runs. The transport engine owns one, seeds each run's runner from it
 // with NewDistRunnerScratch, and harvests it back with Release when the
 // run ends; the outbox capacities grown during one run then serve the
 // next, so a live mesh's steady state appends into full-size slabs
@@ -206,7 +200,7 @@ func NewDistRunnerScratch(c *graph.CSR, owner []int32, nprocs, self int, f Facto
 		}
 	}
 	// Arm the report's dense sender slab: PlayRound records through the
-	// same memoised scalar + dense-slab path the sharded engine uses
+	// same memoised scalar + dense-slab path the round engine uses
 	// (recordFast), so the per-delivery map ops of record() never run.
 	// The folds at capture/merge points reconstruct identical maps.
 	r.sent = growCap(sc.sent, n)
@@ -418,5 +412,5 @@ func (ck *Checkpoint) RestoreStates(protos []Protocol) error { return ck.decodeS
 func (ck *Checkpoint) ValidateAgainst(c *graph.CSR) error { return ck.validateAgainst(c) }
 
 // Finalize materialises the public breakdown maps — engines call this once
-// after merging shard or process reports. Idempotent.
+// after merging process reports. Idempotent.
 func (r *Report) Finalize() { r.finalize() }

@@ -31,11 +31,6 @@ type Report struct {
 	VirtualTime float64
 	// SentBy counts messages sent per node.
 	SentBy map[NodeID]int64
-	// Shards is the number of state shards whose accounting this report
-	// merges: 1 for the ordinary engines, N for an N-shard ShardedEngine
-	// run. It describes the runtime configuration, not the execution —
-	// all other fields are identical at any shard count.
-	Shards int
 	// Wall is the host wall-clock duration of the run.
 	Wall time.Duration
 
@@ -133,7 +128,6 @@ func NewReport() *Report {
 		ByRound:     make(map[int]int64),
 		ByKindRound: make(map[string]int64),
 		SentBy:      make(map[NodeID]int64),
-		Shards:      1,
 		kindRound:   make(map[kindRoundKey]int64),
 	}
 }
@@ -171,7 +165,7 @@ func (r *Report) adoptDenseSent(slab []int64, ids []NodeID) {
 // adoptKR lends the report an engine's pooled (round, opcode) counter
 // slab. The slab may hold counts of an aborted earlier run: they are
 // cleared here. finalize detaches it again; reports that are never
-// finalized (shard and process shares) must not outlive their run.
+// finalized (process shares) must not outlive their run.
 func (r *Report) adoptKR(s *krSlab) {
 	clear(s.c[:s.hi])
 	s.hi, s.w = 0, 0
@@ -180,9 +174,7 @@ func (r *Report) adoptKR(s *krSlab) {
 
 // recordKR accounts one delivery with the map ops taken off the
 // per-message path — all the scalar counters plus the dense (round,
-// opcode) counter, but no sender accounting. The sharded round path uses
-// it directly: senders are counted at send time into the run's shared
-// dense slab, where each shard touches only its own nodes' entries.
+// opcode) counter, but no sender accounting.
 func (r *Report) recordKR(m *WireMsg, depth int64) {
 	r.Messages++
 	r.countKR(m)
@@ -293,14 +285,13 @@ func (r *Report) addKindRound(op Op, round int, v int64) {
 	r.ByKindRound[fmt.Sprintf("%s/%d", kind, round)] += v
 }
 
-// MergeParallel merges o into r as the accounting of a disjoint state
-// shard of the *same* execution: counters and per-key breakdowns sum,
-// while the time-like measures (CausalDepth, VirtualTime, Wall) take the
-// maximum — parallel shards share one clock, they do not run back to back
-// (that composition is Add). Shards sums, so merging N single-shard
-// reports yields Shards == N. The sharded engine merges its per-shard
-// reports with this before finalize; callers may equally merge finalized
-// reports — the public breakdown maps are combined either way.
+// MergeParallel merges o into r as the accounting of a disjoint part of
+// the *same* execution — DistEngine merges its processes' reports with
+// it: counters and per-key breakdowns sum, while the time-like measures
+// (CausalDepth, VirtualTime, Wall) take the maximum — the parts share one
+// clock, they do not run back to back (that composition is Add). Either
+// report may be finalized or not; the public breakdown maps are combined
+// either way.
 func (r *Report) MergeParallel(o *Report) {
 	r.Messages += o.Messages
 	if r.finalized || o.finalized {
@@ -319,21 +310,7 @@ func (r *Report) MergeParallel(o *Report) {
 			r.ByKindRound[k] += v
 		}
 	} else {
-		o.foldKR()
-		// Same-run shard reports share one dense send slab shape: sum them
-		// as vectors and defer the single map fold to finalize. A shape
-		// mismatch (or a plain-map accumulator on either side) falls back
-		// to folding o's slab and merging maps.
-		if o.sentDense != nil {
-			if r.sentDense != nil && len(r.sentDense) == len(o.sentDense) {
-				for i, v := range o.sentDense {
-					r.sentDense[i] += v
-				}
-				o.sentDense, o.sentIDs = nil, nil
-			} else {
-				o.foldDense()
-			}
-		}
+		o.syncHot()
 		for k, v := range o.kindRound {
 			r.kindRound[k] += v
 		}
@@ -351,7 +328,6 @@ func (r *Report) MergeParallel(o *Report) {
 	for k, v := range o.SentBy {
 		r.SentBy[k] += v
 	}
-	r.Shards += o.Shards
 	if o.Wall > r.Wall {
 		r.Wall = o.Wall
 	}
@@ -381,9 +357,6 @@ func (r *Report) Add(o *Report) {
 	r.VirtualTime += o.VirtualTime
 	for k, v := range o.SentBy {
 		r.SentBy[k] += v
-	}
-	if o.Shards > r.Shards {
-		r.Shards = o.Shards
 	}
 	r.Wall += o.Wall
 }

@@ -3,8 +3,9 @@
 // edges of an undirected graph, with no shared memory, no global clock, and
 // event-driven nodes.
 //
-// Four interchangeable engines implement Engine, the package's single run
-// entry point: a Protocol executes over a compiled graph snapshot
+// Three interchangeable engines implement Engine, the package's single run
+// entry point (internal/net's DistEngine is a fourth, across OS
+// processes): a Protocol executes over a compiled graph snapshot
 // (graph.CSR) and the final protocol states come back as a slice indexed
 // by the snapshot's dense node index, the same index the engines address
 // all per-node state by. Engines that can continue a checkpointed run also
@@ -20,11 +21,6 @@
 //     over the (now, now+1] delivery window — pooled scratch and
 //     slice-indexed FIFO clamps keep the hot path allocation-free because
 //     the experiment harness runs it thousands of times per sweep.
-//   - ShardedEngine: the shard-partitioned runtime (DESIGN.md §7) — one
-//     run's per-node state plane split across shards per a
-//     graph.Partition, executing unit-delay rounds window-parallel on
-//     multi-core hosts. Delivery-trace-equivalent to EventEngine at any
-//     shard count; only wall-clock time changes.
 //   - ReferenceEngine: the straightforward implementation the other
 //     engines are differentially tested and benchmarked against; same
 //     semantics, none of the optimisations.

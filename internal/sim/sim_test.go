@@ -277,6 +277,71 @@ func TestReportMerge(t *testing.T) {
 	}
 }
 
+// TestMergeParallel pins the exported merge semantics on both finalization
+// states: counters sum, time-like measures take the maximum.
+func TestMergeParallel(t *testing.T) {
+	mk := func(n int64, depth int64, vt float64) *Report {
+		r := NewReport()
+		for i := int64(0); i < n; i++ {
+			r.record(1, tokenMsg(1), depth)
+		}
+		r.VirtualTime = vt
+		return r
+	}
+	for _, preFinalize := range []bool{false, true} {
+		a := mk(3, 4, 2.5)
+		b := mk(2, 9, 1.5)
+		if preFinalize {
+			a.finalize()
+			b.finalize()
+		}
+		a.MergeParallel(b)
+		a.finalize()
+		if a.Messages != 5 || a.CausalDepth != 9 || a.VirtualTime != 2.5 {
+			t.Fatalf("preFinalize=%v: merged %+v", preFinalize, a)
+		}
+		if a.ByKind["token"] != 5 || a.SentBy[1] != 5 {
+			t.Fatalf("preFinalize=%v: breakdowns %v %v", preFinalize, a.ByKind, a.SentBy)
+		}
+	}
+}
+
+// TestProtocolPanic pins panic conversion: a handler panic surfaces as the
+// engine's error on the round tier, the wheel tier and the reference
+// engine, instead of crashing the caller.
+func TestProtocolPanic(t *testing.T) {
+	g := graph.Ring(12)
+	boom := func(id NodeID, _ []NodeID) Protocol { return &panicNode{at: 5} }
+	engines := map[string]Engine{
+		"rounds":    &EventEngine{Delay: UnitDelay},
+		"wheel":     &EventEngine{Delay: UniformDelay(0.5), Seed: 1},
+		"reference": &ReferenceEngine{Delay: UnitDelay},
+	}
+	for name, eng := range engines {
+		_, _, err := eng.Run(g.Compile(), boom)
+		if err == nil || !strings.Contains(err.Error(), "protocol panic") {
+			t.Fatalf("%s: want protocol panic error, got %v", name, err)
+		}
+	}
+}
+
+// panicNode forwards a token and panics on the at-th delivery it sees.
+type panicNode struct{ at, seen int }
+
+func (p *panicNode) Init(ctx Context) {
+	if ctx.ID() == 0 {
+		ctx.Send(ctx.Neighbors()[0], tokenMsg(1))
+	}
+}
+
+func (p *panicNode) Recv(ctx Context, from NodeID, m WireMsg) {
+	p.seen++
+	if p.seen >= p.at {
+		panic("boom")
+	}
+	ctx.Send(ctx.Neighbors()[0], tokenMsg(int(m.W[0])+1))
+}
+
 func TestTraceEvents(t *testing.T) {
 	g := graph.Path(2)
 	var events []TraceEvent

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"mdegst/internal/graph"
 )
 
 // Property and fuzz coverage for the calendar wheel's bucket-boundary
@@ -162,7 +164,7 @@ func TestWheelBoundaryDelaysEngine(t *testing.T) {
 			return d
 		}
 	}
-	g := shardCorpus()["gnm-dense"]
+	g := graph.Gnm(32, 128, 7)
 	fast := &EventEngine{Delay: mkDelay(), FIFO: true}
 	ref := &ReferenceEngine{Delay: mkDelay(), FIFO: true}
 	fp, frep, err := fast.Run(g.Compile(), tokenFactory(60))
@@ -173,7 +175,7 @@ func TestWheelBoundaryDelaysEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reportsEquivalent(t, "boundary delays", frep, rrep)
+	assertReportsEqual(t, "boundary delays", frep, rrep)
 	for v, p := range fp {
 		if p.(*tokenNode).seen != rp[v].(*tokenNode).seen {
 			t.Errorf("node %d diverged under boundary delays", v)

@@ -9,8 +9,7 @@ import (
 )
 
 // requireSameReport compares everything deterministic between two runs of
-// the same execution (Wall always differs; Shards describes the runtime
-// configuration, not the execution).
+// the same execution (Wall always differs).
 func requireSameReport(t *testing.T, what string, a, b *sim.Report) {
 	t.Helper()
 	if a.Messages != b.Messages || a.Words != b.Words || a.MaxWords != b.MaxWords ||
@@ -27,31 +26,26 @@ func requireSameReport(t *testing.T, what string, a, b *sim.Report) {
 // result, slab flood factory, Extract — on every deterministic engine tier
 // to the exact tree and report of a differential oracle: ReferenceEngine
 // under the same delay model for the engines trace-equivalent to it, the
-// unit EventEngine for ReferenceEngine itself, and a second fresh engine
-// for the sharded wheel, whose per-shard delay streams are deterministic
-// but its own. (The name predates the removal of the map-keyed build path
-// it used to be compared against; that comparison is pinned by mdst's
-// TestRunPathPinned digests.)
+// unit EventEngine for ReferenceEngine itself. (The name predates the
+// removal of the map-keyed build path it used to be compared against; that
+// comparison is pinned by mdst's TestRunPathPinned digests.)
 func TestBuildCompiledDenseMatchesMap(t *testing.T) {
 	unit := func() sim.Engine { return &sim.ReferenceEngine{Delay: sim.UnitDelay} }
-	wheel := func() sim.Engine { return &sim.ShardedEngine{Shards: 3, Delay: sim.UniformDelay(0.2), Seed: 7} }
 	engines := map[string]struct{ eng, oracle func() sim.Engine }{
 		"event-unit": {func() sim.Engine { return &sim.EventEngine{Delay: sim.UnitDelay} }, unit},
 		"event-random": {
 			func() sim.Engine { return &sim.EventEngine{Delay: sim.UniformDelay(0.2), Seed: 7, FIFO: true} },
 			func() sim.Engine { return &sim.ReferenceEngine{Delay: sim.UniformDelay(0.2), Seed: 7, FIFO: true} },
 		},
-		"sharded-unit":  {func() sim.Engine { return &sim.ShardedEngine{Shards: 3, Workers: 3, Delay: sim.UnitDelay} }, unit},
-		"sharded-wheel": {wheel, wheel},
-		"reference":     {func() sim.Engine { return &sim.ReferenceEngine{} }, func() sim.Engine { return &sim.EventEngine{Delay: sim.UnitDelay} }},
+		"reference": {func() sim.Engine { return &sim.ReferenceEngine{} }, func() sim.Engine { return &sim.EventEngine{Delay: sim.UnitDelay} }},
 	}
 	for gname, g := range testGraphs() {
 		c := g.Compile()
 		root := g.Nodes()[0]
 		for ename, e := range engines {
 			t.Run(gname+"/"+ename, func(t *testing.T) {
-				// Fresh engines and factories per run so sharded scratch
-				// reuse, RNG seeding and the factory slab cannot couple the
+				// Fresh engines and factories per run so scratch reuse,
+				// RNG seeding and the factory slab cannot couple the
 				// two runs.
 				want, wantRep, err := Build(e.oracle(), c, NewFloodFactory(c, root))
 				if err != nil {

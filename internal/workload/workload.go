@@ -1,6 +1,6 @@
 // Package workload is the single catalog of the large benchmark graphs.
 // The root bench suite, the internal/sim engine benches and the `mdstbench
-// -perf`/-scale suites all measure "the 100k grid" or "the 16k
+// -perf`/`-netbench` suites all measure "the 100k grid" or "the 16k
 // preferential-attachment graph" — before this catalog each spelled out its
 // own generator call, and a drifted seed or size silently made trajectories
 // incomparable. A workload name used anywhere in a BENCH_*.json file or a
@@ -17,30 +17,19 @@ type Workload struct {
 	Gen  func() *graph.Graph
 }
 
-// Large is the large-graph flood tier of the perf suite (the
-// BENCH_queue.json trajectory): raw engine throughput from 4k to 100k
-// nodes.
+// Large is the large-graph flood tier of the perf suite (gated against
+// BENCH_wire.json): raw engine throughput from 4k to 1M nodes.
 func Large() []Workload {
 	return []Workload{
 		{"gnm-4096", Gnm4096},
 		{"ba-16384", BA16384},
 		{"grid-100k", Grid100k},
-	}
-}
-
-// Scale is the shards×GOMAXPROCS scaling tier (the BENCH_scale.json
-// trajectory): the workloads big enough that window-parallel rounds can
-// win, heavy-tailed and mesh-shaped both.
-func Scale() []Workload {
-	return []Workload{
-		{"grid-100k", Grid100k},
 		{"grid-1M", Grid1M},
-		{"ba-16384", BA16384},
 	}
 }
 
 // The named generators, fixed seed and size. These exact parameters are
-// recorded in the BENCH_*.json trajectory files; changing one invalidates
+// recorded in the BENCH_*.json baseline files; changing one invalidates
 // every baseline that mentions its name.
 
 func Gnm4096() *graph.Graph  { return graph.Gnm(4096, 16384, 1) }

@@ -114,12 +114,6 @@ type Options struct {
 	// with unit delays). Use NewAsyncEngine for true concurrency or
 	// NewRandomDelayEngine for a seeded asynchrony adversary.
 	Engine Engine
-	// Shards, when above 1 and Engine is nil, runs both phases on the
-	// shard-partitioned unit-delay engine: the run's per-node state plane
-	// is split into that many shards executing rounds in parallel on
-	// multi-core hosts. Results are identical to the default engine at
-	// any shard count — sharding changes wall-clock time, nothing else.
-	Shards int
 	// Seed feeds the sequential helpers (InitialRandom) and defaults any
 	// seeded engine construction.
 	Seed int64
@@ -134,9 +128,6 @@ func (o Options) engine() Engine {
 	if o.Engine != nil {
 		return o.Engine
 	}
-	if o.Shards > 1 {
-		return NewShardedEngine(o.Shards)
-	}
 	return NewUnitEngine()
 }
 
@@ -144,19 +135,6 @@ func (o Options) engine() Engine {
 // delays — the paper's time-complexity model.
 func NewUnitEngine() Engine {
 	return &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true}
-}
-
-// NewShardedEngine returns the shard-partitioned unit-delay engine: one
-// run's protocol instances, mailboxes and delivery queues are split into
-// the given number of state shards, which execute each delivery window in
-// parallel and
-// exchange cross-shard messages at round barriers. Delivery traces,
-// reports and resulting trees are bit-identical to NewUnitEngine at any
-// shard count (DESIGN.md §7); only wall-clock time changes. Worthwhile for
-// large single runs on multi-core hosts — for many small runs, parallelise
-// across trials instead (RunExperiments, mdstrun -trials).
-func NewShardedEngine(shards int) Engine {
-	return &sim.ShardedEngine{Shards: shards, Delay: sim.UnitDelay, FIFO: true}
 }
 
 // NewRandomDelayEngine returns a seeded discrete-event engine whose delays
@@ -181,13 +159,6 @@ type TraceEvent = sim.TraceEvent
 // A nil fn disables tracing, making it equivalent to NewUnitEngine.
 func NewTracingEngine(fn func(TraceEvent)) Engine {
 	return &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true, Trace: fn}
-}
-
-// NewTracingShardedEngine is NewShardedEngine with a trace callback
-// observing every delivery in the exact global order (which forces the
-// serial schedule; see DESIGN.md §7). A nil fn disables tracing.
-func NewTracingShardedEngine(shards int, fn func(TraceEvent)) Engine {
-	return &sim.ShardedEngine{Shards: shards, Delay: sim.UnitDelay, FIFO: true, Trace: fn}
 }
 
 // NewTracingRandomDelayEngine is NewRandomDelayEngine with a trace
@@ -363,8 +334,8 @@ type Checkpoint = sim.Checkpoint
 // barrier, the frozen run — protocol states, pending messages, report
 // counters — is written to w as a versioned byte-exact file and (true,
 // nil) returns; if it quiesces earlier the run completes and (false, nil)
-// returns with nothing written. Unit-delay engines only (the default and
-// the sharded engine; Options.Engine must be nil).
+// returns with nothing written. The default unit-delay engine only
+// (Options.Engine must be nil).
 func CheckpointImprove(c *CompiledGraph, initial *Tree, opts Options, round int64, w io.Writer) (bool, error) {
 	if opts.Engine != nil {
 		return false, fmt.Errorf("mdegst: checkpointing picks its own unit-delay engine; Options.Engine must be nil")
@@ -374,7 +345,7 @@ func CheckpointImprove(c *CompiledGraph, initial *Tree, opts Options, round int6
 		return false, err
 	}
 	spec := &sim.CheckpointSpec{Round: round, W: w}
-	_, err = mdst.Run(opts.checkpointEngine(spec), c, d, opts.Mode, opts.TargetDegree)
+	_, err = mdst.Run(checkpointEngine(spec), c, d, opts.Mode, opts.TargetDegree)
 	switch {
 	case err == nil:
 		return false, nil
@@ -388,9 +359,9 @@ func CheckpointImprove(c *CompiledGraph, initial *Tree, opts Options, round int6
 // ResumeImprove continues a checkpointed improvement run read from r. The
 // graph, initial tree and options must match the checkpointing run; the
 // returned Result (tree, report, rounds, swaps) is bitwise-identical to
-// the run never having been interrupted. Resuming is engine-agnostic
-// across shard counts: a sharded checkpoint resumes unsharded and vice
-// versa.
+// the run never having been interrupted. Checkpoint files are
+// engine-agnostic: the in-process unit-delay engine and the networked
+// cluster engine (cmd/mdstd) write and resume the same bytes.
 func ResumeImprove(c *CompiledGraph, initial *Tree, opts Options, r io.Reader) (*Result, error) {
 	if opts.Engine != nil {
 		return nil, fmt.Errorf("mdegst: resuming picks its own unit-delay engine; Options.Engine must be nil")
@@ -403,19 +374,16 @@ func ResumeImprove(c *CompiledGraph, initial *Tree, opts Options, r io.Reader) (
 	if err != nil {
 		return nil, err
 	}
-	res, err := mdst.Resume(opts.checkpointEngine(nil), c, d, opts.Mode, opts.TargetDegree, ck)
+	res, err := mdst.Resume(checkpointEngine(nil), c, d, opts.Mode, opts.TargetDegree, ck)
 	if err != nil {
 		return nil, err
 	}
 	return improvement(initial, res), nil
 }
 
-// checkpointEngine builds the concrete unit-delay engine (sharded per
-// Options.Shards) with an armed checkpoint spec (nil for resume).
-func (o Options) checkpointEngine(spec *sim.CheckpointSpec) sim.ResumableEngine {
-	if o.Shards > 1 {
-		return &sim.ShardedEngine{Shards: o.Shards, Delay: sim.UnitDelay, FIFO: true, Checkpoint: spec}
-	}
+// checkpointEngine builds the concrete unit-delay engine with an armed
+// checkpoint spec (nil for resume).
+func checkpointEngine(spec *sim.CheckpointSpec) sim.ResumableEngine {
 	return &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true, Checkpoint: spec}
 }
 

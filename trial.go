@@ -28,7 +28,6 @@ type TrialSummary struct {
 	TotalWords     int64 `json:"total_words"`
 	MaxWords       int   `json:"max_message_words"`
 	CausalDepth    int64 `json:"causal_depth"`
-	Shards         int   `json:"shards"`
 }
 
 // NewTrialSummary condenses one pipeline result into the summary form.
@@ -52,7 +51,6 @@ func NewTrialSummary(seed int64, g *Graph, res *Result) TrialSummary {
 		TotalWords:     res.Total.Words,
 		MaxWords:       res.Total.MaxWords,
 		CausalDepth:    res.Improvement.CausalDepth,
-		Shards:         res.Total.Shards,
 	}
 }
 
