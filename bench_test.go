@@ -13,7 +13,6 @@ import (
 
 	"mdegst"
 	"mdegst/internal/exp"
-	"mdegst/internal/workload"
 )
 
 func benchConfig() exp.Config { return exp.Config{Seeds: 2, Scale: 0.5} }
@@ -157,14 +156,21 @@ func BenchmarkEngines(b *testing.B) {
 
 // BenchmarkLargeFlood measures raw engine throughput at the scale the
 // bounded-delay schedulers unlocked: distributed flood spanning-tree
-// construction over 4k–1M-node workloads on one compiled snapshot (the
-// recorded trajectory entries live in the `mdstbench -perf` suite).
+// construction over 4k–1M-node workloads on one compiled snapshot. The
+// same graphs carry allocation budgets in internal/spanning's
+// TestFloodAllocBudget.
 func BenchmarkLargeFlood(b *testing.B) {
-	// The graphs come from the shared catalog (internal/workload) so these
-	// names stay byte-for-byte the workloads recorded in BENCH_wire.json.
-	for _, w := range workload.Large() {
-		b.Run(w.Name, func(b *testing.B) {
-			c := mdegst.Compile(w.Gen())
+	for _, w := range []struct {
+		name string
+		gen  func() *mdegst.Graph
+	}{
+		{"gnm-4096", func() *mdegst.Graph { return mdegst.Gnm(4096, 16384, 1) }},
+		{"ba-16384", func() *mdegst.Graph { return mdegst.BarabasiAlbert(16384, 2, 1) }},
+		{"grid-100k", func() *mdegst.Graph { return mdegst.Grid(316, 316) }},
+		{"grid-1M", func() *mdegst.Graph { return mdegst.Grid(1000, 1000) }},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			c := mdegst.Compile(w.gen())
 			b.ResetTimer()
 			var msgs int64
 			for i := 0; i < b.N; i++ {

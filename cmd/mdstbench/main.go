@@ -1,7 +1,7 @@
-// Command mdstbench regenerates the evaluation tables of EXPERIMENTS.md:
-// one table per experiment id defined in DESIGN.md §4. Trials are fanned
-// across a worker pool; for a fixed -seeds/-scale the tables are
-// bit-identical at any -parallel value.
+// Command mdstbench regenerates the evaluation tables listed under
+// "Experiment tables" in README.md: one table per experiment id defined in
+// DESIGN.md §4. Trials are fanned across a worker pool; for a fixed
+// -seeds/-scale the tables are bit-identical at any -parallel value.
 //
 // Usage:
 //
@@ -12,15 +12,8 @@
 //	mdstbench -parallel 1       # sequential execution
 //	mdstbench -progress         # live per-trial progress on stderr
 //	mdstbench -json out.json    # machine-readable tables ("-" for stdout)
-//	mdstbench -perf bench.json  # engine/harness micro-benchmarks instead of tables
-//	mdstbench -perf bench.json -compare BENCH_wire.json
-//	                            # ... and fail (exit 1) on regression vs the recorded baseline
-//	mdstbench -perf bench.json -cpuprofile cpu.pprof -memprofile mem.pprof
+//	mdstbench -cpuprofile cpu.pprof -memprofile mem.pprof
 //	                            # ... with pprof evidence for perf work
-//	mdstbench -netbench net.json
-//	                            # loopback distributed-engine suite (BENCH_net.json trajectory)
-//	mdstbench -netbench net.json -compare BENCH_net.json
-//	                            # ... gated against the recorded loopback baseline
 package main
 
 import (
@@ -48,10 +41,6 @@ type options struct {
 	parallel   int
 	progress   bool
 	jsonOut    string
-	perfOut    string
-	netOut     string
-	compare    string
-	nsThresh   float64
 	cpuProfile string
 	memProfile string
 }
@@ -65,24 +54,20 @@ func parseFlags() options {
 	flag.IntVar(&o.parallel, "parallel", 0, "worker count (0: GOMAXPROCS)")
 	flag.BoolVar(&o.progress, "progress", false, "report per-trial progress on stderr")
 	flag.StringVar(&o.jsonOut, "json", "", "also write tables as JSON to this file (\"-\" for stdout)")
-	flag.StringVar(&o.perfOut, "perf", "", "run the perf suite instead of the tables and write JSON here (\"-\" for stdout)")
-	flag.StringVar(&o.netOut, "netbench", "", "run the loopback distributed-engine suite instead of the tables and write JSON here (\"-\" for stdout)")
-	flag.StringVar(&o.compare, "compare", "", "with -perf or -netbench: diff the fresh suite against this recorded baseline (BENCH_wire.json, BENCH_net.json) and exit non-zero on regression")
-	flag.Float64Var(&o.nsThresh, "threshold", 1.25, "with -compare: allowed ns/op growth factor before the gate fails")
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole run (tables or -perf) to this file")
+	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole run to this file")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write an end-of-run heap profile to this file")
 	flag.Parse()
 	return o
 }
 
 // mainE is main behind an os.Exit-free frame so the CPU-profile defer runs
-// on every exit path, including gate failures.
+// on every exit path, including errors.
 func mainE() int {
 	o := parseFlags()
 
-	// Profiling wraps the run so every exit path — including gate failures —
-	// still flushes the profiles; perf PRs attach them as evidence instead
-	// of guessing at hot spots.
+	// Profiling wraps the run so every exit path — including errors — still
+	// flushes the profiles; perf work attaches them as evidence instead of
+	// guessing at hot spots.
 	if o.cpuProfile != "" {
 		f, err := os.Create(o.cpuProfile)
 		if err != nil {
@@ -121,34 +106,6 @@ func mainE() int {
 }
 
 func run(o options) error {
-	if o.compare != "" && o.perfOut == "" && o.netOut == "" {
-		return fmt.Errorf("-compare requires -perf or -netbench")
-	}
-	if o.perfOut != "" && o.netOut != "" {
-		return fmt.Errorf("-perf and -netbench are separate suites; run them separately")
-	}
-	if o.netOut != "" || o.perfOut != "" {
-		var fresh *perfReport
-		var err error
-		if o.netOut != "" {
-			if o.which != "" || o.quick || o.seeds > 0 || o.scale > 0 || o.jsonOut != "" || o.progress || o.parallel != 0 {
-				return fmt.Errorf("-netbench runs a fixed benchmark suite; it is incompatible with -exp, -quick, -seeds, -scale, -parallel, -json and -progress")
-			}
-			fresh, err = runNetbench(o.netOut)
-		} else {
-			// The perf suite runs fixed workloads; only -parallel feeds
-			// into it.
-			if o.which != "" || o.quick || o.seeds > 0 || o.scale > 0 || o.jsonOut != "" || o.progress {
-				return fmt.Errorf("-perf runs a fixed benchmark suite; it is incompatible with -exp, -quick, -seeds, -scale, -json and -progress")
-			}
-			fresh, err = runPerf(o.perfOut, o.parallel)
-		}
-		if err != nil || o.compare == "" {
-			return err
-		}
-		return gate(o.compare, fresh, o.nsThresh)
-	}
-
 	cfg := exp.Default()
 	if o.quick {
 		cfg = exp.Quick()

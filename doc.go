@@ -41,10 +41,8 @@
 // For a fixed ExperimentOptions configuration the tables are deterministic:
 // bit-identical at any Parallel value. WriteExperimentsJSON emits the same
 // tables on a machine-readable JSON surface, shared with the mdstbench
-// -json flag; mdstbench -perf records engine and harness benchmarks, and
-// the two CI gates diff fresh suites against recorded baselines:
-// `mdstbench -perf -compare BENCH_wire.json` and `mdstbench -netbench
-// -compare BENCH_net.json`.
+// -json flag. Performance is measured by the pipeline benchmark in bench/;
+// allocation budgets per workload are ordinary Go tests.
 //
 // The packages under internal/ hold the implementations; this package is
 // the stable surface: Graph and Tree are aliases of the internal types, so

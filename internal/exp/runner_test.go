@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"mdegst/internal/alloctest"
 )
 
 // TestRunnerDeterminism is the acceptance test of the parallel harness:
@@ -147,5 +149,27 @@ func TestRunnerWorkers(t *testing.T) {
 	}
 	if got := (&Runner{Parallel: 3}).Workers(); got != 3 {
 		t.Errorf("Workers() = %d, want 3", got)
+	}
+}
+
+// TestHarnessAllocBudget holds a fixed-seed quick sweep through the
+// sequential runner to a recorded whole-process allocation budget
+// (alloctest's rule).
+func TestHarnessAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		ids    []string
+		budget float64
+	}{
+		{"E1,E3,E5-quick/parallel=1", []string{"E1", "E3", "E5"}, 15761},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			alloctest.Check(t, 5, tc.budget, func() {
+				r := &Runner{Config: Config{Seeds: 2, Scale: 0.25}, Parallel: 1}
+				if _, err := r.Run(tc.ids); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
 	}
 }

@@ -109,7 +109,8 @@ type Config struct {
 	Scale float64
 }
 
-// Default returns the full-size configuration used for EXPERIMENTS.md.
+// Default returns the full-size configuration behind the experiment
+// tables listed in README.md.
 func Default() Config { return Config{Seeds: 5, Scale: 1} }
 
 // Quick returns a configuration small enough for unit tests.

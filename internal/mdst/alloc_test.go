@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"mdegst/internal/alloctest"
 	"mdegst/internal/graph"
 	"mdegst/internal/sim"
 	"mdegst/internal/spanning"
@@ -61,5 +62,39 @@ func TestRoundEngineCounterAllocFlat(t *testing.T) {
 	// may steal mid-measure.
 	if long > short+32 {
 		t.Errorf("allocs grew with round count: 40 rounds -> %.0f, 800 rounds -> %.0f", short, long)
+	}
+}
+
+// TestHybridAllocBudget holds the full improvement protocol's whole-process
+// allocations per run to a recorded budget (alloctest's rule) on the round
+// engine and on the reference oracle: gnm-96 from the star tree in Hybrid
+// mode, compiling the snapshot and converting the start tree inside each
+// run.
+func TestHybridAllocBudget(t *testing.T) {
+	g := graph.Gnm(96, 288, 1)
+	t0, err := spanning.StarTree(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		eng    func() sim.Engine
+		budget float64
+	}{
+		{"gnm-96/event-engine", func() sim.Engine { return &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true} }, 1593},
+		{"gnm-96/reference-engine", func() sim.Engine { return &sim.ReferenceEngine{Delay: sim.UnitDelay, FIFO: true} }, 84039},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			alloctest.Check(t, 5, tc.budget, func() {
+				c := g.Compile()
+				d, err := tree.FromTree(t0, c.Index())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := Run(tc.eng(), c, d, Hybrid, 0); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"testing"
 
+	"mdegst/internal/alloctest"
 	"mdegst/internal/graph"
 	"mdegst/internal/sim"
+	"mdegst/internal/spanning"
 )
 
 // TestDistSteadyStateAllocBudget pins the networked plane's zero-alloc
@@ -154,5 +156,52 @@ func TestDistResumeSteadyStateAllocBudget(t *testing.T) {
 	short, long := measure(40), measure(800)
 	if long > short+allocSlack {
 		t.Errorf("resumed allocs grew with round count: 40 hops -> %.0f, 800 hops -> %.0f", short, long)
+	}
+}
+
+// TestDistFloodAllocBudget holds a loopback cluster's flood build to a
+// recorded whole-process allocation budget per run: every engine
+// goroutine plus the transports' readers, on gnm-4096 (few rounds, large
+// frames) and grid-100k (hundreds of barriers of small frames) at 2 and 4
+// processes. The mesh and each process's slab flood factory are reused
+// across runs, the daemon's steady state; the budgets follow alloctest's
+// rule.
+func TestDistFloodAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		gen    func() *graph.Graph
+		k      int
+		large  bool // ≥100k nodes: skipped under -short
+		budget float64
+	}{
+		{"gnm-4096/procs=2", func() *graph.Graph { return graph.Gnm(4096, 16384, 1) }, 2, false, 18187},
+		{"gnm-4096/procs=4", func() *graph.Graph { return graph.Gnm(4096, 16384, 1) }, 4, false, 38123},
+		{"grid-100k/procs=2", func() *graph.Graph { return graph.Grid(316, 316) }, 2, true, 501343},
+		{"grid-100k/procs=4", func() *graph.Graph { return graph.Grid(316, 316) }, 4, true, 1102593},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.large && testing.Short() {
+				t.Skip("loopback flood of ≥100k nodes")
+			}
+			c := tc.gen().Compile()
+			root := c.Source().Nodes()[0]
+			fs := make([]sim.Factory, tc.k)
+			for i := range fs {
+				// The processes run concurrently, so each needs its own arena.
+				fs[i] = spanning.NewFloodFactory(c, root)
+			}
+			m := newEngineMesh(t, c, tc.k)
+			alloctest.Check(t, 3, tc.budget, func() {
+				errs := m.run(t, func(i int, eng *DistEngine) error {
+					_, _, err := spanning.Build(eng, c, fs[i])
+					return err
+				})
+				for i, err := range errs {
+					if err != nil {
+						t.Fatalf("process %d: %v", i, err)
+					}
+				}
+			})
+		})
 	}
 }

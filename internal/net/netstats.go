@@ -43,18 +43,6 @@ type NetStats struct {
 	BarrierWaitNs int64 `json:"barrier_wait_ns"`
 }
 
-// Add accumulates o into s (merging runs or processes).
-func (s *NetStats) Add(o *NetStats) {
-	s.Rounds += o.Rounds
-	s.FramesSent += o.FramesSent
-	s.BytesSent += o.BytesSent
-	s.HeaderBytes += o.HeaderBytes
-	s.FramesRecv += o.FramesRecv
-	s.BytesRecv += o.BytesRecv
-	s.Flushes += o.Flushes
-	s.BarrierWaitNs += o.BarrierWaitNs
-}
-
 // String renders the counters for operator output (mdstd -phases).
 func (s *NetStats) String() string {
 	perRound := func(v int64) int64 {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mdegst/internal/graph"
-	"mdegst/internal/workload"
 )
 
 // floodBench is a minimal O(m) protocol used to measure raw engine
@@ -80,12 +79,10 @@ func BenchmarkReferenceEngineFlood(b *testing.B) {
 }
 
 // BenchmarkEventEngineFloodLarge measures the round engine at the scale the
-// bounded-delay schedulers unlocked (the full tier lives in `mdstbench
-// -perf`; this keeps a sample in the ordinary bench suite). The graph is the
-// shared catalog's gnm-4096 so the number is comparable with the recorded
-// trajectory entries of the same name.
+// bounded-delay schedulers unlocked, on the gnm-4096 graph of the root
+// package's BenchmarkLargeFlood.
 func BenchmarkEventEngineFloodLarge(b *testing.B) {
-	c := workload.Gnm4096().Compile()
+	c := graph.Gnm(4096, 16384, 1).Compile()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := (&EventEngine{Delay: UnitDelay}).Run(c, benchFactory); err != nil {

@@ -4,6 +4,7 @@ import (
 	"maps"
 	"testing"
 
+	"mdegst/internal/alloctest"
 	"mdegst/internal/graph"
 	"mdegst/internal/sim"
 )
@@ -211,5 +212,58 @@ func TestFloodDenseTrafficInvariantAllocs(t *testing.T) {
 	const mapPathAllocs = 1390
 	if aDense*10 > mapPathAllocs {
 		t.Errorf("build path allocates %.0f per run: want at most a tenth of the map path's %d", aDense, mapPathAllocs)
+	}
+}
+
+// TestFloodAllocBudget holds the flood build's whole-process allocations
+// per run to a recorded budget (alloctest's rule), workload by workload:
+// the scheduler tiers against the reference oracle on gnm-256 under unit
+// and random delays, and the unit-delay round engine from 4k to 1M nodes.
+// The gnm-256 rows compile the snapshot each run; the large rows compile
+// once, since recompiling a 100k-node CSR would dwarf the flood. Every run
+// builds a fresh slab factory.
+func TestFloodAllocBudget(t *testing.T) {
+	unit := func() sim.Engine { return &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true} }
+	ref := func() sim.Engine { return &sim.ReferenceEngine{Delay: sim.UnitDelay, FIFO: true} }
+	uniform := func() sim.Engine { return &sim.EventEngine{Delay: sim.UniformDelay(0.05), FIFO: true, Seed: 1} }
+	refUniform := func() sim.Engine { return &sim.ReferenceEngine{Delay: sim.UniformDelay(0.05), FIFO: true, Seed: 1} }
+	gnm256 := func() *graph.Graph { return graph.Gnm(256, 1024, 1) }
+	for _, tc := range []struct {
+		name      string
+		gen       func() *graph.Graph
+		eng       func() sim.Engine
+		recompile bool // compile the snapshot inside each measured run
+		large     bool // ≥100k nodes: skipped under -short
+		budget    float64
+	}{
+		{"gnm-256/event-engine", gnm256, unit, true, false, 52},
+		{"gnm-256/reference-engine", gnm256, ref, true, false, 4707},
+		{"gnm-256/event-uniform", gnm256, uniform, true, false, 56},
+		{"gnm-256/reference-uniform", gnm256, refUniform, true, false, 4707},
+		{"gnm-4096/event-engine", func() *graph.Graph { return graph.Gnm(4096, 16384, 1) }, unit, false, false, 75},
+		{"ba-16384/event-engine", func() *graph.Graph { return graph.BarabasiAlbert(16384, 2, 1) }, unit, false, false, 174},
+		{"grid-100k/event-engine", func() *graph.Graph { return graph.Grid(316, 316) }, unit, false, true, 561},
+		{"grid-1M/event-engine", func() *graph.Graph { return graph.Grid(1000, 1000) }, unit, false, true, 8223},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.large && testing.Short() {
+				t.Skip("flood of ≥100k nodes")
+			}
+			g := tc.gen()
+			c := g.Compile()
+			root := g.Nodes()[0]
+			runs := 5
+			if tc.large {
+				runs = 1
+			}
+			alloctest.Check(t, runs, tc.budget, func() {
+				if tc.recompile {
+					c = g.Compile()
+				}
+				if _, _, err := Build(tc.eng(), c, NewFloodFactory(c, root)); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
 	}
 }
