@@ -1,9 +1,10 @@
-// Package alloctest holds the rule behind the *AllocBudget tests: a
-// workload fails when its whole-process allocations per run exceed 1.10×
-// its recorded budget and the budget plus 64. The relative bound catches a
-// per-node or per-message allocation coming back; the absolute slack covers
-// a GC evicting the engines' pools mid-measure, which moves the small
-// workloads by tens of allocations.
+// Package alloctest holds the rule behind the per-workload allocation
+// budget tests (TestFloodAllocBudget and its siblings): a workload fails
+// when its whole-process allocations per run exceed 1.10× its recorded
+// budget and the budget plus 64. The relative bound catches a per-node or
+// per-message allocation coming back; the absolute slack covers a GC
+// evicting the engines' pools mid-measure, which moves the small workloads
+// by tens of allocations.
 package alloctest
 
 import "testing"
