@@ -17,17 +17,16 @@ import (
 
 func benchConfig() exp.Config { return exp.Config{Seeds: 2, Scale: 0.5} }
 
-// benchExperiment runs one experiment driver per iteration.
+// benchExperiment runs one experiment on a single worker per iteration.
 func benchExperiment(b *testing.B, id string) {
-	driver := exp.All()[id]
-	if driver == nil {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	cfg := benchConfig()
+	r := &exp.Runner{Config: benchConfig(), Parallel: 1}
 	var rows int
 	for i := 0; i < b.N; i++ {
-		tbl := driver(cfg)
-		rows = len(tbl.Rows)
+		tables, err := r.Run([]string{id})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows = len(tables[0].Rows)
 	}
 	b.ReportMetric(float64(rows), "rows")
 }

@@ -14,6 +14,7 @@ import (
 	"mdegst"
 	"mdegst/internal/apps"
 	"mdegst/internal/sim"
+	"mdegst/internal/tree"
 )
 
 func main() {
@@ -35,6 +36,7 @@ func main() {
 	fmt.Printf("network: n=%d m=%d; control trees: star degree %d, improved degree %d\n\n",
 		g.N(), g.M(), kStar, kImp)
 
+	c := g.Compile()
 	fmt.Printf("%-22s %8s %10s %16s %12s\n",
 		"control tree", "pulses", "messages", "hot-spot sends", "BFS correct")
 	for _, tc := range []struct {
@@ -44,21 +46,24 @@ func main() {
 		{"star (worst case)", star},
 		{"MDegST (improved)", improved},
 	} {
-		res, err := apps.RunSync(&sim.AsyncEngine{}, g.Compile(), apps.SyncConfig{
-			Tree:       tc.ctrl,
+		ctrl, err := tree.FromTree(tc.ctrl, c.Index())
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := apps.RunSync(&sim.AsyncEngine{}, c, apps.SyncConfig{
+			Tree:       ctrl,
 			NewMachine: apps.NewBFSMachine(source),
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		correct := true
 		for id, m := range res.Machines {
-			if m.(*apps.BFSMachine).Dist != int64(depth(g, source, id)) {
-				correct = false
+			if got, want := m.(*apps.BFSMachine).Dist, int64(depth(g, source, id)); got != want {
+				log.Fatalf("BUG: %s control tree synchronized node %d to BFS distance %d, want %d", tc.name, id, got, want)
 			}
 		}
 		fmt.Printf("%-22s %8d %10d %16d %12v\n",
-			tc.name, res.Rounds, res.Report.Messages, res.Report.MaxSentByNode(), correct)
+			tc.name, res.Rounds, res.Report.Messages, res.Report.MaxSentByNode(), true)
 	}
 	fmt.Println("\nBoth control trees synchronize the BFS correctly on the truly")
 	fmt.Println("concurrent engine; the improved tree spreads the per-pulse")

@@ -59,8 +59,9 @@ type BroadcastNode struct {
 
 // Config describes one broadcast run.
 type Config struct {
-	// Tree is the spanning tree to broadcast over.
-	Tree *tree.Tree
+	// Tree is the spanning tree to broadcast over, in the dense form over
+	// the snapshot's index.
+	Tree *tree.Dense
 	// Ack adds the convergecast reply wave (sum of Values).
 	Ack bool
 	// Value assigns per-node contributions; nil means every node counts 1,
@@ -70,23 +71,28 @@ type Config struct {
 
 // NewFactory builds the protocol factory for the broadcast.
 func NewFactory(cfg Config) sim.Factory {
-	t := cfg.Tree
 	return func(id sim.NodeID, _ []sim.NodeID) sim.Protocol {
-		n := &BroadcastNode{
-			id:       id,
-			root:     id == t.Root,
-			children: append([]sim.NodeID(nil), t.Children[id]...),
-			withAck:  cfg.Ack,
-			Value:    1,
-		}
-		if !n.root {
-			n.parent = t.Parent[id]
-		}
+		n := &BroadcastNode{id: id, withAck: cfg.Ack, Value: 1}
+		n.root, n.parent, n.children = treeLinks(cfg.Tree, id)
 		if cfg.Value != nil {
 			n.Value = cfg.Value(id)
 		}
 		return n
 	}
+}
+
+// treeLinks returns node id's place in t: whether it is the root, its
+// parent (meaningless at the root) and its children, ascending.
+func treeLinks(t *tree.Dense, id sim.NodeID) (root bool, parent sim.NodeID, children []sim.NodeID) {
+	idx := t.Index()
+	i := idx.MustOf(id)
+	for _, c := range t.Children(i) {
+		children = append(children, idx.ID(c))
+	}
+	if i == t.Root() {
+		return true, 0, children
+	}
+	return false, idx.ID(t.Parent(i)), children
 }
 
 // Init starts the flood at the root.
@@ -170,7 +176,7 @@ type Result struct {
 // Run broadcasts over cfg.Tree on the engine over the snapshot and gathers
 // the result.
 func Run(eng sim.Engine, c *graph.CSR, cfg Config) (*Result, error) {
-	if err := cfg.Tree.Validate(c.Source()); err != nil {
+	if err := cfg.Tree.Validate(c); err != nil {
 		return nil, fmt.Errorf("apps: tree invalid: %w", err)
 	}
 	protos, rep, err := eng.Run(c, NewFactory(cfg))
@@ -190,7 +196,7 @@ func Run(eng sim.Engine, c *graph.CSR, cfg Config) (*Result, error) {
 		if b.Hops() > res.Depth {
 			res.Depth = b.Hops()
 		}
-		if id == cfg.Tree.Root {
+		if int32(i) == cfg.Tree.Root() {
 			res.Sum = b.Sum()
 		}
 	}

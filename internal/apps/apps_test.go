@@ -14,11 +14,12 @@ func unit() sim.Engine { return &sim.EventEngine{Delay: sim.UnitDelay} }
 
 func TestBroadcastReachesEveryone(t *testing.T) {
 	g := graph.Gnp(40, 0.15, 1)
-	st, err := spanning.BFSTree(g, g.Nodes()[0])
+	c := g.Compile()
+	st, err := spanning.BFSTree(c, g.Nodes()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(unit(), g.Compile(), Config{Tree: st})
+	res, err := Run(unit(), c, Config{Tree: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,18 +29,18 @@ func TestBroadcastReachesEveryone(t *testing.T) {
 	if res.Report.Messages != int64(g.N()-1) {
 		t.Errorf("messages = %d, want n-1 = %d", res.Report.Messages, g.N()-1)
 	}
-	if res.Depth != st.Height() {
-		t.Errorf("depth %d, tree height %d", res.Depth, st.Height())
+	if h := st.ToTree().Height(); res.Depth != h {
+		t.Errorf("depth %d, tree height %d", res.Depth, h)
 	}
 }
 
 func TestBroadcastLoadIsRootDegreeBound(t *testing.T) {
-	g := graph.Star(12)
-	st, err := spanning.BFSTree(g, 0)
+	c := graph.Star(12).Compile()
+	st, err := spanning.BFSTree(c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(unit(), g.Compile(), Config{Tree: st})
+	res, err := Run(unit(), c, Config{Tree: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +51,12 @@ func TestBroadcastLoadIsRootDegreeBound(t *testing.T) {
 
 func TestConvergecastSum(t *testing.T) {
 	g := graph.Grid(5, 5)
-	st, err := spanning.BFSTree(g, 0)
+	c := g.Compile()
+	st, err := spanning.BFSTree(c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(unit(), g.Compile(), Config{
+	res, err := Run(unit(), c, Config{
 		Tree:  st,
 		Ack:   true,
 		Value: func(id sim.NodeID) int64 { return int64(id) },
@@ -78,28 +80,28 @@ func TestConvergecastSum(t *testing.T) {
 // motivation: run the broadcast before and after the MDegST improvement and
 // compare hot-spot loads on the simulator, not analytically.
 func TestImprovementReducesMeasuredLoad(t *testing.T) {
-	g := graph.BarabasiAlbert(80, 2, 3)
-	before, err := spanning.StarTree(g)
+	c := graph.BarabasiAlbert(80, 2, 3).Compile()
+	before, err := spanning.StarTree(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, _, err := fr.Twin(g, before, mdst.Hybrid)
+	after, _, err := fr.Twin(c, before, mdst.Hybrid, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resBefore, err := Run(unit(), g.Compile(), Config{Tree: before})
+	resBefore, err := Run(unit(), c, Config{Tree: before})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resAfter, err := Run(unit(), g.Compile(), Config{Tree: after})
+	resAfter, err := Run(unit(), c, Config{Tree: after})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resAfter.MaxLoad >= resBefore.MaxLoad {
 		t.Errorf("improvement did not reduce the hot spot: %d -> %d", resBefore.MaxLoad, resAfter.MaxLoad)
 	}
-	kb, _ := before.MaxDegree()
-	ka, _ := after.MaxDegree()
+	kb, _ := before.MaxDegree(nil)
+	ka, _ := after.MaxDegree(nil)
 	if resBefore.MaxLoad > int64(kb) || resAfter.MaxLoad > int64(ka) {
 		t.Errorf("measured load exceeds the degree bound: %d>%d or %d>%d", resBefore.MaxLoad, kb, resAfter.MaxLoad, ka)
 	}
@@ -107,11 +109,12 @@ func TestImprovementReducesMeasuredLoad(t *testing.T) {
 
 func TestBroadcastOnAsyncEngine(t *testing.T) {
 	g := graph.Gnp(30, 0.2, 9)
-	st, err := spanning.BFSTree(g, g.Nodes()[0])
+	c := g.Compile()
+	st, err := spanning.BFSTree(c, g.Nodes()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(&sim.AsyncEngine{}, g.Compile(), Config{Tree: st, Ack: true})
+	res, err := Run(&sim.AsyncEngine{}, c, Config{Tree: st, Ack: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +125,7 @@ func TestBroadcastOnAsyncEngine(t *testing.T) {
 
 func TestRejectsForeignTree(t *testing.T) {
 	g := graph.Ring(6)
-	other := graph.Ring(8)
+	other := graph.Ring(8).Compile()
 	st, err := spanning.BFSTree(other, 0)
 	if err != nil {
 		t.Fatal(err)

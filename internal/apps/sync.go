@@ -29,8 +29,9 @@ type Machine interface {
 
 // SyncConfig describes one synchronized execution.
 type SyncConfig struct {
-	// Tree is the control tree (typically the improved MDegST).
-	Tree *tree.Tree
+	// Tree is the control tree (typically the improved MDegST), in the
+	// dense form over the snapshot's index.
+	Tree *tree.Dense
 	// NewMachine builds the synchronous algorithm node.
 	NewMachine func(id sim.NodeID, neighbors []sim.NodeID) Machine
 	// MaxRounds caps the execution; 0 means 4n+16 pulses.
@@ -93,15 +94,11 @@ func newSyncFactory(cfg SyncConfig) sim.Factory {
 	return func(id sim.NodeID, neighbors []sim.NodeID) sim.Protocol {
 		n := &syncNode{
 			id:        id,
-			root:      id == t.Root,
-			children:  append([]sim.NodeID(nil), t.Children[id]...),
 			machine:   cfg.NewMachine(id, neighbors),
 			maxRounds: maxRounds,
 			inbox:     make(map[int]map[sim.NodeID]int64),
 		}
-		if !n.root {
-			n.parent = t.Parent[id]
-		}
+		n.root, n.parent, n.children = treeLinks(t, id)
 		return n
 	}
 }
@@ -216,7 +213,7 @@ func (n *syncNode) halt(ctx sim.Context, truncated bool) {
 // RunSync executes a synchronous algorithm over the asynchronous network c,
 // synchronized by the spanning tree in cfg.
 func RunSync(eng sim.Engine, c *graph.CSR, cfg SyncConfig) (*SyncResult, error) {
-	if err := cfg.Tree.Validate(c.Source()); err != nil {
+	if err := cfg.Tree.Validate(c); err != nil {
 		return nil, fmt.Errorf("apps: sync tree invalid: %w", err)
 	}
 	if cfg.NewMachine == nil {

@@ -24,14 +24,15 @@ func syncEngines() map[string]sim.Engine {
 func TestSyncBFSDistances(t *testing.T) {
 	g := graph.Gnp(36, 0.15, 8)
 	source := g.Nodes()[0]
-	st, err := spanning.BFSTree(g, source)
+	c := g.Compile()
+	st, err := spanning.BFSTree(c, source)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := bfsDistances(g, source)
 	for name, eng := range syncEngines() {
 		t.Run(name, func(t *testing.T) {
-			res, err := RunSync(eng, g.Compile(), SyncConfig{Tree: st, NewMachine: NewBFSMachine(source)})
+			res, err := RunSync(eng, c, SyncConfig{Tree: st, NewMachine: NewBFSMachine(source)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,16 +75,17 @@ func bfsDistances(g *graph.Graph, src graph.NodeID) map[graph.NodeID]int {
 func TestSyncControlLoadFollowsTreeDegree(t *testing.T) {
 	g := graph.BarabasiAlbert(60, 2, 5)
 	source := g.Nodes()[0]
-	star, err := spanning.StarTree(g)
+	c := g.Compile()
+	star, err := spanning.StarTree(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	improved, _, err := fr.Twin(g, star, mdst.Hybrid)
+	improved, _, err := fr.Twin(c, star, mdst.Hybrid, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runOn := func(ctrl *tree.Tree) *SyncResult {
-		res, err := RunSync(&sim.EventEngine{Delay: sim.UnitDelay}, g.Compile(), SyncConfig{
+	runOn := func(ctrl *tree.Dense) *SyncResult {
+		res, err := RunSync(&sim.EventEngine{Delay: sim.UnitDelay}, c, SyncConfig{
 			Tree:       ctrl,
 			NewMachine: NewBFSMachine(source),
 		})
@@ -94,8 +96,8 @@ func TestSyncControlLoadFollowsTreeDegree(t *testing.T) {
 	}
 	starRes := runOn(star)
 	improvedRes := runOn(improved)
-	kStar, _ := star.MaxDegree()
-	kImp, _ := improved.MaxDegree()
+	kStar, _ := star.MaxDegree(nil)
+	kImp, _ := improved.MaxDegree(nil)
 	if kImp >= kStar {
 		t.Fatalf("setup: improvement did not help (%d vs %d)", kImp, kStar)
 	}
@@ -108,12 +110,12 @@ func TestSyncControlLoadFollowsTreeDegree(t *testing.T) {
 }
 
 func TestSyncTruncation(t *testing.T) {
-	g := graph.Ring(8)
-	st, err := spanning.BFSTree(g, 0)
+	c := graph.Ring(8).Compile()
+	st, err := spanning.BFSTree(c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSync(&sim.EventEngine{Delay: sim.UnitDelay}, g.Compile(), SyncConfig{
+	res, err := RunSync(&sim.EventEngine{Delay: sim.UnitDelay}, c, SyncConfig{
 		Tree:       st,
 		NewMachine: func(id sim.NodeID, ns []sim.NodeID) Machine { return neverDone{} },
 		MaxRounds:  5,
@@ -134,20 +136,19 @@ func (neverDone) Pulse(int, map[sim.NodeID]int64) (map[sim.NodeID]int64, bool) {
 }
 
 func TestSyncConfigErrors(t *testing.T) {
-	g := graph.Ring(5)
-	st, err := spanning.BFSTree(g, 0)
+	c := graph.Ring(5).Compile()
+	st, err := spanning.BFSTree(c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSync(&sim.EventEngine{}, g.Compile(), SyncConfig{Tree: st}); err == nil {
+	if _, err := RunSync(&sim.EventEngine{}, c, SyncConfig{Tree: st}); err == nil {
 		t.Error("missing machine constructor accepted")
 	}
-	other := graph.Ring(9)
-	stOther, err := spanning.BFSTree(other, 0)
+	stOther, err := spanning.BFSTree(graph.Ring(9).Compile(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSync(&sim.EventEngine{}, g.Compile(), SyncConfig{Tree: stOther, NewMachine: NewBFSMachine(0)}); err == nil {
+	if _, err := RunSync(&sim.EventEngine{}, c, SyncConfig{Tree: stOther, NewMachine: NewBFSMachine(0)}); err == nil {
 		t.Error("foreign tree accepted")
 	}
 }

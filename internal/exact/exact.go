@@ -17,22 +17,18 @@ import (
 const MaxExactNodes = 24
 
 // MinDegree returns Δ*, the minimum over all spanning trees of the maximum
-// degree, together with one optimal tree (rooted at the smallest node).
-func MinDegree(g *graph.Graph) (int, *tree.Tree, error) {
-	if !g.IsConnected() {
-		return 0, nil, fmt.Errorf("exact: graph not connected")
+// degree, together with one optimal tree (rooted at dense node 0, the
+// smallest node).
+func MinDegree(c *graph.CSR) (int, *tree.Dense, error) {
+	if err := checkExact(c); err != nil {
+		return 0, nil, err
 	}
-	if g.N() > MaxExactNodes {
-		return 0, nil, fmt.Errorf("exact: %d nodes exceeds limit %d", g.N(), MaxExactNodes)
+	if c.N() == 1 {
+		return 0, tree.NewDense(c.Index(), 0), nil
 	}
-	if g.N() == 1 {
-		return 0, tree.New(g.Nodes()[0]), nil
-	}
-	c := g.Compile()
-	lb := degreeLowerBound(c)
-	for d := lb; d < g.N(); d++ {
+	for d := DegreeLowerBound(c); d < c.N(); d++ {
 		if edges := spanningTreeWithCap(c, d); edges != nil {
-			t, err := orient(g, edges)
+			t, err := orient(c, edges)
 			if err != nil {
 				return 0, nil, err
 			}
@@ -42,19 +38,30 @@ func MinDegree(g *graph.Graph) (int, *tree.Tree, error) {
 	return 0, nil, fmt.Errorf("exact: no spanning tree found (graph disconnected?)")
 }
 
-// HasSpanningTreeWithin reports whether g has a spanning tree of maximum
+// HasSpanningTreeWithin reports whether c has a spanning tree of maximum
 // degree at most d.
-func HasSpanningTreeWithin(g *graph.Graph, d int) (bool, error) {
-	if !g.IsConnected() {
-		return false, fmt.Errorf("exact: graph not connected")
+func HasSpanningTreeWithin(c *graph.CSR, d int) (bool, error) {
+	if err := checkExact(c); err != nil {
+		return false, err
 	}
-	if g.N() > MaxExactNodes {
-		return false, fmt.Errorf("exact: %d nodes exceeds limit %d", g.N(), MaxExactNodes)
-	}
-	if g.N() == 1 {
+	if c.N() == 1 {
 		return d >= 0, nil
 	}
-	return spanningTreeWithCap(g.Compile(), d) != nil, nil
+	return spanningTreeWithCap(c, d) != nil, nil
+}
+
+// checkExact rejects graphs the branch and bound cannot answer.
+func checkExact(c *graph.CSR) error {
+	if c.N() == 0 {
+		return fmt.Errorf("exact: graph not connected")
+	}
+	if _, reached := c.BFSParents(0); reached != c.N() {
+		return fmt.Errorf("exact: graph not connected")
+	}
+	if c.N() > MaxExactNodes {
+		return fmt.Errorf("exact: %d nodes exceeds limit %d", c.N(), MaxExactNodes)
+	}
+	return nil
 }
 
 // DegreeLowerBound returns a lower bound on Δ*: removing any vertex v splits
@@ -62,23 +69,19 @@ func HasSpanningTreeWithin(g *graph.Graph, d int) (bool, error) {
 // G - v, so Δ* >= components(G-v) for every v; and any tree on n >= 3 nodes
 // has a vertex of degree at least 2. It runs in O(n+m) time and memory, so
 // it certifies runs at any size.
-func DegreeLowerBound(g *graph.Graph) int {
-	return degreeLowerBound(g.Compile())
-}
-
-// degreeLowerBound is DegreeLowerBound over a snapshot. One iterative DFS
-// with articulation-point low-links yields components(G-v) for every v at
-// once. With C the number of components of G, removing v leaves the other
-// C-1 components untouched and splits v's own component into one piece
-// per DFS child c with low[c] >= disc[v] (no back edge from c's subtree
-// climbs above v), plus the piece holding v's DFS parent when v is not a
-// root:
+//
+// One iterative DFS with articulation-point low-links yields
+// components(G-v) for every v at once. With C the number of components of
+// G, removing v leaves the other C-1 components untouched and splits v's
+// own component into one piece per DFS child c with low[c] >= disc[v] (no
+// back edge from c's subtree climbs above v), plus the piece holding v's
+// DFS parent when v is not a root:
 //
 //	components(G-v) = C - 1 + #{children c : low[c] >= disc[v]} + [v not a root]
 //
 // A root's children always qualify, and an isolated vertex contributes
 // C - 1.
-func degreeLowerBound(c *graph.CSR) int {
+func DegreeLowerBound(c *graph.CSR) int {
 	n := c.N()
 	lb := 1
 	if n >= 3 {
@@ -141,28 +144,24 @@ func degreeLowerBound(c *graph.CSR) int {
 }
 
 // spanningTreeWithCap searches for a spanning tree with every degree at most
-// cap, using include/exclude branch and bound over the edge list with
-// union-find components, degree budgets and connectivity pruning. Endpoints
-// are addressed through the snapshot's dense index.
-func spanningTreeWithCap(c *graph.CSR, cap int) []graph.Edge {
+// cap, using include/exclude branch and bound over the dense edge list with
+// union-find components, degree budgets and connectivity pruning.
+func spanningTreeWithCap(c *graph.CSR, cap int) [][2]int32 {
 	if cap < 1 {
 		return nil
 	}
-	ix := c.Index()
 	n := c.N()
-	edges := c.Edges()
-	deg := func(v graph.NodeID) int { return c.Degree(ix.MustOf(v)) }
+	edges := c.DenseEdges(nil)
 	// Order edges to find feasible trees early: prefer edges whose
 	// endpoints have few alternatives (low graph degree).
 	sort.SliceStable(edges, func(i, j int) bool {
-		di := deg(edges[i].U) + deg(edges[i].V)
-		dj := deg(edges[j].U) + deg(edges[j].V)
+		di := c.Degree(edges[i][0]) + c.Degree(edges[i][1])
+		dj := c.Degree(edges[j][0]) + c.Degree(edges[j][1])
 		return di < dj
 	})
 
 	s := &capSearch{
 		n:      n,
-		idx:    ix,
 		edges:  edges,
 		budget: make([]int, n),
 		uf:     newUnionFind(n),
@@ -182,12 +181,11 @@ func spanningTreeWithCap(c *graph.CSR, cap int) []graph.Edge {
 
 type capSearch struct {
 	n      int
-	idx    *graph.Index
-	edges  []graph.Edge
+	edges  [][2]int32
 	budget []int
 	uf     *unionFind
 	alive  []bool
-	chosen []graph.Edge
+	chosen [][2]int32
 }
 
 // search decides edge i; need is the number of edges still required.
@@ -202,7 +200,7 @@ func (s *capSearch) search(i, need int) bool {
 		return false
 	}
 	e := s.edges[i]
-	ui, vi := int(s.idx.MustOf(e.U)), int(s.idx.MustOf(e.V))
+	ui, vi := int(e[0]), int(e[1])
 
 	// Branch 1: include e when budgets allow and it joins two components.
 	if s.budget[ui] > 0 && s.budget[vi] > 0 && s.uf.find(ui) != s.uf.find(vi) {
@@ -238,8 +236,7 @@ func (s *capSearch) connectable(i int) bool {
 		if !s.alive[j] {
 			continue
 		}
-		e := s.edges[j]
-		ui, vi := int(s.idx.MustOf(e.U)), int(s.idx.MustOf(e.V))
+		ui, vi := int(s.edges[j][0]), int(s.edges[j][1])
 		if s.budget[ui] > 0 && s.budget[vi] > 0 {
 			reach.union(ui, vi)
 		}
@@ -302,18 +299,24 @@ func (uf *unionFind) undo(mark int) {
 	}
 }
 
-func orient(g *graph.Graph, edges []graph.Edge) (*tree.Tree, error) {
-	st := graph.New()
-	for _, v := range g.Nodes() {
-		st.AddNode(v)
-	}
+// orient roots the spanning tree given by its edges at dense node 0.
+func orient(c *graph.CSR, edges [][2]int32) (*tree.Dense, error) {
+	adj := make([][]int32, c.N())
 	for _, e := range edges {
-		st.MustAddEdge(e.U, e.V)
+		adj[e[0]] = append(adj[e[0]], e[1])
+		adj[e[1]] = append(adj[e[1]], e[0])
 	}
-	root := g.Nodes()[0]
-	parent := st.BFSParents(root)
-	if len(parent) != g.N() {
-		return nil, fmt.Errorf("exact: selected edges do not span")
+	parent := make([]int32, c.N())
+	for i := range parent {
+		parent[i] = tree.NoParent
 	}
-	return tree.FromParentMap(root, parent)
+	for queue := []int32{0}; len(queue) > 0; queue = queue[1:] {
+		for _, w := range adj[queue[0]] {
+			if parent[w] == tree.NoParent && w != 0 {
+				parent[w] = queue[0]
+				queue = append(queue, w)
+			}
+		}
+	}
+	return tree.FromParentDense(c.Index(), 0, parent)
 }

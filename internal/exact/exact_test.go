@@ -31,17 +31,18 @@ func TestKnownOptima(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, tr, err := MinDegree(tc.g)
+			c := tc.g.Compile()
+			got, tr, err := MinDegree(c)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != tc.want {
 				t.Fatalf("Δ* = %d, want %d", got, tc.want)
 			}
-			if err := tr.Validate(tc.g); err != nil {
+			if err := tr.Validate(c); err != nil {
 				t.Fatal(err)
 			}
-			if deg, _ := tr.MaxDegree(); deg != got {
+			if deg, _ := tr.MaxDegree(nil); deg != got {
 				t.Errorf("witness tree degree %d != Δ* %d", deg, got)
 			}
 		})
@@ -51,7 +52,7 @@ func TestKnownOptima(t *testing.T) {
 func TestSingleNode(t *testing.T) {
 	g := graph.New()
 	g.AddNode(3)
-	d, tr, err := MinDegree(g)
+	d, tr, err := MinDegree(g.Compile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,15 +62,15 @@ func TestSingleNode(t *testing.T) {
 }
 
 func TestHasSpanningTreeWithin(t *testing.T) {
-	g := graph.Star(6)
-	ok, err := HasSpanningTreeWithin(g, 4)
+	c := graph.Star(6).Compile()
+	ok, err := HasSpanningTreeWithin(c, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Error("star should need degree 5")
 	}
-	ok, err = HasSpanningTreeWithin(g, 5)
+	ok, err = HasSpanningTreeWithin(c, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +83,10 @@ func TestErrors(t *testing.T) {
 	g := graph.New()
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(2, 3)
-	if _, _, err := MinDegree(g); err == nil {
+	if _, _, err := MinDegree(g.Compile()); err == nil {
 		t.Error("disconnected graph accepted")
 	}
-	if _, _, err := MinDegree(graph.Gnp(MaxExactNodes+5, 0.5, 1)); err == nil {
+	if _, _, err := MinDegree(graph.Gnp(MaxExactNodes+5, 0.5, 1).Compile()); err == nil {
 		t.Error("oversized graph accepted")
 	}
 }
@@ -102,7 +103,7 @@ func TestDegreeLowerBound(t *testing.T) {
 		{"spider", spider(3, 4), 3},
 	}
 	for _, tc := range cases {
-		if got := DegreeLowerBound(tc.g); got != tc.want {
+		if got := DegreeLowerBound(tc.g.Compile()); got != tc.want {
 			t.Errorf("%s: LB=%d, want %d", tc.name, got, tc.want)
 		}
 	}
@@ -215,7 +216,7 @@ func TestLowerBoundMatchesSweep(t *testing.T) {
 	two.AddNode(2)
 	for _, g := range []*graph.Graph{empty, one, two, graph.Path(2), graph.Path(3), graph.Complete(3)} {
 		c := g.Compile()
-		if got, want := degreeLowerBound(c), sweepLowerBound(c); got != want {
+		if got, want := DegreeLowerBound(c), sweepLowerBound(c); got != want {
 			t.Errorf("n=%d m=%d: bound %d, sweep %d", g.N(), g.M(), got, want)
 		}
 	}
@@ -223,7 +224,7 @@ func TestLowerBoundMatchesSweep(t *testing.T) {
 	for i := 0; i < 2500; i++ {
 		g := randomLowerBoundGraph(rng)
 		c := g.Compile()
-		if got, want := degreeLowerBound(c), sweepLowerBound(c); got != want {
+		if got, want := DegreeLowerBound(c), sweepLowerBound(c); got != want {
 			t.Fatalf("case %d (n=%d m=%d): bound %d, sweep %d\n%v", i, g.N(), g.M(), got, want, g)
 		}
 	}
@@ -238,7 +239,7 @@ func TestLowerBoundScale(t *testing.T) {
 	}
 	c := graph.Grid(1000, 1000).Compile()
 	start := time.Now()
-	lb := degreeLowerBound(c)
+	lb := DegreeLowerBound(c)
 	took := time.Since(start)
 	t.Logf("1000x1000 grid: bound %d in %v", lb, took)
 	if lb != 2 {
@@ -270,17 +271,17 @@ func TestQuickBoundsConsistent(t *testing.T) {
 	f := func(nRaw, mRaw uint8, seed int64) bool {
 		n := 4 + int(nRaw%8) // 4..11
 		m := n - 1 + int(mRaw)%n
-		g := graph.Gnm(n, m, seed)
-		lb := DegreeLowerBound(g)
-		opt, tr, err := MinDegree(g)
+		c := graph.Gnm(n, m, seed).Compile()
+		lb := DegreeLowerBound(c)
+		opt, tr, err := MinDegree(c)
 		if err != nil {
 			return false
 		}
 		if lb > opt {
 			return false
 		}
-		deg, _ := tr.MaxDegree()
-		return deg == opt && tr.Validate(g) == nil
+		deg, _ := tr.MaxDegree(nil)
+		return deg == opt && tr.Validate(c) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -291,15 +292,15 @@ func TestQuickBoundsConsistent(t *testing.T) {
 func TestQuickMinimality(t *testing.T) {
 	f := func(nRaw uint8, seed int64) bool {
 		n := 4 + int(nRaw%7)
-		g := graph.Gnm(n, n+int(seed%int64(n)+int64(n))%n, seed)
-		opt, _, err := MinDegree(g)
+		c := graph.Gnm(n, n+int(seed%int64(n)+int64(n))%n, seed).Compile()
+		opt, _, err := MinDegree(c)
 		if err != nil {
 			return false
 		}
 		if opt <= 1 {
 			return true
 		}
-		ok, err := HasSpanningTreeWithin(g, opt-1)
+		ok, err := HasSpanningTreeWithin(c, opt-1)
 		return err == nil && !ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -1,18 +1,27 @@
 package exp
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestAllExperimentsRun executes every driver at quick scale and checks the
-// tables are well-formed.
+// runOne runs one experiment at quick scale on a single worker.
+func runOne(t *testing.T, id string) *Table {
+	t.Helper()
+	tables, err := (&Runner{Config: Quick(), Parallel: 1}).Run([]string{id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tables[0]
+}
+
+// TestAllExperimentsRun executes every experiment at quick scale and checks
+// the tables are well-formed.
 func TestAllExperimentsRun(t *testing.T) {
-	cfg := Quick()
 	for _, id := range IDs() {
-		driver := All()[id]
 		t.Run(id, func(t *testing.T) {
-			tbl := driver(cfg)
+			tbl := runOne(t, id)
 			if tbl.ID != id {
 				t.Errorf("table id %q, want %q", tbl.ID, id)
 			}
@@ -34,7 +43,7 @@ func TestAllExperimentsRun(t *testing.T) {
 
 // TestE7BudgetsHold: the per-phase budget table must not contain "no".
 func TestE7BudgetsHold(t *testing.T) {
-	tbl := E7Phases(Quick())
+	tbl := runOne(t, "E7")
 	for _, row := range tbl.Rows {
 		if row[len(row)-1] != "yes" {
 			t.Errorf("phase %s exceeded its budget: %v", row[0], row)
@@ -44,7 +53,7 @@ func TestE7BudgetsHold(t *testing.T) {
 
 // TestA2TwinAllIdentical: the oracle comparison must be all-yes.
 func TestA2TwinAllIdentical(t *testing.T) {
-	tbl := A2Twin(Quick())
+	tbl := runOne(t, "A2")
 	for _, row := range tbl.Rows {
 		for _, cell := range row[2:] {
 			if cell != "yes" {
@@ -57,7 +66,7 @@ func TestA2TwinAllIdentical(t *testing.T) {
 // TestA3DeliveryIndependent: message counts and trees must match across
 // engines.
 func TestA3DeliveryIndependent(t *testing.T) {
-	tbl := A3Engines(Quick())
+	tbl := runOne(t, "A3")
 	if len(tbl.Rows) < 2 {
 		t.Fatal("need several engines")
 	}
@@ -73,12 +82,9 @@ func TestA3DeliveryIndependent(t *testing.T) {
 }
 
 func TestIDsOrder(t *testing.T) {
-	ids := IDs()
-	if len(ids) != len(All()) {
-		t.Fatalf("IDs() returned %d of %d", len(ids), len(All()))
-	}
-	if ids[0] != "A1" && ids[0] != "E1" {
-		t.Errorf("unexpected first id %s", ids[0])
+	want := []string{"A1", "A2", "A3", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10"}
+	if got := IDs(); !slices.Equal(got, want) {
+		t.Errorf("IDs() = %v, want %v", got, want)
 	}
 }
 

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"mdegst/internal/apps"
@@ -16,96 +15,60 @@ import (
 	"mdegst/internal/tree"
 )
 
-// All returns every experiment driver keyed by id. Each driver runs its
-// trials sequentially on the calling goroutine; use Runner to fan the same
-// trials across a worker pool.
-func All() map[string]func(Config) *Table {
-	return map[string]func(Config) *Table{
-		"E1":  E1Rounds,
-		"E2":  E2Quality,
-		"E3":  E3Messages,
-		"E4":  E4Time,
-		"E5":  E5WorstCase,
-		"E6":  E6Bits,
-		"E7":  E7Phases,
-		"E8":  E8LowerBound,
-		"E9":  E9InitialTree,
-		"E10": E10Broadcast,
-		"A1":  A1Modes,
-		"A2":  A2Twin,
-		"A3":  A3Engines,
-	}
+// registered names one experiment's trial decomposition, the form the
+// parallel Runner executes.
+type registered struct {
+	id string
+	mk func(Config) spec
 }
 
-// allSpecs returns the trial decomposition of every experiment, keyed by id —
-// the form the parallel Runner executes.
-func allSpecs() map[string]func(Config) spec {
-	return map[string]func(Config) spec{
-		"E1":  e1Spec,
-		"E2":  e2Spec,
-		"E3":  e3Spec,
-		"E4":  e4Spec,
-		"E5":  e5Spec,
-		"E6":  e6Spec,
-		"E7":  e7Spec,
-		"E8":  e8Spec,
-		"E9":  e9Spec,
-		"E10": e10Spec,
-		"A1":  a1Spec,
-		"A2":  a2Spec,
-		"A3":  a3Spec,
-	}
+// specs lists every experiment in canonical order: the ablations A1–A3
+// first, then E1–E10.
+var specs = []registered{
+	{"A1", a1Spec},
+	{"A2", a2Spec},
+	{"A3", a3Spec},
+	{"E1", e1Spec},
+	{"E2", e2Spec},
+	{"E3", e3Spec},
+	{"E4", e4Spec},
+	{"E5", e5Spec},
+	{"E6", e6Spec},
+	{"E7", e7Spec},
+	{"E8", e8Spec},
+	{"E9", e9Spec},
+	{"E10", e10Spec},
 }
 
-// IDs returns the experiment ids in canonical order.
+// IDs returns the experiment ids in canonical order (A1–A3, then E1–E10).
 func IDs() []string {
-	ids := make([]string, 0, len(All()))
-	for id := range All() {
-		ids = append(ids, id)
+	ids := make([]string, len(specs))
+	for i, s := range specs {
+		ids[i] = s.id
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := ids[i], ids[j]
-		if a[0] != b[0] {
-			return a[0] < b[0] // E before A? keep E first then A
-		}
-		if len(a) != len(b) {
-			return len(a) < len(b)
-		}
-		return a < b
-	})
 	return ids
 }
 
 func unitEngine() sim.Engine { return &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true} }
 
-func mustStar(g *graph.Graph) *tree.Tree {
-	t, err := spanning.StarTree(g)
+func mustStar(c *graph.CSR) *tree.Dense {
+	t, err := spanning.StarTree(c)
 	if err != nil {
 		panic(fmt.Sprintf("exp: %v", err))
 	}
 	return t
 }
 
-func mustRun(c *graph.CSR, t0 *tree.Tree, mode mdst.Mode) *mdst.Result {
-	res, err := improve(unitEngine(), c, t0, mode)
+func mustRun(c *graph.CSR, t0 *tree.Dense, mode mdst.Mode) *mdst.Result {
+	res, err := mdst.Run(unitEngine(), c, t0, mode, 0)
 	if err != nil {
 		panic(fmt.Sprintf("exp: %v", err))
 	}
 	return res
 }
 
-// improve runs the improvement protocol on eng from a sequentially built
-// tree of c's graph.
-func improve(eng sim.Engine, c *graph.CSR, t0 *tree.Tree, mode mdst.Mode) (*mdst.Result, error) {
-	d, err := tree.FromTree(t0, c.Index())
-	if err != nil {
-		return nil, err
-	}
-	return mdst.Run(eng, c, d, mode, 0)
-}
-
-func mustTwin(c *graph.CSR, t0 *tree.Tree, mode mdst.Mode) (*tree.Tree, fr.TwinStats) {
-	t, st, err := fr.TwinSnapshot(c, t0, mode)
+func mustTwin(c *graph.CSR, t0 *tree.Dense, mode mdst.Mode) (*tree.Dense, fr.TwinStats) {
+	t, st, err := fr.Twin(c, t0, mode, 0)
 	if err != nil {
 		panic(fmt.Sprintf("exp: %v", err))
 	}
@@ -191,15 +154,13 @@ func log2ceil(n int) int {
 	return b
 }
 
-// E1Rounds checks "there is k-k*+1 rounds": per family, the measured round
-// counts of the three modes against the paper's bound.
-func E1Rounds(cfg Config) *Table { return runSeq(e1Spec(cfg)) }
-
 type e1Trial struct {
 	n, m                        int
 	k, kstar, bound, rs, rm, rh float64
 }
 
+// e1Spec checks "there is k-k*+1 rounds": per family, the measured round
+// counts of the three modes against the paper's bound.
 func e1Spec(cfg Config) spec {
 	fams := sweepFamilies(cfg)
 	seeds := cfg.seeds()
@@ -208,8 +169,8 @@ func e1Spec(cfg Config) spec {
 		for s := 0; s < seeds; s++ {
 			trials = append(trials, func() any {
 				c := w.snap(int64(s))
-				t0 := mustStar(c.Source())
-				k, _ := t0.MaxDegree()
+				t0 := mustStar(c)
+				k, _ := t0.MaxDegree(nil)
 				_, st1 := mustTwin(c, t0, mdst.Single)
 				_, st2 := mustTwin(c, t0, mdst.Multi)
 				_, st3 := mustTwin(c, t0, mdst.Hybrid)
@@ -254,14 +215,12 @@ func e1Spec(cfg Config) spec {
 	return spec{id: "E1", trials: trials, assemble: assemble}
 }
 
-// E2Quality checks the Δ*+1 guarantee against the exact optimum on small
-// graphs, comparing the protocol modes with the sequential baselines.
-func E2Quality(cfg Config) *Table { return runSeq(e2Spec(cfg)) }
-
 type e2Trial struct {
 	opt, ds, dm, dh, dfr, dst, gap float64
 }
 
+// e2Spec checks the Δ*+1 guarantee against the exact optimum on small
+// graphs, comparing the protocol modes with the sequential baselines.
 func e2Spec(cfg Config) spec {
 	families := []workload{
 		newWorkload("gnm-10", func(s int64) *graph.Graph { return graph.Gnm(10, 16, s) }),
@@ -276,20 +235,19 @@ func e2Spec(cfg Config) spec {
 		for s := 0; s < runs; s++ {
 			trials = append(trials, func() any {
 				c := w.snap(int64(s))
-				g := c.Source()
-				opt, _, err := exact.MinDegree(g)
+				opt, _, err := exact.MinDegree(c)
 				if err != nil {
 					panic(err)
 				}
-				t0 := mustStar(g)
+				t0 := mustStar(c)
 				_, s1 := mustTwin(c, t0, mdst.Single)
 				_, s2 := mustTwin(c, t0, mdst.Multi)
 				_, s3 := mustTwin(c, t0, mdst.Hybrid)
-				_, fstats, err := fr.FurerRaghavachari(g, t0)
+				_, fstats, err := fr.FurerRaghavachari(c, t0)
 				if err != nil {
 					panic(err)
 				}
-				_, sstats, err := fr.Strict(g, t0)
+				_, sstats, err := fr.Strict(c, t0)
 				if err != nil {
 					panic(err)
 				}
@@ -336,14 +294,12 @@ func e2Spec(cfg Config) spec {
 	return spec{id: "E2", trials: trials, assemble: assemble}
 }
 
-// E3Messages checks O((k-k*)·m) messages: measured improvement messages over
-// the bound (k-k*+1)·m for a size sweep.
-func E3Messages(cfg Config) *Table { return runSeq(e3Spec(cfg)) }
-
 type sizeTrial struct {
 	m, k, ks, msgs, bound, ratio, perRound float64
 }
 
+// e3Spec checks O((k-k*)·m) messages: measured improvement messages over
+// the bound (k-k*+1)·m for a size sweep.
 func e3Spec(cfg Config) spec {
 	sizes := scaledSizes(cfg, 32, 64, 128, 256)
 	seeds := cfg.seeds()
@@ -352,7 +308,7 @@ func e3Spec(cfg Config) spec {
 		for s := 0; s < seeds; s++ {
 			trials = append(trials, func() any {
 				c := graph.Gnm(n, 3*n, int64(s)).Compile()
-				t0 := mustStar(c.Source())
+				t0 := mustStar(c)
 				// Multi mode: the paper's k-k*+1 round count presumes §3.2.6's
 				// concurrent handling of all maximum-degree nodes.
 				res := mustRun(c, t0, mdst.Multi)
@@ -404,10 +360,8 @@ func e3Spec(cfg Config) spec {
 	return spec{id: "E3", trials: trials, assemble: assemble}
 }
 
-// E4Time checks O((k-k*)·n) time: the causal depth under unit delays over
+// e4Spec checks O((k-k*)·n) time: the causal depth under unit delays over
 // the bound (k-k*+1)·n.
-func E4Time(cfg Config) *Table { return runSeq(e4Spec(cfg)) }
-
 func e4Spec(cfg Config) spec {
 	sizes := scaledSizes(cfg, 32, 64, 128, 256)
 	seeds := cfg.seeds()
@@ -416,7 +370,7 @@ func e4Spec(cfg Config) spec {
 		for s := 0; s < seeds; s++ {
 			trials = append(trials, func() any {
 				c := graph.Gnm(n, 3*n, int64(s)).Compile()
-				t0 := mustStar(c.Source())
+				t0 := mustStar(c)
 				res := mustRun(c, t0, mdst.Multi)
 				k, ks := res.InitialDegree, res.FinalDegree
 				b := float64(k-ks+1) * float64(n)
@@ -457,23 +411,21 @@ func e4Spec(cfg Config) spec {
 	return spec{id: "E4", trials: trials, assemble: assemble}
 }
 
-// E5WorstCase exercises the O(n·m) worst case: wheels started from the hub
-// star need Θ(n) exchanges over Θ(n) rounds of Θ(m) messages each.
-func E5WorstCase(cfg Config) *Table { return runSeq(e5Spec(cfg)) }
-
 type e5Trial struct {
 	m, k, ks, swaps int
 	msgs            int64
 	nm              float64
 }
 
+// e5Spec exercises the O(n·m) worst case: wheels started from the hub
+// star need Θ(n) exchanges over Θ(n) rounds of Θ(m) messages each.
 func e5Spec(cfg Config) spec {
 	sizes := scaledSizes(cfg, 16, 32, 64, 128)
 	var trials []func() any
 	for _, n := range sizes {
 		trials = append(trials, func() any {
 			c := graph.Wheel(n).Compile()
-			t0 := mustStar(c.Source())
+			t0 := mustStar(c)
 			res := mustRun(c, t0, mdst.Single)
 			return e5Trial{
 				m: c.M(), k: res.InitialDegree, ks: res.FinalDegree, swaps: res.Swaps,
@@ -499,21 +451,19 @@ func e5Spec(cfg Config) spec {
 	return spec{id: "E5", trials: trials, assemble: assemble}
 }
 
-// E6Bits checks the O(log n) message size claim: the largest message in
-// words and bits per message kind.
-func E6Bits(cfg Config) *Table { return runSeq(e6Spec(cfg)) }
-
 type e6Trial struct {
 	maxWords, kinds int
 }
 
+// e6Spec checks the O(log n) message size claim: the largest message in
+// words and bits per message kind.
 func e6Spec(cfg Config) spec {
 	sizes := scaledSizes(cfg, 32, 128, 512)
 	var trials []func() any
 	for _, n := range sizes {
 		trials = append(trials, func() any {
 			c := graph.Gnm(n, 3*n, 1).Compile()
-			t0 := mustStar(c.Source())
+			t0 := mustStar(c)
 			res := mustRun(c, t0, mdst.Hybrid)
 			return e6Trial{maxWords: res.Report.MaxWords, kinds: len(res.Report.ByKind)}
 		})
@@ -536,20 +486,17 @@ func e6Spec(cfg Config) spec {
 	return spec{id: "E6", trials: trials, assemble: assemble}
 }
 
-// E7Phases verifies the per-phase message budgets of one round.
-func E7Phases(cfg Config) *Table { return runSeq(e7Spec(cfg)) }
-
 type e7Trial struct {
 	n, m, rounds int
 	maxPerRound  map[string]int64
 }
 
+// e7Spec verifies the per-phase message budgets of one round.
 func e7Spec(cfg Config) spec {
 	n := cfg.scale(48)
 	trials := []func() any{func() any {
 		c := graph.Wheel(n).Compile()
-		g := c.Source()
-		t0 := mustStar(g)
+		t0 := mustStar(c)
 		res := mustRun(c, t0, mdst.Single)
 		// Collect the per-round maximum for each kind ("kind/round" keys).
 		maxPerRound := map[string]int64{}
@@ -563,7 +510,7 @@ func e7Spec(cfg Config) spec {
 				maxPerRound[kind] = count
 			}
 		}
-		return e7Trial{n: g.N(), m: g.M(), rounds: res.Rounds, maxPerRound: maxPerRound}
+		return e7Trial{n: c.N(), m: c.M(), rounds: res.Rounds, maxPerRound: maxPerRound}
 	}}
 	assemble := func(results []any) *Table {
 		t := &Table{
@@ -610,22 +557,20 @@ func lastSlash(s string) int {
 	return -1
 }
 
-// E8LowerBound compares against the Korach–Moran–Zaks Ω(n²/k) lower bound on
-// complete graphs.
-func E8LowerBound(cfg Config) *Table { return runSeq(e8Spec(cfg)) }
-
 type e8Trial struct {
 	m, ks int
 	msgs  int64
 }
 
+// e8Spec compares against the Korach–Moran–Zaks Ω(n²/k) lower bound on
+// complete graphs.
 func e8Spec(cfg Config) spec {
 	sizes := scaledSizes(cfg, 8, 16, 32, 64)
 	var trials []func() any
 	for _, n := range sizes {
 		trials = append(trials, func() any {
 			c := graph.Complete(n).Compile()
-			t0 := mustStar(c.Source())
+			t0 := mustStar(c)
 			res := mustRun(c, t0, mdst.Multi)
 			return e8Trial{m: c.M(), ks: res.FinalDegree, msgs: res.Report.Messages}
 		})
@@ -648,16 +593,14 @@ func e8Spec(cfg Config) spec {
 	return spec{id: "E8", trials: trials, assemble: assemble}
 }
 
-// E9InitialTree measures the sensitivity to the startup tree construction —
-// the paper's closing remark about obtaining "a not so bad k".
-func E9InitialTree(cfg Config) *Table { return runSeq(e9Spec(cfg)) }
-
 type e9Trial struct {
 	k, ks, rounds, swaps int
 	improveMsgs          int64
 	setupMsgs            int64
 }
 
+// e9Spec measures the sensitivity to the startup tree construction —
+// the paper's closing remark about obtaining "a not so bad k".
 func e9Spec(cfg Config) spec {
 	n := cfg.scale(96)
 	// The workload graph is deterministic; the snapshot cache compiles it
@@ -665,25 +608,25 @@ func e9Spec(cfg Config) spec {
 	w := newWorkload("e9", func(int64) *graph.Graph { return graph.BarabasiAlbert(n, 2, 3) })
 	type builder struct {
 		name  string
-		build func(c *graph.CSR) (*tree.Tree, *sim.Report)
+		build func(c *graph.CSR) (*tree.Dense, *sim.Report)
 	}
-	distributed := func(factory func(c *graph.CSR) sim.Factory) func(c *graph.CSR) (*tree.Tree, *sim.Report) {
-		return func(c *graph.CSR) (*tree.Tree, *sim.Report) {
+	distributed := func(factory func(c *graph.CSR) sim.Factory) func(c *graph.CSR) (*tree.Dense, *sim.Report) {
+		return func(c *graph.CSR) (*tree.Dense, *sim.Report) {
 			d, rep, err := spanning.Build(unitEngine(), c, factory(c))
 			if err != nil {
 				panic(err)
 			}
-			return d.ToTree(), rep
+			return d, rep
 		}
 	}
 	builders := []builder{
-		{"flood(BFS)", distributed(func(c *graph.CSR) sim.Factory { return spanning.NewFloodFactory(c, c.Source().Nodes()[0]) })},
-		{"dfs", distributed(func(c *graph.CSR) sim.Factory { return spanning.NewDFSFactory(c.Source().Nodes()[0]) })},
+		{"flood(BFS)", distributed(func(c *graph.CSR) sim.Factory { return spanning.NewFloodFactory(c, c.Index().ID(0)) })},
+		{"dfs", distributed(func(c *graph.CSR) sim.Factory { return spanning.NewDFSFactory(c.Index().ID(0)) })},
 		{"ghs", distributed(func(*graph.CSR) sim.Factory { return spanning.NewGHSFactory() })},
 		{"election", distributed(func(*graph.CSR) sim.Factory { return spanning.NewElectionFactory() })},
-		{"star(worst)", func(c *graph.CSR) (*tree.Tree, *sim.Report) { return mustStar(c.Source()), nil }},
-		{"random", func(c *graph.CSR) (*tree.Tree, *sim.Report) {
-			tr, err := spanning.RandomST(c.Source(), 7)
+		{"star(worst)", func(c *graph.CSR) (*tree.Dense, *sim.Report) { return mustStar(c), nil }},
+		{"random", func(c *graph.CSR) (*tree.Dense, *sim.Report) {
+			tr, err := spanning.RandomST(c, 7)
 			if err != nil {
 				panic(err)
 			}
@@ -725,27 +668,25 @@ func e9Spec(cfg Config) spec {
 	return spec{id: "E9", trials: trials, assemble: assemble}
 }
 
-// E10Broadcast quantifies the intro motivation by actually running a
-// broadcast-with-ack protocol over the tree before and after improvement
-// and measuring each node's send count on the simulator.
-func E10Broadcast(cfg Config) *Table { return runSeq(e10Spec(cfg)) }
-
 type e10Trial struct {
 	n, before, after        int
 	loadBefore, loadAfter   int64
 	depthBefore, depthAfter int
 }
 
+// e10Spec quantifies the intro motivation by actually running a
+// broadcast-with-ack protocol over the tree before and after improvement
+// and measuring each node's send count on the simulator.
 func e10Spec(cfg Config) spec {
 	fams := sweepFamilies(cfg)
 	var trials []func() any
 	for _, w := range fams {
 		trials = append(trials, func() any {
 			c := w.snap(1)
-			t0 := mustStar(c.Source())
+			t0 := mustStar(c)
 			final, _ := mustTwin(c, t0, mdst.Hybrid)
-			before, _ := t0.MaxDegree()
-			after, _ := final.MaxDegree()
+			before, _ := t0.MaxDegree(nil)
+			after, _ := final.MaxDegree(nil)
 			rb, err := apps.Run(unitEngine(), c, apps.Config{Tree: t0, Ack: true})
 			if err != nil {
 				panic(err)
@@ -780,9 +721,6 @@ func e10Spec(cfg Config) spec {
 	return spec{id: "E10", trials: trials, assemble: assemble}
 }
 
-// A1Modes is the mode ablation: exchanges per round vs rounds vs quality.
-func A1Modes(cfg Config) *Table { return runSeq(a1Spec(cfg)) }
-
 type modeTrial struct {
 	k, ks, rounds, swaps int
 	msgs, depth          int64
@@ -790,6 +728,7 @@ type modeTrial struct {
 
 var ablationModes = []mdst.Mode{mdst.Single, mdst.Multi, mdst.Hybrid}
 
+// a1Spec is the mode ablation: exchanges per round vs rounds vs quality.
 func a1Spec(cfg Config) spec {
 	fams := sweepFamilies(cfg)[:4]
 	var trials []func() any
@@ -797,7 +736,7 @@ func a1Spec(cfg Config) spec {
 		for _, mode := range ablationModes {
 			trials = append(trials, func() any {
 				c := w.snap(2)
-				t0 := mustStar(c.Source())
+				t0 := mustStar(c)
 				res := mustRun(c, t0, mode)
 				return modeTrial{
 					k: res.InitialDegree, ks: res.FinalDegree,
@@ -827,14 +766,12 @@ func a1Spec(cfg Config) spec {
 	return spec{id: "A1", trials: trials, assemble: assemble}
 }
 
-// A2Twin is the oracle ablation: the distributed run must equal the
-// sequential twin exactly.
-func A2Twin(cfg Config) *Table { return runSeq(a2Spec(cfg)) }
-
 type a2Trial struct {
 	identical, roundsEq, swapsEq bool
 }
 
+// a2Spec is the oracle ablation: the distributed run must equal the
+// sequential twin exactly.
 func a2Spec(cfg Config) spec {
 	fams := sweepFamilies(cfg)[:5]
 	var trials []func() any
@@ -842,11 +779,11 @@ func a2Spec(cfg Config) spec {
 		for _, mode := range ablationModes {
 			trials = append(trials, func() any {
 				c := w.snap(3)
-				t0 := mustStar(c.Source())
+				t0 := mustStar(c)
 				res := mustRun(c, t0, mode)
 				twinTree, st := mustTwin(c, t0, mode)
 				return a2Trial{
-					identical: res.Tree.Equal(twinTree),
+					identical: res.Tree.Equal(twinTree.ToTree()),
 					roundsEq:  res.Rounds == st.Rounds,
 					swapsEq:   res.Swaps == st.Swaps,
 				}
@@ -873,16 +810,14 @@ func a2Spec(cfg Config) spec {
 	return spec{id: "A2", trials: trials, assemble: assemble}
 }
 
-// A3Engines is the engine ablation: the result and message count must be
-// delivery-independent; only time-like measures may differ.
-func A3Engines(cfg Config) *Table { return runSeq(a3Spec(cfg)) }
-
 type a3Trial struct {
 	msgs, depth int64
 	ks          int
-	tree        *tree.Tree
+	final       *mdst.Result
 }
 
+// a3Spec is the engine ablation: the result and message count must be
+// delivery-independent; only time-like measures may differ.
 func a3Spec(cfg Config) spec {
 	n := cfg.scale(64)
 	w := newWorkload("a3", func(int64) *graph.Graph { return graph.Gnm(n, 3*n, 4) })
@@ -899,17 +834,16 @@ func a3Spec(cfg Config) spec {
 	// against; trials 1..len(engines) are the engine runs.
 	trials := []func() any{func() any {
 		c := w.snap(0)
-		res := mustRun(c, mustStar(c.Source()), mdst.Hybrid)
-		return a3Trial{tree: res.Tree}
+		return a3Trial{final: mustRun(c, mustStar(c), mdst.Hybrid)}
 	}}
 	for _, e := range engines {
 		trials = append(trials, func() any {
 			c := w.snap(0)
-			res, err := improve(e.mk(), c, mustStar(c.Source()), mdst.Hybrid)
+			res, err := mdst.Run(e.mk(), c, mustStar(c), mdst.Hybrid, 0)
 			if err != nil {
 				panic(err)
 			}
-			return a3Trial{msgs: res.Report.Messages, depth: res.Report.CausalDepth, ks: res.FinalDegree, tree: res.Tree}
+			return a3Trial{msgs: res.Report.Messages, depth: res.Report.CausalDepth, ks: res.FinalDegree, final: res}
 		})
 	}
 	assemble := func(results []any) *Table {
@@ -919,7 +853,7 @@ func a3Spec(cfg Config) spec {
 			Claim:  "the algorithm is asynchronous and event-driven: its result does not depend on delays (paper §2)",
 			Header: []string{"engine", "messages", "causal depth", "final k", "same tree as unit"},
 		}
-		ref := results[0].(a3Trial).tree
+		ref := results[0].(a3Trial).final.Tree
 		for ei, e := range engines {
 			tr := results[ei+1].(a3Trial)
 			// The goroutine engine's causal depth depends on the Go
@@ -928,7 +862,7 @@ func a3Spec(cfg Config) spec {
 			if e.name == "async-goroutines" {
 				depth = "-"
 			}
-			t.Add(e.name, tr.msgs, depth, tr.ks, tr.tree.Equal(ref))
+			t.Add(e.name, tr.msgs, depth, tr.ks, tr.final.Tree.Equal(ref))
 		}
 		t.Note("message counts are identical across engines because every send is delivery-order independent; causal depth varies with the adversary (elided for the goroutine engine: it depends on the host scheduler)")
 		return t

@@ -3,6 +3,8 @@ package exp
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -23,19 +25,9 @@ type spec struct {
 	assemble func(results []any) *Table
 }
 
-// runSeq executes a spec on the calling goroutine; the classic one-shot
-// drivers (E1Rounds, ...) are this over their spec.
-func runSeq(s spec) *Table {
-	results := make([]any, len(s.trials))
-	for i, fn := range s.trials {
-		results[i] = fn()
-	}
-	return s.assemble(results)
-}
-
 // ProgressEvent reports trial completion inside one experiment table.
 type ProgressEvent struct {
-	// Experiment is the table id (E1..A3).
+	// Experiment is the table id (A1..A3, E1..E10).
 	Experiment string
 	// Done and Total count completed and scheduled trials of the experiment.
 	Done, Total int
@@ -73,16 +65,15 @@ func (r *Runner) Run(ids []string) ([]*Table, error) {
 	if len(ids) == 0 {
 		ids = IDs()
 	}
-	reg := allSpecs()
-	specs := make([]spec, len(ids))
+	run := make([]spec, len(ids))
 	for i, id := range ids {
-		mk, ok := reg[id]
-		if !ok {
-			return nil, fmt.Errorf("exp: unknown experiment %q", id)
+		j := slices.IndexFunc(specs, func(e registered) bool { return e.id == id })
+		if j < 0 {
+			return nil, fmt.Errorf("exp: unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
 		}
-		specs[i] = mk(r.Config)
+		run[i] = specs[j].mk(r.Config)
 	}
-	return r.runSpecs(specs)
+	return r.runSpecs(run)
 }
 
 // runSpecs fans the trials of the given specs over the worker pool and

@@ -1,11 +1,10 @@
-// Package exp is the experiment harness: one driver per experiment in
+// Package exp is the experiment harness: one table per experiment in
 // DESIGN.md §4, each regenerating a table of the evaluation.
 //
-// Every experiment is decomposed into independent seeded trials. The
-// classic drivers (E1Rounds, ...) run them sequentially; Runner fans the
-// same trials across a worker pool and reassembles the tables
-// deterministically, so for a fixed Config the output is bit-identical at
-// any worker count. ResultSet carries the tables on a machine-readable
+// Every experiment is decomposed into independent seeded trials. Runner
+// fans them across a worker pool (Parallel: 1 runs them in order on one
+// worker) and reassembles the tables deterministically, so for a fixed
+// Config the output is bit-identical at any worker count. ResultSet carries the tables on a machine-readable
 // JSON surface. Both are exercised by cmd/mdstbench and by the root-level
 // benchmarks.
 package exp

@@ -22,11 +22,11 @@ type Stats struct {
 	FinalDegree   int
 }
 
-// FurerRaghavachari improves the initial tree until no exchange can reduce
-// a maximum-degree vertex, returning the improved tree rooted at the
-// graph's smallest node.
-func FurerRaghavachari(g *graph.Graph, initial *tree.Tree) (*tree.Tree, Stats, error) {
-	return localSearch(g, initial, false)
+// FurerRaghavachari improves the initial tree (which is not modified) until
+// no exchange can reduce a maximum-degree vertex, returning the improved
+// tree rooted at dense node 0, the graph's smallest node.
+func FurerRaghavachari(c *graph.CSR, initial *tree.Dense) (*tree.Dense, Stats, error) {
+	return localSearch(c, initial, false)
 }
 
 // Strict additionally clears degree-(k-1) blockers: when no exchange helps a
@@ -35,106 +35,116 @@ func FurerRaghavachari(g *graph.Graph, initial *tree.Tree) (*tree.Tree, Stats, e
 // the potential sum of 3^degree, so the search terminates; the result
 // satisfies the full local optimality of FR's Theorem 1 more often than the
 // plain variant (measured in experiment A4).
-func Strict(g *graph.Graph, initial *tree.Tree) (*tree.Tree, Stats, error) {
-	return localSearch(g, initial, true)
+func Strict(c *graph.CSR, initial *tree.Dense) (*tree.Dense, Stats, error) {
+	return localSearch(c, initial, true)
 }
 
-func localSearch(g *graph.Graph, initial *tree.Tree, strict bool) (*tree.Tree, Stats, error) {
-	if err := initial.Validate(g); err != nil {
+func localSearch(c *graph.CSR, initial *tree.Dense, strict bool) (*tree.Dense, Stats, error) {
+	if err := initial.Validate(c); err != nil {
 		return nil, Stats{}, fmt.Errorf("fr: initial tree invalid: %w", err)
 	}
-	st := initial.ToGraph()
+	s := &search{c: c, d: initial.Clone(), mark: make([]int32, c.N())}
 	stats := Stats{}
-	stats.InitialDegree, _ = initial.MaxDegree()
+	stats.InitialDegree, _ = s.d.MaxDegree(nil)
 
 	for {
-		k := st.MaxDegree()
+		k, _ := s.d.MaxDegree(nil)
 		if k <= 2 {
 			break
 		}
-		if swapAt(g, st, k, k, k-2) {
+		if s.swapAt(k, k-2) {
 			stats.Swaps++
 			continue
 		}
-		if strict && k >= 3 && swapAt(g, st, k, k-1, k-3) {
+		if strict && k >= 3 && s.swapAt(k-1, k-3) {
 			stats.Swaps++
 			continue
 		}
 		break
 	}
 
-	root := g.Nodes()[0]
-	t, err := bfsOrient(st, root)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	stats.FinalDegree, _ = t.MaxDegree()
-	return t, stats, nil
+	s.d.Reroot(0)
+	stats.FinalDegree, _ = s.d.MaxDegree(nil)
+	return s.d, stats, nil
+}
+
+// search is one local-search run: the working tree plus the scratch of its
+// tree-path queries.
+type search struct {
+	c    *graph.CSR
+	d    *tree.Dense
+	mark []int32 // ancestor stamps of the current path query
+	pass int32
+	path []int32
+	up   []int32
 }
 
 // swapAt looks for a non-tree edge (a,b) with both endpoint degrees at most
 // capDeg whose tree path contains a vertex of degree exactly targetDeg, and
-// applies the exchange at the first such vertex. Candidate edges are scanned
-// in ascending order so the search is deterministic.
-func swapAt(g, st *graph.Graph, k, targetDeg, capDeg int) bool {
-	for _, e := range g.Edges() {
-		a, b := e.U, e.V
-		if st.HasEdge(a, b) {
+// applies the exchange at the first such vertex from a. Candidate edges are
+// scanned in ascending (a,b) order, a < b, so the search is deterministic.
+func (s *search) swapAt(targetDeg, capDeg int) bool {
+	c, d := s.c, s.d
+	for a := int32(0); int(a) < c.N(); a++ {
+		if d.Degree(a) > capDeg {
 			continue
 		}
-		if st.Degree(a) > capDeg || st.Degree(b) > capDeg {
-			continue
-		}
-		path := treePath(st, a, b)
-		for i := 1; i < len(path)-1; i++ {
-			if st.Degree(path[i]) == targetDeg {
-				// Exchange: remove a cycle edge at the blocked vertex,
-				// add (a,b).
-				st.RemoveEdge(path[i], path[i-1])
-				st.MustAddEdge(a, b)
-				return true
+		for _, b := range c.Neighbors(a) {
+			if b <= a || d.HasEdge(a, b) || d.Degree(b) > capDeg {
+				continue
+			}
+			path := s.treePath(a, b)
+			for i := 1; i < len(path)-1; i++ {
+				if d.Degree(path[i]) == targetDeg {
+					s.exchange(path[i], path[i-1], a, b)
+					return true
+				}
 			}
 		}
 	}
 	return false
 }
 
-// treePath returns the unique path from a to b in the tree graph st.
-func treePath(st *graph.Graph, a, b graph.NodeID) []graph.NodeID {
-	parent := map[graph.NodeID]graph.NodeID{a: a}
-	queue := []graph.NodeID{a}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if u == b {
+// treePath returns the tree path a ... b: a's ancestors are stamped, the
+// walk up from b stops at the first stamped node (their meeting point), and
+// b's half is appended in reverse.
+func (s *search) treePath(a, b int32) []int32 {
+	d := s.d
+	s.pass++
+	s.path = s.path[:0]
+	for v := a; v != tree.NoParent; v = d.Parent(v) {
+		s.mark[v] = s.pass
+		s.path = append(s.path, v)
+	}
+	s.up = s.up[:0]
+	v := b
+	for ; s.mark[v] != s.pass; v = d.Parent(v) {
+		s.up = append(s.up, v)
+	}
+	for i, x := range s.path {
+		if x == v {
+			s.path = s.path[:i+1]
 			break
 		}
-		for _, w := range st.Neighbors(u) {
-			if _, ok := parent[w]; !ok {
-				parent[w] = u
-				queue = append(queue, w)
-			}
-		}
 	}
-	var rev []graph.NodeID
-	for cur := b; ; cur = parent[cur] {
-		rev = append(rev, cur)
-		if cur == a {
-			break
-		}
+	for i := len(s.up) - 1; i >= 0; i-- {
+		s.path = append(s.path, s.up[i])
 	}
-	path := make([]graph.NodeID, len(rev))
-	for i, v := range rev {
-		path[len(rev)-1-i] = v
-	}
-	return path
+	return s.path
 }
 
-// bfsOrient roots the undirected tree graph at root.
-func bfsOrient(st *graph.Graph, root graph.NodeID) (*tree.Tree, error) {
-	parent := st.BFSParents(root)
-	if len(parent) != st.N() {
-		return nil, fmt.Errorf("fr: tree graph not connected")
+// exchange removes the tree edge (x,y), where y lies on a's side of x on
+// the a-b path, and adds (a,b): the side that the cut detaches is re-rooted
+// at its endpoint of (a,b) and hung under the other endpoint.
+func (s *search) exchange(x, y, a, b int32) {
+	d := s.d
+	if d.Parent(y) == x {
+		d.CutChild(x, y) // y's subtree holds a
+		d.RerootSubtree(y, a)
+		d.AttachExisting(b, a)
+		return
 	}
-	return tree.FromParentMap(root, parent)
+	d.CutChild(y, x) // x's subtree holds b
+	d.RerootSubtree(x, b)
+	d.AttachExisting(a, b)
 }

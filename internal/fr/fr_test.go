@@ -18,9 +18,9 @@ func randomConnected(rng *rand.Rand, n int) *graph.Graph {
 	return graph.Gnm(n, m, rng.Int63())
 }
 
-func starInitial(t testing.TB, g *graph.Graph) *tree.Tree {
+func starInitial(t testing.TB, c *graph.CSR) *tree.Dense {
 	t.Helper()
-	t0, err := spanning.StarTree(g)
+	t0, err := spanning.StarTree(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,14 +30,14 @@ func starInitial(t testing.TB, g *graph.Graph) *tree.Tree {
 func TestTwinNeverIncreasesDegree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 40; i++ {
-		g := randomConnected(rng, 8+rng.Intn(30))
-		t0 := starInitial(t, g)
+		c := randomConnected(rng, 8+rng.Intn(30)).Compile()
+		t0 := starInitial(t, c)
 		for _, mode := range []mdst.Mode{mdst.Single, mdst.Multi} {
-			got, stats, err := Twin(g, t0, mode)
+			got, stats, err := Twin(c, t0, mode, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := got.Validate(g); err != nil {
+			if err := got.Validate(c); err != nil {
 				t.Fatalf("iter %d: %v", i, err)
 			}
 			if stats.FinalDegree > stats.InitialDegree {
@@ -58,21 +58,22 @@ func TestTwinModesReachLocalOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 25; i++ {
 		g := randomConnected(rng, 10+rng.Intn(20))
-		t0 := starInitial(t, g)
+		c := g.Compile()
+		t0 := starInitial(t, c)
 		for _, mode := range []mdst.Mode{mdst.Single, mdst.Hybrid} {
-			tr, _, err := Twin(g, t0, mode)
+			tr, _, err := Twin(c, t0, mode, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !isLocallyOptimalSingle(g, tr) {
+			if !isLocallyOptimalSingle(g, tr.ToTree()) {
 				t.Errorf("iter %d: %v result is not locally optimal", i, mode)
 			}
 		}
-		multi, _, err := Twin(g, t0, mdst.Multi)
+		multi, _, err := Twin(c, t0, mdst.Multi, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !isLocallyOptimalMulti(g, multi) {
+		if !isLocallyOptimalMulti(g, multi.ToTree()) {
 			t.Errorf("iter %d: multi result violates its terminal condition", i)
 		}
 	}
@@ -158,16 +159,16 @@ func TestFurerRaghavachariQuality(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	worstGap := 0
 	for i := 0; i < 40; i++ {
-		g := randomConnected(rng, 6+rng.Intn(8)) // exact-solvable sizes
-		t0 := starInitial(t, g)
-		got, stats, err := FurerRaghavachari(g, t0)
+		c := randomConnected(rng, 6+rng.Intn(8)).Compile() // exact-solvable sizes
+		t0 := starInitial(t, c)
+		got, stats, err := FurerRaghavachari(c, t0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := got.Validate(g); err != nil {
+		if err := got.Validate(c); err != nil {
 			t.Fatal(err)
 		}
-		opt, _, err := exact.MinDegree(g)
+		opt, _, err := exact.MinDegree(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,20 +190,20 @@ func TestFurerRaghavachariQuality(t *testing.T) {
 func TestStrictNeverWorseThanPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < 30; i++ {
-		g := randomConnected(rng, 8+rng.Intn(14))
-		t0 := starInitial(t, g)
-		plain, ps, err := FurerRaghavachari(g, t0)
+		c := randomConnected(rng, 8+rng.Intn(14)).Compile()
+		t0 := starInitial(t, c)
+		plain, ps, err := FurerRaghavachari(c, t0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		strict, ss, err := Strict(g, t0)
+		strict, ss, err := Strict(c, t0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := plain.Validate(g); err != nil {
+		if err := plain.Validate(c); err != nil {
 			t.Fatal(err)
 		}
-		if err := strict.Validate(g); err != nil {
+		if err := strict.Validate(c); err != nil {
 			t.Fatal(err)
 		}
 		if ss.FinalDegree > ps.FinalDegree {
@@ -214,13 +215,13 @@ func TestStrictNeverWorseThanPlain(t *testing.T) {
 func TestStrictWithinOneOfOptimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 40; i++ {
-		g := randomConnected(rng, 6+rng.Intn(8))
-		t0 := starInitial(t, g)
-		_, ss, err := Strict(g, t0)
+		c := randomConnected(rng, 6+rng.Intn(8)).Compile()
+		t0 := starInitial(t, c)
+		_, ss, err := Strict(c, t0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, _, err := exact.MinDegree(g)
+		opt, _, err := exact.MinDegree(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,27 +232,27 @@ func TestStrictWithinOneOfOptimal(t *testing.T) {
 }
 
 func TestTwinOnChain(t *testing.T) {
-	g := graph.Ring(9)
-	t0, err := spanning.BFSTree(g, 0)
+	c := graph.Ring(9).Compile()
+	t0, err := spanning.BFSTree(c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := Twin(g, t0, mdst.Single)
+	got, stats, err := Twin(c, t0, mdst.Single, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Rounds != 1 || stats.Swaps != 0 {
 		t.Errorf("rounds=%d swaps=%d", stats.Rounds, stats.Swaps)
 	}
-	if !got.SameEdges(t0) {
+	if !got.ToTree().SameEdges(t0.ToTree()) {
 		t.Error("chain tree was modified")
 	}
 }
 
 func TestTwinRejectsBadTree(t *testing.T) {
-	g := graph.Ring(5)
-	bad := tree.New(0)
-	if _, _, err := Twin(g, bad, mdst.Single); err == nil {
+	c := graph.Ring(5).Compile()
+	bad := tree.NewDense(c.Index(), 0) // every other node detached
+	if _, _, err := Twin(c, bad, mdst.Single, 0); err == nil {
 		t.Error("non-spanning tree accepted")
 	}
 }
@@ -262,17 +263,17 @@ func TestTwinRejectsBadTree(t *testing.T) {
 func TestQuickTwinInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := randomConnected(rng, 6+rng.Intn(24))
-		t0, err := spanning.RandomST(g, seed)
+		c := randomConnected(rng, 6+rng.Intn(24)).Compile()
+		t0, err := spanning.RandomST(c, seed)
 		if err != nil {
 			return false
 		}
-		single, s1, err := Twin(g, t0, mdst.Single)
-		if err != nil || single.Validate(g) != nil {
+		single, s1, err := Twin(c, t0, mdst.Single, 0)
+		if err != nil || single.Validate(c) != nil {
 			return false
 		}
-		multi, s2, err := Twin(g, t0, mdst.Multi)
-		if err != nil || multi.Validate(g) != nil {
+		multi, s2, err := Twin(c, t0, mdst.Multi, 0)
+		if err != nil || multi.Validate(c) != nil {
 			return false
 		}
 		if s1.FinalDegree > s1.InitialDegree || s2.FinalDegree > s2.InitialDegree {
@@ -287,10 +288,10 @@ func TestQuickTwinInvariants(t *testing.T) {
 }
 
 func ExampleTwin() {
-	g := graph.Wheel(8)
-	t0, _ := spanning.StarTree(g)
-	improved, stats, _ := Twin(g, t0, mdst.Single)
-	deg, _ := improved.MaxDegree()
+	c := graph.Wheel(8).Compile()
+	t0, _ := spanning.StarTree(c)
+	improved, stats, _ := Twin(c, t0, mdst.Single, 0)
+	deg, _ := improved.MaxDegree(nil)
 	fmt.Println("initial:", stats.InitialDegree, "final:", deg)
 	// Output: initial: 7 final: 2
 }

@@ -348,7 +348,7 @@ var sequentialDigests = map[string]string{
 	"wheel48/star/twin-single":            "acf25b05ef44412c1e4d997b7f7a08800f48b5c5796e68c5f9a9dddf540d5cfa",
 }
 
-func digestTree(h hash.Hash, t *tree.Tree) { io.WriteString(h, t.String()) }
+func digestTree(h hash.Hash, t *tree.Dense) { io.WriteString(h, t.ToTree().String()) }
 
 // relabel maps node i of g to 7i+3, so the corpus also covers identities
 // that are not dense indices.
@@ -411,18 +411,19 @@ func exactCorpus() []struct {
 // sequentialOutputs runs every sequential algorithm on g and returns one
 // digest input writer per output name.
 func sequentialOutputs(g *graph.Graph, withExact bool) map[string]func(h hash.Hash) error {
-	star := func() (*tree.Tree, error) { return spanning.StarTree(g) }
-	random := func() (*tree.Tree, error) { return spanning.RandomST(g, 11) }
+	c := g.Compile()
+	star := func() (*tree.Dense, error) { return spanning.StarTree(c) }
+	random := func() (*tree.Dense, error) { return spanning.RandomST(c, 11) }
 	out := map[string]func(h hash.Hash) error{
 		"bfs": func(h hash.Hash) error {
-			t, err := spanning.BFSTree(g, g.Nodes()[0])
+			t, err := spanning.BFSTree(c, g.Nodes()[0])
 			if err == nil {
 				digestTree(h, t)
 			}
 			return err
 		},
 		"dfs": func(h hash.Hash) error {
-			t, err := spanning.DFSTree(g, g.Nodes()[len(g.Nodes())/2])
+			t, err := spanning.DFSTree(c, g.Nodes()[len(g.Nodes())/2])
 			if err == nil {
 				digestTree(h, t)
 			}
@@ -445,18 +446,18 @@ func sequentialOutputs(g *graph.Graph, withExact bool) map[string]func(h hash.Ha
 	}
 	for _, start := range []struct {
 		name  string
-		build func() (*tree.Tree, error)
+		build func() (*tree.Dense, error)
 	}{{"star", star}, {"random", random}} {
 		for _, search := range []struct {
 			name string
-			run  func(*graph.Graph, *tree.Tree) (*tree.Tree, Stats, error)
+			run  func(*graph.CSR, *tree.Dense) (*tree.Dense, Stats, error)
 		}{{"fr", FurerRaghavachari}, {"strict", Strict}} {
 			out[start.name+"/"+search.name] = func(h hash.Hash) error {
 				t0, err := start.build()
 				if err != nil {
 					return err
 				}
-				t, st, err := search.run(g, t0)
+				t, st, err := search.run(c, t0)
 				if err != nil {
 					return err
 				}
@@ -471,7 +472,7 @@ func sequentialOutputs(g *graph.Graph, withExact bool) map[string]func(h hash.Ha
 				if err != nil {
 					return err
 				}
-				t, st, err := Twin(g, t0, mode)
+				t, st, err := Twin(c, t0, mode, 0)
 				if err != nil {
 					return err
 				}
@@ -483,7 +484,7 @@ func sequentialOutputs(g *graph.Graph, withExact bool) map[string]func(h hash.Ha
 	}
 	if withExact {
 		out["exact"] = func(h hash.Hash) error {
-			d, t, err := exact.MinDegree(g)
+			d, t, err := exact.MinDegree(c)
 			if err != nil {
 				return err
 			}

@@ -59,42 +59,22 @@ func (r twinReport) better(o twinReport) bool {
 }
 
 // Twin runs the sequential replica of the distributed protocol in the given
-// mode, starting from the initial tree (which is not modified), and returns
-// the improved tree. For equal inputs its result tree (including root
-// placement and edge orientation) is identical to the distributed
-// protocol's.
-func Twin(g *graph.Graph, initial *tree.Tree, mode mdst.Mode) (*tree.Tree, TwinStats, error) {
-	return TwinTarget(g, initial, mode, 0)
-}
-
-// TwinTarget is Twin with the degree-target stop of mdst.Run.
-func TwinTarget(g *graph.Graph, initial *tree.Tree, mode mdst.Mode, target int) (*tree.Tree, TwinStats, error) {
-	return TwinTargetSnapshot(g.Compile(), initial, mode, target)
-}
-
-// TwinSnapshot is Twin over a pre-compiled snapshot: the experiment harness
-// compiles each workload once per table and shares the snapshot across
-// trials.
-func TwinSnapshot(c *graph.CSR, initial *tree.Tree, mode mdst.Mode) (*tree.Tree, TwinStats, error) {
-	return TwinTargetSnapshot(c, initial, mode, 0)
-}
-
-// TwinTargetSnapshot runs the sequential replica entirely on the dense-index
-// substrate: the tree is the slice-backed tree.Dense, fragments and
-// exhaustion flags are slices over the snapshot's index, and the edge scan
-// walks the CSR adjacency — no NodeID map is touched after setup.
-func TwinTargetSnapshot(c *graph.CSR, initial *tree.Tree, mode mdst.Mode, target int) (*tree.Tree, TwinStats, error) {
-	if err := initial.Validate(c.Source()); err != nil {
+// mode over the snapshot, starting from the initial tree (which is not
+// modified), and returns the improved tree. A positive target stops as soon
+// as the maximum degree is at most target, like mdst.Run. For equal inputs
+// the result tree (including root placement and edge orientation) is
+// identical to the distributed protocol's. The replica runs entirely on
+// dense indices: fragments and exhaustion flags are slices over the
+// snapshot's index and the edge scan walks the CSR adjacency.
+func Twin(c *graph.CSR, initial *tree.Dense, mode mdst.Mode, target int) (*tree.Dense, TwinStats, error) {
+	if err := initial.Validate(c); err != nil {
 		return nil, TwinStats{}, fmt.Errorf("fr: initial tree invalid: %w", err)
 	}
 	stop := 2
 	if target > 2 {
 		stop = target
 	}
-	d, err := tree.FromTree(initial, c.Index())
-	if err != nil {
-		return nil, TwinStats{}, fmt.Errorf("fr: %w", err)
-	}
+	d := initial.Clone()
 	stats := TwinStats{}
 	n := c.N()
 	tw := &twinRun{
@@ -154,9 +134,8 @@ func TwinTargetSnapshot(c *graph.CSR, initial *tree.Tree, mode mdst.Mode, target
 			break
 		}
 	}
-	out := d.ToTree()
-	stats.FinalDegree, _ = out.MaxDegree()
-	return out, stats, nil
+	stats.FinalDegree, _ = d.MaxDegree(nil)
+	return d, stats, nil
 }
 
 // twinRun bundles the per-run dense scratch reused across rounds.

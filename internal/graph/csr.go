@@ -116,10 +116,9 @@ func (c *CSR) Index() *Index { return c.idx }
 //
 // The snapshot's own arrays never change, but snapshot-based execution
 // paths still read the source: the facade validates caller-supplied trees
-// and the sequential tree builders work against the builder. Treat the
-// builder as frozen while a snapshot of it is
-// in use — after a structural mutation, Compile again instead of reusing
-// the stale snapshot.
+// against it. Treat the builder as frozen while a snapshot of it is in use
+// — after a structural mutation, Compile again instead of reusing the
+// stale snapshot.
 func (c *CSR) Source() *Graph { return c.src }
 
 // Degree returns the degree of dense node i.
@@ -158,6 +157,27 @@ func (c *CSR) NeighborPos(i, j int32) int {
 		return p
 	}
 	return -1
+}
+
+// BFSParents returns the breadth-first parent table from dense node root,
+// scanning neighbours in ascending order (-1 at the root and at unreached
+// nodes), and the number of nodes reached.
+func (c *CSR) BFSParents(root int32) ([]int32, int) {
+	parent := make([]int32, c.N())
+	for i := range parent {
+		parent[i] = -1
+	}
+	queue := append(make([]int32, 0, c.N()), root)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, w := range c.Neighbors(u) {
+			if parent[w] == -1 && w != root {
+				parent[w] = u
+				queue = append(queue, w)
+			}
+		}
+	}
+	return parent, len(queue)
 }
 
 // MaxDegree returns the maximum degree of the snapshot (0 when empty).

@@ -229,6 +229,22 @@ func TestBFSParents(t *testing.T) {
 	if depth(8) != 4 {
 		t.Errorf("corner depth = %d, want 4", depth(8))
 	}
+	// The snapshot's dense table is the same tree, and counts reached
+	// nodes so a disconnected snapshot shows.
+	c := g.Compile()
+	dense, reached := c.BFSParents(0)
+	if reached != 9 || dense[0] != -1 {
+		t.Fatalf("reached %d, root parent %d", reached, dense[0])
+	}
+	for v, p := range parent {
+		if v != 0 && c.Index().ID(dense[c.Index().MustOf(v)]) != p {
+			t.Errorf("node %d: dense parent %d, map parent %d", v, c.Index().ID(dense[c.Index().MustOf(v)]), p)
+		}
+	}
+	g.AddNode(99)
+	if _, reached := g.Compile().BFSParents(0); reached != 9 {
+		t.Errorf("reached %d with an isolated node, want 9", reached)
+	}
 }
 
 func TestDegreeQueries(t *testing.T) {

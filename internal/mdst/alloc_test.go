@@ -9,7 +9,6 @@ import (
 	"mdegst/internal/graph"
 	"mdegst/internal/sim"
 	"mdegst/internal/spanning"
-	"mdegst/internal/tree"
 )
 
 // TestRoundEngineCounterAllocFlat pins the round engine's pooled (round,
@@ -26,11 +25,7 @@ import (
 func TestRoundEngineCounterAllocFlat(t *testing.T) {
 	g := graph.Gnm(256, 768, 1)
 	c := g.Compile()
-	t0, err := spanning.BFSTree(g, g.Nodes()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := tree.FromTree(t0, c.Index())
+	d, err := spanning.BFSTree(c, g.Nodes()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +63,12 @@ func TestRoundEngineCounterAllocFlat(t *testing.T) {
 // TestHybridAllocBudget holds the full improvement protocol's whole-process
 // allocations per run to a recorded budget (alloctest's rule) on the round
 // engine and on the reference oracle: gnm-96 from the star tree in Hybrid
-// mode, compiling the snapshot and converting the start tree inside each
-// run.
+// mode, compiling the snapshot inside each run. The start tree is built
+// once, over a snapshot of its own: Run accepts a tree over any index that
+// encodes the same NodeID bijection.
 func TestHybridAllocBudget(t *testing.T) {
 	g := graph.Gnm(96, 288, 1)
-	t0, err := spanning.StarTree(g)
+	t0, err := spanning.StarTree(g.Compile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +82,7 @@ func TestHybridAllocBudget(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			alloctest.Check(t, 5, tc.budget, func() {
-				c := g.Compile()
-				d, err := tree.FromTree(t0, c.Index())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := Run(tc.eng(), c, d, Hybrid, 0); err != nil {
+				if _, err := Run(tc.eng(), g.Compile(), t0, Hybrid, 0); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -15,14 +15,15 @@ import (
 func BenchmarkImprovementRound(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		g := graph.Ring(n)
-		t0, err := spanning.BFSTree(g, 0)
+		c := g.Compile()
+		t0, err := spanning.BFSTree(c, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			eng := &sim.EventEngine{Delay: sim.UnitDelay}
 			for i := 0; i < b.N; i++ {
-				if _, err := improve(eng, g, t0, mdst.Single, 0); err != nil {
+				if _, err := mdst.Run(eng, c, t0, mdst.Single, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -34,7 +35,8 @@ func BenchmarkImprovementRound(b *testing.B) {
 // tree per mode.
 func BenchmarkFullImprovement(b *testing.B) {
 	g := graph.Gnm(128, 512, 7)
-	t0, err := spanning.StarTree(g)
+	c := g.Compile()
+	t0, err := spanning.StarTree(c)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func BenchmarkFullImprovement(b *testing.B) {
 			eng := &sim.EventEngine{Delay: sim.UnitDelay}
 			var msgs int64
 			for i := 0; i < b.N; i++ {
-				res, err := improve(eng, g, t0, mode, 0)
+				res, err := mdst.Run(eng, c, t0, mode, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -8,7 +8,6 @@ import (
 	"mdegst/internal/graph"
 	"mdegst/internal/sim"
 	"mdegst/internal/spanning"
-	"mdegst/internal/tree"
 )
 
 // Deferral replay pinning. Under non-FIFO delivery a node defers BFS probes
@@ -46,12 +45,8 @@ func (w countingNode) Recv(ctx sim.Context, from sim.NodeID, m sim.WireMsg) {
 // the final tree and the deferral counts.
 func runCounted(t *testing.T, eng sim.Engine, g *graph.Graph, mode Mode) (string, string, deferralCounts) {
 	t.Helper()
-	t0, err := spanning.StarTree(g)
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := g.Compile()
-	d, err := tree.FromTree(t0, c.Index())
+	d, err := spanning.StarTree(c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,17 +14,6 @@ import (
 
 func unitEngine() sim.Engine { return &sim.EventEngine{Delay: sim.UnitDelay} }
 
-// improve runs mdst.Run over g's snapshot from a map-keyed tree of g, the
-// form the sequential builders produce.
-func improve(eng sim.Engine, g *graph.Graph, t0 *tree.Tree, mode mdst.Mode, target int) (*mdst.Result, error) {
-	c := g.Compile()
-	d, err := tree.FromTree(t0, c.Index())
-	if err != nil {
-		return nil, err
-	}
-	return mdst.Run(eng, c, d, mode, target)
-}
-
 func testGraphs() []struct {
 	name string
 	g    *graph.Graph
@@ -53,17 +42,17 @@ func testGraphs() []struct {
 	}
 }
 
-func initialTrees(t *testing.T, g *graph.Graph) map[string]*tree.Tree {
+func initialTrees(t *testing.T, c *graph.CSR) map[string]*tree.Dense {
 	t.Helper()
-	out := make(map[string]*tree.Tree)
+	out := make(map[string]*tree.Dense)
 	var err error
-	if out["bfs"], err = spanning.BFSTree(g, g.Nodes()[0]); err != nil {
+	if out["bfs"], err = spanning.BFSTree(c, c.Index().ID(0)); err != nil {
 		t.Fatal(err)
 	}
-	if out["star"], err = spanning.StarTree(g); err != nil {
+	if out["star"], err = spanning.StarTree(c); err != nil {
 		t.Fatal(err)
 	}
-	if out["random"], err = spanning.RandomST(g, 4242); err != nil {
+	if out["random"], err = spanning.RandomST(c, 4242); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -75,19 +64,20 @@ func initialTrees(t *testing.T, g *graph.Graph) map[string]*tree.Tree {
 // for every graph family, initial tree and mode.
 func TestDistributedMatchesSequentialTwin(t *testing.T) {
 	for _, tc := range testGraphs() {
-		for tname, t0 := range initialTrees(t, tc.g) {
+		c := tc.g.Compile()
+		for tname, t0 := range initialTrees(t, c) {
 			for _, mode := range []mdst.Mode{mdst.Single, mdst.Multi, mdst.Hybrid} {
 				name := fmt.Sprintf("%s/%s/%s", tc.name, tname, mode)
 				t.Run(name, func(t *testing.T) {
-					res, err := improve(unitEngine(), tc.g, t0, mode, 0)
+					res, err := mdst.Run(unitEngine(), c, t0, mode, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, stats, err := fr.Twin(tc.g, t0, mode)
+					twin, stats, err := fr.Twin(c, t0, mode, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !res.Tree.Equal(want) {
+					if want := twin.ToTree(); !res.Tree.Equal(want) {
 						t.Fatalf("trees differ:\ndistributed:\n%v\ntwin:\n%v", res.Tree, want)
 					}
 					if res.Rounds != stats.Rounds {
@@ -122,7 +112,8 @@ func TestDeliveryOrderIndependence(t *testing.T) {
 		graph.BarabasiAlbert(20, 3, 102),
 	}
 	for gi, g := range graphs {
-		t0, err := spanning.StarTree(g)
+		c := g.Compile()
+		t0, err := spanning.StarTree(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +122,7 @@ func TestDeliveryOrderIndependence(t *testing.T) {
 			for ename, mk := range engines {
 				name := fmt.Sprintf("g%d/%s/%s", gi, mode, ename)
 				t.Run(name, func(t *testing.T) {
-					res, err := improve(mk(), g, t0, mode, 0)
+					res, err := mdst.Run(mk(), c, t0, mode, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -175,7 +166,12 @@ func TestFigure1Exchange(t *testing.T) {
 	if deg0 != 3 || at[0] != 0 {
 		t.Fatalf("setup: max degree %d at %v, want 3 at node 0", deg0, at)
 	}
-	res, err := improve(unitEngine(), g, t0, mdst.Single, 0)
+	c := g.Compile()
+	d, err := tree.FromTree(t0, c.Index())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := mdst.Run(unitEngine(), c, d, mdst.Single, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,13 +190,13 @@ func TestFigure1Exchange(t *testing.T) {
 // n-1 and no improvement is possible; the protocol must terminate after the
 // first round without touching the tree.
 func TestStarWorstCase(t *testing.T) {
-	g := graph.Star(9)
-	t0, err := spanning.BFSTree(g, 0)
+	c := graph.Star(9).Compile()
+	t0, err := spanning.BFSTree(c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []mdst.Mode{mdst.Single, mdst.Multi} {
-		res, err := improve(unitEngine(), g, t0, mode, 0)
+		res, err := mdst.Run(unitEngine(), c, t0, mode, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,17 +210,17 @@ func TestStarWorstCase(t *testing.T) {
 // n-1), the protocol must bring the degree down to at most 3 — the classic
 // motivating example.
 func TestWheelImprovesHubStar(t *testing.T) {
-	g := graph.Wheel(12)
-	t0, err := spanning.StarTree(g)
+	c := graph.Wheel(12).Compile()
+	t0, err := spanning.StarTree(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d0, _ := t0.MaxDegree()
+	d0, _ := t0.MaxDegree(nil)
 	if d0 != 11 {
 		t.Fatalf("setup: star tree degree %d, want 11", d0)
 	}
 	for _, mode := range []mdst.Mode{mdst.Single, mdst.Multi} {
-		res, err := improve(unitEngine(), g, t0, mode, 0)
+		res, err := mdst.Run(unitEngine(), c, t0, mode, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,12 +233,12 @@ func TestWheelImprovesHubStar(t *testing.T) {
 // TestChainStopsAtK2: a ring's spanning trees are chains (k=2); the
 // protocol must stop in one round.
 func TestChainStopsAtK2(t *testing.T) {
-	g := graph.Ring(10)
-	t0, err := spanning.BFSTree(g, 0)
+	c := graph.Ring(10).Compile()
+	t0, err := spanning.BFSTree(c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := improve(unitEngine(), g, t0, mdst.Single, 0)
+	res, err := mdst.Run(unitEngine(), c, t0, mdst.Single, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,12 +252,13 @@ func TestTinyNetworks(t *testing.T) {
 	one := graph.New()
 	one.AddNode(7)
 	for _, g := range []*graph.Graph{one, graph.Path(2), graph.Path(3), graph.Complete(3)} {
-		t0, err := spanning.BFSTree(g, g.Nodes()[0])
+		c := g.Compile()
+		t0, err := spanning.BFSTree(c, g.Nodes()[0])
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, mode := range []mdst.Mode{mdst.Single, mdst.Multi} {
-			res, err := improve(unitEngine(), g, t0, mode, 0)
+			res, err := mdst.Run(unitEngine(), c, t0, mode, 0)
 			if err != nil {
 				t.Fatalf("n=%d: %v", g.N(), err)
 			}
@@ -276,20 +273,20 @@ func TestTinyNetworks(t *testing.T) {
 // over several seeds and graphs.
 func TestAsyncRace(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
-		g := graph.Gnp(18, 0.3, 200+seed)
-		t0, err := spanning.StarTree(g)
+		c := graph.Gnp(18, 0.3, 200+seed).Compile()
+		t0, err := spanning.StarTree(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := fr.Twin(g, t0, mdst.Multi)
+		want, _, err := fr.Twin(c, t0, mdst.Multi, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := improve(&sim.AsyncEngine{}, g, t0, mdst.Multi, 0)
+		res, err := mdst.Run(&sim.AsyncEngine{}, c, t0, mdst.Multi, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Tree.Equal(want) {
+		if !res.Tree.Equal(want.ToTree()) {
 			t.Errorf("seed %d: async result differs from twin", seed)
 		}
 	}

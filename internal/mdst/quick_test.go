@@ -23,24 +23,25 @@ func TestQuickDistributedEqualsTwin(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6 + rng.Intn(24)
 		g := graph.Gnm(n, n-1+rng.Intn(2*n), seed)
-		t0, err := spanning.RandomST(g, seed+1)
+		c := g.Compile()
+		t0, err := spanning.RandomST(c, seed+1)
 		if err != nil {
 			return false
 		}
 		mode := []mdst.Mode{mdst.Single, mdst.Multi, mdst.Hybrid}[modeRaw%3]
 		target := int(targetRaw % 6)
-		res, err := improve(unitEngine(), g, t0, mode, target)
+		res, err := mdst.Run(unitEngine(), c, t0, mode, target)
 		if err != nil {
 			return false
 		}
 		if res.Tree.Validate(g) != nil || res.FinalDegree > res.InitialDegree {
 			return false
 		}
-		want, stats, err := fr.TwinTarget(g, t0, mode, target)
+		want, stats, err := fr.Twin(c, t0, mode, target)
 		if err != nil {
 			return false
 		}
-		return res.Tree.Equal(want) && res.Rounds == stats.Rounds && res.Swaps == stats.Swaps
+		return res.Tree.Equal(want.ToTree()) && res.Rounds == stats.Rounds && res.Swaps == stats.Swaps
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -52,11 +53,12 @@ func TestQuickPerRoundMessageBudget(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 8 + rng.Intn(24)
 		g := graph.Gnm(n, n-1+rng.Intn(3*n), seed)
-		t0, err := spanning.StarTree(g)
+		c := g.Compile()
+		t0, err := spanning.StarTree(c)
 		if err != nil {
 			return false
 		}
-		res, err := improve(unitEngine(), g, t0, mdst.Multi, 0)
+		res, err := mdst.Run(unitEngine(), c, t0, mdst.Multi, 0)
 		if err != nil {
 			return false
 		}
@@ -77,16 +79,17 @@ func TestQuickAsyncAdversary(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6 + rng.Intn(18)
 		g := graph.Gnm(n, n-1+rng.Intn(2*n), seed)
-		t0, err := spanning.StarTree(g)
+		c := g.Compile()
+		t0, err := spanning.StarTree(c)
 		if err != nil {
 			return false
 		}
-		ref, err := improve(unitEngine(), g, t0, mdst.Hybrid, 0)
+		ref, err := mdst.Run(unitEngine(), c, t0, mdst.Hybrid, 0)
 		if err != nil {
 			return false
 		}
 		adv := &sim.EventEngine{Delay: sim.UniformDelay(0.01), Seed: seed, FIFO: fifo}
-		res, err := improve(adv, g, t0, mdst.Hybrid, 0)
+		res, err := mdst.Run(adv, c, t0, mdst.Hybrid, 0)
 		if err != nil {
 			return false
 		}

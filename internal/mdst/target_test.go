@@ -10,27 +10,28 @@ import (
 	"mdegst/internal/spanning"
 )
 
-// TestTargetDifferential: a targeted Run must match TwinTarget exactly for every
+// TestTargetDifferential: a targeted Run must match the twin exactly for every
 // target value, as the untargeted runs do.
 func TestTargetDifferential(t *testing.T) {
 	g := graph.BarabasiAlbert(40, 2, 17)
-	t0, err := spanning.StarTree(g)
+	c := g.Compile()
+	t0, err := spanning.StarTree(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k0, _ := t0.MaxDegree()
+	k0, _ := t0.MaxDegree(nil)
 	for _, mode := range []mdst.Mode{mdst.Single, mdst.Multi, mdst.Hybrid} {
 		for target := 0; target <= k0; target += 3 {
 			t.Run(fmt.Sprintf("%v/target=%d", mode, target), func(t *testing.T) {
-				res, err := improve(unitEngine(), g, t0, mode, target)
+				res, err := mdst.Run(unitEngine(), c, t0, mode, target)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, stats, err := fr.TwinTarget(g, t0, mode, target)
+				want, stats, err := fr.Twin(c, t0, mode, target)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !res.Tree.Equal(want) {
+				if !res.Tree.Equal(want.ToTree()) {
 					t.Fatal("trees differ")
 				}
 				if res.Rounds != stats.Rounds || res.Swaps != stats.Swaps {
@@ -46,18 +47,19 @@ func TestTargetDifferential(t *testing.T) {
 // optimal k* and max(t, k*), and the run is never longer than the full one.
 func TestTargetSemantics(t *testing.T) {
 	g := graph.Gnm(50, 150, 23)
-	t0, err := spanning.StarTree(g)
+	c := g.Compile()
+	t0, err := spanning.StarTree(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := improve(unitEngine(), g, t0, mdst.Single, 0)
+	full, err := mdst.Run(unitEngine(), c, t0, mdst.Single, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kStar := full.FinalDegree
 	k0 := full.InitialDegree
 	for target := 0; target <= k0+1; target++ {
-		res, err := improve(unitEngine(), g, t0, mdst.Single, target)
+		res, err := mdst.Run(unitEngine(), c, t0, mdst.Single, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,19 +86,20 @@ func TestTargetSemantics(t *testing.T) {
 // terminate in one round with no exchange.
 func TestTargetAlreadyMet(t *testing.T) {
 	g := graph.Gnp(25, 0.25, 31)
-	t0, err := spanning.BFSTree(g, g.Nodes()[0])
+	c := g.Compile()
+	t0, err := spanning.BFSTree(c, g.Nodes()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	k0, _ := t0.MaxDegree()
-	res, err := improve(unitEngine(), g, t0, mdst.Hybrid, k0)
+	k0, _ := t0.MaxDegree(nil)
+	res, err := mdst.Run(unitEngine(), c, t0, mdst.Hybrid, k0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rounds != 1 || res.Swaps != 0 {
 		t.Errorf("rounds=%d swaps=%d, want 1 and 0", res.Rounds, res.Swaps)
 	}
-	if !res.Tree.SameEdges(t0) {
+	if !res.Tree.SameEdges(t0.ToTree()) {
 		t.Error("tree was modified although the target was already met")
 	}
 }
@@ -104,16 +107,17 @@ func TestTargetAlreadyMet(t *testing.T) {
 // TestTargetBelowTwoActsAsUnbounded: targets 0..2 all mean "improve fully".
 func TestTargetBelowTwoActsAsUnbounded(t *testing.T) {
 	g := graph.Wheel(14)
-	t0, err := spanning.StarTree(g)
+	c := g.Compile()
+	t0, err := spanning.StarTree(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := improve(unitEngine(), g, t0, mdst.Single, 0)
+	ref, err := mdst.Run(unitEngine(), c, t0, mdst.Single, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for target := 0; target <= 2; target++ {
-		res, err := improve(unitEngine(), g, t0, mdst.Single, target)
+		res, err := mdst.Run(unitEngine(), c, t0, mdst.Single, target)
 		if err != nil {
 			t.Fatal(err)
 		}

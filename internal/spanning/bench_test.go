@@ -42,10 +42,10 @@ func BenchmarkConstruction(b *testing.B) {
 
 // BenchmarkWilson measures the uniform spanning tree sampler.
 func BenchmarkWilson(b *testing.B) {
-	g := graph.Gnm(256, 1024, 2)
+	c := graph.Gnm(256, 1024, 2).Compile()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RandomST(g, int64(i)); err != nil {
+		if _, err := RandomST(c, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -100,16 +100,6 @@ func Build(eng sim.Engine, c *graph.CSR, f sim.Factory) (*tree.Dense, *sim.Repor
 	return d, rep, nil
 }
 
-func removeID(ns []sim.NodeID, v sim.NodeID) []sim.NodeID {
-	out := make([]sim.NodeID, 0, len(ns))
-	for _, n := range ns {
-		if n != v {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 func insertID(ns []sim.NodeID, v sim.NodeID) []sim.NodeID {
 	i := 0
 	for i < len(ns) && ns[i] < v {

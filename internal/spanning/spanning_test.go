@@ -108,10 +108,11 @@ func TestFloodUnitDelayIsBFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := BFSTree(g, root)
+	bfs, err := BFSTree(c, root)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := bfs.ToTree()
 	for _, v := range g.Nodes() {
 		if st.Depth(v) != want.Depth(v) {
 			t.Errorf("node %d: flood depth %d, BFS depth %d", v, st.Depth(v), want.Depth(v))
@@ -139,11 +140,11 @@ func TestDFSDeterministicAcrossEngines(t *testing.T) {
 		}
 	}
 	// And it matches the sequential DFS with the same neighbour order.
-	want, err := DFSTree(g, root)
+	want, err := DFSTree(c, root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !trees[0].Equal(want) {
+	if !trees[0].Equal(want.ToTree()) {
 		t.Error("distributed DFS differs from sequential DFS")
 	}
 }
@@ -265,37 +266,38 @@ func logn(n int) float64 {
 func TestSequentialBuilders(t *testing.T) {
 	for gname, g := range testGraphs() {
 		t.Run(gname, func(t *testing.T) {
+			c := g.Compile()
 			root := g.Nodes()[0]
-			bfs, err := BFSTree(g, root)
+			bfs, err := BFSTree(c, root)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := bfs.Validate(g); err != nil {
+			if err := bfs.Validate(c); err != nil {
 				t.Fatalf("BFS: %v", err)
 			}
-			dfs, err := DFSTree(g, root)
+			dfs, err := DFSTree(c, root)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := dfs.Validate(g); err != nil {
+			if err := dfs.Validate(c); err != nil {
 				t.Fatalf("DFS: %v", err)
 			}
-			star, err := StarTree(g)
+			star, err := StarTree(c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := star.Validate(g); err != nil {
+			if err := star.Validate(c); err != nil {
 				t.Fatalf("star: %v", err)
 			}
-			deg, _ := star.MaxDegree()
+			deg, _ := star.MaxDegree(nil)
 			if g.N() > 1 && deg < g.MaxDegree() {
 				t.Errorf("star tree degree %d below graph max degree %d", deg, g.MaxDegree())
 			}
-			rnd, err := RandomST(g, 123)
+			rnd, err := RandomST(c, 123)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := rnd.Validate(g); err != nil {
+			if err := rnd.Validate(c); err != nil {
 				t.Fatalf("random: %v", err)
 			}
 		})
@@ -305,16 +307,16 @@ func TestSequentialBuilders(t *testing.T) {
 // TestRandomSTVariety: Wilson's algorithm should produce different trees for
 // different seeds on a graph with many spanning trees.
 func TestRandomSTVariety(t *testing.T) {
-	g := graph.Complete(8)
-	a, err := RandomST(g, 1)
+	c := graph.Complete(8).Compile()
+	a, err := RandomST(c, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RandomST(g, 2)
+	b, err := RandomST(c, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.SameEdges(b) {
+	if a.ToTree().SameEdges(b.ToTree()) {
 		t.Error("two seeds produced identical random spanning trees (possible but astronomically unlikely)")
 	}
 }

@@ -1,8 +1,10 @@
-// Package tree provides the rooted spanning tree representation shared by
-// every tree-building and tree-improving algorithm in this module, together
-// with validation against a host graph, degree queries, re-rooting (the
-// paper's path-reversal), and the add/remove edge primitives used by
-// improvement swaps.
+// Package tree provides the rooted spanning tree representations: Dense,
+// the slice-backed form over a graph snapshot's dense index that every
+// tree-building and tree-improving algorithm works on, and Tree, the
+// map-keyed view the public facade and its result fields carry. Both offer
+// validation against a host graph, degree queries, re-rooting (the paper's
+// path reversal) and the cut/attach primitives of improvement swaps; Tree's
+// mutators remain the reference Dense is tested against.
 package tree
 
 import (

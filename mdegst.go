@@ -213,42 +213,33 @@ func BuildSpanningTreeCompiled(c *CompiledGraph, method InitialTree, opts Option
 }
 
 // buildInitial builds the startup spanning tree in the dense form the
-// improvement protocol starts from.
+// improvement protocol starts from. Sequential builders carry no message
+// report.
 func buildInitial(c *CompiledGraph, method InitialTree, opts Options) (*tree.Dense, *Report, error) {
 	if c.N() == 0 {
 		return nil, nil, fmt.Errorf("mdegst: empty graph")
 	}
-	g := c.Source()
+	root := c.Index().ID(0) // the minimum identity
 	var f sim.Factory
 	switch method {
 	case InitialFlood:
-		f = spanning.NewFloodFactory(c, g.Nodes()[0])
+		f = spanning.NewFloodFactory(c, root)
 	case InitialDFS:
-		f = spanning.NewDFSFactory(g.Nodes()[0])
+		f = spanning.NewDFSFactory(root)
 	case InitialGHS:
 		f = spanning.NewGHSFactory()
 	case InitialElection:
 		f = spanning.NewElectionFactory()
 	case InitialStar:
-		t, err := spanning.StarTree(g)
-		return sequentialInitial(c, t, err)
+		d, err := spanning.StarTree(c)
+		return d, nil, err
 	case InitialRandom:
-		t, err := spanning.RandomST(g, opts.Seed)
-		return sequentialInitial(c, t, err)
+		d, err := spanning.RandomST(c, opts.Seed)
+		return d, nil, err
 	default:
 		return nil, nil, fmt.Errorf("mdegst: unknown initial tree method %v", method)
 	}
 	return spanning.Build(opts.engine(), c, f)
-}
-
-// sequentialInitial converts a sequential builder's tree; such trees carry
-// no message report.
-func sequentialInitial(c *CompiledGraph, t *Tree, err error) (*tree.Dense, *Report, error) {
-	if err != nil {
-		return nil, nil, err
-	}
-	d, err := tree.FromTree(t, c.Index())
-	return d, nil, err
 }
 
 // Run executes the full pipeline: build the startup spanning tree, then
@@ -392,32 +383,46 @@ func checkpointEngine(spec *sim.CheckpointSpec) sim.ResumableEngine {
 // round/exchange counts. It is the fast path for large parameter sweeps and
 // the oracle the distributed runs are tested against.
 func ImproveSequential(g *Graph, initial *Tree, mode Mode) (*Tree, int, int, error) {
-	t, stats, err := fr.Twin(g, initial, mode)
+	c := g.Compile()
+	d, err := denseInitial(c, initial)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return t, stats.Rounds, stats.Swaps, nil
+	t, stats, err := fr.Twin(c, d, mode, 0)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return t.ToTree(), stats.Rounds, stats.Swaps, nil
 }
 
 // FurerRaghavachari runs the classic sequential local search (the paper's
 // reference [3]) and returns the improved tree and its exchange count.
 func FurerRaghavachari(g *Graph, initial *Tree) (*Tree, int, error) {
-	t, stats, err := fr.FurerRaghavachari(g, initial)
+	c := g.Compile()
+	d, err := denseInitial(c, initial)
 	if err != nil {
 		return nil, 0, err
 	}
-	return t, stats.Swaps, nil
+	t, stats, err := fr.FurerRaghavachari(c, d)
+	if err != nil {
+		return nil, 0, err
+	}
+	return t.ToTree(), stats.Swaps, nil
 }
 
 // ExactMinDegree returns Δ*, the optimal spanning tree degree, with a
 // witness tree. Exponential: limited to small graphs (see exact package).
 func ExactMinDegree(g *Graph) (int, *Tree, error) {
-	return exact.MinDegree(g)
+	d, t, err := exact.MinDegree(g.Compile())
+	if err != nil {
+		return 0, nil, err
+	}
+	return d, t.ToTree(), nil
 }
 
 // DegreeLowerBound returns a cheap lower bound on Δ* valid for any size.
 func DegreeLowerBound(g *Graph) int {
-	return exact.DegreeLowerBound(g)
+	return exact.DegreeLowerBound(g.Compile())
 }
 
 // ExperimentTable is one rendered experiment table of the evaluation
@@ -454,8 +459,8 @@ func (o ExperimentOptions) config() exp.Config {
 	return cfg
 }
 
-// ExperimentIDs returns the experiment table ids (E1..E10, A1..A3) in
-// canonical order.
+// ExperimentIDs returns the experiment table ids in canonical order: the
+// ablations A1..A3 first, then E1..E10.
 func ExperimentIDs() []string { return exp.IDs() }
 
 // RunExperiments executes the named experiment tables of the paper's
