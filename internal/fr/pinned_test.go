@@ -73,15 +73,15 @@ var sequentialDigests = map[string]string{
 	"ba96/random":                         "7b67b45635bc4874b8c9474afb665d31343f6443998584b2c20c6fb8a997c58c",
 	"ba96/random/fr":                      "14dfa0138bb95417236b0e9cdc3e069fcaea942bd7f8bfe4d7580da78b0469a6",
 	"ba96/random/strict":                  "4fb022587a87e4ff6bceac43d34688ddbca352d9bb9008c971d2db2f74dbfecb",
-	"ba96/random/twin-hybrid":             "5ec0b806d85d2d4878bcb955136bc945cb3b77e5fe5d8cb17a4090429f24b448",
+	"ba96/random/twin-hybrid":             "9872e4d13c6478dab27b798c0e5549ac173f3fe86cf6797daf04faf50c91fb99",
 	"ba96/random/twin-multi":              "fec13ff224f86d2cb35fd4b473fb7c98bcfa05d0848ffaf19c6c27a5d9b907a2",
-	"ba96/random/twin-single":             "7088335ece3fe63d70566ecb2a89e6812d6c983e9d791da6e9c8384cf75576cd",
+	"ba96/random/twin-single":             "fc88c7b73647751a2a2e5413629eeb8496ff67e8165de5e3034825c6ec3b4839",
 	"ba96/star":                           "af0b06970476112dd751b382f9368c9fdf5efa0a563ff1ba869b81db52d9464d",
 	"ba96/star/fr":                        "ca42a123d4d978e059eb379fedf5cafd6b3c260eee091e8f9c4b520fe203760c",
 	"ba96/star/strict":                    "7c992d65cdca7be350c6322dbf5c1d07634e2fa009d1040932feb28825d4410e",
-	"ba96/star/twin-hybrid":               "cd6cec6aad1c8e43dab763c33c9ada986e43567d114e07ec2fdf43ef12660bce",
+	"ba96/star/twin-hybrid":               "0f4435e1e0cd02b17543df517b8efdf7d279f1478c577c9b4ab37dbd774687b7",
 	"ba96/star/twin-multi":                "6a42dcc4fbfa17b87cf48c53a0905b4a40034122eb9ac967c201afb47783deaa",
-	"ba96/star/twin-single":               "573b5bc27d1e84f38d5bd27a8ffa9a967648f09812a9b7f7b80aa66a9b992004",
+	"ba96/star/twin-single":               "9fda283fc10dcc6843134a608a8ae4111dfceb0e0177271ca73355fc9d91abf3",
 	"bipart/s0/bfs":                       "02f8f882ef2926a50fd99572dc2b76101aaab116216c8cd9061cab8cd604599b",
 	"bipart/s0/dfs":                       "98f341df0fb12f2e6194f60dfd2fb7ef3e5c6720261099b2231bbef46c0b4ad0",
 	"bipart/s0/exact":                     "a2ee01fa16671b147c1723f15d11d2768ee2933b48808f1eefa69aacdbb41cc5",
@@ -165,7 +165,7 @@ var sequentialDigests = map[string]string{
 	"gnm-10/s2/random/strict":             "ec81da8679134bbfca1f00d5dce0137f54ac3edcae568b7872090a48326e3c78",
 	"gnm-10/s2/random/twin-hybrid":        "1e7c1b6d6229a1cb3bc8da5484e49cba3b33370acf218f8b97b848c012d10524",
 	"gnm-10/s2/random/twin-multi":         "d338e39f8fb7940da0cd4acf7a0a49227a4a0184439e2e8070ed1c850ae6967b",
-	"gnm-10/s2/random/twin-single":        "1e7c1b6d6229a1cb3bc8da5484e49cba3b33370acf218f8b97b848c012d10524",
+	"gnm-10/s2/random/twin-single":        "43361d965f591dd412251741b8e797483b04f224fc6877ae2023a6cb0c080830",
 	"gnm-10/s2/star":                      "40d8ac819abc7b3d1c32b0b031767c3a2cbebc0fb3fbc2e6e865c8376784564b",
 	"gnm-10/s2/star/fr":                   "6841a69368ddeef76b066573161bc724dccb8e6cc7d3d1ddd0b6e1dbd5f52d22",
 	"gnm-10/s2/star/strict":               "6841a69368ddeef76b066573161bc724dccb8e6cc7d3d1ddd0b6e1dbd5f52d22",
@@ -246,7 +246,7 @@ var sequentialDigests = map[string]string{
 	"gnp-11/s1/star/strict":               "740dd305695181c106f3ba456248608b278f32d967dde6a2886918b7686695dc",
 	"gnp-11/s1/star/twin-hybrid":          "8800ee058fe2bb542b8a0de8d4849b359a0a067c89885f2c400e878e05d53212",
 	"gnp-11/s1/star/twin-multi":           "952c2378f6f89981b4e160dbc1212daae478c90e61eea84ec9dd30fd434c0348",
-	"gnp-11/s1/star/twin-single":          "8800ee058fe2bb542b8a0de8d4849b359a0a067c89885f2c400e878e05d53212",
+	"gnp-11/s1/star/twin-single":          "cbbc9149e66333b5f3cfddcb7604bafc1f1dab45a40c29de13e8302042add7dc",
 	"gnp-11/s2/bfs":                       "9d495cb1e92583d41cf4ef20c534a2486e6153e749d8190add1c6377b7ee5f4d",
 	"gnp-11/s2/dfs":                       "f986fa0511a6fb8aee796a871e137ed1c554dc89cb7228f34648bf421611313a",
 	"gnp-11/s2/exact":                     "fee713511db797d1ee68e6ffd836084f19e8d1de7fa19db863c7a41ba28d7893",
@@ -267,9 +267,9 @@ var sequentialDigests = map[string]string{
 	"gnp64/random":                        "45bac4e4e4d9d9f10763058195d567e3e648df02015e464b1a928ce259833dad",
 	"gnp64/random/fr":                     "c94df4ab61867d6afbd3184cb09109f056e10767060017e146007775295c7912",
 	"gnp64/random/strict":                 "c94df4ab61867d6afbd3184cb09109f056e10767060017e146007775295c7912",
-	"gnp64/random/twin-hybrid":            "6f9b069636ad26ab39ebe9948cfba515ee9c3042f69e4532aab90dd1ff99f2a1",
+	"gnp64/random/twin-hybrid":            "ab592ae9a4a200f9e8dcb1110c26518b20cce226debc7643e64ece3715e60a6e",
 	"gnp64/random/twin-multi":             "3b12f7a7af737a83d2a23f7a36ac40c09c667d9b2e04d2006cc7401c6a2472d4",
-	"gnp64/random/twin-single":            "f7c3474441af7af4acba912e1484e9f6a3d82ffc04e737e5e3cb58109ef4db42",
+	"gnp64/random/twin-single":            "9da4870b5cf7e28b31ec5bba4b3ee8f7db6837119a6f4c56ed3ff0b152ddb139",
 	"gnp64/star":                          "2e5030c42b8ee2d600b8f0d41bd2a0dcc97eac722498750002baf59e8c9afa37",
 	"gnp64/star/fr":                       "9378f51cbdf237204c4e4d4aa13ac806beb4c171ebc3ec074f43ff612658a2e4",
 	"gnp64/star/strict":                   "9378f51cbdf237204c4e4d4aa13ac806beb4c171ebc3ec074f43ff612658a2e4",
@@ -281,13 +281,13 @@ var sequentialDigests = map[string]string{
 	"gnp96-relabelled/random":             "37f41b9beb3e2c1a2b8ee0866b1cc25c3248bbf9f7b772e5052a909d8712ed55",
 	"gnp96-relabelled/random/fr":          "0eac16f66a32977960c08d81321de35e307de96d66675ec9591b871f5724e006",
 	"gnp96-relabelled/random/strict":      "0eac16f66a32977960c08d81321de35e307de96d66675ec9591b871f5724e006",
-	"gnp96-relabelled/random/twin-hybrid": "bed0c36ec5dae5be4448df296098b227e05c18b007d88c84654c4c9800a810be",
+	"gnp96-relabelled/random/twin-hybrid": "838b44884df0e68f76949532bf2bd2b8bc48878dea4694e4c41c42339155d29b",
 	"gnp96-relabelled/random/twin-multi":  "4a4b101f562cac42c2876914e183ae57f87acfa9fe0f01131eac9a690101526c",
-	"gnp96-relabelled/random/twin-single": "603e31454222ed22f399e8ea397cc86208439db2035c66d9430c27f61413f84c",
+	"gnp96-relabelled/random/twin-single": "e2062667d9b5824fb71a4ed653c032f8d608b55c640e48f207ad849b41f801b1",
 	"gnp96-relabelled/star":               "11585e2dac0d2a3ffc7eee88f595d16b8d1364f71a216a22db4b8d4c41dafd21",
 	"gnp96-relabelled/star/fr":            "f5a2bfbe8310bb50ad9dfb50544380aa2261ab4974788095f2635dc591293269",
 	"gnp96-relabelled/star/strict":        "f5a2bfbe8310bb50ad9dfb50544380aa2261ab4974788095f2635dc591293269",
-	"gnp96-relabelled/star/twin-hybrid":   "b8a1b70eea2fbb2f5ecf71128109a74898b16a1f77d7d2abd68a356506233f8c",
+	"gnp96-relabelled/star/twin-hybrid":   "a22ea8c484f3987f6305e146b0b43a93a787a3c503c13f6e16295ce14baf54cb",
 	"gnp96-relabelled/star/twin-multi":    "ae0006f44653a73ad78c1cfe3bb34453f4982cfd792c6cb657eda09b7afe30d5",
 	"gnp96-relabelled/star/twin-single":   "344b196b803c4847e68b2d45aa80e722e5f5323c8d1947036e0805feed7c95a6",
 	"grid8x12/bfs":                        "482affa1ae9cf2c068cdf9b033f34bec217477a6b0aa07e695e0fe5fee5d8fba",
@@ -295,9 +295,9 @@ var sequentialDigests = map[string]string{
 	"grid8x12/random":                     "2f2e6d7617f5ebfee7f0a19c30ee6f24488114becd1a76999e2d1f66c9799ef3",
 	"grid8x12/random/fr":                  "daed53ffc596337edb2bb1eb1cf87785939e88eb51322c3a990ff4deb4de108f",
 	"grid8x12/random/strict":              "daed53ffc596337edb2bb1eb1cf87785939e88eb51322c3a990ff4deb4de108f",
-	"grid8x12/random/twin-hybrid":         "ef8818fea7538671532f5744ad0d6c5483589762292e0f199e1c27f0a0f18191",
+	"grid8x12/random/twin-hybrid":         "9a5f54bdf6848566e681fd8a10f4153c621987a04bffc923b672da1c7b796a4b",
 	"grid8x12/random/twin-multi":          "db0fa62679971eb5f8650b1e9808c663c1e7acfec15c0d5f89c46998cb5e1e44",
-	"grid8x12/random/twin-single":         "3dc73bd60ab94b097e42f72660ee7583d405bcf0f21b3e10b9dfa30da45a5808",
+	"grid8x12/random/twin-single":         "3dc172cbd4b0b572f65bbb9431cd54650ad43bccf4ee5163ce7edfdd1a1de240",
 	"grid8x12/star":                       "209cf97ca4660f8b8590f6eb87512749e37937c0c1d626bb771e4caa45a8a27d",
 	"grid8x12/star/fr":                    "dc7076d6b57ca0060ccfd723a1e9f0b6d9e83301b9841bb084a61701beef78d3",
 	"grid8x12/star/strict":                "dc7076d6b57ca0060ccfd723a1e9f0b6d9e83301b9841bb084a61701beef78d3",
@@ -309,9 +309,9 @@ var sequentialDigests = map[string]string{
 	"hamchords64/random":                  "671ada36a89a1ac7f608dbcc71529fff32ad8ffca6b74de9a41a452d80bec353",
 	"hamchords64/random/fr":               "fd63c2ec2301c4e9505021f35e13878cc850304e1816d6f7567b9ddcfe9bd14a",
 	"hamchords64/random/strict":           "fd63c2ec2301c4e9505021f35e13878cc850304e1816d6f7567b9ddcfe9bd14a",
-	"hamchords64/random/twin-hybrid":      "b04e74eff7092543ce6fe2941cd021d041d22c9586bcbf1422ca0c7848c7d517",
+	"hamchords64/random/twin-hybrid":      "637f9c17159244377335c1aa8625f35658547c3030493b3f403aee31f8ba771f",
 	"hamchords64/random/twin-multi":       "f7dfb2feb5067f5d6122aecbcc00d54247895d0e8ccc84bdb28a147aa8b0e8cd",
-	"hamchords64/random/twin-single":      "74f7e67c1b0bbf75c4331d31f05c158427ff429ff4eb990015a4cd35746e5713",
+	"hamchords64/random/twin-single":      "d9d41c4de73fb73d78db2c5a73213127d0d3f9fe86c358b39d664ca7a71758ee",
 	"hamchords64/star":                    "1300620995dd9bd3d342db7568a07f2a818784f0b7b6e0d3f8986b081242d63d",
 	"hamchords64/star/fr":                 "b956badbe21db763240800cbb0dceb9c741f7dc6c852cc5df9de6a0ce626e6b5",
 	"hamchords64/star/strict":             "b956badbe21db763240800cbb0dceb9c741f7dc6c852cc5df9de6a0ce626e6b5",
@@ -323,9 +323,9 @@ var sequentialDigests = map[string]string{
 	"hypercube6/random":                   "832fb8f80e249242ea7f64fb5b473c0b9bcfe6c7e947c2675fd781bd1731351c",
 	"hypercube6/random/fr":                "69a57f45cf414de5a1b60d529213dc1a39ecb86f618b84f556eea438f483dbe4",
 	"hypercube6/random/strict":            "69a57f45cf414de5a1b60d529213dc1a39ecb86f618b84f556eea438f483dbe4",
-	"hypercube6/random/twin-hybrid":       "8641fc3652d4b54945b6528bf802d620d5f60cb2c3860a5f548c1df29619e6ff",
+	"hypercube6/random/twin-hybrid":       "1cb8c30b0fdf207b4f310c1c4287174f51e3d8b6929f22a763c52d4b9da62e5e",
 	"hypercube6/random/twin-multi":        "c7a9e267d7381bfebd5090b3741086be81b5aebcc08231bc6cd3e670a178ac00",
-	"hypercube6/random/twin-single":       "09a4f12fba46bdcdbe16b52fa2d62c5d417f3eeda9ea6fdbbf1a52202265d04a",
+	"hypercube6/random/twin-single":       "7ff9bb4582190acde9251a6c1a131fcd0b047b74b0178fa515ef77143d3ccbcf",
 	"hypercube6/star":                     "849b5f6769bac817be88c63791ca502b869e70925c60dbbd035d711b00ea4466",
 	"hypercube6/star/fr":                  "c7a03b706264a598df4e9d00ed3e92c6786f55391063b382791dfbca1a689a51",
 	"hypercube6/star/strict":              "c7a03b706264a598df4e9d00ed3e92c6786f55391063b382791dfbca1a689a51",

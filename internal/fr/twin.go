@@ -70,12 +70,30 @@ func Twin(c *graph.CSR, initial *tree.Dense, mode mdst.Mode, target int) (*tree.
 	if err := initial.Validate(c); err != nil {
 		return nil, TwinStats{}, fmt.Errorf("fr: initial tree invalid: %w", err)
 	}
-	stop := 2
-	if target > 2 {
-		stop = target
-	}
-	d := initial.Clone()
-	stats := TwinStats{}
+	tw := newTwinRun(c, initial.Clone())
+	return tw.d, tw.run(mode, target), nil
+}
+
+// twinRun bundles the per-run dense scratch reused across rounds.
+type twinRun struct {
+	c         *graph.CSR
+	d         *tree.Dense
+	exhausted []bool
+	frag      []int32 // single rounds: fragment (child of p) of every node
+	fragOwner []int32 // multi rounds: owning S-node per fragment member
+	fragRoot  []int32 // multi rounds: fragment root per member
+	inS       []bool
+	stack     []int32
+	maxBuf    []int32
+	seen      []int32 // revalidate: stamp of the exchange that last visited a node
+	stamp     int32
+	// invalidate updates the exhausted flags after a Single exchange that
+	// cut the owner's child c; fell reports that c's degree fell from k-1
+	// to k-2. Twin uses revalidate; tests substitute other rules.
+	invalidate func(c int32, k int, fell bool)
+}
+
+func newTwinRun(c *graph.CSR, d *tree.Dense) *twinRun {
 	n := c.N()
 	tw := &twinRun{
 		c:         c,
@@ -86,7 +104,20 @@ func Twin(c *graph.CSR, initial *tree.Dense, mode mdst.Mode, target int) (*tree.
 		fragRoot:  make([]int32, n),
 		inS:       make([]bool, n),
 		stack:     make([]int32, 0, n),
+		seen:      make([]int32, n),
 	}
+	tw.invalidate = tw.revalidate
+	return tw
+}
+
+// run improves tw.d in place and returns the round accounting.
+func (tw *twinRun) run(mode mdst.Mode, target int) TwinStats {
+	stop := 2
+	if target > 2 {
+		stop = target
+	}
+	d := tw.d
+	stats := TwinStats{}
 	stats.InitialDegree, tw.maxBuf = d.MaxDegree(tw.maxBuf)
 	phase := mdst.Multi
 	if mode == mdst.Single {
@@ -114,9 +145,9 @@ func Twin(c *graph.CSR, initial *tree.Dense, mode mdst.Mode, target int) (*tree.
 				break // all maximum-degree nodes exhausted
 			}
 			d.Reroot(p) // MoveRoot (path reversal)
-			if tw.roundSingle(p, k) {
+			if c, fell := tw.roundSingle(p, k); c != noFrag {
 				stats.Swaps++
-				clear(tw.exhausted)
+				tw.invalidate(c, k, fell)
 			} else {
 				tw.exhausted[p] = true
 			}
@@ -135,27 +166,43 @@ func Twin(c *graph.CSR, initial *tree.Dense, mode mdst.Mode, target int) (*tree.
 		}
 	}
 	stats.FinalDegree, _ = d.MaxDegree(nil)
-	return d, stats, nil
+	return stats
 }
 
-// twinRun bundles the per-run dense scratch reused across rounds.
-type twinRun struct {
-	c         *graph.CSR
-	d         *tree.Dense
-	exhausted []bool
-	frag      []int32 // single rounds: fragment (child of p) of every node
-	fragOwner []int32 // multi rounds: owning S-node per fragment member
-	fragRoot  []int32 // multi rounds: fragment root per member
-	inS       []bool
-	stack     []int32
-	maxBuf    []int32
+// revalidate is the targeted invalidation of DESIGN.md deviation 1. The
+// tree is still rooted at the owner p, so the new path p…c is c's ancestor
+// chain; every node on it loses its flag. When c fell from k-1 to k-2, so
+// does every ancestor-or-self of each non-tree neighbour x of c with
+// deg(x) <= k-2: with the path, the union of the tree paths from c to each
+// x. Any other exhausted node still has no usable edge.
+func (tw *twinRun) revalidate(c int32, k int, fell bool) {
+	d := tw.d
+	tw.stamp++
+	for w := c; w != tree.NoParent; w = d.Parent(w) {
+		tw.exhausted[w] = false
+		tw.seen[w] = tw.stamp
+	}
+	if !fell {
+		return
+	}
+	for _, x := range tw.c.Neighbors(c) {
+		if d.HasEdge(c, x) || d.Degree(x) > k-2 {
+			continue
+		}
+		for w := x; tw.seen[w] != tw.stamp; w = d.Parent(w) {
+			tw.exhausted[w] = false
+			tw.seen[w] = tw.stamp
+		}
+	}
 }
 
 const noFrag int32 = -1
 
 // roundSingle mirrors one Single-mode round at acting root p: fragments are
-// p's child subtrees; the best usable outgoing edge (if any) is applied.
-func (tw *twinRun) roundSingle(p int32, k int) bool {
+// p's child subtrees; the best usable outgoing edge (if any) is applied. It
+// returns the child c whose edge to p was cut (noFrag if none) and whether
+// c's degree fell from k-1 to k-2.
+func (tw *twinRun) roundSingle(p int32, k int) (int32, bool) {
 	c, d := tw.c, tw.d
 	for i := range tw.frag {
 		tw.frag[i] = noFrag
@@ -196,10 +243,12 @@ func (tw *twinRun) roundSingle(p int32, k int) bool {
 		}
 	}
 	if !found {
-		return false
+		return noFrag, false
 	}
-	tw.applySwap(p, tw.frag[best.u], best)
-	return true
+	arrival := tw.frag[best.u]
+	before := d.Degree(arrival)
+	tw.applySwap(p, arrival, best)
+	return arrival, before == k-1 && d.Degree(arrival) == k-2
 }
 
 // roundMulti mirrors one Multi-mode round: fragments are the components of

@@ -8,8 +8,19 @@ import (
 
 // Exchange application: Update travels the via chain reversing the path,
 // Child performs the reattachment, RoundDone tells the owner (paper §3.2.5).
+// Together they visit exactly the new tree path from the owner p to the cut
+// child c, the exchange's cycle: every node on it handles one of the three
+// and clears its exhausted flag there (DESIGN.md deviation 1).
 
 func (n *Node) onUpdate(ctx sim.Context, from sim.NodeID, msg mUpdate) {
+	n.exhausted = false
+	fell := msg.fell
+	if msg.first {
+		// We are the cut child c and lose the owner. Unless we are u,
+		// which gains v in its place, our via child only turns into our
+		// parent, so our degree drops by one.
+		fell = n.id != msg.u && n.degree() == n.kAll-1
+	}
 	// On every hop after the first, the sender (our former parent) has
 	// reversed its pointer and is now our child; on the first hop the
 	// sender is the owner that just cut us.
@@ -21,7 +32,7 @@ func (n *Node) onUpdate(ctx sim.Context, from sim.NodeID, msg mUpdate) {
 		}
 		n.parent = msg.v
 		n.hasParent = true
-		ctx.Send(msg.v, newChild(n.round))
+		ctx.Send(msg.v, newChild(n.round, fell))
 		return
 	}
 	// "Else: the identity found in its via variable becomes its parent and
@@ -39,27 +50,29 @@ func (n *Node) onUpdate(ctx sim.Context, from sim.NodeID, msg mUpdate) {
 	n.removeChild(via)
 	n.parent = via
 	n.hasParent = true
-	ctx.Send(via, newUpdate(n.round, msg.u, msg.v, false))
+	ctx.Send(via, newUpdate(n.round, msg.u, msg.v, false, fell))
 }
 
 func (n *Node) onChild(ctx sim.Context, from sim.NodeID, msg mChild) {
 	// "Upon receipt of the child message from x, the node y adds x to its
 	// children set." The round is complete; tell the waiting owner.
+	n.exhausted = false
 	n.addChild(from)
 	if !n.hasParent {
 		panic(fmt.Sprintf("mdst: reattachment endpoint %d has no parent", n.id))
 	}
-	ctx.Send(n.parent, newRoundDone(n.round))
+	ctx.Send(n.parent, newRoundDone(n.round, msg.fell))
 }
 
 func (n *Node) onRoundDone(ctx sim.Context, from sim.NodeID, msg mRoundDone) {
+	n.exhausted = false
 	if n.isOwner && n.awaitingDone {
 		n.awaitingDone = false
-		n.finishOwner(ctx)
+		n.finishOwner(ctx, msg.fell)
 		return
 	}
 	if !n.hasParent {
 		panic(fmt.Sprintf("mdst: root %d received round-done it was not awaiting", n.id))
 	}
-	ctx.Send(n.parent, newRoundDone(n.round))
+	ctx.Send(n.parent, newRoundDone(n.round, msg.fell))
 }

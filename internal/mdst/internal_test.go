@@ -163,17 +163,17 @@ func TestMessageWords(t *testing.T) {
 		m    sim.WireMsg
 		want int
 	}{
-		{newStart(1, false, Single), 4},
-		{newDeg(1, 3, 2), 4},
+		{newStart(1, noCand, Single), 4},
+		{newDeg(1, 3, 2, true), 5},
 		{newMove(1, 3, 2), 4},
 		{newCut(1, 3, 2), 4},
 		{newBFS(1, 3, 2, 4), 5},
 		{newCousin(1, 3, 2, 4), 5},
 		{newBFSBack(1, false, edgeReport{}, true), 3},
 		{newBFSBack(1, true, edgeReport{u: 1, v: 2, du: 3, dv: 4, vroot: 5}, true), 9},
-		{newUpdate(1, 2, 3, true), 5},
-		{newChild(1), 2},
-		{newRoundDone(1), 2},
+		{newUpdate(1, 2, 3, true, true), 5},
+		{newChild(1, true), 3},
+		{newRoundDone(1, true), 3},
 		{newTerm(1), 2},
 	}
 	for _, tc := range cases {
@@ -192,10 +192,10 @@ func ptr(m sim.WireMsg) *sim.WireMsg { return &m }
 // every record decodes back to the field values it was built from.
 func TestMessageRoundTrip(t *testing.T) {
 	rep := edgeReport{u: 7, v: 9, du: 3, dv: 2, vroot: 11}
-	if got := decStart(ptr(newStart(4, true, Multi))); got != (mStart{round: 4, clear: true, phase: Multi}) {
+	if got := decStart(ptr(newStart(4, 8, Multi))); got != (mStart{round: 4, fell: 8, phase: Multi}) {
 		t.Errorf("start round-trip: %+v", got)
 	}
-	if got := decDeg(ptr(newDeg(4, 6, noCand))); got != (mDeg{round: 4, k: 6, cand: noCand}) {
+	if got := decDeg(ptr(newDeg(4, 6, noCand, true))); got != (mDeg{round: 4, k: 6, cand: noCand, xBelow: true}) {
 		t.Errorf("deg round-trip: %+v", got)
 	}
 	if got := decMove(ptr(newMove(4, 6, 9))); got != (mMove{round: 4, k: 6, target: 9}) {
@@ -216,7 +216,15 @@ func TestMessageRoundTrip(t *testing.T) {
 	if got := decBFSBack(ptr(newBFSBack(4, false, edgeReport{}, true))); got != (mBFSBack{round: 4, improved: true}) {
 		t.Errorf("bfsback short round-trip: %+v", got)
 	}
-	if got := decUpdate(ptr(newUpdate(4, 7, 9, true))); got != (mUpdate{round: 4, u: 7, v: 9, first: true}) {
-		t.Errorf("update round-trip: %+v", got)
+	for _, f := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+		if got := decUpdate(ptr(newUpdate(4, 7, 9, f[0], f[1]))); got != (mUpdate{round: 4, u: 7, v: 9, first: f[0], fell: f[1]}) {
+			t.Errorf("update round-trip: %+v", got)
+		}
+	}
+	if got := decChild(ptr(newChild(4, true))); got != (mChild{round: 4, fell: true}) {
+		t.Errorf("child round-trip: %+v", got)
+	}
+	if got := decRoundDone(ptr(newRoundDone(4, true))); got != (mRoundDone{round: 4, fell: true}) {
+		t.Errorf("rounddone round-trip: %+v", got)
 	}
 }

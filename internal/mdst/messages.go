@@ -23,15 +23,15 @@ import "mdegst/internal/sim"
 // wire is the registered schema; opcode order is the declaration order.
 var wire = sim.Register("mdst",
 	sim.OpSpec{Kind: "mdst.start", MinPayload: 3, MaxPayload: 3, Rounded: true},
-	sim.OpSpec{Kind: "mdst.deg", MinPayload: 3, MaxPayload: 3, Rounded: true},
+	sim.OpSpec{Kind: "mdst.deg", MinPayload: 4, MaxPayload: 4, Rounded: true},
 	sim.OpSpec{Kind: "mdst.move", MinPayload: 3, MaxPayload: 3, Rounded: true},
 	sim.OpSpec{Kind: "mdst.cut", MinPayload: 3, MaxPayload: 3, Rounded: true},
 	sim.OpSpec{Kind: "mdst.bfs", MinPayload: 4, MaxPayload: 4, Rounded: true},
 	sim.OpSpec{Kind: "mdst.cousin", MinPayload: 4, MaxPayload: 4, Rounded: true},
 	sim.OpSpec{Kind: "mdst.bfsback", MinPayload: 2, MaxPayload: 8, Rounded: true},
 	sim.OpSpec{Kind: "mdst.update", MinPayload: 4, MaxPayload: 4, Rounded: true},
-	sim.OpSpec{Kind: "mdst.child", MinPayload: 1, MaxPayload: 1, Rounded: true},
-	sim.OpSpec{Kind: "mdst.rounddone", MinPayload: 1, MaxPayload: 1, Rounded: true},
+	sim.OpSpec{Kind: "mdst.child", MinPayload: 2, MaxPayload: 2, Rounded: true},
+	sim.OpSpec{Kind: "mdst.rounddone", MinPayload: 2, MaxPayload: 2, Rounded: true},
 	sim.OpSpec{Kind: "mdst.term", MinPayload: 1, MaxPayload: 1, Rounded: true},
 )
 
@@ -54,37 +54,42 @@ var (
 const noCand sim.NodeID = -1
 
 // mStart begins a round: broadcast from the acting root down the tree.
-// clear resets the "exhausted" flags after a successful exchange; phase is
-// the round's mode (Single or Multi — Hybrid runs switch mid-algorithm).
+// fell names the child c the previous round's exchange cut from its owner
+// when c's degree fell from k-1 to k-2, and is noCand otherwise: the nodes
+// of X (c's non-tree neighbours of degree at most k-2) recognise
+// themselves from it, and their ancestors lose their exhausted flags
+// (DESIGN.md deviation 1). phase is the round's mode (Single or Multi —
+// Hybrid runs switch mid-algorithm).
 type mStart struct {
 	round int
-	clear bool
+	fell  sim.NodeID
 	phase Mode
 }
 
-func newStart(round int, clear bool, phase Mode) sim.WireMsg {
-	return sim.WireMsg{Op: opStart, Nw: 3, W: [sim.MaxPayloadWords]int64{int64(round), sim.B2W(clear), int64(phase)}}
+func newStart(round int, fell sim.NodeID, phase Mode) sim.WireMsg {
+	return sim.WireMsg{Op: opStart, Nw: 3, W: [sim.MaxPayloadWords]int64{int64(round), int64(fell), int64(phase)}}
 }
 
 func decStart(m *sim.WireMsg) mStart {
-	return mStart{round: int(m.W[0]), clear: m.W[1] != 0, phase: Mode(m.W[2])}
+	return mStart{round: int(m.W[0]), fell: sim.NodeID(m.W[1]), phase: Mode(m.W[2])}
 }
 
 // mDeg is the SearchDegree convergecast: the maximum tree degree in the
-// sender's subtree and the minimum identity of an eligible node attaining
-// it (noCand if none).
+// sender's subtree, the minimum identity of an eligible node attaining it
+// (noCand if none) and whether the subtree holds a node of X.
 type mDeg struct {
-	round int
-	k     int
-	cand  sim.NodeID
+	round  int
+	k      int
+	cand   sim.NodeID
+	xBelow bool
 }
 
-func newDeg(round, k int, cand sim.NodeID) sim.WireMsg {
-	return sim.WireMsg{Op: opDeg, Nw: 3, W: [sim.MaxPayloadWords]int64{int64(round), int64(k), int64(cand)}}
+func newDeg(round, k int, cand sim.NodeID, xBelow bool) sim.WireMsg {
+	return sim.WireMsg{Op: opDeg, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(k), int64(cand), sim.B2W(xBelow)}}
 }
 
 func decDeg(m *sim.WireMsg) mDeg {
-	return mDeg{round: int(m.W[0]), k: int(m.W[1]), cand: sim.NodeID(m.W[2])}
+	return mDeg{round: int(m.W[0]), k: int(m.W[1]), cand: sim.NodeID(m.W[2]), xBelow: m.W[3] != 0}
 }
 
 // mMove implements MoveRoot: it travels along the stored "via" pointers
@@ -201,37 +206,56 @@ func decBFSBack(m *sim.WireMsg) mBFSBack {
 }
 
 // mUpdate travels from the owner down the via chain to the chosen outgoing
-// edge, reversing the path (the paper's "update" message).
+// edge, reversing the path (the paper's "update" message). fell, set by
+// the first receiver c, says c's degree fell from k-1 to k-2; it rides on
+// through child and rounddone back to the owner. The two flags share one
+// word, which keeps the record within the paper's four numbers.
 type mUpdate struct {
 	round int
 	u, v  sim.NodeID
 	first bool // true on the hop leaving the owner (the cut edge)
+	fell  bool
 }
 
-func newUpdate(round int, u, v sim.NodeID, first bool) sim.WireMsg {
-	return sim.WireMsg{Op: opUpdate, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(u), int64(v), sim.B2W(first)}}
+func newUpdate(round int, u, v sim.NodeID, first, fell bool) sim.WireMsg {
+	flags := sim.B2W(first) | sim.B2W(fell)<<1
+	return sim.WireMsg{Op: opUpdate, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(u), int64(v), flags}}
 }
 
 func decUpdate(m *sim.WireMsg) mUpdate {
-	return mUpdate{round: int(m.W[0]), u: sim.NodeID(m.W[1]), v: sim.NodeID(m.W[2]), first: m.W[3] != 0}
+	return mUpdate{round: int(m.W[0]), u: sim.NodeID(m.W[1]), v: sim.NodeID(m.W[2]), first: m.W[3]&1 != 0, fell: m.W[3]&2 != 0}
 }
 
-// mChild is the paper's "child" message: the reattachment handshake.
+// mChild is the paper's "child" message: the reattachment handshake,
+// carrying update's fell bit.
 type mChild struct {
 	round int
+	fell  bool
 }
 
-func newChild(round int) sim.WireMsg { return roundOnly(opChild, round) }
+func newChild(round int, fell bool) sim.WireMsg { return roundFell(opChild, round, fell) }
+
+func decChild(m *sim.WireMsg) mChild { return mChild{round: int(m.W[0]), fell: m.W[1] != 0} }
 
 // mRoundDone notifies the waiting owner that its exchange completed ("a
 // round is terminated when a node received a child message"); the paper
 // does not say how the root learns this, so we convergecast it (deviation
-// documented in DESIGN.md).
+// documented in DESIGN.md). It carries update's fell bit to the owner.
 type mRoundDone struct {
 	round int
+	fell  bool
 }
 
-func newRoundDone(round int) sim.WireMsg { return roundOnly(opRoundDone, round) }
+func newRoundDone(round int, fell bool) sim.WireMsg { return roundFell(opRoundDone, round, fell) }
+
+func decRoundDone(m *sim.WireMsg) mRoundDone {
+	return mRoundDone{round: int(m.W[0]), fell: m.W[1] != 0}
+}
+
+// roundFell encodes the records whose payload is the round and a fell bit.
+func roundFell(op sim.Op, round int, fell bool) sim.WireMsg {
+	return sim.WireMsg{Op: op, Nw: 2, W: [sim.MaxPayloadWords]int64{int64(round), sim.B2W(fell)}}
+}
 
 // mTerm is the final broadcast: the tree is locally optimal (or a chain);
 // every node learns termination by process.
@@ -239,11 +263,8 @@ type mTerm struct {
 	round int
 }
 
-func newTerm(round int) sim.WireMsg { return roundOnly(opTerm, round) }
-
-// roundOnly encodes the records whose whole payload is the round.
-func roundOnly(op sim.Op, round int) sim.WireMsg {
-	return sim.WireMsg{Op: op, Nw: 1, W: [sim.MaxPayloadWords]int64{int64(round)}}
+func newTerm(round int) sim.WireMsg {
+	return sim.WireMsg{Op: opTerm, Nw: 1, W: [sim.MaxPayloadWords]int64{int64(round)}}
 }
 
 // edgeReport describes a recorded outgoing edge: u is the endpoint on the

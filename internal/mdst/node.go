@@ -13,10 +13,12 @@ type Mode int
 const (
 	// Single is the paper's base algorithm (§3.1–3.2.5): each round the
 	// root moves to the minimum-identity maximum-degree node, which alone
-	// cuts its children and applies at most one exchange. Nodes that find
-	// no improvement are marked exhausted until the next exchange anywhere
-	// in the tree; the algorithm stops when every maximum-degree node is
-	// exhausted.
+	// cuts its children and applies at most one exchange. A node that finds
+	// no improvement is marked exhausted; an exchange clears the flag only
+	// where it can have created a usable edge: on its cycle and, when the
+	// cut child c fell to degree k-2, between c and each non-tree
+	// neighbour of c of degree at most k-2 (DESIGN.md deviation 1). The
+	// algorithm stops when every maximum-degree node is exhausted.
 	Single Mode = iota
 	// Multi adds §3.2.6: every maximum-degree node reached by the wave
 	// behaves like a root, cutting its own children and applying an
@@ -105,6 +107,7 @@ type Node struct {
 	agg           degAgg
 	via           sim.NodeID // neighbour (or self) that contributed agg
 	kAll          int        // round's maximum degree, known after search/cut
+	xBelow        bool       // this subtree holds a node of X (see mStart)
 
 	// Fragment-member state.
 	fragKnown  bool
@@ -178,7 +181,7 @@ func (n *Node) degree() int {
 // Init starts round 1 at the initial root; all other nodes are event-driven.
 func (n *Node) Init(ctx sim.Context) {
 	if !n.hasParent {
-		n.startRound(ctx, 1, false)
+		n.startRound(ctx, 1, noCand)
 	}
 }
 
@@ -272,9 +275,9 @@ func (n *Node) process(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) bool {
 	case opUpdate:
 		n.onUpdate(ctx, from, decUpdate(m))
 	case opChild:
-		n.onChild(ctx, from, mChild{round: round})
+		n.onChild(ctx, from, decChild(m))
 	case opRoundDone:
-		n.onRoundDone(ctx, from, mRoundDone{round: round})
+		n.onRoundDone(ctx, from, decRoundDone(m))
 	case opTerm:
 		n.onTerm(ctx, mTerm{round: round})
 	default:
@@ -286,9 +289,10 @@ func (n *Node) process(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) bool {
 // resetRound clears all per-round state.
 func (n *Node) resetRound() {
 	n.searchPending = 0
-	n.agg = degAgg{}
+	n.agg = degAgg{cand: noCand}
 	n.via = n.id
 	n.kAll = 0
+	n.xBelow = false
 	n.fragKnown = false
 	n.frag = fragID{}
 	n.bfsPending = 0

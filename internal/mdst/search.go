@@ -2,49 +2,54 @@ package mdst
 
 import (
 	"fmt"
+	"slices"
 
 	"mdegst/internal/sim"
 )
 
 // SearchDegree and MoveRoot (paper §3.2.1, §3.2.2).
 
-// startRound is executed by the current tree root: it broadcasts mStart and
-// begins the SearchDegree convergecast.
-func (n *Node) startRound(ctx sim.Context, round int, clear bool) {
+// startRound begins a round at this node: the tree root calls it directly,
+// every other node on mStart. It forwards mStart down the tree and starts
+// the SearchDegree convergecast; fell is the previous exchange's cut child
+// if its degree fell to k-2, else noCand (see mStart).
+func (n *Node) startRound(ctx sim.Context, round int, fell sim.NodeID) {
+	inX := n.inX(ctx, fell) // before resetRound: reads last round's kAll
 	n.round = round
 	n.resetRound()
-	if clear {
-		n.exhausted = false
-	}
-	n.agg = n.ownContribution()
+	n.xBelow = inX
 	n.searchPending = len(n.children)
 	for _, c := range n.children {
-		ctx.Send(c, newStart(round, clear, n.phase))
+		ctx.Send(c, newStart(round, fell, n.phase))
 	}
 	if n.searchPending == 0 {
-		n.decide(ctx) // single-node tree
+		// A leaf reports at once: "every leaf of the ST sends a message
+		// with its degree".
+		n.reportDegree(ctx)
 	}
+}
+
+// inX reports whether this node is in X: a non-tree neighbour of the
+// fallen child c whose degree is at most k-2, k being the maximum degree
+// of the round that just ended (still held in kAll, which every node
+// learns in a Single round).
+func (n *Node) inX(ctx sim.Context, c sim.NodeID) bool {
+	if c == noCand || n.degree() > n.kAll-2 || (n.hasParent && n.parent == c) {
+		return false
+	}
+	if _, child := slices.BinarySearch(n.children, c); child {
+		return false
+	}
+	_, nbr := slices.BinarySearch(ctx.Neighbors(), c)
+	return nbr
 }
 
 func (n *Node) onStart(ctx sim.Context, from sim.NodeID, msg mStart) {
 	if msg.round != n.round+1 {
 		panic(fmt.Sprintf("mdst: node %d in round %d got start of round %d", n.id, n.round, msg.round))
 	}
-	n.round = msg.round
 	n.phase = msg.phase
-	n.resetRound()
-	if msg.clear {
-		n.exhausted = false
-	}
-	n.agg = n.ownContribution()
-	n.searchPending = len(n.children)
-	for _, c := range n.children {
-		ctx.Send(c, newStart(msg.round, msg.clear, msg.phase))
-	}
-	if n.searchPending == 0 {
-		// Leaf: "every leaf of the ST sends a message with its degree".
-		ctx.Send(n.parent, newDeg(n.round, n.agg.k, n.agg.cand))
-	}
+	n.startRound(ctx, msg.round, msg.fell)
 }
 
 func (n *Node) onDeg(ctx sim.Context, from sim.NodeID, msg mDeg) {
@@ -57,12 +62,28 @@ func (n *Node) onDeg(ctx sim.Context, from sim.NodeID, msg mDeg) {
 		n.agg = merged
 		n.via = from
 	}
+	n.xBelow = n.xBelow || msg.xBelow
 	n.searchPending--
-	if n.searchPending > 0 {
-		return
+	if n.searchPending == 0 {
+		n.reportDegree(ctx)
+	}
+}
+
+// reportDegree completes this node's SearchDegree entry once its whole
+// subtree reported. A node with a member x of X at or below it lies on the
+// tree path from the fallen child to x or on the exchange's cycle, so it
+// loses its exhausted flag before its own entry joins the aggregate. The
+// aggregate then goes to the parent, or at the root decides the round.
+func (n *Node) reportDegree(ctx sim.Context) {
+	if n.xBelow {
+		n.exhausted = false
+	}
+	if merged := mergeAgg(n.agg, n.ownContribution()); merged != n.agg {
+		n.agg = merged
+		n.via = n.id
 	}
 	if n.hasParent {
-		ctx.Send(n.parent, newDeg(n.round, n.agg.k, n.agg.cand))
+		ctx.Send(n.parent, newDeg(n.round, n.agg.k, n.agg.cand, n.xBelow))
 		return
 	}
 	n.decide(ctx)

@@ -15,10 +15,16 @@ import (
 //
 // Encode and Decode walk the fields in one fixed order; the decoder's
 // sticky error plus the engine's trailing-bytes check catch any drift
-// between the two.
+// between the two. Each state opens with stateFormat, so a state written
+// by a binary with another field layout is refused, never misread.
+
+// stateFormat numbers the layout below. The first layout had no such word
+// and opened with the phase (0 or 1), so its states fail the check too.
+const stateFormat = 2
 
 // EncodeState implements sim.StateCodec.
 func (n *Node) EncodeState(e *sim.StateEncoder) {
+	e.Int(stateFormat)
 	e.Int(int64(n.phase))
 	e.ID(n.parent)
 	e.Bool(n.hasParent)
@@ -33,6 +39,7 @@ func (n *Node) EncodeState(e *sim.StateEncoder) {
 	e.ID(n.agg.cand)
 	e.ID(n.via)
 	e.Int(int64(n.kAll))
+	e.Bool(n.xBelow)
 
 	e.Bool(n.fragKnown)
 	e.ID(n.frag.owner)
@@ -61,6 +68,9 @@ func (n *Node) EncodeState(e *sim.StateEncoder) {
 
 // DecodeState implements sim.StateCodec.
 func (n *Node) DecodeState(d *sim.StateDecoder) error {
+	if f := d.Int(); f != stateFormat && d.Err() == nil {
+		return &sim.CheckpointError{Reason: fmt.Sprintf("mdst node state format %d, this binary reads %d", f, stateFormat)}
+	}
 	n.phase = Mode(d.Int())
 	n.parent = d.ID()
 	n.hasParent = d.Bool()
@@ -75,6 +85,7 @@ func (n *Node) DecodeState(d *sim.StateDecoder) error {
 	n.agg.cand = d.ID()
 	n.via = d.ID()
 	n.kAll = int(d.Int())
+	n.xBelow = d.Bool()
 
 	n.fragKnown = d.Bool()
 	n.frag.owner = d.ID()

@@ -190,7 +190,7 @@ func (n *Node) ownerComplete(ctx sim.Context) {
 		n.ownerSwapped = true
 		n.swaps++
 		n.awaitingDone = true
-		ctx.Send(n.ownerArrival, newUpdate(n.round, n.ownerBest.u, n.ownerBest.v, true))
+		ctx.Send(n.ownerArrival, newUpdate(n.round, n.ownerBest.u, n.ownerBest.v, true, false))
 		return
 	}
 	if n.actingRoot && n.phase == Single {
@@ -199,12 +199,12 @@ func (n *Node) ownerComplete(ctx sim.Context) {
 		// the next candidate (or terminate).
 		n.exhausted = true
 	}
-	n.finishOwner(ctx)
+	n.finishOwner(ctx, false)
 }
 
 // finishOwner concludes the round at this owner after its exchange (if any)
-// was acknowledged.
-func (n *Node) finishOwner(ctx sim.Context) {
+// was acknowledged; fell reports that the cut child's degree fell to k-2.
+func (n *Node) finishOwner(ctx sim.Context, fell bool) {
 	if !n.actingRoot {
 		// Sub-owner (Multi): report upward; no outgoing edge is forwarded
 		// (see DESIGN.md deviation 4), only the improvement flag.
@@ -214,17 +214,22 @@ func (n *Node) finishOwner(ctx sim.Context) {
 	// Acting root: decide what the next round is.
 	switch n.phase {
 	case Single:
-		n.startRound(ctx, n.round+1, n.ownerSwapped)
+		c := noCand
+		if fell {
+			c = n.ownerArrival
+		}
+		n.startRound(ctx, n.round+1, c)
 	case Multi:
+		// Multi rounds set no exhausted flags, so there is none to clear.
 		if n.ownerSwapped || n.improved {
-			n.startRound(ctx, n.round+1, true)
+			n.startRound(ctx, n.round+1, noCand)
 			return
 		}
 		if n.mode == Hybrid {
 			// Multi rounds stalled: continue with Single rounds until
 			// full local optimality.
 			n.phase = Single
-			n.startRound(ctx, n.round+1, false)
+			n.startRound(ctx, n.round+1, noCand)
 			return
 		}
 		// No exchange anywhere: locally optimal tree.

@@ -194,10 +194,10 @@ func checkDigest(t *testing.T, what string, got, want *mdst.Result) {
 // benchmark's deployment workload: gnm(256, 768, 1), Hybrid, two
 // processes over the contiguous partition. Every protocol round is still
 // counted, but a process now sends only when a peer must hear, so the
-// cluster sends 56,967 round frames instead of the every-round exchange's
-// 2 × 45,730 = 91,460.
+// cluster sends 34,325 round frames instead of the every-round exchange's
+// 2 × 27,400 = 54,800.
 func TestDistSoloFramesPinned(t *testing.T) {
-	const rounds, frames, everyRound = 45730, 56967, 91460
+	const rounds, frames, everyRound = 27400, 34325, 54800
 	c := graph.Gnm(256, 768, 1).Compile()
 	stats := []*NetStats{{}, {}}
 	rs, errs := runLoopback(t, c, 2, func(id int) Pipeline {

@@ -25,15 +25,15 @@ func TestWireWordsAudit(t *testing.T) {
 	want := map[string]bounds{
 		// mdst: the paper's improvement protocol.
 		"mdst.start":     {4, 4, true},
-		"mdst.deg":       {4, 4, true},
+		"mdst.deg":       {5, 5, true},
 		"mdst.move":      {4, 4, true},
 		"mdst.cut":       {4, 4, true},
 		"mdst.bfs":       {5, 5, true},
 		"mdst.cousin":    {5, 5, true},
 		"mdst.bfsback":   {3, 9, true},
 		"mdst.update":    {5, 5, true},
-		"mdst.child":     {2, 2, true},
-		"mdst.rounddone": {2, 2, true},
+		"mdst.child":     {3, 3, true},
+		"mdst.rounddone": {3, 3, true},
 		"mdst.term":      {2, 2, true},
 		// spanning: flood (Chang's echo).
 		"st.explore": {1, 1, false},
