@@ -60,7 +60,7 @@ func TestTargetedExhaustionSound(t *testing.T) {
 
 		tw := newTwinRun(c, t0.Clone())
 		probe := newTwinRun(c, nil)
-		tw.invalidate = func(cut int32, k int, fell bool) {
+		tw.invalidate = func(_ *twinRun, cut int32, k int, fell bool) {
 			tw.revalidate(cut, k, fell)
 			kNow, maxNodes := tw.d.MaxDegree(nil)
 			probe.d = tw.d.Clone()
@@ -79,7 +79,7 @@ func TestTargetedExhaustionSound(t *testing.T) {
 		st := tw.run(mode, 0)
 
 		old := newTwinRun(c, t0.Clone())
-		old.invalidate = func(int32, int, bool) { clear(old.exhausted) }
+		old.invalidate = func(r *twinRun, _ int32, _ int, _ bool) { clear(r.exhausted) }
 		want := old.run(mode, 0)
 		if st.Swaps != want.Swaps || st.FinalDegree != want.FinalDegree || st.Rounds > want.Rounds {
 			t.Fatalf("graph %d (%s, n=%d, %v): targeted %+v, clear-all %+v", i, family, c.N(), mode, st, want)

@@ -90,24 +90,24 @@ type twinRun struct {
 	// invalidate updates the exhausted flags after a Single exchange that
 	// cut the owner's child c; fell reports that c's degree fell from k-1
 	// to k-2. Twin uses revalidate; tests substitute other rules.
-	invalidate func(c int32, k int, fell bool)
+	invalidate func(tw *twinRun, c int32, k int, fell bool)
 }
 
 func newTwinRun(c *graph.CSR, d *tree.Dense) *twinRun {
 	n := c.N()
-	tw := &twinRun{
-		c:         c,
-		d:         d,
-		exhausted: make([]bool, n),
-		frag:      make([]int32, n),
-		fragOwner: make([]int32, n),
-		fragRoot:  make([]int32, n),
-		inS:       make([]bool, n),
-		stack:     make([]int32, 0, n),
-		seen:      make([]int32, n),
+	scratch := make([]int32, 4*n) // one allocation backs frag, fragOwner, fragRoot and seen
+	return &twinRun{
+		c:          c,
+		d:          d,
+		exhausted:  make([]bool, n),
+		frag:       scratch[:n:n],
+		fragOwner:  scratch[n : 2*n : 2*n],
+		fragRoot:   scratch[2*n : 3*n : 3*n],
+		seen:       scratch[3*n:],
+		inS:        make([]bool, n),
+		stack:      make([]int32, 0, n),
+		invalidate: (*twinRun).revalidate,
 	}
-	tw.invalidate = tw.revalidate
-	return tw
 }
 
 // run improves tw.d in place and returns the round accounting.
@@ -147,7 +147,7 @@ func (tw *twinRun) run(mode mdst.Mode, target int) TwinStats {
 			d.Reroot(p) // MoveRoot (path reversal)
 			if c, fell := tw.roundSingle(p, k); c != noFrag {
 				stats.Swaps++
-				tw.invalidate(c, k, fell)
+				tw.invalidate(tw, c, k, fell)
 			} else {
 				tw.exhausted[p] = true
 			}

@@ -77,8 +77,8 @@ func TestHybridAllocBudget(t *testing.T) {
 		eng    func() sim.Engine
 		budget float64
 	}{
-		{"gnm-96/event-engine", func() sim.Engine { return &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true} }, 1593},
-		{"gnm-96/reference-engine", func() sim.Engine { return &sim.ReferenceEngine{Delay: sim.UnitDelay, FIFO: true} }, 84039},
+		{"gnm-96/event-engine", func() sim.Engine { return &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true} }, 1532},
+		{"gnm-96/reference-engine", func() sim.Engine { return &sim.ReferenceEngine{Delay: sim.UnitDelay, FIFO: true} }, 77411},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			alloctest.Check(t, 5, tc.budget, func() {
