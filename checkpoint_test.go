@@ -2,6 +2,7 @@ package mdegst_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"reflect"
@@ -173,5 +174,55 @@ func assertSameReport(t *testing.T, label string, got, want *mdegst.Report) {
 	if !reflect.DeepEqual(got.ByKind, want.ByKind) || !reflect.DeepEqual(got.ByRound, want.ByRound) ||
 		!reflect.DeepEqual(got.ByKindRound, want.ByKindRound) || !reflect.DeepEqual(got.SentBy, want.SentBy) {
 		t.Fatalf("%s: report breakdowns diverge", label)
+	}
+}
+
+// frozenRunDigests pins the byte form of a frozen run: two in-process
+// checkpoint files and one binary trace of flood-start gnm(96, 288, 1),
+// equal to what `mdstrun -graph gnm -n 96 -m 288 -seed 1 -mode M
+// -checkpoint F -checkpoint-round R` and `-tracebin F` write. Any change
+// to the shared codecs (counters block, kind table, state blobs, pending
+// slab) must leave these bytes alone.
+var frozenRunDigests = map[string]string{
+	"single/checkpoint-3":  "97fa59f86f7d7b751aaf97620889bbbf2fd1b23c83bafe58cc383d2722647228",
+	"hybrid/checkpoint-20": "6f0ece15bdffdd74684f3386d6f3ef4a6c18811e8925b18e52a562c8ed39403c",
+	"hybrid/tracebin":      "87e6ac2bb105e6a6c7552d779225258a79948cc76e2a418f8d76909b8a0477f3",
+}
+
+func TestFrozenRunBytesPinned(t *testing.T) {
+	c := mdegst.Compile(mdegst.Gnm(96, 288, 1))
+	t0, _, err := mdegst.BuildSpanningTreeCompiled(c, mdegst.InitialFlood, mdegst.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string][]byte{}
+	for _, tc := range []struct {
+		name  string
+		mode  mdegst.Mode
+		round int64
+	}{
+		{"single/checkpoint-3", mdegst.ModeSingle, 3},
+		{"hybrid/checkpoint-20", mdegst.ModeHybrid, 20},
+	} {
+		var buf bytes.Buffer
+		written, err := mdegst.CheckpointImprove(c, t0, mdegst.Options{Seed: 1, Mode: tc.mode}, tc.round, &buf)
+		if err != nil || !written {
+			t.Fatalf("%s: written=%v err=%v", tc.name, written, err)
+		}
+		got[tc.name] = buf.Bytes()
+	}
+	var trace bytes.Buffer
+	btw := mdegst.NewBinaryTraceWriter(&trace)
+	if _, err := mdegst.RunCompiled(c, mdegst.Options{Seed: 1, Mode: mdegst.ModeHybrid, Engine: mdegst.NewTracingEngine(btw.Trace)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := btw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got["hybrid/tracebin"] = trace.Bytes()
+	for name, want := range frozenRunDigests {
+		if d := fmt.Sprintf("%x", sha256.Sum256(got[name])); d != want {
+			t.Errorf("%s: sha256 %s, want %s", name, d, want)
+		}
 	}
 }

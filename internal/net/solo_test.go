@@ -222,6 +222,15 @@ func TestDistSoloFramesPinned(t *testing.T) {
 	if frames > everyRound*65/100 {
 		t.Errorf("pinned %d frames is above 0.65x the every-round exchange's %d", frames, everyRound)
 	}
+	// The round frames' byte form: payload bytes each process handed to
+	// the transport, and the rank/count header share of them.
+	wantBytes := [2][2]int64{{1196705, 442213}, {1214600, 447228}}
+	for id, s := range stats {
+		if got := [2]int64{s.BytesSent, s.HeaderBytes}; got != wantBytes[id] {
+			t.Errorf("process %d sent %d round-frame bytes (%d header), want %d (%d header)",
+				id, got[0], got[1], wantBytes[id][0], wantBytes[id][1])
+		}
+	}
 }
 
 // TestDistSoloEquivalence runs the flood→Hybrid pipeline on path, ring and
