@@ -108,44 +108,22 @@ func appendRoundHeader(b []byte, h roundHeader, active []int32, counts []sim.Ran
 // decodeRoundHeader parses a round frame's control prefix and activity
 // set, marking every process the set names in act — one entry per
 // cluster process, so a name outside the cluster is a typed error.
-func decodeRoundHeader(r *frameReader, act []bool) (roundHeader, error) {
-	var h roundHeader
-	var err error
-	if h.seq, err = r.uvarint(); err != nil {
-		return h, err
-	}
-	if h.round, err = r.varint(); err != nil {
-		return h, err
-	}
-	if h.flags, err = r.uvarint(); err != nil {
-		return h, err
-	}
-	if h.rankSpace, err = r.rank("rank space"); err != nil {
-		return h, err
-	}
-	if h.delivered, err = r.rank("delivered count"); err != nil {
-		return h, err
-	}
-	n, err := r.count(1)
-	if err != nil {
-		return h, err
-	}
+func decodeRoundHeader(r *sim.Cursor, act []bool) (roundHeader, error) {
+	h := roundHeader{seq: r.Uvarint(), round: r.Varint(), flags: r.Uvarint(),
+		rankSpace: readRank(r, "rank space"), delivered: readRank(r, "delivered count")}
 	prev := int64(-1)
-	for i := 0; i < n; i++ {
-		q, err := r.uvarint()
-		if err != nil {
-			return h, err
-		}
+	for i, n := 0, r.Count(1); i < n; i++ {
+		q := r.Uvarint()
 		if q >= uint64(len(act)) {
-			return h, r.fail(fmt.Sprintf("activity set names process %d of a %d-process cluster", q, len(act)))
+			return h, r.Fail(fmt.Sprintf("activity set names process %d of a %d-process cluster", q, len(act)))
 		}
 		if int64(q) <= prev {
-			return h, r.fail("activity set not strictly ascending")
+			return h, r.Fail("activity set not strictly ascending")
 		}
 		prev = int64(q)
 		act[q] = true
 	}
-	return h, nil
+	return h, r.Err()
 }
 
 // countsDecoder accumulates the header's rank deltas, rejecting
@@ -157,36 +135,24 @@ type countsDecoder struct {
 
 func newCountsDecoder() countsDecoder { return countsDecoder{first: true} }
 
-func (d *countsDecoder) next(r *frameReader) (sim.RankCount, error) {
-	dv, err := r.uvarint()
-	if err != nil {
-		return sim.RankCount{}, err
-	}
-	var rank int64
-	if d.first {
-		if dv >= uint64(limitRank) {
-			return sim.RankCount{}, r.fail("rank header outside the rank bound")
-		}
-		rank = int64(dv)
-		d.first = false
-	} else {
+func (d *countsDecoder) next(r *sim.Cursor) (sim.RankCount, error) {
+	dv := r.Uvarint()
+	rank := int64(dv)
+	if !d.first {
 		if dv == 0 {
-			return sim.RankCount{}, r.fail("rank header not strictly ascending")
-		}
-		if dv >= uint64(limitRank) || d.prev+int64(dv) >= limitRank {
-			return sim.RankCount{}, r.fail("rank header outside the rank bound")
+			return sim.RankCount{}, r.Fail("rank header not strictly ascending")
 		}
 		rank = d.prev + int64(dv)
 	}
-	cv, err := r.uvarint()
-	if err != nil {
-		return sim.RankCount{}, err
+	if dv >= uint64(limitRank) || rank >= limitRank {
+		return sim.RankCount{}, r.Fail("rank header outside the rank bound")
 	}
+	cv := r.Uvarint()
 	if cv >= uint64(limitCount) {
-		return sim.RankCount{}, r.fail("send count outside the count bound")
+		return sim.RankCount{}, r.Fail("send count outside the count bound")
 	}
-	d.prev = rank
-	return sim.RankCount{Rank: rank, Count: int64(cv)}, nil
+	d.first, d.prev = false, rank
+	return sim.RankCount{Rank: rank, Count: int64(cv)}, r.Err()
 }
 
 // appendRoundBatch encodes the delivery batch destined to one peer as one
@@ -227,73 +193,33 @@ type batchDecoder struct {
 
 func newBatchDecoder() batchDecoder { return batchDecoder{first: true} }
 
-func (d *batchDecoder) next(r *frameReader, t *WireTable, m *sim.OutMsg) error {
-	dp, err := r.uvarint()
-	if err != nil {
-		return err
+func (d *batchDecoder) next(r *sim.Cursor, t *WireTable, m *sim.OutMsg) error {
+	dp, dv := r.Uvarint(), r.Uvarint()
+	if dp >= uint64(limitRank) || dv > uint64(limitPos) {
+		return r.Fail("batch key outside the rank and position bounds")
 	}
-	var parent, pos int64
+	parent, pos := int64(dp), int64(dv)
 	switch {
 	case d.first:
-		if dp >= uint64(limitRank) {
-			return r.fail("batch parent outside the rank bound")
-		}
-		parent = int64(dp)
-		pv, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		if pv > uint64(limitPos) {
-			return r.fail("batch position outside the int32 bound")
-		}
-		pos = int64(pv)
 		d.first = false
 	case dp == 0:
-		parent = d.prevParent
-		dv, err := r.uvarint()
-		if err != nil {
-			return err
-		}
 		if dv == 0 {
-			return r.fail("batch not strictly key-sorted")
+			return r.Fail("batch not strictly key-sorted")
 		}
-		if dv > uint64(limitPos) || d.prevPos+int64(dv) > limitPos {
-			return r.fail("batch position outside the int32 bound")
-		}
-		pos = d.prevPos + int64(dv)
+		parent, pos = d.prevParent, d.prevPos+pos
 	default:
-		if dp >= uint64(limitRank) || d.prevParent+int64(dp) >= limitRank {
-			return r.fail("batch parent outside the rank bound")
-		}
-		parent = d.prevParent + int64(dp)
-		pv, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		if pv > uint64(limitPos) {
-			return r.fail("batch position outside the int32 bound")
-		}
-		pos = int64(pv)
+		parent += d.prevParent
+	}
+	if parent >= limitRank || pos > limitPos {
+		return r.Fail("batch key outside the rank and position bounds")
 	}
 	d.prevParent, d.prevPos = parent, pos
-	from, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	to, err := r.uvarint()
-	if err != nil {
-		return err
-	}
+	from, to := r.Uvarint(), r.Uvarint()
 	if from > limitNode || to > limitNode {
-		return r.fail("batch endpoint outside the node bound")
+		return r.Fail("batch endpoint outside the node bound")
 	}
-	wm, used, err := sim.DecodeWire(r.buf[r.at:], t.Dec)
-	if err != nil {
-		return &FrameError{Type: r.typ, Reason: fmt.Sprintf("wire record: %v", err)}
-	}
-	r.at += used
-	*m = sim.OutMsg{Parent: parent, Pos: int32(pos), From: int32(from), To: int32(to), Msg: wm}
-	return nil
+	*m = sim.OutMsg{Parent: parent, Pos: int32(pos), From: int32(from), To: int32(to), Msg: r.Wire(t.Dec)}
+	return r.Err()
 }
 
 // parseRoundMsg is the materializing round-frame parser for a cluster of
@@ -301,9 +227,9 @@ func (d *batchDecoder) next(r *frameReader, t *WireTable, m *sim.OutMsg) error {
 // frame as values. The engine's hot path uses the streaming decodeRound
 // instead.
 func parseRoundMsg(payload []byte, t *WireTable, procs int) (*roundMsg, error) {
-	r := &frameReader{typ: frameRound, buf: payload}
+	r := frameCursor(frameRound, payload)
 	act := make([]bool, procs)
-	h, err := decodeRoundHeader(r, act)
+	h, err := decodeRoundHeader(&r, act)
 	if err != nil {
 		return nil, err
 	}
@@ -313,21 +239,17 @@ func parseRoundMsg(payload []byte, t *WireTable, procs int) (*roundMsg, error) {
 			m.active = append(m.active, int32(q))
 		}
 	}
-	nc, err := r.count(2)
-	if err != nil {
-		return nil, err
-	}
-	m.counts = make([]sim.RankCount, nc)
+	m.counts = make([]sim.RankCount, r.Count(2))
 	cd := newCountsDecoder()
 	for i := range m.counts {
-		if m.counts[i], err = cd.next(r); err != nil {
+		if m.counts[i], err = cd.next(&r); err != nil {
 			return nil, err
 		}
 	}
-	if m.batch, err = parseBatch(r, t); err != nil {
+	if m.batch, err = parseBatch(&r, t); err != nil {
 		return nil, err
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -386,8 +308,8 @@ func (x *roundExpect) check(q int, h roundHeader) error {
 // any error the scratch contents are unspecified — the caller aborts the
 // run.
 func (s *roundScratch) decodeRound(q int, payload []byte, t *WireTable, x *roundExpect) (roundHeader, int64, error) {
-	r := &frameReader{typ: frameRound, buf: payload}
-	h, err := decodeRoundHeader(r, s.act)
+	r := frameCursor(frameRound, payload)
+	h, err := decodeRoundHeader(&r, s.act)
 	if err != nil {
 		return h, 0, err
 	}
@@ -396,150 +318,59 @@ func (s *roundScratch) decodeRound(q int, payload []byte, t *WireTable, x *round
 	}
 	rankSpace := x.rankSpace
 	if x.solo {
-		if h.rankSpace > int64(len(r.buf)-r.at)/2 {
-			return h, 0, r.fail(fmt.Sprintf("solo frame cannot cover its %d-delivery rank space", h.rankSpace))
+		if h.rankSpace > int64(r.Len())/2 {
+			return h, 0, r.Fail(fmt.Sprintf("solo frame cannot cover its %d-delivery rank space", h.rankSpace))
 		}
 		rankSpace = h.rankSpace
 		s.slabs(rankSpace)
 	}
 	cnt := s.cnt[:rankSpace]
-	nc, err := r.count(2)
-	if err != nil {
-		return h, 0, err
-	}
+	nc := r.Count(2)
 	if x.solo && int64(nc) != rankSpace {
-		return h, 0, r.fail(fmt.Sprintf("solo frame covers %d of its %d delivery ranks", nc, rankSpace))
+		return h, 0, r.Fail(fmt.Sprintf("solo frame covers %d of its %d delivery ranks", nc, rankSpace))
 	}
 	cd := newCountsDecoder()
 	for i := 0; i < nc; i++ {
-		c, err := cd.next(r)
+		c, err := cd.next(&r)
 		if err != nil {
 			return h, 0, err
 		}
 		if c.Rank >= rankSpace {
-			return h, 0, r.fail(fmt.Sprintf("rank %d outside the round's %d-delivery rank space", c.Rank, rankSpace))
+			return h, 0, r.Fail(fmt.Sprintf("rank %d outside the round's %d-delivery rank space", c.Rank, rankSpace))
 		}
 		cnt[c.Rank] = c.Count
 	}
-	nb, err := r.count(5)
-	if err != nil {
-		return h, 0, err
-	}
+	nb := r.Count(5)
 	out := s.rx[q][:0]
 	bd := newBatchDecoder()
 	var rec sim.OutMsg
 	for i := 0; i < nb; i++ {
-		if err := bd.next(r, t, &rec); err != nil {
+		if err := bd.next(&r, t, &rec); err != nil {
 			return h, 0, err
 		}
 		if rec.Parent >= rankSpace {
-			return h, 0, r.fail(fmt.Sprintf("batch parent rank %d outside the round's %d-delivery rank space", rec.Parent, rankSpace))
+			return h, 0, r.Fail(fmt.Sprintf("batch parent rank %d outside the round's %d-delivery rank space", rec.Parent, rankSpace))
 		}
 		out = append(out, rec)
 	}
 	s.rx[q] = out
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return h, 0, err
 	}
 	return h, int64(nc), nil
 }
 
-// parseBatch materializes one pre-ranked delivery run (checkpoint uploads,
-// tests, fuzzing).
-func parseBatch(r *frameReader, t *WireTable) ([]sim.OutMsg, error) {
-	n, err := r.count(5)
-	if err != nil {
-		return nil, err
-	}
-	batch := make([]sim.OutMsg, n)
+// parseBatch materializes one pre-ranked delivery run (shard runs, tests,
+// fuzzing).
+func parseBatch(r *sim.Cursor, t *WireTable) ([]sim.OutMsg, error) {
+	batch := make([]sim.OutMsg, r.Count(5))
 	bd := newBatchDecoder()
 	for i := range batch {
 		if err := bd.next(r, t, &batch[i]); err != nil {
 			return nil, err
 		}
 	}
-	return batch, nil
-}
-
-// counters is the frozen-report block shared by final and checkpoint
-// frames: the summable scalars plus the sorted (opcode, round) and
-// per-node breakdowns, with opcodes as canonical table indices.
-func appendCounters(b []byte, ck *sim.Checkpoint, t *WireTable) []byte {
-	b = appendVarint(b, ck.Messages)
-	b = appendVarint(b, ck.Words)
-	b = appendUvarint(b, uint64(ck.MaxWords))
-	b = appendVarint(b, ck.CausalDepth)
-	b = appendUvarint(b, uint64(len(ck.KindRounds)))
-	for _, kr := range ck.KindRounds {
-		b = appendUvarint(b, t.Enc(kr.Op))
-		b = appendVarint(b, int64(kr.Round))
-		b = appendVarint(b, kr.Count)
-	}
-	b = appendUvarint(b, uint64(len(ck.SentBy)))
-	for _, s := range ck.SentBy {
-		b = appendVarint(b, int64(s.Node))
-		b = appendVarint(b, s.Count)
-	}
-	return b
-}
-
-func parseCounters(r *frameReader, t *WireTable, ck *sim.Checkpoint) error {
-	var err error
-	if ck.Messages, err = r.varint(); err != nil {
-		return err
-	}
-	if ck.Words, err = r.varint(); err != nil {
-		return err
-	}
-	mw, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	ck.MaxWords = int(mw)
-	if ck.CausalDepth, err = r.varint(); err != nil {
-		return err
-	}
-	nkr, err := r.count(3)
-	if err != nil {
-		return err
-	}
-	ck.KindRounds = make([]sim.KindRoundCount, nkr)
-	for i := range ck.KindRounds {
-		opIdx, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		op, err := t.Dec(opIdx)
-		if err != nil {
-			return err
-		}
-		round, err := r.varint()
-		if err != nil {
-			return err
-		}
-		count, err := r.varint()
-		if err != nil {
-			return err
-		}
-		ck.KindRounds[i] = sim.KindRoundCount{Op: op, Round: int(round), Count: count}
-	}
-	nsb, err := r.count(2)
-	if err != nil {
-		return err
-	}
-	ck.SentBy = make([]sim.SentByCount, nsb)
-	for i := range ck.SentBy {
-		node, err := r.varint()
-		if err != nil {
-			return err
-		}
-		count, err := r.varint()
-		if err != nil {
-			return err
-		}
-		ck.SentBy[i] = sim.SentByCount{Node: sim.NodeID(node), Count: count}
-	}
-	return nil
+	return batch, r.Err()
 }
 
 // ownedState pairs a dense node index with its encoded protocol state.
@@ -548,114 +379,59 @@ type ownedState struct {
 	blob  []byte
 }
 
-func appendOwnedStates(b []byte, states []ownedState) []byte {
+// shard is one process's share of a frozen run, the one payload of both
+// the final all-gather frame and the checkpoint upload: the run and round
+// it freezes, the process's report counters (sim's counters block, with
+// canonical table opcodes), the encoded states of the nodes it owns, and
+// its outbox as one key-sorted delivery run per destination process. A
+// final frame carries zero runs.
+type shard struct {
+	seq      uint64
+	round    int64
+	counters sim.Checkpoint
+	states   []ownedState
+	runs     [][]sim.OutMsg
+}
+
+func appendShard(b []byte, seq uint64, round int64, ck *sim.Checkpoint, states []ownedState, runs [][]sim.OutMsg, t *WireTable) []byte {
+	b = appendUvarint(b, seq)
+	b = appendVarint(b, round)
+	b = ck.AppendCounters(b, t.Enc)
 	b = appendUvarint(b, uint64(len(states)))
 	for _, s := range states {
 		b = appendUvarint(b, uint64(s.dense))
 		b = appendUvarint(b, uint64(len(s.blob)))
 		b = append(b, s.blob...)
 	}
+	b = appendUvarint(b, uint64(len(runs)))
+	for _, run := range runs {
+		b = appendRoundBatch(b, run, t)
+	}
 	return b
 }
 
-func parseOwnedStates(r *frameReader) ([]ownedState, error) {
-	n, err := r.count(2)
-	if err != nil {
-		return nil, err
+// parseShard decodes a shard payload of frame type typ (frameFinal or
+// frameCkpt). Each run must be strictly key-sorted, like a round batch.
+func parseShard(typ byte, payload []byte, t *WireTable) (*shard, error) {
+	r := frameCursor(typ, payload)
+	m := &shard{seq: r.Uvarint(), round: r.Varint()}
+	m.counters.ReadCounters(&r, t.Dec)
+	m.states = make([]ownedState, r.Count(2))
+	for i := range m.states {
+		dense := r.Uvarint()
+		if dense > limitNode {
+			return nil, r.Fail("state node outside the node bound")
+		}
+		m.states[i] = ownedState{dense: int32(dense), blob: r.Bytes(r.Uvarint())}
 	}
-	states := make([]ownedState, n)
-	for i := range states {
-		dense, err := r.uvarint()
-		if err != nil {
+	m.runs = make([][]sim.OutMsg, r.Count(1))
+	for i := range m.runs {
+		var err error
+		if m.runs[i], err = parseBatch(&r, t); err != nil {
 			return nil, err
 		}
-		blen, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		blob, err := r.bytes(blen)
-		if err != nil {
-			return nil, err
-		}
-		states[i] = ownedState{dense: int32(dense), blob: blob}
 	}
-	return states, nil
-}
-
-// finalMsg is one process's quiescence all-gather contribution: its report
-// counters and the encoded states of the nodes it owns. Receiving all K-1
-// finals is also the run's closing barrier — no frame of the next run can
-// overtake it on any connection.
-type finalMsg struct {
-	seq      uint64
-	counters sim.Checkpoint
-	states   []ownedState
-}
-
-func appendFinalMsg(b []byte, seq uint64, ck *sim.Checkpoint, states []ownedState, t *WireTable) []byte {
-	b = appendUvarint(b, seq)
-	b = appendCounters(b, ck, t)
-	return appendOwnedStates(b, states)
-}
-
-func parseFinalMsg(payload []byte, t *WireTable) (*finalMsg, error) {
-	r := &frameReader{typ: frameFinal, buf: payload}
-	m := &finalMsg{}
-	var err error
-	if m.seq, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	if err := parseCounters(r, t, &m.counters); err != nil {
-		return nil, err
-	}
-	if m.states, err = parseOwnedStates(r); err != nil {
-		return nil, err
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// ckptMsg is one process's checkpoint shard, uploaded to the coordinator
-// at an armed barrier: counters, owned states and the full key-sorted
-// stream of deliveries the process sent into the frozen round.
-type ckptMsg struct {
-	seq      uint64
-	round    int64
-	counters sim.Checkpoint
-	states   []ownedState
-	pending  []sim.OutMsg
-}
-
-func appendCkptMsg(b []byte, seq uint64, round int64, ck *sim.Checkpoint, states []ownedState, pending []sim.OutMsg, t *WireTable) []byte {
-	b = appendUvarint(b, seq)
-	b = appendVarint(b, round)
-	b = appendCounters(b, ck, t)
-	b = appendOwnedStates(b, states)
-	return appendRoundBatch(b, pending, t)
-}
-
-func parseCkptMsg(payload []byte, t *WireTable) (*ckptMsg, error) {
-	r := &frameReader{typ: frameCkpt, buf: payload}
-	m := &ckptMsg{}
-	var err error
-	if m.seq, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	if m.round, err = r.varint(); err != nil {
-		return nil, err
-	}
-	if err := parseCounters(r, t, &m.counters); err != nil {
-		return nil, err
-	}
-	if m.states, err = parseOwnedStates(r); err != nil {
-		return nil, err
-	}
-	if m.pending, err = parseBatch(r, t); err != nil {
-		return nil, err
-	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -669,15 +445,7 @@ func appendCkptAck(b []byte, seq uint64, round int64) []byte {
 }
 
 func parseCkptAck(payload []byte) (seq uint64, round int64, err error) {
-	r := &frameReader{typ: frameCkptAck, buf: payload}
-	if seq, err = r.uvarint(); err != nil {
-		return 0, 0, err
-	}
-	if round, err = r.varint(); err != nil {
-		return 0, 0, err
-	}
-	if err := r.done(); err != nil {
-		return 0, 0, err
-	}
-	return seq, round, nil
+	r := frameCursor(frameCkptAck, payload)
+	seq, round = r.Uvarint(), r.Varint()
+	return seq, round, r.Done()
 }

@@ -360,7 +360,7 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (r *si
 			ck = nil
 		}
 	}
-	rep, err = e.finish(r, c, seq, st.round, start)
+	rep, err = e.finish(r, seq, st.round, start)
 	return r, rep, err
 }
 
@@ -549,10 +549,10 @@ func (e *DistEngine) awaitLone(r *sim.DistRunner, seq uint64, st *barrierState) 
 // pass places every record at its block cursor and materialises its
 // global rank (off[Parent] + Pos) into the Parent field. Block order
 // follows parent rank and within-parent order follows the run, so the
-// inbox is exactly the canonical (Parent, Pos) delivery order the old
-// K-way merge produced — in O(records + rankSpace) with zero comparisons
-// and, after warm-up, zero allocations. The inbox aliases engine scratch
-// and is valid until the next barrier.
+// inbox is exactly the canonical (Parent, Pos) delivery order — in
+// O(records + rankSpace) with zero comparisons and, after warm-up, zero
+// allocations. The inbox aliases engine scratch and is valid until the
+// next barrier.
 func (e *DistEngine) splice(r *sim.DistRunner, st *barrierState, rankSpace int64) error {
 	t := e.T
 	self := t.Self()
@@ -639,25 +639,61 @@ func (e *DistEngine) recvRound(q int, x *roundExpect) (roundHeader, int64, error
 	return e.sc.decodeRound(q, payload, e.T.Table(), x)
 }
 
-// ownedStates encodes the states of the nodes this process owns with the
-// canonical wire table, into the engine's state arena (blobs alias
-// sc.stateBytes; valid until the next ownedStates call).
-func (e *DistEngine) ownedStates(r *sim.DistRunner) ([]ownedState, error) {
+// encodeShard encodes this process's shard of the run frozen at round:
+// its report counters, the states of the nodes it owns (encoded with the
+// canonical wire table into the engine's state arena) and the given
+// delivery runs.
+func (e *DistEngine) encodeShard(r *sim.DistRunner, seq uint64, round int64, runs [][]sim.OutMsg) ([]byte, error) {
 	t := e.T
 	states := e.sc.states[:0]
 	buf := e.sc.stateBytes[:0]
 	for _, v := range r.Owned() {
 		n0 := len(buf)
 		var err error
-		buf, err = r.AppendOwnedState(buf, v, t.Table().Enc)
-		if err != nil {
+		if buf, err = sim.AppendProtocolState(buf, r.Protos()[v], t.Table().Enc); err != nil {
 			return nil, err
 		}
 		states = append(states, ownedState{dense: v, blob: buf[n0:len(buf):len(buf)]})
 	}
-	e.sc.states = states
-	e.sc.stateBytes = buf
-	return states, nil
+	e.sc.states, e.sc.stateBytes = states, buf
+	var cb sim.Checkpoint
+	cb.CaptureCounters(r.Report())
+	return appendShard(nil, seq, round, &cb, states, runs, t.Table()), nil
+}
+
+// takeShard takes in peer q's shard, a frame of type typ for run seq
+// frozen at round: it merges the shard's counters into merged, decodes
+// its states into the local instances (each node checked against the
+// owner table) and returns its delivery runs.
+func (e *DistEngine) takeShard(r *sim.DistRunner, q int, typ byte, seq uint64, round int64, merged *sim.Report) ([][]sim.OutMsg, error) {
+	t := e.T
+	got, payload, err := t.Recv(q)
+	if err != nil {
+		return nil, err
+	}
+	if got != typ {
+		return nil, &FrameError{Type: got, Reason: fmt.Sprintf("process %d sent frame type %d, want a type %d shard", q, got, typ)}
+	}
+	m, err := parseShard(typ, payload, t.Table())
+	if err != nil {
+		return nil, err
+	}
+	if m.seq != seq || m.round != round {
+		return nil, &FrameError{Type: typ, Reason: fmt.Sprintf(
+			"process %d froze run %d at round %d, local run %d is at round %d", q, m.seq, m.round, seq, round)}
+	}
+	peerRep := sim.NewReport()
+	m.counters.RestoreCounters(peerRep)
+	merged.MergeParallel(peerRep)
+	for _, s := range m.states {
+		if int(s.dense) >= len(e.Owner) || e.Owner[s.dense] != int32(q) {
+			return nil, &FrameError{Type: typ, Reason: fmt.Sprintf("process %d sent the state of node %d it does not own", q, s.dense)}
+		}
+		if err := sim.DecodeProtocolState(r.Protos()[s.dense], s.blob, t.Table().Dec); err != nil {
+			return nil, err
+		}
+	}
+	return m.runs, nil
 }
 
 // finish is the quiescence all-gather: broadcast counters and owned
@@ -665,20 +701,17 @@ func (e *DistEngine) ownedStates(r *sim.DistRunner) ([]ownedState, error) {
 // reports, and return the complete final state plane. Matching the
 // single-process engines, the merged report carries VirtualTime = the
 // final round.
-func (e *DistEngine) finish(r *sim.DistRunner, c *graph.CSR, seq uint64, round int64, start time.Time) (*sim.Report, error) {
+func (e *DistEngine) finish(r *sim.DistRunner, seq uint64, round int64, start time.Time) (*sim.Report, error) {
 	t := e.T
 	self := t.Self()
-	states, err := e.ownedStates(r)
+	body, err := e.encodeShard(r, seq, round, nil)
 	if err != nil {
 		return nil, err
 	}
-	var cb sim.Checkpoint
-	cb.CaptureCounters(r.Report())
 	for q := 0; q < t.Procs(); q++ {
 		if q == self {
 			continue
 		}
-		body := appendFinalMsg(nil, seq, &cb, states, t.Table())
 		if err := t.Send(q, frameFinal, body); err != nil {
 			return nil, err
 		}
@@ -693,30 +726,12 @@ func (e *DistEngine) finish(r *sim.DistRunner, c *graph.CSR, seq uint64, round i
 		if q == self {
 			continue
 		}
-		typ, payload, err := t.Recv(q)
+		runs, err := e.takeShard(r, q, frameFinal, seq, round, merged)
 		if err != nil {
 			return nil, err
 		}
-		if typ != frameFinal {
-			return nil, &FrameError{Type: typ, Reason: fmt.Sprintf("process %d sent frame type %d at the final all-gather", q, typ)}
-		}
-		m, err := parseFinalMsg(payload, t.Table())
-		if err != nil {
-			return nil, err
-		}
-		if m.seq != seq {
-			return nil, &FrameError{Type: typ, Reason: fmt.Sprintf("process %d finished run %d, local run is %d", q, m.seq, seq)}
-		}
-		peerRep := sim.NewReport()
-		m.counters.RestoreCounters(peerRep)
-		merged.MergeParallel(peerRep)
-		for _, s := range m.states {
-			if int(s.dense) >= c.N() || e.Owner[s.dense] != int32(q) {
-				return nil, &FrameError{Type: typ, Reason: fmt.Sprintf("process %d sent the state of node %d it does not own", q, s.dense)}
-			}
-			if err := r.DecodeStateInto(s.dense, s.blob, t.Table().Dec); err != nil {
-				return nil, err
-			}
+		if len(runs) != 0 {
+			return nil, &FrameError{Type: frameFinal, Reason: fmt.Sprintf("process %d sent %d delivery runs in its final shard", q, len(runs))}
 		}
 	}
 	merged.VirtualTime = float64(round)
@@ -726,34 +741,27 @@ func (e *DistEngine) finish(r *sim.DistRunner, c *graph.CSR, seq uint64, round i
 }
 
 // commit runs the distributed checkpoint protocol at the just-closed
-// barrier. Peers upload their shard — counters, owned states and the
-// key-sorted stream of all deliveries they sent into the frozen round — to
-// process 0, which decodes the full state plane, merges the counters,
-// reconstructs the global pending slab by placing every record directly
-// at its global rank (each record's final slot is off[Parent] + Pos — the
-// same arithmetic as the round splice, so no key merge is needed), stores
-// the file (byte-identical to the in-process engines' by construction —
-// durably through the spec's Sink when set, else to its W) and
-// acknowledges the commit. Returns nil on success; the caller decides
-// whether the run stops (freeze, graceful stop) or continues (periodic
-// cadence).
+// barrier. Peers upload their shard — counters, owned states and one
+// key-sorted run per destination process of the deliveries they sent into
+// the frozen round — to process 0, which decodes the full state plane,
+// merges the counters, places every record of every run (its own outboxes
+// included) at its global rank, stores the file (byte-identical to the
+// in-process engines' by construction — durably through the spec's Sink
+// when set, else to its W) and acknowledges the commit. Returns nil on
+// success; the caller decides whether the run stops (freeze, graceful
+// stop) or continues (periodic cadence).
 func (e *DistEngine) commit(r *sim.DistRunner, c *graph.CSR, seq uint64, round int64, off []int64, total int64) error {
 	t := e.T
-	self := t.Self()
+	runs := make([][]sim.OutMsg, t.Procs())
+	for d := range runs {
+		runs[d] = r.Outbox(d)
+	}
 
-	if self != 0 {
-		// The upload's delivery run must be one key-sorted stream (the
-		// delta batch encoding requires it), so the peer merges its
-		// per-destination outboxes here — the one surviving use of the
-		// K-way merge, off the round path.
-		own := mergeByKey(collectOutboxes(r, t.Procs()))
-		states, err := e.ownedStates(r)
+	if t.Self() != 0 {
+		body, err := e.encodeShard(r, seq, round, runs)
 		if err != nil {
 			return err
 		}
-		var cb sim.Checkpoint
-		cb.CaptureCounters(r.Report())
-		body := appendCkptMsg(nil, seq, round, &cb, states, own, t.Table())
 		if err := t.Send(0, frameCkpt, body); err != nil {
 			return err
 		}
@@ -782,37 +790,12 @@ func (e *DistEngine) commit(r *sim.DistRunner, c *graph.CSR, seq uint64, round i
 	}
 	merged := sim.NewReport()
 	merged.MergeParallel(r.Report())
-	// The coordinator's own send set goes in unmerged: each per-destination
-	// outbox is placed independently by rank below.
-	streams := collectOutboxes(r, t.Procs())
 	for q := 1; q < t.Procs(); q++ {
-		typ, payload, err := t.Recv(q)
+		peerRuns, err := e.takeShard(r, q, frameCkpt, seq, round, merged)
 		if err != nil {
 			return err
 		}
-		if typ != frameCkpt {
-			return &FrameError{Type: typ, Reason: fmt.Sprintf("process %d sent frame type %d at a checkpoint barrier", q, typ)}
-		}
-		m, err := parseCkptMsg(payload, t.Table())
-		if err != nil {
-			return err
-		}
-		if m.seq != seq || m.round != round {
-			return &FrameError{Type: typ, Reason: fmt.Sprintf(
-				"process %d checkpoints run %d round %d, coordinator is at run %d round %d", q, m.seq, m.round, seq, round)}
-		}
-		peerRep := sim.NewReport()
-		m.counters.RestoreCounters(peerRep)
-		merged.MergeParallel(peerRep)
-		for _, s := range m.states {
-			if int(s.dense) >= c.N() || e.Owner[s.dense] != int32(q) {
-				return &FrameError{Type: typ, Reason: fmt.Sprintf("process %d sent the state of node %d it does not own", q, s.dense)}
-			}
-			if err := r.DecodeStateInto(s.dense, s.blob, t.Table().Dec); err != nil {
-				return err
-			}
-		}
-		streams = append(streams, m.pending)
+		runs = append(runs, peerRuns...)
 	}
 
 	// The exact in-process capture sequence, so the file's internal opcode
@@ -822,23 +805,9 @@ func (e *DistEngine) commit(r *sim.DistRunner, c *graph.CSR, seq uint64, round i
 	if err := ck.EncodeStates(r.Protos()); err != nil {
 		return err
 	}
-	ck.Pending = make([]sim.PendingDelivery, total)
-	placed := int64(0)
-	for _, s := range streams {
-		for _, m := range s {
-			if m.Parent < 0 || m.Parent >= int64(len(off)) {
-				return &FrameError{Type: frameCkpt, Reason: fmt.Sprintf("pending delivery parent rank %d outside the %d-rank space", m.Parent, len(off))}
-			}
-			rank := off[m.Parent] + int64(m.Pos)
-			if rank < 0 || rank >= total {
-				return &FrameError{Type: frameCkpt, Reason: fmt.Sprintf("pending delivery rank %d outside [0, %d)", rank, total)}
-			}
-			ck.Pending[rank] = sim.PendingDelivery{From: m.From, To: m.To, Msg: m.Msg}
-			placed++
-		}
-	}
-	if placed != total {
-		return &FrameError{Type: frameCkpt, Reason: fmt.Sprintf("checkpoint gathered %d of %d pending deliveries", placed, total)}
+	var err error
+	if ck.Pending, err = placePending(runs, off, total); err != nil {
+		return err
 	}
 	if sink := e.Checkpoint.Sink; sink != nil {
 		if err := sink.Commit(round, ck.Write); err != nil {
@@ -852,46 +821,43 @@ func (e *DistEngine) commit(r *sim.DistRunner, c *graph.CSR, seq uint64, round i
 			return err
 		}
 	}
-	if err := t.FlushAll(); err != nil {
-		return err
-	}
-	return nil
+	return t.FlushAll()
 }
 
-// collectOutboxes snapshots every per-destination outbox of the phase.
-func collectOutboxes(r *sim.DistRunner, nprocs int) [][]sim.OutMsg {
-	streams := make([][]sim.OutMsg, 0, nprocs)
-	for d := 0; d < nprocs; d++ {
-		streams = append(streams, r.Outbox(d))
-	}
-	return streams
-}
-
-// mergeByKey merges key-sorted delivery streams into one stream in
-// canonical (Parent, Pos) order.
-func mergeByKey(streams [][]sim.OutMsg) []sim.OutMsg {
-	n := 0
-	for _, s := range streams {
-		n += len(s)
-	}
-	out := make([]sim.OutMsg, 0, n)
-	heads := make([]int, len(streams))
-	for {
-		best := -1
-		for s, q := range streams {
-			if heads[s] >= len(q) {
-				continue
+// placePending builds the frozen round's pending slab from delivery runs
+// by rank placement, the same arithmetic as the round splice: each record
+// goes to slot off[Parent] + Pos, so the runs need no merge. A record
+// outside its parent's block of slots, a slot filled twice or a slot left
+// empty is a typed *FrameError; a corrupt upload never commits a file with
+// a hole.
+// A filled slot is one with an opcode: every delivery the protocols send
+// carries a registered one.
+func placePending(runs [][]sim.OutMsg, off []int64, total int64) ([]sim.PendingDelivery, error) {
+	pending := make([]sim.PendingDelivery, total)
+	placed := int64(0)
+	for _, run := range runs {
+		for _, m := range run {
+			if m.Parent < 0 || m.Parent >= int64(len(off)) {
+				return nil, &FrameError{Type: frameCkpt, Reason: fmt.Sprintf("pending delivery parent rank %d outside the %d-rank space", m.Parent, len(off))}
 			}
-			if best < 0 || q[heads[s]].KeyLess(streams[best][heads[best]]) {
-				best = s
+			rank, end := off[m.Parent]+int64(m.Pos), total
+			if m.Parent+1 < int64(len(off)) {
+				end = off[m.Parent+1]
 			}
+			if m.Pos < 0 || rank >= end {
+				return nil, &FrameError{Type: frameCkpt, Reason: fmt.Sprintf("pending delivery (%d, %d) lies beyond its parent's sends", m.Parent, m.Pos)}
+			}
+			if pending[rank].Msg.Op != sim.OpNone {
+				return nil, &FrameError{Type: frameCkpt, Reason: fmt.Sprintf("pending delivery rank %d filled twice", rank)}
+			}
+			pending[rank] = sim.PendingDelivery{From: m.From, To: m.To, Msg: m.Msg}
+			placed++
 		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, streams[best][heads[best]])
-		heads[best]++
 	}
+	if placed != total {
+		return nil, &FrameError{Type: frameCkpt, Reason: fmt.Sprintf("checkpoint gathered %d of %d pending deliveries", placed, total)}
+	}
+	return pending, nil
 }
 
 var _ sim.ResumableEngine = (*DistEngine)(nil)

@@ -18,6 +18,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"mdegst/internal/sim"
 )
 
 // Frame types of the plane's wire protocol. Each frame is a 4-byte
@@ -142,77 +144,28 @@ func readFrameReuse(r io.Reader, buf *[]byte) (byte, []byte, error) {
 	return typ, b[1:], nil
 }
 
-// frameReader is a cursor over a frame payload with typed-error truncation
-// handling, mirroring sim's checkpoint reader.
-type frameReader struct {
-	typ byte
-	buf []byte
-	at  int
-}
-
-func (r *frameReader) fail(reason string) error {
-	return &FrameError{Type: r.typ, Reason: reason}
-}
-
-func (r *frameReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.at:])
-	if n <= 0 {
-		return 0, r.fail("truncated uvarint")
+// frameFail holds one cursor failure constructor per frame type, built
+// once, so a frame's cursor reports a *FrameError carrying its type
+// without allocating per frame.
+var frameFail = func() (fs [frameHeart + 1]func(string) error) {
+	for typ := range fs {
+		fs[typ] = func(reason string) error { return &FrameError{Type: byte(typ), Reason: reason} }
 	}
-	r.at += n
-	return v, nil
-}
+	return fs
+}()
 
-func (r *frameReader) varint() (int64, error) {
-	v, n := binary.Varint(r.buf[r.at:])
-	if n <= 0 {
-		return 0, r.fail("truncated varint")
-	}
-	r.at += n
-	return v, nil
-}
+// frameCursor starts sim's bounded cursor over a payload of frame type typ.
+func frameCursor(typ byte, payload []byte) sim.Cursor { return sim.NewCursor(payload, frameFail[typ]) }
 
-// rank reads a non-negative rank-sized value (a rank space or a delivered
-// count), bounded like the decoders' accumulated ranks.
-func (r *frameReader) rank(what string) (int64, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
+// readRank reads a non-negative rank-sized value (a rank space or a
+// delivered count), bounded like the decoders' accumulated ranks.
+func readRank(r *sim.Cursor, what string) int64 {
+	v := r.Uvarint()
 	if v >= uint64(limitRank) {
-		return 0, r.fail(what + " outside the rank bound")
+		r.Fail(what + " outside the rank bound")
+		return 0
 	}
-	return int64(v), nil
-}
-
-func (r *frameReader) bytes(n uint64) ([]byte, error) {
-	if n > uint64(len(r.buf)-r.at) {
-		return nil, r.fail("truncated bytes")
-	}
-	b := r.buf[r.at : r.at+int(n)]
-	r.at += int(n)
-	return b, nil
-}
-
-// count reads an element count bounded by the remaining payload bytes
-// (each element at least minBytes), so malformed frames cannot force
-// unbounded allocation before parsing.
-func (r *frameReader) count(minBytes int) (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(len(r.buf)-r.at)/uint64(minBytes) {
-		return 0, r.fail(fmt.Sprintf("element count %d exceeds the frame's remaining %d bytes", v, len(r.buf)-r.at))
-	}
-	return int(v), nil
-}
-
-func (r *frameReader) done() error {
-	if r.at != len(r.buf) {
-		return r.fail(fmt.Sprintf("%d trailing bytes", len(r.buf)-r.at))
-	}
-	return nil
+	return int64(v)
 }
 
 // appendUvarint/appendVarint keep the codec vocabulary local.

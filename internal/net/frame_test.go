@@ -389,6 +389,110 @@ func TestCkptAckRoundTrip(t *testing.T) {
 	}
 }
 
+// sampleShard is a checkpoint shard's content: counters with both
+// breakdowns, two owned states and K = 3 per-destination runs, one of
+// them empty.
+func sampleShard(table *WireTable) (*sim.Checkpoint, []ownedState, [][]sim.OutMsg) {
+	wm := wireSample(table, sampleIdx(table))
+	op, _ := table.Dec(sampleIdx(table))
+	counters := &sim.Checkpoint{
+		Messages: 10, Words: 30, MaxWords: 4, CausalDepth: 5,
+		KindRounds: []sim.KindRoundCount{{Op: op, Round: 0, Count: 4}, {Op: op, Round: 3, Count: 6}},
+		SentBy:     []sim.SentByCount{{Node: 7, Count: 3}, {Node: 9, Count: 7}},
+	}
+	states := []ownedState{{dense: 1, blob: []byte{1, 2, 3}}, {dense: 4, blob: []byte{}}}
+	runs := [][]sim.OutMsg{
+		{{Parent: 1, Pos: 0, From: 1, To: 0, Msg: wm}, {Parent: 1, Pos: 2, From: 1, To: 2, Msg: wm}, {Parent: 5, Pos: 0, From: 4, To: 3, Msg: wm}},
+		{},
+		{{Parent: 0, Pos: 1, From: 4, To: 6, Msg: wm}},
+	}
+	return counters, states, runs
+}
+
+// unsortedShard is a checkpoint shard whose one run repeats a key.
+func unsortedShard(table *WireTable) []byte {
+	counters, states, runs := sampleShard(table)
+	bad := [][]sim.OutMsg{{runs[0][1], runs[0][0]}}
+	return appendShard(nil, 1, 2, counters, states, bad, table)
+}
+
+func TestShardRoundTrip(t *testing.T) {
+	table := CanonicalTable()
+	counters, states, runs := sampleShard(table)
+	for _, tc := range []struct {
+		typ  byte
+		runs [][]sim.OutMsg
+	}{{frameFinal, nil}, {frameCkpt, runs}} {
+		m, err := parseShard(tc.typ, appendShard(nil, 11, 7, counters, states, tc.runs, table), table)
+		if err != nil {
+			t.Fatalf("type %d: %v", tc.typ, err)
+		}
+		if m.seq != 11 || m.round != 7 {
+			t.Errorf("type %d: seq %d round %d, want 11 and 7", tc.typ, m.seq, m.round)
+		}
+		if m.counters.Messages != counters.Messages || m.counters.Words != counters.Words ||
+			m.counters.MaxWords != counters.MaxWords || m.counters.CausalDepth != counters.CausalDepth ||
+			!slices.Equal(m.counters.KindRounds, counters.KindRounds) || !slices.Equal(m.counters.SentBy, counters.SentBy) {
+			t.Errorf("type %d: counters %+v, want %+v", tc.typ, m.counters, *counters)
+		}
+		if len(m.states) != len(states) {
+			t.Fatalf("type %d: %d states, want %d", tc.typ, len(m.states), len(states))
+		}
+		for i, s := range m.states {
+			if s.dense != states[i].dense || !bytes.Equal(s.blob, states[i].blob) {
+				t.Errorf("type %d: state %d is %+v, want %+v", tc.typ, i, s, states[i])
+			}
+		}
+		if len(m.runs) != len(tc.runs) {
+			t.Fatalf("type %d: %d runs, want %d", tc.typ, len(m.runs), len(tc.runs))
+		}
+		for i, run := range m.runs {
+			if !slices.Equal(run, tc.runs[i]) {
+				t.Errorf("type %d: run %d is %+v, want %+v", tc.typ, i, run, tc.runs[i])
+			}
+		}
+	}
+	var fe *FrameError
+	if _, err := parseShard(frameCkpt, unsortedShard(table), table); !errors.As(err, &fe) || fe.Type != frameCkpt {
+		t.Errorf("unsorted run: got %v, want a type %d *FrameError", err, frameCkpt)
+	}
+}
+
+// TestPlacePending places three per-destination runs by rank and refuses
+// uploads whose record count matches but whose ranks do not: a repeated
+// key with an omission, and a position spilling into the next parent's
+// block.
+func TestPlacePending(t *testing.T) {
+	table := CanonicalTable()
+	wm := wireSample(table, sampleIdx(table))
+	rec := func(parent int64, pos int32, to int32) sim.OutMsg {
+		return sim.OutMsg{Parent: parent, Pos: pos, From: 9, To: to, Msg: wm}
+	}
+	// Parents 0, 1, 2 sent 2, 0 and 3 deliveries: offsets 0, 2, 2.
+	off, total := []int64{0, 2, 2}, int64(5)
+	runs := [][]sim.OutMsg{{rec(0, 1, 1), rec(2, 0, 2)}, {}, {rec(0, 0, 0), rec(2, 1, 3), rec(2, 2, 4)}}
+	pending, err := placePending(runs, off, total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pending {
+		if p.To != int32(i) {
+			t.Errorf("slot %d holds the delivery to %d", i, p.To)
+		}
+	}
+	for name, bad := range map[string][][]sim.OutMsg{
+		"duplicate key and omission":          {{rec(0, 1, 1), rec(2, 0, 2)}, {rec(0, 1, 1)}, {rec(2, 1, 3), rec(2, 2, 4)}},
+		"position spills into the next block": {{rec(0, 0, 0), rec(0, 2, 2)}, {rec(0, 1, 1)}, {rec(2, 1, 3), rec(2, 2, 4)}},
+		"omission":                            {{rec(0, 0, 0), rec(0, 1, 1)}, {}, {rec(2, 1, 3), rec(2, 2, 4)}},
+		"rank past the slab":                  {{rec(0, 0, 0), rec(0, 1, 1)}, {rec(2, 0, 2)}, {rec(2, 1, 3), rec(2, 3, 4)}},
+	} {
+		var fe *FrameError
+		if _, err := placePending(bad, off, total); !errors.As(err, &fe) {
+			t.Errorf("%s: got %v, want *FrameError", name, err)
+		}
+	}
+}
+
 // typedOrNil fails the fuzz run unless err is nil or one of the plane's
 // typed errors.
 func typedOrNil(t *testing.T, what string, err error) {
@@ -430,13 +534,13 @@ func FuzzFrameCodec(f *testing.F) {
 	table := CanonicalTable()
 	wm := wireSample(table, sampleIdx(table))
 	batch := []sim.OutMsg{{Parent: 1, Pos: 0, From: 0, To: 1, Msg: wm}}
-	counters := &sim.Checkpoint{Messages: 10, Words: 30, MaxWords: 4, CausalDepth: 5}
-	states := []ownedState{{dense: 0, blob: []byte{1, 2, 3}}}
+	counters, states, runs := sampleShard(table)
 
 	f.Add(appendFrame(nil, frameHello, appendHello(nil, 0, fp, table)))
 	f.Add(appendFrame(nil, frameRound, appendRoundMsg(nil, roundHeader{seq: 1, rankSpace: 1}, []int32{1}, []sim.RankCount{{Rank: 0, Count: 1}}, batch, table)))
-	f.Add(appendFrame(nil, frameFinal, appendFinalMsg(nil, 1, counters, states, table)))
-	f.Add(appendFrame(nil, frameCkpt, appendCkptMsg(nil, 1, 2, counters, states, batch, table)))
+	f.Add(appendFrame(nil, frameFinal, appendShard(nil, 1, 2, counters, states, nil, table)))
+	f.Add(appendFrame(nil, frameCkpt, appendShard(nil, 1, 2, counters, states, runs, table)))
+	f.Add(appendFrame(nil, frameCkpt, unsortedShard(table)))
 	f.Add(appendFrame(nil, frameCkptAck, appendCkptAck(nil, 1, 2)))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F})
@@ -469,12 +573,9 @@ func FuzzFrameCodec(f *testing.F) {
 				_, err := parseRoundMsg(payload, table, fp.Procs)
 				typedOrNil(t, "parseRoundMsg", err)
 				decodeRoundTyped(t, payload, table, fp.Procs)
-			case frameFinal:
-				_, err := parseFinalMsg(payload, table)
-				typedOrNil(t, "parseFinalMsg", err)
-			case frameCkpt:
-				_, err := parseCkptMsg(payload, table)
-				typedOrNil(t, "parseCkptMsg", err)
+			case frameFinal, frameCkpt:
+				_, err := parseShard(typ, payload, table)
+				typedOrNil(t, "parseShard", err)
 			case frameCkptAck:
 				_, _, err := parseCkptAck(payload)
 				typedOrNil(t, "parseCkptAck", err)
@@ -487,10 +588,8 @@ func FuzzFrameCodec(f *testing.F) {
 		_, err = parseRoundMsg(b, table, fp.Procs)
 		typedOrNil(t, "parseRoundMsg(raw)", err)
 		decodeRoundTyped(t, b, table, fp.Procs)
-		_, err = parseFinalMsg(b, table)
-		typedOrNil(t, "parseFinalMsg(raw)", err)
-		_, err = parseCkptMsg(b, table)
-		typedOrNil(t, "parseCkptMsg(raw)", err)
+		_, err = parseShard(frameCkpt, b, table)
+		typedOrNil(t, "parseShard(raw)", err)
 		_, _, err = parseCkptAck(b)
 		typedOrNil(t, "parseCkptAck(raw)", err)
 	})

@@ -28,8 +28,11 @@ import (
 // same byte streams parsed as version 2 would mis-accumulate keys, so
 // the version gates it. Version 4 added the solo-round header fields
 // (rank space, cumulative delivered count, next-round activity set) to
-// round frames (DESIGN.md §13).
-const handshakeVersion = 4
+// round frames (DESIGN.md §13). Version 5 gave the final and checkpoint
+// frames one shard payload — seq, round, counters, owned states, then one
+// delivery run per destination process — so a checkpoint upload carries
+// per-destination runs instead of one merged stream (DESIGN.md §9).
+const handshakeVersion = 5
 
 // handshakeMagic opens every hello payload.
 var handshakeMagic = [8]byte{'M', 'D', 'S', 'T', 'N', 'E', 'T', '1'}
@@ -119,9 +122,8 @@ func (t *WireTable) Len() int { return len(t.kinds) }
 
 // hello is the decoded form of a handshake frame.
 type hello struct {
-	version uint64
-	self    int
-	fp      Fingerprint
+	self int
+	fp   Fingerprint
 }
 
 // appendHello encodes this process's hello payload.
@@ -147,87 +149,51 @@ func appendHello(b []byte, self int, fp Fingerprint, t *WireTable) []byte {
 	return b
 }
 
+// handshakeFail is the hello frame's cursor failure.
+func handshakeFail(reason string) error { return &HandshakeError{Reason: reason} }
+
 // parseHello decodes and verifies a peer's hello payload against the local
 // fingerprint and canonical table. Malformed bytes or any disagreement
 // return a typed *HandshakeError, never panic.
 func parseHello(payload []byte, fp Fingerprint, t *WireTable) (*hello, error) {
-	r := &frameReader{typ: frameHello, buf: payload}
-	magic, err := r.bytes(uint64(len(handshakeMagic)))
-	if err != nil {
-		return nil, &HandshakeError{Reason: "truncated magic"}
+	r := sim.NewCursor(payload, handshakeFail)
+	if magic := r.Bytes(uint64(len(handshakeMagic))); r.Err() == nil && string(magic) != string(handshakeMagic[:]) {
+		return nil, r.Fail("bad magic: not an mdst transport peer")
 	}
-	if string(magic) != string(handshakeMagic[:]) {
-		return nil, &HandshakeError{Reason: "bad magic: not an mdst transport peer"}
+	if version := r.Uvarint(); r.Err() == nil && version != handshakeVersion {
+		return nil, r.Fail(fmt.Sprintf("protocol version %d (want %d)", version, handshakeVersion))
 	}
-	version, err := r.uvarint()
-	if err != nil {
-		return nil, &HandshakeError{Reason: "truncated version"}
-	}
-	if version != handshakeVersion {
-		return nil, &HandshakeError{Reason: fmt.Sprintf("protocol version %d (want %d)", version, handshakeVersion)}
-	}
-	self, err := r.uvarint()
-	if err != nil {
-		return nil, &HandshakeError{Reason: "truncated identity"}
-	}
-	procs, err := r.uvarint()
-	if err != nil {
-		return nil, &HandshakeError{Reason: "truncated process count"}
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, &HandshakeError{Reason: "truncated node count"}
-	}
-	he, err := r.uvarint()
-	if err != nil {
-		return nil, &HandshakeError{Reason: "truncated edge count"}
+	self, procs, n, he := r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	if int(procs) != fp.Procs || int(n) != fp.N || int(he) != fp.HalfEdges {
-		return nil, &HandshakeError{Reason: fmt.Sprintf(
+		return nil, r.Fail(fmt.Sprintf(
 			"cluster fingerprint mismatch: peer has procs=%d n=%d halfEdges=%d, local procs=%d n=%d halfEdges=%d",
-			procs, n, he, fp.Procs, fp.N, fp.HalfEdges)}
+			procs, n, he, fp.Procs, fp.N, fp.HalfEdges))
 	}
 	if self >= procs {
-		return nil, &HandshakeError{Reason: fmt.Sprintf("peer identity %d outside the %d-process cluster", self, procs)}
+		return nil, r.Fail(fmt.Sprintf("peer identity %d outside the %d-process cluster", self, procs))
 	}
-	nKinds, err := r.count(4)
-	if err != nil {
-		return nil, &HandshakeError{Reason: "truncated opcode table"}
+	if nKinds := r.Count(4); r.Err() == nil && nKinds != len(t.kinds)-1 {
+		return nil, r.Fail(fmt.Sprintf("opcode table has %d kinds, local registry has %d", nKinds, len(t.kinds)-1))
 	}
-	if nKinds != len(t.kinds)-1 {
-		return nil, &HandshakeError{Reason: fmt.Sprintf("opcode table has %d kinds, local registry has %d", nKinds, len(t.kinds)-1)}
-	}
-	for i := 1; i <= nKinds; i++ {
-		klen, err := r.uvarint()
-		if err != nil {
-			return nil, &HandshakeError{Reason: "truncated opcode table"}
-		}
-		kb, err := r.bytes(klen)
-		if err != nil {
-			return nil, &HandshakeError{Reason: "truncated opcode table"}
-		}
-		minW, err := r.uvarint()
-		if err != nil {
-			return nil, &HandshakeError{Reason: "truncated opcode table"}
-		}
-		maxW, err := r.uvarint()
-		if err != nil {
-			return nil, &HandshakeError{Reason: "truncated opcode table"}
-		}
-		rb, err := r.bytes(1)
-		if err != nil {
-			return nil, &HandshakeError{Reason: "truncated opcode table"}
+	for i := 1; i < len(t.kinds) && r.Err() == nil; i++ {
+		kb := r.Bytes(r.Uvarint())
+		minW, maxW, rb := r.Uvarint(), r.Uvarint(), r.Bytes(1)
+		if r.Err() != nil {
+			break
 		}
 		if string(kb) != t.kinds[i] {
-			return nil, &HandshakeError{Reason: fmt.Sprintf("opcode table entry %d is %q, local registry has %q (binary skew?)", i, kb, t.kinds[i])}
+			return nil, r.Fail(fmt.Sprintf("opcode table entry %d is %q, local registry has %q (binary skew?)", i, kb, t.kinds[i]))
 		}
 		row := t.specs[i]
 		if uint8(minW) != row.minW || uint8(maxW) != row.maxW || (rb[0] != 0) != row.rounded {
-			return nil, &HandshakeError{Reason: fmt.Sprintf("schema for kind %q disagrees with the local registry", kb)}
+			return nil, r.Fail(fmt.Sprintf("schema for kind %q disagrees with the local registry", kb))
 		}
 	}
-	if err := r.done(); err != nil {
-		return nil, &HandshakeError{Reason: "trailing bytes after opcode table"}
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
-	return &hello{version: version, self: int(self), fp: fp}, nil
+	return &hello{self: int(self), fp: fp}, nil
 }

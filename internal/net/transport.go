@@ -380,8 +380,8 @@ func (t *Transport) readLoop(id int, p *peerConn) {
 		}
 		p.lastRecv.Store(time.Now().UnixNano())
 		if typ == frameHeart {
-			r := frameReader{typ: typ, buf: payload}
-			if claim, err := r.uvarint(); err == nil && int64(claim) > p.claim.Load() {
+			r := frameCursor(typ, payload)
+			if claim := r.Uvarint(); r.Err() == nil && int64(claim) > p.claim.Load() {
 				p.claim.Store(int64(claim))
 			}
 			continue

@@ -130,11 +130,10 @@ type Checkpoint struct {
 	// Pending is the next round's delivery slab in global send order.
 	Pending []PendingDelivery
 
-	// tab is the opcode translation table the state blobs were encoded
-	// with (captures build it eagerly so blobs and file share indices);
-	// opDec is the reverse translation handed to state decoders.
-	tab   *ckptOpTable
-	opDec func(uint64) (Op, error)
+	// tab is the kind table the state blobs were encoded with (captures
+	// build it eagerly so blobs and file share indices); state decoders
+	// translate back through it.
+	tab *kindTable
 }
 
 // captureReport freezes r's counters into ck, sorting the map-backed
@@ -178,24 +177,21 @@ func (ck *Checkpoint) restoreReport(r *Report) {
 }
 
 // encodeStates freezes every protocol's state; all must implement
-// StateCodec. The checkpoint's opcode table is created here so state
-// blobs and the file body share one numbering, and the reverse mapping is
-// bound for in-memory resumes that skip the file round trip.
+// StateCodec. The checkpoint's kind table is created here so state blobs
+// and the file body share one numbering, and in-memory resumes that skip
+// the file round trip decode through the same table.
 func (ck *Checkpoint) encodeStates(protos []Protocol) error {
 	if ck.tab == nil {
-		ck.tab = newCkptOpTable()
-		ck.opDec = ck.tab.dec
+		ck.tab = newKindTable()
 	}
 	ck.States = make([][]byte, len(protos))
-	var enc StateEncoder
+	enc := ck.tab.enc
 	for i, p := range protos {
-		sc, ok := p.(StateCodec)
-		if !ok {
-			return &CheckpointError{Reason: fmt.Sprintf("protocol %T does not implement StateCodec", p)}
+		blob, err := AppendProtocolState(nil, p, enc)
+		if err != nil {
+			return err
 		}
-		enc = StateEncoder{opEnc: ck.tab.enc}
-		sc.EncodeState(&enc)
-		ck.States[i] = enc.buf
+		ck.States[i] = blob
 	}
 	return nil
 }
@@ -205,20 +201,13 @@ func (ck *Checkpoint) decodeStates(protos []Protocol) error {
 	if len(ck.States) != len(protos) {
 		return &CheckpointError{Reason: fmt.Sprintf("%d states for %d nodes", len(ck.States), len(protos))}
 	}
+	var dec func(uint64) (Op, error)
+	if ck.tab != nil {
+		dec = ck.tab.dec
+	}
 	for i, p := range protos {
-		sc, ok := p.(StateCodec)
-		if !ok {
-			return &CheckpointError{Reason: fmt.Sprintf("protocol %T does not implement StateCodec", p)}
-		}
-		dec := StateDecoder{buf: ck.States[i], opDec: ck.opDec}
-		if err := sc.DecodeState(&dec); err != nil {
+		if err := DecodeProtocolState(p, ck.States[i], dec); err != nil {
 			return fmt.Errorf("sim: checkpoint: node state %d: %w", i, err)
-		}
-		if dec.err != nil {
-			return fmt.Errorf("sim: checkpoint: node state %d: %w", i, dec.err)
-		}
-		if dec.at != len(dec.buf) {
-			return &CheckpointError{Reason: fmt.Sprintf("node state %d: %d trailing bytes", i, len(dec.buf)-dec.at)}
 		}
 	}
 	return nil
@@ -241,13 +230,12 @@ func (ck *Checkpoint) validateAgainst(c *graph.CSR) error {
 
 // --- file form ----------------------------------------------------------
 //
-// magic | version | body | crc32(body). The body is varint-packed:
+// magic | version | kind table | body length | body | crc32. The kind
+// table is a count, then one length-prefixed kind string per file index;
+// the body is varint-packed:
 //
-//	opTable   count, then per opcode: kind string (len-prefixed)
 //	header    round, n, halfEdges
-//	report    messages, words, maxWords, causalDepth,
-//	          kindRounds (count, then fileOp/round/count triples),
-//	          sentBy (count, then node/count pairs)
+//	counters  the counters block (AppendCounters)
 //	states    count, then per node: len-prefixed opaque blob
 //	pending   count, then per delivery: from, to, wire record
 //
@@ -260,71 +248,121 @@ var ckptMagic = [8]byte{'M', 'D', 'G', 'S', 'T', 'C', 'K', '1'}
 // CheckpointVersion is the current file format version.
 const CheckpointVersion = 1
 
-// ckptOpTable maps process opcodes to file-local indices on the way out.
-// Index 0 is reserved (OpNone), mirroring the registry.
-type ckptOpTable struct {
-	fileOf []uint64 // process Op -> file index + 1 (0 = unassigned)
+// ckptFail and stateFail are the checkpoint formats' cursor failures.
+func ckptFail(reason string) error  { return &CheckpointError{Reason: reason} }
+func stateFail(reason string) error { return &CheckpointError{Reason: "node state: " + reason} }
+
+// kindTable numbers opcodes with file-local indices in order of first
+// use, keeping their kind strings: the opcode table of checkpoint files
+// and binary traces. Index 0 is reserved (OpNone), mirroring the registry.
+type kindTable struct {
+	fileOf []uint64 // process Op -> file index (0 = unassigned)
 	kinds  []string // file index -> kind; kinds[0] is unused
+	ops    []Op     // file index -> process Op
 }
 
-func newCkptOpTable() *ckptOpTable {
-	return &ckptOpTable{fileOf: make([]uint64, NumOps()), kinds: []string{""}}
+func newKindTable() *kindTable {
+	return &kindTable{fileOf: make([]uint64, NumOps()), kinds: []string{""}, ops: []Op{OpNone}}
 }
 
-func (t *ckptOpTable) enc(op Op) uint64 {
-	if op == OpNone || int(op) >= len(t.fileOf) {
+// enc returns op's file index, assigning the next one on first use.
+func (t *kindTable) enc(op Op) uint64 {
+	if op == OpNone || int(op) >= NumOps() {
 		return 0
 	}
-	if t.fileOf[op] == 0 {
-		t.kinds = append(t.kinds, opKind(op))
-		t.fileOf[op] = uint64(len(t.kinds) - 1)
+	if int(op) < len(t.fileOf) && t.fileOf[op] != 0 {
+		return t.fileOf[op]
 	}
+	return t.add(op, opKind(op))
+}
+
+// learn appends kind as the next file index, resolving it through the
+// registry; false means the running binary does not know the kind.
+func (t *kindTable) learn(kind string) bool {
+	op, ok := OpByKind(kind)
+	if ok {
+		t.add(op, kind)
+	}
+	return ok
+}
+
+func (t *kindTable) add(op Op, kind string) uint64 {
+	for int(op) >= len(t.fileOf) { // op registered after the table started
+		t.fileOf = append(t.fileOf, 0)
+	}
+	t.kinds = append(t.kinds, kind)
+	t.ops = append(t.ops, op)
+	t.fileOf[op] = uint64(len(t.kinds) - 1)
 	return t.fileOf[op]
 }
 
-// dec translates a file-local index back to the registry opcode.
-func (t *ckptOpTable) dec(fileOp uint64) (Op, error) {
-	if fileOp == 0 || fileOp >= uint64(len(t.kinds)) {
-		return OpNone, &CheckpointError{Reason: fmt.Sprintf("opcode %d outside the file's table", fileOp)}
+// dec translates a file index back to the registry opcode.
+func (t *kindTable) dec(fileOp uint64) (Op, error) {
+	if fileOp == 0 || fileOp >= uint64(len(t.ops)) {
+		return OpNone, &WireError{Reason: fmt.Sprintf("opcode %d outside the file's kind table", fileOp)}
 	}
-	op, ok := OpByKind(t.kinds[fileOp])
-	if !ok {
-		return OpNone, &CheckpointError{Reason: fmt.Sprintf("unknown message kind %q", t.kinds[fileOp])}
+	return t.ops[fileOp], nil
+}
+
+// AppendCounters appends the frozen report's counters block: messages,
+// words, maxWords, causalDepth, then kindRounds (count, then
+// opcode/round/count triples) and sentBy (count, then node/count pairs),
+// with opcodes translated by enc. Checkpoint files and the cluster's
+// shard frames carry this one block.
+func (ck *Checkpoint) AppendCounters(b []byte, enc func(Op) uint64) []byte {
+	b = appendVarint(b, ck.Messages)
+	b = appendVarint(b, ck.Words)
+	b = appendUvarint(b, uint64(ck.MaxWords))
+	b = appendVarint(b, ck.CausalDepth)
+	b = appendUvarint(b, uint64(len(ck.KindRounds)))
+	for _, kr := range ck.KindRounds {
+		b = appendUvarint(b, enc(kr.Op))
+		b = appendVarint(b, int64(kr.Round))
+		b = appendVarint(b, kr.Count)
 	}
-	return op, nil
+	b = appendUvarint(b, uint64(len(ck.SentBy)))
+	for _, s := range ck.SentBy {
+		b = appendVarint(b, int64(s.Node))
+		b = appendVarint(b, s.Count)
+	}
+	return b
+}
+
+// ReadCounters decodes a counters block written by AppendCounters,
+// translating opcodes through dec. Failures land on the cursor.
+func (ck *Checkpoint) ReadCounters(c *Cursor, dec func(uint64) (Op, error)) {
+	ck.Messages, ck.Words = c.Varint(), c.Varint()
+	ck.MaxWords, ck.CausalDepth = int(c.Uvarint()), c.Varint()
+	ck.KindRounds = make([]KindRoundCount, c.Count(3))
+	for i := range ck.KindRounds {
+		op, err := dec(c.Uvarint())
+		if err != nil {
+			c.Fail(err.Error())
+		}
+		ck.KindRounds[i] = KindRoundCount{Op: op, Round: int(c.Varint()), Count: c.Varint()}
+	}
+	ck.SentBy = make([]SentByCount, c.Count(2))
+	for i := range ck.SentBy {
+		ck.SentBy[i] = SentByCount{Node: NodeID(c.Varint()), Count: c.Varint()}
+	}
 }
 
 // Write encodes ck in the versioned byte form. Output is deterministic:
 // equal checkpoints produce equal bytes.
 func (ck *Checkpoint) Write(w io.Writer) error {
-	// Two passes: the opcode table is built while encoding the body, but
+	// Two passes: the kind table is built while encoding the body, but
 	// must precede it in the file, so encode body first into its own buf.
 	// The table is shared with encodeStates — state blobs already embed
 	// its indices.
 	if ck.tab == nil {
-		ck.tab = newCkptOpTable()
-		ck.opDec = ck.tab.dec
+		ck.tab = newKindTable()
 	}
 	tab := ck.tab
 	var body []byte
 	body = appendVarint(body, ck.Round)
 	body = appendUvarint(body, uint64(ck.N))
 	body = appendUvarint(body, uint64(ck.HalfEdges))
-	body = appendVarint(body, ck.Messages)
-	body = appendVarint(body, ck.Words)
-	body = appendUvarint(body, uint64(ck.MaxWords))
-	body = appendVarint(body, ck.CausalDepth)
-	body = appendUvarint(body, uint64(len(ck.KindRounds)))
-	for _, kr := range ck.KindRounds {
-		body = appendUvarint(body, tab.enc(kr.Op))
-		body = appendVarint(body, int64(kr.Round))
-		body = appendVarint(body, kr.Count)
-	}
-	body = appendUvarint(body, uint64(len(ck.SentBy)))
-	for _, s := range ck.SentBy {
-		body = appendVarint(body, int64(s.Node))
-		body = appendVarint(body, s.Count)
-	}
+	body = ck.AppendCounters(body, tab.enc)
 	body = appendUvarint(body, uint64(len(ck.States)))
 	for _, st := range ck.States {
 		body = appendUvarint(body, uint64(len(st)))
@@ -352,241 +390,65 @@ func (ck *Checkpoint) Write(w io.Writer) error {
 	return err
 }
 
-// ckptReader is a cursor over the checkpoint body with typed-error
-// truncation handling.
-type ckptReader struct {
-	buf []byte
-	at  int
-}
-
-func (r *ckptReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.at:])
-	if n <= 0 {
-		return 0, &CheckpointError{Reason: "truncated file"}
-	}
-	r.at += n
-	return v, nil
-}
-
-func (r *ckptReader) varint() (int64, error) {
-	v, n := binary.Varint(r.buf[r.at:])
-	if n <= 0 {
-		return 0, &CheckpointError{Reason: "truncated file"}
-	}
-	r.at += n
-	return v, nil
-}
-
-func (r *ckptReader) bytes(n uint64) ([]byte, error) {
-	if n > uint64(len(r.buf)-r.at) {
-		return nil, &CheckpointError{Reason: "truncated file"}
-	}
-	b := r.buf[r.at : r.at+int(n)]
-	r.at += int(n)
-	return b, nil
-}
-
-// count reads an element count and bounds it by the remaining body bytes
-// (each element occupies at least minBytes), so a crafted file cannot make
-// the reader allocate unbounded slices before parsing the entries — a
-// malformed checkpoint must fail typed, never take the process down.
-func (r *ckptReader) count(minBytes int) (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(len(r.buf)-r.at)/uint64(minBytes) {
-		return 0, &CheckpointError{Reason: fmt.Sprintf("element count %d exceeds the file's remaining %d bytes", v, len(r.buf)-r.at)}
-	}
-	return int(v), nil
-}
-
-// ReadCheckpoint decodes a checkpoint file, translating its opcode table
-// through the registry. Unknown versions, corrupted bytes (CRC mismatch)
-// and unregistered kinds return typed *CheckpointError values.
+// ReadCheckpoint decodes a checkpoint file, translating its kind table
+// through the registry. Unknown versions, corrupted bytes (CRC mismatch),
+// unregistered kinds and malformed records return typed *CheckpointError
+// values.
 func ReadCheckpoint(rd io.Reader) (*Checkpoint, error) {
 	raw, err := io.ReadAll(rd)
 	if err != nil {
 		return nil, err
 	}
 	if len(raw) < len(ckptMagic)+4 {
-		return nil, &CheckpointError{Reason: "file too short"}
+		return nil, ckptFail("file too short")
 	}
 	if string(raw[:len(ckptMagic)]) != string(ckptMagic[:]) {
-		return nil, &CheckpointError{Reason: "bad magic: not a checkpoint file"}
+		return nil, ckptFail("bad magic: not a checkpoint file")
 	}
 	sum := binary.LittleEndian.Uint32(raw[len(raw)-4:])
 	if crc32.ChecksumIEEE(raw[:len(raw)-4]) != sum {
-		return nil, &CheckpointError{Reason: "CRC mismatch: file corrupted"}
+		return nil, ckptFail("CRC mismatch: file corrupted")
 	}
-	r := &ckptReader{buf: raw[:len(raw)-4], at: len(ckptMagic)}
-	version, err := r.uvarint()
-	if err != nil {
+	c := NewCursor(raw[len(ckptMagic):len(raw)-4], ckptFail)
+	if v := c.Uvarint(); c.Err() == nil && v != CheckpointVersion {
+		return nil, ckptFail(fmt.Sprintf("unsupported version %d (want %d)", v, CheckpointVersion))
+	}
+	// The table is rebuilt as-is, so re-writing the checkpoint keeps the
+	// numbering the state blobs were encoded with.
+	tab := newKindTable()
+	for i, n := 0, c.Count(1); i < n; i++ {
+		if kind := c.Bytes(c.Uvarint()); c.Err() == nil && !tab.learn(string(kind)) {
+			return nil, ckptFail(fmt.Sprintf("unknown message kind %q (protocol not linked in?)", kind))
+		}
+	}
+	body := c.Bytes(c.Uvarint())
+	if err := c.Done(); err != nil {
 		return nil, err
 	}
-	if version != CheckpointVersion {
-		return nil, &CheckpointError{Reason: fmt.Sprintf("unsupported version %d (want %d)", version, CheckpointVersion)}
-	}
-	nKinds, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	// File index -> registry opcode; index 0 stays OpNone. The table is
-	// also rebuilt as-is so re-writing the checkpoint keeps the numbering
-	// the state blobs were encoded with.
-	ops := make([]Op, nKinds+1)
-	tab := &ckptOpTable{fileOf: make([]uint64, NumOps()), kinds: make([]string, 1, nKinds+1)}
-	for i := uint64(1); i <= uint64(nKinds); i++ {
-		klen, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		kb, err := r.bytes(klen)
-		if err != nil {
-			return nil, err
-		}
-		op, ok := OpByKind(string(kb))
-		if !ok {
-			return nil, &CheckpointError{Reason: fmt.Sprintf("unknown message kind %q (protocol not linked in?)", kb)}
-		}
-		ops[i] = op
-		tab.kinds = append(tab.kinds, string(kb))
-		tab.fileOf[op] = i
-	}
-	decOp := func(fileOp uint64) (Op, error) {
-		if fileOp == 0 || fileOp >= uint64(len(ops)) {
-			return OpNone, &CheckpointError{Reason: fmt.Sprintf("opcode %d outside the file's table", fileOp)}
-		}
-		return ops[fileOp], nil
-	}
-	bodyLen, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	body, err := r.bytes(bodyLen)
-	if err != nil {
-		return nil, err
-	}
-	if r.at != len(r.buf) {
-		return nil, &CheckpointError{Reason: "trailing bytes after body"}
-	}
-	r = &ckptReader{buf: body}
 
-	ck := &Checkpoint{}
-	if ck.Round, err = r.varint(); err != nil {
+	c = NewCursor(body, ckptFail)
+	ck := &Checkpoint{tab: tab, Round: c.Varint(), N: int(c.Uvarint()), HalfEdges: int(c.Uvarint())}
+	ck.ReadCounters(&c, tab.dec)
+	n := c.Count(1)
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
+	if n != ck.N {
+		return nil, ckptFail(fmt.Sprintf("%d states for n=%d", n, ck.N))
 	}
-	ck.N = int(n)
-	he, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	ck.HalfEdges = int(he)
-	if ck.Messages, err = r.varint(); err != nil {
-		return nil, err
-	}
-	if ck.Words, err = r.varint(); err != nil {
-		return nil, err
-	}
-	mw, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	ck.MaxWords = int(mw)
-	if ck.CausalDepth, err = r.varint(); err != nil {
-		return nil, err
-	}
-	nkr, err := r.count(3)
-	if err != nil {
-		return nil, err
-	}
-	ck.KindRounds = make([]KindRoundCount, nkr)
-	for i := range ck.KindRounds {
-		fileOp, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		op, err := decOp(fileOp)
-		if err != nil {
-			return nil, err
-		}
-		round, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		count, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		ck.KindRounds[i] = KindRoundCount{Op: op, Round: int(round), Count: count}
-	}
-	nsb, err := r.count(2)
-	if err != nil {
-		return nil, err
-	}
-	ck.SentBy = make([]SentByCount, nsb)
-	for i := range ck.SentBy {
-		node, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		count, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		ck.SentBy[i] = SentByCount{Node: NodeID(node), Count: count}
-	}
-	nStates, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	if nStates != ck.N {
-		return nil, &CheckpointError{Reason: fmt.Sprintf("%d states for n=%d", nStates, ck.N)}
-	}
-	ck.States = make([][]byte, nStates)
+	// State blobs embed file-local opcodes; they stay opaque here and the
+	// decoder translates through ck.tab (see StateDecoder.Msg).
+	ck.States = make([][]byte, n)
 	for i := range ck.States {
-		slen, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.bytes(slen)
-		if err != nil {
-			return nil, err
-		}
-		// State blobs embed file-local opcodes; they stay opaque here and
-		// the decoder translates through ck.opDec (see StateDecoder.Msg).
-		ck.States[i] = b
+		ck.States[i] = c.Bytes(c.Uvarint())
 	}
-	nPend, err := r.count(4)
-	if err != nil {
+	ck.Pending = make([]PendingDelivery, c.Count(4))
+	for i := range ck.Pending {
+		ck.Pending[i] = PendingDelivery{From: int32(c.Uvarint()), To: int32(c.Uvarint()), Msg: c.Wire(tab.dec)}
+	}
+	if err := c.Done(); err != nil {
 		return nil, err
 	}
-	ck.Pending = make([]PendingDelivery, nPend)
-	for i := range ck.Pending {
-		from, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		to, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		m, used, err := DecodeWire(r.buf[r.at:], decOp)
-		if err != nil {
-			return nil, err
-		}
-		r.at += used
-		ck.Pending[i] = PendingDelivery{From: int32(from), To: int32(to), Msg: m}
-	}
-	if r.at != len(r.buf) {
-		return nil, &CheckpointError{Reason: "trailing bytes in body"}
-	}
-	ck.tab = tab
-	ck.opDec = decOp
 	return ck, nil
 }
 
@@ -630,34 +492,15 @@ func (e *StateEncoder) Msg(m WireMsg) { e.buf = AppendWire(e.buf, m, e.opEnc) }
 // malformed read every further value is zero and Err reports the failure
 // (checked by the engine after DecodeState returns).
 type StateDecoder struct {
-	buf   []byte
-	at    int
-	err   error
+	c     Cursor
 	opDec func(uint64) (Op, error)
 }
 
 // Err returns the first decoding error.
-func (d *StateDecoder) Err() error { return d.err }
-
-func (d *StateDecoder) fail() int64 {
-	if d.err == nil {
-		d.err = &CheckpointError{Reason: "truncated node state"}
-	}
-	return 0
-}
+func (d *StateDecoder) Err() error { return d.c.Err() }
 
 // Int reads a signed integer.
-func (d *StateDecoder) Int() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.at:])
-	if n <= 0 {
-		return d.fail()
-	}
-	d.at += n
-	return v
-}
+func (d *StateDecoder) Int() int64 { return d.c.Varint() }
 
 // Bool reads a flag.
 func (d *StateDecoder) Bool() bool { return d.Int() != 0 }
@@ -668,8 +511,10 @@ func (d *StateDecoder) ID() NodeID { return NodeID(d.Int()) }
 // IDs reads a length-prefixed identity list.
 func (d *StateDecoder) IDs() []NodeID {
 	n := d.Int()
-	if d.err != nil || n < 0 || n > int64(len(d.buf)-d.at) {
-		d.fail()
+	if n < 0 || n > int64(d.c.Len()) {
+		d.c.Fail(fmt.Sprintf("identity list of %d entries", n))
+	}
+	if d.c.Err() != nil {
 		return nil
 	}
 	vs := make([]NodeID, n)
@@ -681,15 +526,4 @@ func (d *StateDecoder) IDs() []NodeID {
 
 // Msg reads a wire record, translating the file-local opcode back through
 // the registry when bound to a checkpoint file.
-func (d *StateDecoder) Msg() WireMsg {
-	if d.err != nil {
-		return WireMsg{}
-	}
-	m, used, err := DecodeWire(d.buf[d.at:], d.opDec)
-	if err != nil {
-		d.err = err
-		return WireMsg{}
-	}
-	d.at += used
-	return m
-}
+func (d *StateDecoder) Msg() WireMsg { return d.c.Wire(d.opDec) }

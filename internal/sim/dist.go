@@ -49,15 +49,6 @@ type OutMsg struct {
 	Msg    WireMsg
 }
 
-// KeyLess orders OutMsgs by the canonical (Parent, Pos) key. Keys are
-// globally unique within a round, so the order is total.
-func (m OutMsg) KeyLess(o OutMsg) bool {
-	if m.Parent != o.Parent {
-		return m.Parent < o.Parent
-	}
-	return m.Pos < o.Pos
-}
-
 // RankCount reports the send count of one played delivery at its global
 // rank. Each barrier broadcast carries one entry per delivery the process played, in
 // ascending rank order.
@@ -111,10 +102,8 @@ func (c *distCtx) Logf(string, ...any) {}
 // offsets by prefix sum, and hands the merged incoming streams back to
 // PlayRound. All methods must be called from one goroutine.
 type DistRunner struct {
-	c      *graph.CSR
 	owner  []int32 // dense node -> owning process
 	self   int32
-	nprocs int
 	ids    []NodeID
 	protos []Protocol // every node; only owned ones execute here
 	owned  []int32    // dense indices owned by self, ascending
@@ -143,28 +132,19 @@ type DistScratch struct {
 	kr     krSlab
 }
 
-// NewDistRunner builds the process's share of a run: protocol instances
-// for every node (owned ones will execute; the rest exist to receive
-// all-gathered final states), contexts and outboxes for the owned range.
-// owner maps every dense node to its owning process in [0, nprocs).
-func NewDistRunner(c *graph.CSR, owner []int32, nprocs, self int, f Factory) *DistRunner {
-	return NewDistRunnerScratch(c, owner, nprocs, self, f, nil)
-}
-
-// NewDistRunnerScratch is NewDistRunner seeded from recycled slabs (nil
-// sc allocates fresh ones). Every harvested slab is rewritten in full
-// before use, so runs stay independent; only capacity carries over.
+// NewDistRunnerScratch builds the process's share of a run: protocol
+// instances for every node (owned ones will execute; the rest exist to
+// receive all-gathered final states), contexts and outboxes for the owned
+// range. owner maps every dense node to its owning process in [0, nprocs).
+// The slabs are seeded from sc's recycled ones; every harvested slab is
+// rewritten in full before use, so runs stay independent and only
+// capacity carries over.
 func NewDistRunnerScratch(c *graph.CSR, owner []int32, nprocs, self int, f Factory, sc *DistScratch) *DistRunner {
 	n := c.N()
 	ids := c.Index().IDs()
-	if sc == nil {
-		sc = &DistScratch{}
-	}
 	r := &DistRunner{
-		c:      c,
 		owner:  owner,
 		self:   int32(self),
-		nprocs: nprocs,
 		ids:    ids,
 		protos: growCap(sc.protos, n),
 		local:  growCap(sc.local, n),
@@ -246,15 +226,9 @@ func (r *DistRunner) RearmFast() {
 	r.report.adoptDenseSent(r.sent, r.ids)
 }
 
-// N returns the node count of the snapshot.
-func (r *DistRunner) N() int { return r.c.N() }
-
 // Owned returns the dense indices this process owns, ascending. Shared; do
 // not modify.
 func (r *DistRunner) Owned() []int32 { return r.owned }
-
-// Owns reports whether this process owns dense node v.
-func (r *DistRunner) Owns(v int32) bool { return r.owner[v] == r.self }
 
 // Report returns the process's share of the run accounting. Merge the
 // processes' reports with MergeParallel at quiescence.
@@ -327,36 +301,10 @@ func (r *DistRunner) Outbox(dst int) []OutMsg { return r.out[dst] }
 // covers the whole rank space). Valid until the next Play phase.
 func (r *DistRunner) Counts() []RankCount { return r.counts }
 
-// EncodeOwnedState serialises the state of owned dense node v with the
-// given opcode encoder (the transport's canonical wire table). The
-// protocol must implement StateCodec.
-func (r *DistRunner) EncodeOwnedState(v int32, enc func(Op) uint64) ([]byte, error) {
-	return EncodeProtocolState(r.protos[v], enc)
-}
-
-// AppendOwnedState is EncodeOwnedState into a caller-owned arena: the
-// state bytes append to buf and the grown buffer returns, so the engine's
-// all-gather encodes every owned state into one reusable slab.
-func (r *DistRunner) AppendOwnedState(buf []byte, v int32, enc func(Op) uint64) ([]byte, error) {
-	return AppendProtocolState(buf, r.protos[v], enc)
-}
-
-// DecodeStateInto decodes a peer's state blob into dense node v's
-// instance — the receiving half of the final-state all-gather and of
-// checkpoint assembly.
-func (r *DistRunner) DecodeStateInto(v int32, blob []byte, dec func(uint64) (Op, error)) error {
-	return DecodeProtocolState(r.protos[v], blob, dec)
-}
-
-// EncodeProtocolState serialises one protocol's state as a varint word
-// stream using the given opcode encoder (nil keeps process-local opcodes).
+// AppendProtocolState appends one protocol's state to buf as a varint
+// word stream, translating opcodes with enc (nil keeps process-local
+// opcodes), so callers encoding many states can amortise into one arena.
 // The protocol must implement StateCodec.
-func EncodeProtocolState(p Protocol, enc func(Op) uint64) ([]byte, error) {
-	return AppendProtocolState(nil, p, enc)
-}
-
-// AppendProtocolState is EncodeProtocolState appending to buf, so callers
-// encoding many states can amortise into one arena.
 func AppendProtocolState(buf []byte, p Protocol, enc func(Op) uint64) ([]byte, error) {
 	sc, ok := p.(StateCodec)
 	if !ok {
@@ -367,24 +315,18 @@ func AppendProtocolState(buf []byte, p Protocol, enc func(Op) uint64) ([]byte, e
 	return e.buf, nil
 }
 
-// DecodeProtocolState mirrors EncodeProtocolState, enforcing the same
-// exact-consumption contract as checkpoint resume.
+// DecodeProtocolState mirrors AppendProtocolState: the blob must decode
+// exactly, with no trailing bytes, the same contract as checkpoint resume.
 func DecodeProtocolState(p Protocol, blob []byte, dec func(uint64) (Op, error)) error {
 	sc, ok := p.(StateCodec)
 	if !ok {
 		return &CheckpointError{Reason: fmt.Sprintf("protocol %T does not implement StateCodec", p)}
 	}
-	d := StateDecoder{buf: blob, opDec: dec}
+	d := StateDecoder{c: NewCursor(blob, stateFail), opDec: dec}
 	if err := sc.DecodeState(&d); err != nil {
 		return err
 	}
-	if d.err != nil {
-		return d.err
-	}
-	if d.at != len(d.buf) {
-		return &CheckpointError{Reason: fmt.Sprintf("node state: %d trailing bytes", len(d.buf)-d.at)}
-	}
-	return nil
+	return d.c.Done()
 }
 
 // --- exported checkpoint plumbing for the network plane -----------------

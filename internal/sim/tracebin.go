@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -43,11 +42,11 @@ var traceScratchPool = sync.Pool{New: func() any { return make([]byte, 0, 4096) 
 // run finished. Not safe for concurrent use (engine trace callbacks are
 // serialised).
 type BinaryTraceWriter struct {
-	w      io.Writer
-	buf    []byte   // pooled scratch, flushed when it grows past flushAt
-	fileOf []uint64 // process Op -> file index + 0 (0 = unassigned)
-	next   uint64
-	err    error
+	w   io.Writer
+	buf []byte // pooled scratch, flushed when it grows past flushAt
+	tab *kindTable
+	enc func(Op) uint64 // tab.enc, bound once
+	err error
 }
 
 const traceFlushAt = 1 << 15
@@ -55,10 +54,11 @@ const traceFlushAt = 1 << 15
 // NewBinaryTraceWriter starts a binary trace on w, writing the header.
 func NewBinaryTraceWriter(w io.Writer) *BinaryTraceWriter {
 	t := &BinaryTraceWriter{
-		w:      w,
-		buf:    traceScratchPool.Get().([]byte)[:0],
-		fileOf: make([]uint64, NumOps()),
+		w:   w,
+		buf: traceScratchPool.Get().([]byte)[:0],
+		tab: newKindTable(),
 	}
+	t.enc = t.tab.enc
 	t.buf = append(t.buf, traceMagic[:]...)
 	t.buf = appendUvarint(t.buf, TraceVersion)
 	return t
@@ -75,14 +75,15 @@ func (t *BinaryTraceWriter) Trace(e TraceEvent) {
 		t.buf = appendVarint(t.buf, e.Depth)
 		t.buf = appendVarint(t.buf, int64(e.From))
 		t.buf = appendVarint(t.buf, int64(e.To))
-		// The opcode is resolved before the record's wire bytes so encOp
-		// can splice the inline table entry ahead of them.
-		fileOp := t.encOp(e.Msg.Op)
-		t.buf = appendUvarint(t.buf, fileOp)
-		t.buf = appendUvarint(t.buf, uint64(e.Msg.Nw))
-		for i := 0; i < int(e.Msg.Nw); i++ {
-			t.buf = appendVarint(t.buf, e.Msg.W[i])
+		// An opcode's first use splices its inline table entry ahead of
+		// the record's wire bytes.
+		if known := len(t.tab.kinds); t.enc(e.Msg.Op) == uint64(known) {
+			kind := t.tab.kinds[known]
+			t.buf = appendUvarint(t.buf, 0)
+			t.buf = appendUvarint(t.buf, uint64(len(kind)))
+			t.buf = append(t.buf, kind...)
 		}
+		t.buf = AppendWire(t.buf, e.Msg, t.enc)
 	} else {
 		t.buf = append(t.buf, traceRecNote)
 		t.buf = appendUvarint(t.buf, math.Float64bits(e.Time))
@@ -94,27 +95,6 @@ func (t *BinaryTraceWriter) Trace(e TraceEvent) {
 	if len(t.buf) >= traceFlushAt {
 		t.flush()
 	}
-}
-
-// encOp translates an opcode to its file-local index, emitting the inline
-// table entry (0 + kind string) on first use.
-func (t *BinaryTraceWriter) encOp(op Op) uint64 {
-	if int(op) >= len(t.fileOf) {
-		// Op registered after the writer started (test registration);
-		// grow the table.
-		grown := make([]uint64, NumOps())
-		copy(grown, t.fileOf)
-		t.fileOf = grown
-	}
-	if t.fileOf[op] == 0 {
-		kind := opKind(op)
-		t.buf = appendUvarint(t.buf, 0)
-		t.buf = appendUvarint(t.buf, uint64(len(kind)))
-		t.buf = append(t.buf, kind...)
-		t.next++
-		t.fileOf[op] = t.next
-	}
-	return t.fileOf[op]
 }
 
 func (t *BinaryTraceWriter) flush() {
@@ -139,117 +119,48 @@ func (t *BinaryTraceWriter) Close() error {
 	return t.err
 }
 
+// traceFail is the binary trace's cursor failure.
+func traceFail(reason string) error { return &WireError{Reason: "binary trace: " + reason} }
+
 // ReadBinaryTrace decodes a binary trace back into TraceEvents. Malformed
-// input returns a typed *WireError or a wrapped description, never a
-// panic.
+// input returns a typed *WireError, never a panic.
 func ReadBinaryTrace(r io.Reader) ([]TraceEvent, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < len(traceMagic)+1 || string(raw[:len(traceMagic)]) != string(traceMagic[:]) {
-		return nil, fmt.Errorf("sim: not a binary trace (bad magic)")
+	if len(raw) < len(traceMagic) || string(raw[:len(traceMagic)]) != string(traceMagic[:]) {
+		return nil, traceFail("bad magic")
 	}
-	at := len(traceMagic)
-	version, n := binary.Uvarint(raw[at:])
-	if n <= 0 || version != TraceVersion {
-		return nil, fmt.Errorf("sim: unsupported binary trace version")
+	c := NewCursor(raw[len(traceMagic):], traceFail)
+	if v := c.Uvarint(); c.Err() == nil && v != TraceVersion {
+		return nil, traceFail(fmt.Sprintf("unsupported version %d", v))
 	}
-	at += n
-	ops := []Op{OpNone} // file index -> registry opcode
-	decOp := func(fileOp uint64) (Op, error) {
-		if fileOp == 0 || fileOp >= uint64(len(ops)) {
-			return OpNone, &WireError{Reason: fmt.Sprintf("trace opcode %d outside the inline table", fileOp)}
-		}
-		return ops[fileOp], nil
-	}
-	uv := func() (uint64, error) {
-		v, n := binary.Uvarint(raw[at:])
-		if n <= 0 {
-			return 0, fmt.Errorf("sim: truncated binary trace")
-		}
-		at += n
-		return v, nil
-	}
-	sv := func() (int64, error) {
-		v, n := binary.Varint(raw[at:])
-		if n <= 0 {
-			return 0, fmt.Errorf("sim: truncated binary trace")
-		}
-		at += n
-		return v, nil
-	}
+	tab := newKindTable()
 	var events []TraceEvent
-	for at < len(raw) {
-		tag := raw[at]
-		at++
-		bits, err := uv()
-		if err != nil {
-			return nil, err
-		}
-		depth, err := sv()
-		if err != nil {
-			return nil, err
-		}
-		e := TraceEvent{Time: math.Float64frombits(bits), Depth: depth}
+	for c.Len() > 0 {
+		tag := c.Bytes(1)[0]
+		e := TraceEvent{Time: math.Float64frombits(c.Uvarint()), Depth: c.Varint()}
 		switch tag {
 		case traceRecDelivery:
-			from, err := sv()
-			if err != nil {
-				return nil, err
+			e.From, e.To = NodeID(c.Varint()), NodeID(c.Varint())
+			// Inline table entries (a zero byte, then the kind) precede
+			// the opcode they define.
+			for c.Len() > 0 && c.buf[c.at] == 0 {
+				c.at++
+				if kind := c.Bytes(c.Uvarint()); c.Err() == nil && !tab.learn(string(kind)) {
+					return nil, traceFail(fmt.Sprintf("unknown message kind %q", kind))
+				}
 			}
-			to, err := sv()
-			if err != nil {
-				return nil, err
-			}
-			// Inline table entries precede the opcode they define.
-			for {
-				peek, n := binary.Uvarint(raw[at:])
-				if n <= 0 {
-					return nil, fmt.Errorf("sim: truncated binary trace")
-				}
-				if peek != 0 {
-					break
-				}
-				at += n
-				klen, err := uv()
-				if err != nil {
-					return nil, err
-				}
-				if klen > uint64(len(raw)-at) {
-					return nil, fmt.Errorf("sim: truncated binary trace")
-				}
-				kind := string(raw[at : at+int(klen)])
-				at += int(klen)
-				op, ok := OpByKind(kind)
-				if !ok {
-					return nil, &WireError{Reason: fmt.Sprintf("unknown message kind %q in trace", kind)}
-				}
-				ops = append(ops, op)
-			}
-			m, used, err := DecodeWire(raw[at:], decOp)
-			if err != nil {
-				return nil, err
-			}
-			at += used
-			e.From, e.To, e.Msg = NodeID(from), NodeID(to), m
+			e.Msg = c.Wire(tab.dec)
 		case traceRecNote:
-			to, err := sv()
-			if err != nil {
-				return nil, err
-			}
-			nlen, err := uv()
-			if err != nil {
-				return nil, err
-			}
-			if nlen > uint64(len(raw)-at) {
-				return nil, fmt.Errorf("sim: truncated binary trace")
-			}
-			e.To = NodeID(to)
-			e.Note = string(raw[at : at+int(nlen)])
-			at += int(nlen)
+			e.To = NodeID(c.Varint())
+			e.Note = string(c.Bytes(c.Uvarint()))
 		default:
-			return nil, fmt.Errorf("sim: unknown binary trace record 0x%02x", tag)
+			return nil, traceFail(fmt.Sprintf("unknown record 0x%02x", tag))
+		}
+		if err := c.Err(); err != nil {
+			return nil, err
 		}
 		events = append(events, e)
 	}

@@ -314,3 +314,118 @@ func DecodeWire(b []byte, dec func(uint64) (Op, error)) (WireMsg, int, error) {
 	}
 	return m, at, nil
 }
+
+// --- bounded cursor -----------------------------------------------------
+
+// Cursor is the one bounded reader over the varint byte forms of a frozen
+// run: checkpoint files, node-state blobs, binary traces and the cluster's
+// frames (DESIGN.md §8). Every read checks the remaining bytes. Errors are
+// sticky: the first failure is kept, the cursor jumps to the end, and
+// every later read returns zero, so a decoder checks Err once per record
+// or section instead of once per value. A failure is built by the
+// format's constructor fail — bound once per format (or per frame type),
+// so a cursor costs no allocation — which is how each caller keeps its
+// own typed error.
+type Cursor struct {
+	buf  []byte
+	at   int
+	err  error
+	fail func(reason string) error
+}
+
+// NewCursor starts a cursor over buf whose failures come from fail.
+func NewCursor(buf []byte, fail func(reason string) error) Cursor {
+	return Cursor{buf: buf, fail: fail}
+}
+
+// Err returns the first failure, or nil.
+func (c *Cursor) Err() error { return c.err }
+
+// Fail records the format's typed error for reason unless an earlier
+// failure stands, and returns the first failure.
+func (c *Cursor) Fail(reason string) error {
+	if c.err == nil {
+		c.err = c.fail(reason)
+		c.at = len(c.buf)
+	}
+	return c.err
+}
+
+// Len returns the number of unread bytes.
+func (c *Cursor) Len() int { return len(c.buf) - c.at }
+
+// Uvarint reads an unsigned varint. One-byte values, the common case,
+// take the inlined fast path.
+func (c *Cursor) Uvarint() uint64 {
+	if c.at < len(c.buf) && c.buf[c.at] < 0x80 {
+		c.at++
+		return uint64(c.buf[c.at-1])
+	}
+	return c.uvarintSlow()
+}
+
+func (c *Cursor) uvarintSlow() uint64 {
+	v, n := binary.Uvarint(c.buf[c.at:])
+	if n <= 0 {
+		c.Fail("truncated varint")
+		return 0
+	}
+	c.at += n
+	return v
+}
+
+// Varint reads a zigzag-encoded signed varint.
+func (c *Cursor) Varint() int64 {
+	u := c.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// Bytes reads the next n bytes, aliasing the cursor's buffer.
+func (c *Cursor) Bytes(n uint64) []byte {
+	if n > uint64(len(c.buf)-c.at) {
+		c.Fail("truncated bytes")
+		return nil
+	}
+	c.at += int(n)
+	return c.buf[c.at-int(n) : c.at]
+}
+
+// Count reads an element count and bounds it by the remaining bytes (each
+// element occupies at least minBytes), so malformed input cannot make a
+// decoder allocate unbounded slices before parsing the entries.
+func (c *Cursor) Count(minBytes int) int {
+	v := c.Uvarint()
+	if v > uint64(len(c.buf)-c.at)/uint64(minBytes) {
+		c.countErr(v)
+		return 0
+	}
+	return int(v)
+}
+
+func (c *Cursor) countErr(v uint64) {
+	c.Fail(fmt.Sprintf("element count %d exceeds the remaining %d bytes", v, len(c.buf)-c.at))
+}
+
+// Wire decodes one wire record, translating its opcode through dec. A
+// malformed record fails the cursor with DecodeWire's reason.
+func (c *Cursor) Wire(dec func(uint64) (Op, error)) WireMsg {
+	m, n, err := DecodeWire(c.buf[c.at:], dec)
+	if err != nil {
+		c.wireErr(err)
+		return WireMsg{}
+	}
+	c.at += n
+	return m
+}
+
+func (c *Cursor) wireErr(err error) { c.Fail("wire record: " + err.Error()) }
+
+// Done fails unless every byte was read, and returns the first failure.
+func (c *Cursor) Done() error {
+	if c.at != len(c.buf) {
+		c.trailing()
+	}
+	return c.err
+}
+
+func (c *Cursor) trailing() { c.Fail(fmt.Sprintf("%d trailing bytes", len(c.buf)-c.at)) }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"mdegst/internal/graph"
 )
 
 // FuzzWireCodec fuzzes the wire codec from both directions. Structured
@@ -104,3 +106,60 @@ type sliceWriter struct{ b []byte }
 
 func (w *sliceWriter) Write(p []byte) (int, error) { w.b = append(w.b, p...); return len(p), nil }
 
+// FuzzBinaryTraceRead fuzzes the binary trace reader: arbitrary bytes must
+// decode or fail with a typed *WireError, never panic. A writer-produced
+// trace reads back and re-encodes to the same bytes, and re-encoding any
+// accepted input is a fixed point.
+func FuzzBinaryTraceRead(f *testing.F) {
+	var seed bytes.Buffer
+	bw := NewBinaryTraceWriter(&seed)
+	eng := &EventEngine{Delay: UnitDelay, FIFO: true, Trace: bw.Trace}
+	if _, _, err := eng.Run(graph.Gnp(12, 0.4, 3).Compile(), loggingTokenFactory(12)); err != nil {
+		f.Fatal(err)
+	}
+	if err := bw.Close(); err != nil {
+		f.Fatal(err)
+	}
+	if got := rewriteTrace(f, seed.Bytes()); !bytes.Equal(got, seed.Bytes()) {
+		f.Fatalf("writer-produced trace re-encodes to %d bytes, want the %d it was read from", len(got), seed.Len())
+	}
+	f.Add(seed.Bytes())
+	f.Add(seed.Bytes()[:seed.Len()/2])
+	f.Add([]byte("MDGSTTR1"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		events, err := ReadBinaryTrace(bytes.NewReader(raw))
+		if err != nil {
+			var we *WireError
+			if !errors.As(err, &we) {
+				t.Fatalf("error %v is not a *WireError", err)
+			}
+			return
+		}
+		once := rewriteTrace(t, raw)
+		if twice := rewriteTrace(t, once); !bytes.Equal(once, twice) {
+			t.Fatalf("re-encoding an accepted trace is not a fixed point: %d vs %d bytes", len(once), len(twice))
+		}
+		if again, err := ReadBinaryTrace(bytes.NewReader(once)); err != nil || len(again) != len(events) {
+			t.Fatalf("re-read of %d events: %d events, %v", len(events), len(again), err)
+		}
+	})
+}
+
+// rewriteTrace reads a binary trace and writes its events back out.
+func rewriteTrace(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	events, err := ReadBinaryTrace(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	bw := NewBinaryTraceWriter(&out)
+	for _, e := range events {
+		bw.Trace(e)
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
