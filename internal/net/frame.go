@@ -28,8 +28,8 @@ import (
 const (
 	frameHello   = byte(1) // handshake: version, identity, fingerprint, opcode table
 	frameRound   = byte(2) // one barrier contribution: run, round, rank counts, delivery batch
-	frameFinal   = byte(3) // quiescence all-gather: report counters + owned states
-	frameCkpt    = byte(4) // checkpoint shard upload to the coordinator
+	frameFinal   = byte(3) // quiescence all-gather: a shard (counters, owned states) with no runs
+	frameCkpt    = byte(4) // checkpoint shard upload to the coordinator, one run per destination
 	frameCkptAck = byte(5) // coordinator's checkpoint commit acknowledgement
 	frameHeart   = byte(6) // liveness beacon: sender's data-frame count for this peer
 )

@@ -178,7 +178,7 @@ func parseHello(payload []byte, fp Fingerprint, t *WireTable) (*hello, error) {
 	if nKinds := r.Count(4); r.Err() == nil && nKinds != len(t.kinds)-1 {
 		return nil, r.Fail(fmt.Sprintf("opcode table has %d kinds, local registry has %d", nKinds, len(t.kinds)-1))
 	}
-	for i := 1; i < len(t.kinds) && r.Err() == nil; i++ {
+	for i := 1; i < len(t.kinds); i++ {
 		kb := r.Bytes(r.Uvarint())
 		minW, maxW, rb := r.Uvarint(), r.Uvarint(), r.Bytes(1)
 		if r.Err() != nil {

@@ -396,14 +396,10 @@ func (c *Cursor) Bytes(n uint64) []byte {
 func (c *Cursor) Count(minBytes int) int {
 	v := c.Uvarint()
 	if v > uint64(len(c.buf)-c.at)/uint64(minBytes) {
-		c.countErr(v)
+		c.Fail(fmt.Sprintf("element count %d exceeds the remaining %d bytes", v, len(c.buf)-c.at))
 		return 0
 	}
 	return int(v)
-}
-
-func (c *Cursor) countErr(v uint64) {
-	c.Fail(fmt.Sprintf("element count %d exceeds the remaining %d bytes", v, len(c.buf)-c.at))
 }
 
 // Wire decodes one wire record, translating its opcode through dec. A
@@ -411,14 +407,12 @@ func (c *Cursor) countErr(v uint64) {
 func (c *Cursor) Wire(dec func(uint64) (Op, error)) WireMsg {
 	m, n, err := DecodeWire(c.buf[c.at:], dec)
 	if err != nil {
-		c.wireErr(err)
+		c.Fail("wire record: " + err.Error())
 		return WireMsg{}
 	}
 	c.at += n
 	return m
 }
-
-func (c *Cursor) wireErr(err error) { c.Fail("wire record: " + err.Error()) }
 
 // Done fails unless every byte was read, and returns the first failure.
 func (c *Cursor) Done() error {
