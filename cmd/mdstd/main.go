@@ -207,19 +207,6 @@ func (cfg *clusterConfig) compile() (*mdegst.CompiledGraph, []int32, error) {
 	return c, part.Owners(), nil
 }
 
-func (cfg *clusterConfig) mode() (mdst.Mode, error) {
-	switch cfg.Mode {
-	case "", "single":
-		return mdst.Single, nil
-	case "multi":
-		return mdst.Multi, nil
-	case "hybrid":
-		return mdst.Hybrid, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", cfg.Mode)
-	}
-}
-
 // runProcess is the daemon proper: establish the mesh, run the pipeline,
 // and let process 0 report. SIGINT/SIGTERM latch a stop request that the
 // cluster honours at the next round barrier, so the process exits 0 after
@@ -229,7 +216,11 @@ func runProcess(cfg *clusterConfig, id int, opts runOptions) error {
 	if err != nil {
 		return err
 	}
-	mode, err := cfg.mode()
+	name := cfg.Mode
+	if name == "" {
+		name = "single"
+	}
+	mode, err := mdst.ParseMode(name)
 	if err != nil {
 		return err
 	}

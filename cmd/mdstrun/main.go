@@ -27,6 +27,7 @@ import (
 
 	"mdegst"
 	"mdegst/internal/graph"
+	"mdegst/internal/mdst"
 )
 
 func main() {
@@ -60,7 +61,7 @@ func main() {
 
 	// Validate the selector flags once, before any trial pays the
 	// graph-construction cost.
-	runMode, err := parseMode(*mode)
+	runMode, err := mdst.ParseMode(*mode)
 	if err != nil {
 		fatal(err)
 	}
@@ -74,7 +75,7 @@ func main() {
 		fatal(fmt.Errorf("unknown engine %q", *engine))
 	}
 	// A graph that does not depend on the trial seed — an -in file or a
-	// deterministic family (buildGraph reports which) — is built and
+	// deterministic family (NamedGraph reports which) — is built and
 	// compiled exactly once; the immutable snapshot is shared by every
 	// trial and worker. Seeded families compile per trial.
 	var shared *mdegst.CompiledGraph
@@ -89,7 +90,7 @@ func main() {
 		}
 		shared = mdegst.Compile(g)
 	} else {
-		g, seeded, err := buildGraph(*family, *n, *m, *p, *k, *seed)
+		g, seeded, err := mdegst.NamedGraph(*family, *n, *m, *p, *k, *seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -121,7 +122,7 @@ func main() {
 		}
 		c := shared
 		if c == nil {
-			g, _, err := buildGraph(*family, *n, *m, *p, *k, *seed)
+			g, _, err := mdegst.NamedGraph(*family, *n, *m, *p, *k, *seed)
 			if err != nil {
 				fatal(err)
 			}
@@ -204,7 +205,7 @@ func main() {
 	runTrial := func(s int64) (*mdegst.Graph, *mdegst.Result, error) {
 		c := shared
 		if c == nil {
-			g, _, err := buildGraph(*family, *n, *m, *p, *k, s)
+			g, _, err := mdegst.NamedGraph(*family, *n, *m, *p, *k, s)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -384,26 +385,6 @@ func writeDOT(path string, g *mdegst.Graph, res *mdegst.Result) {
 		fatal(err)
 	}
 	fmt.Printf("dot:          wrote %s\n", path)
-}
-
-// buildGraph constructs the selected family through the facade's shared
-// generator surface (also behind mdstd's topology config). The second
-// result reports whether the construction consumed the seed.
-func buildGraph(family string, n, m int, p float64, k int, seed int64) (*mdegst.Graph, bool, error) {
-	return mdegst.NamedGraph(family, n, m, p, k, seed)
-}
-
-func parseMode(s string) (mdegst.Mode, error) {
-	switch s {
-	case "single":
-		return mdegst.ModeSingle, nil
-	case "multi":
-		return mdegst.ModeMulti, nil
-	case "hybrid":
-		return mdegst.ModeHybrid, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", s)
-	}
 }
 
 func parseInitial(s string) (mdegst.InitialTree, error) {

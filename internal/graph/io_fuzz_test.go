@@ -21,12 +21,12 @@ func FuzzReadEdgeList(f *testing.F) {
 	}
 	f.Add([]byte("2 1\n1 2\n"))
 	f.Add([]byte("# comment\n3 0\nv 1\nv 2\nv 3\n"))
-	f.Add([]byte("1 1\n5 5\n"))        // self-loop
-	f.Add([]byte("2 2\n1 2\n1 2\n"))   // duplicate edge
-	f.Add([]byte("9 9\n"))             // header promises more than the body has
-	f.Add([]byte("x y\n"))             // bad header
-	f.Add([]byte("2 1\n1 2\nv\n"))     // short node line
-	f.Add([]byte("2 1\n1 2 3\n"))      // long edge line
+	f.Add([]byte("1 1\n5 5\n"))      // self-loop
+	f.Add([]byte("2 2\n1 2\n1 2\n")) // duplicate edge
+	f.Add([]byte("9 9\n"))           // header promises more than the body has
+	f.Add([]byte("x y\n"))           // bad header
+	f.Add([]byte("2 1\n1 2\nv\n"))   // short node line
+	f.Add([]byte("2 1\n1 2 3\n"))    // long edge line
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadEdgeList(bytes.NewReader(data))
 		if err != nil {

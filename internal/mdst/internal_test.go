@@ -228,3 +228,17 @@ func TestMessageRoundTrip(t *testing.T) {
 		t.Errorf("rounddone round-trip: %+v", got)
 	}
 }
+
+func TestParseMode(t *testing.T) {
+	for _, m := range []Mode{Single, Multi, Hybrid} {
+		got, err := ParseMode(m.String())
+		if err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, name := range []string{"", "Single", "quad", Mode(7).String()} {
+		if _, err := ParseMode(name); err == nil {
+			t.Errorf("ParseMode(%q) accepted an unknown mode", name)
+		}
+	}
+}

@@ -47,6 +47,16 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode inverts Mode.String.
+func ParseMode(s string) (Mode, error) {
+	for _, m := range []Mode{Single, Multi, Hybrid} {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q", s)
+}
+
 // initialPhase returns the phase the first round runs in.
 func (m Mode) initialPhase() Mode {
 	if m == Single {

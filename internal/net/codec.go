@@ -307,7 +307,7 @@ func (x *roundExpect) check(q int, h roundHeader) error {
 // and its count-entry total for the barrier's coverage cross-check. On
 // any error the scratch contents are unspecified — the caller aborts the
 // run.
-func (s *roundScratch) decodeRound(q int, payload []byte, t *WireTable, x *roundExpect) (roundHeader, int64, error) {
+func (s *arena) decodeRound(q int, payload []byte, t *WireTable, x *roundExpect) (roundHeader, int64, error) {
 	r := frameCursor(frameRound, payload)
 	h, err := decodeRoundHeader(&r, s.act)
 	if err != nil {

@@ -79,31 +79,48 @@ type DistEngine struct {
 	// sc is the engine-instance round arena (DESIGN.md §13): every slab the
 	// barrier needs, grown by amortised doubling and reused across rounds
 	// and runs, so an unperturbed steady-state round allocates nothing.
-	sc roundScratch
+	sc arena
 }
 
-// roundScratch is the persistent round arena. All slabs are engine-
-// goroutine-only and sized by the high-water mark of the rounds driven so
-// far.
-type roundScratch struct {
-	cnt   []int64        // rank slab: counts scattered, prefix-summed into offsets
-	base  []int64        // per-parent local placement cursors for the splice
-	inbox []sim.OutMsg   // spliced global-order delivery plane handed to PlayRound
-	enc   [][]byte       // per-peer frame encode slabs
-	rx    [][]sim.OutMsg // per-peer decoded-batch slabs
-	act   []bool         // next-round activity: the union of the activity sets heard this step
-	own   []int32        // this process's activity set: the processes it queued records for
+// arena is the persistent round arena. All slabs are engine-goroutine-only
+// and sized by the high-water mark of the rounds driven so far.
+type arena struct {
+	cnt    []int64               // rank slab: counts scattered, prefix-summed into offsets
+	base   []int64               // per-parent local placement cursors for the splice
+	inbox  []sim.PendingDelivery // spliced global-order delivery plane handed to Play
+	ranks  []int64               // the global rank of each inbox record
+	enc    [][]byte              // per-peer frame encode slabs
+	rx     [][]sim.OutMsg        // per-peer decoded-batch slabs
+	act    []bool                // next-round activity: the union of the activity sets heard this step
+	own    []int32               // this process's activity set: the processes it queued records for
+	owned  []int32               // the dense nodes this process owns, ascending
+	out    [][]sim.OutMsg        // per destination process: the phase's routed sends
+	counts []sim.RankCount       // (rank, send count) of every delivery played this phase
 
 	states     []ownedState // owned-state headers for the all-gather / checkpoint
 	stateBytes []byte       // arena behind the states' blobs
 
-	runner sim.DistScratch // the runner's recycled slabs (protos, contexts, outboxes)
+	runner sim.RoundRunner // plays the owned nodes; its slabs serve every run
+}
+
+// reset readies the arena for a run: the list of owned nodes and one
+// routed run per process.
+func (s *arena) reset(owner []int32, self, procs int) {
+	s.owned = s.owned[:0]
+	for v, q := range owner {
+		if q == int32(self) {
+			s.owned = append(s.owned, int32(v))
+		}
+	}
+	if len(s.out) != procs {
+		s.out = make([][]sim.OutMsg, procs)
+	}
 }
 
 // begin readies the per-process tables for one barrier step: activity
 // marks cleared and peer batch slabs emptied, since a step that hears
 // from only some peers splices only theirs.
-func (s *roundScratch) begin(procs int) {
+func (s *arena) begin(procs int) {
 	if len(s.enc) < procs {
 		s.enc = make([][]byte, procs)
 		s.rx = make([][]sim.OutMsg, procs)
@@ -120,7 +137,7 @@ func (s *roundScratch) begin(procs int) {
 // slabs ensures the two rank-indexed slabs hold rankSpace entries (grown
 // by doubling, never shrunk) and returns the zeroed rank slab for this
 // barrier; the zeroed placement cursors wait in base for the splice.
-func (s *roundScratch) slabs(rankSpace int64) []int64 {
+func (s *arena) slabs(rankSpace int64) []int64 {
 	if int64(cap(s.cnt)) < rankSpace {
 		grow := 2 * int64(cap(s.cnt))
 		if grow < rankSpace {
@@ -137,28 +154,53 @@ func (s *roundScratch) slabs(rankSpace int64) []int64 {
 	return cnt
 }
 
-// grownInbox returns an n-record view of the inbox slab.
-func (s *roundScratch) grownInbox(n int) []sim.OutMsg {
+// grownInbox returns n-record views of the inbox slab and its ranks.
+func (s *arena) grownInbox(n int) ([]sim.PendingDelivery, []int64) {
 	if cap(s.inbox) < n {
 		grow := 2 * cap(s.inbox)
 		if grow < n {
 			grow = n
 		}
-		s.inbox = make([]sim.OutMsg, grow)
+		s.inbox = make([]sim.PendingDelivery, grow)
+		s.ranks = make([]int64, grow)
 	}
-	return s.inbox[:n]
+	return s.inbox[:n], s.ranks[:n]
+}
+
+// route derives at the barrier what the wire needs of a played phase:
+// played delivery i has global rank ranks[i] and sent sent[ends[i-1]:ends[i]],
+// so each send is keyed (ranks[i], its offset in that range) and appended
+// to the run of its receiver's owner, and the delivery's (rank, count)
+// pair to counts. Ranks ascend, so every run comes out key-sorted. out's
+// runs are emptied first; the extended counts are returned.
+func route[R int32 | int64](out [][]sim.OutMsg, counts []sim.RankCount, owner []int32, sent []sim.PendingDelivery, ends []int, ranks []R) []sim.RankCount {
+	for d := range out {
+		out[d] = out[d][:0]
+	}
+	lo := 0
+	for i, hi := range ends {
+		rank := int64(ranks[i])
+		for pos, m := range sent[lo:hi] {
+			d := owner[m.To]
+			out[d] = append(out[d], sim.OutMsg{Parent: rank, Pos: int32(pos), From: m.From, To: m.To, Msg: m.Msg})
+		}
+		counts = append(counts, sim.RankCount{Rank: rank, Count: int64(hi - lo)})
+		lo = hi
+	}
+	return counts
 }
 
 // barrierState is what a process knows once a barrier closes.
 type barrierState struct {
-	round     int64        // the round the barrier closed (0: Init)
-	off       []int64      // next round's rank offsets (aliasing engine scratch)
-	total     int64        // next round's global delivery count
-	inbox     []sim.OutMsg // this process's next-round deliveries, in global order
-	delivered int64        // the cluster's cumulative delivered count
-	stop      bool         // the barrier agreed a graceful stop
-	active    int          // processes with deliveries next round
-	lone      int          // the active process when active == 1
+	round     int64                 // the round the barrier closed (0: Init)
+	off       []int64               // next round's rank offsets (aliasing engine scratch)
+	total     int64                 // next round's global delivery count
+	inbox     []sim.PendingDelivery // this process's next-round deliveries, in global order
+	ranks     []int64               // the global rank of each inbox record
+	delivered int64                 // the cluster's cumulative delivered count
+	stop      bool                  // the barrier agreed a graceful stop
+	active    int                   // processes with deliveries next round
+	lone      int                   // the active process when active == 1
 }
 
 // census counts the processes the activity marks name.
@@ -180,24 +222,10 @@ func capTrips(delivered, total, maxMsgs int64) bool {
 	return delivered > maxMsgs || (delivered >= maxMsgs && total > 0)
 }
 
-// nextForced returns the first round after round whose barrier commits or
-// freezes a checkpoint, or -1 when none is armed. Every process knows
-// these rounds in advance, and their barriers are always full exchanges.
-func (e *DistEngine) nextForced(round int64) int64 {
-	spec := e.Checkpoint
-	switch {
-	case spec == nil:
-		return -1
-	case spec.Every > 0:
-		return (round/spec.Every + 1) * spec.Every
-	case spec.Round > round:
-		return spec.Round
-	}
-	return -1
-}
-
-// forcedAt reports whether round's barrier is a forced full barrier.
-func (e *DistEngine) forcedAt(round int64) bool { return e.nextForced(round-1) == round }
+// forcedAt reports whether round's barrier commits or freezes a
+// checkpoint. Every process knows these barriers in advance, and they are
+// always full exchanges.
+func (e *DistEngine) forcedAt(round int64) bool { return e.Checkpoint.Next(round-1) == round }
 
 // Run executes the protocol to quiescence across the mesh. The runner
 // already addresses every node's state densely and the final all-gather
@@ -205,7 +233,7 @@ func (e *DistEngine) forcedAt(round int64) bool { return e.nextForced(round-1) =
 // recycled by the engine: the slice stays valid until the engine's next
 // Run or Resume.
 func (e *DistEngine) Run(c *graph.CSR, f sim.Factory) ([]sim.Protocol, *sim.Report, error) {
-	return denseResult(e.run(c, f, nil))
+	return e.run(c, f, nil)
 }
 
 // Resume continues a checkpointed run: every process decodes the full
@@ -216,21 +244,13 @@ func (e *DistEngine) Resume(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) ([]
 	if ck == nil {
 		return nil, nil, &sim.CheckpointError{Reason: "nil checkpoint"}
 	}
-	return denseResult(e.run(c, f, ck))
+	return e.run(c, f, ck)
 }
 
-// denseResult unwraps a finished run into the dense result.
-func denseResult(r *sim.DistRunner, rep *sim.Report, err error) ([]sim.Protocol, *sim.Report, error) {
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.Protos(), rep, nil
-}
-
-func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (r *sim.DistRunner, rep *sim.Report, err error) {
+func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (protos []sim.Protocol, rep *sim.Report, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			r, rep = nil, nil
+			protos, rep = nil, nil
 			err = fmt.Errorf("sim: protocol panic: %v", p)
 		}
 	}()
@@ -246,16 +266,17 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (r *si
 	}
 	e.seq++
 	seq := e.seq
-	r = sim.NewDistRunnerScratch(c, e.Owner, t.Procs(), self, f, &e.sc.runner)
-	// Harvest the runner's slabs for the next run once this one ends
-	// (bound to the runner now, so the recover path's r=nil cannot skip
-	// it). Results returned to the caller stay valid until that next run.
-	defer r.Release(&e.sc.runner)
+	r := &e.sc.runner
+	r.Reset(c, f)
+	e.sc.reset(e.Owner, self, t.Procs())
 
 	var st barrierState
 	if ck == nil {
-		r.PlayInit()
-		if err := e.fullBarrier(r, seq, &st, int64(c.N()), -1); err != nil {
+		// Init is round 0, with dense node indices as ranks.
+		r.Init(e.sc.owned)
+		sent, ends := r.Sent()
+		e.sc.counts = route(e.sc.out, e.sc.counts[:0], e.Owner, sent, ends, e.sc.owned)
+		if err := e.fullBarrier(seq, &st, int64(c.N()), -1); err != nil {
 			return nil, nil, decorateBarrier(err, 0)
 		}
 		if e.Stats != nil {
@@ -266,7 +287,7 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (r *si
 		// counters on process 0 only (the final merge sums them back), and
 		// the pending slab replayed as an already-spliced inbox — rank i is
 		// delivery i of the frozen round, so the offsets are the identity
-		// and the owned records carry their rank directly. Every process
+		// and the owned records take their rank directly. Every process
 		// reads the whole slab, so every process derives the first round's
 		// activity from it.
 		if err := ck.ValidateAgainst(c); err != nil {
@@ -290,7 +311,8 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (r *si
 			q := e.Owner[p.To]
 			e.sc.act[q] = true
 			if q == int32(self) {
-				st.inbox = append(st.inbox, sim.OutMsg{Parent: int64(i), From: p.From, To: p.To, Msg: p.Msg})
+				st.inbox = append(st.inbox, p)
+				st.ranks = append(st.ranks, int64(i))
 			}
 		}
 		st.census(e.sc.act)
@@ -310,23 +332,19 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (r *si
 		// cleanly on every process at this same barrier.
 		if st.stop && st.total > 0 {
 			if spec != nil {
-				if err := e.commit(r, c, seq, st.round, st.off, st.total); err != nil {
+				if err := e.commit(c, seq, st.round, st.off, st.total); err != nil {
 					return nil, nil, decorateBarrier(err, st.round)
 				}
 			}
 			return nil, nil, sim.ErrStopped
 		}
-		if spec != nil && ck == nil && e.forcedAt(st.round) {
-			if err := e.commit(r, c, seq, st.round, st.off, st.total); err != nil {
+		if ck == nil && e.forcedAt(st.round) {
+			if err := e.commit(c, seq, st.round, st.off, st.total); err != nil {
 				return nil, nil, decorateBarrier(err, st.round)
 			}
 			if spec.Every == 0 {
 				return nil, nil, sim.ErrCheckpointed
 			}
-			// Periodic cadence: the commit's counter capture folded and
-			// detached the report's dense sender slab; the run continues,
-			// so re-arm it for the rounds after the recovery point.
-			r.RearmFast()
 		}
 		if capTrips(st.delivered, st.total, maxMsgs) {
 			return nil, nil, sim.NewBudgetError(st.delivered, maxMsgs)
@@ -336,16 +354,18 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (r *si
 		}
 		prev := st.round
 		if st.active == 1 && st.lone != self {
-			err = e.awaitLone(r, seq, &st)
+			err = e.awaitLone(seq, &st)
 		} else {
 			st.round++
-			r.PlayRound(st.round, st.inbox)
+			r.Play(st.round, st.inbox)
+			sent, ends := r.Sent()
+			e.sc.counts = route(e.sc.out, e.sc.counts[:0], e.Owner, sent, ends, st.ranks)
 			rankSpace := st.total
 			st.delivered += rankSpace
 			if st.active == 1 && !e.forcedAt(st.round) {
-				err = e.soloBarrier(r, seq, &st, rankSpace, maxMsgs)
+				err = e.soloBarrier(seq, &st, rankSpace, maxMsgs)
 			} else {
-				err = e.fullBarrier(r, seq, &st, rankSpace, -1)
+				err = e.fullBarrier(seq, &st, rankSpace, -1)
 			}
 		}
 		if err != nil {
@@ -360,8 +380,10 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (r *si
 			ck = nil
 		}
 	}
-	rep, err = e.finish(r, seq, st.round, start)
-	return r, rep, err
+	if rep, err = e.finish(seq, st.round, start); err != nil {
+		return nil, nil, err
+	}
+	return r.Protos(), rep, nil
 }
 
 // decorateBarrier stamps a liveness failure with the last barrier the
@@ -390,12 +412,12 @@ func (e *DistEngine) stopFlags() uint64 {
 // markOwn records this process's activity set — the processes it queued
 // next-round records for, itself included — in sc.own and the step's
 // activity marks, reporting whether it names a peer.
-func (e *DistEngine) markOwn(r *sim.DistRunner) bool {
+func (e *DistEngine) markOwn() bool {
 	self := e.T.Self()
 	own := e.sc.own[:0]
 	peers := false
 	for q := range e.sc.act {
-		if len(r.Outbox(q)) > 0 {
+		if len(e.sc.out[q]) > 0 {
 			own = append(own, int32(q))
 			e.sc.act[q] = true
 			peers = peers || q != self
@@ -408,15 +430,15 @@ func (e *DistEngine) markOwn(r *sim.DistRunner) bool {
 // sendRound sends this process's round frame to every peer — the header,
 // its activity set and counts, and the peer's delivery batch — then
 // flushes once.
-func (e *DistEngine) sendRound(r *sim.DistRunner, h roundHeader) error {
+func (e *DistEngine) sendRound(h roundHeader) error {
 	t := e.T
 	for q := 0; q < t.Procs(); q++ {
 		if q == t.Self() {
 			continue
 		}
-		body := appendRoundHeader(e.sc.enc[q][:0], h, e.sc.own, r.Counts())
+		body := appendRoundHeader(e.sc.enc[q][:0], h, e.sc.own, e.sc.counts)
 		hdr := len(body)
-		body = appendRoundBatch(body, r.Outbox(q), t.Table())
+		body = appendRoundBatch(body, e.sc.out[q], t.Table())
 		e.sc.enc[q] = body
 		if st := e.Stats; st != nil {
 			st.FramesSent++
@@ -441,7 +463,7 @@ func (e *DistEngine) sendRound(r *sim.DistRunner, h roundHeader) error {
 // this process already decoded — the lone process of a solo stretch whose
 // frame closed a forced barrier, its stop flag already in st.stop — or is
 // -1.
-func (e *DistEngine) fullBarrier(r *sim.DistRunner, seq uint64, st *barrierState, rankSpace int64, have int) error {
+func (e *DistEngine) fullBarrier(seq uint64, st *barrierState, rankSpace int64, have int) error {
 	t := e.T
 	self := t.Self()
 	stop := false
@@ -452,19 +474,19 @@ func (e *DistEngine) fullBarrier(r *sim.DistRunner, seq uint64, st *barrierState
 	} else {
 		stop, covered = st.stop, rankSpace
 	}
-	e.markOwn(r)
+	e.markOwn()
 	h := roundHeader{seq: seq, round: st.round, flags: e.stopFlags(), rankSpace: rankSpace, delivered: st.delivered}
-	if err := e.sendRound(r, h); err != nil {
+	if err := e.sendRound(h); err != nil {
 		return err
 	}
 	// Scatter the local counts (trusted: ranks come from this process's own
 	// prefix sums), then each peer's — decodeRound scatters and
 	// bounds-checks while parsing, straight into the slab.
 	cnt := e.sc.cnt[:rankSpace]
-	for _, c := range r.Counts() {
+	for _, c := range e.sc.counts {
 		cnt[c.Rank] = c.Count
 	}
-	covered += int64(len(r.Counts()))
+	covered += int64(len(e.sc.counts))
 	stop = stop || h.flags&roundFlagStop != 0
 	x := roundExpect{seq: seq, round: st.round, rankSpace: rankSpace, delivered: st.delivered}
 	for q := 0; q < t.Procs(); q++ {
@@ -482,7 +504,7 @@ func (e *DistEngine) fullBarrier(r *sim.DistRunner, seq uint64, st *barrierState
 		return &FrameError{Type: frameRound, Reason: fmt.Sprintf("barrier covered %d of %d delivery ranks", covered, rankSpace)}
 	}
 	st.stop = stop
-	return e.splice(r, st, rankSpace)
+	return e.splice(st, rankSpace)
 }
 
 // soloBarrier closes a round this process played alone. Its counts cover
@@ -490,8 +512,8 @@ func (e *DistEngine) fullBarrier(r *sim.DistRunner, seq uint64, st *barrierState
 // locally, and it sends a frame — to every peer — only when one must
 // hear: it queued records for a peer, the run goes quiescent, the message
 // cap trips, or it latched a stop. Forced barriers never come here.
-func (e *DistEngine) soloBarrier(r *sim.DistRunner, seq uint64, st *barrierState, rankSpace, maxMsgs int64) error {
-	counts := r.Counts()
+func (e *DistEngine) soloBarrier(seq uint64, st *barrierState, rankSpace, maxMsgs int64) error {
+	counts := e.sc.counts
 	if int64(len(counts)) != rankSpace {
 		return &FrameError{Type: frameRound, Reason: fmt.Sprintf("solo round played %d of %d deliveries", len(counts), rankSpace)}
 	}
@@ -500,14 +522,14 @@ func (e *DistEngine) soloBarrier(r *sim.DistRunner, seq uint64, st *barrierState
 	for _, c := range counts {
 		cnt[c.Rank] = c.Count
 	}
-	peers := e.markOwn(r)
+	peers := e.markOwn()
 	flags := e.stopFlags()
 	st.stop = flags&roundFlagStop != 0
-	if err := e.splice(r, st, rankSpace); err != nil {
+	if err := e.splice(st, rankSpace); err != nil {
 		return err
 	}
 	if peers || st.total == 0 || st.stop || capTrips(st.delivered, st.total, maxMsgs) {
-		return e.sendRound(r, roundHeader{seq: seq, round: st.round, flags: flags, rankSpace: rankSpace, delivered: st.delivered})
+		return e.sendRound(roundHeader{seq: seq, round: st.round, flags: flags, rankSpace: rankSpace, delivered: st.delivered})
 	}
 	return nil
 }
@@ -517,13 +539,13 @@ func (e *DistEngine) soloBarrier(r *sim.DistRunner, seq uint64, st *barrierState
 // round that frame closes, adopting the frame's round, rank space,
 // counts, delivered count, stop flag and activity set. A frame closing a
 // forced barrier continues into the full exchange.
-func (e *DistEngine) awaitLone(r *sim.DistRunner, seq uint64, st *barrierState) error {
+func (e *DistEngine) awaitLone(seq uint64, st *barrierState) error {
 	lone := st.lone
 	// The sends of the last round this process played were delivered at
-	// the barrier that closed it.
-	r.Idle()
+	// the barrier that closed it: route an empty phase.
+	e.sc.counts = route(e.sc.out, e.sc.counts[:0], e.Owner, nil, nil, []int64(nil))
 	e.sc.begin(e.T.Procs())
-	x := roundExpect{seq: seq, round: st.round, solo: true, limit: e.nextForced(st.round)}
+	x := roundExpect{seq: seq, round: st.round, solo: true, limit: e.Checkpoint.Next(st.round)}
 	h, _, err := e.recvRound(lone, &x)
 	if err != nil {
 		return err
@@ -531,9 +553,9 @@ func (e *DistEngine) awaitLone(r *sim.DistRunner, seq uint64, st *barrierState) 
 	st.round, st.delivered = h.round, h.delivered
 	st.stop = h.flags&roundFlagStop != 0
 	if e.forcedAt(h.round) {
-		return e.fullBarrier(r, seq, st, h.rankSpace, lone)
+		return e.fullBarrier(seq, st, h.rankSpace, lone)
 	}
-	return e.splice(r, st, h.rankSpace)
+	return e.splice(st, h.rankSpace)
 }
 
 // splice turns the barrier's rank slab into the next round's offsets and
@@ -547,13 +569,12 @@ func (e *DistEngine) awaitLone(r *sim.DistRunner, seq uint64, st *barrierState) 
 // ascending in Pos. Counting the local records per parent and
 // prefix-summing yields each parent's block start in the inbox; a second
 // pass places every record at its block cursor and materialises its
-// global rank (off[Parent] + Pos) into the Parent field. Block order
-// follows parent rank and within-parent order follows the run, so the
-// inbox is exactly the canonical (Parent, Pos) delivery order — in
-// O(records + rankSpace) with zero comparisons and, after warm-up, zero
-// allocations. The inbox aliases engine scratch and is valid until the
-// next barrier.
-func (e *DistEngine) splice(r *sim.DistRunner, st *barrierState, rankSpace int64) error {
+// global rank (off[Parent] + Pos) beside it. Block order follows parent
+// rank and within-parent order follows the run, so the inbox is exactly
+// the canonical (Parent, Pos) delivery order — in O(records + rankSpace)
+// with zero comparisons and, after warm-up, zero allocations. The inbox
+// aliases engine scratch and is valid until the next barrier.
+func (e *DistEngine) splice(st *barrierState, rankSpace int64) error {
 	t := e.T
 	self := t.Self()
 	cnt, base := e.sc.cnt[:rankSpace], e.sc.base[:rankSpace]
@@ -568,8 +589,8 @@ func (e *DistEngine) splice(r *sim.DistRunner, st *barrierState, rankSpace int64
 	// materialises its global rank. Peer records are ownership-checked here
 	// (their endpoints came off a socket); loopback records were routed by
 	// the local owner table.
-	nrec := len(r.Outbox(self))
-	for _, m := range r.Outbox(self) {
+	nrec := len(e.sc.out[self])
+	for _, m := range e.sc.out[self] {
 		base[m.Parent]++
 	}
 	for _, rx := range e.sc.rx {
@@ -584,18 +605,19 @@ func (e *DistEngine) splice(r *sim.DistRunner, st *barrierState, rankSpace int64
 		base[i] = at
 		at += c
 	}
-	inbox := e.sc.grownInbox(nrec)
-	place := func(m sim.OutMsg) {
+	inbox, ranks := e.sc.grownInbox(nrec)
+	place := func(m *sim.OutMsg) {
 		slot := base[m.Parent]
 		base[m.Parent]++
-		m.Parent = cnt[m.Parent] + int64(m.Pos)
-		inbox[slot] = m
+		inbox[slot] = sim.PendingDelivery{From: m.From, To: m.To, Msg: m.Msg}
+		ranks[slot] = cnt[m.Parent] + int64(m.Pos)
 	}
-	for _, m := range r.Outbox(self) {
-		place(m)
+	for i := range e.sc.out[self] {
+		place(&e.sc.out[self][i])
 	}
 	for q, rx := range e.sc.rx {
-		for _, m := range rx {
+		for i := range rx {
+			m := &rx[i]
 			if int(m.To) >= len(e.Owner) || e.Owner[m.To] != int32(self) || int(m.From) >= len(e.Owner) {
 				return &FrameError{Type: frameRound, Reason: fmt.Sprintf(
 					"process %d sent a delivery %d->%d this process does not own", q, m.From, m.To)}
@@ -607,7 +629,7 @@ func (e *DistEngine) splice(r *sim.DistRunner, st *barrierState, rankSpace int64
 		return &FrameError{Type: frameRound, Reason: fmt.Sprintf(
 			"activity sets disagree with the %d records this process receives next round", nrec)}
 	}
-	st.off, st.total, st.inbox = cnt, total, inbox
+	st.off, st.total, st.inbox, st.ranks = cnt, total, inbox, ranks
 	st.census(e.sc.act)
 	return nil
 }
@@ -643,11 +665,12 @@ func (e *DistEngine) recvRound(q int, x *roundExpect) (roundHeader, int64, error
 // its report counters, the states of the nodes it owns (encoded with the
 // canonical wire table into the engine's state arena) and the given
 // delivery runs.
-func (e *DistEngine) encodeShard(r *sim.DistRunner, seq uint64, round int64, runs [][]sim.OutMsg) ([]byte, error) {
+func (e *DistEngine) encodeShard(seq uint64, round int64, runs [][]sim.OutMsg) ([]byte, error) {
 	t := e.T
+	r := &e.sc.runner
 	states := e.sc.states[:0]
 	buf := e.sc.stateBytes[:0]
-	for _, v := range r.Owned() {
+	for _, v := range e.sc.owned {
 		n0 := len(buf)
 		var err error
 		if buf, err = sim.AppendProtocolState(buf, r.Protos()[v], t.Table().Enc); err != nil {
@@ -665,7 +688,7 @@ func (e *DistEngine) encodeShard(r *sim.DistRunner, seq uint64, round int64, run
 // frozen at round: it merges the shard's counters into merged, decodes
 // its states into the local instances (each node checked against the
 // owner table) and returns its delivery runs.
-func (e *DistEngine) takeShard(r *sim.DistRunner, q int, typ byte, seq uint64, round int64, merged *sim.Report) ([][]sim.OutMsg, error) {
+func (e *DistEngine) takeShard(q int, typ byte, seq uint64, round int64, merged *sim.Report) ([][]sim.OutMsg, error) {
 	t := e.T
 	got, payload, err := t.Recv(q)
 	if err != nil {
@@ -689,7 +712,7 @@ func (e *DistEngine) takeShard(r *sim.DistRunner, q int, typ byte, seq uint64, r
 		if int(s.dense) >= len(e.Owner) || e.Owner[s.dense] != int32(q) {
 			return nil, &FrameError{Type: typ, Reason: fmt.Sprintf("process %d sent the state of node %d it does not own", q, s.dense)}
 		}
-		if err := sim.DecodeProtocolState(r.Protos()[s.dense], s.blob, t.Table().Dec); err != nil {
+		if err := sim.DecodeProtocolState(e.sc.runner.Protos()[s.dense], s.blob, t.Table().Dec); err != nil {
 			return nil, err
 		}
 	}
@@ -701,10 +724,10 @@ func (e *DistEngine) takeShard(r *sim.DistRunner, q int, typ byte, seq uint64, r
 // reports, and return the complete final state plane. Matching the
 // single-process engines, the merged report carries VirtualTime = the
 // final round.
-func (e *DistEngine) finish(r *sim.DistRunner, seq uint64, round int64, start time.Time) (*sim.Report, error) {
+func (e *DistEngine) finish(seq uint64, round int64, start time.Time) (*sim.Report, error) {
 	t := e.T
 	self := t.Self()
-	body, err := e.encodeShard(r, seq, round, nil)
+	body, err := e.encodeShard(seq, round, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -721,12 +744,12 @@ func (e *DistEngine) finish(r *sim.DistRunner, seq uint64, round int64, start ti
 	}
 
 	merged := sim.NewReport()
-	merged.MergeParallel(r.Report())
+	merged.MergeParallel(e.sc.runner.Report())
 	for q := 0; q < t.Procs(); q++ {
 		if q == self {
 			continue
 		}
-		runs, err := e.takeShard(r, q, frameFinal, seq, round, merged)
+		runs, err := e.takeShard(q, frameFinal, seq, round, merged)
 		if err != nil {
 			return nil, err
 		}
@@ -750,15 +773,12 @@ func (e *DistEngine) finish(r *sim.DistRunner, seq uint64, round int64, start ti
 // when set, else to its W) and acknowledges the commit. Returns nil on
 // success; the caller decides whether the run stops (freeze, graceful
 // stop) or continues (periodic cadence).
-func (e *DistEngine) commit(r *sim.DistRunner, c *graph.CSR, seq uint64, round int64, off []int64, total int64) error {
+func (e *DistEngine) commit(c *graph.CSR, seq uint64, round int64, off []int64, total int64) error {
 	t := e.T
-	runs := make([][]sim.OutMsg, t.Procs())
-	for d := range runs {
-		runs[d] = r.Outbox(d)
-	}
+	runs := append([][]sim.OutMsg(nil), e.sc.out...)
 
 	if t.Self() != 0 {
-		body, err := e.encodeShard(r, seq, round, runs)
+		body, err := e.encodeShard(seq, round, runs)
 		if err != nil {
 			return err
 		}
@@ -785,35 +805,26 @@ func (e *DistEngine) commit(r *sim.DistRunner, c *graph.CSR, seq uint64, round i
 		return nil
 	}
 
-	if e.Checkpoint.Sink == nil && e.Checkpoint.W == nil {
-		return &sim.CheckpointError{Reason: "coordinator has no checkpoint writer"}
-	}
 	merged := sim.NewReport()
-	merged.MergeParallel(r.Report())
+	merged.MergeParallel(e.sc.runner.Report())
 	for q := 1; q < t.Procs(); q++ {
-		peerRuns, err := e.takeShard(r, q, frameCkpt, seq, round, merged)
+		peerRuns, err := e.takeShard(q, frameCkpt, seq, round, merged)
 		if err != nil {
 			return err
 		}
 		runs = append(runs, peerRuns...)
 	}
 
-	// The exact in-process capture sequence, so the file's internal opcode
-	// numbering — fixed by state-encoding order — matches byte for byte.
-	ck := &sim.Checkpoint{Round: round, N: c.N(), HalfEdges: c.HalfEdges()}
-	ck.CaptureCounters(merged)
-	if err := ck.EncodeStates(r.Protos()); err != nil {
+	// The in-process engine's capture, so the file matches byte for byte.
+	pending, err := placePending(runs, off, total)
+	if err != nil {
 		return err
 	}
-	var err error
-	if ck.Pending, err = placePending(runs, off, total); err != nil {
+	ck, err := sim.Capture(c, round, merged, e.sc.runner.Protos(), pending)
+	if err != nil {
 		return err
 	}
-	if sink := e.Checkpoint.Sink; sink != nil {
-		if err := sink.Commit(round, ck.Write); err != nil {
-			return err
-		}
-	} else if err := ck.Write(e.Checkpoint.W); err != nil {
+	if err := e.Checkpoint.Store(ck); err != nil {
 		return err
 	}
 	for q := 1; q < t.Procs(); q++ {

@@ -261,8 +261,8 @@ func fullExpect() *roundExpect { return &roundExpect{seq: 1, rankSpace: 64, limi
 
 // decodeScratch is a fresh engine arena for a procs-process cluster with
 // the rank slab sized for a full barrier of rankSpace deliveries.
-func decodeScratch(procs int, rankSpace int64) *roundScratch {
-	s := &roundScratch{}
+func decodeScratch(procs int, rankSpace int64) *arena {
+	s := &arena{}
 	s.begin(procs)
 	s.slabs(rankSpace)
 	return s

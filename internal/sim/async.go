@@ -103,10 +103,7 @@ func (c *asyncCtx) ID() NodeID          { return c.id }
 func (c *asyncCtx) Neighbors() []NodeID { return c.neighbors }
 
 func (c *asyncCtx) Send(to NodeID, m WireMsg) {
-	ni := neighborIndex(c.neighbors, to)
-	if ni < 0 {
-		panic(fmt.Sprintf("sim: node %d sent to non-neighbour %d", c.id, to))
-	}
+	ni := neighborAt(c.neighbors, c.id, to)
 	r := c.run
 	r.wg.Add(1)
 	d := delivery{from: c.id, msg: m, depth: c.depth + 1}
@@ -126,7 +123,7 @@ func (e *AsyncEngine) Run(c *graph.CSR, f Factory) ([]Protocol, *Report, error) 
 	ids := c.Index().IDs()
 	run := &asyncRun{
 		boxes:  make([]*mailbox, n),
-		report: newReport(),
+		report: NewReport(),
 	}
 	plist := make([]Protocol, n)
 	ctxs := make([]asyncCtx, n)

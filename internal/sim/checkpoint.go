@@ -37,23 +37,50 @@ type StateCodec interface {
 
 // CheckpointSpec arms barrier checkpointing on an engine in one of two
 // modes. Freeze mode (Every == 0): the run stops at the barrier after
-// round Round (0 = right after Init) and writes the frozen run to W,
-// returning ErrCheckpointed; if the run quiesces before reaching the
-// barrier it completes normally and no checkpoint is written. Periodic
-// mode (Every > 0): at every barrier whose round is a positive multiple of
-// Every the engine commits a checkpoint through Sink and keeps running —
-// there is always a recent recovery point, and the run finishes normally.
-// Round is ignored in periodic mode. A resumed run never re-commits the
-// barrier it resumed from; its later cadence barriers produce files
-// byte-identical to an uninterrupted run's.
+// round Round (0 = right after Init) and stores the frozen run, returning
+// ErrCheckpointed; if the run quiesces before reaching the barrier it
+// completes normally and no checkpoint is written. Periodic mode
+// (Every > 0): at every barrier whose round is a positive multiple of
+// Every the engine commits a checkpoint and keeps running — there is
+// always a recent recovery point, and the run finishes normally. Round is
+// ignored in periodic mode. Either mode stores through Sink when it is
+// set, else to W. A resumed run never re-commits the barrier it resumed
+// from; its later cadence barriers produce files byte-identical to an
+// uninterrupted run's.
 type CheckpointSpec struct {
 	Round int64
 	W     io.Writer
 	// Every switches to the periodic cadence when > 0.
 	Every int64
-	// Sink receives periodic commits (and, when set, takes precedence over
-	// W for stop-requested commits on the distributed engine).
+	// Sink, when set, receives every commit in place of W.
 	Sink CheckpointSink
+}
+
+// Next returns the first barrier after round r at which s commits a
+// checkpoint (periodic mode) or freezes the run, or -1 when none is left.
+// A nil spec arms none; Next(-1) == 0 only for a freeze right after Init.
+func (s *CheckpointSpec) Next(r int64) int64 {
+	switch {
+	case s == nil:
+		return -1
+	case s.Every > 0:
+		return (r/s.Every + 1) * s.Every
+	case s.Round > r:
+		return s.Round
+	}
+	return -1
+}
+
+// Store durably commits ck through Sink when one is set, else writes it to
+// W.
+func (s *CheckpointSpec) Store(ck *Checkpoint) error {
+	switch {
+	case s.Sink != nil:
+		return s.Sink.Commit(ck.Round, ck.Write)
+	case s.W != nil:
+		return ck.Write(s.W)
+	}
+	return &CheckpointError{Reason: "no checkpoint writer"}
 }
 
 // CheckpointSink durably stores periodic checkpoints. Commit must make the
@@ -134,6 +161,18 @@ type Checkpoint struct {
 	// build it eagerly so blobs and file share indices); state decoders
 	// translate back through it.
 	tab *kindTable
+}
+
+// Capture freezes a run over c at the barrier after round: rep's
+// counters, every protocol's state and the next round's pending
+// deliveries in global send order. The checkpoint aliases pending.
+func Capture(c *graph.CSR, round int64, rep *Report, protos []Protocol, pending []PendingDelivery) (*Checkpoint, error) {
+	ck := &Checkpoint{Round: round, N: c.N(), HalfEdges: c.HalfEdges(), Pending: pending}
+	ck.captureReport(rep)
+	if err := ck.encodeStates(protos); err != nil {
+		return nil, err
+	}
+	return ck, nil
 }
 
 // captureReport freezes r's counters into ck, sorting the map-backed

@@ -282,3 +282,28 @@ func TestCheckpointHugeCountsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointSpecNext pins the one barrier rule both round drivers
+// share: the next commit or freeze barrier after round r.
+func TestCheckpointSpecNext(t *testing.T) {
+	for _, tc := range []struct {
+		spec *CheckpointSpec
+		r    int64
+		want int64
+	}{
+		{nil, -1, -1},
+		{&CheckpointSpec{Round: 0}, -1, 0},
+		{&CheckpointSpec{Round: 0}, 0, -1},
+		{&CheckpointSpec{Round: 5}, -1, 5},
+		{&CheckpointSpec{Round: 5}, 4, 5},
+		{&CheckpointSpec{Round: 5}, 5, -1},
+		{&CheckpointSpec{Round: -1}, -1, -1},
+		{&CheckpointSpec{Every: 3, Round: 1}, -1, 3},
+		{&CheckpointSpec{Every: 3}, 2, 3},
+		{&CheckpointSpec{Every: 3}, 3, 6},
+	} {
+		if got := tc.spec.Next(tc.r); got != tc.want {
+			t.Errorf("%+v.Next(%d) = %d, want %d", tc.spec, tc.r, got, tc.want)
+		}
+	}
+}

@@ -89,9 +89,10 @@ func NewBudgetError(delivered, limit int64) error {
 // The engine is the hot path of the experiment harness, so scheduling is a
 // two-tier structure specialised to the model's bounded delays (DESIGN.md
 // §6): under UnitDelay — the default — the run degenerates into synchronous
-// rounds executed by the round engine (round.go), double-buffered delivery
-// slices with no timestamps, RNG or queue at all; under randomised delays
-// events go through a calendar/bucket queue (wheel.go) whose rotating ring
+// rounds played by a RoundRunner (round.go), each round's send slab
+// becoming the next round's inbox with no timestamps, RNG or queue at
+// all; under randomised delays events go through a calendar/bucket queue
+// (wheel.go) whose rotating ring
 // of time buckets covers the (now, now+1] delivery window for amortised
 // O(1) push/pop instead of a binary heap's O(log m). Every per-node
 // structure — contexts, protocol instances, FIFO clamp intervals — lives in
@@ -117,9 +118,9 @@ type EventEngine struct {
 	MaxMessages int64
 	// Trace, when non-nil, observes every delivery and Logf note.
 	Trace func(TraceEvent)
-	// Checkpoint, when non-nil, arms barrier checkpointing: the run stops
-	// at the round barrier after Checkpoint.Round (unit-delay tier only)
-	// and writes the frozen run to Checkpoint.W. See checkpoint.go.
+	// Checkpoint, when non-nil, arms barrier checkpointing on the
+	// unit-delay tier: a freeze at one round barrier or a periodic commit
+	// cadence. See checkpoint.go.
 	Checkpoint *CheckpointSpec
 }
 
@@ -164,11 +165,7 @@ func (c *eventCtx) ID() NodeID          { return c.id }
 func (c *eventCtx) Neighbors() []NodeID { return c.neighbors }
 
 func (c *eventCtx) Send(to NodeID, m WireMsg) {
-	i := neighborIndex(c.neighbors, to)
-	if i < 0 {
-		panic(fmt.Sprintf("sim: node %d sent to non-neighbour %d", c.id, to))
-	}
-	c.eng.send(c, i, to, m)
+	c.eng.send(c, neighborAt(c.neighbors, c.id, to), to, m)
 }
 
 func (c *eventCtx) Logf(format string, args ...any) {
@@ -177,16 +174,25 @@ func (c *eventCtx) Logf(format string, args ...any) {
 	}
 }
 
-// neighborIndex returns the position of `to` in the ascending neighbour list,
-// or -1. Linear scan: degrees are small and the scan doubles as the
-// point-to-point model check that used to be a separate pass.
-func neighborIndex(neighbors []NodeID, to NodeID) int {
+// neighborAt returns the position of `to` in from's ascending neighbour
+// list and enforces the point-to-point model: a send to a non-neighbour is
+// a protocol bug and panics. Linear scan: degrees are small, and a binary
+// search measured slower even on the heavy-tailed workloads.
+func neighborAt(neighbors []NodeID, from, to NodeID) int {
 	for i, n := range neighbors {
 		if n == to {
 			return i
 		}
 	}
-	return -1
+	panic(nonNeighbor{from, to})
+}
+
+// nonNeighbor is the panic of a send outside the point-to-point model; a
+// plain value keeps neighborAt inlinable.
+type nonNeighbor struct{ from, to NodeID }
+
+func (e nonNeighbor) Error() string {
+	return fmt.Sprintf("sim: node %d sent to non-neighbour %d", e.from, e.to)
 }
 
 type eventRun struct {
@@ -281,7 +287,7 @@ func (e *EventEngine) run(c *graph.CSR, f Factory) ([]Protocol, *Report, error) 
 		maxMsgs = DefaultMaxMessages
 	}
 	if isUnitDelay(delay) {
-		return e.runRounds(c, f, maxMsgs, start)
+		return e.runRounds(c, f, maxMsgs, start, nil)
 	}
 	if e.Checkpoint != nil {
 		return nil, nil, errCheckpointTier
@@ -291,7 +297,7 @@ func (e *EventEngine) run(c *graph.CSR, f Factory) ([]Protocol, *Report, error) 
 		delay:  delay,
 		fifo:   e.FIFO,
 		trace:  e.Trace,
-		report: newReport(),
+		report: NewReport(),
 	}
 	n := c.N()
 	ids := c.Index().IDs()
@@ -363,7 +369,7 @@ func (e *EventEngine) Resume(c *graph.CSR, f Factory, ck *Checkpoint) (protos []
 	if maxMsgs == 0 {
 		maxMsgs = DefaultMaxMessages
 	}
-	return e.runRoundsFrom(c, f, maxMsgs, start, ck)
+	return e.runRounds(c, f, maxMsgs, start, ck)
 }
 
 var _ ResumableEngine = (*EventEngine)(nil)

@@ -57,7 +57,7 @@ func (c *refCtx) ID() NodeID          { return c.id }
 func (c *refCtx) Neighbors() []NodeID { return c.neighbors }
 
 func (c *refCtx) Send(to NodeID, m WireMsg) {
-	checkNeighbor(c.neighbors, c.id, to)
+	neighborAt(c.neighbors, c.id, to)
 	c.run.send(c, to, m)
 }
 
@@ -117,7 +117,7 @@ func (e *ReferenceEngine) Run(c *graph.CSR, f Factory) (protos []Protocol, rep *
 		fifo:     e.FIFO,
 		trace:    e.Trace,
 		lastLink: make(map[[2]NodeID]float64),
-		report:   newReport(),
+		report:   NewReport(),
 	}
 	n := c.N()
 	idx := c.Index()

@@ -132,8 +132,6 @@ func NewReport() *Report {
 	}
 }
 
-func newReport() *Report { return NewReport() }
-
 // record accounts one delivery. It is the per-message hot path: two map
 // increments on composite keys and a handful of scalar updates, no
 // allocations, no interface dispatch — kind and round come straight off
@@ -154,9 +152,9 @@ func (r *Report) record(from NodeID, m WireMsg, depth int64) {
 }
 
 // adoptDenseSent arms the dense recordFast accumulators. slab must be
-// zeroed, sized len(ids), and remain owned by the caller (the engines
-// lend pooled scratch slabs); syncHot detaches it again, so a report that
-// escapes the run never pins pooled memory.
+// zeroed, sized len(ids), and remain owned by the caller (the runner
+// lends its pooled slab); finalize detaches it again, so a finalized
+// report never pins pooled memory.
 func (r *Report) adoptDenseSent(slab []int64, ids []NodeID) {
 	r.sentDense = slab[:len(ids)]
 	r.sentIDs = ids
@@ -234,17 +232,15 @@ func (r *Report) foldKR() {
 }
 
 // foldDense folds the dense send counts into the public SentBy map and
-// detaches the borrowed slab.
+// zeroes the slab; like foldKR it leaves the slab lent, so counting
+// continues on top.
 func (r *Report) foldDense() {
-	if r.sentDense == nil {
-		return
-	}
 	for i, v := range r.sentDense {
 		if v != 0 {
 			r.SentBy[r.sentIDs[i]] += v
+			r.sentDense[i] = 0
 		}
 	}
-	r.sentDense, r.sentIDs = nil, nil
 }
 
 // syncHot folds every recordFast accumulator into the map-backed state,
@@ -267,6 +263,7 @@ func (r *Report) finalize() {
 	}
 	r.finalized = true
 	r.foldDense()
+	r.sentDense, r.sentIDs = nil, nil
 	if r.kr != nil {
 		r.kr.drain(r.addKindRound)
 		r.kr = nil

@@ -3,9 +3,9 @@
 // edges of an undirected graph, with no shared memory, no global clock, and
 // event-driven nodes.
 //
-// Three interchangeable engines implement Engine, the package's single run
-// entry point (internal/net's DistEngine is a fourth, across OS
-// processes): a Protocol executes over a compiled graph snapshot
+// Three in-process engines implement Engine, the package's single run
+// entry point; internal/net's DistEngine runs the same contract across OS
+// processes. A Protocol executes over a compiled graph snapshot
 // (graph.CSR) and the final protocol states come back as a slice indexed
 // by the snapshot's dense node index, the same index the engines address
 // all per-node state by. Engines that can continue a checkpointed run also
@@ -16,9 +16,10 @@
 //     longest chain of causally dependent messages, each taking one time
 //     unit); with randomised delays it acts as an asynchrony adversary while
 //     staying reproducible. Scheduling exploits the model's bounded delays
-//     (DESIGN.md §6): unit-delay runs execute as synchronous double-buffered
-//     rounds, randomised delays go through an O(1) calendar/bucket queue
-//     over the (now, now+1] delivery window — pooled scratch and
+//     (DESIGN.md §6): unit-delay runs execute as synchronous rounds on a
+//     RoundRunner — the same runner DistEngine drives, one process's share
+//     at a time — and randomised delays go through an O(1) calendar/bucket
+//     queue over the (now, now+1] delivery window. Pooled scratch and
 //     slice-indexed FIFO clamps keep the hot path allocation-free because
 //     the experiment harness runs it thousands of times per sweep.
 //   - ReferenceEngine: the straightforward implementation the other
@@ -41,7 +42,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"mdegst/internal/graph"
 )
@@ -109,15 +109,4 @@ func (e TraceEvent) String() string {
 		return fmt.Sprintf("t=%6.2f  %d: %s", e.Time, e.To, e.Note)
 	}
 	return fmt.Sprintf("t=%6.2f  %d -> %d  %s(%d words)", e.Time, e.From, e.To, e.Msg.Kind(), e.Msg.Words())
-}
-
-// checkNeighbor enforces the point-to-point model on every fallback-path
-// Send. Neighbour lists are ascending (the CSR invariant), so membership is
-// a binary search rather than a linear scan — ReferenceEngine pays this on
-// every message, and hub nodes of the heavy-tailed workloads have degrees
-// in the hundreds.
-func checkNeighbor(neighbors []NodeID, from, to NodeID) {
-	if _, ok := slices.BinarySearch(neighbors, to); !ok {
-		panic(fmt.Sprintf("sim: node %d sent to non-neighbour %d", from, to))
-	}
 }

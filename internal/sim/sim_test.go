@@ -258,7 +258,7 @@ func TestLivelockGuard(t *testing.T) {
 }
 
 func TestReportMerge(t *testing.T) {
-	a, b := newReport(), newReport()
+	a, b := NewReport(), NewReport()
 	a.record(1, tokenMsg(0), 3)
 	b.record(2, tokenMsg(0), 5)
 	b.record(2, seqMsg(0), 1)
@@ -366,7 +366,7 @@ var krWire = Register("simkr", OpSpec{Kind: "kr.round", MinPayload: 1, MaxPayloa
 // a mid-run fold, another schema's opcode, rounds outside the slab's range
 // and a 32-bit counter wrap, and requires identical public breakdowns.
 func TestDenseCounterMatchesMap(t *testing.T) {
-	a, b := newReport(), newReport()
+	a, b := NewReport(), NewReport()
 	var slab krSlab
 	b.adoptKR(&slab)
 	deliver := func(round int) {
