@@ -222,11 +222,6 @@ func capTrips(delivered, total, maxMsgs int64) bool {
 	return delivered > maxMsgs || (delivered >= maxMsgs && total > 0)
 }
 
-// forcedAt reports whether round's barrier commits or freezes a
-// checkpoint. Every process knows these barriers in advance, and they are
-// always full exchanges.
-func (e *DistEngine) forcedAt(round int64) bool { return e.Checkpoint.Next(round-1) == round }
-
 // Run executes the protocol to quiescence across the mesh. The runner
 // already addresses every node's state densely and the final all-gather
 // writes peer states into that same slice, so it is the result. It is
@@ -338,7 +333,10 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (proto
 			}
 			return nil, nil, sim.ErrStopped
 		}
-		if ck == nil && e.forcedAt(st.round) {
+		// A forced barrier commits or freezes a checkpoint. Every process
+		// knows these barriers in advance, and they are always full
+		// exchanges.
+		if ck == nil && spec.Next(st.round-1) == st.round {
 			if err := e.commit(c, seq, st.round, st.off, st.total); err != nil {
 				return nil, nil, decorateBarrier(err, st.round)
 			}
@@ -362,7 +360,7 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (proto
 			e.sc.counts = route(e.sc.out, e.sc.counts[:0], e.Owner, sent, ends, st.ranks)
 			rankSpace := st.total
 			st.delivered += rankSpace
-			if st.active == 1 && !e.forcedAt(st.round) {
+			if st.active == 1 && spec.Next(st.round-1) != st.round {
 				err = e.soloBarrier(seq, &st, rankSpace, maxMsgs)
 			} else {
 				err = e.fullBarrier(seq, &st, rankSpace, -1)
@@ -552,7 +550,7 @@ func (e *DistEngine) awaitLone(seq uint64, st *barrierState) error {
 	}
 	st.round, st.delivered = h.round, h.delivered
 	st.stop = h.flags&roundFlagStop != 0
-	if e.forcedAt(h.round) {
+	if e.Checkpoint.Next(h.round-1) == h.round {
 		return e.fullBarrier(seq, st, h.rankSpace, lone)
 	}
 	return e.splice(st, h.rankSpace)

@@ -52,6 +52,7 @@ type RoundRunner struct {
 	sent   []PendingDelivery // sends of the phase being played, in send order
 	ends   []int             // per played delivery: where its sends end in sent
 	cur    []PendingDelivery // the in-process driver's inbox slab
+	all    []int32           // the in-process driver's Init order: every node
 	round  int64             // round being played (0 while Init runs)
 	trace  func(TraceEvent)
 	report *Report
@@ -113,20 +114,11 @@ func growCap[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Init runs Init at the given nodes in order — every node in dense order
-// when nodes is nil. Their sends form the slab of round 1, and ends[i]
-// closes the sends of the i-th node initialised.
+// Init runs Init at the given nodes in order. Their sends form the slab
+// of round 1, and ends[i] closes the sends of nodes[i].
 func (r *RoundRunner) Init(nodes []int32) {
 	r.round = 0
 	r.sent = r.sent[:0]
-	if nodes == nil {
-		r.ends = growCap(r.ends, len(r.protos))
-		for v := range r.protos {
-			r.protos[v].Init(&r.ctxs[v])
-			r.ends[v] = len(r.sent)
-		}
-		return
-	}
 	r.ends = growCap(r.ends, len(nodes))
 	for i, v := range nodes {
 		r.protos[v].Init(&r.ctxs[v])
@@ -193,7 +185,11 @@ func (e *EventEngine) runRounds(c *graph.CSR, f Factory, maxMsgs int64, start ti
 	if ck == nil {
 		// All nodes start independently; Init runs at time zero in ID order
 		// and its sends form round 1.
-		r.Init(nil)
+		r.all = growCap(r.all, len(r.protos))
+		for v := range r.all {
+			r.all[v] = int32(v)
+		}
+		r.Init(r.all)
 		if e.Checkpoint.Next(-1) == 0 {
 			return nil, nil, e.barrier(r, c, 0)
 		}
