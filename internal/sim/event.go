@@ -92,14 +92,13 @@ func NewBudgetError(delivered, limit int64) error {
 // rounds played by a RoundRunner (round.go), each round's send slab
 // becoming the next round's inbox with no timestamps, RNG or queue at
 // all; under randomised delays events go through a calendar/bucket queue
-// (wheel.go) whose rotating ring
-// of time buckets covers the (now, now+1] delivery window for amortised
-// O(1) push/pop instead of a binary heap's O(log m). Every per-node
-// structure — contexts, protocol instances, FIFO clamp intervals — lives in
-// one slice addressed by the CSR snapshot's dense index (no map[NodeID]
-// anywhere on the delivery path), and the backing arrays are pooled and
-// reused across runs. Each event carries its destination's dense index, so
-// a delivery is two slice loads. ReferenceEngine keeps the straightforward
+// (wheel.go) whose rotating ring of time buckets covers the (now, now+1]
+// delivery window for amortised O(1) push/pop instead of a binary heap's
+// O(log m). Every per-node structure — contexts, protocol instances, FIFO
+// clamp intervals — lives in one slice addressed by the CSR snapshot's
+// dense index (no map[NodeID] anywhere on the delivery path), and the
+// backing arrays are pooled and reused across runs. Each event carries its
+// destination's dense index, so a delivery is two slice loads. ReferenceEngine keeps the straightforward
 // container/heap implementation as the delivery-order oracle; all tiers are
 // checked trace-equivalent by the differential tests and compared by the
 // allocation benchmarks.
