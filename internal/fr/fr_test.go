@@ -3,6 +3,7 @@ package fr
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -65,7 +66,7 @@ func TestTwinModesReachLocalOptimum(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !isLocallyOptimalSingle(g, tr.ToTree()) {
+			if !isLocallyOptimalSingle(c, tr) {
 				t.Errorf("iter %d: %v result is not locally optimal", i, mode)
 			}
 		}
@@ -73,7 +74,7 @@ func TestTwinModesReachLocalOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !isLocallyOptimalMulti(g, multi.ToTree()) {
+		if !isLocallyOptimalMulti(c, multi) {
 			t.Errorf("iter %d: multi result violates its terminal condition", i)
 		}
 	}
@@ -82,35 +83,35 @@ func TestTwinModesReachLocalOptimum(t *testing.T) {
 // isLocallyOptimalMulti checks the Multi-mode terminal condition: rooted at
 // the minimum-identity maximum-degree node, no owner has a usable edge
 // between two of its own T-S fragments.
-func isLocallyOptimalMulti(g *graph.Graph, tr *tree.Tree) bool {
-	k, maxNodes := tr.MaxDegree()
+func isLocallyOptimalMulti(c *graph.CSR, d *tree.Dense) bool {
+	k, maxNodes := d.MaxDegree(nil)
 	if k <= 2 {
 		return true
 	}
-	work := tr.Clone()
+	work := d.Clone()
 	work.Reroot(maxNodes[0])
-	inS := make(map[graph.NodeID]bool)
+	inS := make([]bool, c.N())
 	for _, v := range maxNodes {
 		inS[v] = true
 	}
-	type fragInfo struct{ owner, root graph.NodeID }
-	frag := make(map[graph.NodeID]fragInfo)
-	var walk func(v graph.NodeID)
-	walk = func(v graph.NodeID) {
-		for _, c := range work.Children[v] {
-			if !inS[c] {
+	type fragInfo struct{ owner, root int32 }
+	frag := make([]fragInfo, c.N())
+	var walk func(v int32)
+	walk = func(v int32) {
+		for _, ch := range work.Children(v) {
+			if !inS[ch] {
 				if inS[v] {
-					frag[c] = fragInfo{owner: v, root: c}
+					frag[ch] = fragInfo{owner: v, root: ch}
 				} else {
-					frag[c] = frag[v]
+					frag[ch] = frag[v]
 				}
 			}
-			walk(c)
+			walk(ch)
 		}
 	}
-	walk(work.Root)
-	for _, e := range g.Edges() {
-		a, b := e.U, e.V
+	walk(work.Root())
+	for _, e := range c.DenseEdges(nil) {
+		a, b := e[0], e[1]
 		if work.HasEdge(a, b) || inS[a] || inS[b] {
 			continue
 		}
@@ -125,22 +126,22 @@ func isLocallyOptimalMulti(g *graph.Graph, tr *tree.Tree) bool {
 
 // isLocallyOptimalSingle checks the Single-mode terminal condition directly:
 // no maximum-degree node p has a usable edge between two components of T-p.
-func isLocallyOptimalSingle(g *graph.Graph, tr *tree.Tree) bool {
-	k, maxNodes := tr.MaxDegree()
+func isLocallyOptimalSingle(c *graph.CSR, d *tree.Dense) bool {
+	k, maxNodes := d.MaxDegree(nil)
 	if k <= 2 {
 		return true
 	}
 	for _, p := range maxNodes {
-		work := tr.Clone()
+		work := d.Clone()
 		work.Reroot(p)
-		frag := make(map[graph.NodeID]graph.NodeID)
-		for _, c := range work.Children[p] {
-			for _, x := range work.SubtreeNodes(c) {
-				frag[x] = c
+		frag := make([]int32, c.N())
+		for _, ch := range work.Children(p) {
+			for _, x := range work.WalkSubtree(ch, nil) {
+				frag[x] = ch
 			}
 		}
-		for _, e := range g.Edges() {
-			a, b := e.U, e.V
+		for _, e := range c.DenseEdges(nil) {
+			a, b := e[0], e[1]
 			if a == p || b == p || work.HasEdge(a, b) {
 				continue
 			}
@@ -244,7 +245,7 @@ func TestTwinOnChain(t *testing.T) {
 	if stats.Rounds != 1 || stats.Swaps != 0 {
 		t.Errorf("rounds=%d swaps=%d", stats.Rounds, stats.Swaps)
 	}
-	if !got.ToTree().SameEdges(t0.ToTree()) {
+	if !slices.Equal(got.ToTree().Edges(), t0.ToTree().Edges()) {
 		t.Error("chain tree was modified")
 	}
 }

@@ -148,17 +148,6 @@ func (c *CSR) HasEdge(i, j int32) bool {
 	return p < len(ns) && ns[p] == j
 }
 
-// NeighborPos returns the position of dense node j in i's neighbour list, or
-// -1 if (i,j) is not an edge.
-func (c *CSR) NeighborPos(i, j int32) int {
-	ns := c.Neighbors(i)
-	p := sort.Search(len(ns), func(k int) bool { return ns[k] >= j })
-	if p < len(ns) && ns[p] == j {
-		return p
-	}
-	return -1
-}
-
 // BFSParents returns the breadth-first parent table from dense node root,
 // scanning neighbours in ascending order (-1 at the root and at unreached
 // nodes), and the number of nodes reached.

@@ -187,14 +187,6 @@ func TestComponents(t *testing.T) {
 	}
 }
 
-func TestComponentsWithout(t *testing.T) {
-	g := Star(6)
-	comps := g.ComponentsWithout(map[NodeID]bool{0: true})
-	if len(comps) != 5 {
-		t.Errorf("removing the hub should isolate %d leaves, got %d components", 5, len(comps))
-	}
-}
-
 func TestEccentricityAndDiameter(t *testing.T) {
 	g := Path(5)
 	if got := g.Eccentricity(0); got != 4 {
@@ -212,13 +204,17 @@ func TestEccentricityAndDiameter(t *testing.T) {
 }
 
 func TestBFSParents(t *testing.T) {
-	g := Grid(3, 3)
-	parent := g.BFSParents(0)
-	if len(parent) != 9 {
-		t.Fatalf("parents for %d nodes, want 9", len(parent))
+	c := Grid(3, 3).Compile()
+	parent, reached := c.BFSParents(0)
+	if reached != 9 || parent[0] != -1 {
+		t.Fatalf("reached %d, root parent %d", reached, parent[0])
 	}
-	// Distances via parents must match eccentricity structure.
-	depth := func(v NodeID) int {
+	for v := int32(1); int(v) < c.N(); v++ {
+		if !c.HasEdge(v, parent[v]) {
+			t.Errorf("node %d: parent %d is not a neighbour", v, parent[v])
+		}
+	}
+	depth := func(v int32) int {
 		d := 0
 		for v != 0 {
 			v = parent[v]
@@ -229,18 +225,13 @@ func TestBFSParents(t *testing.T) {
 	if depth(8) != 4 {
 		t.Errorf("corner depth = %d, want 4", depth(8))
 	}
-	// The snapshot's dense table is the same tree, and counts reached
-	// nodes so a disconnected snapshot shows.
-	c := g.Compile()
-	dense, reached := c.BFSParents(0)
-	if reached != 9 || dense[0] != -1 {
-		t.Fatalf("reached %d, root parent %d", reached, dense[0])
-	}
-	for v, p := range parent {
-		if v != 0 && c.Index().ID(dense[c.Index().MustOf(v)]) != p {
-			t.Errorf("node %d: dense parent %d, map parent %d", v, c.Index().ID(dense[c.Index().MustOf(v)]), p)
+	for _, v := range []int32{1, 3} {
+		if parent[v] != 0 {
+			t.Errorf("node %d: parent %d, want the root", v, parent[v])
 		}
 	}
+	// The count of reached nodes shows a disconnected snapshot.
+	g := Grid(3, 3)
 	g.AddNode(99)
 	if _, reached := g.Compile().BFSParents(0); reached != 9 {
 		t.Errorf("reached %d with an isolated node, want 9", reached)

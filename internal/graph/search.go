@@ -21,27 +21,6 @@ func (g *Graph) BFSOrder(src NodeID) []NodeID {
 	return order
 }
 
-// BFSParents returns, for every node reachable from src, its parent in the
-// breadth-first tree rooted at src (src maps to itself).
-func (g *Graph) BFSParents(src NodeID) map[NodeID]NodeID {
-	if !g.HasNode(src) {
-		return nil
-	}
-	parent := map[NodeID]NodeID{src: src}
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Neighbors(u) {
-			if _, ok := parent[w]; !ok {
-				parent[w] = u
-				queue = append(queue, w)
-			}
-		}
-	}
-	return parent
-}
-
 // IsConnected reports whether g is connected. The empty graph is not
 // connected; a single node is.
 func (g *Graph) IsConnected() bool {
@@ -63,31 +42,6 @@ func (g *Graph) Components() [][]NodeID {
 		comp := g.BFSOrder(v)
 		for _, w := range comp {
 			seen[w] = true
-		}
-		sortNodeIDs(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
-// ComponentsWithout returns the connected components of the subgraph induced
-// by V \ removed. Nodes in removed appear in no component.
-func (g *Graph) ComponentsWithout(removed map[NodeID]bool) [][]NodeID {
-	var comps [][]NodeID
-	seen := make(map[NodeID]bool, g.N())
-	for _, v := range g.Nodes() {
-		if seen[v] || removed[v] {
-			continue
-		}
-		comp := []NodeID{v}
-		seen[v] = true
-		for head := 0; head < len(comp); head++ {
-			for _, w := range g.Neighbors(comp[head]) {
-				if !seen[w] && !removed[w] {
-					seen[w] = true
-					comp = append(comp, w)
-				}
-			}
 		}
 		sortNodeIDs(comp)
 		comps = append(comps, comp)

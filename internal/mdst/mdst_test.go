@@ -153,23 +153,18 @@ func TestFigure1Exchange(t *testing.T) {
 	g.MustAddEdge(1, 4) // x-D
 	g.MustAddEdge(4, 5) // D-E: the improving outgoing edge
 	g.MustAddEdge(2, 5) // x'-E
-	t0, err := tree.FromParentMap(0, map[graph.NodeID]graph.NodeID{
-		0: 0, 1: 0, 2: 0, 6: 0, 3: 1, 4: 1, 5: 2,
-	})
+	c := g.Compile()
+	d, err := tree.FromParentDense(c.Index(), 0, []int32{tree.NoParent, 0, 0, 1, 1, 2, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t0 := d.ToTree()
 	if err := t0.Validate(g); err != nil {
 		t.Fatal(err)
 	}
 	deg0, at := t0.MaxDegree()
 	if deg0 != 3 || at[0] != 0 {
 		t.Fatalf("setup: max degree %d at %v, want 3 at node 0", deg0, at)
-	}
-	c := g.Compile()
-	d, err := tree.FromTree(t0, c.Index())
-	if err != nil {
-		t.Fatal(err)
 	}
 	res, err := mdst.Run(unitEngine(), c, d, mdst.Single, 0)
 	if err != nil {

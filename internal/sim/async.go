@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,24 +12,15 @@ import (
 // AsyncEngine runs every node as a goroutine with an unbounded FIFO mailbox.
 // Message interleaving across links is decided by the Go scheduler (true
 // asynchrony); per-link FIFO order is preserved, matching the model's
-// communication channels. Optional jitter inserts random per-link forwarding
-// delays to widen the explored interleavings.
+// communication channels.
 //
-// Mailboxes live in a slice addressed by the snapshot's dense node index and
-// jitter forwarders in a slice addressed by the snapshot's directed
-// half-edge index, so sends touch no map.
+// Mailboxes live in a slice addressed by the snapshot's dense node index, so
+// sends touch no map.
 //
 // Termination is global quiescence: a counter tracks in-flight plus
 // in-processing messages; handlers only send while processing, so when the
 // counter reaches zero no further message can ever be created.
-type AsyncEngine struct {
-	// Seed initialises the jitter RNG.
-	Seed int64
-	// Jitter, when positive, delays each hop by a random duration in
-	// (0, Jitter], applied by a per-directed-link forwarder that preserves
-	// link FIFO order.
-	Jitter time.Duration
-}
+type AsyncEngine struct{}
 
 type delivery struct {
 	from  NodeID
@@ -84,7 +74,6 @@ func (mb *mailbox) close() {
 type asyncRun struct {
 	wg       sync.WaitGroup // counts pending inits + unprocessed messages
 	boxes    []*mailbox     // dense node index -> mailbox
-	links    []*mailbox     // directed half-edge index -> forwarder, nil when no jitter
 	mu       sync.Mutex     // guards report maps
 	report   *Report
 	panicVal atomic.Value
@@ -95,7 +84,6 @@ type asyncCtx struct {
 	id        NodeID
 	neighbors []NodeID
 	nbrDense  []int32
-	linkBase  int32 // this node's first directed half-edge index
 	depth     int64 // causal depth of the message being processed
 }
 
@@ -104,14 +92,8 @@ func (c *asyncCtx) Neighbors() []NodeID { return c.neighbors }
 
 func (c *asyncCtx) Send(to NodeID, m WireMsg) {
 	ni := neighborAt(c.neighbors, c.id, to)
-	r := c.run
-	r.wg.Add(1)
-	d := delivery{from: c.id, msg: m, depth: c.depth + 1}
-	if r.links != nil {
-		r.links[c.linkBase+int32(ni)].push(d)
-		return
-	}
-	r.boxes[c.nbrDense[ni]].push(d)
+	c.run.wg.Add(1)
+	c.run.boxes[c.nbrDense[ni]].push(delivery{from: c.id, msg: m, depth: c.depth + 1})
 }
 
 func (c *asyncCtx) Logf(string, ...any) {}
@@ -135,37 +117,8 @@ func (e *AsyncEngine) Run(c *graph.CSR, f Factory) ([]Protocol, *Report, error) 
 			id:        ids[i],
 			neighbors: c.NeighborIDs(di),
 			nbrDense:  c.Neighbors(di),
-			linkBase:  c.HalfEdge(di, 0),
 		}
 		plist[i] = f(ids[i], ctxs[i].neighbors)
-	}
-
-	var forwarders sync.WaitGroup
-	if e.Jitter > 0 {
-		run.links = make([]*mailbox, c.HalfEdges())
-		for he := range run.links {
-			run.links[he] = newMailbox()
-		}
-		var seed atomic.Int64
-		seed.Store(e.Seed)
-		for i := 0; i < n; i++ {
-			for ni, dst := range c.Neighbors(int32(i)) {
-				he := c.HalfEdge(int32(i), ni)
-				forwarders.Add(1)
-				go func(box, dest *mailbox) {
-					defer forwarders.Done()
-					rng := rand.New(rand.NewSource(seed.Add(1)))
-					for {
-						d, ok := box.pop()
-						if !ok {
-							return
-						}
-						time.Sleep(time.Duration(rng.Int63n(int64(e.Jitter))) + 1)
-						dest.push(d)
-					}
-				}(run.links[he], run.boxes[dst])
-			}
-		}
 	}
 
 	// Pre-count one unit per node so the quiescence counter cannot reach
@@ -214,15 +167,11 @@ func (e *AsyncEngine) Run(c *graph.CSR, f Factory) ([]Protocol, *Report, error) 
 	for _, mb := range run.boxes {
 		mb.close()
 	}
-	for _, mb := range run.links {
-		mb.close()
-	}
 	loops.Wait()
-	forwarders.Wait()
 	if p := run.panicVal.Load(); p != nil {
 		return nil, nil, fmt.Errorf("sim: protocol panic: %v", p)
 	}
-	run.report.finalize()
+	run.report.Finalize()
 	run.report.Wall = time.Since(start)
 	return plist, run.report, nil
 }

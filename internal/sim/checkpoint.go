@@ -168,16 +168,17 @@ type Checkpoint struct {
 // deliveries in global send order. The checkpoint aliases pending.
 func Capture(c *graph.CSR, round int64, rep *Report, protos []Protocol, pending []PendingDelivery) (*Checkpoint, error) {
 	ck := &Checkpoint{Round: round, N: c.N(), HalfEdges: c.HalfEdges(), Pending: pending}
-	ck.captureReport(rep)
+	ck.CaptureCounters(rep)
 	if err := ck.encodeStates(protos); err != nil {
 		return nil, err
 	}
 	return ck, nil
 }
 
-// captureReport freezes r's counters into ck, sorting the map-backed
-// breakdowns so the byte form is deterministic.
-func (ck *Checkpoint) captureReport(r *Report) {
+// CaptureCounters freezes r's counters into ck, sorting the map-backed
+// breakdowns so the byte form is deterministic. The network plane also
+// uses it to ship per-process report shares and assemble checkpoint files.
+func (ck *Checkpoint) CaptureCounters(r *Report) {
 	r.syncHot() // fold any recordFast accumulators; the maps are read below
 	ck.Messages = r.Messages
 	ck.Words = r.Words
@@ -201,8 +202,8 @@ func (ck *Checkpoint) captureReport(r *Report) {
 	sort.Slice(ck.SentBy, func(i, j int) bool { return ck.SentBy[i].Node < ck.SentBy[j].Node })
 }
 
-// restoreReport loads ck's counters into a fresh report.
-func (ck *Checkpoint) restoreReport(r *Report) {
+// RestoreCounters loads ck's counters into a fresh report (set, not add).
+func (ck *Checkpoint) RestoreCounters(r *Report) {
 	r.Messages = ck.Messages
 	r.Words = ck.Words
 	r.MaxWords = ck.MaxWords
@@ -235,8 +236,8 @@ func (ck *Checkpoint) encodeStates(protos []Protocol) error {
 	return nil
 }
 
-// decodeStates restores every protocol's state from ck.
-func (ck *Checkpoint) decodeStates(protos []Protocol) error {
+// RestoreStates decodes ck's per-node states into the instances.
+func (ck *Checkpoint) RestoreStates(protos []Protocol) error {
 	if len(ck.States) != len(protos) {
 		return &CheckpointError{Reason: fmt.Sprintf("%d states for %d nodes", len(ck.States), len(protos))}
 	}
@@ -252,8 +253,9 @@ func (ck *Checkpoint) decodeStates(protos []Protocol) error {
 	return nil
 }
 
-// validateAgainst checks the snapshot fingerprint before resuming.
-func (ck *Checkpoint) validateAgainst(c *graph.CSR) error {
+// ValidateAgainst checks ck's snapshot fingerprint and pending-slab
+// endpoint ranges against a compiled snapshot before resuming.
+func (ck *Checkpoint) ValidateAgainst(c *graph.CSR) error {
 	if ck.N != c.N() || ck.HalfEdges != c.HalfEdges() {
 		return &CheckpointError{Reason: fmt.Sprintf(
 			"snapshot mismatch: checkpoint is for n=%d halfEdges=%d, graph has n=%d halfEdges=%d",

@@ -91,8 +91,8 @@ func TestCheckpointResumeEveryBarrier(t *testing.T) {
 // host time and excluded).
 func assertReportsEqual(t *testing.T, label string, got, want *Report) {
 	t.Helper()
-	got.finalize()
-	want.finalize()
+	got.Finalize()
+	want.Finalize()
 	if got.Messages != want.Messages || got.Words != want.Words || got.MaxWords != want.MaxWords ||
 		got.CausalDepth != want.CausalDepth || got.VirtualTime != want.VirtualTime {
 		t.Fatalf("%s: scalar report fields diverge:\n got %+v\nwant %+v", label, got, want)

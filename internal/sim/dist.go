@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"mdegst/internal/graph"
-)
+import "fmt"
 
 // The wire records of the distributed round plane (DESIGN.md §9, §13).
 // internal/net's DistEngine plays one process's share of a partitioned
@@ -69,24 +65,3 @@ func DecodeProtocolState(p Protocol, blob []byte, dec func(uint64) (Op, error)) 
 	}
 	return d.c.Done()
 }
-
-// --- exported checkpoint plumbing for the network plane -----------------
-
-// CaptureCounters freezes r's counters into ck (sorted, deterministic) —
-// the exported form of the engines' capture step, used by the network
-// plane to ship per-process report shares and assemble checkpoint files.
-func (ck *Checkpoint) CaptureCounters(r *Report) { ck.captureReport(r) }
-
-// RestoreCounters loads ck's counters into a fresh report (set, not add).
-func (ck *Checkpoint) RestoreCounters(r *Report) { ck.restoreReport(r) }
-
-// RestoreStates decodes ck's per-node states into the instances.
-func (ck *Checkpoint) RestoreStates(protos []Protocol) error { return ck.decodeStates(protos) }
-
-// ValidateAgainst checks ck's snapshot fingerprint and pending-slab
-// endpoint ranges against a compiled snapshot before resuming.
-func (ck *Checkpoint) ValidateAgainst(c *graph.CSR) error { return ck.validateAgainst(c) }
-
-// Finalize materialises the public breakdown maps — engines call this once
-// after merging process reports. Idempotent.
-func (r *Report) Finalize() { r.finalize() }

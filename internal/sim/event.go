@@ -65,8 +65,10 @@ const DefaultMaxMessages = 200_000_000
 
 // BudgetError is the typed abort of a run that reached its message budget
 // (MaxMessages, DefaultMaxMessages when unset): Messages had been delivered
-// and the run still had deliveries pending. Every engine aborts through
-// NewBudgetError; callers match it with errors.As.
+// and the run still had deliveries pending. The engines that enforce a
+// budget (EventEngine, ReferenceEngine and internal/net's DistEngine) abort
+// through NewBudgetError; callers match it with errors.As. AsyncEngine has
+// no message budget.
 type BudgetError struct {
 	Messages int64 // deliveries made when the run aborted
 	Limit    int64 // the budget
@@ -338,7 +340,7 @@ func (e *EventEngine) run(c *graph.CSR, f Factory) ([]Protocol, *Report, error) 
 		}
 		scratch.protos[ev.toDense].Recv(ctx, ev.from, ev.msg)
 	}
-	er.report.finalize()
+	er.report.Finalize()
 	er.report.Wall = time.Since(start)
 	// Copy out of the pooled scratch: release clears its protocol slots.
 	return append([]Protocol(nil), scratch.protos...), er.report, nil
@@ -361,7 +363,7 @@ func (e *EventEngine) Resume(c *graph.CSR, f Factory, ck *Checkpoint) (protos []
 	if !isUnitDelay(e.Delay) {
 		return nil, nil, errCheckpointTier
 	}
-	if err := ck.validateAgainst(c); err != nil {
+	if err := ck.ValidateAgainst(c); err != nil {
 		return nil, nil, err
 	}
 	maxMsgs := e.MaxMessages

@@ -149,7 +149,7 @@ func (e *ReferenceEngine) Run(c *graph.CSR, f Factory) (protos []Protocol, rep *
 		}
 		plist[di].Recv(ctx, ev.from, ev.msg)
 	}
-	rr.report.finalize()
+	rr.report.Finalize()
 	rr.report.Wall = time.Since(start)
 	return plist, rr.report, nil
 }

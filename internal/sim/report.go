@@ -35,7 +35,7 @@ type Report struct {
 	Wall time.Duration
 
 	// kindRound accumulates per-(opcode, round) counts during the run
-	// without touching a kind string per message; finalize materialises the
+	// without touching a kind string per message; Finalize materialises the
 	// public ByKind, ByRound and ByKindRound maps from it once at the end,
 	// rendering opcodes back to their registered kind strings.
 	kindRound map[kindRoundKey]int64
@@ -46,7 +46,7 @@ type Report struct {
 	// index — one array increment per message instead of a map op on a
 	// 64-bit key — and kr counts deliveries per (round, opcode) in a dense
 	// slab, so the hot path never touches kindRound. syncHot folds both
-	// into the map-backed accumulators; finalize, MergeParallel and
+	// into the map-backed accumulators; Finalize, MergeParallel and
 	// checkpoint capture all sync first.
 	sentDense []int64
 	sentIDs   []NodeID
@@ -135,7 +135,7 @@ func NewReport() *Report {
 // record accounts one delivery. It is the per-message hot path: two map
 // increments on composite keys and a handful of scalar updates, no
 // allocations, no interface dispatch — kind and round come straight off
-// the wire record. Engines must call finalize before handing the report
+// the wire record. Engines must call Finalize before handing the report
 // out.
 func (r *Report) record(from NodeID, m WireMsg, depth int64) {
 	r.Messages++
@@ -153,7 +153,7 @@ func (r *Report) record(from NodeID, m WireMsg, depth int64) {
 
 // adoptDenseSent arms the dense recordFast accumulators. slab must be
 // zeroed, sized len(ids), and remain owned by the caller (the runner
-// lends its pooled slab); finalize detaches it again, so a finalized
+// lends its pooled slab); Finalize detaches it again, so a finalized
 // report never pins pooled memory.
 func (r *Report) adoptDenseSent(slab []int64, ids []NodeID) {
 	r.sentDense = slab[:len(ids)]
@@ -162,7 +162,7 @@ func (r *Report) adoptDenseSent(slab []int64, ids []NodeID) {
 
 // adoptKR lends the report an engine's pooled (round, opcode) counter
 // slab. The slab may hold counts of an aborted earlier run: they are
-// cleared here. finalize detaches it again; reports that are never
+// cleared here. Finalize detaches it again; reports that are never
 // finalized (process shares) must not outlive their run.
 func (r *Report) adoptKR(s *krSlab) {
 	clear(s.c[:s.hi])
@@ -250,14 +250,14 @@ func (r *Report) syncHot() {
 	r.foldDense()
 }
 
-// finalize materialises the public breakdown maps from the hot-path
+// Finalize materialises the public breakdown maps from the hot-path
 // accumulators: one string formatting per distinct (kind, round) pair
 // instead of one per message. The counter slab drains straight into the
 // public maps and goes back to its engine; kindRound is dropped once
 // folded, so every finalized report holds its counts in the public maps
 // only, whichever path accumulated them. Idempotent; engines call it
 // once per run.
-func (r *Report) finalize() {
+func (r *Report) Finalize() {
 	if r.finalized {
 		return
 	}
@@ -292,11 +292,11 @@ func (r *Report) addKindRound(op Op, round int, v int64) {
 func (r *Report) MergeParallel(o *Report) {
 	r.Messages += o.Messages
 	if r.finalized || o.finalized {
-		// Merge on the materialised public maps (finalize is idempotent;
+		// Merge on the materialised public maps (Finalize is idempotent;
 		// o's hot-path accumulator is folded into its maps by it, so it
 		// must not be merged a second time).
-		r.finalize()
-		o.finalize()
+		r.Finalize()
+		o.Finalize()
 		for k, v := range o.ByKind {
 			r.ByKind[k] += v
 		}
@@ -334,8 +334,8 @@ func (r *Report) MergeParallel(o *Report) {
 // are summed because the phases run back to back. Both reports are finalized
 // first so the public breakdown maps are materialised before merging.
 func (r *Report) Add(o *Report) {
-	r.finalize()
-	o.finalize()
+	r.Finalize()
+	o.Finalize()
 	r.Messages += o.Messages
 	for k, v := range o.ByKind {
 		r.ByKind[k] += v
@@ -360,7 +360,7 @@ func (r *Report) Add(o *Report) {
 
 // Rounds returns the largest round number that carried messages.
 func (r *Report) Rounds() int {
-	r.finalize()
+	r.Finalize()
 	max := 0
 	for round := range r.ByRound {
 		if round > max {
@@ -383,7 +383,7 @@ func (r *Report) MaxSentByNode() int64 {
 
 // String renders a compact multi-line summary.
 func (r *Report) String() string {
-	r.finalize()
+	r.Finalize()
 	var b strings.Builder
 	fmt.Fprintf(&b, "messages=%d words=%d maxWords=%d causalDepth=%d virtualTime=%.1f rounds=%d\n",
 		r.Messages, r.Words, r.MaxWords, r.CausalDepth, r.VirtualTime, r.Rounds())

@@ -194,10 +194,10 @@ func (e *EventEngine) runRounds(c *graph.CSR, f Factory, maxMsgs int64, start ti
 			return nil, nil, e.barrier(r, c, 0)
 		}
 	} else {
-		if err := ck.decodeStates(r.protos); err != nil {
+		if err := ck.RestoreStates(r.protos); err != nil {
 			return nil, nil, err
 		}
-		ck.restoreReport(r.report)
+		ck.RestoreCounters(r.report)
 		round = ck.Round
 		r.sent = append(r.sent, ck.Pending...)
 	}
@@ -220,7 +220,7 @@ func (e *EventEngine) runRounds(c *graph.CSR, f Factory, maxMsgs int64, start ti
 		}
 	}
 	r.report.VirtualTime = float64(round)
-	r.report.finalize()
+	r.report.Finalize()
 	r.report.Wall = time.Since(start)
 	// Copy out of the pooled runner: release clears its protocol slots.
 	return append([]Protocol(nil), r.protos...), r.report, nil

@@ -167,26 +167,33 @@ func TestFIFOOrdering(t *testing.T) {
 	const count = 64
 	factory := func(id NodeID, _ []NodeID) Protocol { return &seqSender{id: id, count: count} }
 
-	eng := &EventEngine{Delay: UniformDelay(0.01), Seed: 5, FIFO: true}
-	protos, _, err := eng.Run(g.Compile(), factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := protos[1].(*seqSender).got
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("FIFO violated at position %d: got %d", i, v)
+	for name, eng := range map[string]Engine{
+		"event": &EventEngine{Delay: UniformDelay(0.01), Seed: 5, FIFO: true},
+		"async": &AsyncEngine{},
+	} {
+		protos, _, err := eng.Run(g.Compile(), factory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := protos[1].(*seqSender).got
+		if len(got) != count {
+			t.Fatalf("%s: received %d of %d", name, len(got), count)
+		}
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("%s: FIFO violated at position %d: got %d", name, i, v)
+			}
 		}
 	}
 
 	// Without FIFO the same seed must reorder at least one pair (delays are
 	// i.i.d. over 64 messages, so a monotone outcome would be astonishing).
-	eng = &EventEngine{Delay: UniformDelay(0.01), Seed: 5, FIFO: false}
-	protos, _, err = eng.Run(g.Compile(), factory)
+	eng := &EventEngine{Delay: UniformDelay(0.01), Seed: 5, FIFO: false}
+	protos, _, err := eng.Run(g.Compile(), factory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = protos[1].(*seqSender).got
+	got := protos[1].(*seqSender).got
 	sorted := true
 	for i, v := range got {
 		if v != i {
@@ -292,11 +299,11 @@ func TestMergeParallel(t *testing.T) {
 		a := mk(3, 4, 2.5)
 		b := mk(2, 9, 1.5)
 		if preFinalize {
-			a.finalize()
-			b.finalize()
+			a.Finalize()
+			b.Finalize()
 		}
 		a.MergeParallel(b)
-		a.finalize()
+		a.Finalize()
 		if a.Messages != 5 || a.CausalDepth != 9 || a.VirtualTime != 2.5 {
 			t.Fatalf("preFinalize=%v: merged %+v", preFinalize, a)
 		}
@@ -316,6 +323,7 @@ func TestProtocolPanic(t *testing.T) {
 		"rounds":    &EventEngine{Delay: UnitDelay},
 		"wheel":     &EventEngine{Delay: UniformDelay(0.5), Seed: 1},
 		"reference": &ReferenceEngine{Delay: UnitDelay},
+		"async":     &AsyncEngine{},
 	}
 	for name, eng := range engines {
 		_, _, err := eng.Run(g.Compile(), boom)
@@ -393,10 +401,10 @@ func TestDenseCounterMatchesMap(t *testing.T) {
 	a.kindRound[kindRoundKey{krWire.Op(0), 5}] += 1<<32 - 1
 	slab.c[5*slab.w+int(krWire.Op(0)-slab.base)] = 1<<32 - 1
 	deliver(5)
-	a.finalize()
-	b.finalize()
+	a.Finalize()
+	b.Finalize()
 	if b.kr != nil {
-		t.Error("finalize kept the lent slab")
+		t.Error("Finalize kept the lent slab")
 	}
 	if !reflect.DeepEqual(a.ByKind, b.ByKind) || !reflect.DeepEqual(a.ByRound, b.ByRound) ||
 		!reflect.DeepEqual(a.ByKindRound, b.ByKindRound) || a.Messages != b.Messages {

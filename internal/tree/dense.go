@@ -86,10 +86,9 @@ func FromTree(t *Tree, idx *graph.Index) (*Dense, error) {
 
 // FromParentDense builds a Dense tree directly from a dense parent table:
 // parent[i] is the dense parent of node i, NoParent at the root only. The
-// table is copied. This is the map-free analogue of FromParentMap followed
-// by FromTree — the extraction path of million-node runs — so validation
-// stays O(n) on flat arrays: a visit-stamp walk proves every node reaches
-// the root (equivalently, that the parent edges are acyclic).
+// table is copied. It is the extraction path of million-node runs, so
+// validation stays O(n) on flat arrays: a visit-stamp walk proves every
+// node reaches the root (equivalently, that the parent edges are acyclic).
 func FromParentDense(idx *graph.Index, root int32, parent []int32) (*Dense, error) {
 	n := idx.N()
 	if len(parent) != n {

@@ -1,62 +1,92 @@
 package tree
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
 	"mdegst/internal/graph"
 )
 
-func randomSpanningTree(t *testing.T, g *graph.Graph, seed int64) *Tree {
+// randomSpanningTree returns the breadth-first spanning tree of c from a
+// random root.
+func randomSpanningTree(t *testing.T, c *graph.CSR, seed int64) *Dense {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	nodes := g.Nodes()
-	root := nodes[rng.Intn(len(nodes))]
-	parent := map[graph.NodeID]graph.NodeID{root: root}
-	order := []graph.NodeID{root}
-	for head := 0; head < len(order); head++ {
-		for _, w := range g.Neighbors(order[head]) {
-			if _, ok := parent[w]; !ok {
-				parent[w] = order[head]
-				order = append(order, w)
-			}
-		}
-	}
-	tr, err := FromParentMap(root, parent)
+	root := int32(rand.New(rand.NewSource(seed)).Intn(c.N()))
+	parent, _ := c.BFSParents(root)
+	d, err := FromParentDense(c.Index(), root, parent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	return d
 }
 
-func requireSame(t *testing.T, tr *Tree, d *Dense, what string) {
-	t.Helper()
-	back := d.ToTree()
-	if !tr.Equal(back) {
-		t.Fatalf("%s: dense tree diverged from map tree\nmap:\n%s\ndense:\n%s", what, tr, back)
-	}
-	for _, v := range tr.Nodes() {
-		if tr.Degree(v) != d.Degree(d.Index().MustOf(v)) {
-			t.Fatalf("%s: degree of %d: map %d dense %d", what, v, tr.Degree(v), d.Degree(d.Index().MustOf(v)))
+// edgeSet returns d's tree edges, each keyed low endpoint first.
+func edgeSet(d *Dense) map[[2]int32]bool {
+	es := make(map[[2]int32]bool, d.N())
+	for i := int32(0); int(i) < d.N(); i++ {
+		if p := d.Parent(i); p != NoParent {
+			es[edgeKey(i, p)] = true
 		}
 	}
-	k, at := tr.MaxDegree()
-	dk, dat := d.MaxDegree(nil)
-	if k != dk || len(at) != len(dat) {
-		t.Fatalf("%s: max degree (%d,%v) vs dense (%d,%v)", what, k, at, dk, dat)
+	return es
+}
+
+func edgeKey(a, b int32) [2]int32 {
+	if a > b {
+		a, b = b, a
 	}
-	for i := range at {
-		if at[i] != d.Index().ID(dat[i]) {
-			t.Fatalf("%s: max degree node set differs: %v vs dense %v", what, at, dat)
+	return [2]int32{a, b}
+}
+
+// checkDense fails unless d validates against c and every child list is
+// strictly ascending.
+func checkDense(t *testing.T, c *graph.CSR, d *Dense, what string) {
+	t.Helper()
+	if err := d.Validate(c); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	for i := int32(0); int(i) < d.N(); i++ {
+		ch := d.Children(i)
+		for k := 1; k < len(ch); k++ {
+			if ch[k-1] >= ch[k] {
+				t.Fatalf("%s: children of %d not ascending: %v", what, i, ch)
+			}
+		}
+	}
+}
+
+// requireSame fails unless a and b have the same root, parents and child
+// lists.
+func requireSame(t *testing.T, a, b *Dense, what string) {
+	t.Helper()
+	if a.Root() != b.Root() || a.N() != b.N() {
+		t.Fatalf("%s: root/size (%d,%d) vs (%d,%d)", what, a.Root(), a.N(), b.Root(), b.N())
+	}
+	for i := int32(0); int(i) < a.N(); i++ {
+		ca, cb := a.Children(i), b.Children(i)
+		if a.Parent(i) != b.Parent(i) || len(ca) != len(cb) {
+			t.Fatalf("%s: node %d differs", what, i)
+		}
+		for k := range ca {
+			if ca[k] != cb[k] {
+				t.Fatalf("%s: children of %d: %v vs %v", what, i, ca, cb)
+			}
 		}
 	}
 }
 
 // TestDenseMirrorsTree is the property test of the slice-backed tree: on
-// random spanning trees of random graphs (including FromParentMap built over
-// scrambled identities against a CSR Compile of the same graph), the dense
-// form and the map form must agree operation for operation — construction,
-// re-rooting, cut/reroot-subtree/attach swaps, degrees and validation.
+// random spanning trees of random graphs (half of them over scrambled
+// identities), each random operation must meet its specification. A rooted
+// tree is fixed by its root and edge set, so checking both after every
+// operation pins the tree exactly:
+//   - Reroot(v) makes v the root and keeps the edge set;
+//   - a swap (CutChild, RerootSubtree, AttachExisting) replaces the cut edge
+//     by the attaching one and keeps the root;
+//   - every operation leaves a tree that validates with ascending children.
+//
+// The facade conversion and Clone must round-trip the result.
 func TestDenseMirrorsTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 30; trial++ {
@@ -65,105 +95,90 @@ func TestDenseMirrorsTree(t *testing.T) {
 			g, _ = graph.RelabelRandom(g, rng.Int63())
 		}
 		c := g.Compile()
-		tr := randomSpanningTree(t, g, rng.Int63())
-		if err := tr.Validate(g); err != nil {
-			t.Fatal(err)
-		}
-		d, err := FromTree(tr, c.Index())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Validate(c); err != nil {
-			t.Fatal(err)
-		}
-		requireSame(t, tr, d, "construction")
+		d := randomSpanningTree(t, c, rng.Int63())
+		checkDense(t, c, d, "construction")
 
-		nodes := g.Nodes()
+		n := int32(d.N())
 		for op := 0; op < 20; op++ {
+			before := edgeSet(d)
 			switch rng.Intn(2) {
 			case 0: // Reroot at a random node.
-				v := nodes[rng.Intn(len(nodes))]
-				tr.Reroot(v)
-				d.Reroot(c.Index().MustOf(v))
-				requireSame(t, tr, d, "reroot")
-			case 1: // A full swap: cut a random child edge, reroot the
-				// dangling subtree at one of its nodes, reattach it under a
-				// node of the remaining tree adjacent in g (if any).
-				k, at := tr.MaxDegree()
-				_ = k
+				v := rng.Int31n(n)
+				d.Reroot(v)
+				checkDense(t, c, d, "reroot")
+				if d.Root() != v || !maps.Equal(edgeSet(d), before) {
+					t.Fatalf("reroot at %d: root %d or edge set changed", v, d.Root())
+				}
+			case 1: // A full swap: cut a random child edge of a max-degree
+				// node, reroot the dangling subtree at one of its nodes,
+				// reattach it under a node of the remaining tree adjacent in
+				// the graph (if any).
+				_, at := d.MaxDegree(nil)
 				owner := at[rng.Intn(len(at))]
-				if len(tr.Children[owner]) == 0 {
+				kids := d.Children(owner)
+				if len(kids) == 0 {
 					continue
 				}
-				arrival := tr.Children[owner][rng.Intn(len(tr.Children[owner]))]
-				sub := tr.SubtreeNodes(arrival)
+				arrival := kids[rng.Intn(len(kids))]
+				sub := d.WalkSubtree(arrival, nil)
 				u := sub[rng.Intn(len(sub))]
-				inSub := make(map[graph.NodeID]bool, len(sub))
+				inSub := make(map[int32]bool, len(sub))
 				for _, x := range sub {
 					inSub[x] = true
 				}
-				var v graph.NodeID
-				found := false
-				for _, w := range g.Neighbors(u) {
+				v := NoParent
+				for _, w := range c.Neighbors(u) {
 					if !inSub[w] {
-						v, found = w, true
+						v = w
 						break
 					}
 				}
-				if !found {
+				if v == NoParent {
 					continue
 				}
-				if err := tr.CutChild(owner, arrival); err != nil {
-					t.Fatal(err)
+				root := d.Root()
+				d.CutChild(owner, arrival)
+				d.RerootSubtree(arrival, u)
+				d.AttachExisting(v, u)
+				checkDense(t, c, d, "swap")
+				want := maps.Clone(before)
+				delete(want, edgeKey(owner, arrival))
+				want[edgeKey(u, v)] = true
+				if d.Root() != root || !maps.Equal(edgeSet(d), want) {
+					t.Fatalf("swap (%d,%d)->(%d,%d): root %d->%d or wrong edge set", owner, arrival, u, v, root, d.Root())
 				}
-				if err := tr.RerootSubtree(arrival, u); err != nil {
-					t.Fatal(err)
-				}
-				if err := tr.AttachExisting(v, u); err != nil {
-					t.Fatal(err)
-				}
-				ix := c.Index()
-				d.CutChild(ix.MustOf(owner), ix.MustOf(arrival))
-				d.RerootSubtree(ix.MustOf(arrival), ix.MustOf(u))
-				d.AttachExisting(ix.MustOf(v), ix.MustOf(u))
-				requireSame(t, tr, d, "swap")
 			}
 		}
-		if err := tr.Validate(g); err != nil {
-			t.Fatalf("map tree invalid after ops: %v", err)
+		back, err := FromTree(d.ToTree(), c.Index())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := d.Validate(c); err != nil {
-			t.Fatalf("dense tree invalid after ops: %v", err)
+		requireSame(t, d, back, "facade round trip")
+		if err := d.ToTree().Validate(g); err != nil {
+			t.Fatalf("facade tree invalid: %v", err)
 		}
-		clone := d.Clone()
-		if !d.ToTree().Equal(clone.ToTree()) {
-			t.Fatal("clone differs")
-		}
+		requireSame(t, d, d.Clone(), "clone")
 	}
 }
 
 // TestDenseWalkSubtree pins preorder child-ascending iteration.
 func TestDenseWalkSubtree(t *testing.T) {
-	g := graph.Path(6)
-	tr := randomSpanningTree(t, g, 1)
-	c := g.Compile()
-	d, err := FromTree(tr, c.Index())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range tr.Nodes() {
-		want := tr.SubtreeNodes(v) // ascending
-		got := d.WalkSubtree(c.Index().MustOf(v), nil)
+	c := graph.Path(6).Compile()
+	d := randomSpanningTree(t, c, 1)
+	tr := d.ToTree()
+	for i := int32(0); int(i) < d.N(); i++ {
+		want := tr.SubtreeNodes(c.Index().ID(i)) // ascending
+		got := d.WalkSubtree(i, nil)
 		if len(got) != len(want) {
-			t.Fatalf("subtree of %d: %d nodes vs %d", v, len(got), len(want))
+			t.Fatalf("subtree of %d: %d nodes vs %d", i, len(got), len(want))
 		}
 		seen := make(map[graph.NodeID]bool)
-		for _, i := range got {
-			seen[c.Index().ID(i)] = true
+		for _, j := range got {
+			seen[c.Index().ID(j)] = true
 		}
 		for _, w := range want {
 			if !seen[w] {
-				t.Fatalf("subtree of %d misses %d", v, w)
+				t.Fatalf("subtree of %d misses %d", i, w)
 			}
 		}
 	}
@@ -183,25 +198,15 @@ func TestFromParentDenseMatchesFromTree(t *testing.T) {
 	}
 	for gi, g := range graphs {
 		c := g.Compile()
-		idx := c.Index()
 		for seed := int64(0); seed < 4; seed++ {
-			tr := randomSpanningTree(t, g, seed*31+int64(gi))
-			want, err := FromTree(tr, idx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parent := make([]int32, idx.N())
-			for i := range parent {
-				parent[i] = want.Parent(int32(i))
-			}
-			got, err := FromParentDense(idx, want.Root(), parent)
+			got := randomSpanningTree(t, c, seed*31+int64(gi))
+			checkDense(t, c, got, "FromParentDense")
+			want, err := FromTree(got.ToTree(), c.Index())
 			if err != nil {
 				t.Fatalf("graph %d seed %d: %v", gi, seed, err)
 			}
-			if err := got.Validate(c); err != nil {
-				t.Fatalf("graph %d seed %d: %v", gi, seed, err)
-			}
-			requireSame(t, tr, got, "FromParentDense")
+			checkDense(t, c, want, "FromTree")
+			requireSame(t, want, got, "FromParentDense")
 		}
 	}
 }

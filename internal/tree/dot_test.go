@@ -42,10 +42,11 @@ func TestWriteDOTWithoutGraph(t *testing.T) {
 func TestWriteDOTRootIsHotSpot(t *testing.T) {
 	// A star tree: the root is also the unique maximum-degree node.
 	g := graph.Star(5)
-	tr, err := FromParentMap(0, map[graph.NodeID]graph.NodeID{0: 0, 1: 0, 2: 0, 3: 0, 4: 0})
+	d, err := FromParentDense(g.Compile().Index(), 0, []int32{NoParent, 0, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := d.ToTree()
 	var b strings.Builder
 	if err := tr.WriteDOT(&b, g); err != nil {
 		t.Fatal(err)

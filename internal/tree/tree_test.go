@@ -2,13 +2,15 @@ package tree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"mdegst/internal/graph"
 )
 
-// buildSample returns the graph/tree pair used across tests:
+// sampleGraph returns the graph used across tests, whose sample spanning
+// tree is
 //
 //	    0
 //	   / \
@@ -16,27 +18,32 @@ import (
 //	 / \   \
 //	3   4   5
 //
-// plus non-tree graph edges (3,4) and (4,5).
-func buildSample(t *testing.T) (*graph.Graph, *Tree) {
-	t.Helper()
+// plus non-tree graph edges (3,4) and (4,5). Its identities are 0..5, so
+// dense index and NodeID coincide.
+func sampleGraph() *graph.Graph {
 	g := graph.New()
 	for _, e := range [][2]graph.NodeID{{0, 1}, {0, 2}, {1, 3}, {1, 4}, {2, 5}, {3, 4}, {4, 5}} {
 		g.MustAddEdge(e[0], e[1])
 	}
-	tr, err := FromParentMap(0, map[graph.NodeID]graph.NodeID{0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 2})
+	return g
+}
+
+// sampleDense returns the sample tree in dense form over its graph's snapshot.
+func sampleDense(t *testing.T) (*graph.CSR, *Dense) {
+	t.Helper()
+	c := sampleGraph().Compile()
+	d, err := FromParentDense(c.Index(), 0, []int32{NoParent, 0, 0, 1, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, tr
+	return c, d
 }
 
-func TestFromParentMapValidation(t *testing.T) {
-	if _, err := FromParentMap(0, map[graph.NodeID]graph.NodeID{0: 1, 1: 0}); err == nil {
-		t.Error("root with foreign parent accepted")
-	}
-	if _, err := FromParentMap(0, map[graph.NodeID]graph.NodeID{1: 2, 2: 1}); err == nil {
-		t.Error("cycle accepted")
-	}
+// buildSample returns the sample graph and its tree in the facade form.
+func buildSample(t *testing.T) (*graph.Graph, *Tree) {
+	t.Helper()
+	c, d := sampleDense(t)
+	return c.Source(), d.ToTree()
 }
 
 func TestDegreesAndQueries(t *testing.T) {
@@ -65,25 +72,11 @@ func TestDegreesAndQueries(t *testing.T) {
 
 func TestPaths(t *testing.T) {
 	_, tr := buildSample(t)
-	p := tr.PathToRoot(4)
-	want := []graph.NodeID{4, 1, 0}
-	for i := range want {
-		if p[i] != want[i] {
-			t.Fatalf("path to root %v, want %v", p, want)
-		}
+	if p, want := tr.PathToRoot(4), []graph.NodeID{4, 1, 0}; !slices.Equal(p, want) {
+		t.Errorf("path to root %v, want %v", p, want)
 	}
-	pb := tr.PathBetween(3, 5)
-	wantB := []graph.NodeID{3, 1, 0, 2, 5}
-	if len(pb) != len(wantB) {
-		t.Fatalf("path %v, want %v", pb, wantB)
-	}
-	for i := range wantB {
-		if pb[i] != wantB[i] {
-			t.Fatalf("path %v, want %v", pb, wantB)
-		}
-	}
-	if got := tr.PathBetween(4, 4); len(got) != 1 || got[0] != 4 {
-		t.Errorf("self path = %v", got)
+	if got := tr.PathToRoot(0); !slices.Equal(got, []graph.NodeID{0}) {
+		t.Errorf("root path = %v", got)
 	}
 }
 
@@ -102,85 +95,59 @@ func TestSubtreeNodes(t *testing.T) {
 }
 
 func TestReroot(t *testing.T) {
-	g, tr := buildSample(t)
-	edgesBefore := tr.Edges()
-	tr.Reroot(4)
-	if tr.Root != 4 {
-		t.Fatalf("root = %d", tr.Root)
+	c, d := sampleDense(t)
+	edgesBefore := d.ToTree().Edges()
+	d.Reroot(4)
+	if d.Root() != 4 {
+		t.Fatalf("root = %d", d.Root())
 	}
-	if err := tr.Validate(g); err != nil {
+	if err := d.Validate(c); err != nil {
 		t.Fatal(err)
 	}
-	edgesAfter := tr.Edges()
-	for i := range edgesBefore {
-		if edgesBefore[i] != edgesAfter[i] {
-			t.Fatal("reroot changed the edge set")
-		}
+	if !slices.Equal(d.ToTree().Edges(), edgesBefore) {
+		t.Fatal("reroot changed the edge set")
 	}
 	// Degrees are invariant under rerooting.
-	if tr.Degree(1) != 3 || tr.Degree(4) != 1 {
-		t.Errorf("degrees changed: deg(1)=%d deg(4)=%d", tr.Degree(1), tr.Degree(4))
+	if d.Degree(1) != 3 || d.Degree(4) != 1 {
+		t.Errorf("degrees changed: deg(1)=%d deg(4)=%d", d.Degree(1), d.Degree(4))
 	}
-	if tr.Parent[0] != 1 || tr.Parent[1] != 4 {
-		t.Errorf("path reversal wrong: parent[0]=%d parent[1]=%d", tr.Parent[0], tr.Parent[1])
+	if d.Parent(0) != 1 || d.Parent(1) != 4 {
+		t.Errorf("path reversal wrong: parent[0]=%d parent[1]=%d", d.Parent(0), d.Parent(1))
 	}
 }
 
 func TestSwapPrimitives(t *testing.T) {
-	g, tr := buildSample(t)
+	c, d := sampleDense(t)
 	// Exchange: remove (0,2), re-root the detached subtree {2,5} at 5,
 	// attach 5 under 4 via graph edge (4,5).
-	if err := tr.CutChild(0, 2); err != nil {
+	d.CutChild(0, 2)
+	d.RerootSubtree(2, 5)
+	d.AttachExisting(4, 5)
+	if err := d.Validate(c); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.RerootSubtree(2, 5); err != nil {
-		t.Fatal(err)
+	if d.Degree(0) != 1 || d.Degree(4) != 2 {
+		t.Errorf("post-swap degrees wrong: deg(0)=%d deg(4)=%d", d.Degree(0), d.Degree(4))
 	}
-	if err := tr.AttachExisting(4, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Degree(0) != 1 || tr.Degree(4) != 2 {
-		t.Errorf("post-swap degrees wrong: deg(0)=%d deg(4)=%d", tr.Degree(0), tr.Degree(4))
-	}
-	max, _ := tr.MaxDegree()
-	if max != 3 {
+	if max, _ := d.MaxDegree(nil); max != 3 {
 		t.Errorf("max degree %d", max)
 	}
 }
 
 func TestSwapErrors(t *testing.T) {
-	_, tr := buildSample(t)
-	if err := tr.CutChild(0, 5); err == nil {
-		t.Error("cut of non-child accepted")
+	mustPanic := func(what string, op func(d *Dense)) {
+		t.Helper()
+		_, d := sampleDense(t)
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s accepted", what)
+			}
+		}()
+		op(d)
 	}
-	if err := tr.AttachExisting(0, 5); err == nil {
-		t.Error("attach of still-attached node accepted")
-	}
-	if err := tr.RerootSubtree(1, 5); err == nil {
-		t.Error("reroot of attached subtree accepted")
-	}
-}
-
-func TestAttach(t *testing.T) {
-	tr := New(0)
-	if err := tr.Attach(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Attach(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Attach(9, 10); err == nil {
-		t.Error("attach below missing parent accepted")
-	}
-	if err := tr.Attach(0, 2); err == nil {
-		t.Error("re-attach of existing node accepted")
-	}
-	if tr.N() != 3 || tr.Depth(2) != 2 {
-		t.Errorf("n=%d depth(2)=%d", tr.N(), tr.Depth(2))
-	}
+	mustPanic("cut of non-child", func(d *Dense) { d.CutChild(0, 5) })
+	mustPanic("attach of still-attached node", func(d *Dense) { d.AttachExisting(0, 5) })
+	mustPanic("reroot of attached subtree", func(d *Dense) { d.RerootSubtree(1, 5) })
 }
 
 func TestEqualAndSameEdges(t *testing.T) {
@@ -189,11 +156,13 @@ func TestEqualAndSameEdges(t *testing.T) {
 	if !a.Equal(b) {
 		t.Error("identical trees not equal")
 	}
-	b.Reroot(4)
+	_, d := sampleDense(t)
+	d.Reroot(4)
+	b = d.ToTree()
 	if a.Equal(b) {
 		t.Error("rerooted tree equal to original")
 	}
-	if !a.SameEdges(b) {
+	if !slices.Equal(a.Edges(), b.Edges()) {
 		t.Error("rerooted tree must keep the same edges")
 	}
 }
@@ -206,18 +175,10 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestToGraphAndClone(t *testing.T) {
-	g, tr := buildSample(t)
-	tg := tr.ToGraph()
-	if !tg.IsTree() {
-		t.Error("ToGraph not a tree")
-	}
-	c := tr.Clone()
-	c.Reroot(5)
-	if tr.Root != 0 {
-		t.Error("clone shares state")
-	}
-	_ = g
+// bfsDense returns the breadth-first spanning tree of c rooted at dense 0.
+func bfsDense(c *graph.CSR) (*Dense, error) {
+	parent, _ := c.BFSParents(0)
+	return FromParentDense(c.Index(), 0, parent)
 }
 
 // Property: re-rooting at a random sequence of nodes never changes the edge
@@ -226,24 +187,23 @@ func TestQuickRerootInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(30)
-		g := graph.Gnm(n, n-1+rng.Intn(2*n), seed)
-		parent := g.BFSParents(g.Nodes()[0])
-		tr, err := FromParentMap(g.Nodes()[0], parent)
+		c := graph.Gnm(n, n-1+rng.Intn(2*n), seed).Compile()
+		d, err := bfsDense(c)
 		if err != nil {
 			return false
 		}
-		degrees := make(map[graph.NodeID]int)
-		for _, v := range tr.Nodes() {
-			degrees[v] = tr.Degree(v)
+		degrees := make([]int, n)
+		for i := range degrees {
+			degrees[i] = d.Degree(int32(i))
 		}
 		for i := 0; i < 8; i++ {
-			target := tr.Nodes()[rng.Intn(n)]
-			tr.Reroot(target)
-			if tr.Root != target || tr.Validate(g) != nil {
+			target := int32(rng.Intn(n))
+			d.Reroot(target)
+			if d.Root() != target || d.Validate(c) != nil {
 				return false
 			}
-			for _, v := range tr.Nodes() {
-				if tr.Degree(v) != degrees[v] {
+			for v, deg := range degrees {
+				if d.Degree(int32(v)) != deg {
 					return false
 				}
 			}
@@ -261,52 +221,32 @@ func TestQuickSwapKeepsSpanningTree(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 5 + rng.Intn(25)
-		g := graph.Gnm(n, n+rng.Intn(2*n), seed)
-		tr, err := FromParentMap(g.Nodes()[0], g.BFSParents(g.Nodes()[0]))
+		c := graph.Gnm(n, n+rng.Intn(2*n), seed).Compile()
+		d, err := bfsDense(c)
 		if err != nil {
 			return false
 		}
+		edges := c.DenseEdges(nil)
 		for trial := 0; trial < 10; trial++ {
-			edges := g.Edges()
 			e := edges[rng.Intn(len(edges))]
-			if tr.HasEdge(e.U, e.V) {
+			u, v := e[0], e[1]
+			if d.HasEdge(u, v) {
 				continue
 			}
-			// Cut the topmost edge on U's root path that keeps V outside
-			// the detached subtree, then re-root at U and attach to V.
-			path := tr.PathToRoot(e.U)
-			if len(path) < 2 {
+			// Walk up from u to the highest ancestor whose subtree does not
+			// hold v, cut it off, re-root it at u and attach u to v.
+			inSub := func(top int32) bool { return slices.Contains(d.WalkSubtree(top, nil), v) }
+			if inSub(u) {
 				continue
 			}
-			// Find the highest ancestor a of U such that V is not below a.
-			cut := -1
-			for i := len(path) - 2; i >= 0; i-- {
-				below := false
-				for _, x := range tr.SubtreeNodes(path[i]) {
-					if x == e.V {
-						below = true
-						break
-					}
-				}
-				if !below {
-					cut = i
-					break
-				}
+			top := u
+			for p := d.Parent(top); p != NoParent && !inSub(p); p = d.Parent(top) {
+				top = p
 			}
-			if cut < 0 {
-				continue
-			}
-			top := path[cut]
-			if err := tr.CutChild(path[cut+1], top); err != nil {
-				return false
-			}
-			if err := tr.RerootSubtree(top, e.U); err != nil {
-				return false
-			}
-			if err := tr.AttachExisting(e.V, e.U); err != nil {
-				return false
-			}
-			if err := tr.Validate(g); err != nil {
+			d.CutChild(d.Parent(top), top)
+			d.RerootSubtree(top, u)
+			d.AttachExisting(v, u)
+			if err := d.Validate(c); err != nil {
 				return false
 			}
 		}
