@@ -29,15 +29,15 @@ var sequentialDigests = map[string]string{
 	"ba-12/s0/random":                     "a6ed2a50024947a72f8f033989d5660cc13d4d3d2e21abb9b36e80c1a67f1f6e",
 	"ba-12/s0/random/fr":                  "1663fe2522d87ef9cb698b7347d3a2ad6b15fb0882fd7aae01c37a6876bf6916",
 	"ba-12/s0/random/strict":              "1663fe2522d87ef9cb698b7347d3a2ad6b15fb0882fd7aae01c37a6876bf6916",
-	"ba-12/s0/random/twin-hybrid":         "bc34d197dfe4d456d824f335e6dd1947cef2e7b5c03fda9615b524c603e49948",
+	"ba-12/s0/random/twin-hybrid":         "dc01f5f6892556e7337f9012549f57ea95d3a3e2dcd0e342e44db0660a887b80",
 	"ba-12/s0/random/twin-multi":          "2bf0b6cb1efd028625c9f74b81a59b40b977b441c555eb8d286acd79d977f01c",
-	"ba-12/s0/random/twin-single":         "e36b9864aff5fc65b24058ff9bd1b614c88a2461c12cacc3342a360a2ff87552",
+	"ba-12/s0/random/twin-single":         "0198f4887ef7ea097a66987016cd6c59e649024b5cea41e5ae008a138e2111f3",
 	"ba-12/s0/star":                       "cc61b31c27a7bcafc49d87b0d39fc0eb29c002f11a30dac994e53bdaea9483d7",
 	"ba-12/s0/star/fr":                    "df3fa6c77b6901a94389af53e8aa01cf6b77c0f08b412ad5e14f8f4f4c0be6de",
 	"ba-12/s0/star/strict":                "df3fa6c77b6901a94389af53e8aa01cf6b77c0f08b412ad5e14f8f4f4c0be6de",
-	"ba-12/s0/star/twin-hybrid":           "dd486e218813a56f0d6b4b33176812c2221a4fd9720054dc6f1efd10fcb674df",
+	"ba-12/s0/star/twin-hybrid":           "edc542254d59ae293eeba05771ff355a5784c3d81c1bd384166c483f2cee2332",
 	"ba-12/s0/star/twin-multi":            "7dc77ada17bf5949e182e5ad3c780452725cad8bf0cd9b07c9a31b68030406ca",
-	"ba-12/s0/star/twin-single":           "c8519e8df163b7c0c553fc1c4f89681018737d8899f00ec86a5efb944426cbae",
+	"ba-12/s0/star/twin-single":           "0587b0064b2ba040498372b002d7890e85ab407d99b871928d73444c11c8e348",
 	"ba-12/s1/bfs":                        "7dafea0cd9cbda823b4d5522e1f671d52e52ba667cb93e17a4c6c5e0aeef8f3c",
 	"ba-12/s1/dfs":                        "0e35f630854d502f48f68461094eeff99e45c1fc9bce7fca18ec90d04b3ba1b9",
 	"ba-12/s1/exact":                      "1d58d3bfce382fe725d8268ec8b7a9c2fd342381ecf0811f40b7b24d18de7a5f",
@@ -52,7 +52,7 @@ var sequentialDigests = map[string]string{
 	"ba-12/s1/star/strict":                "66f10838e5863cae7fc4cac0c17e3d1f66f2e74d249d2d6db2312fdab3abb6af",
 	"ba-12/s1/star/twin-hybrid":           "00fbae71a0430ae95e60d1be8e3ce12043f2f7365ee0d8cb44203ac12b4a3fe2",
 	"ba-12/s1/star/twin-multi":            "cced5cc807a7d5f28a20c4c29b6ca0bbd2908614df053fd47f628e39086fe07b",
-	"ba-12/s1/star/twin-single":           "907f0d3d58b570bbcb04060ca416d1746f0ea00b9230851516b8455bfd3a6062",
+	"ba-12/s1/star/twin-single":           "7ae79c228a128898cf07909e59f71acc23c478ccd38551c50c3bba0179178717",
 	"ba-12/s2/bfs":                        "8bbf16df468f0c3acbea8c09d3aad4675cb5dd1d3ceceec903130178bb731331",
 	"ba-12/s2/dfs":                        "9b15f0966dc22c4bf62379da3d233a18282a199352170885ec1054fcec5be24e",
 	"ba-12/s2/exact":                      "8f72ce331b9eeed9411d9508d37b1cca045de94e2ad6743bf4dd00c6a8a82a24",
@@ -67,7 +67,7 @@ var sequentialDigests = map[string]string{
 	"ba-12/s2/star/strict":                "d56d972c85583ef08701853ad7333d07bceba5572dc37699a8cc7398c6c3163a",
 	"ba-12/s2/star/twin-hybrid":           "2166016e9d52c35451ee6d03460a659329e2cac830ce1c6c851ae9adefaf8e57",
 	"ba-12/s2/star/twin-multi":            "fc39b6f5c0a9a7dcd9178980e61e8e4e525d45be7bddc360352723d1ab9b54f4",
-	"ba-12/s2/star/twin-single":           "3c34c1678e726ee629fe8a1b3bdd0b8a964912bf13e222afb8705a2f9d096aed",
+	"ba-12/s2/star/twin-single":           "5107e11009e7f67a9205a00163ae8d3afe67d1114d1e97bc35109d92a12d0226",
 	"ba96/bfs":                            "4629284fab5b5126c7ffebd1eaf1d9fd93a205c27d46fa87f768bfcf7d099bfc",
 	"ba96/dfs":                            "9a06254f78c468d9e9ea3ba36d8a909110e00276d1b03e9f490001f501ad5b3c",
 	"ba96/random":                         "7b67b45635bc4874b8c9474afb665d31343f6443998584b2c20c6fb8a997c58c",
@@ -79,9 +79,9 @@ var sequentialDigests = map[string]string{
 	"ba96/star":                           "af0b06970476112dd751b382f9368c9fdf5efa0a563ff1ba869b81db52d9464d",
 	"ba96/star/fr":                        "ca42a123d4d978e059eb379fedf5cafd6b3c260eee091e8f9c4b520fe203760c",
 	"ba96/star/strict":                    "7c992d65cdca7be350c6322dbf5c1d07634e2fa009d1040932feb28825d4410e",
-	"ba96/star/twin-hybrid":               "0f4435e1e0cd02b17543df517b8efdf7d279f1478c577c9b4ab37dbd774687b7",
+	"ba96/star/twin-hybrid":               "b84212c19c83910b19faf4ca49b58aaa25ef6259ab2db0500c318e13e31acde3",
 	"ba96/star/twin-multi":                "6a42dcc4fbfa17b87cf48c53a0905b4a40034122eb9ac967c201afb47783deaa",
-	"ba96/star/twin-single":               "9fda283fc10dcc6843134a608a8ae4111dfceb0e0177271ca73355fc9d91abf3",
+	"ba96/star/twin-single":               "18ceb44c30a27cbe4f6092929b583e6b7392322aaab6d29ba8c6b9faaf0e5b3c",
 	"bipart/s0/bfs":                       "02f8f882ef2926a50fd99572dc2b76101aaab116216c8cd9061cab8cd604599b",
 	"bipart/s0/dfs":                       "98f341df0fb12f2e6194f60dfd2fb7ef3e5c6720261099b2231bbef46c0b4ad0",
 	"bipart/s0/exact":                     "a2ee01fa16671b147c1723f15d11d2768ee2933b48808f1eefa69aacdbb41cc5",
@@ -156,7 +156,7 @@ var sequentialDigests = map[string]string{
 	"gnm-10/s1/star/strict":               "c4c0dcd74ff0b3b884059bbc121aca2ba5f86747e4e5ea9b3c025ddd338c7f46",
 	"gnm-10/s1/star/twin-hybrid":          "7a90adde6e59771345e9cbd20a5adfd27235552f181474d46b00b5c2b012042a",
 	"gnm-10/s1/star/twin-multi":           "23ae99900f0a91400bf4611223b3e7db71b12cfc81f035c0339f3075e0d8f211",
-	"gnm-10/s1/star/twin-single":          "2362ac70fca6d6705678b39fb2cb16516614c2e99034a1a76e9db10c55da0113",
+	"gnm-10/s1/star/twin-single":          "ef15ec048bb6da8baced161e135ffd304f0f79a5d821523951b0c40d6ec4bdd0",
 	"gnm-10/s2/bfs":                       "cf4458c8a29e438dccd6e8e56277e85f2e99b0af465970b96c8f76f0106249a5",
 	"gnm-10/s2/dfs":                       "0a7976a9af2eb28a97107c8686e01cdbea402a16305ed2d445f4dc820ea79d8e",
 	"gnm-10/s2/exact":                     "1566ad63a58bd1ae536e8373d4bdf2c8954db53c840a9eecf0e4c2ae46036cc6",
@@ -165,13 +165,13 @@ var sequentialDigests = map[string]string{
 	"gnm-10/s2/random/strict":             "ec81da8679134bbfca1f00d5dce0137f54ac3edcae568b7872090a48326e3c78",
 	"gnm-10/s2/random/twin-hybrid":        "1e7c1b6d6229a1cb3bc8da5484e49cba3b33370acf218f8b97b848c012d10524",
 	"gnm-10/s2/random/twin-multi":         "d338e39f8fb7940da0cd4acf7a0a49227a4a0184439e2e8070ed1c850ae6967b",
-	"gnm-10/s2/random/twin-single":        "43361d965f591dd412251741b8e797483b04f224fc6877ae2023a6cb0c080830",
+	"gnm-10/s2/random/twin-single":        "46f62b3743dbf17043380711e139ff962457fef70f31725e8b8368bc6e2a731d",
 	"gnm-10/s2/star":                      "40d8ac819abc7b3d1c32b0b031767c3a2cbebc0fb3fbc2e6e865c8376784564b",
 	"gnm-10/s2/star/fr":                   "6841a69368ddeef76b066573161bc724dccb8e6cc7d3d1ddd0b6e1dbd5f52d22",
 	"gnm-10/s2/star/strict":               "6841a69368ddeef76b066573161bc724dccb8e6cc7d3d1ddd0b6e1dbd5f52d22",
 	"gnm-10/s2/star/twin-hybrid":          "ace0a08e55b157c4e16ce93a427fe08362e4fe7bf922ed605065e92c239fdd09",
 	"gnm-10/s2/star/twin-multi":           "72330471de434bf5e25f435261c351c4dc58170a52e2452f3dcb6407498c237b",
-	"gnm-10/s2/star/twin-single":          "71e1d14f6a05878aa2508a57fb72243cf4ba7d8d6104aca68c6bfca4a5d63915",
+	"gnm-10/s2/star/twin-single":          "4b7c7d341f590c047a136df6595cd596e5c85c4579307eeba6902f6959d702ae",
 	"gnm-12/s0/bfs":                       "f549d6c6ff07bee55b68cb101906e9b3dd0a24c7956fc6311de095014ed2dad5",
 	"gnm-12/s0/dfs":                       "e87ab9214f1fa2c6c60d7b6f62659c49f6a12d6d3956f6c347966b69db6a9e07",
 	"gnm-12/s0/exact":                     "47417e063d0f0170d5f1d1f324c155c36d91e3d910cf619a826c23f6baa004e2",
@@ -186,7 +186,7 @@ var sequentialDigests = map[string]string{
 	"gnm-12/s0/star/strict":               "9604cc13a44eedd3100fcc2ee3d277d289413ab436a3ad4f296f7e9b4e172df1",
 	"gnm-12/s0/star/twin-hybrid":          "5a686f26cec8a89f677bce2b1ef1cdc11d0f23655679e572347ba494782ffcda",
 	"gnm-12/s0/star/twin-multi":           "38231e7a3533faa299278c4f93263f6a0bb26014776cdf1a769a229fee460297",
-	"gnm-12/s0/star/twin-single":          "aa9442057a1c1b7ec941ecbae143d1d4a0d3c270d37185ed72c59fa2d837f237",
+	"gnm-12/s0/star/twin-single":          "4dc8879f24e975846614987273e66151ea2e09d74edf1dfdcf5dcee796b6cb22",
 	"gnm-12/s1/bfs":                       "c31944750d1f8b950854a008f6b13745f31cb8d573dd0a510d87f0842c6c84f2",
 	"gnm-12/s1/dfs":                       "89169156ceb06dfe8a6ef0d7e36a9262200e20b629076edcfbb9a34b8d8dddce",
 	"gnm-12/s1/exact":                     "544f5f6b7fd8ee291a011cef3ea94440b44a5cd3e396592726900271944a188a",
@@ -216,7 +216,7 @@ var sequentialDigests = map[string]string{
 	"gnm-12/s2/star/strict":               "2f69b62f9dced3a0e0c55fe6e2225e4eb8ad08551fd01cc354ef22b1a435b690",
 	"gnm-12/s2/star/twin-hybrid":          "78233fe8445aff6d4df44ed326c1ed491505994d8822f2fe9f9dbb57109a76ec",
 	"gnm-12/s2/star/twin-multi":           "b7b57d3e2f0885f91f4529d54a40bd4a4f5ab2bcc21a9c933ed7902745a9b821",
-	"gnm-12/s2/star/twin-single":          "fdd0c66a75e33d902bc2ae1374d48820e7ca28d89fa82514c5f56b1d08ed9e65",
+	"gnm-12/s2/star/twin-single":          "3dec44dada4bbf1fd560166cb7519cdf44abd46eb0cba9d9f43fcbfa6cfa3677",
 	"gnp-11/s0/bfs":                       "008bc5ecf9be30ae7c85c1b0c4e63a14757d721185e86e56f645fc368bd75b61",
 	"gnp-11/s0/dfs":                       "63bd803b5eeb305abdc7892c5bf23f87f2e2124298c1a098ba55566961ba0da7",
 	"gnp-11/s0/exact":                     "923e3bac5623f68a27b6a3e5ffc8999372138727f3430b8733933e2d3db8f855",
@@ -255,83 +255,83 @@ var sequentialDigests = map[string]string{
 	"gnp-11/s2/random/strict":             "7701523521d72943e5e7580e69b816edaad44f75408e188b5422033f1109cc5d",
 	"gnp-11/s2/random/twin-hybrid":        "99f020ad034c7259c957bba587fdcf2ab74e56b1dbe03ae8c0bcdb78a6f50049",
 	"gnp-11/s2/random/twin-multi":         "363368d829c522b97c99290b9627c1593cf7a6f6ce3860045b22f32b70f9afd2",
-	"gnp-11/s2/random/twin-single":        "c01da5b26b395c3a5595c8be3fc6ded021cdc72bcbbd10c980411c1dae911ea0",
+	"gnp-11/s2/random/twin-single":        "a5d87620fa292e5a54261308f3024b77277943ca9e6d1e76825e6693a46932e6",
 	"gnp-11/s2/star":                      "1702ddd24a8974c5dfc894ff30a00badda0b616e4af8647574d89cbb64515b4e",
 	"gnp-11/s2/star/fr":                   "ae88412c9862c121114cd219209b7075a134c2c9853d7eebeedcc1d7b5a158f4",
 	"gnp-11/s2/star/strict":               "ae88412c9862c121114cd219209b7075a134c2c9853d7eebeedcc1d7b5a158f4",
 	"gnp-11/s2/star/twin-hybrid":          "620ef924c076306bd7e8c27a1a7e84313db43f2eb79d59d55ae7fe7247a8032f",
 	"gnp-11/s2/star/twin-multi":           "54edfa9832e29a7aa038f37ddd4cff9d01045e07434ea333e9bd1502763b79ce",
-	"gnp-11/s2/star/twin-single":          "dc4a64f70a74be82b174324a1ae8d01253bef2c996608cac1c3b2ba3c4affe7e",
+	"gnp-11/s2/star/twin-single":          "373288455179b301b0a9b3027f0206a61c37c882d150ead0d1baf45c66461c20",
 	"gnp64/bfs":                           "cda05d5700a05cd6c8444b83888359679d6549c4ec3e589290ba52ece764e1f3",
 	"gnp64/dfs":                           "de51aba82926536ac7ce86e198ac1fc81c315956b170826527da3bb255837e77",
 	"gnp64/random":                        "45bac4e4e4d9d9f10763058195d567e3e648df02015e464b1a928ce259833dad",
 	"gnp64/random/fr":                     "c94df4ab61867d6afbd3184cb09109f056e10767060017e146007775295c7912",
 	"gnp64/random/strict":                 "c94df4ab61867d6afbd3184cb09109f056e10767060017e146007775295c7912",
-	"gnp64/random/twin-hybrid":            "ab592ae9a4a200f9e8dcb1110c26518b20cce226debc7643e64ece3715e60a6e",
+	"gnp64/random/twin-hybrid":            "5f34f1eaf8367cacbae1945e7a7d43221ee47f871edbb65fb282e12b9c0d7872",
 	"gnp64/random/twin-multi":             "3b12f7a7af737a83d2a23f7a36ac40c09c667d9b2e04d2006cc7401c6a2472d4",
-	"gnp64/random/twin-single":            "9da4870b5cf7e28b31ec5bba4b3ee8f7db6837119a6f4c56ed3ff0b152ddb139",
+	"gnp64/random/twin-single":            "5e3855acc63938014244397b30695fcae52ca6ec272e55d315d5eb9b682b5a2f",
 	"gnp64/star":                          "2e5030c42b8ee2d600b8f0d41bd2a0dcc97eac722498750002baf59e8c9afa37",
 	"gnp64/star/fr":                       "9378f51cbdf237204c4e4d4aa13ac806beb4c171ebc3ec074f43ff612658a2e4",
 	"gnp64/star/strict":                   "9378f51cbdf237204c4e4d4aa13ac806beb4c171ebc3ec074f43ff612658a2e4",
-	"gnp64/star/twin-hybrid":              "90c5d4662dc214ab90fcd0d0d7b1bad341d137aa74d3b643f54c5f7fb68dc353",
+	"gnp64/star/twin-hybrid":              "56e1e0beebeea1d6a594d876785f7a178acb4d804ae83b8206bea9b43b5ed023",
 	"gnp64/star/twin-multi":               "40aef2d02c0ff1c8a5eb235435099ce81bd729176b3f61c3a3ed014336247e00",
-	"gnp64/star/twin-single":              "5eac8759dd2e6d459e8957e299c20fe1a5dac53a65775c912923897695c07525",
+	"gnp64/star/twin-single":              "019f7784eae2131c6746bcf01ff529df0b99bb7c598db22d41299ebd67675ca3",
 	"gnp96-relabelled/bfs":                "1b337c8298ca77646bfd133b35b1810af0bee4215a129551d9fdef5d5c0909c7",
 	"gnp96-relabelled/dfs":                "948f16e9197851f529ac5ad76b4488111f5917f03832037cbbb0d5dd7589c5b9",
 	"gnp96-relabelled/random":             "37f41b9beb3e2c1a2b8ee0866b1cc25c3248bbf9f7b772e5052a909d8712ed55",
 	"gnp96-relabelled/random/fr":          "0eac16f66a32977960c08d81321de35e307de96d66675ec9591b871f5724e006",
 	"gnp96-relabelled/random/strict":      "0eac16f66a32977960c08d81321de35e307de96d66675ec9591b871f5724e006",
-	"gnp96-relabelled/random/twin-hybrid": "838b44884df0e68f76949532bf2bd2b8bc48878dea4694e4c41c42339155d29b",
+	"gnp96-relabelled/random/twin-hybrid": "d502d7f8bf2a0c4b763622a7966a0246ee0ba772222eb93505417577a7ac4876",
 	"gnp96-relabelled/random/twin-multi":  "4a4b101f562cac42c2876914e183ae57f87acfa9fe0f01131eac9a690101526c",
-	"gnp96-relabelled/random/twin-single": "e2062667d9b5824fb71a4ed653c032f8d608b55c640e48f207ad849b41f801b1",
+	"gnp96-relabelled/random/twin-single": "0aa4addaadc646b83fed3733adc908ba548e096170cf792077ffcd7c996c6bdf",
 	"gnp96-relabelled/star":               "11585e2dac0d2a3ffc7eee88f595d16b8d1364f71a216a22db4b8d4c41dafd21",
 	"gnp96-relabelled/star/fr":            "f5a2bfbe8310bb50ad9dfb50544380aa2261ab4974788095f2635dc591293269",
 	"gnp96-relabelled/star/strict":        "f5a2bfbe8310bb50ad9dfb50544380aa2261ab4974788095f2635dc591293269",
-	"gnp96-relabelled/star/twin-hybrid":   "a22ea8c484f3987f6305e146b0b43a93a787a3c503c13f6e16295ce14baf54cb",
+	"gnp96-relabelled/star/twin-hybrid":   "c5810fd33762d937567b3354bdf8c0b67ce4b1832c6c88e359716e930b538b93",
 	"gnp96-relabelled/star/twin-multi":    "ae0006f44653a73ad78c1cfe3bb34453f4982cfd792c6cb657eda09b7afe30d5",
-	"gnp96-relabelled/star/twin-single":   "344b196b803c4847e68b2d45aa80e722e5f5323c8d1947036e0805feed7c95a6",
+	"gnp96-relabelled/star/twin-single":   "01feb2a0a782f6fe09fc12cbf2b42752473f63629768a03c887df27c59d8ad40",
 	"grid8x12/bfs":                        "482affa1ae9cf2c068cdf9b033f34bec217477a6b0aa07e695e0fe5fee5d8fba",
 	"grid8x12/dfs":                        "71abfd614e39c646260882aa9a427967685ec0c58cf6c4b6ee3074934212d10c",
 	"grid8x12/random":                     "2f2e6d7617f5ebfee7f0a19c30ee6f24488114becd1a76999e2d1f66c9799ef3",
 	"grid8x12/random/fr":                  "daed53ffc596337edb2bb1eb1cf87785939e88eb51322c3a990ff4deb4de108f",
 	"grid8x12/random/strict":              "daed53ffc596337edb2bb1eb1cf87785939e88eb51322c3a990ff4deb4de108f",
-	"grid8x12/random/twin-hybrid":         "9a5f54bdf6848566e681fd8a10f4153c621987a04bffc923b672da1c7b796a4b",
+	"grid8x12/random/twin-hybrid":         "c4e992b033df0c4be6c498abc7767425653c471e987b6b284014d8b3301d6cc5",
 	"grid8x12/random/twin-multi":          "db0fa62679971eb5f8650b1e9808c663c1e7acfec15c0d5f89c46998cb5e1e44",
-	"grid8x12/random/twin-single":         "3dc172cbd4b0b572f65bbb9431cd54650ad43bccf4ee5163ce7edfdd1a1de240",
+	"grid8x12/random/twin-single":         "928292f5812b9dab66411025c7ff96b0035f109b0345663e16b7095f019c0ea2",
 	"grid8x12/star":                       "209cf97ca4660f8b8590f6eb87512749e37937c0c1d626bb771e4caa45a8a27d",
 	"grid8x12/star/fr":                    "dc7076d6b57ca0060ccfd723a1e9f0b6d9e83301b9841bb084a61701beef78d3",
 	"grid8x12/star/strict":                "dc7076d6b57ca0060ccfd723a1e9f0b6d9e83301b9841bb084a61701beef78d3",
 	"grid8x12/star/twin-hybrid":           "748bbeef4b06a25df30fd0a34249ce06da562d554e03472abe089b8cbb8b2d42",
 	"grid8x12/star/twin-multi":            "3dab9a3aa23de2fd2c0c0fb5a51c4e0216f73c98ae31b62366ff09d34ffb44f1",
-	"grid8x12/star/twin-single":           "498d12ab62a7ac9902afa7318a8c0e3dcba8720835a15f924dd33c91c87ed476",
+	"grid8x12/star/twin-single":           "ee0e9828687b1be9baf551e98a55cb17a1205770fea182da4c063f2fcb6edbf4",
 	"hamchords64/bfs":                     "4921b9ae069dca4406256dca0614b1042750522bf4e3597d13c202384864933c",
 	"hamchords64/dfs":                     "4e113eef317fba58144329dac153ec92bfcc1e91d9339a5b1c2beb2a999d0063",
 	"hamchords64/random":                  "671ada36a89a1ac7f608dbcc71529fff32ad8ffca6b74de9a41a452d80bec353",
 	"hamchords64/random/fr":               "fd63c2ec2301c4e9505021f35e13878cc850304e1816d6f7567b9ddcfe9bd14a",
 	"hamchords64/random/strict":           "fd63c2ec2301c4e9505021f35e13878cc850304e1816d6f7567b9ddcfe9bd14a",
-	"hamchords64/random/twin-hybrid":      "637f9c17159244377335c1aa8625f35658547c3030493b3f403aee31f8ba771f",
+	"hamchords64/random/twin-hybrid":      "836d501cdc65fa37d74ed95ac5e35c0c0c319e544e1a9425bc19bf05fa51cd45",
 	"hamchords64/random/twin-multi":       "f7dfb2feb5067f5d6122aecbcc00d54247895d0e8ccc84bdb28a147aa8b0e8cd",
-	"hamchords64/random/twin-single":      "d9d41c4de73fb73d78db2c5a73213127d0d3f9fe86c358b39d664ca7a71758ee",
+	"hamchords64/random/twin-single":      "39a3627d52337d5604e61e226ba8eb063661d98e49585eef189cfc9da7d68537",
 	"hamchords64/star":                    "1300620995dd9bd3d342db7568a07f2a818784f0b7b6e0d3f8986b081242d63d",
 	"hamchords64/star/fr":                 "b956badbe21db763240800cbb0dceb9c741f7dc6c852cc5df9de6a0ce626e6b5",
 	"hamchords64/star/strict":             "b956badbe21db763240800cbb0dceb9c741f7dc6c852cc5df9de6a0ce626e6b5",
-	"hamchords64/star/twin-hybrid":        "ddc6ae3acff22f4c8cf2cb3bb3a1f872baf5ab4dbc1d2f57435dca1849635d17",
+	"hamchords64/star/twin-hybrid":        "14f83d43105143c6d9c97ad35a5c9d1c59ea7dc56056673809b71a9fbeaf71a5",
 	"hamchords64/star/twin-multi":         "dd97c87022bd60df2a307b408b27d26632273ea85ef99160759335fddffe62ba",
-	"hamchords64/star/twin-single":        "83c029ba9e6b54fc200ac96ad1bcbfecca7fa6955be3e89300388e527b2ca404",
+	"hamchords64/star/twin-single":        "610fb550b99b6902b5ed0675eff40d44e4132850c447a6a3658041d75671d759",
 	"hypercube6/bfs":                      "849b5f6769bac817be88c63791ca502b869e70925c60dbbd035d711b00ea4466",
 	"hypercube6/dfs":                      "522acf7adc6da985e05122a7198d341177309ddb8cfc9bf28bd3ef6dd04ca49a",
 	"hypercube6/random":                   "832fb8f80e249242ea7f64fb5b473c0b9bcfe6c7e947c2675fd781bd1731351c",
 	"hypercube6/random/fr":                "69a57f45cf414de5a1b60d529213dc1a39ecb86f618b84f556eea438f483dbe4",
 	"hypercube6/random/strict":            "69a57f45cf414de5a1b60d529213dc1a39ecb86f618b84f556eea438f483dbe4",
-	"hypercube6/random/twin-hybrid":       "1cb8c30b0fdf207b4f310c1c4287174f51e3d8b6929f22a763c52d4b9da62e5e",
+	"hypercube6/random/twin-hybrid":       "8d085445d8fac3e3ee2860c46e85e11254eeac7983b6b85b5d2d06dc60a75763",
 	"hypercube6/random/twin-multi":        "c7a9e267d7381bfebd5090b3741086be81b5aebcc08231bc6cd3e670a178ac00",
-	"hypercube6/random/twin-single":       "7ff9bb4582190acde9251a6c1a131fcd0b047b74b0178fa515ef77143d3ccbcf",
+	"hypercube6/random/twin-single":       "86256354a4bfef8d67b337fd8d12a6f5ebff15be6a2bef3fc4968b107707667e",
 	"hypercube6/star":                     "849b5f6769bac817be88c63791ca502b869e70925c60dbbd035d711b00ea4466",
 	"hypercube6/star/fr":                  "c7a03b706264a598df4e9d00ed3e92c6786f55391063b382791dfbca1a689a51",
 	"hypercube6/star/strict":              "c7a03b706264a598df4e9d00ed3e92c6786f55391063b382791dfbca1a689a51",
 	"hypercube6/star/twin-hybrid":         "8b12b22b0db515dcedc11cfee49ef294acfaf7f7440ea716030c5012682a5394",
 	"hypercube6/star/twin-multi":          "172ce6ebe2fbeea4b30a4d82a62a895c21444a495ec14dacc58e6811e80bdefb",
-	"hypercube6/star/twin-single":         "42f184999ec463a3bb3ce022cdbdb010db3a47a2f5b0c7cdc1fc0cb79d07bfcb",
+	"hypercube6/star/twin-single":         "25b5c229f0d2489002a4d570cf0dcf989f579532da9486373f5a5cf64dd9de66",
 	"wheel48/bfs":                         "45c1bec17cd08254a1abea9ab198cd16d34b91d3b275723f0fd078a057024f22",
 	"wheel48/dfs":                         "f8b013aae4fbe7e718666b367326214e65e841ed395e093b60be310426c4a69c",
 	"wheel48/random":                      "0c7d075c9f0e6841824300be202421541e2338a1ac8d354191014717edb0d4bc",

@@ -31,15 +31,20 @@ func revalidateCorpus(i int, rng *rand.Rand) (string, *graph.Graph) {
 	}
 }
 
-// TestTargetedExhaustionSound audits DESIGN.md deviation 1 on 1,000 seeded
-// graphs. After every Single exchange of the twin, each maximum-degree node
-// the targeted rule leaves exhausted is tried on a copy of the tree —
-// re-rooted at it, then one Single round — and must find no exchange. The
-// run must also agree with the superseded clear-every-flag rule on swaps
-// and final degree, in no more rounds.
+// TestTargetedExhaustionSound audits the exhausted flags of DESIGN.md
+// deviations 1 and 7 on 1,000 seeded graphs. A trial of node w re-roots a
+// copy of the tree at w and searches it as one Single round would.
+//   - In every labelled Single round of the twin, each flag the wave sets
+//     must equal a trial on the tree before the exchange: set exactly when
+//     the trial finds no exchange.
+//   - After every Single round, failed ones included, each maximum-degree
+//     node left exhausted must fail a trial.
+//
+// The run must also agree with the clear-every-flag rule on swaps and
+// final degree, in no more rounds.
 func TestTargetedExhaustionSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	checks := 0
+	checks, waveChecks := 0, 0
 	for i := range 1000 {
 		family, g := revalidateCorpus(i, rng)
 		c := g.Compile()
@@ -60,18 +65,38 @@ func TestTargetedExhaustionSound(t *testing.T) {
 
 		tw := newTwinRun(c, t0.Clone())
 		probe := newTwinRun(c, nil)
-		tw.invalidate = func(_ *twinRun, cut int32, k int, fell bool) {
-			tw.revalidate(cut, k, fell)
-			kNow, maxNodes := tw.d.MaxDegree(nil)
-			probe.d = tw.d.Clone()
+		// exchanges trials w at maximum degree k on probe.d, a copy of the
+		// tree: re-rooting keeps it the same undirected tree.
+		exchanges := func(w int32, k int) bool {
+			probe.d.Reroot(w)
+			_, found := probe.bestSingle(w, k)
+			return found
+		}
+		tw.wave = func(r *twinRun, p int32, k int) {
+			r.waveFlags(p, k)
+			probe.d = r.d.Clone()
+			for w := range int32(c.N()) {
+				if w == p || r.d.Degree(w) != k {
+					continue
+				}
+				waveChecks++
+				if exchanges(w, k) == r.exhausted[w] {
+					t.Fatalf("graph %d (%s, n=%d): the wave at owner %d set node %d's flag to %v at k=%d, but a trial at it disagrees",
+						i, family, c.N(), p, w, r.exhausted[w], k)
+				}
+			}
+		}
+		tw.invalidate = func(r *twinRun, cut int32, k int, fell bool) {
+			r.revalidate(cut, k, fell)
+			kNow, maxNodes := r.d.MaxDegree(nil)
+			probe.d = r.d.Clone()
 			for _, w := range maxNodes {
-				if !tw.exhausted[w] {
+				if !r.exhausted[w] {
 					continue
 				}
 				checks++
-				probe.d.Reroot(w)
-				if got, _ := probe.roundSingle(w, kNow); got != noFrag {
-					t.Fatalf("graph %d (%s, n=%d): node %d kept exhausted at k=%d after the exchange cutting %d, yet a round at it exchanges",
+				if exchanges(w, kNow) {
+					t.Fatalf("graph %d (%s, n=%d): node %d kept exhausted at k=%d after the round that cut %d, yet a round at it exchanges",
 						i, family, c.N(), w, kNow, cut)
 				}
 			}
@@ -79,14 +104,18 @@ func TestTargetedExhaustionSound(t *testing.T) {
 		st := tw.run(mode, 0)
 
 		old := newTwinRun(c, t0.Clone())
-		old.invalidate = func(r *twinRun, _ int32, _ int, _ bool) { clear(r.exhausted) }
+		old.invalidate = func(r *twinRun, cut int32, _ int, _ bool) {
+			if cut != noFrag {
+				clear(r.exhausted)
+			}
+		}
 		want := old.run(mode, 0)
 		if st.Swaps != want.Swaps || st.FinalDegree != want.FinalDegree || st.Rounds > want.Rounds {
 			t.Fatalf("graph %d (%s, n=%d, %v): targeted %+v, clear-all %+v", i, family, c.N(), mode, st, want)
 		}
 	}
-	if checks < 1000 {
-		t.Fatalf("only %d kept-exhausted nodes were tried; the corpus no longer exercises the rule", checks)
+	if checks < 1000 || waveChecks < 1000 {
+		t.Fatalf("only %d flagged nodes and %d wave flags were tried; the corpus no longer exercises the rules", checks, waveChecks)
 	}
-	t.Logf("%d kept-exhausted nodes tried, none could exchange", checks)
+	t.Logf("%d flagged nodes tried after their rounds, none could exchange; %d wave flags matched their trials", checks, waveChecks)
 }

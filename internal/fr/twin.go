@@ -13,6 +13,7 @@ package fr
 
 import (
 	"fmt"
+	"math"
 
 	"mdegst/internal/graph"
 	"mdegst/internal/mdst"
@@ -66,6 +67,11 @@ func (r twinReport) better(o twinReport) bool {
 // identical to the distributed protocol's. The replica runs entirely on
 // dense indices: fragments and exhaustion flags are slices over the
 // snapshot's index and the edge scan walks the CSR adjacency.
+//
+// Like the distributed protocol, each Single round after a Single round
+// sets the exhausted flag of every maximum-degree node other than the
+// owner exactly, from the low-link test on the round's tree before its
+// exchange (DESIGN.md deviation 7).
 func Twin(c *graph.CSR, initial *tree.Dense, mode mdst.Mode, target int) (*tree.Dense, TwinStats, error) {
 	if err := initial.Validate(c); err != nil {
 		return nil, TwinStats{}, fmt.Errorf("fr: initial tree invalid: %w", err)
@@ -87,25 +93,38 @@ type twinRun struct {
 	maxBuf    []int32
 	seen      []int32 // revalidate: stamp of the exchange that last visited a node
 	stamp     int32
-	// invalidate updates the exhausted flags after a Single exchange that
-	// cut the owner's child c; fell reports that c's degree fell from k-1
-	// to k-2. Twin uses revalidate; tests substitute other rules.
+	// waveFlags: subtree size, pre-order label and qualifying label range
+	// of every node in the round's tree
+	size, pre, lo, hi []int32
+	// wave sets the exhausted flags of a labelled Single round at owner p
+	// and maximum degree k; Twin uses waveFlags.
+	wave func(tw *twinRun, p int32, k int)
+	// invalidate updates the exhausted flags after a Single round whose
+	// exchange cut the owner's child c (noFrag: the round found none);
+	// fell reports that c's degree fell from k-1 to k-2. Twin uses
+	// revalidate; tests substitute other rules.
 	invalidate func(tw *twinRun, c int32, k int, fell bool)
 }
 
 func newTwinRun(c *graph.CSR, d *tree.Dense) *twinRun {
 	n := c.N()
-	scratch := make([]int32, 4*n) // one allocation backs frag, fragOwner, fragRoot and seen
+	scratch := make([]int32, 8*n) // one allocation backs the eight per-node slices
+	part := func(i int) []int32 { return scratch[i*n : (i+1)*n : (i+1)*n] }
 	return &twinRun{
 		c:          c,
 		d:          d,
 		exhausted:  make([]bool, n),
-		frag:       scratch[:n:n],
-		fragOwner:  scratch[n : 2*n : 2*n],
-		fragRoot:   scratch[2*n : 3*n : 3*n],
-		seen:       scratch[3*n:],
+		frag:       part(0),
+		fragOwner:  part(1),
+		fragRoot:   part(2),
+		seen:       part(3),
+		size:       part(4),
+		pre:        part(5),
+		lo:         part(6),
+		hi:         part(7),
 		inS:        make([]bool, n),
 		stack:      make([]int32, 0, n),
+		wave:       (*twinRun).waveFlags,
 		invalidate: (*twinRun).revalidate,
 	}
 }
@@ -123,6 +142,9 @@ func (tw *twinRun) run(mode mdst.Mode, target int) TwinStats {
 	if mode == mdst.Single {
 		phase = mdst.Single
 	}
+	// labelled: the previous round was Single, so the nodes know their
+	// subtree sizes and this round's wave can label the tree.
+	labelled := false
 
 	for {
 		stats.Rounds++
@@ -145,12 +167,17 @@ func (tw *twinRun) run(mode mdst.Mode, target int) TwinStats {
 				break // all maximum-degree nodes exhausted
 			}
 			d.Reroot(p) // MoveRoot (path reversal)
-			if c, fell := tw.roundSingle(p, k); c != noFrag {
+			if labelled {
+				tw.wave(tw, p, k)
+			}
+			labelled = true
+			c, fell := tw.roundSingle(p, k)
+			if c != noFrag {
 				stats.Swaps++
-				tw.invalidate(tw, c, k, fell)
 			} else {
 				tw.exhausted[p] = true
 			}
+			tw.invalidate(tw, c, k, fell)
 			continue
 		}
 		// Multi phase: every maximum-degree node exchanges concurrently.
@@ -176,6 +203,9 @@ func (tw *twinRun) run(mode mdst.Mode, target int) TwinStats {
 // deg(x) <= k-2: with the path, the union of the tree paths from c to each
 // x. Any other exhausted node still has no usable edge.
 func (tw *twinRun) revalidate(c int32, k int, fell bool) {
+	if c == noFrag {
+		return
+	}
 	d := tw.d
 	tw.stamp++
 	for w := c; w != tree.NoParent; w = d.Parent(w) {
@@ -196,6 +226,53 @@ func (tw *twinRun) revalidate(c int32, k int, fell bool) {
 	}
 }
 
+// waveFlags is the exact test of DESIGN.md deviation 7 on the tree rooted
+// at the owner p. A non-tree edge qualifies when both endpoints have
+// degree at most k-2; every maximum-degree node w other than p is
+// exhausted unless some child c of w has a qualifying edge leaving c's
+// subtree, that is a qualifying neighbour labelled outside c's pre-order
+// interval pre(c)..pre(c)+size(c)-1.
+func (tw *twinRun) waveFlags(p int32, k int) {
+	c, d := tw.c, tw.d
+	order := d.WalkSubtree(p, tw.stack[:0]) // every parent before its children
+	tw.stack = order
+	for i := len(order) - 1; i >= 0; i-- {
+		x := order[i]
+		tw.size[x] = 1
+		for _, ch := range d.Children(x) {
+			tw.size[x] += tw.size[ch]
+		}
+	}
+	tw.pre[p] = 0
+	for _, x := range order {
+		next := tw.pre[x] + 1
+		for _, ch := range d.Children(x) {
+			tw.pre[ch] = next
+			next += tw.size[ch]
+		}
+	}
+	for i := len(order) - 1; i >= 0; i-- {
+		x := order[i]
+		lo, hi := int32(math.MaxInt32), int32(-1)
+		if d.Degree(x) <= k-2 {
+			for _, y := range c.Neighbors(x) {
+				if d.Degree(y) <= k-2 && !d.HasEdge(x, y) {
+					lo, hi = min(lo, tw.pre[y]), max(hi, tw.pre[y])
+				}
+			}
+		}
+		eligible := false
+		for _, ch := range d.Children(x) {
+			lo, hi = min(lo, tw.lo[ch]), max(hi, tw.hi[ch])
+			eligible = eligible || tw.lo[ch] < tw.pre[ch] || tw.hi[ch] >= tw.pre[ch]+tw.size[ch]
+		}
+		tw.lo[x], tw.hi[x] = lo, hi
+		if x != p && d.Degree(x) == k {
+			tw.exhausted[x] = !eligible
+		}
+	}
+}
+
 const noFrag int32 = -1
 
 // roundSingle mirrors one Single-mode round at acting root p: fragments are
@@ -203,6 +280,21 @@ const noFrag int32 = -1
 // returns the child c whose edge to p was cut (noFrag if none) and whether
 // c's degree fell from k-1 to k-2.
 func (tw *twinRun) roundSingle(p int32, k int) (int32, bool) {
+	best, found := tw.bestSingle(p, k)
+	if !found {
+		return noFrag, false
+	}
+	d := tw.d
+	arrival := tw.frag[best.u]
+	before := d.Degree(arrival)
+	tw.applySwap(p, arrival, best)
+	return arrival, before == k-1 && d.Degree(arrival) == k-2
+}
+
+// bestSingle finds the exchange a Single round at acting root p would
+// apply: the best usable edge between two of p's child subtrees, which it
+// leaves labelled in tw.frag.
+func (tw *twinRun) bestSingle(p int32, k int) (twinReport, bool) {
 	c, d := tw.c, tw.d
 	for i := range tw.frag {
 		tw.frag[i] = noFrag
@@ -242,13 +334,7 @@ func (tw *twinRun) roundSingle(p int32, k int) (int32, bool) {
 			}
 		}
 	}
-	if !found {
-		return noFrag, false
-	}
-	arrival := tw.frag[best.u]
-	before := d.Degree(arrival)
-	tw.applySwap(p, arrival, best)
-	return arrival, before == k-1 && d.Degree(arrival) == k-2
+	return best, found
 }
 
 // roundMulti mirrors one Multi-mode round: fragments are the components of

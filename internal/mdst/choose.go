@@ -11,6 +11,13 @@ import (
 // Together they visit exactly the new tree path from the owner p to the cut
 // child c, the exchange's cycle: every node on it handles one of the three
 // and clears its exhausted flag there (DESIGN.md deviation 1).
+//
+// The same nodes keep the subtree sizes exact (deviation 7). Let S be the
+// size of c's old subtree, the part that moves. A node on the reversed
+// path c…u gains its old parent as a child, of size S minus its own old
+// size; v gains u, of size S; and every node on v…p sees its child toward
+// v grow by S. Only the owner knows S, so each node leaves that child's
+// size pending until the next start delivers S.
 
 func (n *Node) onUpdate(ctx sim.Context, from sim.NodeID, msg mUpdate) {
 	n.exhausted = false
@@ -24,12 +31,13 @@ func (n *Node) onUpdate(ctx sim.Context, from sim.NodeID, msg mUpdate) {
 	// On every hop after the first, the sender (our former parent) has
 	// reversed its pointer and is now our child; on the first hop the
 	// sender is the owner that just cut us.
+	if !msg.first {
+		n.fixChild, n.fixBase = from, -n.subtreeSize()
+		n.addChild(from, 0)
+	}
 	if n.id == msg.u {
 		// "If e is an outgoing edge of x: the node at the next extremity
 		// of e becomes the parent of x."
-		if !msg.first {
-			n.addChild(from)
-		}
 		n.parent = msg.v
 		n.hasParent = true
 		ctx.Send(msg.v, newChild(n.round, fell))
@@ -44,9 +52,6 @@ func (n *Node) onUpdate(ctx sim.Context, from sim.NodeID, msg mUpdate) {
 	if via == n.id {
 		panic(fmt.Sprintf("mdst: node %d is not %d yet has a self via", n.id, msg.u))
 	}
-	if !msg.first {
-		n.addChild(from)
-	}
 	n.removeChild(via)
 	n.parent = via
 	n.hasParent = true
@@ -57,7 +62,8 @@ func (n *Node) onChild(ctx sim.Context, from sim.NodeID, msg mChild) {
 	// "Upon receipt of the child message from x, the node y adds x to its
 	// children set." The round is complete; tell the waiting owner.
 	n.exhausted = false
-	n.addChild(from)
+	n.fixChild, n.fixBase = from, 0
+	n.addChild(from, 0)
 	if !n.hasParent {
 		panic(fmt.Sprintf("mdst: reattachment endpoint %d has no parent", n.id))
 	}
@@ -66,6 +72,7 @@ func (n *Node) onChild(ctx sim.Context, from sim.NodeID, msg mChild) {
 
 func (n *Node) onRoundDone(ctx sim.Context, from sim.NodeID, msg mRoundDone) {
 	n.exhausted = false
+	n.fixChild, n.fixBase = from, n.sizes[n.childIndex(from)]
 	if n.isOwner && n.awaitingDone {
 		n.awaitingDone = false
 		n.finishOwner(ctx, msg.fell)

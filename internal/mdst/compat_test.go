@@ -2,9 +2,11 @@ package mdst_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,8 +17,8 @@ import (
 	"mdegst/internal/tree"
 )
 
-// compatInstance is the run behind testdata/gnm32-hybrid-round2.mdck: the
-// graph and flood start of
+// compatInstance is the run behind the testdata checkpoints: the graph and
+// flood start of
 //
 //	mdstrun -graph gnm -n 32 -seed 1 -initial flood -mode hybrid -checkpoint F -checkpoint-round 2
 func compatInstance(t *testing.T) (*graph.CSR, *tree.Dense) {
@@ -39,33 +41,39 @@ func typedCheckpointError(err error) bool {
 	return errors.As(err, &ce) || errors.As(err, &we)
 }
 
-// TestOldCheckpointRefused resumes a checkpoint written before the deg,
-// child and rounddone records widened and the node state gained its format
-// word and X bit. Reading or resuming it must fail with a typed error; it
-// must never resume into a run.
+// TestOldCheckpointRefused resumes checkpoints of earlier layouts:
+//   - gnm32-hybrid-round2.mdck, written before the deg, child and rounddone
+//     records widened and the node state gained its format word and X bit;
+//   - gnm32-hybrid-round2-format2.mdck, written before the start, move,
+//     cut and bfsback records widened and the node state (format 2) gained
+//     its subtree sizes and labels.
+//
+// Reading or resuming either must fail with a typed error; neither may
+// resume into a run.
 func TestOldCheckpointRefused(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "gnm32-hybrid-round2.mdck"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck, err := sim.ReadCheckpoint(bytes.NewReader(raw))
-	if err == nil {
-		c, t0 := compatInstance(t)
-		_, err = mdst.Resume(unitFIFO(), c, t0, mdst.Hybrid, 0, ck)
-		if err == nil {
-			t.Fatal("an old-format checkpoint resumed into a run")
+	for _, file := range []string{"gnm32-hybrid-round2.mdck", "gnm32-hybrid-round2-format2.mdck"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !typedCheckpointError(err) {
-		t.Fatalf("old checkpoint failed untyped: %v", err)
+		ck, err := sim.ReadCheckpoint(bytes.NewReader(raw))
+		if err == nil {
+			c, t0 := compatInstance(t)
+			_, err = mdst.Resume(unitFIFO(), c, t0, mdst.Hybrid, 0, ck)
+			if err == nil {
+				t.Fatalf("%s: an old-format checkpoint resumed into a run", file)
+			}
+		}
+		if !typedCheckpointError(err) {
+			t.Fatalf("%s: old checkpoint failed untyped: %v", file, err)
+		}
 	}
 }
 
-// TestStateFormatRefused strips the leading format word from every node
-// state of a fresh checkpoint, which leaves states that open the way the
-// first layout did, and requires the resume to fail typed.
-func TestStateFormatRefused(t *testing.T) {
-	c, t0 := compatInstance(t)
+// freeze runs the compat instance to its round-2 barrier and returns the
+// checkpoint it wrote.
+func freeze(t *testing.T, c *graph.CSR, t0 *tree.Dense) *sim.Checkpoint {
+	t.Helper()
 	var buf bytes.Buffer
 	eng := unitFIFO()
 	eng.Checkpoint = &sim.CheckpointSpec{Round: 2, W: &buf}
@@ -76,12 +84,75 @@ func TestStateFormatRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ck
+}
+
+// TestStateFormatRefused strips the leading format word from every node
+// state of a fresh checkpoint, which leaves states that open the way the
+// first layout did, and requires the resume to fail typed.
+func TestStateFormatRefused(t *testing.T) {
+	c, t0 := compatInstance(t)
+	ck := freeze(t, c, t0)
 	for i := range ck.States {
 		ck.States[i] = ck.States[i][1:] // the format word is one varint byte
 	}
-	_, err = mdst.Resume(unitFIFO(), c, t0, mdst.Hybrid, 0, ck)
+	_, err := mdst.Resume(unitFIFO(), c, t0, mdst.Hybrid, 0, ck)
 	var ce *sim.CheckpointError
 	if !errors.As(err, &ce) || !strings.Contains(ce.Reason, "format") {
 		t.Fatalf("resume of format-less states: %v, want the state format refusal", err)
 	}
+}
+
+// TestCraftedStateRefused resumes fresh checkpoints in which one node's
+// state claims an implausible count, and requires each resume to fail with
+// *sim.CheckpointError. A state is a run of varints that opens with the
+// format, phase, parent, hasParent, the children list and then the
+// subtree-size list, and closes with the deferred-message count (zero at a
+// FIFO barrier, so the state holds no wire record).
+func TestCraftedStateRefused(t *testing.T) {
+	c, t0 := compatInstance(t)
+	for _, tc := range []struct {
+		name   string
+		craft  func(fields []int64) // edits the state's fields in place
+		reason string
+	}{
+		{"size count", func(f []int64) { f[5+f[4]]++ }, "subtree sizes"},
+		{"negative deferred count", func(f []int64) { f[len(f)-1] = -1 }, "deferred"},
+		{"huge deferred count", func(f []int64) { f[len(f)-1] = 1<<20 + 1 }, "deferred"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ck := freeze(t, c, t0)
+			i := slices.IndexFunc(ck.States, func(s []byte) bool { return varints(t, s)[4] > 0 })
+			f := varints(t, ck.States[i])
+			if f[len(f)-1] != 0 {
+				t.Fatalf("node state %d holds deferred messages at a FIFO barrier", i)
+			}
+			tc.craft(f)
+			var blob []byte
+			for _, v := range f {
+				blob = binary.AppendVarint(blob, v)
+			}
+			ck.States[i] = blob
+			_, err := mdst.Resume(unitFIFO(), c, t0, mdst.Hybrid, 0, ck)
+			var ce *sim.CheckpointError
+			if !errors.As(err, &ce) || !strings.Contains(ce.Reason, tc.reason) {
+				t.Fatalf("resume of a state with a crafted %s: %v, want a checkpoint error about %s", tc.name, err, tc.reason)
+			}
+		})
+	}
+}
+
+// varints splits a node state into its varint fields.
+func varints(t *testing.T, blob []byte) []int64 {
+	t.Helper()
+	var f []int64
+	for len(blob) > 0 {
+		v, n := binary.Varint(blob)
+		if n <= 0 {
+			t.Fatal("node state is not a run of varints")
+		}
+		f = append(f, v)
+		blob = blob[n:]
+	}
+	return f
 }

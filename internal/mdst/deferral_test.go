@@ -89,12 +89,12 @@ func TestDeferralReplayOrderPinned(t *testing.T) {
 		tree        string
 		report      string
 	}{
-		{Single, 3, 1273, "63ed2e85b527300c", "messages=7982 words=38732 maxWords=9 causalDepth=1542 virtualTime=801.2 rounds=22\n  mdst.bfs     4029\n  mdst.bfsback 819\n  mdst.child   17\n  mdst.cousin  1011\n  mdst.cut     104\n  mdst.deg     858\n  mdst.move    103\n  mdst.rounddone 62\n  mdst.start   858\n  mdst.term    39\n  mdst.update  82\n"},
-		{Single, 4, 1255, "63ed2e85b527300c", "messages=7982 words=38732 maxWords=9 causalDepth=1536 virtualTime=818.2 rounds=22\n  mdst.bfs     4029\n  mdst.bfsback 819\n  mdst.child   17\n  mdst.cousin  1011\n  mdst.cut     104\n  mdst.deg     858\n  mdst.move    103\n  mdst.rounddone 62\n  mdst.start   858\n  mdst.term    39\n  mdst.update  82\n"},
-		{Multi, 3, 473, "ffedfbb462836187", "messages=3491 words=16892 maxWords=9 causalDepth=423 virtualTime=229.3 rounds=9\n  mdst.bfs     1614\n  mdst.bfsback 351\n  mdst.child   13\n  mdst.cousin  589\n  mdst.cut     98\n  mdst.deg     351\n  mdst.move    11\n  mdst.rounddone 37\n  mdst.start   351\n  mdst.term    39\n  mdst.update  37\n"},
-		{Multi, 4, 458, "ffedfbb462836187", "messages=3491 words=16892 maxWords=9 causalDepth=414 virtualTime=228.9 rounds=9\n  mdst.bfs     1614\n  mdst.bfsback 351\n  mdst.child   13\n  mdst.cousin  589\n  mdst.cut     98\n  mdst.deg     351\n  mdst.move    11\n  mdst.rounddone 37\n  mdst.start   351\n  mdst.term    39\n  mdst.update  37\n"},
-		{Hybrid, 3, 1108, "43a217b7151ae1aa", "messages=6928 words=33564 maxWords=9 causalDepth=1458 virtualTime=755.1 rounds=19\n  mdst.bfs     3355\n  mdst.bfsback 702\n  mdst.child   19\n  mdst.cousin  931\n  mdst.cut     125\n  mdst.deg     741\n  mdst.move    93\n  mdst.rounddone 71\n  mdst.start   741\n  mdst.term    39\n  mdst.update  111\n"},
-		{Hybrid, 4, 1089, "43a217b7151ae1aa", "messages=6928 words=33564 maxWords=9 causalDepth=1455 virtualTime=773.2 rounds=19\n  mdst.bfs     3355\n  mdst.bfsback 702\n  mdst.child   19\n  mdst.cousin  931\n  mdst.cut     125\n  mdst.deg     741\n  mdst.move    93\n  mdst.rounddone 71\n  mdst.start   741\n  mdst.term    39\n  mdst.update  111\n"},
+		{Single, 3, 1126, "b9580babdde49d48", "messages=7258 words=37656 maxWords=9 causalDepth=1272 virtualTime=664.3 rounds=20\n  mdst.bfs     3644\n  mdst.bfsback 741\n  mdst.child   17\n  mdst.cousin  955\n  mdst.cut     98\n  mdst.deg     780\n  mdst.move    60\n  mdst.rounddone 62\n  mdst.start   780\n  mdst.term    39\n  mdst.update  82\n"},
+		{Single, 4, 1113, "b9580babdde49d48", "messages=7258 words=37656 maxWords=9 causalDepth=1266 virtualTime=679.2 rounds=20\n  mdst.bfs     3644\n  mdst.bfsback 741\n  mdst.child   17\n  mdst.cousin  955\n  mdst.cut     98\n  mdst.deg     780\n  mdst.move    60\n  mdst.rounddone 62\n  mdst.start   780\n  mdst.term    39\n  mdst.update  82\n"},
+		{Multi, 3, 473, "ffedfbb462836187", "messages=3491 words=17997 maxWords=9 causalDepth=423 virtualTime=229.3 rounds=9\n  mdst.bfs     1614\n  mdst.bfsback 351\n  mdst.child   13\n  mdst.cousin  589\n  mdst.cut     98\n  mdst.deg     351\n  mdst.move    11\n  mdst.rounddone 37\n  mdst.start   351\n  mdst.term    39\n  mdst.update  37\n"},
+		{Multi, 4, 458, "ffedfbb462836187", "messages=3491 words=17997 maxWords=9 causalDepth=414 virtualTime=228.9 rounds=9\n  mdst.bfs     1614\n  mdst.bfsback 351\n  mdst.child   13\n  mdst.cousin  589\n  mdst.cut     98\n  mdst.deg     351\n  mdst.move    11\n  mdst.rounddone 37\n  mdst.start   351\n  mdst.term    39\n  mdst.update  37\n"},
+		{Hybrid, 3, 961, "53609c4467b2f192", "messages=6204 words=32139 maxWords=9 causalDepth=1216 virtualTime=636.0 rounds=17\n  mdst.bfs     2970\n  mdst.bfsback 624\n  mdst.child   19\n  mdst.cousin  869\n  mdst.cut     119\n  mdst.deg     663\n  mdst.move    56\n  mdst.rounddone 71\n  mdst.start   663\n  mdst.term    39\n  mdst.update  111\n"},
+		{Hybrid, 4, 945, "53609c4467b2f192", "messages=6204 words=32139 maxWords=9 causalDepth=1213 virtualTime=650.9 rounds=17\n  mdst.bfs     2970\n  mdst.bfsback 624\n  mdst.child   19\n  mdst.cousin  869\n  mdst.cut     119\n  mdst.deg     663\n  mdst.move    56\n  mdst.rounddone 71\n  mdst.start   663\n  mdst.term    39\n  mdst.update  111\n"},
 	}
 	for _, want := range golden {
 		t.Run(fmt.Sprintf("%s/seed%d", want.mode, want.seed), func(t *testing.T) {
@@ -142,11 +142,11 @@ func TestDeferralReplayScripted(t *testing.T) {
 	if len(n.deferred) != 2 || len(ctx.sends) != 0 {
 		t.Fatalf("round-ahead probes: %d deferred, sends %v", len(n.deferred), ctx.sends)
 	}
-	n.Recv(ctx, 1, newStart(2, noCand, Single))
+	n.Recv(ctx, 1, newStart(2, noCand, Single, 0))
 	if len(n.deferred) != 2 {
 		t.Fatalf("after start: %d deferred, want both probes waiting for a fragment", len(n.deferred))
 	}
-	n.Recv(ctx, 1, newCut(2, 4, 1))
+	n.Recv(ctx, 1, newCut(2, 4, 1, noLabel))
 	if len(n.deferred) != 0 {
 		t.Fatalf("after cut: %d still deferred", len(n.deferred))
 	}

@@ -136,17 +136,19 @@ func TestStopDegree(t *testing.T) {
 func TestChildListMaintenance(t *testing.T) {
 	n := &Node{}
 	for _, c := range []sim.NodeID{5, 1, 9, 3} {
-		n.addChild(c)
+		n.addChild(c, 10*int(c))
 	}
 	want := []sim.NodeID{1, 3, 5, 9}
 	for i, c := range n.children {
-		if c != want[i] {
-			t.Fatalf("children %v, want %v", n.children, want)
+		if c != want[i] || n.sizes[i] != 10*int(c) {
+			t.Fatalf("children %v sizes %v, want %v with ten times their ids", n.children, n.sizes, want)
 		}
 	}
-	n.removeChild(5)
-	if len(n.children) != 3 || n.children[2] != 9 {
-		t.Fatalf("after remove: %v", n.children)
+	if got := n.removeChild(5); got != 50 {
+		t.Fatalf("removed child's size %d, want 50", got)
+	}
+	if len(n.children) != 3 || n.children[2] != 9 || len(n.sizes) != 3 || n.sizes[2] != 90 {
+		t.Fatalf("after remove: %v %v", n.children, n.sizes)
 	}
 	defer func() {
 		if recover() == nil {
@@ -163,14 +165,14 @@ func TestMessageWords(t *testing.T) {
 		m    sim.WireMsg
 		want int
 	}{
-		{newStart(1, noCand, Single), 4},
+		{newStart(1, noCand, Single, 7), 5},
 		{newDeg(1, 3, 2, true), 5},
-		{newMove(1, 3, 2), 4},
-		{newCut(1, 3, 2), 4},
+		{newMove(1, 3, 2, 16), 5},
+		{newCut(1, 3, 2, 5), 5},
 		{newBFS(1, 3, 2, 4), 5},
 		{newCousin(1, 3, 2, 4), 5},
-		{newBFSBack(1, false, edgeReport{}, true), 3},
-		{newBFSBack(1, true, edgeReport{u: 1, v: 2, du: 3, dv: 4, vroot: 5}, true), 9},
+		{newBFSBack(mBFSBack{round: 1, improved: true, size: 3, lo: noLo, hi: noLabel}), 6},
+		{newBFSBack(mBFSBack{round: 1, hasReport: true, report: edgeReport{u: 1, v: 2, du: 3, dv: 4, vroot: 5}, improved: true, size: 3}), 9},
 		{newUpdate(1, 2, 3, true, true), 5},
 		{newChild(1, true), 3},
 		{newRoundDone(1, true), 3},
@@ -192,28 +194,33 @@ func ptr(m sim.WireMsg) *sim.WireMsg { return &m }
 // every record decodes back to the field values it was built from.
 func TestMessageRoundTrip(t *testing.T) {
 	rep := edgeReport{u: 7, v: 9, du: 3, dv: 2, vroot: 11}
-	if got := decStart(ptr(newStart(4, 8, Multi))); got != (mStart{round: 4, fell: 8, phase: Multi}) {
+	if got := decStart(ptr(newStart(4, 8, Multi, 12))); got != (mStart{round: 4, fell: 8, phase: Multi, moved: 12}) {
 		t.Errorf("start round-trip: %+v", got)
 	}
 	if got := decDeg(ptr(newDeg(4, 6, noCand, true))); got != (mDeg{round: 4, k: 6, cand: noCand, xBelow: true}) {
 		t.Errorf("deg round-trip: %+v", got)
 	}
-	if got := decMove(ptr(newMove(4, 6, 9))); got != (mMove{round: 4, k: 6, target: 9}) {
+	if got := decMove(ptr(newMove(4, 6, 9, 40))); got != (mMove{round: 4, k: 6, target: 9, n: 40}) {
 		t.Errorf("move round-trip: %+v", got)
 	}
-	if got := decCut(ptr(newCut(4, 6, 2))); got != (mCut{round: 4, k: 6, owner: 2}) {
+	if got := decCut(ptr(newCut(4, 6, 2, noLabel))); got != (mCut{round: 4, k: 6, owner: 2, label: noLabel}) {
 		t.Errorf("cut round-trip: %+v", got)
 	}
-	if got := decBFS(ptr(newBFS(4, 6, 2, 3))); got != (mBFS{round: 4, k: 6, owner: 2, fragRoot: 3}) {
-		t.Errorf("bfs round-trip: %+v", got)
+	if got := decBFS(ptr(newBFS(4, 6, 2, 3)), Multi); got != (mBFS{round: 4, k: 6, owner: 2, label: noLabel, fragRoot: 3}) {
+		t.Errorf("bfs round-trip (Multi): %+v", got)
+	}
+	if got := decBFS(ptr(newBFS(4, 6, 17, 3)), Single); got != (mBFS{round: 4, k: 6, owner: singleOwner, label: 17, fragRoot: 3}) {
+		t.Errorf("bfs round-trip (Single): %+v", got)
 	}
 	if got := decCousin(ptr(newCousin(4, 6, 2, 3))); got != (mCousin{round: 4, deg: 6, owner: 2, fragRoot: 3}) {
 		t.Errorf("cousin round-trip: %+v", got)
 	}
-	if got := decBFSBack(ptr(newBFSBack(4, true, rep, true))); got != (mBFSBack{round: 4, hasReport: true, report: rep, improved: true}) {
+	long := mBFSBack{round: 4, hasReport: true, report: rep, improved: true, size: 6, lo: noLo, hi: noLabel}
+	if got := decBFSBack(ptr(newBFSBack(long))); got != long {
 		t.Errorf("bfsback long round-trip: %+v", got)
 	}
-	if got := decBFSBack(ptr(newBFSBack(4, false, edgeReport{}, true))); got != (mBFSBack{round: 4, improved: true}) {
+	short := mBFSBack{round: 4, improved: true, size: 6, lo: 2, hi: 30}
+	if got := decBFSBack(ptr(newBFSBack(short))); got != short {
 		t.Errorf("bfsback short round-trip: %+v", got)
 	}
 	for _, f := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {

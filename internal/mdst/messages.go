@@ -1,6 +1,10 @@
 package mdst
 
-import "mdegst/internal/sim"
+import (
+	"math"
+
+	"mdegst/internal/sim"
+)
 
 // Message vocabulary of the improvement protocol, registered as the wire
 // schema "mdst" (DESIGN.md §8). Every message carries its round number as
@@ -22,13 +26,13 @@ import "mdegst/internal/sim"
 
 // wire is the registered schema; opcode order is the declaration order.
 var wire = sim.Register("mdst",
-	sim.OpSpec{Kind: "mdst.start", MinPayload: 3, MaxPayload: 3, Rounded: true},
+	sim.OpSpec{Kind: "mdst.start", MinPayload: 4, MaxPayload: 4, Rounded: true},
 	sim.OpSpec{Kind: "mdst.deg", MinPayload: 4, MaxPayload: 4, Rounded: true},
-	sim.OpSpec{Kind: "mdst.move", MinPayload: 3, MaxPayload: 3, Rounded: true},
-	sim.OpSpec{Kind: "mdst.cut", MinPayload: 3, MaxPayload: 3, Rounded: true},
+	sim.OpSpec{Kind: "mdst.move", MinPayload: 4, MaxPayload: 4, Rounded: true},
+	sim.OpSpec{Kind: "mdst.cut", MinPayload: 4, MaxPayload: 4, Rounded: true},
 	sim.OpSpec{Kind: "mdst.bfs", MinPayload: 4, MaxPayload: 4, Rounded: true},
 	sim.OpSpec{Kind: "mdst.cousin", MinPayload: 4, MaxPayload: 4, Rounded: true},
-	sim.OpSpec{Kind: "mdst.bfsback", MinPayload: 2, MaxPayload: 8, Rounded: true},
+	sim.OpSpec{Kind: "mdst.bfsback", MinPayload: 5, MaxPayload: 8, Rounded: true},
 	sim.OpSpec{Kind: "mdst.update", MinPayload: 4, MaxPayload: 4, Rounded: true},
 	sim.OpSpec{Kind: "mdst.child", MinPayload: 2, MaxPayload: 2, Rounded: true},
 	sim.OpSpec{Kind: "mdst.rounddone", MinPayload: 2, MaxPayload: 2, Rounded: true},
@@ -53,25 +57,37 @@ var (
 // convergecast (all maximum-degree nodes exhausted).
 const noCand sim.NodeID = -1
 
+// Pre-order labels of a Single round's tree (DESIGN.md deviation 7): the
+// owner is 0 and a subtree of size s rooted at label l covers l..l+s-1.
+// noLabel marks a round without labels, and on a probe a sender whose
+// degree exceeds k-2; an empty lo/hi range is (noLo, noLabel).
+const (
+	noLabel = -1
+	noLo    = math.MaxInt32
+)
+
 // mStart begins a round: broadcast from the acting root down the tree.
 // fell names the child c the previous round's exchange cut from its owner
 // when c's degree fell from k-1 to k-2, and is noCand otherwise: the nodes
 // of X (c's non-tree neighbours of degree at most k-2) recognise
 // themselves from it, and their ancestors lose their exhausted flags
 // (DESIGN.md deviation 1). phase is the round's mode (Single or Multi —
-// Hybrid runs switch mid-algorithm).
+// Hybrid runs switch mid-algorithm). moved is the size of the subtree that
+// exchange moved, which completes the subtree sizes its path left pending
+// (deviation 7).
 type mStart struct {
 	round int
 	fell  sim.NodeID
 	phase Mode
+	moved int
 }
 
-func newStart(round int, fell sim.NodeID, phase Mode) sim.WireMsg {
-	return sim.WireMsg{Op: opStart, Nw: 3, W: [sim.MaxPayloadWords]int64{int64(round), int64(fell), int64(phase)}}
+func newStart(round int, fell sim.NodeID, phase Mode, moved int) sim.WireMsg {
+	return sim.WireMsg{Op: opStart, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(fell), int64(phase), int64(moved)}}
 }
 
 func decStart(m *sim.WireMsg) mStart {
-	return mStart{round: int(m.W[0]), fell: sim.NodeID(m.W[1]), phase: Mode(m.W[2])}
+	return mStart{round: int(m.W[0]), fell: sim.NodeID(m.W[1]), phase: Mode(m.W[2]), moved: int(m.W[3])}
 }
 
 // mDeg is the SearchDegree convergecast: the maximum tree degree in the
@@ -93,52 +109,73 @@ func decDeg(m *sim.WireMsg) mDeg {
 }
 
 // mMove implements MoveRoot: it travels along the stored "via" pointers
-// toward the target, reversing the root path as it goes.
+// toward the target, reversing the root path as it goes. n is the number
+// of nodes, from which each node on the path sizes its old parent's new
+// subtree (deviation 7).
 type mMove struct {
 	round  int
 	k      int
 	target sim.NodeID
+	n      int
 }
 
-func newMove(round, k int, target sim.NodeID) sim.WireMsg {
-	return sim.WireMsg{Op: opMove, Nw: 3, W: [sim.MaxPayloadWords]int64{int64(round), int64(k), int64(target)}}
+func newMove(round, k int, target sim.NodeID, n int) sim.WireMsg {
+	return sim.WireMsg{Op: opMove, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(k), int64(target), int64(n)}}
 }
 
 func decMove(m *sim.WireMsg) mMove {
-	return mMove{round: int(m.W[0]), k: int(m.W[1]), target: sim.NodeID(m.W[2])}
+	return mMove{round: int(m.W[0]), k: int(m.W[1]), target: sim.NodeID(m.W[2]), n: int(m.W[3])}
 }
 
 // mCut is the paper's <cut, k, p>: the owner virtually severs its children,
-// making each the root of a fragment.
+// making each the root of a fragment. label is the receiver's pre-order
+// label, or noLabel (deviation 7).
 type mCut struct {
 	round int
 	k     int
 	owner sim.NodeID
+	label int
 }
 
-func newCut(round, k int, owner sim.NodeID) sim.WireMsg {
-	return sim.WireMsg{Op: opCut, Nw: 3, W: [sim.MaxPayloadWords]int64{int64(round), int64(k), int64(owner)}}
+func newCut(round, k int, owner sim.NodeID, label int) sim.WireMsg {
+	return sim.WireMsg{Op: opCut, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(k), int64(owner), int64(label)}}
 }
 
 func decCut(m *sim.WireMsg) mCut {
-	return mCut{round: int(m.W[0]), k: int(m.W[1]), owner: sim.NodeID(m.W[2])}
+	return mCut{round: int(m.W[0]), k: int(m.W[1]), owner: sim.NodeID(m.W[2]), label: int(m.W[3])}
 }
 
-// mBFS is the paper's <BFS, k, p, p'> fragment wave.
+// mBFS is the paper's <BFS, k, p, p'> fragment wave. A Single round has one
+// owner, the acting root, so there the owner word is redundant and carries
+// a pre-order label instead (deviation 7): the receiver's own on a tree
+// edge, the sender's on a probe. The phase, known to both ends, says which.
 type mBFS struct {
 	round    int
 	k        int
-	owner    sim.NodeID
+	owner    sim.NodeID // Multi rounds
+	label    int        // Single rounds
 	fragRoot sim.NodeID
 }
 
-func newBFS(round, k int, owner, fragRoot sim.NodeID) sim.WireMsg {
-	return sim.WireMsg{Op: opBFS, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(k), int64(owner), int64(fragRoot)}}
+// newBFS encodes a wave record; word is the owner in a Multi round and the
+// label in a Single round.
+func newBFS(round, k int, word int64, fragRoot sim.NodeID) sim.WireMsg {
+	return sim.WireMsg{Op: opBFS, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(k), word, int64(fragRoot)}}
 }
 
-func decBFS(m *sim.WireMsg) mBFS {
-	return mBFS{round: int(m.W[0]), k: int(m.W[1]), owner: sim.NodeID(m.W[2]), fragRoot: sim.NodeID(m.W[3])}
+func decBFS(m *sim.WireMsg, phase Mode) mBFS {
+	b := mBFS{round: int(m.W[0]), k: int(m.W[1]), owner: singleOwner, label: noLabel, fragRoot: sim.NodeID(m.W[3])}
+	if phase == Single {
+		b.label = int(m.W[2])
+	} else {
+		b.owner = sim.NodeID(m.W[2])
+	}
+	return b
 }
+
+// singleOwner is the owner half of every fragment identity in a Single
+// round: all fragments share the owner, which members are never told.
+const singleOwner = noCand
 
 // mCousin answers a BFS probe across a non-tree edge: the replier's tree
 // degree and fragment identity, from which the probing side records an
@@ -160,43 +197,53 @@ func decCousin(m *sim.WireMsg) mCousin {
 
 // mBFSBack is the aggregate convergecast up a fragment: the best outgoing
 // edge found in the sender's subtree (the paper's "BFSBack" with the
-// parenthesised edge slot) plus the multi-root improvement flag. It is the
-// schema's one variable-size record: the short form (no edge to report)
-// carries round and the improvement flag; the long form adds the explicit
-// report flag and the five edge-report words, preserving the historical
-// 3-vs-9-word accounting.
+// parenthesised edge slot) plus the multi-root improvement flag and the
+// sender's subtree size (deviation 7). It is the schema's one
+// variable-size record, its payload length telling the forms apart: the
+// short form (no edge to report) carries round, the improvement flag, the
+// size and the subtree's qualifying label range lo..hi; the long form
+// carries round, size, the improvement flag and the five edge-report
+// words, and needs no range: the report alone proves every ancestor in
+// the fragment eligible.
 type mBFSBack struct {
 	round     int
 	hasReport bool
 	report    edgeReport
 	improved  bool
+	size      int
+	lo, hi    int
 }
 
-func newBFSBack(round int, hasReport bool, report edgeReport, improved bool) sim.WireMsg {
+func newBFSBack(b mBFSBack) sim.WireMsg {
 	m := sim.WireMsg{Op: opBFSBack}
-	m.W[0] = int64(round)
-	if !hasReport {
-		m.Nw = 2
-		m.W[1] = sim.B2W(improved)
+	m.W[0] = int64(b.round)
+	if !b.hasReport {
+		m.Nw = 5
+		m.W[1] = sim.B2W(b.improved)
+		m.W[2], m.W[3], m.W[4] = int64(b.size), int64(b.lo), int64(b.hi)
 		return m
 	}
+	r := b.report
 	m.Nw = 8
-	m.W[1] = 1
-	m.W[2] = sim.B2W(improved)
-	m.W[3], m.W[4] = int64(report.u), int64(report.v)
-	m.W[5], m.W[6] = int64(report.du), int64(report.dv)
-	m.W[7] = int64(report.vroot)
+	m.W[1] = int64(b.size)
+	m.W[2] = sim.B2W(b.improved)
+	m.W[3], m.W[4] = int64(r.u), int64(r.v)
+	m.W[5], m.W[6] = int64(r.du), int64(r.dv)
+	m.W[7] = int64(r.vroot)
 	return m
 }
 
 func decBFSBack(m *sim.WireMsg) mBFSBack {
-	if m.Nw == 2 {
-		return mBFSBack{round: int(m.W[0]), improved: m.W[1] != 0}
+	if m.Nw == 5 {
+		return mBFSBack{round: int(m.W[0]), improved: m.W[1] != 0, size: int(m.W[2]), lo: int(m.W[3]), hi: int(m.W[4])}
 	}
 	return mBFSBack{
 		round:     int(m.W[0]),
-		hasReport: m.W[1] != 0,
+		hasReport: true,
 		improved:  m.W[2] != 0,
+		size:      int(m.W[1]),
+		lo:        noLo,
+		hi:        noLabel,
 		report: edgeReport{
 			u: sim.NodeID(m.W[3]), v: sim.NodeID(m.W[4]),
 			du: int(m.W[5]), dv: int(m.W[6]),

@@ -2,6 +2,7 @@ package mdst
 
 import (
 	"fmt"
+	"slices"
 
 	"mdegst/internal/sim"
 	"mdegst/internal/tree"
@@ -17,7 +18,9 @@ const (
 	// no improvement is marked exhausted; an exchange clears the flag only
 	// where it can have created a usable edge: on its cycle and, when the
 	// cut child c fell to degree k-2, between c and each non-tree
-	// neighbour of c of degree at most k-2 (DESIGN.md deviation 1). The
+	// neighbour of c of degree at most k-2 (DESIGN.md deviation 1). Once
+	// the nodes know their subtree sizes, each round's wave also sets the
+	// flag of every other maximum-degree node exactly (deviation 7). The
 	// algorithm stops when every maximum-degree node is exhausted.
 	Single Mode = iota
 	// Multi adds §3.2.6: every maximum-degree node reached by the wave
@@ -93,8 +96,8 @@ type deferredMsg struct {
 }
 
 // Node is one processor of the distributed MDegST improvement protocol.
-// Its persistent state is the local tree view (parent, children) plus the
-// exhausted flag; everything else is per-round.
+// Its persistent state is the local tree view (parent, children, their
+// subtree sizes) plus the exhausted flag; everything else is per-round.
 type Node struct {
 	id     sim.NodeID
 	mode   Mode
@@ -105,6 +108,15 @@ type Node struct {
 	parent    sim.NodeID
 	hasParent bool
 	children  []sim.NodeID
+	sizes     []int // subtree size of each child, parallel to children
+
+	// Size bookkeeping (DESIGN.md deviation 7). The sizes describe the
+	// current tree once a Single round's wave reported them; an exchange
+	// leaves one size pending at each node of its path, which the next
+	// start's moved count completes.
+	sized    bool       // the last round was Single: sizes are exact
+	fixChild sim.NodeID // child whose size is pending (noCand: none)
+	fixBase  int        // its size is the next start's moved count plus fixBase
 
 	// Cross-round state.
 	round      int
@@ -118,6 +130,7 @@ type Node struct {
 	via           sim.NodeID // neighbour (or self) that contributed agg
 	kAll          int        // round's maximum degree, known after search/cut
 	xBelow        bool       // this subtree holds a node of X (see mStart)
+	moved         int        // acting root: size of the subtree its exchange moved
 
 	// Fragment-member state.
 	fragKnown  bool
@@ -127,6 +140,8 @@ type Node struct {
 	report     edgeReport
 	reportVia  sim.NodeID // child (or self) whose subtree holds report
 	improved   bool       // an exchange happened in this subtree (Multi)
+	label      int        // pre-order label (noLabel: the round has none)
+	lo, hi     int        // least and greatest qualifying label seen below
 
 	// Owner state (acting root or, in Multi mode, any degree-k node).
 	isOwner      bool
@@ -158,6 +173,8 @@ func NewFactory(mode Mode, target int, initial *tree.Dense) sim.Factory {
 			phase:    mode.initialPhase(),
 			target:   target,
 			children: make([]sim.NodeID, len(kids)),
+			sizes:    make([]int, len(kids)),
+			fixChild: noCand,
 		}
 		for k, ch := range kids {
 			n.children[k] = idx.ID(ch)
@@ -191,7 +208,7 @@ func (n *Node) degree() int {
 // Init starts round 1 at the initial root; all other nodes are event-driven.
 func (n *Node) Init(ctx sim.Context) {
 	if !n.hasParent {
-		n.startRound(ctx, 1, noCand)
+		n.startRound(ctx, 1, noCand, 0)
 	}
 }
 
@@ -277,7 +294,7 @@ func (n *Node) process(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) bool {
 	case opCut:
 		n.onCut(ctx, from, decCut(m))
 	case opBFS:
-		return n.onBFS(ctx, from, decBFS(m))
+		return n.onBFS(ctx, from, decBFS(m, n.phase))
 	case opCousin:
 		n.onCousin(ctx, from, decCousin(m))
 	case opBFSBack:
@@ -310,6 +327,9 @@ func (n *Node) resetRound() {
 	n.report = edgeReport{}
 	n.reportVia = n.id
 	n.improved = false
+	n.label = noLabel
+	n.lo, n.hi = noLo, noLabel
+	n.moved = 0
 	n.isOwner = false
 	n.actingRoot = false
 	n.ownerPending = 0
@@ -331,26 +351,40 @@ func (n *Node) ownContribution() degAgg {
 	return degAgg{k: n.degree(), cand: cand}
 }
 
-// removeChild drops c from the children list.
-func (n *Node) removeChild(c sim.NodeID) {
-	for i, x := range n.children {
-		if x == c {
-			n.children = append(n.children[:i], n.children[i+1:]...)
-			return
-		}
+// childIndex returns c's position in the children list.
+func (n *Node) childIndex(c sim.NodeID) int {
+	i, ok := slices.BinarySearch(n.children, c)
+	if !ok {
+		panic(fmt.Sprintf("mdst: node %d has no child %d", n.id, c))
 	}
-	panic(fmt.Sprintf("mdst: node %d has no child %d", n.id, c))
+	return i
 }
 
-// addChild inserts c keeping the list sorted.
-func (n *Node) addChild(c sim.NodeID) {
-	i := 0
-	for i < len(n.children) && n.children[i] < c {
-		i++
+// removeChild drops c and its size from the children list and returns
+// that size.
+func (n *Node) removeChild(c sim.NodeID) int {
+	i := n.childIndex(c)
+	size := n.sizes[i]
+	n.children = slices.Delete(n.children, i, i+1)
+	n.sizes = slices.Delete(n.sizes, i, i+1)
+	return size
+}
+
+// addChild inserts c with the given subtree size, keeping the list sorted.
+func (n *Node) addChild(c sim.NodeID, size int) {
+	i, _ := slices.BinarySearch(n.children, c)
+	n.children = slices.Insert(n.children, i, c)
+	n.sizes = slices.Insert(n.sizes, i, size)
+}
+
+// subtreeSize is the size of this node's subtree: itself plus its
+// children's subtrees.
+func (n *Node) subtreeSize() int {
+	s := 1
+	for _, c := range n.sizes {
+		s += c
 	}
-	n.children = append(n.children, 0)
-	copy(n.children[i+1:], n.children[i:])
-	n.children[i] = c
+	return s
 }
 
 // TreeInfo exposes the final tree (spanning.TreeNode-compatible).

@@ -12,15 +12,22 @@ import (
 // startRound begins a round at this node: the tree root calls it directly,
 // every other node on mStart. It forwards mStart down the tree and starts
 // the SearchDegree convergecast; fell is the previous exchange's cut child
-// if its degree fell to k-2, else noCand (see mStart).
-func (n *Node) startRound(ctx sim.Context, round int, fell sim.NodeID) {
+// if its degree fell to k-2, else noCand, and moved the size of the subtree
+// that exchange moved (see mStart).
+func (n *Node) startRound(ctx sim.Context, round int, fell sim.NodeID, moved int) {
 	inX := n.inX(ctx, fell) // before resetRound: reads last round's kAll
+	if n.fixChild != noCand {
+		if n.sized {
+			n.sizes[n.childIndex(n.fixChild)] = moved + n.fixBase
+		}
+		n.fixChild = noCand
+	}
 	n.round = round
 	n.resetRound()
 	n.xBelow = inX
 	n.searchPending = len(n.children)
 	for _, c := range n.children {
-		ctx.Send(c, newStart(round, fell, n.phase))
+		ctx.Send(c, newStart(round, fell, n.phase, moved))
 	}
 	if n.searchPending == 0 {
 		// A leaf reports at once: "every leaf of the ST sends a message
@@ -49,7 +56,7 @@ func (n *Node) onStart(ctx sim.Context, from sim.NodeID, msg mStart) {
 		panic(fmt.Sprintf("mdst: node %d in round %d got start of round %d", n.id, n.round, msg.round))
 	}
 	n.phase = msg.phase
-	n.startRound(ctx, msg.round, msg.fell)
+	n.startRound(ctx, msg.round, msg.fell, msg.moved)
 }
 
 func (n *Node) onDeg(ctx sim.Context, from sim.NodeID, msg mDeg) {
@@ -115,18 +122,20 @@ func (n *Node) decide(ctx sim.Context) {
 	if via == n.id {
 		panic(fmt.Sprintf("mdst: root %d has no via toward target %d", n.id, target))
 	}
+	size := n.subtreeSize()
 	n.removeChild(via)
 	n.parent = via
 	n.hasParent = true
-	ctx.Send(via, newMove(n.round, n.kAll, target))
+	ctx.Send(via, newMove(n.round, n.kAll, target, size))
 }
 
 func (n *Node) onMove(ctx sim.Context, from sim.NodeID, msg mMove) {
 	if !n.hasParent || n.parent != from {
 		panic(fmt.Sprintf("mdst: node %d got move from non-parent %d", n.id, from))
 	}
-	// The sender reversed its pointer: it is now our child.
-	n.addChild(from)
+	// The sender reversed its pointer: it is now our child, holding every
+	// node outside our old subtree.
+	n.addChild(from, msg.n-n.subtreeSize())
 	n.kAll = msg.k
 	if msg.target == n.id {
 		n.hasParent = false
@@ -139,7 +148,7 @@ func (n *Node) onMove(ctx sim.Context, from sim.NodeID, msg mMove) {
 	}
 	n.removeChild(via)
 	n.parent = via
-	ctx.Send(via, newMove(n.round, msg.k, msg.target))
+	ctx.Send(via, newMove(n.round, msg.k, msg.target, msg.n))
 }
 
 // terminate broadcasts mTerm: the algorithm is finished and every node

@@ -20,7 +20,8 @@ import (
 
 // stateFormat numbers the layout below. The first layout had no such word
 // and opened with the phase (0 or 1), so its states fail the check too.
-const stateFormat = 2
+// Format 3 added the subtree sizes and labels (DESIGN.md deviation 7).
+const stateFormat = 3
 
 // EncodeState implements sim.StateCodec.
 func (n *Node) EncodeState(e *sim.StateEncoder) {
@@ -29,6 +30,13 @@ func (n *Node) EncodeState(e *sim.StateEncoder) {
 	e.ID(n.parent)
 	e.Bool(n.hasParent)
 	e.IDs(n.children)
+	e.Int(int64(len(n.sizes)))
+	for _, s := range n.sizes {
+		e.Int(int64(s))
+	}
+	e.Bool(n.sized)
+	e.ID(n.fixChild)
+	e.Int(int64(n.fixBase))
 	e.Int(int64(n.round))
 	e.Bool(n.exhausted)
 	e.Bool(n.terminated)
@@ -40,6 +48,7 @@ func (n *Node) EncodeState(e *sim.StateEncoder) {
 	e.ID(n.via)
 	e.Int(int64(n.kAll))
 	e.Bool(n.xBelow)
+	e.Int(int64(n.moved))
 
 	e.Bool(n.fragKnown)
 	e.ID(n.frag.owner)
@@ -49,6 +58,9 @@ func (n *Node) EncodeState(e *sim.StateEncoder) {
 	encodeEdgeReport(e, n.report)
 	e.ID(n.reportVia)
 	e.Bool(n.improved)
+	e.Int(int64(n.label))
+	e.Int(int64(n.lo))
+	e.Int(int64(n.hi))
 
 	e.Bool(n.isOwner)
 	e.Bool(n.actingRoot)
@@ -75,6 +87,17 @@ func (n *Node) DecodeState(d *sim.StateDecoder) error {
 	n.parent = d.ID()
 	n.hasParent = d.Bool()
 	n.children = d.IDs()
+	ns := d.Int()
+	if ns != int64(len(n.children)) && d.Err() == nil {
+		return &sim.CheckpointError{Reason: fmt.Sprintf("mdst node state has %d subtree sizes for %d children", ns, len(n.children))}
+	}
+	n.sizes = make([]int, len(n.children))
+	for i := range n.sizes {
+		n.sizes[i] = int(d.Int())
+	}
+	n.sized = d.Bool()
+	n.fixChild = d.ID()
+	n.fixBase = int(d.Int())
 	n.round = int(d.Int())
 	n.exhausted = d.Bool()
 	n.terminated = d.Bool()
@@ -86,6 +109,7 @@ func (n *Node) DecodeState(d *sim.StateDecoder) error {
 	n.via = d.ID()
 	n.kAll = int(d.Int())
 	n.xBelow = d.Bool()
+	n.moved = int(d.Int())
 
 	n.fragKnown = d.Bool()
 	n.frag.owner = d.ID()
@@ -95,6 +119,9 @@ func (n *Node) DecodeState(d *sim.StateDecoder) error {
 	n.report = decodeEdgeReport(d)
 	n.reportVia = d.ID()
 	n.improved = d.Bool()
+	n.label = int(d.Int())
+	n.lo = int(d.Int())
+	n.hi = int(d.Int())
 
 	n.isOwner = d.Bool()
 	n.actingRoot = d.Bool()
@@ -106,8 +133,8 @@ func (n *Node) DecodeState(d *sim.StateDecoder) error {
 	n.awaitingDone = d.Bool()
 
 	nd := d.Int()
-	if nd < 0 || nd > 1<<20 {
-		return fmt.Errorf("mdst: implausible deferred count %d", nd)
+	if (nd < 0 || nd > 1<<20) && d.Err() == nil {
+		return &sim.CheckpointError{Reason: fmt.Sprintf("mdst node state claims %d deferred messages", nd)}
 	}
 	n.deferred = n.deferred[:0]
 	for i := int64(0); i < nd; i++ {

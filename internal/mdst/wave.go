@@ -11,13 +11,25 @@ import (
 // becomeOwner turns this node into an owner for the round: the acting root
 // after MoveRoot, or in Multi mode any maximum-degree node reached by the
 // wave. The owner virtually cuts its children, making each a fragment root.
+// An acting root whose sizes are exact labels the tree in pre-order from
+// itself (DESIGN.md deviation 7); sub-owners, which only exist in Multi
+// rounds, never are.
 func (n *Node) becomeOwner(ctx sim.Context, k int) {
 	n.isOwner = true
 	n.actingRoot = !n.hasParent
 	n.kAll = k
 	n.ownerPending = len(n.children)
-	for _, c := range n.children {
-		ctx.Send(c, newCut(n.round, k, n.id))
+	if n.sized {
+		n.label = 0
+	}
+	next := n.label + 1
+	for i, c := range n.children {
+		label := noLabel
+		if n.sized {
+			label = next
+			next += n.sizes[i]
+		}
+		ctx.Send(c, newCut(n.round, k, n.id, label))
 	}
 	if n.ownerPending == 0 {
 		n.ownerComplete(ctx)
@@ -35,21 +47,52 @@ func (n *Node) onCut(ctx sim.Context, from sim.NodeID, msg mCut) {
 		return
 	}
 	// This node becomes the root of a fragment named (owner, self).
-	n.enterFragment(ctx, fragID{owner: msg.owner, root: n.id})
+	owner := msg.owner
+	if n.phase == Single {
+		owner = singleOwner
+	}
+	n.enterFragment(ctx, fragID{owner: owner, root: n.id}, msg.label)
 }
 
-// enterFragment adopts a fragment identity and broadcasts the BFS wave to
-// every neighbour except the tree parent.
-func (n *Node) enterFragment(ctx sim.Context, f fragID) {
+// enterFragment adopts a fragment identity and pre-order label and
+// broadcasts the BFS wave to every neighbour except the tree parent. In a
+// Single round each child's record carries the child's label and each
+// probe the sender's, or noLabel when its degree exceeds k-2.
+//
+// With a label, a maximum-degree member decides its exhausted flag in the
+// wave (deviation 7): it counts as exhausted until some child's answer
+// shows a qualifying edge leaving that child's subtree (see onBFSBack).
+func (n *Node) enterFragment(ctx sim.Context, f fragID, label int) {
+	if label != noLabel && !n.sized {
+		panic(fmt.Sprintf("mdst: node %d got label %d without subtree sizes", n.id, label))
+	}
 	n.fragKnown = true
 	n.frag = f
+	n.label = label
 	n.bfsPending = 0
-	m := newBFS(n.round, n.kAll, f.owner, f.root)
+	if label != noLabel && n.degree() == n.kAll {
+		n.exhausted = true
+	}
+	word := int64(f.owner)
+	if n.phase == Single {
+		word = noLabel
+		if n.degree() <= n.kAll-2 {
+			word = int64(label)
+		}
+	}
+	probe := newBFS(n.round, n.kAll, word, f.root)
+	next, ci := label+1, 0
 	for _, w := range ctx.Neighbors() {
 		if n.hasParent && w == n.parent {
 			continue
 		}
 		n.bfsPending++
+		m := probe
+		if label != noLabel && ci < len(n.children) && n.children[ci] == w {
+			m.W[2] = int64(next)
+			next += n.sizes[ci]
+			ci++
+		}
 		ctx.Send(w, m)
 	}
 	if n.bfsPending == 0 {
@@ -68,7 +111,7 @@ func (n *Node) onBFS(ctx sim.Context, from sim.NodeID, msg mBFS) bool {
 			n.becomeOwner(ctx, msg.k)
 			return true
 		}
-		n.enterFragment(ctx, fragID{owner: msg.owner, root: msg.fragRoot})
+		n.enterFragment(ctx, fragID{owner: msg.owner, root: msg.fragRoot}, msg.label)
 		return true
 	}
 	// Probe over a non-tree edge.
@@ -82,6 +125,10 @@ func (n *Node) onBFS(ctx sim.Context, from sim.NodeID, msg mBFS) bool {
 		// "the answer has to be delayed until x learns its fragment
 		// identity" (paper, first case).
 		return false
+	}
+	if msg.label != noLabel && n.degree() <= n.kAll-2 {
+		// A qualifying edge: record where its far end lies (deviation 7).
+		n.lo, n.hi = min(n.lo, msg.label), max(n.hi, msg.label)
 	}
 	theirs := fragID{owner: msg.owner, root: msg.fragRoot}
 	switch {
@@ -130,8 +177,28 @@ func (n *Node) onCousin(ctx sim.Context, from sim.NodeID, msg mCousin) {
 }
 
 // onBFSBack merges a child's aggregate. At a fragment member it folds into
-// the member's own aggregate; at an owner it feeds the Choose step.
+// the member's own aggregate; at an owner it feeds the Choose step. Either
+// way it records the child's subtree size.
+//
+// A labelled maximum-degree member is eligible once some child c shows a
+// qualifying edge leaving c's subtree: a label outside c's interval, or an
+// edge report, which in a Single round is a qualifying edge to another
+// fragment (DESIGN.md deviation 7).
 func (n *Node) onBFSBack(ctx sim.Context, from sim.NodeID, msg mBFSBack) {
+	i := n.childIndex(from)
+	if n.label != noLabel && !n.isOwner && n.degree() == n.kAll {
+		first := n.label + 1
+		for _, s := range n.sizes[:i] {
+			first += s
+		}
+		if msg.hasReport || msg.lo < first || msg.hi >= first+n.sizes[i] {
+			n.exhausted = false
+		}
+	}
+	if n.label != noLabel && msg.size != n.sizes[i] {
+		panic(fmt.Sprintf("mdst: node %d labelled child %d for size %d, which reported %d", n.id, from, n.sizes[i], msg.size))
+	}
+	n.sizes[i] = msg.size
 	if n.isOwner {
 		n.ownerPending--
 		n.improved = n.improved || msg.improved
@@ -148,6 +215,7 @@ func (n *Node) onBFSBack(ctx sim.Context, from sim.NodeID, msg mBFSBack) {
 		return
 	}
 	n.improved = n.improved || msg.improved
+	n.lo, n.hi = min(n.lo, msg.lo), max(n.hi, msg.hi)
 	if msg.hasReport {
 		if !n.hasReport || msg.report.better(n.report) {
 			n.hasReport = true
@@ -172,21 +240,33 @@ func (n *Node) resolveNeighbor(ctx sim.Context) {
 	n.sendAggregate(ctx)
 }
 
+// sendAggregate reports the member's subtree to its parent. Its children
+// have all answered, so its sizes are now exact if the round is Single.
 func (n *Node) sendAggregate(ctx sim.Context) {
 	if !n.hasParent {
 		panic(fmt.Sprintf("mdst: fragment member %d has no parent", n.id))
 	}
-	ctx.Send(n.parent, newBFSBack(n.round, n.hasReport, n.report, n.improved))
+	n.sized = n.phase == Single
+	n.sendBack(ctx, n.hasReport, n.improved)
+}
+
+// sendBack sends this node's bfsback to its parent.
+func (n *Node) sendBack(ctx sim.Context, hasReport, improved bool) {
+	ctx.Send(n.parent, newBFSBack(mBFSBack{
+		round: n.round, hasReport: hasReport, report: n.report, improved: improved,
+		size: n.subtreeSize(), lo: n.lo, hi: n.hi,
+	}))
 }
 
 // ownerComplete runs the paper's Choose step once every fragment answered:
 // apply the best exchange if one exists, otherwise conclude the round for
 // this owner.
 func (n *Node) ownerComplete(ctx sim.Context) {
+	n.sized = n.phase == Single
 	if n.ownerHasBest {
 		// "The child which sent the best outgoing edge will be suppressed
 		// from the children set" — the cut half of the exchange.
-		n.removeChild(n.ownerArrival)
+		n.moved = n.removeChild(n.ownerArrival)
 		n.ownerSwapped = true
 		n.swaps++
 		n.awaitingDone = true
@@ -208,7 +288,7 @@ func (n *Node) finishOwner(ctx sim.Context, fell bool) {
 	if !n.actingRoot {
 		// Sub-owner (Multi): report upward; no outgoing edge is forwarded
 		// (see DESIGN.md deviation 4), only the improvement flag.
-		ctx.Send(n.parent, newBFSBack(n.round, false, edgeReport{}, n.ownerSwapped || n.improved))
+		n.sendBack(ctx, false, n.ownerSwapped || n.improved)
 		return
 	}
 	// Acting root: decide what the next round is.
@@ -218,18 +298,18 @@ func (n *Node) finishOwner(ctx sim.Context, fell bool) {
 		if fell {
 			c = n.ownerArrival
 		}
-		n.startRound(ctx, n.round+1, c)
+		n.startRound(ctx, n.round+1, c, n.moved)
 	case Multi:
 		// Multi rounds set no exhausted flags, so there is none to clear.
 		if n.ownerSwapped || n.improved {
-			n.startRound(ctx, n.round+1, noCand)
+			n.startRound(ctx, n.round+1, noCand, 0)
 			return
 		}
 		if n.mode == Hybrid {
 			// Multi rounds stalled: continue with Single rounds until
 			// full local optimality.
 			n.phase = Single
-			n.startRound(ctx, n.round+1, noCand)
+			n.startRound(ctx, n.round+1, noCand, 0)
 			return
 		}
 		// No exchange anywhere: locally optimal tree.

@@ -194,10 +194,10 @@ func checkDigest(t *testing.T, what string, got, want *mdst.Result) {
 // benchmark's deployment workload: gnm(256, 768, 1), Hybrid, two
 // processes over the contiguous partition. Every protocol round is still
 // counted, but a process now sends only when a peer must hear, so the
-// cluster sends 34,325 round frames instead of the every-round exchange's
-// 2 × 27,400 = 54,800.
+// cluster sends 21,240 round frames instead of the every-round exchange's
+// 2 × 17,232 = 34,464.
 func TestDistSoloFramesPinned(t *testing.T) {
-	const rounds, frames, everyRound = 27400, 34325, 54800
+	const rounds, frames, everyRound = 17232, 21240, 34464
 	c := graph.Gnm(256, 768, 1).Compile()
 	stats := []*NetStats{{}, {}}
 	rs, errs := runLoopback(t, c, 2, func(id int) Pipeline {
@@ -224,7 +224,7 @@ func TestDistSoloFramesPinned(t *testing.T) {
 	}
 	// The round frames' byte form: payload bytes each process handed to
 	// the transport, and the rank/count header share of them.
-	wantBytes := [2][2]int64{{1196705, 442213}, {1214600, 447228}}
+	wantBytes := [2][2]int64{{849124, 296558}, {858841, 298431}}
 	for id, s := range stats {
 		if got := [2]int64{s.BytesSent, s.HeaderBytes}; got != wantBytes[id] {
 			t.Errorf("process %d sent %d round-frame bytes (%d header), want %d (%d header)",

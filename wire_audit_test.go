@@ -13,10 +13,12 @@ import (
 // the single place the paper-facing accounting is asserted. The facade
 // links every protocol package, so all schemas are registered here.
 //
-// One historical asymmetry is preserved deliberately: the short (no
-// report) form of mdst.bfsback counts round + improvement flag (3 words)
-// while the long form also counts the explicit has-report flag (9 words)
-// — the golden experiment tables (E6's maxWords = 9) pin both.
+// mdst.bfsback is the one variable-size record: the short (no report)
+// form carries round, improvement flag, subtree size and the qualifying
+// label range (6 words); the long form carries round, subtree size,
+// improvement flag and the five report words (9 words, E6's maxWords).
+// start, move and cut carry a fourth number for the subtree sizes and
+// labels of DESIGN.md deviation 7.
 func TestWireWordsAudit(t *testing.T) {
 	type bounds struct {
 		minWords, maxWords int
@@ -24,13 +26,13 @@ func TestWireWordsAudit(t *testing.T) {
 	}
 	want := map[string]bounds{
 		// mdst: the paper's improvement protocol.
-		"mdst.start":     {4, 4, true},
+		"mdst.start":     {5, 5, true},
 		"mdst.deg":       {5, 5, true},
-		"mdst.move":      {4, 4, true},
-		"mdst.cut":       {4, 4, true},
+		"mdst.move":      {5, 5, true},
+		"mdst.cut":       {5, 5, true},
 		"mdst.bfs":       {5, 5, true},
 		"mdst.cousin":    {5, 5, true},
-		"mdst.bfsback":   {3, 9, true},
+		"mdst.bfsback":   {6, 9, true},
 		"mdst.update":    {5, 5, true},
 		"mdst.child":     {3, 3, true},
 		"mdst.rounddone": {3, 3, true},
