@@ -171,8 +171,8 @@ func TestMessageWords(t *testing.T) {
 		{newCut(1, 3, 2, 5), 5},
 		{newBFS(1, 3, 2, 4), 5},
 		{newCousin(1, 3, 2, 4), 5},
-		{newBFSBack(mBFSBack{round: 1, improved: true, size: 3, lo: noLo, hi: noLabel}), 6},
-		{newBFSBack(mBFSBack{round: 1, hasReport: true, report: edgeReport{u: 1, v: 2, du: 3, dv: 4, vroot: 5}, improved: true, size: 3}), 9},
+		{newBFSBack(1, true, 3, noLo, noLabel, nil), 6},
+		{newBFSBack(1, true, 3, noLo, noLabel, &edgeReport{u: 1, v: 2, du: 3, dv: 4, vroot: 5}), 9},
 		{newUpdate(1, 2, 3, true, true), 5},
 		{newChild(1, true), 3},
 		{newRoundDone(1, true), 3},
@@ -206,21 +206,25 @@ func TestMessageRoundTrip(t *testing.T) {
 	if got := decCut(ptr(newCut(4, 6, 2, noLabel))); got != (mCut{round: 4, k: 6, owner: 2, label: noLabel}) {
 		t.Errorf("cut round-trip: %+v", got)
 	}
-	if got := decBFS(ptr(newBFS(4, 6, 2, 3)), Multi); got != (mBFS{round: 4, k: 6, owner: 2, label: noLabel, fragRoot: 3}) {
-		t.Errorf("bfs round-trip (Multi): %+v", got)
+	got := decBFS(ptr(newBFS(4, 6, 17, 3)))
+	if got != (mBFS{round: 4, k: 6, word: 17, fragRoot: 3}) {
+		t.Errorf("bfs round-trip: %+v", got)
 	}
-	if got := decBFS(ptr(newBFS(4, 6, 17, 3)), Single); got != (mBFS{round: 4, k: 6, owner: singleOwner, label: 17, fragRoot: 3}) {
-		t.Errorf("bfs round-trip (Single): %+v", got)
+	if owner, label := got.fields(Multi); owner != 17 || label != noLabel {
+		t.Errorf("bfs fields (Multi): owner %d, label %d", owner, label)
+	}
+	if owner, label := got.fields(Single); owner != singleOwner || label != 17 {
+		t.Errorf("bfs fields (Single): owner %d, label %d", owner, label)
 	}
 	if got := decCousin(ptr(newCousin(4, 6, 2, 3))); got != (mCousin{round: 4, deg: 6, owner: 2, fragRoot: 3}) {
 		t.Errorf("cousin round-trip: %+v", got)
 	}
 	long := mBFSBack{round: 4, hasReport: true, report: rep, improved: true, size: 6, lo: noLo, hi: noLabel}
-	if got := decBFSBack(ptr(newBFSBack(long))); got != long {
+	if got := decBFSBack(ptr(newBFSBack(4, true, 6, 0, 0, &rep))); got != long {
 		t.Errorf("bfsback long round-trip: %+v", got)
 	}
 	short := mBFSBack{round: 4, improved: true, size: 6, lo: 2, hi: 30}
-	if got := decBFSBack(ptr(newBFSBack(short))); got != short {
+	if got := decBFSBack(ptr(newBFSBack(4, true, 6, 2, 30, nil))); got != short {
 		t.Errorf("bfsback short round-trip: %+v", got)
 	}
 	for _, f := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {

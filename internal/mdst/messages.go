@@ -148,29 +148,29 @@ func decCut(m *sim.WireMsg) mCut {
 // mBFS is the paper's <BFS, k, p, p'> fragment wave. A Single round has one
 // owner, the acting root, so there the owner word is redundant and carries
 // a pre-order label instead (deviation 7): the receiver's own on a tree
-// edge, the sender's on a probe. The phase, known to both ends, says which.
+// edge, the sender's on a probe. The phase, known to both ends, says which
+// (see fields).
 type mBFS struct {
 	round    int
 	k        int
-	owner    sim.NodeID // Multi rounds
-	label    int        // Single rounds
+	word     int64 // the owner in a Multi round, a label in a Single round
 	fragRoot sim.NodeID
 }
 
-// newBFS encodes a wave record; word is the owner in a Multi round and the
-// label in a Single round.
 func newBFS(round, k int, word int64, fragRoot sim.NodeID) sim.WireMsg {
 	return sim.WireMsg{Op: opBFS, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(k), word, int64(fragRoot)}}
 }
 
-func decBFS(m *sim.WireMsg, phase Mode) mBFS {
-	b := mBFS{round: int(m.W[0]), k: int(m.W[1]), owner: singleOwner, label: noLabel, fragRoot: sim.NodeID(m.W[3])}
+func decBFS(m *sim.WireMsg) mBFS {
+	return mBFS{round: int(m.W[0]), k: int(m.W[1]), word: m.W[2], fragRoot: sim.NodeID(m.W[3])}
+}
+
+// fields reads the record's owner and label in the given phase.
+func (b mBFS) fields(phase Mode) (owner sim.NodeID, label int) {
 	if phase == Single {
-		b.label = int(m.W[2])
-	} else {
-		b.owner = sim.NodeID(m.W[2])
+		return singleOwner, int(b.word)
 	}
-	return b
+	return sim.NodeID(b.word), noLabel
 }
 
 // singleOwner is the owner half of every fragment identity in a Single
@@ -214,23 +214,17 @@ type mBFSBack struct {
 	lo, hi    int
 }
 
-func newBFSBack(b mBFSBack) sim.WireMsg {
-	m := sim.WireMsg{Op: opBFSBack}
-	m.W[0] = int64(b.round)
-	if !b.hasReport {
-		m.Nw = 5
-		m.W[1] = sim.B2W(b.improved)
-		m.W[2], m.W[3], m.W[4] = int64(b.size), int64(b.lo), int64(b.hi)
-		return m
+// newBFSBack encodes the long form when report is not nil, else the
+// short form.
+func newBFSBack(round int, improved bool, size, lo, hi int, report *edgeReport) sim.WireMsg {
+	if report == nil {
+		return sim.WireMsg{Op: opBFSBack, Nw: 5, W: [sim.MaxPayloadWords]int64{
+			int64(round), sim.B2W(improved), int64(size), int64(lo), int64(hi)}}
 	}
-	r := b.report
-	m.Nw = 8
-	m.W[1] = int64(b.size)
-	m.W[2] = sim.B2W(b.improved)
-	m.W[3], m.W[4] = int64(r.u), int64(r.v)
-	m.W[5], m.W[6] = int64(r.du), int64(r.dv)
-	m.W[7] = int64(r.vroot)
-	return m
+	r := report
+	return sim.WireMsg{Op: opBFSBack, Nw: 8, W: [sim.MaxPayloadWords]int64{
+		int64(round), int64(size), sim.B2W(improved),
+		int64(r.u), int64(r.v), int64(r.du), int64(r.dv), int64(r.vroot)}}
 }
 
 func decBFSBack(m *sim.WireMsg) mBFSBack {

@@ -104,25 +104,26 @@ type Node struct {
 	phase  Mode // Single or Multi; Hybrid switches Multi -> Single
 	target int  // stop once the maximum degree is <= target (0: improve fully)
 
+	// The flags of each group lead the next one, so that they pack
+	// together: every delivery reads the first few cache lines.
+
 	// Tree view.
-	parent    sim.NodeID
-	hasParent bool
-	children  []sim.NodeID
-	sizes     []int // subtree size of each child, parallel to children
+	parent   sim.NodeID
+	children []sim.NodeID
+	sizes    []int // subtree size of each child, parallel to children (see sized)
 
-	// Size bookkeeping (DESIGN.md deviation 7). The sizes describe the
-	// current tree once a Single round's wave reported them; an exchange
-	// leaves one size pending at each node of its path, which the next
-	// start's moved count completes.
-	sized    bool       // the last round was Single: sizes are exact
-	fixChild sim.NodeID // child whose size is pending (noCand: none)
-	fixBase  int        // its size is the next start's moved count plus fixBase
-
-	// Cross-round state.
-	round      int
+	// Cross-round state. The sizes describe the current tree once a
+	// Single round's wave reported them; an exchange leaves one size
+	// pending at each node of its path, which the next start's moved count
+	// completes (DESIGN.md deviation 7).
+	hasParent  bool
 	exhausted  bool
 	terminated bool
-	swaps      int // exchanges this node applied as an owner
+	sized      bool // the last round was Single: sizes are exact
+	round      int
+	swaps      int        // exchanges this node applied as an owner
+	fixChild   sim.NodeID // child whose size is pending (noCand: none)
+	fixBase    int        // its size is the next start's moved count plus fixBase
 
 	// SearchDegree state.
 	searchPending int
@@ -130,28 +131,29 @@ type Node struct {
 	via           sim.NodeID // neighbour (or self) that contributed agg
 	kAll          int        // round's maximum degree, known after search/cut
 	xBelow        bool       // this subtree holds a node of X (see mStart)
-	moved         int        // acting root: size of the subtree its exchange moved
 
 	// Fragment-member state.
 	fragKnown  bool
+	hasReport  bool
+	improved   bool // an exchange happened in this subtree (Multi)
 	frag       fragID
 	bfsPending int
-	hasReport  bool
 	report     edgeReport
 	reportVia  sim.NodeID // child (or self) whose subtree holds report
-	improved   bool       // an exchange happened in this subtree (Multi)
 	label      int        // pre-order label (noLabel: the round has none)
 	lo, hi     int        // least and greatest qualifying label seen below
+	size       int        // subtree size counted so far: 1 + the children's answers
 
 	// Owner state (acting root or, in Multi mode, any degree-k node).
 	isOwner      bool
 	actingRoot   bool
-	ownerPending int
 	ownerHasBest bool
-	ownerBest    edgeReport
-	ownerArrival sim.NodeID // child whose subtree reported ownerBest
 	ownerSwapped bool
 	awaitingDone bool
+	ownerPending int
+	ownerBest    edgeReport
+	ownerArrival sim.NodeID // child whose subtree reported ownerBest
+	moved        int        // acting root: size of the subtree its exchange moved
 
 	deferred []deferredMsg
 }
@@ -294,7 +296,7 @@ func (n *Node) process(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) bool {
 	case opCut:
 		n.onCut(ctx, from, decCut(m))
 	case opBFS:
-		return n.onBFS(ctx, from, decBFS(m, n.phase))
+		return n.onBFS(ctx, from, decBFS(m))
 	case opCousin:
 		n.onCousin(ctx, from, decCousin(m))
 	case opBFSBack:
@@ -329,6 +331,7 @@ func (n *Node) resetRound() {
 	n.improved = false
 	n.label = noLabel
 	n.lo, n.hi = noLo, noLabel
+	n.size = 1
 	n.moved = 0
 	n.isOwner = false
 	n.actingRoot = false
@@ -351,13 +354,20 @@ func (n *Node) ownContribution() degAgg {
 	return degAgg{k: n.degree(), cand: cand}
 }
 
-// childIndex returns c's position in the children list.
+// childIndex returns c's position in the sorted children list.
 func (n *Node) childIndex(c sim.NodeID) int {
-	i, ok := slices.BinarySearch(n.children, c)
-	if !ok {
+	lo, hi := 0, len(n.children)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); n.children[m] < c {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(n.children) || n.children[lo] != c {
 		panic(fmt.Sprintf("mdst: node %d has no child %d", n.id, c))
 	}
-	return i
+	return lo
 }
 
 // removeChild drops c and its size from the children list and returns

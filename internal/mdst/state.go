@@ -61,6 +61,7 @@ func (n *Node) EncodeState(e *sim.StateEncoder) {
 	e.Int(int64(n.label))
 	e.Int(int64(n.lo))
 	e.Int(int64(n.hi))
+	e.Int(int64(n.size))
 
 	e.Bool(n.isOwner)
 	e.Bool(n.actingRoot)
@@ -122,6 +123,7 @@ func (n *Node) DecodeState(d *sim.StateDecoder) error {
 	n.label = int(d.Int())
 	n.lo = int(d.Int())
 	n.hi = int(d.Int())
+	n.size = int(d.Int())
 
 	n.isOwner = d.Bool()
 	n.actingRoot = d.Bool()

@@ -80,18 +80,20 @@ func (n *Node) enterFragment(ctx sim.Context, f fragID, label int) {
 			word = int64(label)
 		}
 	}
-	probe := newBFS(n.round, n.kAll, word, f.root)
+	m := newBFS(n.round, n.kAll, word, f.root)
 	next, ci := label+1, 0
 	for _, w := range ctx.Neighbors() {
 		if n.hasParent && w == n.parent {
 			continue
 		}
 		n.bfsPending++
-		m := probe
 		if label != noLabel && ci < len(n.children) && n.children[ci] == w {
 			m.W[2] = int64(next)
+			ctx.Send(w, m)
+			m.W[2] = word
 			next += n.sizes[ci]
 			ci++
+			continue
 		}
 		ctx.Send(w, m)
 	}
@@ -105,13 +107,14 @@ func (n *Node) enterFragment(ctx sim.Context, f fragID, label int) {
 // the paper's fragment-identity comparison. It returns false to defer the
 // probe until this node knows its own fragment.
 func (n *Node) onBFS(ctx sim.Context, from sim.NodeID, msg mBFS) bool {
+	owner, label := msg.fields(n.phase)
 	if n.hasParent && from == n.parent {
 		n.kAll = msg.k
 		if n.phase == Multi && n.degree() == msg.k {
 			n.becomeOwner(ctx, msg.k)
 			return true
 		}
-		n.enterFragment(ctx, fragID{owner: msg.owner, root: msg.fragRoot}, msg.label)
+		n.enterFragment(ctx, fragID{owner: owner, root: msg.fragRoot}, label)
 		return true
 	}
 	// Probe over a non-tree edge.
@@ -126,11 +129,11 @@ func (n *Node) onBFS(ctx sim.Context, from sim.NodeID, msg mBFS) bool {
 		// identity" (paper, first case).
 		return false
 	}
-	if msg.label != noLabel && n.degree() <= n.kAll-2 {
+	if label != noLabel && n.degree() <= n.kAll-2 {
 		// A qualifying edge: record where its far end lies (deviation 7).
-		n.lo, n.hi = min(n.lo, msg.label), max(n.hi, msg.label)
+		n.lo, n.hi = min(n.lo, label), max(n.hi, label)
 	}
-	theirs := fragID{owner: msg.owner, root: msg.fragRoot}
+	theirs := fragID{owner: owner, root: msg.fragRoot}
 	switch {
 	case theirs == n.frag:
 		// Same fragment: both endpoints resolve the edge silently.
@@ -177,28 +180,12 @@ func (n *Node) onCousin(ctx sim.Context, from sim.NodeID, msg mCousin) {
 }
 
 // onBFSBack merges a child's aggregate. At a fragment member it folds into
-// the member's own aggregate; at an owner it feeds the Choose step. Either
-// way it records the child's subtree size.
-//
-// A labelled maximum-degree member is eligible once some child c shows a
-// qualifying edge leaving c's subtree: a label outside c's interval, or an
-// edge report, which in a Single round is a qualifying edge to another
-// fragment (DESIGN.md deviation 7).
+// the member's own aggregate; at an owner it feeds the Choose step.
 func (n *Node) onBFSBack(ctx sim.Context, from sim.NodeID, msg mBFSBack) {
-	i := n.childIndex(from)
-	if n.label != noLabel && !n.isOwner && n.degree() == n.kAll {
-		first := n.label + 1
-		for _, s := range n.sizes[:i] {
-			first += s
-		}
-		if msg.hasReport || msg.lo < first || msg.hi >= first+n.sizes[i] {
-			n.exhausted = false
-		}
+	n.size += msg.size
+	if n.phase == Single {
+		n.childAnswered(from, &msg)
 	}
-	if n.label != noLabel && msg.size != n.sizes[i] {
-		panic(fmt.Sprintf("mdst: node %d labelled child %d for size %d, which reported %d", n.id, from, n.sizes[i], msg.size))
-	}
-	n.sizes[i] = msg.size
 	if n.isOwner {
 		n.ownerPending--
 		n.improved = n.improved || msg.improved
@@ -224,6 +211,30 @@ func (n *Node) onBFSBack(ctx sim.Context, from sim.NodeID, msg mBFSBack) {
 		}
 	}
 	n.resolveNeighbor(ctx)
+}
+
+// childAnswered records the subtree size a child reported in a Single
+// round (Multi rounds keep no sizes). A labelled maximum-degree member is
+// eligible once some child c shows a qualifying edge leaving c's subtree:
+// a label outside c's interval, or an edge report, which in a Single
+// round is a qualifying edge to another fragment (DESIGN.md deviation 7).
+func (n *Node) childAnswered(c sim.NodeID, msg *mBFSBack) {
+	i := n.childIndex(c)
+	if n.label != noLabel {
+		if msg.size != n.sizes[i] {
+			panic(fmt.Sprintf("mdst: node %d labelled child %d for size %d, which reported %d", n.id, c, n.sizes[i], msg.size))
+		}
+		if !n.isOwner && n.degree() == n.kAll {
+			first := n.label + 1
+			for _, s := range n.sizes[:i] {
+				first += s
+			}
+			if msg.hasReport || msg.lo < first || msg.hi >= first+n.sizes[i] {
+				n.exhausted = false
+			}
+		}
+	}
+	n.sizes[i] = msg.size
 }
 
 // resolveNeighbor decrements the member's outstanding-answer count; when all
@@ -252,10 +263,11 @@ func (n *Node) sendAggregate(ctx sim.Context) {
 
 // sendBack sends this node's bfsback to its parent.
 func (n *Node) sendBack(ctx sim.Context, hasReport, improved bool) {
-	ctx.Send(n.parent, newBFSBack(mBFSBack{
-		round: n.round, hasReport: hasReport, report: n.report, improved: improved,
-		size: n.subtreeSize(), lo: n.lo, hi: n.hi,
-	}))
+	var report *edgeReport
+	if hasReport {
+		report = &n.report
+	}
+	ctx.Send(n.parent, newBFSBack(n.round, improved, n.size, n.lo, n.hi, report))
 }
 
 // ownerComplete runs the paper's Choose step once every fragment answered:

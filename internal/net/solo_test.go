@@ -224,7 +224,7 @@ func TestDistSoloFramesPinned(t *testing.T) {
 	}
 	// The round frames' byte form: payload bytes each process handed to
 	// the transport, and the rank/count header share of them.
-	wantBytes := [2][2]int64{{849124, 296558}, {858841, 298431}}
+	wantBytes := [2][2]int64{{849090, 296558}, {858805, 298431}}
 	for id, s := range stats {
 		if got := [2]int64{s.BytesSent, s.HeaderBytes}; got != wantBytes[id] {
 			t.Errorf("process %d sent %d round-frame bytes (%d header), want %d (%d header)",
