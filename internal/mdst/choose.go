@@ -33,11 +33,13 @@ func (n *Node) onUpdate(ctx sim.Context, from sim.NodeID, msg mUpdate) {
 	// sender is the owner that just cut us.
 	if !msg.first {
 		n.fixChild, n.fixBase = from, -n.subtreeSize()
-		n.addChild(from, 0)
 	}
 	if n.id == msg.u {
 		// "If e is an outgoing edge of x: the node at the next extremity
 		// of e becomes the parent of x."
+		if !msg.first {
+			n.addChild(from, 0)
+		}
 		n.parent = msg.v
 		n.hasParent = true
 		ctx.Send(msg.v, newChild(n.round, fell))
@@ -52,7 +54,10 @@ func (n *Node) onUpdate(ctx sim.Context, from sim.NodeID, msg mUpdate) {
 	if via == n.id {
 		panic(fmt.Sprintf("mdst: node %d is not %d yet has a self via", n.id, msg.u))
 	}
-	n.removeChild(via)
+	n.removeChild(via) // before adding, so the lists need not grow
+	if !msg.first {
+		n.addChild(from, 0)
+	}
 	n.parent = via
 	n.hasParent = true
 	ctx.Send(via, newUpdate(n.round, msg.u, msg.v, false, fell))

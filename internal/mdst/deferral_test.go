@@ -73,9 +73,10 @@ func runCounted(t *testing.T, eng sim.Engine, g *graph.Graph, mode Mode) (string
 // TestDeferralReplayOrderPinned runs the non-FIFO engines of
 // TestDeliveryOrderIndependence on a gnm instance where hundreds of BFS
 // probes are deferred, and requires each run's Report and final tree to
-// equal the values recorded before the deferred list learned to skip
-// retries and compact in place. The causal depth and virtual time move
-// with any change of replay order. Round-ahead deferrals cannot occur on
+// equal the recorded values. The causal depth and virtual time move with
+// any change of replay order. (The Multi rows were recorded before the
+// deferred list learned to skip retries and compact in place; only their
+// word counts moved since, when start, move, cut and bfsback widened.) Round-ahead deferrals cannot occur on
 // these runs: a node's round-(r+1) traffic other than start needs the
 // root's round-(r+1) decision, which waits for this node's own degree
 // report, which it sends only after start. TestDeferralReplayScripted

@@ -135,9 +135,10 @@ func (n *Node) onMove(ctx sim.Context, from sim.NodeID, msg mMove) {
 	}
 	// The sender reversed its pointer: it is now our child, holding every
 	// node outside our old subtree.
-	n.addChild(from, msg.n-n.subtreeSize())
+	size := msg.n - n.subtreeSize()
 	n.kAll = msg.k
 	if msg.target == n.id {
+		n.addChild(from, size)
 		n.hasParent = false
 		n.becomeOwner(ctx, msg.k)
 		return
@@ -146,7 +147,8 @@ func (n *Node) onMove(ctx sim.Context, from sim.NodeID, msg mMove) {
 	if via == n.id {
 		panic(fmt.Sprintf("mdst: node %d has no via toward target %d", n.id, msg.target))
 	}
-	n.removeChild(via)
+	n.removeChild(via) // before adding, so the lists need not grow
+	n.addChild(from, size)
 	n.parent = via
 	ctx.Send(via, newMove(n.round, msg.k, msg.target, msg.n))
 }
