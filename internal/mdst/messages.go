@@ -221,10 +221,9 @@ func newBFSBack(round int, improved bool, size, lo, hi int, report *edgeReport) 
 		return sim.WireMsg{Op: opBFSBack, Nw: 5, W: [sim.MaxPayloadWords]int64{
 			int64(round), sim.B2W(improved), int64(size), int64(lo), int64(hi)}}
 	}
-	r := report
 	return sim.WireMsg{Op: opBFSBack, Nw: 8, W: [sim.MaxPayloadWords]int64{
 		int64(round), int64(size), sim.B2W(improved),
-		int64(r.u), int64(r.v), int64(r.du), int64(r.dv), int64(r.vroot)}}
+		int64(report.u), int64(report.v), int64(report.du), int64(report.dv), int64(report.vroot)}}
 }
 
 func decBFSBack(m *sim.WireMsg) mBFSBack {

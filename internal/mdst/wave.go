@@ -61,7 +61,7 @@ func (n *Node) onCut(ctx sim.Context, from sim.NodeID, msg mCut) {
 //
 // With a label, a maximum-degree member decides its exhausted flag in the
 // wave (deviation 7): it counts as exhausted until some child's answer
-// shows a qualifying edge leaving that child's subtree (see onBFSBack).
+// shows a qualifying edge leaving that child's subtree (see childAnswered).
 func (n *Node) enterFragment(ctx sim.Context, f fragID, label int) {
 	if label != noLabel && !n.sized {
 		panic(fmt.Sprintf("mdst: node %d got label %d without subtree sizes", n.id, label))
