@@ -354,7 +354,9 @@ func (n *Node) ownContribution() degAgg {
 	return degAgg{k: n.degree(), cand: cand}
 }
 
-// childIndex returns c's position in the sorted children list.
+// childIndex returns c's position in the sorted children list. It runs
+// for every bfsback of a Single round, so it is a plain loop:
+// slices.BinarySearch does not inline.
 func (n *Node) childIndex(c sim.NodeID) int {
 	lo, hi := 0, len(n.children)
 	for lo < hi {
