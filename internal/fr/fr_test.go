@@ -54,7 +54,8 @@ func TestTwinNeverIncreasesDegree(t *testing.T) {
 // TestTwinModesReachLocalOptimum checks each mode's terminal condition:
 // Single and Hybrid stop at full local optimality (no usable edge across any
 // maximum-degree node); Multi stops at the weaker per-owner condition (no
-// usable edge between two fragments of the same owner — DESIGN.md dev. 4).
+// usable edge between two fragments of the same owner or from one of them
+// into the owner's parent fragment — DESIGN.md dev. 4).
 func TestTwinModesReachLocalOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 25; i++ {
@@ -82,7 +83,8 @@ func TestTwinModesReachLocalOptimum(t *testing.T) {
 
 // isLocallyOptimalMulti checks the Multi-mode terminal condition: rooted at
 // the minimum-identity maximum-degree node, no owner has a usable edge
-// between two of its own T-S fragments.
+// between two of its own T-S fragments or from one of them into its parent
+// fragment, the fragment holding its parent.
 func isLocallyOptimalMulti(c *graph.CSR, d *tree.Dense) bool {
 	k, maxNodes := d.MaxDegree(nil)
 	if k <= 2 {
@@ -116,8 +118,17 @@ func isLocallyOptimalMulti(c *graph.CSR, d *tree.Dense) bool {
 			continue
 		}
 		fa, fb := frag[a], frag[b]
-		if fa.owner == fb.owner && fa.root != fb.root &&
-			work.Degree(a) <= k-2 && work.Degree(b) <= k-2 {
+		if fa.root == fb.root || work.Degree(a) > k-2 || work.Degree(b) > k-2 {
+			continue
+		}
+		up := func(f fragInfo) fragInfo { // the parent fragment of f's owner
+			p := work.Parent(f.owner)
+			if p == tree.NoParent || inS[p] {
+				return fragInfo{owner: -1, root: -1}
+			}
+			return frag[p]
+		}
+		if fa.owner == fb.owner || up(fa) == fb || up(fb) == fa {
 			return false
 		}
 	}

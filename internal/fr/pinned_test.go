@@ -73,14 +73,14 @@ var sequentialDigests = map[string]string{
 	"ba96/random":                         "7b67b45635bc4874b8c9474afb665d31343f6443998584b2c20c6fb8a997c58c",
 	"ba96/random/fr":                      "14dfa0138bb95417236b0e9cdc3e069fcaea942bd7f8bfe4d7580da78b0469a6",
 	"ba96/random/strict":                  "4fb022587a87e4ff6bceac43d34688ddbca352d9bb9008c971d2db2f74dbfecb",
-	"ba96/random/twin-hybrid":             "9872e4d13c6478dab27b798c0e5549ac173f3fe86cf6797daf04faf50c91fb99",
-	"ba96/random/twin-multi":              "fec13ff224f86d2cb35fd4b473fb7c98bcfa05d0848ffaf19c6c27a5d9b907a2",
+	"ba96/random/twin-hybrid":             "16d9fc7fae63c2e562273ae1267b4d766352facad7b4ee1c47376a40770b0551",
+	"ba96/random/twin-multi":              "c8cb9195e87b32418627a7ea3a673cb1b6e3acda5c1c617311aea9cb87ca0454",
 	"ba96/random/twin-single":             "fc88c7b73647751a2a2e5413629eeb8496ff67e8165de5e3034825c6ec3b4839",
 	"ba96/star":                           "af0b06970476112dd751b382f9368c9fdf5efa0a563ff1ba869b81db52d9464d",
 	"ba96/star/fr":                        "ca42a123d4d978e059eb379fedf5cafd6b3c260eee091e8f9c4b520fe203760c",
 	"ba96/star/strict":                    "7c992d65cdca7be350c6322dbf5c1d07634e2fa009d1040932feb28825d4410e",
-	"ba96/star/twin-hybrid":               "b84212c19c83910b19faf4ca49b58aaa25ef6259ab2db0500c318e13e31acde3",
-	"ba96/star/twin-multi":                "6a42dcc4fbfa17b87cf48c53a0905b4a40034122eb9ac967c201afb47783deaa",
+	"ba96/star/twin-hybrid":               "6e1290001ee02af7b9f8abf39fb872e16de1a428d1106f6f5bfcc73f97439b6d",
+	"ba96/star/twin-multi":                "d7da98d48b76bd3f5afae20156a6b4fc89ec5d3da536a02950c3f846a0e85986",
 	"ba96/star/twin-single":               "18ceb44c30a27cbe4f6092929b583e6b7392322aaab6d29ba8c6b9faaf0e5b3c",
 	"bipart/s0/bfs":                       "02f8f882ef2926a50fd99572dc2b76101aaab116216c8cd9061cab8cd604599b",
 	"bipart/s0/dfs":                       "98f341df0fb12f2e6194f60dfd2fb7ef3e5c6720261099b2231bbef46c0b4ad0",
@@ -267,36 +267,36 @@ var sequentialDigests = map[string]string{
 	"gnp64/random":                        "45bac4e4e4d9d9f10763058195d567e3e648df02015e464b1a928ce259833dad",
 	"gnp64/random/fr":                     "c94df4ab61867d6afbd3184cb09109f056e10767060017e146007775295c7912",
 	"gnp64/random/strict":                 "c94df4ab61867d6afbd3184cb09109f056e10767060017e146007775295c7912",
-	"gnp64/random/twin-hybrid":            "5f34f1eaf8367cacbae1945e7a7d43221ee47f871edbb65fb282e12b9c0d7872",
-	"gnp64/random/twin-multi":             "3b12f7a7af737a83d2a23f7a36ac40c09c667d9b2e04d2006cc7401c6a2472d4",
+	"gnp64/random/twin-hybrid":            "f938ef285b7b26b5b9dc08efb82dbb83d7f4a0cde3546d4244b6569c9256dca5",
+	"gnp64/random/twin-multi":             "a04949e46bf54eea3853b2d61134f022ffe6b7e49cf3ebf60d07aed5ceedf2dd",
 	"gnp64/random/twin-single":            "5e3855acc63938014244397b30695fcae52ca6ec272e55d315d5eb9b682b5a2f",
 	"gnp64/star":                          "2e5030c42b8ee2d600b8f0d41bd2a0dcc97eac722498750002baf59e8c9afa37",
 	"gnp64/star/fr":                       "9378f51cbdf237204c4e4d4aa13ac806beb4c171ebc3ec074f43ff612658a2e4",
 	"gnp64/star/strict":                   "9378f51cbdf237204c4e4d4aa13ac806beb4c171ebc3ec074f43ff612658a2e4",
-	"gnp64/star/twin-hybrid":              "56e1e0beebeea1d6a594d876785f7a178acb4d804ae83b8206bea9b43b5ed023",
-	"gnp64/star/twin-multi":               "40aef2d02c0ff1c8a5eb235435099ce81bd729176b3f61c3a3ed014336247e00",
+	"gnp64/star/twin-hybrid":              "4f5d6136c61bf6a1224d5ed5b093ea5a8bcbd51a46cd22f7ebab454b20554606",
+	"gnp64/star/twin-multi":               "fb8ec81146558de9a28e3531774ce25a4d17649001cf40f37dc246a2d5a938bb",
 	"gnp64/star/twin-single":              "019f7784eae2131c6746bcf01ff529df0b99bb7c598db22d41299ebd67675ca3",
 	"gnp96-relabelled/bfs":                "1b337c8298ca77646bfd133b35b1810af0bee4215a129551d9fdef5d5c0909c7",
 	"gnp96-relabelled/dfs":                "948f16e9197851f529ac5ad76b4488111f5917f03832037cbbb0d5dd7589c5b9",
 	"gnp96-relabelled/random":             "37f41b9beb3e2c1a2b8ee0866b1cc25c3248bbf9f7b772e5052a909d8712ed55",
 	"gnp96-relabelled/random/fr":          "0eac16f66a32977960c08d81321de35e307de96d66675ec9591b871f5724e006",
 	"gnp96-relabelled/random/strict":      "0eac16f66a32977960c08d81321de35e307de96d66675ec9591b871f5724e006",
-	"gnp96-relabelled/random/twin-hybrid": "d502d7f8bf2a0c4b763622a7966a0246ee0ba772222eb93505417577a7ac4876",
-	"gnp96-relabelled/random/twin-multi":  "4a4b101f562cac42c2876914e183ae57f87acfa9fe0f01131eac9a690101526c",
+	"gnp96-relabelled/random/twin-hybrid": "063ff7910dc992f39e906ec5b85593c09a8f7172e1d70b44acf0dff7d6c8df34",
+	"gnp96-relabelled/random/twin-multi":  "68899c07901105e1ae9d6340b63c84ab9462e492852c4a7fbb0ffac78602c629",
 	"gnp96-relabelled/random/twin-single": "0aa4addaadc646b83fed3733adc908ba548e096170cf792077ffcd7c996c6bdf",
 	"gnp96-relabelled/star":               "11585e2dac0d2a3ffc7eee88f595d16b8d1364f71a216a22db4b8d4c41dafd21",
 	"gnp96-relabelled/star/fr":            "f5a2bfbe8310bb50ad9dfb50544380aa2261ab4974788095f2635dc591293269",
 	"gnp96-relabelled/star/strict":        "f5a2bfbe8310bb50ad9dfb50544380aa2261ab4974788095f2635dc591293269",
-	"gnp96-relabelled/star/twin-hybrid":   "c5810fd33762d937567b3354bdf8c0b67ce4b1832c6c88e359716e930b538b93",
-	"gnp96-relabelled/star/twin-multi":    "ae0006f44653a73ad78c1cfe3bb34453f4982cfd792c6cb657eda09b7afe30d5",
+	"gnp96-relabelled/star/twin-hybrid":   "a0b2dc4167890259d11b77a333addd54f1035903d63ee7f9061c0abbbac1cd6e",
+	"gnp96-relabelled/star/twin-multi":    "02c10145fde49e42f723bf63d2fc3650a9a5d0378c584cd5672a4586f7228ef9",
 	"gnp96-relabelled/star/twin-single":   "01feb2a0a782f6fe09fc12cbf2b42752473f63629768a03c887df27c59d8ad40",
 	"grid8x12/bfs":                        "482affa1ae9cf2c068cdf9b033f34bec217477a6b0aa07e695e0fe5fee5d8fba",
 	"grid8x12/dfs":                        "71abfd614e39c646260882aa9a427967685ec0c58cf6c4b6ee3074934212d10c",
 	"grid8x12/random":                     "2f2e6d7617f5ebfee7f0a19c30ee6f24488114becd1a76999e2d1f66c9799ef3",
 	"grid8x12/random/fr":                  "daed53ffc596337edb2bb1eb1cf87785939e88eb51322c3a990ff4deb4de108f",
 	"grid8x12/random/strict":              "daed53ffc596337edb2bb1eb1cf87785939e88eb51322c3a990ff4deb4de108f",
-	"grid8x12/random/twin-hybrid":         "c4e992b033df0c4be6c498abc7767425653c471e987b6b284014d8b3301d6cc5",
-	"grid8x12/random/twin-multi":          "db0fa62679971eb5f8650b1e9808c663c1e7acfec15c0d5f89c46998cb5e1e44",
+	"grid8x12/random/twin-hybrid":         "a6fc8de7df3fab43842891a3c7e605905e841299a0c32dfa2bca216b0e261684",
+	"grid8x12/random/twin-multi":          "00d85cf2bf3bb60e08d8a53033fbeb4282fe879ea4d8718b93197ec14ba120cf",
 	"grid8x12/random/twin-single":         "928292f5812b9dab66411025c7ff96b0035f109b0345663e16b7095f019c0ea2",
 	"grid8x12/star":                       "209cf97ca4660f8b8590f6eb87512749e37937c0c1d626bb771e4caa45a8a27d",
 	"grid8x12/star/fr":                    "dc7076d6b57ca0060ccfd723a1e9f0b6d9e83301b9841bb084a61701beef78d3",
@@ -309,22 +309,22 @@ var sequentialDigests = map[string]string{
 	"hamchords64/random":                  "671ada36a89a1ac7f608dbcc71529fff32ad8ffca6b74de9a41a452d80bec353",
 	"hamchords64/random/fr":               "fd63c2ec2301c4e9505021f35e13878cc850304e1816d6f7567b9ddcfe9bd14a",
 	"hamchords64/random/strict":           "fd63c2ec2301c4e9505021f35e13878cc850304e1816d6f7567b9ddcfe9bd14a",
-	"hamchords64/random/twin-hybrid":      "836d501cdc65fa37d74ed95ac5e35c0c0c319e544e1a9425bc19bf05fa51cd45",
-	"hamchords64/random/twin-multi":       "f7dfb2feb5067f5d6122aecbcc00d54247895d0e8ccc84bdb28a147aa8b0e8cd",
+	"hamchords64/random/twin-hybrid":      "b25b557d95d4943dffc78204ea484e7354ec5e39163892a3003e352da43e8498",
+	"hamchords64/random/twin-multi":       "2128ea80809e4c9c7be9970ff3a6186f244dcade07ea7ec97e698207225ec9b9",
 	"hamchords64/random/twin-single":      "39a3627d52337d5604e61e226ba8eb063661d98e49585eef189cfc9da7d68537",
 	"hamchords64/star":                    "1300620995dd9bd3d342db7568a07f2a818784f0b7b6e0d3f8986b081242d63d",
 	"hamchords64/star/fr":                 "b956badbe21db763240800cbb0dceb9c741f7dc6c852cc5df9de6a0ce626e6b5",
 	"hamchords64/star/strict":             "b956badbe21db763240800cbb0dceb9c741f7dc6c852cc5df9de6a0ce626e6b5",
-	"hamchords64/star/twin-hybrid":        "14f83d43105143c6d9c97ad35a5c9d1c59ea7dc56056673809b71a9fbeaf71a5",
-	"hamchords64/star/twin-multi":         "dd97c87022bd60df2a307b408b27d26632273ea85ef99160759335fddffe62ba",
+	"hamchords64/star/twin-hybrid":        "759e197b472ea680f6168dcd8b6e44a2f99c4fca186948e7ad73935bf3bae3dd",
+	"hamchords64/star/twin-multi":         "f8990d0bf78b9af5a806f230aa79089fd71d1c8fae5f95ac94115fb3371fcdbc",
 	"hamchords64/star/twin-single":        "610fb550b99b6902b5ed0675eff40d44e4132850c447a6a3658041d75671d759",
 	"hypercube6/bfs":                      "849b5f6769bac817be88c63791ca502b869e70925c60dbbd035d711b00ea4466",
 	"hypercube6/dfs":                      "522acf7adc6da985e05122a7198d341177309ddb8cfc9bf28bd3ef6dd04ca49a",
 	"hypercube6/random":                   "832fb8f80e249242ea7f64fb5b473c0b9bcfe6c7e947c2675fd781bd1731351c",
 	"hypercube6/random/fr":                "69a57f45cf414de5a1b60d529213dc1a39ecb86f618b84f556eea438f483dbe4",
 	"hypercube6/random/strict":            "69a57f45cf414de5a1b60d529213dc1a39ecb86f618b84f556eea438f483dbe4",
-	"hypercube6/random/twin-hybrid":       "8d085445d8fac3e3ee2860c46e85e11254eeac7983b6b85b5d2d06dc60a75763",
-	"hypercube6/random/twin-multi":        "c7a9e267d7381bfebd5090b3741086be81b5aebcc08231bc6cd3e670a178ac00",
+	"hypercube6/random/twin-hybrid":       "689596af156355695ba361b8b525b8dcd35c8ff62bdaa9f428b63e4cb1909494",
+	"hypercube6/random/twin-multi":        "69430d44c8a26a470ed609b300e3801f4ec70ea209a5cfbe25d49061d7cf1d35",
 	"hypercube6/random/twin-single":       "86256354a4bfef8d67b337fd8d12a6f5ebff15be6a2bef3fc4968b107707667e",
 	"hypercube6/star":                     "849b5f6769bac817be88c63791ca502b869e70925c60dbbd035d711b00ea4466",
 	"hypercube6/star/fr":                  "c7a03b706264a598df4e9d00ed3e92c6786f55391063b382791dfbca1a689a51",

@@ -89,6 +89,14 @@ type twinRun struct {
 	fragOwner []int32 // multi rounds: owning S-node per fragment member
 	fragRoot  []int32 // multi rounds: fragment root per member
 	inS       []bool
+	// multi rounds, indexed by owner: its parent fragment's root (up), its
+	// best edge and whether it proposed one; claim holds each endpoint's
+	// smallest proposing owner, noFrag outside a grant pass
+	up, claim []int32
+	best      []twinReport
+	proposed  []bool
+	owners    []int32
+	proposals int // owners that proposed an edge in the last Multi round
 	stack     []int32
 	maxBuf    []int32
 	seen      []int32 // revalidate: stamp of the exchange that last visited a node
@@ -108,8 +116,12 @@ type twinRun struct {
 
 func newTwinRun(c *graph.CSR, d *tree.Dense) *twinRun {
 	n := c.N()
-	scratch := make([]int32, 8*n) // one allocation backs the eight per-node slices
+	scratch := make([]int32, 11*n) // one allocation backs the eleven per-node slices
 	part := func(i int) []int32 { return scratch[i*n : (i+1)*n : (i+1)*n] }
+	claim := part(9)
+	for i := range claim {
+		claim[i] = noFrag
+	}
 	return &twinRun{
 		c:          c,
 		d:          d,
@@ -122,6 +134,11 @@ func newTwinRun(c *graph.CSR, d *tree.Dense) *twinRun {
 		pre:        part(5),
 		lo:         part(6),
 		hi:         part(7),
+		up:         part(8),
+		claim:      claim,
+		best:       make([]twinReport, n),
+		proposed:   make([]bool, n),
+		owners:     part(10)[:0],
 		inS:        make([]bool, n),
 		stack:      make([]int32, 0, n),
 		wave:       (*twinRun).waveFlags,
@@ -338,8 +355,13 @@ func (tw *twinRun) bestSingle(p int32, k int) (twinReport, bool) {
 }
 
 // roundMulti mirrors one Multi-mode round: fragments are the components of
-// T minus the maximum-degree set S, each owned by the S-node above it; every
-// owner applies its best internal edge. Returns the number of exchanges.
+// T minus the maximum-degree set S, each owned by the S-node above it.
+// Every owner proposes its best usable edge, either between two of its own
+// fragments or from one of them into its parent fragment, the fragment
+// holding its parent (DESIGN.md deviation 4). A contested endpoint goes to
+// the proposing owner with the smallest identity; an owner exchanges only
+// if it wins both endpoints. It leaves the exchanging owners in tw.owners,
+// ascending, with their edges in tw.best, and returns how many there are.
 func (tw *twinRun) roundMulti(k int) int {
 	c, d := tw.c, tw.d
 	clear(tw.inS)
@@ -376,52 +398,89 @@ func (tw *twinRun) roundMulti(k int) int {
 			tw.stack = append(tw.stack, ch)
 		}
 	}
-
-	// Best internal edge per owner, owners applied in ascending order.
-	type ownerBest struct {
-		rep twinReport
-		has bool
+	// The parent fragment of each owner, named by its root.
+	for _, w := range tw.maxBuf {
+		tw.up[w] = noFrag
+		if p := d.Parent(w); p != tree.NoParent && !tw.inS[p] {
+			tw.up[w] = tw.fragRoot[p]
+		}
 	}
-	best := make(map[int32]*ownerBest) // few owners per round
-	var owners []int32
+
+	// Best usable edge per owner. The recording endpoint u lies in one of
+	// the owner's fragments: the one with the smaller root for an edge
+	// between two of them, the child fragment for an edge into the parent
+	// fragment.
+	tw.owners = tw.owners[:0]
 	for a := int32(0); int(a) < c.N(); a++ {
-		if tw.inS[a] {
+		if tw.inS[a] || d.Degree(a) > k-2 {
 			continue
 		}
 		for _, b := range c.Neighbors(a) {
-			if b <= a || tw.inS[b] || d.HasEdge(a, b) {
+			if b <= a || tw.inS[b] || d.HasEdge(a, b) || d.Degree(b) > k-2 {
 				continue
 			}
-			fa, fb := tw.fragOwner[a], tw.fragOwner[b]
-			if fa != fb || fa == noFrag || tw.fragRoot[a] == tw.fragRoot[b] {
+			oa, ob := tw.fragOwner[a], tw.fragOwner[b]
+			ra, rb := tw.fragRoot[a], tw.fragRoot[b]
+			if ra == rb {
 				continue
 			}
-			da, db := d.Degree(a), d.Degree(b)
-			if da > k-2 || db > k-2 {
+			o, u, v := noFrag, a, b
+			switch {
+			case oa == ob:
+				o = oa
+				if rb < ra {
+					u, v = b, a
+				}
+			case oa != noFrag && tw.up[oa] == rb:
+				o = oa
+			case ob != noFrag && tw.up[ob] == ra:
+				o, u, v = ob, b, a
+			}
+			if o == noFrag {
 				continue
 			}
-			u, v, du, dv := a, b, da, db
-			if tw.fragRoot[b] < tw.fragRoot[a] {
-				u, v, du, dv = b, a, db, da
-			}
-			rep := twinReport{u: u, v: v, du: du, dv: dv}
-			cur := best[fa]
-			if cur == nil {
-				cur = &ownerBest{}
-				best[fa] = cur
-				owners = append(owners, fa)
-			}
-			if !cur.has || rep.better(cur.rep) {
-				cur.rep, cur.has = rep, true
+			rep := twinReport{u: u, v: v, du: d.Degree(u), dv: d.Degree(v)}
+			if !tw.proposed[o] {
+				tw.proposed[o] = true
+				tw.best[o] = rep
+				tw.owners = append(tw.owners, o)
+			} else if rep.better(tw.best[o]) {
+				tw.best[o] = rep
 			}
 		}
 	}
-	sortInt32s(owners)
-	for _, o := range owners {
-		rep := best[o].rep
+
+	// Grants: each endpoint goes to its smallest proposing owner.
+	for _, o := range tw.owners {
+		for _, x := range [2]int32{tw.best[o].u, tw.best[o].v} {
+			if tw.claim[x] == noFrag || o < tw.claim[x] {
+				tw.claim[x] = o
+			}
+		}
+	}
+	sortInt32s(tw.owners)
+	tw.proposals = len(tw.owners)
+	for _, o := range tw.owners {
+		rep := tw.best[o]
+		tw.proposed[o] = tw.claim[rep.u] == o && tw.claim[rep.v] == o // now: o wins
+	}
+	won := tw.owners[:0]
+	for _, o := range tw.owners {
+		rep := tw.best[o]
+		tw.claim[rep.u], tw.claim[rep.v] = noFrag, noFrag
+		if tw.proposed[o] {
+			tw.proposed[o] = false
+			won = append(won, o)
+		}
+	}
+	tw.owners = won
+	// The exchanges commute (each cycle holds one S-node, its owner), so
+	// they apply in any order on the round's fragments.
+	for _, o := range won {
+		rep := tw.best[o]
 		tw.applySwap(o, tw.fragRoot[rep.u], rep)
 	}
-	return len(owners)
+	return len(won)
 }
 
 // applySwap performs the exchange exactly as the distributed Update/Child

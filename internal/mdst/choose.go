@@ -2,6 +2,7 @@ package mdst
 
 import (
 	"fmt"
+	"slices"
 
 	"mdegst/internal/sim"
 )
@@ -76,6 +77,23 @@ func (n *Node) onChild(ctx sim.Context, from sim.NodeID, msg mChild) {
 }
 
 func (n *Node) onRoundDone(ctx sim.Context, from sim.NodeID, msg mRoundDone) {
+	switch {
+	case msg.answer:
+		n.onAnswer(ctx, from, msg.won)
+		return
+	case msg.released:
+		n.onReleased(ctx, msg.improved)
+		return
+	case n.phase == Multi:
+		// The uncontested exchange's path: only the owner acts on it.
+		if n.isOwner && n.awaitingDone {
+			n.awaitingDone = false
+			n.settle(ctx)
+			return
+		}
+		ctx.Send(n.parent, newRoundDone(n.round, msg.fell))
+		return
+	}
 	n.exhausted = false
 	n.fixChild, n.fixBase = from, n.sizes[n.childIndex(from)]
 	if n.isOwner && n.awaitingDone {
@@ -87,4 +105,177 @@ func (n *Node) onRoundDone(ctx sim.Context, from sim.NodeID, msg mRoundDone) {
 		panic(fmt.Sprintf("mdst: root %d received round-done it was not awaiting", n.id))
 	}
 	ctx.Send(n.parent, newRoundDone(n.round, msg.fell))
+}
+
+// Multi-round grants (DESIGN.md deviation 4). Every owner proposes its
+// best edge; a contested endpoint goes to the smallest proposing owner,
+// and an owner exchanges only if it wins both endpoints. The endpoints of
+// an owner w's edge lie in w's child fragments or in w's parent fragment
+// P. Every claim on a node of P comes from P's owner or from an owner
+// hanging from P, one whose parent is in P, and those all claim before P
+// reports to its owner: each registers its claim at both endpoints before
+// it reports upward. So once P's owner has registered its own claim, every
+// claim on P's nodes is in. The owner then releases P's claimers, each of
+// which asks its endpoints whether it won and exchanges if it did. Each
+// release is acknowledged once the released subtree settled, so an owner
+// still reports upward (or starts the next round) only after every
+// exchange below it. An owner whose endpoints no claim can reach exchanges
+// at once, as in a Single round, which keeps the traffic of rounds without
+// parent fragments unchanged.
+
+// Where an owner's claim stands.
+const (
+	claimNone     uint8 = iota
+	claimRegister       // registering a claim through the parent fragment
+	claimHeld           // registered; waits for the parent fragment's release
+	claimQuery          // released; asking whether it won
+	claimCheck          // registering and deciding at once (endpoints in its fragments)
+)
+
+// chooseMulti is a Multi-round owner's Choose step.
+func (n *Node) chooseMulti(ctx sim.Context) {
+	switch {
+	case !n.ownerHasBest:
+		n.release(ctx)
+		n.settle(ctx)
+	case n.ownerBest.vroot == n.up:
+		// Through the parent fragment: register, report, wait.
+		n.claimStep = claimRegister
+		ctx.Send(n.ownerArrival, newClaim(n.round, n.ownerBest.u, n.id, 0))
+	case !slices.Contains(n.relTo, n.ownerArrival) && !slices.Contains(n.relTo, n.ownerBest.vroot):
+		// No claim reaches either endpoint's fragment: exchange at once.
+		n.exchange(ctx)
+		n.release(ctx)
+	default:
+		// Every claim on the endpoints is in: register and decide.
+		n.claimStep = claimCheck
+		n.awaitingDone = true
+		ctx.Send(n.ownerArrival, newClaim(n.round, n.ownerBest.u, n.id, updQuery))
+	}
+}
+
+// release sends a release to every child that reported a claimer below it.
+func (n *Node) release(ctx sim.Context) {
+	n.relPending = len(n.relTo)
+	for _, c := range n.relTo {
+		ctx.Send(c, newRelease(n.round))
+	}
+}
+
+// onRelease passes a release on toward the claimers below; a claimer asks
+// its endpoints whether it won.
+func (n *Node) onRelease(ctx sim.Context, from sim.NodeID) {
+	n.relFrom = from
+	if n.isOwner {
+		n.claimStep = claimQuery
+		n.awaitingDone = true
+		ctx.Send(n.ownerArrival, newClaim(n.round, n.ownerBest.u, n.id, updQuery))
+		return
+	}
+	n.release(ctx)
+}
+
+// onReleased counts one released subtree as settled.
+func (n *Node) onReleased(ctx sim.Context, improved bool) {
+	n.improved = n.improved || improved
+	n.relPending--
+	if n.relPending > 0 {
+		return
+	}
+	if n.isOwner {
+		n.settle(ctx)
+		return
+	}
+	ctx.Send(n.relFrom, newReleased(n.round, n.improved))
+}
+
+// settle concludes a Multi-round owner's round once its exchange and every
+// release it sent are acknowledged: a released claimer acknowledges its
+// own release, any other owner finishes as in a Single round.
+func (n *Node) settle(ctx sim.Context) {
+	if n.awaitingDone || n.relPending > 0 || n.claimStep == claimRegister || n.claimStep == claimHeld {
+		return
+	}
+	if n.claimStep == claimQuery {
+		ctx.Send(n.relFrom, newReleased(n.round, n.ownerSwapped || n.improved))
+		return
+	}
+	n.finishOwner(ctx, false)
+}
+
+// onClaim carries a claim down the via chain to u, which registers it and
+// passes it to v over the edge; v registers it in turn and answers.
+func (n *Node) onClaim(ctx sim.Context, from sim.NodeID, msg mUpdate) {
+	owner := msg.v
+	query := int64(0)
+	if msg.query {
+		query = updQuery
+	}
+	switch {
+	case from == msg.u: // v
+		n.register(owner)
+		won := msg.query && msg.uWon && n.claim == owner
+		if won {
+			n.addChild(msg.u, 0)
+		}
+		ctx.Send(from, newAnswer(n.round, won))
+	case n.id == msg.u:
+		n.register(owner)
+		ctx.Send(n.report.v, newClaim(n.round, msg.u, owner, query|sim.B2W(n.claim == owner)*updUWon))
+	default:
+		if !n.hasReport || n.report.u != msg.u || n.reportVia == n.id {
+			panic(fmt.Sprintf("mdst: node %d got a claim on an edge at %d it did not report", n.id, msg.u))
+		}
+		ctx.Send(n.reportVia, newClaim(n.round, msg.u, owner, query))
+	}
+}
+
+// register records owner as a claimer of this node.
+func (n *Node) register(owner sim.NodeID) {
+	if n.claim == noCand || owner < n.claim {
+		n.claim = owner
+	}
+}
+
+// onAnswer carries v's answer from u up the via chain to the claiming
+// owner. If the owner won, v has taken u as its child, and the answer
+// reverses the path on its way: each node hangs from the sender and takes
+// its old parent as a child, except the cut child c, whose old parent is
+// the owner; the owner loses c. At the owner the answer completes the
+// claim.
+func (n *Node) onAnswer(ctx sim.Context, from sim.NodeID, won bool) {
+	if !n.isOwner {
+		old := n.parent
+		if won {
+			if n.reportVia != n.id { // u's sender is v, not a child
+				n.removeChild(from) // before adding, so the lists need not grow
+			}
+			if n.frag.root != n.id {
+				n.addChild(old, 0)
+			}
+			n.parent = from
+		}
+		ctx.Send(old, newAnswer(n.round, won))
+		return
+	}
+	if won {
+		n.removeChild(n.ownerArrival)
+		n.ownerSwapped = true
+		n.swaps++
+	}
+	switch n.claimStep {
+	case claimRegister:
+		// Registered: release the claimers below, whose endpoints now
+		// hold every claim, and report to the parent fragment.
+		n.claimStep = claimHeld
+		n.release(ctx)
+		n.sendBack(ctx, false, n.improved, true)
+	case claimCheck:
+		n.awaitingDone = false
+		n.release(ctx)
+		n.settle(ctx)
+	default: // claimQuery
+		n.awaitingDone = false
+		n.settle(ctx)
+	}
 }

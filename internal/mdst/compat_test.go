@@ -46,12 +46,16 @@ func typedCheckpointError(err error) bool {
 //     records widened and the node state gained its format word and X bit;
 //   - gnm32-hybrid-round2-format2.mdck, written before the start, move,
 //     cut and bfsback records widened and the node state (format 2) gained
-//     its subtree sizes and labels.
+//     its subtree sizes and labels;
+//   - gnm32-hybrid-round2-format3.mdck, written before Multi rounds gained
+//     their grants and the state of a node in a Multi round (format 3)
+//     gained the grant fields; its nodes are all in a Multi round, so the
+//     state format itself must refuse it.
 //
-// Reading or resuming either must fail with a typed error; neither may
+// Reading or resuming any of them must fail with a typed error; none may
 // resume into a run.
 func TestOldCheckpointRefused(t *testing.T) {
-	for _, file := range []string{"gnm32-hybrid-round2.mdck", "gnm32-hybrid-round2-format2.mdck"} {
+	for _, file := range []string{"gnm32-hybrid-round2.mdck", "gnm32-hybrid-round2-format2.mdck", "gnm32-hybrid-round2-format3.mdck"} {
 		raw, err := os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {
 			t.Fatal(err)
@@ -66,6 +70,10 @@ func TestOldCheckpointRefused(t *testing.T) {
 		}
 		if !typedCheckpointError(err) {
 			t.Fatalf("%s: old checkpoint failed untyped: %v", file, err)
+		}
+		var ce *sim.CheckpointError
+		if strings.HasSuffix(file, "format3.mdck") && (!errors.As(err, &ce) || !strings.Contains(ce.Reason, "format 3 in a multi round")) {
+			t.Fatalf("%s: %v, want the format-3 Multi-round refusal", file, err)
 		}
 	}
 }

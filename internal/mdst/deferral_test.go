@@ -92,10 +92,10 @@ func TestDeferralReplayOrderPinned(t *testing.T) {
 	}{
 		{Single, 3, 1126, "b9580babdde49d48", "messages=7258 words=37656 maxWords=9 causalDepth=1272 virtualTime=664.3 rounds=20\n  mdst.bfs     3644\n  mdst.bfsback 741\n  mdst.child   17\n  mdst.cousin  955\n  mdst.cut     98\n  mdst.deg     780\n  mdst.move    60\n  mdst.rounddone 62\n  mdst.start   780\n  mdst.term    39\n  mdst.update  82\n"},
 		{Single, 4, 1113, "b9580babdde49d48", "messages=7258 words=37656 maxWords=9 causalDepth=1266 virtualTime=679.2 rounds=20\n  mdst.bfs     3644\n  mdst.bfsback 741\n  mdst.child   17\n  mdst.cousin  955\n  mdst.cut     98\n  mdst.deg     780\n  mdst.move    60\n  mdst.rounddone 62\n  mdst.start   780\n  mdst.term    39\n  mdst.update  82\n"},
-		{Multi, 3, 473, "ffedfbb462836187", "messages=3491 words=17997 maxWords=9 causalDepth=423 virtualTime=229.3 rounds=9\n  mdst.bfs     1614\n  mdst.bfsback 351\n  mdst.child   13\n  mdst.cousin  589\n  mdst.cut     98\n  mdst.deg     351\n  mdst.move    11\n  mdst.rounddone 37\n  mdst.start   351\n  mdst.term    39\n  mdst.update  37\n"},
-		{Multi, 4, 458, "ffedfbb462836187", "messages=3491 words=17997 maxWords=9 causalDepth=414 virtualTime=228.9 rounds=9\n  mdst.bfs     1614\n  mdst.bfsback 351\n  mdst.child   13\n  mdst.cousin  589\n  mdst.cut     98\n  mdst.deg     351\n  mdst.move    11\n  mdst.rounddone 37\n  mdst.start   351\n  mdst.term    39\n  mdst.update  37\n"},
-		{Hybrid, 3, 961, "53609c4467b2f192", "messages=6204 words=32139 maxWords=9 causalDepth=1216 virtualTime=636.0 rounds=17\n  mdst.bfs     2970\n  mdst.bfsback 624\n  mdst.child   19\n  mdst.cousin  869\n  mdst.cut     119\n  mdst.deg     663\n  mdst.move    56\n  mdst.rounddone 71\n  mdst.start   663\n  mdst.term    39\n  mdst.update  111\n"},
-		{Hybrid, 4, 945, "53609c4467b2f192", "messages=6204 words=32139 maxWords=9 causalDepth=1213 virtualTime=650.9 rounds=17\n  mdst.bfs     2970\n  mdst.bfsback 624\n  mdst.child   19\n  mdst.cousin  869\n  mdst.cut     119\n  mdst.deg     663\n  mdst.move    56\n  mdst.rounddone 71\n  mdst.start   663\n  mdst.term    39\n  mdst.update  111\n"},
+		{Multi, 3, 473, "ffedfbb462836187", "messages=3506 words=18042 maxWords=9 causalDepth=419 virtualTime=227.2 rounds=9\n  mdst.bfs     1599\n  mdst.bfsback 351\n  mdst.child   13\n  mdst.cousin  589\n  mdst.cut     128\n  mdst.deg     351\n  mdst.move    11\n  mdst.rounddone 37\n  mdst.start   351\n  mdst.term    39\n  mdst.update  37\n"},
+		{Multi, 4, 459, "ffedfbb462836187", "messages=3506 words=18042 maxWords=9 causalDepth=416 virtualTime=225.2 rounds=9\n  mdst.bfs     1599\n  mdst.bfsback 351\n  mdst.child   13\n  mdst.cousin  589\n  mdst.cut     128\n  mdst.deg     351\n  mdst.move    11\n  mdst.rounddone 37\n  mdst.start   351\n  mdst.term    39\n  mdst.update  37\n"},
+		{Hybrid, 3, 969, "53609c4467b2f192", "messages=6219 words=32184 maxWords=9 causalDepth=1214 virtualTime=637.7 rounds=17\n  mdst.bfs     2955\n  mdst.bfsback 624\n  mdst.child   19\n  mdst.cousin  869\n  mdst.cut     149\n  mdst.deg     663\n  mdst.move    56\n  mdst.rounddone 71\n  mdst.start   663\n  mdst.term    39\n  mdst.update  111\n"},
+		{Hybrid, 4, 949, "53609c4467b2f192", "messages=6219 words=32184 maxWords=9 causalDepth=1215 virtualTime=630.7 rounds=17\n  mdst.bfs     2955\n  mdst.bfsback 624\n  mdst.child   19\n  mdst.cousin  869\n  mdst.cut     149\n  mdst.deg     663\n  mdst.move    56\n  mdst.rounddone 71\n  mdst.start   663\n  mdst.term    39\n  mdst.update  111\n"},
 	}
 	for _, want := range golden {
 		t.Run(fmt.Sprintf("%s/seed%d", want.mode, want.seed), func(t *testing.T) {

@@ -171,11 +171,16 @@ func TestMessageWords(t *testing.T) {
 		{newCut(1, 3, 2, 5), 5},
 		{newBFS(1, 3, 2, 4), 5},
 		{newCousin(1, 3, 2, 4), 5},
-		{newBFSBack(1, true, 3, noLo, noLabel, nil), 6},
-		{newBFSBack(1, true, 3, noLo, noLabel, &edgeReport{u: 1, v: 2, du: 3, dv: 4, vroot: 5}), 9},
+		{newCutRoot(1, 5), 3},
+		{newBFSBack(1, true, true, 3, noLo, noLabel, nil), 6},
+		{newBFSBack(1, true, false, 3, noLo, noLabel, &edgeReport{u: 1, v: 2, du: 3, dv: 4, vroot: 5}), 9},
 		{newUpdate(1, 2, 3, true, true), 5},
+		{newClaim(1, 2, 3, updQuery|updUWon), 5},
+		{newRelease(1), 3},
 		{newChild(1, true), 3},
 		{newRoundDone(1, true), 3},
+		{newAnswer(1, false), 3},
+		{newReleased(1, true), 3},
 		{newTerm(1), 2},
 	}
 	for _, tc := range cases {
@@ -219,24 +224,53 @@ func TestMessageRoundTrip(t *testing.T) {
 	if got := decCousin(ptr(newCousin(4, 6, 2, 3))); got != (mCousin{round: 4, deg: 6, owner: 2, fragRoot: 3}) {
 		t.Errorf("cousin round-trip: %+v", got)
 	}
-	long := mBFSBack{round: 4, hasReport: true, report: rep, improved: true, size: 6, lo: noLo, hi: noLabel}
-	if got := decBFSBack(ptr(newBFSBack(4, true, 6, 0, 0, &rep))); got != long {
-		t.Errorf("bfsback long round-trip: %+v", got)
+	if got := ptr(newCutRoot(4, 9)); got.Nw != 2 || got.W[0] != 4 || got.W[1] != 9 {
+		t.Errorf("short cut: %+v", got)
 	}
-	short := mBFSBack{round: 4, improved: true, size: 6, lo: 2, hi: 30}
-	if got := decBFSBack(ptr(newBFSBack(4, true, 6, 2, 30, nil))); got != short {
-		t.Errorf("bfsback short round-trip: %+v", got)
+	for _, f := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+		long := mBFSBack{round: 4, hasReport: true, report: rep, improved: f[0], claimer: f[1], size: 6, lo: noLo, hi: noLabel}
+		if got := decBFSBack(ptr(newBFSBack(4, f[0], f[1], 6, 0, 0, &rep))); got != long {
+			t.Errorf("bfsback long round-trip: %+v", got)
+		}
+		short := mBFSBack{round: 4, improved: f[0], claimer: f[1], size: 6, lo: 2, hi: 30}
+		if got := decBFSBack(ptr(newBFSBack(4, f[0], f[1], 6, 2, 30, nil))); got != short {
+			t.Errorf("bfsback short round-trip: %+v", got)
+		}
 	}
 	for _, f := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
 		if got := decUpdate(ptr(newUpdate(4, 7, 9, f[0], f[1]))); got != (mUpdate{round: 4, u: 7, v: 9, first: f[0], fell: f[1]}) {
 			t.Errorf("update round-trip: %+v", got)
 		}
 	}
-	if got := decChild(ptr(newChild(4, true))); got != (mChild{round: 4, fell: true}) {
-		t.Errorf("child round-trip: %+v", got)
+	for _, q := range [][2]bool{{false, false}, {true, false}, {true, true}} {
+		var flags int64
+		if q[0] {
+			flags |= updQuery
+		}
+		if q[1] {
+			flags |= updUWon
+		}
+		want := mUpdate{round: 4, u: 7, v: 3, claim: true, query: q[0], uWon: q[1]}
+		if got := decUpdate(ptr(newClaim(4, 7, 3, flags))); got != want {
+			t.Errorf("claim round-trip: %+v", got)
+		}
 	}
-	if got := decRoundDone(ptr(newRoundDone(4, true))); got != (mRoundDone{round: 4, fell: true}) {
-		t.Errorf("rounddone round-trip: %+v", got)
+	if got := decUpdate(ptr(newRelease(4))); got != (mUpdate{round: 4, release: true}) {
+		t.Errorf("release round-trip: %+v", got)
+	}
+	for _, b := range []bool{false, true} {
+		if got := decChild(ptr(newChild(4, b))); got != (mChild{round: 4, fell: b}) {
+			t.Errorf("child round-trip: %+v", got)
+		}
+		if got := decRoundDone(ptr(newRoundDone(4, b))); got != (mRoundDone{round: 4, fell: b}) {
+			t.Errorf("rounddone round-trip: %+v", got)
+		}
+		if got := decRoundDone(ptr(newAnswer(4, b))); got != (mRoundDone{round: 4, answer: true, won: b}) {
+			t.Errorf("answer round-trip: %+v", got)
+		}
+		if got := decRoundDone(ptr(newReleased(4, b))); got != (mRoundDone{round: 4, released: true, improved: b}) {
+			t.Errorf("released round-trip: %+v", got)
+		}
 	}
 }
 

@@ -95,6 +95,43 @@ func TestDistributedMatchesSequentialTwin(t *testing.T) {
 	}
 }
 
+// contestedGraph builds a graph and start tree in which two owners hanging
+// from one fragment both propose the same endpoint of it in the first
+// Multi round (DESIGN.md deviation 4). Node 0 is the acting root, of
+// degree 4, and its child 1 roots the fragment G = {1, 7, 8, 15}. Owner b,
+// a child of 1, and owner c, a child of 7, have degree 4 and three leaf
+// children each. The only non-tree edges are 9–8 (from b's child 9) and
+// 12–8 (from c's child 12): both lead into G, so b and c both claim node
+// 8. The smaller of b and c must win; node 8 then has degree 3, which
+// leaves the other edge unusable for good. It returns the winner's edge
+// and the loser's.
+func contestedGraph(t *testing.T, b, c graph.NodeID) (cg *graph.CSR, t0 *tree.Dense, won, lost [2]graph.NodeID) {
+	t.Helper()
+	g := graph.New()
+	parent := map[graph.NodeID]graph.NodeID{1: 0, 2: 0, 3: 0, 4: 0, b: 1, 7: 1, c: 7, 8: 7, 15: 8,
+		9: b, 10: b, 11: b, 12: c, 13: c, 14: c}
+	for v, p := range parent {
+		g.MustAddEdge(v, p)
+	}
+	g.MustAddEdge(9, 8)
+	g.MustAddEdge(12, 8)
+	cg = g.Compile()
+	dense := make([]int32, cg.N())
+	dense[0] = tree.NoParent
+	for v, p := range parent {
+		dense[cg.Index().MustOf(v)] = cg.Index().MustOf(p)
+	}
+	t0, err := tree.FromParentDense(cg.Index(), cg.Index().MustOf(0), dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	won, lost = [2]graph.NodeID{9, 8}, [2]graph.NodeID{12, 8}
+	if c < b {
+		won, lost = lost, won
+	}
+	return cg, t0, won, lost
+}
+
 // TestDeliveryOrderIndependence: the final tree must not depend on the
 // engine, the delay distribution, or FIFO vs non-FIFO delivery.
 func TestDeliveryOrderIndependence(t *testing.T) {
@@ -132,6 +169,24 @@ func TestDeliveryOrderIndependence(t *testing.T) {
 					}
 					if !res.Tree.Equal(ref) {
 						t.Errorf("final tree depends on delivery order")
+					}
+				})
+			}
+		}
+	}
+	// Two owners claim one endpoint: the smaller identity wins it on every
+	// engine, whichever of the two hangs higher in the fragment.
+	for _, owners := range [][2]graph.NodeID{{5, 6}, {6, 5}} {
+		c, t0, won, lost := contestedGraph(t, owners[0], owners[1])
+		for _, mode := range []mdst.Mode{mdst.Multi, mdst.Hybrid} {
+			for ename, mk := range engines {
+				t.Run(fmt.Sprintf("contested%d%d/%s/%s", owners[0], owners[1], mode, ename), func(t *testing.T) {
+					res, err := mdst.Run(mk(), c, t0, mode, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !res.Tree.HasEdge(won[0], won[1]) || res.Tree.HasEdge(lost[0], lost[1]) {
+						t.Errorf("the smaller owner's edge %v did not win over %v:\n%v", won, lost, res.Tree)
 					}
 				})
 			}

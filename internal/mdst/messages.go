@@ -29,11 +29,11 @@ var wire = sim.Register("mdst",
 	sim.OpSpec{Kind: "mdst.start", MinPayload: 4, MaxPayload: 4, Rounded: true},
 	sim.OpSpec{Kind: "mdst.deg", MinPayload: 4, MaxPayload: 4, Rounded: true},
 	sim.OpSpec{Kind: "mdst.move", MinPayload: 4, MaxPayload: 4, Rounded: true},
-	sim.OpSpec{Kind: "mdst.cut", MinPayload: 4, MaxPayload: 4, Rounded: true},
+	sim.OpSpec{Kind: "mdst.cut", MinPayload: 2, MaxPayload: 4, Rounded: true},
 	sim.OpSpec{Kind: "mdst.bfs", MinPayload: 4, MaxPayload: 4, Rounded: true},
 	sim.OpSpec{Kind: "mdst.cousin", MinPayload: 4, MaxPayload: 4, Rounded: true},
 	sim.OpSpec{Kind: "mdst.bfsback", MinPayload: 5, MaxPayload: 8, Rounded: true},
-	sim.OpSpec{Kind: "mdst.update", MinPayload: 4, MaxPayload: 4, Rounded: true},
+	sim.OpSpec{Kind: "mdst.update", MinPayload: 2, MaxPayload: 4, Rounded: true},
 	sim.OpSpec{Kind: "mdst.child", MinPayload: 2, MaxPayload: 2, Rounded: true},
 	sim.OpSpec{Kind: "mdst.rounddone", MinPayload: 2, MaxPayload: 2, Rounded: true},
 	sim.OpSpec{Kind: "mdst.term", MinPayload: 1, MaxPayload: 1, Rounded: true},
@@ -129,7 +129,15 @@ func decMove(m *sim.WireMsg) mMove {
 
 // mCut is the paper's <cut, k, p>: the owner virtually severs its children,
 // making each the root of a fragment. label is the receiver's pre-order
-// label, or noLabel (deviation 7).
+// label, or noLabel (deviation 7). In a Multi round the word names the
+// owner's parent fragment instead, by its root, or is noCand.
+//
+// In a Multi round whose owner has a parent fragment, the fragment's wave
+// crosses each tree edge below the fragment root as a relayed cut, which
+// carries the same four numbers with the sender, not the owner, as its
+// source, and a short cut carrying the fragment root (DESIGN.md deviation
+// 4). A plain bfs has no word left for the parent fragment, and its
+// receiver must know whether to wait for one.
 type mCut struct {
 	round int
 	k     int
@@ -145,11 +153,17 @@ func decCut(m *sim.WireMsg) mCut {
 	return mCut{round: int(m.W[0]), k: int(m.W[1]), owner: sim.NodeID(m.W[2]), label: int(m.W[3])}
 }
 
+// newCutRoot is the short cut: the fragment root of a relayed cut.
+func newCutRoot(round int, root sim.NodeID) sim.WireMsg {
+	return sim.WireMsg{Op: opCut, Nw: 2, W: [sim.MaxPayloadWords]int64{int64(round), int64(root)}}
+}
+
 // mBFS is the paper's <BFS, k, p, p'> fragment wave. A Single round has one
 // owner, the acting root, so there the owner word is redundant and carries
 // a pre-order label instead (deviation 7): the receiver's own on a tree
 // edge, the sender's on a probe. The phase, known to both ends, says which
-// (see fields).
+// (see fields). No receiver reads a probe's k, so a Multi-round probe
+// carries the sender's degree there (deviation 4).
 type mBFS struct {
 	round    int
 	k        int
@@ -200,40 +214,46 @@ func decCousin(m *sim.WireMsg) mCousin {
 // parenthesised edge slot) plus the multi-root improvement flag and the
 // sender's subtree size (deviation 7). It is the schema's one
 // variable-size record, its payload length telling the forms apart: the
-// short form (no edge to report) carries round, the improvement flag, the
-// size and the subtree's qualifying label range lo..hi; the long form
-// carries round, size, the improvement flag and the five edge-report
-// words, and needs no range: the report alone proves every ancestor in
-// the fragment eligible.
+// short form (no edge to report) carries round, flags, the size and the
+// subtree's qualifying label range lo..hi; the long form carries round,
+// size, flags and the five edge-report words, and needs no range: the
+// report alone proves every ancestor in the fragment eligible. The flags
+// word holds the improvement flag and, in a Multi round, the claimer flag:
+// the sender's subtree holds an owner whose claim on this fragment waits
+// for the fragment's owner to release it (deviation 4).
 type mBFSBack struct {
 	round     int
 	hasReport bool
 	report    edgeReport
 	improved  bool
+	claimer   bool
 	size      int
 	lo, hi    int
 }
 
 // newBFSBack encodes the long form when report is not nil, else the
 // short form.
-func newBFSBack(round int, improved bool, size, lo, hi int, report *edgeReport) sim.WireMsg {
+func newBFSBack(round int, improved, claimer bool, size, lo, hi int, report *edgeReport) sim.WireMsg {
+	flags := sim.B2W(improved) | sim.B2W(claimer)<<1
 	if report == nil {
 		return sim.WireMsg{Op: opBFSBack, Nw: 5, W: [sim.MaxPayloadWords]int64{
-			int64(round), sim.B2W(improved), int64(size), int64(lo), int64(hi)}}
+			int64(round), flags, int64(size), int64(lo), int64(hi)}}
 	}
 	return sim.WireMsg{Op: opBFSBack, Nw: 8, W: [sim.MaxPayloadWords]int64{
-		int64(round), int64(size), sim.B2W(improved),
+		int64(round), int64(size), flags,
 		int64(report.u), int64(report.v), int64(report.du), int64(report.dv), int64(report.vroot)}}
 }
 
 func decBFSBack(m *sim.WireMsg) mBFSBack {
 	if m.Nw == 5 {
-		return mBFSBack{round: int(m.W[0]), improved: m.W[1] != 0, size: int(m.W[2]), lo: int(m.W[3]), hi: int(m.W[4])}
+		return mBFSBack{round: int(m.W[0]), improved: m.W[1]&1 != 0, claimer: m.W[1]&2 != 0,
+			size: int(m.W[2]), lo: int(m.W[3]), hi: int(m.W[4])}
 	}
 	return mBFSBack{
 		round:     int(m.W[0]),
 		hasReport: true,
-		improved:  m.W[2] != 0,
+		improved:  m.W[2]&1 != 0,
+		claimer:   m.W[2]&2 != 0,
 		size:      int(m.W[1]),
 		lo:        noLo,
 		hi:        noLabel,
@@ -248,22 +268,58 @@ func decBFSBack(m *sim.WireMsg) mBFSBack {
 // mUpdate travels from the owner down the via chain to the chosen outgoing
 // edge, reversing the path (the paper's "update" message). fell, set by
 // the first receiver c, says c's degree fell from k-1 to k-2; it rides on
-// through child and rounddone back to the owner. The two flags share one
+// through child and rounddone back to the owner. The flags share one
 // word, which keeps the record within the paper's four numbers.
+//
+// Multi rounds also run their grants on update (DESIGN.md deviation 4):
+//   - a claim travels the same chain, changing nothing, and carries the
+//     claiming owner where v would be (u knows v from its report): u and
+//     then v register it, and with query set they decide whether the owner
+//     won them, u passing uWon on to v;
+//   - a release, the short form (round, flags), travels down the children
+//     that reported a claimer below them, telling each claiming owner
+//     that its parent fragment's claims are all in.
 type mUpdate struct {
 	round int
-	u, v  sim.NodeID
-	first bool // true on the hop leaving the owner (the cut edge)
+	u, v  sim.NodeID // a claim carries its owner in v
+	first bool       // true on the hop leaving the owner (the cut edge)
 	fell  bool
+
+	claim, query, uWon, release bool
 }
+
+const (
+	updFirst = 1 << iota
+	updFell
+	updClaim
+	updQuery
+	updUWon
+	updRelease
+)
 
 func newUpdate(round int, u, v sim.NodeID, first, fell bool) sim.WireMsg {
 	flags := sim.B2W(first) | sim.B2W(fell)<<1
 	return sim.WireMsg{Op: opUpdate, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(u), int64(v), flags}}
 }
 
+// newClaim is a claim by owner on the edge recorded at u; flags holds
+// updQuery and updUWon.
+func newClaim(round int, u, owner sim.NodeID, flags int64) sim.WireMsg {
+	return sim.WireMsg{Op: opUpdate, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(u), int64(owner), updClaim | flags}}
+}
+
+func newRelease(round int) sim.WireMsg {
+	return sim.WireMsg{Op: opUpdate, Nw: 2, W: [sim.MaxPayloadWords]int64{int64(round), updRelease}}
+}
+
 func decUpdate(m *sim.WireMsg) mUpdate {
-	return mUpdate{round: int(m.W[0]), u: sim.NodeID(m.W[1]), v: sim.NodeID(m.W[2]), first: m.W[3]&1 != 0, fell: m.W[3]&2 != 0}
+	if m.Nw == 2 {
+		return mUpdate{round: int(m.W[0]), release: true}
+	}
+	f := m.W[3]
+	return mUpdate{round: int(m.W[0]), u: sim.NodeID(m.W[1]), v: sim.NodeID(m.W[2]),
+		first: f&updFirst != 0, fell: f&updFell != 0,
+		claim: f&updClaim != 0, query: f&updQuery != 0, uWon: f&updUWon != 0, release: f&updRelease != 0}
 }
 
 // mChild is the paper's "child" message: the reattachment handshake,
@@ -273,28 +329,57 @@ type mChild struct {
 	fell  bool
 }
 
-func newChild(round int, fell bool) sim.WireMsg { return roundFell(opChild, round, fell) }
+// Flags of rounddone; child carries only doneFell.
+const (
+	doneFell = 1 << iota
+	doneAnswer
+	doneWon
+	doneReleased
+	doneImproved
+)
 
-func decChild(m *sim.WireMsg) mChild { return mChild{round: int(m.W[0]), fell: m.W[1] != 0} }
+func newChild(round int, fell bool) sim.WireMsg { return roundFlags(opChild, round, sim.B2W(fell)) }
+
+func decChild(m *sim.WireMsg) mChild { return mChild{round: int(m.W[0]), fell: m.W[1]&doneFell != 0} }
 
 // mRoundDone notifies the waiting owner that its exchange completed ("a
 // round is terminated when a node received a child message"); the paper
 // does not say how the root learns this, so we convergecast it (deviation
 // documented in DESIGN.md). It carries update's fell bit to the owner.
+//
+// In a Multi round's grant it also carries v's answer to a claim, to u
+// and up the via chain to the claiming owner (answer; won says the owner
+// won both endpoints, and each node on the way reverses its step), and,
+// as a release's acknowledgement, travels back along the release's path
+// once the released subtree has settled (released, with the improvement
+// flag).
 type mRoundDone struct {
-	round int
-	fell  bool
+	round                                 int
+	fell, answer, won, released, improved bool
 }
 
-func newRoundDone(round int, fell bool) sim.WireMsg { return roundFell(opRoundDone, round, fell) }
+func newRoundDone(round int, fell bool) sim.WireMsg {
+	return roundFlags(opRoundDone, round, sim.B2W(fell))
+}
+
+func newAnswer(round int, won bool) sim.WireMsg {
+	return roundFlags(opRoundDone, round, doneAnswer|sim.B2W(won)*doneWon)
+}
+
+func newReleased(round int, improved bool) sim.WireMsg {
+	return roundFlags(opRoundDone, round, doneReleased|sim.B2W(improved)*doneImproved)
+}
 
 func decRoundDone(m *sim.WireMsg) mRoundDone {
-	return mRoundDone{round: int(m.W[0]), fell: m.W[1] != 0}
+	f := m.W[1]
+	return mRoundDone{round: int(m.W[0]), fell: f&doneFell != 0, answer: f&doneAnswer != 0, won: f&doneWon != 0,
+		released: f&doneReleased != 0, improved: f&doneImproved != 0}
 }
 
-// roundFell encodes the records whose payload is the round and a fell bit.
-func roundFell(op sim.Op, round int, fell bool) sim.WireMsg {
-	return sim.WireMsg{Op: op, Nw: 2, W: [sim.MaxPayloadWords]int64{int64(round), sim.B2W(fell)}}
+// roundFlags encodes the records whose payload is the round and a flags
+// word.
+func roundFlags(op sim.Op, round int, flags int64) sim.WireMsg {
+	return sim.WireMsg{Op: op, Nw: 2, W: [sim.MaxPayloadWords]int64{int64(round), flags}}
 }
 
 // mTerm is the final broadcast: the tree is locally optimal (or a chain);
@@ -308,9 +393,11 @@ func newTerm(round int) sim.WireMsg {
 }
 
 // edgeReport describes a recorded outgoing edge: u is the endpoint on the
-// recording (smaller fragment identity) side, v the far endpoint, du/dv
-// their tree degrees at recording time, vroot the far fragment's root (the
-// owner is implied: reports never cross owners).
+// recording side, v the far endpoint, du/dv their tree degrees at
+// recording time, vroot the far fragment's root. The recording side is
+// the smaller fragment identity for an edge between two fragments of one
+// owner and the child fragment for an edge into the owner's parent
+// fragment, which is how the owner tells the two apart (deviation 4).
 type edgeReport struct {
 	u, v   sim.NodeID
 	du, dv int

@@ -156,6 +156,17 @@ type Node struct {
 	moved        int        // acting root: size of the subtree its exchange moved
 
 	deferred []deferredMsg
+
+	// Multi-round grants (DESIGN.md deviation 4). up names, by its root,
+	// the parent fragment of this member's owner, or of this owner: the
+	// fragment holding the owner's parent, noCand if there is none.
+	up         sim.NodeID
+	halves     uint8        // halves of a relayed cut received (halfCut, halfRoot)
+	claimStep  uint8        // owner: where its claim stands (claimNone, ...)
+	claim      sim.NodeID   // endpoint: smallest owner claiming this node (noCand: none)
+	relTo      []sim.NodeID // children that reported a claimer below them
+	relFrom    sim.NodeID   // the node that released this one
+	relPending int          // releases sent and not yet acknowledged
 }
 
 // NewFactory returns a sim.Factory for the improvement protocol starting
@@ -177,6 +188,9 @@ func NewFactory(mode Mode, target int, initial *tree.Dense) sim.Factory {
 			children: make([]sim.NodeID, len(kids)),
 			sizes:    make([]int, len(kids)),
 			fixChild: noCand,
+			up:       noCand,
+			claim:    noCand,
+			relFrom:  noCand,
 		}
 		for k, ch := range kids {
 			n.children[k] = idx.ID(ch)
@@ -294,6 +308,10 @@ func (n *Node) process(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) bool {
 	case opMove:
 		n.onMove(ctx, from, decMove(m))
 	case opCut:
+		if m.Nw == 2 {
+			n.onCutRoot(ctx, from, sim.NodeID(m.W[1]))
+			break
+		}
 		n.onCut(ctx, from, decCut(m))
 	case opBFS:
 		return n.onBFS(ctx, from, decBFS(m))
@@ -302,7 +320,14 @@ func (n *Node) process(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) bool {
 	case opBFSBack:
 		n.onBFSBack(ctx, from, decBFSBack(m))
 	case opUpdate:
-		n.onUpdate(ctx, from, decUpdate(m))
+		switch msg := decUpdate(m); {
+		case msg.release:
+			n.onRelease(ctx, from)
+		case msg.claim:
+			n.onClaim(ctx, from, msg)
+		default:
+			n.onUpdate(ctx, from, msg)
+		}
 	case opChild:
 		n.onChild(ctx, from, decChild(m))
 	case opRoundDone:
@@ -341,6 +366,19 @@ func (n *Node) resetRound() {
 	n.ownerArrival = 0
 	n.ownerSwapped = false
 	n.awaitingDone = false
+	n.resetGrant()
+}
+
+// resetGrant clears the Multi-round grant state, which a Single round
+// never sets.
+func (n *Node) resetGrant() {
+	n.up = noCand
+	n.halves = 0
+	n.claimStep = claimNone
+	n.claim = noCand
+	n.relTo = n.relTo[:0]
+	n.relFrom = noCand
+	n.relPending = 0
 }
 
 // ownContribution is this node's SearchDegree entry: its degree and, if

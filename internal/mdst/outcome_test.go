@@ -51,20 +51,20 @@ var outcomeDigests = map[string]string{
 	"ba-12/s2/star/twin-hybrid":           "5e51123b8e50fac3e06107bca1909287fde5750d34794d253b847236d375d983",
 	"ba-12/s2/star/twin-multi":            "5e51123b8e50fac3e06107bca1909287fde5750d34794d253b847236d375d983",
 	"ba-12/s2/star/twin-single":           "5e51123b8e50fac3e06107bca1909287fde5750d34794d253b847236d375d983",
-	"ba-2k/flood/run-hybrid":              "7dea6f3d9ab1d303608f7475047e079fa392869f612d9eb7870eceab1081c22a",
+	"ba-2k/flood/run-hybrid":              "4c7abb0d05d97ff63eaa848b73e2eceff0373e54086a65bb41ef05ca5e0ea8e5",
 	"ba-2k/flood/run-single":              "f239a67fad7a7e3af46155a6d3ed1266d04f09d07cd8a5cd19435205d8417f54",
-	"ba-2k/flood/twin-hybrid":             "7dea6f3d9ab1d303608f7475047e079fa392869f612d9eb7870eceab1081c22a",
-	"ba-2k/flood/twin-multi":              "a4baf77fdc681fb35d0b37e5af63688448f2d4f8e3eddd21e9d1de377ca54347",
+	"ba-2k/flood/twin-hybrid":             "4c7abb0d05d97ff63eaa848b73e2eceff0373e54086a65bb41ef05ca5e0ea8e5",
+	"ba-2k/flood/twin-multi":              "4c7abb0d05d97ff63eaa848b73e2eceff0373e54086a65bb41ef05ca5e0ea8e5",
 	"ba-2k/flood/twin-single":             "f239a67fad7a7e3af46155a6d3ed1266d04f09d07cd8a5cd19435205d8417f54",
-	"ba96/random/run-hybrid":              "ea712d4d852bd858e15afae94a6017c80a8d2d8aa182cbe231e6cd5b2515eec8",
+	"ba96/random/run-hybrid":              "24ba876177af406a3104fc71e78f8642371cd0a7ea95d1ba36135a31d75b2456",
 	"ba96/random/run-single":              "78573343b9625d8449c5783b1a89e5446849a25c95622728edb334bd26c7fc23",
-	"ba96/random/twin-hybrid":             "ea712d4d852bd858e15afae94a6017c80a8d2d8aa182cbe231e6cd5b2515eec8",
-	"ba96/random/twin-multi":              "cdd60dbc086eab167da8838677aa46ec4b98df82ab63f3fa1c0eb645388afd75",
+	"ba96/random/twin-hybrid":             "24ba876177af406a3104fc71e78f8642371cd0a7ea95d1ba36135a31d75b2456",
+	"ba96/random/twin-multi":              "03fbefd77fcf3c7f1144b56a14f045ac6c861983152cd88f47346d1d8682fbc7",
 	"ba96/random/twin-single":             "78573343b9625d8449c5783b1a89e5446849a25c95622728edb334bd26c7fc23",
-	"ba96/star/run-hybrid":                "4407168b6eae73c73daae97c57d7f7305c201cdd341c29f4237de9ab8120810f",
+	"ba96/star/run-hybrid":                "b1e78df05e3a271be64226bd802d23d047f867e4a69db8a5ad5d67dc5d7b9dc9",
 	"ba96/star/run-single":                "a6795313246878c63714f78b6f323c05da21831bb3948a1aaecaeb64a1c22ac8",
-	"ba96/star/twin-hybrid":               "4407168b6eae73c73daae97c57d7f7305c201cdd341c29f4237de9ab8120810f",
-	"ba96/star/twin-multi":                "8566c807ccccc994aeaf55f9a0906e10946e28b386cf609d260f199946300024",
+	"ba96/star/twin-hybrid":               "b1e78df05e3a271be64226bd802d23d047f867e4a69db8a5ad5d67dc5d7b9dc9",
+	"ba96/star/twin-multi":                "b1e78df05e3a271be64226bd802d23d047f867e4a69db8a5ad5d67dc5d7b9dc9",
 	"ba96/star/twin-single":               "a6795313246878c63714f78b6f323c05da21831bb3948a1aaecaeb64a1c22ac8",
 	"bipart/s0/random/run-hybrid":         "3ff8612dacce5070f4a47c1f71a69cdf543b047d5a2f13acd465b40fd682b837",
 	"bipart/s0/random/run-single":         "3ff8612dacce5070f4a47c1f71a69cdf543b047d5a2f13acd465b40fd682b837",
@@ -156,10 +156,10 @@ var outcomeDigests = map[string]string{
 	"gnm-12/s2/star/twin-hybrid":          "3a619883036fe343d431e7f6b7390fb8e47757d650e38c1efe4d185575c4803a",
 	"gnm-12/s2/star/twin-multi":           "3a619883036fe343d431e7f6b7390fb8e47757d650e38c1efe4d185575c4803a",
 	"gnm-12/s2/star/twin-single":          "3a619883036fe343d431e7f6b7390fb8e47757d650e38c1efe4d185575c4803a",
-	"gnm-1k/flood/run-hybrid":             "17e3cea845bbc0f31e70769392a33f1d900fc4af7d9c084782455eaae16ca7d0",
+	"gnm-1k/flood/run-hybrid":             "bb669e08b5942f0c7309218ed370fb4ec86a39ecc7a8b0fab5ee9085903f0d4e",
 	"gnm-1k/flood/run-single":             "38c0f1c5aaeb7142bafaa43decc7066ad08e821ca8c4af7591a6113e1ea0eacf",
-	"gnm-1k/flood/twin-hybrid":            "17e3cea845bbc0f31e70769392a33f1d900fc4af7d9c084782455eaae16ca7d0",
-	"gnm-1k/flood/twin-multi":             "8c4b8a9be344ec2953c73db431f36881f6bd794413ad762d8d4dd7dc4c5661e7",
+	"gnm-1k/flood/twin-hybrid":            "bb669e08b5942f0c7309218ed370fb4ec86a39ecc7a8b0fab5ee9085903f0d4e",
+	"gnm-1k/flood/twin-multi":             "10501bd7cc093530cc98164f9564e0ac70cde6b282825ec8f43bf14dcc270ef4",
 	"gnm-1k/flood/twin-single":            "38c0f1c5aaeb7142bafaa43decc7066ad08e821ca8c4af7591a6113e1ea0eacf",
 	"gnp-11/s0/random/run-hybrid":         "77e966e6cad13be49bd5640d9152fddb25ae69f20a202139066533ff9973f1e7",
 	"gnp-11/s0/random/run-single":         "77e966e6cad13be49bd5640d9152fddb25ae69f20a202139066533ff9973f1e7",
@@ -191,55 +191,55 @@ var outcomeDigests = map[string]string{
 	"gnp-11/s2/star/twin-hybrid":          "ca972cf66296185f710acefe272745c5938e994a896d18c2515793dedbeda860",
 	"gnp-11/s2/star/twin-multi":           "ca972cf66296185f710acefe272745c5938e994a896d18c2515793dedbeda860",
 	"gnp-11/s2/star/twin-single":          "ca972cf66296185f710acefe272745c5938e994a896d18c2515793dedbeda860",
-	"gnp64/random/run-hybrid":             "a7853dfaa303c0c0ab09874da7e2e821dffbc7fb2c43d656ac97e5d445cc8cf3",
+	"gnp64/random/run-hybrid":             "6437102dd0a39b9f2ca01969ac018910435b89992dbcd07998d4fa5e548380db",
 	"gnp64/random/run-single":             "6f63cefa63db1683ed2aecadd67d2ec44860484ca9329962febed76ed9140202",
-	"gnp64/random/twin-hybrid":            "a7853dfaa303c0c0ab09874da7e2e821dffbc7fb2c43d656ac97e5d445cc8cf3",
-	"gnp64/random/twin-multi":             "ecf5dee0d69ace35545c47f966389c7d59d35f3e669a7fe3731d0db39a064655",
+	"gnp64/random/twin-hybrid":            "6437102dd0a39b9f2ca01969ac018910435b89992dbcd07998d4fa5e548380db",
+	"gnp64/random/twin-multi":             "82574d2491d460b1736c3a91c9e90000560d9d47a21d5f50bc397401d76f53f1",
 	"gnp64/random/twin-single":            "6f63cefa63db1683ed2aecadd67d2ec44860484ca9329962febed76ed9140202",
-	"gnp64/star/run-hybrid":               "cf50356cac81b320e9a02149e5e071f67dabdd769fc21bd73d59101bec1a8508",
+	"gnp64/star/run-hybrid":               "4e120e79d2ba4b5714f29fef78faa1447b897ae1b8da59691c8d6b63d535f58a",
 	"gnp64/star/run-single":               "7201ba6c036f9dfc5ae72396d5d9dce2ac91f6fd4f941c1431ac917356ffe37f",
-	"gnp64/star/twin-hybrid":              "cf50356cac81b320e9a02149e5e071f67dabdd769fc21bd73d59101bec1a8508",
-	"gnp64/star/twin-multi":               "f761fcc941f97bd84b2478d777b507a41333b2c429a514729653201b5cf7943d",
+	"gnp64/star/twin-hybrid":              "4e120e79d2ba4b5714f29fef78faa1447b897ae1b8da59691c8d6b63d535f58a",
+	"gnp64/star/twin-multi":               "80162f11da61fca92bdb49b2c0132eee9c83ae5a91f18b9c51d19fe358631005",
 	"gnp64/star/twin-single":              "7201ba6c036f9dfc5ae72396d5d9dce2ac91f6fd4f941c1431ac917356ffe37f",
-	"gnp96-relabelled/random/run-hybrid":  "0b6a9fb89a8709e78ddfa94f669fef3980e5834bc43ec5782d8714236e340f20",
+	"gnp96-relabelled/random/run-hybrid":  "1d2ff5923433224876efdfdef6435a9517de1eab22c2a580edfb6fda8dc59c1b",
 	"gnp96-relabelled/random/run-single":  "3346728dd7de818da7501e4bafbbde8090b3a1dba94fbfe71365d7dd647f0bec",
-	"gnp96-relabelled/random/twin-hybrid": "0b6a9fb89a8709e78ddfa94f669fef3980e5834bc43ec5782d8714236e340f20",
-	"gnp96-relabelled/random/twin-multi":  "bab9ef5d9d8c996990cf574f62d96cebf200787468328244a75646fd5bca7dfa",
+	"gnp96-relabelled/random/twin-hybrid": "1d2ff5923433224876efdfdef6435a9517de1eab22c2a580edfb6fda8dc59c1b",
+	"gnp96-relabelled/random/twin-multi":  "4254de919cfff8178969f26d0539a62344d1f171c9860e6654fbe78350139386",
 	"gnp96-relabelled/random/twin-single": "3346728dd7de818da7501e4bafbbde8090b3a1dba94fbfe71365d7dd647f0bec",
-	"gnp96-relabelled/star/run-hybrid":    "ec3dd0913f9dae510792e23e48683420072c972a35f7ea8c006fe7eb3e0a88a1",
+	"gnp96-relabelled/star/run-hybrid":    "77c7a9377f1676dc646be8c12a4f21c1a505dad34eb668c1aa04c644f183848c",
 	"gnp96-relabelled/star/run-single":    "9ab68dc047ff352d29dfe7d5db76f4487ff27213646f4ce4fe89339d3816265e",
-	"gnp96-relabelled/star/twin-hybrid":   "ec3dd0913f9dae510792e23e48683420072c972a35f7ea8c006fe7eb3e0a88a1",
-	"gnp96-relabelled/star/twin-multi":    "9fa3808a49b600cd405d69e8998dc5cc89434b01f4565ba3584198cfac0f76d4",
+	"gnp96-relabelled/star/twin-hybrid":   "77c7a9377f1676dc646be8c12a4f21c1a505dad34eb668c1aa04c644f183848c",
+	"gnp96-relabelled/star/twin-multi":    "c1573ca0a040b75ec8390b4597d88f70248945dcc0233c03e9dd27ab1deb9eb9",
 	"gnp96-relabelled/star/twin-single":   "9ab68dc047ff352d29dfe7d5db76f4487ff27213646f4ce4fe89339d3816265e",
 	"grid-4k/flood/run-hybrid":            "5f3fc3bed8faae406a6ba8cea656caeef632c9bcaa44fc17a6e80b437d220cdb",
 	"grid-4k/flood/run-single":            "5f3fc3bed8faae406a6ba8cea656caeef632c9bcaa44fc17a6e80b437d220cdb",
 	"grid-4k/flood/twin-hybrid":           "5f3fc3bed8faae406a6ba8cea656caeef632c9bcaa44fc17a6e80b437d220cdb",
 	"grid-4k/flood/twin-multi":            "b02437c1270e103026a99db16c308fa2ab739de17b7bdf221943d7f827250fc5",
 	"grid-4k/flood/twin-single":           "5f3fc3bed8faae406a6ba8cea656caeef632c9bcaa44fc17a6e80b437d220cdb",
-	"grid8x12/random/run-hybrid":          "df31f31c8df893a0b97b3458541c60a22d0f58e98e4f050bd712c5fcec117cfc",
+	"grid8x12/random/run-hybrid":          "a430be4da9631fb3cf7dda84ab06e58ffeefcb61696a5a7cc2170e38493ecce4",
 	"grid8x12/random/run-single":          "ea372606152918068e6d2c292ea023a18e6dc444569446781c15ccb77d6abef8",
-	"grid8x12/random/twin-hybrid":         "df31f31c8df893a0b97b3458541c60a22d0f58e98e4f050bd712c5fcec117cfc",
-	"grid8x12/random/twin-multi":          "af878dac170d2d2a68fd3e2de1fe36d3eee8eb73ad61e60b4e41696fc882a372",
+	"grid8x12/random/twin-hybrid":         "a430be4da9631fb3cf7dda84ab06e58ffeefcb61696a5a7cc2170e38493ecce4",
+	"grid8x12/random/twin-multi":          "3515e26761cc0e3e0731588bfaa3613a4b5253a2ffbe3b660e20f974c8420835",
 	"grid8x12/random/twin-single":         "ea372606152918068e6d2c292ea023a18e6dc444569446781c15ccb77d6abef8",
 	"grid8x12/star/run-hybrid":            "acd24aa14d049e7c2fd1bb58490707547a4a7d27fbdf08542e21e9984bb9cd18",
 	"grid8x12/star/run-single":            "94f73edf77a6bfcbd85d8440eb25a11a96327c5a1c7d726c00fcba788042d1cd",
 	"grid8x12/star/twin-hybrid":           "acd24aa14d049e7c2fd1bb58490707547a4a7d27fbdf08542e21e9984bb9cd18",
 	"grid8x12/star/twin-multi":            "2eea8529e08fb2ba9e99f3e4242e3cd7161eb08a78de69d53825b62530ef5e15",
 	"grid8x12/star/twin-single":           "94f73edf77a6bfcbd85d8440eb25a11a96327c5a1c7d726c00fcba788042d1cd",
-	"hamchords64/random/run-hybrid":       "934119441906abe126e06dc06904003996f69aefb1c1e660b97843438f2845a6",
+	"hamchords64/random/run-hybrid":       "381ef83b7ff3424e6d9f5af298443a4aee1cc179eaa7c79435654bad8b531bbb",
 	"hamchords64/random/run-single":       "94131b7efbc481c47cd132c780d913b8c2c62b235539820789ea9ce6282cff5a",
-	"hamchords64/random/twin-hybrid":      "934119441906abe126e06dc06904003996f69aefb1c1e660b97843438f2845a6",
-	"hamchords64/random/twin-multi":       "322a373f2a6643237b97447959d8fffa77ad5e333a4925af4e1fd32777ea4ea1",
+	"hamchords64/random/twin-hybrid":      "381ef83b7ff3424e6d9f5af298443a4aee1cc179eaa7c79435654bad8b531bbb",
+	"hamchords64/random/twin-multi":       "5c284bb6a63046fee01123d934982c339ca45e04ea626fb5259b26c22bb445f2",
 	"hamchords64/random/twin-single":      "94131b7efbc481c47cd132c780d913b8c2c62b235539820789ea9ce6282cff5a",
-	"hamchords64/star/run-hybrid":         "3e79704932941ea0798d250003764db556b9c338c8489c3202ae18251fd16d2f",
+	"hamchords64/star/run-hybrid":         "82d82273cbb378875f41322949a1160487db729b52f9764f708a4879aeab5e95",
 	"hamchords64/star/run-single":         "01b2da4b38589e231b33465092b0e9504ba2f64e0c81140909719683fce7c2dc",
-	"hamchords64/star/twin-hybrid":        "3e79704932941ea0798d250003764db556b9c338c8489c3202ae18251fd16d2f",
-	"hamchords64/star/twin-multi":         "bf521ae67479503a0be3cfb7658d1cbb4441994e73c408f5639dedf44b4b1620",
+	"hamchords64/star/twin-hybrid":        "82d82273cbb378875f41322949a1160487db729b52f9764f708a4879aeab5e95",
+	"hamchords64/star/twin-multi":         "04c47d3ff6fabca1b2659c623a6e81915b6bc934743368919053fa6e8daf46e1",
 	"hamchords64/star/twin-single":        "01b2da4b38589e231b33465092b0e9504ba2f64e0c81140909719683fce7c2dc",
-	"hypercube6/random/run-hybrid":        "134e6ce9d80c88fe708d134963ea72966b0fa65b8ae76cde842120af937343fe",
+	"hypercube6/random/run-hybrid":        "1ecd9d7d7c7390a5be04584d30de8e470a4393ca7f72863b05695835a8f8323a",
 	"hypercube6/random/run-single":        "ab4f058e3e2116e5cd8991c2dc0c0c0fd6a753df084b2845cded2a3148811c44",
-	"hypercube6/random/twin-hybrid":       "134e6ce9d80c88fe708d134963ea72966b0fa65b8ae76cde842120af937343fe",
-	"hypercube6/random/twin-multi":        "e09b0e921930ff39b741a814aa8de510e07fa09c79ee4e93ba06c761115e239d",
+	"hypercube6/random/twin-hybrid":       "1ecd9d7d7c7390a5be04584d30de8e470a4393ca7f72863b05695835a8f8323a",
+	"hypercube6/random/twin-multi":        "8e835db2ddd189961788c1f028c50c94eb9fc7cb089a999b5a362bc036ff542a",
 	"hypercube6/random/twin-single":       "ab4f058e3e2116e5cd8991c2dc0c0c0fd6a753df084b2845cded2a3148811c44",
 	"hypercube6/star/run-hybrid":          "8c42114a3027ece17f9dc271bd859eb20c9eaf1b7f4b2009cc669b6e5d108a07",
 	"hypercube6/star/run-single":          "68588f50b6b149220a955b50e381eee779511184801eceda71036b622f2a3ffc",

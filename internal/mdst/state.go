@@ -20,12 +20,23 @@ import (
 
 // stateFormat numbers the layout below. The first layout had no such word
 // and opened with the phase (0 or 1), so its states fail the check too.
-// Format 3 added the subtree sizes and labels (DESIGN.md deviation 7).
-const stateFormat = 3
+// Format 3 added the subtree sizes and labels (DESIGN.md deviation 7),
+// format 4 the Multi-round grant state (deviation 4). A node in a Single
+// round holds no grant state, so its state keeps format 3 and Single runs
+// checkpoint as before; a format-3 state of a node in a Multi round was
+// written before grants existed and is refused.
+const (
+	stateFormat       = 4
+	singleStateFormat = 3
+)
 
 // EncodeState implements sim.StateCodec.
 func (n *Node) EncodeState(e *sim.StateEncoder) {
-	e.Int(stateFormat)
+	format := int64(stateFormat)
+	if n.phase == Single {
+		format = singleStateFormat
+	}
+	e.Int(format)
 	e.Int(int64(n.phase))
 	e.ID(n.parent)
 	e.Bool(n.hasParent)
@@ -72,6 +83,10 @@ func (n *Node) EncodeState(e *sim.StateEncoder) {
 	e.Bool(n.ownerSwapped)
 	e.Bool(n.awaitingDone)
 
+	if format == stateFormat {
+		n.encodeGrant(e)
+	}
+
 	e.Int(int64(len(n.deferred)))
 	for _, d := range n.deferred {
 		e.ID(d.from)
@@ -79,12 +94,27 @@ func (n *Node) EncodeState(e *sim.StateEncoder) {
 	}
 }
 
+// encodeGrant writes the Multi-round grant state.
+func (n *Node) encodeGrant(e *sim.StateEncoder) {
+	e.ID(n.up)
+	e.Int(int64(n.halves))
+	e.Int(int64(n.claimStep))
+	e.ID(n.claim)
+	e.IDs(n.relTo)
+	e.ID(n.relFrom)
+	e.Int(int64(n.relPending))
+}
+
 // DecodeState implements sim.StateCodec.
 func (n *Node) DecodeState(d *sim.StateDecoder) error {
-	if f := d.Int(); f != stateFormat && d.Err() == nil {
+	f := d.Int()
+	if f != stateFormat && f != singleStateFormat && d.Err() == nil {
 		return &sim.CheckpointError{Reason: fmt.Sprintf("mdst node state format %d, this binary reads %d", f, stateFormat)}
 	}
 	n.phase = Mode(d.Int())
+	if f == singleStateFormat && n.phase != Single && d.Err() == nil {
+		return &sim.CheckpointError{Reason: fmt.Sprintf("mdst node state format %d in a %v round, this binary reads %d", f, n.phase, stateFormat)}
+	}
 	n.parent = d.ID()
 	n.hasParent = d.Bool()
 	n.children = d.IDs()
@@ -134,6 +164,11 @@ func (n *Node) DecodeState(d *sim.StateDecoder) error {
 	n.ownerSwapped = d.Bool()
 	n.awaitingDone = d.Bool()
 
+	n.resetGrant()
+	if f == stateFormat {
+		n.decodeGrant(d)
+	}
+
 	nd := d.Int()
 	if (nd < 0 || nd > 1<<20) && d.Err() == nil {
 		return &sim.CheckpointError{Reason: fmt.Sprintf("mdst node state claims %d deferred messages", nd)}
@@ -148,6 +183,17 @@ func (n *Node) DecodeState(d *sim.StateDecoder) error {
 		n.deferred = append(n.deferred, deferredMsg{from: from, msg: msg})
 	}
 	return d.Err()
+}
+
+// decodeGrant reads the Multi-round grant state.
+func (n *Node) decodeGrant(d *sim.StateDecoder) {
+	n.up = d.ID()
+	n.halves = uint8(d.Int())
+	n.claimStep = uint8(d.Int())
+	n.claim = d.ID()
+	n.relTo = d.IDs()
+	n.relFrom = d.ID()
+	n.relPending = int(d.Int())
 }
 
 func encodeEdgeReport(e *sim.StateEncoder, r edgeReport) {

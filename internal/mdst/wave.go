@@ -13,7 +13,8 @@ import (
 // wave. The owner virtually cuts its children, making each a fragment root.
 // An acting root whose sizes are exact labels the tree in pre-order from
 // itself (DESIGN.md deviation 7); sub-owners, which only exist in Multi
-// rounds, never are.
+// rounds, never are. In a Multi round the cut names the owner's parent
+// fragment instead (deviation 4).
 func (n *Node) becomeOwner(ctx sim.Context, k int) {
 	n.isOwner = true
 	n.actingRoot = !n.hasParent
@@ -24,34 +25,87 @@ func (n *Node) becomeOwner(ctx sim.Context, k int) {
 	}
 	next := n.label + 1
 	for i, c := range n.children {
-		label := noLabel
-		if n.sized {
-			label = next
+		word := noLabel
+		switch {
+		case n.sized:
+			word = next
 			next += n.sizes[i]
+		case n.phase == Multi:
+			word = int(n.up)
 		}
-		ctx.Send(c, newCut(n.round, k, n.id, label))
+		ctx.Send(c, newCut(n.round, k, n.id, word))
 	}
 	if n.ownerPending == 0 {
 		n.ownerComplete(ctx)
 	}
 }
 
+// onCut handles the owner's cut and, in a Multi round, the relayed cut
+// that carries a fragment's wave below its root when the owner has a
+// parent fragment; a relayed cut names an owner other than its sender.
 func (n *Node) onCut(ctx sim.Context, from sim.NodeID, msg mCut) {
 	if !n.hasParent || n.parent != from {
 		panic(fmt.Sprintf("mdst: node %d got cut from non-parent %d", n.id, from))
 	}
 	n.kAll = msg.k
+	if msg.owner != from {
+		n.frag.owner = msg.owner
+		n.up = sim.NodeID(msg.label)
+		n.halves |= halfCut
+		n.joinRelayed(ctx)
+		return
+	}
 	if n.phase == Multi && n.degree() == msg.k {
-		// §3.2.6: a maximum-degree node met by the wave behaves like a root.
+		// §3.2.6: a maximum-degree node met by the wave behaves like a
+		// root. Its parent is an owner, so it has no parent fragment.
 		n.becomeOwner(ctx, msg.k)
 		return
 	}
 	// This node becomes the root of a fragment named (owner, self).
-	owner := msg.owner
+	owner, label := msg.owner, msg.label
 	if n.phase == Single {
 		owner = singleOwner
+	} else {
+		n.up, label = sim.NodeID(label), noLabel
 	}
-	n.enterFragment(ctx, fragID{owner: owner, root: n.id}, msg.label)
+	n.enterFragment(ctx, fragID{owner: owner, root: n.id}, label)
+}
+
+// onCutRoot handles the short cut, the fragment root of a relayed cut.
+func (n *Node) onCutRoot(ctx sim.Context, from sim.NodeID, root sim.NodeID) {
+	if !n.hasParent || n.parent != from {
+		panic(fmt.Sprintf("mdst: node %d got cut from non-parent %d", n.id, from))
+	}
+	n.frag.root = root
+	n.halves |= halfRoot
+	n.joinRelayed(ctx)
+}
+
+// Halves of a relayed cut.
+const (
+	halfCut uint8 = 1 << iota
+	halfRoot
+)
+
+// joinRelayed joins the fragment once both halves of a relayed cut have
+// arrived, in either order.
+func (n *Node) joinRelayed(ctx sim.Context) {
+	if n.halves == halfCut|halfRoot {
+		n.joinMulti(ctx)
+	}
+}
+
+// joinMulti joins the fragment n.frag (with n.up) that the parent's wave
+// record named in a Multi round; a maximum-degree node becomes an owner
+// instead, whose parent fragment is the one its parent belongs to.
+func (n *Node) joinMulti(ctx sim.Context) {
+	if n.degree() == n.kAll {
+		n.up = n.frag.root
+		n.frag = fragID{}
+		n.becomeOwner(ctx, n.kAll)
+		return
+	}
+	n.enterFragment(ctx, n.frag, noLabel)
 }
 
 // enterFragment adopts a fragment identity and pre-order label and
@@ -81,24 +135,55 @@ func (n *Node) enterFragment(ctx sim.Context, f fragID, label int) {
 		}
 	}
 	m := newBFS(n.round, n.kAll, word, f.root)
-	next, ci := label+1, 0
+	if n.phase == Multi {
+		n.spreadMulti(ctx, m)
+	} else {
+		next, ci := label+1, 0
+		for _, w := range ctx.Neighbors() {
+			if n.hasParent && w == n.parent {
+				continue
+			}
+			n.bfsPending++
+			if label != noLabel && ci < len(n.children) && n.children[ci] == w {
+				m.W[2] = int64(next)
+				ctx.Send(w, m)
+				m.W[2] = word
+				next += n.sizes[ci]
+				ci++
+				continue
+			}
+			ctx.Send(w, m)
+		}
+	}
+	if n.bfsPending == 0 {
+		n.sendAggregate(ctx)
+	}
+}
+
+// spreadMulti sends a Multi round's wave: m to each tree child, and to each
+// other neighbour a probe carrying this node's degree in place of k. When
+// the owner has a parent fragment, each child gets a relayed cut and a
+// short cut instead of m (DESIGN.md deviation 4).
+func (n *Node) spreadMulti(ctx sim.Context, m sim.WireMsg) {
+	probe := m
+	probe.W[1] = int64(n.degree())
+	ci := 0
 	for _, w := range ctx.Neighbors() {
 		if n.hasParent && w == n.parent {
 			continue
 		}
 		n.bfsPending++
-		if label != noLabel && ci < len(n.children) && n.children[ci] == w {
-			m.W[2] = int64(next)
-			ctx.Send(w, m)
-			m.W[2] = word
-			next += n.sizes[ci]
+		if ci < len(n.children) && n.children[ci] == w {
 			ci++
+			if n.up == noCand {
+				ctx.Send(w, m)
+				continue
+			}
+			ctx.Send(w, newCut(n.round, n.kAll, n.frag.owner, int(n.up)))
+			ctx.Send(w, newCutRoot(n.round, n.frag.root))
 			continue
 		}
-		ctx.Send(w, m)
-	}
-	if n.bfsPending == 0 {
-		n.sendAggregate(ctx)
+		ctx.Send(w, probe)
 	}
 }
 
@@ -110,8 +195,9 @@ func (n *Node) onBFS(ctx sim.Context, from sim.NodeID, msg mBFS) bool {
 	owner, label := msg.fields(n.phase)
 	if n.hasParent && from == n.parent {
 		n.kAll = msg.k
-		if n.phase == Multi && n.degree() == msg.k {
-			n.becomeOwner(ctx, msg.k)
+		if n.phase == Multi {
+			n.frag = fragID{owner: owner, root: msg.fragRoot}
+			n.joinMulti(ctx)
 			return true
 		}
 		n.enterFragment(ctx, fragID{owner: owner, root: msg.fragRoot}, label)
@@ -140,7 +226,12 @@ func (n *Node) onBFS(ctx sim.Context, from sim.NodeID, msg mBFS) bool {
 		n.resolveNeighbor(ctx)
 	case theirs.less(n.frag):
 		// "(r,r') < (p,p'): x replies by a BFSBack" — the probing side
-		// records the cousin edge; we only resolve.
+		// records the cousin edge; we only resolve. An edge into our
+		// owner's parent fragment is ours to record (deviation 4), from
+		// the degree the Multi-round probe carries.
+		if n.phase == Multi && msg.fragRoot == n.up {
+			n.record(from, msg.k, msg.fragRoot)
+		}
 		ctx.Send(from, newCousin(n.round, n.degree(), n.frag.owner, n.frag.root))
 		n.resolveNeighbor(ctx)
 	default:
@@ -153,30 +244,33 @@ func (n *Node) onBFS(ctx sim.Context, from sim.NodeID, msg mBFS) bool {
 // onCousin records an outgoing edge discovered by our probe, subject to the
 // paper's filters: both endpoints must have tree degree at most k-2
 // ("nodes of degree k-1 cannot be considered"), and in Multi mode the edge
-// must connect two fragments of the same owner so the exchange is verifiably
-// cycle-free (DESIGN.md deviation 4).
+// must connect two fragments of the same owner, or lead into the owner's
+// parent fragment, so that the exchange's cycle holds one maximum-degree
+// node, the owner (DESIGN.md deviation 4).
 func (n *Node) onCousin(ctx sim.Context, from sim.NodeID, msg mCousin) {
 	if !n.fragKnown {
 		panic(fmt.Sprintf("mdst: node %d got cousin answer without fragment", n.id))
 	}
-	usable := n.degree() <= n.kAll-2 && msg.deg <= n.kAll-2
-	if usable {
-		theirs := fragID{owner: msg.owner, root: msg.fragRoot}
-		if theirs == n.frag {
-			usable = false
-		} else if n.phase == Multi && msg.owner != n.frag.owner {
-			usable = false
-		}
-	}
-	if usable {
-		rep := edgeReport{u: n.id, v: from, du: n.degree(), dv: msg.deg, vroot: msg.fragRoot}
-		if !n.hasReport || rep.better(n.report) {
-			n.hasReport = true
-			n.report = rep
-			n.reportVia = n.id
-		}
+	theirs := fragID{owner: msg.owner, root: msg.fragRoot}
+	if theirs != n.frag && (n.phase == Single || msg.owner == n.frag.owner || msg.fragRoot == n.up) {
+		n.record(from, msg.deg, msg.fragRoot)
 	}
 	n.resolveNeighbor(ctx)
+}
+
+// record keeps the edge to neighbour v, of degree dv in the fragment rooted
+// at vroot, as this node's report if both endpoints have degree at most
+// k-2 and it beats the report so far.
+func (n *Node) record(v sim.NodeID, dv int, vroot sim.NodeID) {
+	if n.degree() > n.kAll-2 || dv > n.kAll-2 {
+		return
+	}
+	rep := edgeReport{u: n.id, v: v, du: n.degree(), dv: dv, vroot: vroot}
+	if !n.hasReport || rep.better(n.report) {
+		n.hasReport = true
+		n.report = rep
+		n.reportVia = n.id
+	}
 }
 
 // onBFSBack merges a child's aggregate. At a fragment member it folds into
@@ -185,6 +279,9 @@ func (n *Node) onBFSBack(ctx sim.Context, from sim.NodeID, msg mBFSBack) {
 	n.size += msg.size
 	if n.phase == Single {
 		n.childAnswered(from, &msg)
+	}
+	if msg.claimer {
+		n.relTo = append(n.relTo, from)
 	}
 	if n.isOwner {
 		n.ownerPending--
@@ -258,34 +355,33 @@ func (n *Node) sendAggregate(ctx sim.Context) {
 		panic(fmt.Sprintf("mdst: fragment member %d has no parent", n.id))
 	}
 	n.sized = n.phase == Single
-	n.sendBack(ctx, n.hasReport, n.improved)
+	n.sendBack(ctx, n.hasReport, n.improved, len(n.relTo) > 0)
 }
 
 // sendBack sends this node's bfsback to its parent.
-func (n *Node) sendBack(ctx sim.Context, hasReport, improved bool) {
+func (n *Node) sendBack(ctx sim.Context, hasReport, improved, claimer bool) {
 	var report *edgeReport
 	if hasReport {
 		report = &n.report
 	}
-	ctx.Send(n.parent, newBFSBack(n.round, improved, n.size, n.lo, n.hi, report))
+	ctx.Send(n.parent, newBFSBack(n.round, improved, claimer, n.size, n.lo, n.hi, report))
 }
 
 // ownerComplete runs the paper's Choose step once every fragment answered:
 // apply the best exchange if one exists, otherwise conclude the round for
-// this owner.
+// this owner. Multi rounds go through the grant of DESIGN.md deviation 4
+// (see chooseMulti).
 func (n *Node) ownerComplete(ctx sim.Context) {
 	n.sized = n.phase == Single
-	if n.ownerHasBest {
-		// "The child which sent the best outgoing edge will be suppressed
-		// from the children set" — the cut half of the exchange.
-		n.moved = n.removeChild(n.ownerArrival)
-		n.ownerSwapped = true
-		n.swaps++
-		n.awaitingDone = true
-		ctx.Send(n.ownerArrival, newUpdate(n.round, n.ownerBest.u, n.ownerBest.v, true, false))
+	if n.phase == Multi {
+		n.chooseMulti(ctx)
 		return
 	}
-	if n.actingRoot && n.phase == Single {
+	if n.ownerHasBest {
+		n.exchange(ctx)
+		return
+	}
+	if n.actingRoot {
 		// "If there is no more outgoing edge ... the maximum degree cannot
 		// be (locally) improved": remember it and let SearchDegree pick
 		// the next candidate (or terminate).
@@ -294,13 +390,24 @@ func (n *Node) ownerComplete(ctx sim.Context) {
 	n.finishOwner(ctx, false)
 }
 
+// exchange starts the owner's exchange at once: "The child which sent the
+// best outgoing edge will be suppressed from the children set" — the cut
+// half of the exchange; update, child and rounddone do the rest.
+func (n *Node) exchange(ctx sim.Context) {
+	n.moved = n.removeChild(n.ownerArrival)
+	n.ownerSwapped = true
+	n.swaps++
+	n.awaitingDone = true
+	ctx.Send(n.ownerArrival, newUpdate(n.round, n.ownerBest.u, n.ownerBest.v, true, false))
+}
+
 // finishOwner concludes the round at this owner after its exchange (if any)
 // was acknowledged; fell reports that the cut child's degree fell to k-2.
 func (n *Node) finishOwner(ctx sim.Context, fell bool) {
 	if !n.actingRoot {
 		// Sub-owner (Multi): report upward; no outgoing edge is forwarded
 		// (see DESIGN.md deviation 4), only the improvement flag.
-		n.sendBack(ctx, false, n.ownerSwapped || n.improved)
+		n.sendBack(ctx, false, n.ownerSwapped || n.improved, false)
 		return
 	}
 	// Acting root: decide what the next round is.

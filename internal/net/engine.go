@@ -345,7 +345,7 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (proto
 			}
 		}
 		if capTrips(st.delivered, st.total, maxMsgs) {
-			return nil, nil, sim.NewBudgetError(st.delivered, maxMsgs)
+			return nil, nil, sim.NewBudgetError(st.delivered, maxMsgs, r.Report())
 		}
 		if st.total == 0 {
 			break

@@ -72,16 +72,20 @@ const DefaultMaxMessages = 200_000_000
 type BudgetError struct {
 	Messages int64 // deliveries made when the run aborted
 	Limit    int64 // the budget
+	// Rounds is the highest protocol round among the deliveries the
+	// aborting report had counted (Report.Rounds): a run that aborts in an
+	// early round is likelier stuck than one that aborts late.
+	Rounds int
 }
 
 func (e *BudgetError) Error() string {
-	return fmt.Sprintf("sim: exceeded %d messages; protocol livelock?", e.Limit)
+	return fmt.Sprintf("sim: exceeded %d messages by protocol round %d; protocol livelock?", e.Limit, e.Rounds)
 }
 
 // NewBudgetError builds the budget abort after delivered messages under
-// limit.
-func NewBudgetError(delivered, limit int64) error {
-	return &BudgetError{Messages: delivered, Limit: limit}
+// limit, taking Rounds from the run's report.
+func NewBudgetError(delivered, limit int64, rep *Report) error {
+	return &BudgetError{Messages: delivered, Limit: limit, Rounds: rep.Rounds()}
 }
 
 // EventEngine is a deterministic discrete-event simulator: events are
@@ -326,7 +330,7 @@ func (e *EventEngine) run(c *graph.CSR, f Factory) ([]Protocol, *Report, error) 
 	for !er.wheel.empty() {
 		ev := er.wheel.pop()
 		if er.report.Messages >= maxMsgs {
-			return nil, nil, NewBudgetError(er.report.Messages, maxMsgs)
+			return nil, nil, NewBudgetError(er.report.Messages, maxMsgs, er.report)
 		}
 		ctx := &scratch.ctxs[ev.toDense]
 		ctx.now = ev.t

@@ -134,7 +134,7 @@ func (e *ReferenceEngine) Run(c *graph.CSR, f Factory) (protos []Protocol, rep *
 	for rr.queue.Len() > 0 {
 		ev := heap.Pop(&rr.queue).(event)
 		if rr.report.Messages >= maxMsgs {
-			return nil, nil, NewBudgetError(rr.report.Messages, maxMsgs)
+			return nil, nil, NewBudgetError(rr.report.Messages, maxMsgs, rr.report)
 		}
 		di := idx.MustOf(ev.to)
 		ctx := &ctxs[di]

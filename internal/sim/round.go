@@ -208,7 +208,7 @@ func (e *EventEngine) runRounds(c *graph.CSR, f Factory, maxMsgs int64, start ti
 		// abort if the round holds more.
 		if left := maxMsgs - r.report.Messages; int64(len(r.cur)) > left {
 			r.Play(round, r.cur[:max(left, 0)])
-			return nil, nil, NewBudgetError(r.report.Messages, maxMsgs)
+			return nil, nil, NewBudgetError(r.report.Messages, maxMsgs, r.report)
 		}
 		r.Play(round, r.cur)
 		// A resumed run re-enters at ck.Round+1, so the barrier it resumed

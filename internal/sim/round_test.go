@@ -107,4 +107,8 @@ func TestRoundEngineLivelockGuard(t *testing.T) {
 	if !errors.As(err, &be) || be.Messages != 500 || be.Limit != 500 {
 		t.Fatalf("want a budget abort at 500 messages, got %v", err)
 	}
+	// Rounds 0..61 carry 496 deliveries; the budget's last 4 are round 62's.
+	if be.Rounds != 62 {
+		t.Fatalf("budget abort names round %d, want 62", be.Rounds)
+	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -230,20 +231,24 @@ func TestNonNeighborSendFails(t *testing.T) {
 	}
 }
 
-// chainReaction floods to test the livelock guard.
+// chainReaction floods to test the livelock guard: every delivery of a
+// round-h record answers with a round-h+1 record, so a ring of 4 carries
+// 8 records per round.
 type chainReaction struct{}
 
 func (chainReaction) Init(ctx Context) {
 	for _, w := range ctx.Neighbors() {
-		ctx.Send(w, tokenMsg(0))
+		ctx.Send(w, krMsg(0))
 	}
 }
-func (chainReaction) Recv(ctx Context, from NodeID, _ WireMsg) {
-	ctx.Send(from, tokenMsg(0))
+func (chainReaction) Recv(ctx Context, from NodeID, m WireMsg) {
+	ctx.Send(from, krMsg(int(m.W[0])+1))
 }
 
 // TestLivelockGuard pins the typed budget abort on every single-process
-// tier: each stops exactly before the delivery that would exceed the cap.
+// tier: each stops exactly before the delivery that would exceed the cap,
+// and names the highest protocol round it delivered (under unit delays the
+// 1,000 deliveries are rounds 0..124, 8 each).
 func TestLivelockGuard(t *testing.T) {
 	g := graph.Ring(4)
 	engines := map[string]Engine{
@@ -251,6 +256,7 @@ func TestLivelockGuard(t *testing.T) {
 		"wheel":     &EventEngine{Delay: UniformDelay(0.5), Seed: 1, MaxMessages: 1000},
 		"reference": &ReferenceEngine{Delay: UnitDelay, MaxMessages: 1000},
 	}
+	rounds := map[string]int{"rounds": 124, "wheel": 127, "reference": 124}
 	for name, eng := range engines {
 		_, _, err := eng.Run(g.Compile(), func(NodeID, []NodeID) Protocol { return chainReaction{} })
 		var be *BudgetError
@@ -260,6 +266,12 @@ func TestLivelockGuard(t *testing.T) {
 		}
 		if be.Messages != 1000 || be.Limit != 1000 {
 			t.Errorf("%s: aborted at %d of %d messages, want 1000 of 1000", name, be.Messages, be.Limit)
+		}
+		if be.Rounds != rounds[name] {
+			t.Errorf("%s: aborted by round %d, want %d", name, be.Rounds, rounds[name])
+		}
+		if !strings.Contains(be.Error(), fmt.Sprintf("protocol round %d", rounds[name])) {
+			t.Errorf("%s: error %q does not name the round", name, be.Error())
 		}
 	}
 }
@@ -368,6 +380,11 @@ func TestTraceEvents(t *testing.T) {
 
 // krWire registers one rounded opcode for the dense counter tests.
 var krWire = Register("simkr", OpSpec{Kind: "kr.round", MinPayload: 1, MaxPayload: 1, Rounded: true})
+
+// krMsg is a kr.round record of the given round.
+func krMsg(round int) WireMsg {
+	return WireMsg{Op: krWire.Op(0), Nw: 1, W: [MaxPayloadWords]int64{int64(round)}}
+}
 
 // TestDenseCounterMatchesMap feeds the same deliveries to the map-backed
 // record path and to the dense (round, opcode) slab, across slab growth,

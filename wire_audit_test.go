@@ -18,7 +18,11 @@ import (
 // label range (6 words); the long form carries round, subtree size,
 // improvement flag and the five report words (9 words, E6's maxWords).
 // start, move and cut carry a fourth number for the subtree sizes and
-// labels of DESIGN.md deviation 7.
+// labels of DESIGN.md deviation 7. Multi rounds' grants (deviation 4) add
+// short forms and no kind: the short cut carries a relayed fragment
+// wave's root (3 words), the short update a release (3 words); claims
+// keep update's four numbers, and child and rounddone carry their answers
+// and acknowledgements in the flags word they already had.
 func TestWireWordsAudit(t *testing.T) {
 	type bounds struct {
 		minWords, maxWords int
@@ -29,11 +33,11 @@ func TestWireWordsAudit(t *testing.T) {
 		"mdst.start":     {5, 5, true},
 		"mdst.deg":       {5, 5, true},
 		"mdst.move":      {5, 5, true},
-		"mdst.cut":       {5, 5, true},
+		"mdst.cut":       {3, 5, true},
 		"mdst.bfs":       {5, 5, true},
 		"mdst.cousin":    {5, 5, true},
 		"mdst.bfsback":   {6, 9, true},
-		"mdst.update":    {5, 5, true},
+		"mdst.update":    {3, 5, true},
 		"mdst.child":     {3, 3, true},
 		"mdst.rounddone": {3, 3, true},
 		"mdst.term":      {2, 2, true},
