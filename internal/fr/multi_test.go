@@ -47,7 +47,7 @@ func soundGraphs() map[string]*graph.Graph {
 //     exchanges.
 //
 // The rule must also fire: some exchange must reach into its owner's
-// parent fragment, and some endpoint must be contested.
+// parent fragment.
 func TestMultiExchangeSound(t *testing.T) {
 	var starts []*tree.Dense
 	var names []string
@@ -78,7 +78,7 @@ func TestMultiExchangeSound(t *testing.T) {
 		add(family, c, t0, err)
 	}
 
-	rounds, swaps, upward, contested := 0, 0, 0, 0
+	rounds, swaps, upward := 0, 0, 0
 	for gi, c := range graphs {
 		tw := newTwinRun(c, starts[gi].Clone())
 		d := tw.d
@@ -94,7 +94,6 @@ func TestMultiExchangeSound(t *testing.T) {
 			n := tw.roundMulti(k)
 			rounds++
 			swaps += n
-			contested += tw.proposals - n
 			if err := d.Validate(c); err != nil {
 				t.Fatalf("%s round %d: %v", names[gi], rounds, err)
 			}
@@ -136,9 +135,9 @@ func TestMultiExchangeSound(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d Multi rounds, %d exchanges, %d through a parent fragment, %d owners lost a contested endpoint", rounds, swaps, upward, contested)
-	if upward == 0 || contested == 0 {
-		t.Fatal("no exchange used a parent fragment or no endpoint was contested: the audit never exercised the rule")
+	t.Logf("%d Multi rounds, %d exchanges, %d through a parent fragment", rounds, swaps, upward)
+	if upward == 0 {
+		t.Fatal("no exchange used a parent fragment: the audit never exercised the rule")
 	}
 }
 

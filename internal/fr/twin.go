@@ -14,6 +14,7 @@ package fr
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mdegst/internal/graph"
 	"mdegst/internal/mdst"
@@ -89,18 +90,16 @@ type twinRun struct {
 	fragOwner []int32 // multi rounds: owning S-node per fragment member
 	fragRoot  []int32 // multi rounds: fragment root per member
 	inS       []bool
-	// multi rounds, indexed by owner: its parent fragment's root (up), its
-	// best edge and whether it proposed one; claim holds each endpoint's
-	// smallest proposing owner, noFrag outside a grant pass
-	up, claim []int32
-	best      []twinReport
-	proposed  []bool
-	owners    []int32
-	proposals int // owners that proposed an edge in the last Multi round
-	stack     []int32
-	maxBuf    []int32
-	seen      []int32 // revalidate: stamp of the exchange that last visited a node
-	stamp     int32
+	// multi rounds, indexed by owner: its parent fragment's root, its best
+	// edge and whether it proposed one; owners lists the proposers
+	up       []int32
+	best     []twinReport
+	proposed []bool
+	owners   []int32
+	stack    []int32
+	maxBuf   []int32
+	seen     []int32 // stamp of the exchange (revalidate) or grant pass (roundMulti) that last visited a node
+	stamp    int32
 	// waveFlags: subtree size, pre-order label and qualifying label range
 	// of every node in the round's tree
 	size, pre, lo, hi []int32
@@ -116,12 +115,8 @@ type twinRun struct {
 
 func newTwinRun(c *graph.CSR, d *tree.Dense) *twinRun {
 	n := c.N()
-	scratch := make([]int32, 11*n) // one allocation backs the eleven per-node slices
+	scratch := make([]int32, 10*n) // one allocation backs the ten per-node slices
 	part := func(i int) []int32 { return scratch[i*n : (i+1)*n : (i+1)*n] }
-	claim := part(9)
-	for i := range claim {
-		claim[i] = noFrag
-	}
 	return &twinRun{
 		c:          c,
 		d:          d,
@@ -135,10 +130,9 @@ func newTwinRun(c *graph.CSR, d *tree.Dense) *twinRun {
 		lo:         part(6),
 		hi:         part(7),
 		up:         part(8),
-		claim:      claim,
 		best:       make([]twinReport, n),
 		proposed:   make([]bool, n),
-		owners:     part(10)[:0],
+		owners:     part(9)[:0],
 		inS:        make([]bool, n),
 		stack:      make([]int32, 0, n),
 		wave:       (*twinRun).waveFlags,
@@ -450,26 +444,19 @@ func (tw *twinRun) roundMulti(k int) int {
 		}
 	}
 
-	// Grants: each endpoint goes to its smallest proposing owner.
-	for _, o := range tw.owners {
-		for _, x := range [2]int32{tw.best[o].u, tw.best[o].v} {
-			if tw.claim[x] == noFrag || o < tw.claim[x] {
-				tw.claim[x] = o
-			}
-		}
-	}
-	sortInt32s(tw.owners)
-	tw.proposals = len(tw.owners)
-	for _, o := range tw.owners {
-		rep := tw.best[o]
-		tw.proposed[o] = tw.claim[rep.u] == o && tw.claim[rep.v] == o // now: o wins
-	}
+	// Grants, smallest owner first: an endpoint goes to the first owner
+	// that claims it, and an owner exchanges only if both its endpoints
+	// were still free. A loser's claims still count. tw.seen marks the
+	// claimed endpoints with a fresh stamp.
+	slices.Sort(tw.owners)
+	tw.stamp++
 	won := tw.owners[:0]
 	for _, o := range tw.owners {
 		rep := tw.best[o]
-		tw.claim[rep.u], tw.claim[rep.v] = noFrag, noFrag
-		if tw.proposed[o] {
-			tw.proposed[o] = false
+		tw.proposed[o] = false
+		free := tw.seen[rep.u] != tw.stamp && tw.seen[rep.v] != tw.stamp
+		tw.seen[rep.u], tw.seen[rep.v] = tw.stamp, tw.stamp
+		if free {
 			won = append(won, o)
 		}
 	}
@@ -490,12 +477,4 @@ func (tw *twinRun) applySwap(owner, arrival int32, rep twinReport) {
 	tw.d.CutChild(owner, arrival)
 	tw.d.RerootSubtree(arrival, rep.u)
 	tw.d.AttachExisting(rep.v, rep.u)
-}
-
-func sortInt32s(xs []int32) {
-	for i := 1; i < len(xs); i++ { // insertion sort: owner sets are tiny
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

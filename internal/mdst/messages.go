@@ -133,11 +133,11 @@ func decMove(m *sim.WireMsg) mMove {
 // owner's parent fragment instead, by its root, or is noCand.
 //
 // In a Multi round whose owner has a parent fragment, the fragment's wave
-// crosses each tree edge below the fragment root as a relayed cut, which
-// carries the same four numbers with the sender, not the owner, as its
-// source, and a short cut carrying the fragment root (DESIGN.md deviation
-// 4). A plain bfs has no word left for the parent fragment, and its
-// receiver must know whether to wait for one.
+// crosses each tree edge below the fragment root as two records: a relayed
+// cut, the owner's four numbers sent on by a member, and a short cut with
+// the fragment root (DESIGN.md deviation 4). A plain bfs has no word left
+// for the parent fragment, and its receiver must know whether to wait for
+// one.
 type mCut struct {
 	round int
 	k     int
@@ -319,7 +319,7 @@ func decUpdate(m *sim.WireMsg) mUpdate {
 	f := m.W[3]
 	return mUpdate{round: int(m.W[0]), u: sim.NodeID(m.W[1]), v: sim.NodeID(m.W[2]),
 		first: f&updFirst != 0, fell: f&updFell != 0,
-		claim: f&updClaim != 0, query: f&updQuery != 0, uWon: f&updUWon != 0, release: f&updRelease != 0}
+		claim: f&updClaim != 0, query: f&updQuery != 0, uWon: f&updUWon != 0}
 }
 
 // mChild is the paper's "child" message: the reattachment handshake,

@@ -25,11 +25,11 @@ const (
 	Single Mode = iota
 	// Multi adds §3.2.6: every maximum-degree node reached by the wave
 	// behaves like a root, cutting its own children and applying an
-	// exchange between two of its own fragments concurrently. The round
-	// with no exchange anywhere terminates the algorithm. Because owners
-	// only use edges between their own fragments (the verifiably safe
-	// reading of the paper; see DESIGN.md deviation 4), Multi can stop at
-	// a weaker optimum than Single.
+	// exchange concurrently, over an edge between two of its own fragments
+	// or from one of them into its parent fragment; a contested endpoint
+	// goes to the smallest proposing owner (DESIGN.md deviation 4). The
+	// round with no exchange anywhere terminates the algorithm. Owners use
+	// no other edges, so Multi can stop at a weaker optimum than Single.
 	Multi
 	// Hybrid runs Multi rounds until they stall, then switches to Single
 	// rounds until full local optimality: Multi's concurrent progress with
