@@ -2,7 +2,6 @@ package mdst
 
 import (
 	"fmt"
-	"slices"
 
 	"mdegst/internal/sim"
 )
@@ -84,21 +83,12 @@ func (n *Node) onRoundDone(ctx sim.Context, from sim.NodeID, msg mRoundDone) {
 	case msg.released:
 		n.onReleased(ctx, msg.improved)
 		return
-	case n.phase == Multi:
-		// The uncontested exchange's path: only the owner acts on it.
-		if n.isOwner && n.awaitingDone {
-			n.awaitingDone = false
-			n.settle(ctx)
-			return
-		}
-		ctx.Send(n.parent, newRoundDone(n.round, msg.fell))
-		return
 	}
 	n.exhausted = false
 	n.fixChild, n.fixBase = from, n.sizes[n.childIndex(from)]
 	if n.isOwner && n.awaitingDone {
 		n.awaitingDone = false
-		n.finishOwner(ctx, msg.fell)
+		n.settle(ctx, msg.fell)
 		return
 	}
 	if !n.hasParent {
@@ -132,28 +122,6 @@ const (
 	claimCheck          // registering and deciding at once (endpoints in its fragments)
 )
 
-// chooseMulti is a Multi-round owner's Choose step.
-func (n *Node) chooseMulti(ctx sim.Context) {
-	switch {
-	case !n.ownerHasBest:
-		n.release(ctx)
-		n.settle(ctx)
-	case n.ownerBest.vroot == n.up:
-		// Through the parent fragment: register, report, wait.
-		n.claimStep = claimRegister
-		ctx.Send(n.ownerArrival, newClaim(n.round, n.ownerBest.u, n.id, 0))
-	case !slices.Contains(n.relTo, n.ownerArrival) && !slices.Contains(n.relTo, n.ownerBest.vroot):
-		// No claim reaches either endpoint's fragment: exchange at once.
-		n.exchange(ctx)
-		n.release(ctx)
-	default:
-		// Every claim on the endpoints is in: register and decide.
-		n.claimStep = claimCheck
-		n.awaitingDone = true
-		ctx.Send(n.ownerArrival, newClaim(n.round, n.ownerBest.u, n.id, updQuery))
-	}
-}
-
 // release sends a release to every child that reported a claimer below it.
 func (n *Node) release(ctx sim.Context) {
 	n.relPending = len(n.relTo)
@@ -183,16 +151,16 @@ func (n *Node) onReleased(ctx sim.Context, improved bool) {
 		return
 	}
 	if n.isOwner {
-		n.settle(ctx)
+		n.settle(ctx, false)
 		return
 	}
 	ctx.Send(n.relFrom, newReleased(n.round, n.improved))
 }
 
-// settle concludes a Multi-round owner's round once its exchange and every
-// release it sent are acknowledged: a released claimer acknowledges its
-// own release, any other owner finishes as in a Single round.
-func (n *Node) settle(ctx sim.Context) {
+// settle concludes an owner's round once its exchange and every release
+// it sent are acknowledged (a Single round sends none): a released
+// claimer acknowledges its own release, any other owner finishes.
+func (n *Node) settle(ctx sim.Context, fell bool) {
 	if n.awaitingDone || n.relPending > 0 || n.claimStep == claimRegister || n.claimStep == claimHeld {
 		return
 	}
@@ -200,7 +168,7 @@ func (n *Node) settle(ctx sim.Context) {
 		ctx.Send(n.relFrom, newReleased(n.round, n.ownerSwapped || n.improved))
 		return
 	}
-	n.finishOwner(ctx, false)
+	n.finishOwner(ctx, fell)
 }
 
 // onClaim carries a claim down the via chain to u, which registers it and
@@ -273,9 +241,9 @@ func (n *Node) onAnswer(ctx sim.Context, from sim.NodeID, won bool) {
 	case claimCheck:
 		n.awaitingDone = false
 		n.release(ctx)
-		n.settle(ctx)
+		n.settle(ctx, false)
 	default: // claimQuery
 		n.awaitingDone = false
-		n.settle(ctx)
+		n.settle(ctx, false)
 	}
 }

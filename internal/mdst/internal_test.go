@@ -208,8 +208,11 @@ func TestMessageRoundTrip(t *testing.T) {
 	if got := decMove(ptr(newMove(4, 6, 9, 40))); got != (mMove{round: 4, k: 6, target: 9, n: 40}) {
 		t.Errorf("move round-trip: %+v", got)
 	}
-	if got := decCut(ptr(newCut(4, 6, 2, noLabel))); got != (mCut{round: 4, k: 6, owner: 2, label: noLabel}) {
+	if got := decCut(ptr(newCut(4, 6, 2, noLabel))); got != (mCut{round: 4, k: 6, owner: 2, label: noLabel, root: noCand}) {
 		t.Errorf("cut round-trip: %+v", got)
+	}
+	if got := decCut(ptr(newCutRoot(4, 9))); got != (mCut{round: 4, root: 9}) {
+		t.Errorf("short cut round-trip: %+v", got)
 	}
 	got := decBFS(ptr(newBFS(4, 6, 17, 3)))
 	if got != (mBFS{round: 4, k: 6, word: 17, fragRoot: 3}) {
@@ -223,9 +226,6 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 	if got := decCousin(ptr(newCousin(4, 6, 2, 3))); got != (mCousin{round: 4, deg: 6, owner: 2, fragRoot: 3}) {
 		t.Errorf("cousin round-trip: %+v", got)
-	}
-	if got := ptr(newCutRoot(4, 9)); got.Nw != 2 || got.W[0] != 4 || got.W[1] != 9 {
-		t.Errorf("short cut: %+v", got)
 	}
 	for _, f := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
 		long := mBFSBack{round: 4, hasReport: true, report: rep, improved: f[0], claimer: f[1], size: 6, lo: noLo, hi: noLabel}

@@ -143,19 +143,23 @@ type mCut struct {
 	k     int
 	owner sim.NodeID
 	label int
+	root  sim.NodeID // the short cut's fragment root; noCand on a cut
 }
 
 func newCut(round, k int, owner sim.NodeID, label int) sim.WireMsg {
 	return sim.WireMsg{Op: opCut, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(k), int64(owner), int64(label)}}
 }
 
-func decCut(m *sim.WireMsg) mCut {
-	return mCut{round: int(m.W[0]), k: int(m.W[1]), owner: sim.NodeID(m.W[2]), label: int(m.W[3])}
-}
-
 // newCutRoot is the short cut: the fragment root of a relayed cut.
 func newCutRoot(round int, root sim.NodeID) sim.WireMsg {
 	return sim.WireMsg{Op: opCut, Nw: 2, W: [sim.MaxPayloadWords]int64{int64(round), int64(root)}}
+}
+
+func decCut(m *sim.WireMsg) mCut {
+	if m.Nw == 2 {
+		return mCut{round: int(m.W[0]), root: sim.NodeID(m.W[1])}
+	}
+	return mCut{round: int(m.W[0]), k: int(m.W[1]), owner: sim.NodeID(m.W[2]), label: int(m.W[3]), root: noCand}
 }
 
 // mBFS is the paper's <BFS, k, p, p'> fragment wave. A Single round has one

@@ -161,7 +161,7 @@ type Node struct {
 	// the parent fragment of this member's owner, or of this owner: the
 	// fragment holding the owner's parent, noCand if there is none.
 	up         sim.NodeID
-	halves     uint8        // halves of a relayed cut received (halfCut, halfRoot)
+	halves     uint8        // records of a relayed cut pair received (see onCut)
 	claimStep  uint8        // owner: where its claim stands (claimNone, ...)
 	claim      sim.NodeID   // endpoint: smallest owner claiming this node (noCand: none)
 	relTo      []sim.NodeID // children that reported a claimer below them
@@ -308,10 +308,6 @@ func (n *Node) process(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) bool {
 	case opMove:
 		n.onMove(ctx, from, decMove(m))
 	case opCut:
-		if m.Nw == 2 {
-			n.onCutRoot(ctx, from, sim.NodeID(m.W[1]))
-			break
-		}
 		n.onCut(ctx, from, decCut(m))
 	case opBFS:
 		return n.onBFS(ctx, from, decBFS(m))

@@ -2,6 +2,7 @@ package mdst
 
 import (
 	"fmt"
+	"slices"
 
 	"mdegst/internal/sim"
 )
@@ -40,21 +41,27 @@ func (n *Node) becomeOwner(ctx sim.Context, k int) {
 	}
 }
 
-// onCut handles the owner's cut and, in a Multi round, the relayed cut
-// that carries a fragment's wave below its root when the owner has a
-// parent fragment; a relayed cut names an owner other than its sender.
+// onCut handles the owner's cut and, in a Multi round, the two records
+// that carry a fragment's wave below its root when the owner has a parent
+// fragment: the relayed cut, which names an owner other than its sender,
+// and the short cut with the fragment root. They may arrive in either
+// order; the node joins the fragment once it holds both.
 func (n *Node) onCut(ctx sim.Context, from sim.NodeID, msg mCut) {
 	if !n.hasParent || n.parent != from {
 		panic(fmt.Sprintf("mdst: node %d got cut from non-parent %d", n.id, from))
 	}
-	n.kAll = msg.k
-	if msg.owner != from {
-		n.frag.owner = msg.owner
-		n.up = sim.NodeID(msg.label)
-		n.halves |= halfCut
-		n.joinRelayed(ctx)
+	if msg.root != noCand || msg.owner != from {
+		if msg.root != noCand {
+			n.frag.root = msg.root
+		} else {
+			n.kAll, n.frag.owner, n.up = msg.k, msg.owner, sim.NodeID(msg.label)
+		}
+		if n.halves++; n.halves == 2 {
+			n.joinMulti(ctx)
+		}
 		return
 	}
+	n.kAll = msg.k
 	if n.phase == Multi && n.degree() == msg.k {
 		// §3.2.6: a maximum-degree node met by the wave behaves like a
 		// root. Its parent is an owner, so it has no parent fragment.
@@ -69,30 +76,6 @@ func (n *Node) onCut(ctx sim.Context, from sim.NodeID, msg mCut) {
 		n.up, label = sim.NodeID(label), noLabel
 	}
 	n.enterFragment(ctx, fragID{owner: owner, root: n.id}, label)
-}
-
-// onCutRoot handles the short cut, the fragment root of a relayed cut.
-func (n *Node) onCutRoot(ctx sim.Context, from sim.NodeID, root sim.NodeID) {
-	if !n.hasParent || n.parent != from {
-		panic(fmt.Sprintf("mdst: node %d got cut from non-parent %d", n.id, from))
-	}
-	n.frag.root = root
-	n.halves |= halfRoot
-	n.joinRelayed(ctx)
-}
-
-// Halves of a relayed cut.
-const (
-	halfCut uint8 = 1 << iota
-	halfRoot
-)
-
-// joinRelayed joins the fragment once both halves of a relayed cut have
-// arrived, in either order.
-func (n *Node) joinRelayed(ctx sim.Context) {
-	if n.halves == halfCut|halfRoot {
-		n.joinMulti(ctx)
-	}
 }
 
 // joinMulti joins the fragment n.frag (with n.up) that the parent's wave
@@ -111,7 +94,10 @@ func (n *Node) joinMulti(ctx sim.Context) {
 // enterFragment adopts a fragment identity and pre-order label and
 // broadcasts the BFS wave to every neighbour except the tree parent. In a
 // Single round each child's record carries the child's label and each
-// probe the sender's, or noLabel when its degree exceeds k-2.
+// probe the sender's, or noLabel when its degree exceeds k-2. A Multi
+// round's probe carries the sender's degree in place of k, and when the
+// owner has a parent fragment each child gets a relayed cut and a short
+// cut in place of the bfs (DESIGN.md deviation 4).
 //
 // With a label, a maximum-degree member decides its exhausted flag in the
 // wave (deviation 7): it counts as exhausted until some child's answer
@@ -135,55 +121,35 @@ func (n *Node) enterFragment(ctx sim.Context, f fragID, label int) {
 		}
 	}
 	m := newBFS(n.round, n.kAll, word, f.root)
-	if n.phase == Multi {
-		n.spreadMulti(ctx, m)
-	} else {
-		next, ci := label+1, 0
-		for _, w := range ctx.Neighbors() {
-			if n.hasParent && w == n.parent {
-				continue
-			}
-			n.bfsPending++
-			if label != noLabel && ci < len(n.children) && n.children[ci] == w {
-				m.W[2] = int64(next)
-				ctx.Send(w, m)
-				m.W[2] = word
-				next += n.sizes[ci]
-				ci++
-				continue
-			}
-			ctx.Send(w, m)
-		}
-	}
-	if n.bfsPending == 0 {
-		n.sendAggregate(ctx)
-	}
-}
-
-// spreadMulti sends a Multi round's wave: m to each tree child, and to each
-// other neighbour a probe carrying this node's degree in place of k. When
-// the owner has a parent fragment, each child gets a relayed cut and a
-// short cut instead of m (DESIGN.md deviation 4).
-func (n *Node) spreadMulti(ctx sim.Context, m sim.WireMsg) {
 	probe := m
-	probe.W[1] = int64(n.degree())
-	ci := 0
+	if n.phase == Multi {
+		probe.W[1] = int64(n.degree())
+	}
+	next, ci := label+1, 0
 	for _, w := range ctx.Neighbors() {
 		if n.hasParent && w == n.parent {
 			continue
 		}
 		n.bfsPending++
 		if ci < len(n.children) && n.children[ci] == w {
-			ci++
-			if n.up == noCand {
+			switch {
+			case n.up != noCand:
+				ctx.Send(w, newCut(n.round, n.kAll, f.owner, int(n.up)))
+				ctx.Send(w, newCutRoot(n.round, f.root))
+			case label != noLabel:
+				m.W[2] = int64(next)
 				ctx.Send(w, m)
-				continue
+				next += n.sizes[ci]
+			default:
+				ctx.Send(w, m)
 			}
-			ctx.Send(w, newCut(n.round, n.kAll, n.frag.owner, int(n.up)))
-			ctx.Send(w, newCutRoot(n.round, n.frag.root))
+			ci++
 			continue
 		}
 		ctx.Send(w, probe)
+	}
+	if n.bfsPending == 0 {
+		n.sendAggregate(ctx)
 	}
 }
 
@@ -369,25 +335,35 @@ func (n *Node) sendBack(ctx sim.Context, hasReport, improved, claimer bool) {
 
 // ownerComplete runs the paper's Choose step once every fragment answered:
 // apply the best exchange if one exists, otherwise conclude the round for
-// this owner. Multi rounds go through the grant of DESIGN.md deviation 4
-// (see chooseMulti).
+// this owner. In a Multi round the exchange goes through the grant of
+// DESIGN.md deviation 4 unless no claim can reach its endpoints, which
+// always holds in a Single round.
 func (n *Node) ownerComplete(ctx sim.Context) {
 	n.sized = n.phase == Single
-	if n.phase == Multi {
-		n.chooseMulti(ctx)
-		return
-	}
-	if n.ownerHasBest {
+	switch {
+	case !n.ownerHasBest:
+		if n.actingRoot && n.phase == Single {
+			// "If there is no more outgoing edge ... the maximum degree
+			// cannot be (locally) improved": remember it and let
+			// SearchDegree pick the next candidate (or terminate).
+			n.exhausted = true
+		}
+		n.release(ctx)
+		n.settle(ctx, false)
+	case n.ownerBest.vroot == n.up:
+		// Through the parent fragment: register, report, wait.
+		n.claimStep = claimRegister
+		ctx.Send(n.ownerArrival, newClaim(n.round, n.ownerBest.u, n.id, 0))
+	case !slices.Contains(n.relTo, n.ownerArrival) && !slices.Contains(n.relTo, n.ownerBest.vroot):
+		// No claim reaches either endpoint's fragment: exchange at once.
 		n.exchange(ctx)
-		return
+		n.release(ctx)
+	default:
+		// Every claim on the endpoints is in: register and decide.
+		n.claimStep = claimCheck
+		n.awaitingDone = true
+		ctx.Send(n.ownerArrival, newClaim(n.round, n.ownerBest.u, n.id, updQuery))
 	}
-	if n.actingRoot {
-		// "If there is no more outgoing edge ... the maximum degree cannot
-		// be (locally) improved": remember it and let SearchDegree pick
-		// the next candidate (or terminate).
-		n.exhausted = true
-	}
-	n.finishOwner(ctx, false)
 }
 
 // exchange starts the owner's exchange at once: "The child which sent the
