@@ -356,7 +356,14 @@ func (n *Node) ownerComplete(ctx sim.Context) {
 		ctx.Send(n.ownerArrival, newClaim(n.round, n.ownerBest.u, n.id, 0))
 	case !slices.Contains(n.relTo, n.ownerArrival) && !slices.Contains(n.relTo, n.ownerBest.vroot):
 		// No claim reaches either endpoint's fragment: exchange at once.
-		n.exchange(ctx)
+		// "The child which sent the best outgoing edge will be suppressed
+		// from the children set" — the cut half of the exchange; update,
+		// child and rounddone do the rest.
+		n.moved = n.removeChild(n.ownerArrival)
+		n.ownerSwapped = true
+		n.swaps++
+		n.awaitingDone = true
+		ctx.Send(n.ownerArrival, newUpdate(n.round, n.ownerBest.u, n.ownerBest.v, true, false))
 		n.release(ctx)
 	default:
 		// Every claim on the endpoints is in: register and decide.
@@ -364,17 +371,6 @@ func (n *Node) ownerComplete(ctx sim.Context) {
 		n.awaitingDone = true
 		ctx.Send(n.ownerArrival, newClaim(n.round, n.ownerBest.u, n.id, updQuery))
 	}
-}
-
-// exchange starts the owner's exchange at once: "The child which sent the
-// best outgoing edge will be suppressed from the children set" — the cut
-// half of the exchange; update, child and rounddone do the rest.
-func (n *Node) exchange(ctx sim.Context) {
-	n.moved = n.removeChild(n.ownerArrival)
-	n.ownerSwapped = true
-	n.swaps++
-	n.awaitingDone = true
-	ctx.Send(n.ownerArrival, newUpdate(n.round, n.ownerBest.u, n.ownerBest.v, true, false))
 }
 
 // finishOwner concludes the round at this owner after its exchange (if any)
