@@ -18,8 +18,7 @@ import (
 // per protocol round would show up 20-fold. The stop is a checkpoint
 // barrier written to io.Discard.
 //
-// The protocol's own slices (child and size lists, deferred lists, the
-// release lists of Multi rounds) grow as the run
+// The protocol's own slices (child and size lists, deferred lists) grow as the run
 // goes on, which would mask the engine's count, so the factory carries
 // each node's slice capacity over from the previous run: after the warm-up
 // run, the protocol allocates the same per run at any length.
@@ -38,7 +37,6 @@ func TestRoundEngineCounterAllocFlat(t *testing.T) {
 			n.children = append(old.children[:0], n.children...)
 			n.sizes = append(old.sizes[:0], n.sizes...)
 			n.deferred = old.deferred[:0]
-			n.relTo = old.relTo[:0]
 		}
 		prev[id] = n
 		return n

@@ -124,6 +124,9 @@ const (
 
 // release sends a release to every child that reported a claimer below it.
 func (n *Node) release(ctx sim.Context) {
+	if n.grant == nil {
+		return
+	}
 	n.relPending = len(n.relTo)
 	for _, c := range n.relTo {
 		ctx.Send(c, newRelease(n.round))
@@ -161,12 +164,14 @@ func (n *Node) onReleased(ctx sim.Context, improved bool) {
 // it sent are acknowledged (a Single round sends none): a released
 // claimer acknowledges its own release, any other owner finishes.
 func (n *Node) settle(ctx sim.Context, fell bool) {
-	if n.awaitingDone || n.relPending > 0 || n.claimStep == claimRegister || n.claimStep == claimHeld {
-		return
-	}
-	if n.claimStep == claimQuery {
-		ctx.Send(n.relFrom, newReleased(n.round, n.ownerSwapped || n.improved))
-		return
+	if n.grant != nil {
+		if n.awaitingDone || n.relPending > 0 || n.claimStep == claimRegister || n.claimStep == claimHeld {
+			return
+		}
+		if n.claimStep == claimQuery {
+			ctx.Send(n.relFrom, newReleased(n.round, n.ownerSwapped || n.improved))
+			return
+		}
 	}
 	n.finishOwner(ctx, fell)
 }

@@ -157,16 +157,23 @@ type Node struct {
 
 	deferred []deferredMsg
 
-	// Multi-round grants (DESIGN.md deviation 4). up names, by its root,
-	// the parent fragment of this member's owner, or of this owner: the
-	// fragment holding the owner's parent, noCand if there is none.
+	// grant is the Multi-round grant state; nil in a Single-mode run,
+	// which never needs it (see NewFactory).
+	*grant
+}
+
+// grant is a node's Multi-round grant state (DESIGN.md deviation 4). up
+// names, by its root, the parent fragment of this member's owner, or of
+// this owner: the fragment holding the owner's parent, noCand if there is
+// none.
+type grant struct {
 	up         sim.NodeID
-	halves     uint8        // records of a relayed cut pair received (see onCut)
-	claimStep  uint8        // owner: where its claim stands (claimNone, ...)
 	claim      sim.NodeID   // endpoint: smallest owner claiming this node (noCand: none)
-	relTo      []sim.NodeID // children that reported a claimer below them
 	relFrom    sim.NodeID   // the node that released this one
 	relPending int          // releases sent and not yet acknowledged
+	relTo      []sim.NodeID // children that reported a claimer below them
+	halves     uint8        // records of a relayed cut pair received (see onCut)
+	claimStep  uint8        // owner: where its claim stands (claimNone, ...)
 }
 
 // NewFactory returns a sim.Factory for the improvement protocol starting
@@ -177,6 +184,14 @@ type Node struct {
 // optimality.
 func NewFactory(mode Mode, target int, initial *tree.Dense) sim.Factory {
 	idx := initial.Index()
+	// Multi and Hybrid nodes take their grant state from one slab per
+	// factory (each run builds its own). A Single-mode node carries none,
+	// which keeps it in a smaller allocation class: the extra bytes per
+	// solve made grid-4k collect garbage half again as often.
+	var grants []grant
+	if mode != Single {
+		grants = make([]grant, initial.N())
+	}
 	return func(id sim.NodeID, _ []sim.NodeID) sim.Protocol {
 		di := idx.MustOf(id)
 		kids := initial.Children(di)
@@ -188,9 +203,10 @@ func NewFactory(mode Mode, target int, initial *tree.Dense) sim.Factory {
 			children: make([]sim.NodeID, len(kids)),
 			sizes:    make([]int, len(kids)),
 			fixChild: noCand,
-			up:       noCand,
-			claim:    noCand,
-			relFrom:  noCand,
+		}
+		if grants != nil {
+			n.grant = &grants[di]
+			n.resetGrant()
 		}
 		for k, ch := range kids {
 			n.children[k] = idx.ID(ch)
@@ -362,7 +378,9 @@ func (n *Node) resetRound() {
 	n.ownerArrival = 0
 	n.ownerSwapped = false
 	n.awaitingDone = false
-	n.resetGrant()
+	if n.grant != nil {
+		n.resetGrant()
+	}
 }
 
 // resetGrant clears the Multi-round grant state, which a Single round

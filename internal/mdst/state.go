@@ -164,9 +164,14 @@ func (n *Node) DecodeState(d *sim.StateDecoder) error {
 	n.ownerSwapped = d.Bool()
 	n.awaitingDone = d.Bool()
 
-	n.resetGrant()
-	if f == stateFormat {
-		n.decodeGrant(d)
+	if f == stateFormat && n.grant == nil && d.Err() == nil {
+		return &sim.CheckpointError{Reason: "mdst node state of a Multi-round node in a Single-mode run"}
+	}
+	if n.grant != nil {
+		n.resetGrant()
+		if f == stateFormat {
+			n.decodeGrant(d)
+		}
 	}
 
 	nd := d.Int()

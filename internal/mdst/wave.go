@@ -133,7 +133,7 @@ func (n *Node) enterFragment(ctx sim.Context, f fragID, label int) {
 		n.bfsPending++
 		if ci < len(n.children) && n.children[ci] == w {
 			switch {
-			case n.up != noCand:
+			case n.phase == Multi && n.up != noCand:
 				ctx.Send(w, newCut(n.round, n.kAll, f.owner, int(n.up)))
 				ctx.Send(w, newCutRoot(n.round, f.root))
 			case label != noLabel:
@@ -321,7 +321,7 @@ func (n *Node) sendAggregate(ctx sim.Context) {
 		panic(fmt.Sprintf("mdst: fragment member %d has no parent", n.id))
 	}
 	n.sized = n.phase == Single
-	n.sendBack(ctx, n.hasReport, n.improved, len(n.relTo) > 0)
+	n.sendBack(ctx, n.hasReport, n.improved, n.grant != nil && len(n.relTo) > 0)
 }
 
 // sendBack sends this node's bfsback to its parent.
@@ -350,11 +350,7 @@ func (n *Node) ownerComplete(ctx sim.Context) {
 		}
 		n.release(ctx)
 		n.settle(ctx, false)
-	case n.ownerBest.vroot == n.up:
-		// Through the parent fragment: register, report, wait.
-		n.claimStep = claimRegister
-		ctx.Send(n.ownerArrival, newClaim(n.round, n.ownerBest.u, n.id, 0))
-	case !slices.Contains(n.relTo, n.ownerArrival) && !slices.Contains(n.relTo, n.ownerBest.vroot):
+	case n.phase == Single || !slices.Contains(n.relTo, n.ownerArrival) && !slices.Contains(n.relTo, n.ownerBest.vroot) && n.ownerBest.vroot != n.up:
 		// No claim reaches either endpoint's fragment: exchange at once.
 		// "The child which sent the best outgoing edge will be suppressed
 		// from the children set" — the cut half of the exchange; update,
@@ -365,6 +361,10 @@ func (n *Node) ownerComplete(ctx sim.Context) {
 		n.awaitingDone = true
 		ctx.Send(n.ownerArrival, newUpdate(n.round, n.ownerBest.u, n.ownerBest.v, true, false))
 		n.release(ctx)
+	case n.ownerBest.vroot == n.up:
+		// Through the parent fragment: register, report, wait.
+		n.claimStep = claimRegister
+		ctx.Send(n.ownerArrival, newClaim(n.round, n.ownerBest.u, n.id, 0))
 	default:
 		// Every claim on the endpoints is in: register and decide.
 		n.claimStep = claimCheck
