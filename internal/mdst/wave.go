@@ -350,8 +350,11 @@ func (n *Node) ownerComplete(ctx sim.Context) {
 		}
 		n.release(ctx)
 		n.settle(ctx, false)
-	case n.phase == Single || !slices.Contains(n.relTo, n.ownerArrival) && !slices.Contains(n.relTo, n.ownerBest.vroot) && n.ownerBest.vroot != n.up:
-		// No claim reaches either endpoint's fragment: exchange at once.
+	case n.phase == Single || n.ownerBest.vroot != n.up &&
+		!slices.Contains(n.relTo, n.ownerArrival) && !slices.Contains(n.relTo, n.ownerBest.vroot):
+		// A Single round, or an edge between two of this owner's
+		// fragments neither of which reported a claimer: no claim reaches
+		// the endpoints, so exchange at once.
 		// "The child which sent the best outgoing edge will be suppressed
 		// from the children set" — the cut half of the exchange; update,
 		// child and rounddone do the rest.
