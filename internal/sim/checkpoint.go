@@ -219,19 +219,28 @@ func (ck *Checkpoint) RestoreCounters(r *Report) {
 // encodeStates freezes every protocol's state; all must implement
 // StateCodec. The checkpoint's kind table is created here so state blobs
 // and the file body share one numbering, and in-memory resumes that skip
-// the file round trip decode through the same table.
+// the file round trip decode through the same table. All states are
+// appended to one arena, and each States[i] is a capacity-capped window
+// onto it.
 func (ck *Checkpoint) encodeStates(protos []Protocol) error {
 	if ck.tab == nil {
 		ck.tab = newKindTable()
 	}
 	ck.States = make([][]byte, len(protos))
+	ends := make([]int, len(protos))
 	enc := ck.tab.enc
+	var arena []byte
 	for i, p := range protos {
-		blob, err := AppendProtocolState(nil, p, enc)
-		if err != nil {
+		var err error
+		if arena, err = AppendProtocolState(arena, p, enc); err != nil {
 			return err
 		}
-		ck.States[i] = blob
+		ends[i] = len(arena)
+	}
+	start := 0
+	for i, end := range ends {
+		ck.States[i] = arena[start:end:end]
+		start = end
 	}
 	return nil
 }
