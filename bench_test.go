@@ -206,11 +206,11 @@ func BenchmarkSequentialTwin(b *testing.B) {
 	}
 }
 
-// BenchmarkExact measures the ground-truth solver at its size limit.
+// BenchmarkExact measures the ground-truth solver at its size limit, and
+// on K_{3,8}, whose search refutes caps 2 and 3 before finding Δ* = 4.
 func BenchmarkExact(b *testing.B) {
-	for _, n := range []int{8, 12, 16} {
-		g := mdegst.Gnm(n, 2*n, 4)
-		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
+	run := func(name string, g *mdegst.Graph) {
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := mdegst.ExactMinDegree(g); err != nil {
 					b.Fatal(err)
@@ -218,4 +218,8 @@ func BenchmarkExact(b *testing.B) {
 			}
 		})
 	}
+	for _, n := range []int{8, 12, 16} {
+		run("n="+strconv.Itoa(n), mdegst.Gnm(n, 2*n, 4))
+	}
+	run("bipart-3x8", mdegst.CompleteBipartite(3, 8))
 }

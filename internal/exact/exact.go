@@ -2,6 +2,15 @@
 // optimal spanning tree degree Δ* by branch and bound (small graphs), and
 // cheap lower bounds on Δ* for graphs too large to solve exactly. The
 // paper's guarantee under scrutiny is "degree at most Δ*+1".
+//
+// The branch and bound tries caps from the lower bound upwards over one
+// edge order, deciding edges in that order, include before exclude. Two
+// prunes cut a search node: the edges still allowed cannot connect the
+// current components, or a greedy vertex cover of them cannot absorb the
+// edges still needed within its budgets. Both cut only subtrees that hold
+// no tree within the cap, so the first tree found, the witness, is the one
+// an unpruned search finds. The search state lives in buffers built once
+// per graph, and no search node allocates.
 package exact
 
 import (
@@ -26,8 +35,9 @@ func MinDegree(c *graph.CSR) (int, *tree.Dense, error) {
 	if c.N() == 1 {
 		return 0, tree.NewDense(c.Index(), 0), nil
 	}
+	s := newCapSearch(c)
 	for d := DegreeLowerBound(c); d < c.N(); d++ {
-		if edges := spanningTreeWithCap(c, d); edges != nil {
+		if edges := s.within(d); edges != nil {
 			t, err := orient(c, edges)
 			if err != nil {
 				return 0, nil, err
@@ -47,7 +57,7 @@ func HasSpanningTreeWithin(c *graph.CSR, d int) (bool, error) {
 	if c.N() == 1 {
 		return d >= 0, nil
 	}
-	return spanningTreeWithCap(c, d) != nil, nil
+	return newCapSearch(c).within(d) != nil, nil
 }
 
 // checkExact rejects graphs the branch and bound cannot answer.
@@ -143,13 +153,24 @@ func DegreeLowerBound(c *graph.CSR) int {
 	return lb
 }
 
-// spanningTreeWithCap searches for a spanning tree with every degree at most
-// cap, using include/exclude branch and bound over the dense edge list with
-// union-find components, degree budgets and connectivity pruning.
-func spanningTreeWithCap(c *graph.CSR, cap int) [][2]int32 {
-	if cap < 1 {
-		return nil
-	}
+// capSearch is an include/exclude branch and bound over the dense edge
+// list for a spanning tree whose degrees stay within a cap. The edge order
+// and every buffer are built once per graph and reused across caps, so no
+// search node allocates.
+type capSearch struct {
+	edges  [][2]int32
+	budget []int32 // degree still allowed at each node
+	chosen [][2]int32
+
+	// Scratch rebuilt at every search node.
+	reach  []int32 // forest: the chosen edges' components, then joined by usable edges
+	comp   []int32 // root of each node's component of the chosen edges
+	udeg   []int32 // usable edges at each node
+	cover  []bool
+	usable []int32 // indices of the usable edges
+}
+
+func newCapSearch(c *graph.CSR) *capSearch {
 	n := c.N()
 	edges := c.DenseEdges(nil)
 	// Order edges to find feasible trees early: prefer edges whose
@@ -159,33 +180,32 @@ func spanningTreeWithCap(c *graph.CSR, cap int) [][2]int32 {
 		dj := c.Degree(edges[j][0]) + c.Degree(edges[j][1])
 		return di < dj
 	})
-
-	s := &capSearch{
-		n:      n,
+	return &capSearch{
 		edges:  edges,
-		budget: make([]int, n),
-		uf:     newUnionFind(n),
-		alive:  make([]bool, len(edges)),
+		budget: make([]int32, n),
+		chosen: make([][2]int32, 0, n-1),
+		reach:  make([]int32, n),
+		comp:   make([]int32, n),
+		udeg:   make([]int32, n),
+		cover:  make([]bool, n),
+		usable: make([]int32, 0, len(edges)),
 	}
-	for i := range s.budget {
-		s.budget[i] = cap
+}
+
+// within returns the edges of the first spanning tree in search order
+// whose degrees are all at most cap, or nil when there is none. A failed
+// search leaves s as it found it, ready for the next cap.
+func (s *capSearch) within(cap int) [][2]int32 {
+	if cap < 1 {
+		return nil
 	}
-	for i := range s.alive {
-		s.alive[i] = true
+	for v := range s.budget {
+		s.budget[v] = int32(cap)
 	}
-	if s.search(0, n-1) {
+	if s.search(0, len(s.budget)-1) {
 		return s.chosen
 	}
 	return nil
-}
-
-type capSearch struct {
-	n      int
-	edges  [][2]int32
-	budget []int
-	uf     *unionFind
-	alive  []bool
-	chosen [][2]int32
 }
 
 // search decides edge i; need is the number of edges still required.
@@ -196,107 +216,110 @@ func (s *capSearch) search(i, need int) bool {
 	if i >= len(s.edges) || len(s.edges)-i < need {
 		return false
 	}
-	if !s.connectable(i) {
+	s.components()
+	if !s.connectable(i, need) || !s.coverable(i, need) {
 		return false
 	}
 	e := s.edges[i]
-	ui, vi := int(e[0]), int(e[1])
+	u, v := e[0], e[1]
 
 	// Branch 1: include e when budgets allow and it joins two components.
-	if s.budget[ui] > 0 && s.budget[vi] > 0 && s.uf.find(ui) != s.uf.find(vi) {
-		mark := s.uf.mark()
-		s.uf.union(ui, vi)
-		s.budget[ui]--
-		s.budget[vi]--
+	if s.budget[u] > 0 && s.budget[v] > 0 && s.comp[u] != s.comp[v] {
+		s.budget[u]--
+		s.budget[v]--
 		s.chosen = append(s.chosen, e)
 		if s.search(i+1, need-1) {
 			return true
 		}
 		s.chosen = s.chosen[:len(s.chosen)-1]
-		s.budget[ui]++
-		s.budget[vi]++
-		s.uf.undo(mark)
+		s.budget[u]++
+		s.budget[v]++
 	}
 
 	// Branch 2: exclude e.
-	s.alive[i] = false
-	ok := s.search(i+1, need)
-	s.alive[i] = true
-	return ok
+	return s.search(i+1, need)
 }
 
-// connectable prunes branches where the remaining usable edges cannot
-// connect the current components.
-func (s *capSearch) connectable(i int) bool {
-	reach := newUnionFind(s.n)
-	for j := 0; j < s.n; j++ {
-		reach.union(s.uf.find(j), j)
+// components builds the chosen edges' components in the reach forest and
+// records each node's root in comp.
+func (s *capSearch) components() {
+	for v := range s.reach {
+		s.reach[v] = int32(v)
 	}
-	for j := i; j < len(s.edges); j++ {
-		if !s.alive[j] {
+	for _, e := range s.chosen {
+		s.reach[s.root(e[1])] = s.root(e[0])
+	}
+	for v := range s.comp {
+		s.comp[v] = s.root(int32(v))
+	}
+}
+
+// root finds v's root in the reach forest, halving the path as it goes.
+func (s *capSearch) root(v int32) int32 {
+	for s.reach[v] != v {
+		s.reach[v] = s.reach[s.reach[v]]
+		v = s.reach[v]
+	}
+	return v
+}
+
+// connectable prunes branches where the edges from i on that both budgets
+// allow cannot join the need+1 components in the reach forest into one.
+// It merges them in that forest.
+func (s *capSearch) connectable(i, need int) bool {
+	comps := need + 1
+	for _, e := range s.edges[i:] {
+		if s.budget[e[0]] == 0 || s.budget[e[1]] == 0 {
 			continue
 		}
-		ui, vi := int(s.edges[j][0]), int(s.edges[j][1])
-		if s.budget[ui] > 0 && s.budget[vi] > 0 {
-			reach.union(ui, vi)
+		a, b := s.root(e[0]), s.root(e[1])
+		if a == b {
+			continue
+		}
+		s.reach[b] = a
+		if comps--; comps == 1 {
+			return true
 		}
 	}
-	r0 := reach.find(0)
-	for j := 1; j < s.n; j++ {
-		if reach.find(j) != r0 {
-			return false
+	return false
+}
+
+// coverable prunes branches whose remaining edges cannot supply need more
+// tree edges within the budgets. An edge is usable when its index is at
+// least i, both budgets are positive and its endpoints lie in different
+// components; every edge chosen below this node is usable now. Each one
+// spends a unit of budget at some vertex of a vertex cover of the usable
+// edges, and a cover vertex v can take at most min(budget, usable degree)
+// of them, so need edges fit only if those minima sum to at least need.
+// The cover is greedy: each uncovered edge adds its endpoint with more
+// usable edges.
+func (s *capSearch) coverable(i, need int) bool {
+	clear(s.udeg)
+	clear(s.cover)
+	s.usable = s.usable[:0]
+	for j := i; j < len(s.edges); j++ {
+		u, v := s.edges[j][0], s.edges[j][1]
+		if s.budget[u] > 0 && s.budget[v] > 0 && s.comp[u] != s.comp[v] {
+			s.udeg[u]++
+			s.udeg[v]++
+			s.usable = append(s.usable, int32(j))
 		}
 	}
-	return true
-}
-
-// unionFind with union-by-size and an undo log (no path compression so
-// undos are exact).
-type unionFind struct {
-	parent []int
-	size   []int
-	log    []int // roots attached, for undo
-}
-
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n), size: make([]int, n)}
-	for i := range uf.parent {
-		uf.parent[i] = i
-		uf.size[i] = 1
+	sum := 0
+	for _, j := range s.usable {
+		u, v := s.edges[j][0], s.edges[j][1]
+		if s.cover[u] || s.cover[v] {
+			continue
+		}
+		if s.udeg[v] > s.udeg[u] {
+			u = v
+		}
+		s.cover[u] = true
+		if sum += int(min(s.budget[u], s.udeg[u])); sum >= need {
+			return true
+		}
 	}
-	return uf
-}
-
-func (uf *unionFind) find(x int) int {
-	for uf.parent[x] != x {
-		x = uf.parent[x]
-	}
-	return x
-}
-
-func (uf *unionFind) union(a, b int) {
-	ra, rb := uf.find(a), uf.find(b)
-	if ra == rb {
-		return
-	}
-	if uf.size[ra] < uf.size[rb] {
-		ra, rb = rb, ra
-	}
-	uf.parent[rb] = ra
-	uf.size[ra] += uf.size[rb]
-	uf.log = append(uf.log, rb)
-}
-
-func (uf *unionFind) mark() int { return len(uf.log) }
-
-func (uf *unionFind) undo(mark int) {
-	for len(uf.log) > mark {
-		rb := uf.log[len(uf.log)-1]
-		uf.log = uf.log[:len(uf.log)-1]
-		ra := uf.parent[rb]
-		uf.size[ra] -= uf.size[rb]
-		uf.parent[rb] = rb
-	}
+	return false
 }
 
 // orient roots the spanning tree given by its edges at dense node 0.
