@@ -46,9 +46,6 @@ func main() {
 	var events []step
 	res, err := mdegst.Improve(g, t0, mdegst.Options{
 		Engine: mdegst.NewTracingEngine(func(e mdegst.TraceEvent) {
-			if !e.IsMessage() {
-				return
-			}
 			events = append(events, step{time: e.Time, from: e.From, to: e.To, kind: e.Msg.Kind()})
 		}),
 	})

@@ -123,7 +123,6 @@ type scriptCtx struct {
 
 func (c *scriptCtx) ID() sim.NodeID          { return c.id }
 func (c *scriptCtx) Neighbors() []sim.NodeID { return c.nbrs }
-func (c *scriptCtx) Logf(string, ...any)     {}
 func (c *scriptCtx) Send(to sim.NodeID, m sim.WireMsg) {
 	c.sends = append(c.sends, fmt.Sprintf("%s->%d", m.Kind(), to))
 }

@@ -133,9 +133,6 @@ func roundActivity(t *testing.T, c *graph.CSR, initial *tree.Dense, mode mdst.Mo
 	var act []uint32
 	eng := unitEngine()
 	eng.Trace = func(e sim.TraceEvent) {
-		if !e.IsMessage() {
-			return
-		}
 		r := int(e.Time)
 		for len(act) <= r {
 			act = append(act, 0)

@@ -96,8 +96,6 @@ func (c *asyncCtx) Send(to NodeID, m WireMsg) {
 	c.run.boxes[c.nbrDense[ni]].push(delivery{from: c.id, msg: m, depth: c.depth + 1})
 }
 
-func (c *asyncCtx) Logf(string, ...any) {}
-
 // Run executes the protocol to quiescence using real goroutines.
 func (e *AsyncEngine) Run(c *graph.CSR, f Factory) ([]Protocol, *Report, error) {
 	start := time.Now()

@@ -168,71 +168,54 @@ func TestCheckpointErrors(t *testing.T) {
 	}
 }
 
-// TestBinaryTraceRoundTrip pins the compact trace form: every engine trace
-// (deliveries and Logf notes) survives the byte round trip exactly.
+// TestBinaryTraceRoundTrip pins the compact trace form: the traces of both
+// EventEngine tiers survive the byte round trip exactly.
 func TestBinaryTraceRoundTrip(t *testing.T) {
 	c := graph.Gnp(20, 0.3, 3).Compile()
-	var want []TraceEvent
-	var buf bytes.Buffer
-	bw := NewBinaryTraceWriter(&buf)
-	eng := &EventEngine{Delay: UnitDelay, FIFO: true, Trace: func(e TraceEvent) {
-		want = append(want, e)
-		bw.Trace(e)
-	}}
-	if _, _, err := eng.Run(c, loggingTokenFactory(40)); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinaryTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("binary trace round trip diverged: %d vs %d events", len(got), len(want))
-	}
-	if len(want) == 0 {
-		t.Fatal("trace empty; workload misconfigured")
-	}
-	// The binary form must undercut a naive textual rendering.
-	var text int
-	for _, e := range want {
-		text += len(e.String())
-	}
-	if buf.Len() >= text {
-		t.Errorf("binary trace (%d bytes) not smaller than text (%d bytes)", buf.Len(), text)
-	}
+	for name, delay := range map[string]DelayFn{"unit": UnitDelay, "uniform": UniformDelay(0.1)} {
+		t.Run(name, func(t *testing.T) {
+			var want []TraceEvent
+			var buf bytes.Buffer
+			bw := NewBinaryTraceWriter(&buf)
+			eng := &EventEngine{Delay: delay, Seed: 5, FIFO: true, Trace: func(e TraceEvent) {
+				want = append(want, e)
+				bw.Trace(e)
+			}}
+			if _, _, err := eng.Run(c, tokenFactory(40)); err != nil {
+				t.Fatal(err)
+			}
+			if err := bw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadBinaryTrace(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("binary trace round trip diverged: %d vs %d events", len(got), len(want))
+			}
+			if len(want) == 0 {
+				t.Fatal("trace empty; workload misconfigured")
+			}
+			// The binary form must undercut a naive textual rendering.
+			var text int
+			for _, e := range want {
+				text += len(e.String())
+			}
+			if buf.Len() >= text {
+				t.Errorf("binary trace (%d bytes) not smaller than text (%d bytes)", buf.Len(), text)
+			}
 
-	// Malformed bytes fail cleanly.
-	if _, err := ReadBinaryTrace(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Error("junk accepted as a binary trace")
+			// Malformed bytes fail cleanly.
+			if _, err := ReadBinaryTrace(bytes.NewReader([]byte("junk"))); err == nil {
+				t.Error("junk accepted as a binary trace")
+			}
+			trunc := buf.Bytes()[:buf.Len()-3]
+			if _, err := ReadBinaryTrace(bytes.NewReader(trunc)); err == nil {
+				t.Error("truncated trace accepted")
+			}
+		})
 	}
-	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadBinaryTrace(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated trace accepted")
-	}
-}
-
-// loggingTokenFactory wraps the token protocol with a Logf note per
-// handler call, so trace tests cover note ordering too.
-func loggingTokenFactory(limit int) Factory {
-	inner := tokenFactory(limit)
-	return func(id NodeID, nbrs []NodeID) Protocol {
-		return &loggingProto{p: inner(id, nbrs)}
-	}
-}
-
-type loggingProto struct{ p Protocol }
-
-func (l *loggingProto) Init(ctx Context) {
-	ctx.Logf("init %d", ctx.ID())
-	l.p.Init(ctx)
-}
-
-func (l *loggingProto) Recv(ctx Context, from NodeID, m WireMsg) {
-	ctx.Logf("recv %d<-%d", ctx.ID(), from)
-	l.p.Recv(ctx, from, m)
 }
 
 // TestCheckpointHugeCountsRejected pins the allocation bound: a tiny

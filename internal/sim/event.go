@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -94,20 +95,19 @@ func NewBudgetError(delivered, limit int64, rep *Report) error {
 //
 // The engine is the hot path of the experiment harness, so scheduling is a
 // two-tier structure specialised to the model's bounded delays (DESIGN.md
-// §6): under UnitDelay — the default — the run degenerates into synchronous
-// rounds played by a RoundRunner (round.go), each round's send slab
-// becoming the next round's inbox with no timestamps, RNG or queue at
-// all; under randomised delays events go through a calendar/bucket queue
-// (wheel.go) whose rotating ring of time buckets covers the (now, now+1]
-// delivery window for amortised O(1) push/pop instead of a binary heap's
-// O(log m). Every per-node structure — contexts, protocol instances, FIFO
-// clamp intervals — lives in one slice addressed by the CSR snapshot's
-// dense index (no map[NodeID] anywhere on the delivery path), and the
-// backing arrays are pooled and reused across runs. Each event carries its
-// destination's dense index, so a delivery is two slice loads. ReferenceEngine keeps the straightforward
-// container/heap implementation as the delivery-order oracle; all tiers are
-// checked trace-equivalent by the differential tests and compared by the
-// allocation benchmarks.
+// §6), and both tiers host their nodes on a RoundRunner (round.go). Under
+// UnitDelay — the default — the run degenerates into synchronous rounds,
+// each round's send slab becoming the next round's inbox with no
+// timestamps, RNG or queue at all. Under randomised delays the runner plays
+// one delivery at a time off a calendar/bucket queue (wheel.go) whose
+// rotating ring of time buckets covers the (now, now+1] delivery window for
+// amortised O(1) push/pop instead of a binary heap's O(log m). Every
+// per-node and per-link structure is a slice addressed by the CSR
+// snapshot's dense index (no map[NodeID] anywhere on the delivery path),
+// and the backing arrays are pooled and reused across runs.
+// ReferenceEngine keeps the straightforward container/heap implementation
+// as the delivery-order oracle; all tiers are checked trace-equivalent by
+// the differential tests and compared by the allocation benchmarks.
 type EventEngine struct {
 	// Seed initialises the delay RNG.
 	Seed int64
@@ -121,7 +121,7 @@ type EventEngine struct {
 	// MaxMessages aborts the run when exceeded (0 means
 	// DefaultMaxMessages); it converts protocol livelock into an error.
 	MaxMessages int64
-	// Trace, when non-nil, observes every delivery and Logf note.
+	// Trace, when non-nil, observes every delivery.
 	Trace func(TraceEvent)
 	// Checkpoint, when non-nil, arms barrier checkpointing on the
 	// unit-delay tier: a freeze at one round barrier or a periodic commit
@@ -129,17 +129,15 @@ type EventEngine struct {
 	Checkpoint *CheckpointSpec
 }
 
-// event is one scheduled delivery. With the flat message plane it is a
-// pure value record — no pointers anywhere — so queues of events are plain
-// slabs the GC never scans.
+// event is one scheduled delivery: the runner's send record plus its
+// delivery time, sequence number and causal depth. It is a pure value
+// record — no pointers anywhere — so queues of events are plain slabs the
+// GC never scans.
 type event struct {
-	t       float64
-	seq     int64
-	depth   int64
-	from    NodeID
-	to      NodeID
-	toDense int32
-	msg     WireMsg
+	t     float64
+	seq   int64
+	depth int64
+	d     PendingDelivery
 }
 
 func (e event) before(o event) bool {
@@ -147,36 +145,6 @@ func (e event) before(o event) bool {
 		return e.t < o.t
 	}
 	return e.seq < o.seq
-}
-
-type eventCtx struct {
-	eng *eventRun
-	id  NodeID
-	// neighbors and nbrDense are the snapshot's neighbour views for this
-	// node (NodeIDs for the Protocol contract, dense indices for event
-	// addressing), same position order.
-	neighbors []NodeID
-	nbrDense  []int32
-	// clamp holds, per neighbour (same index as neighbors), the latest
-	// delivery time already scheduled on the directed link id->neighbor.
-	// FIFO order is enforced by clamping new delivery times to it.
-	clamp []float64
-	// now/depth of the message currently being processed at this node.
-	now   float64
-	depth int64
-}
-
-func (c *eventCtx) ID() NodeID          { return c.id }
-func (c *eventCtx) Neighbors() []NodeID { return c.neighbors }
-
-func (c *eventCtx) Send(to NodeID, m WireMsg) {
-	c.eng.send(c, neighborAt(c.neighbors, c.id, to), to, m)
-}
-
-func (c *eventCtx) Logf(format string, args ...any) {
-	if c.eng.trace != nil {
-		c.eng.trace(TraceEvent{Time: c.now, Depth: c.depth, To: c.id, Note: fmt.Sprintf(format, args...)})
-	}
 }
 
 // neighborAt returns the position of `to` in from's ascending neighbour
@@ -200,72 +168,28 @@ func (e nonNeighbor) Error() string {
 	return fmt.Sprintf("sim: node %d sent to non-neighbour %d", e.from, e.to)
 }
 
-type eventRun struct {
-	rng    *rand.Rand
-	delay  DelayFn
-	fifo   bool
-	trace  func(TraceEvent)
-	wheel  *bucketQueue
-	seq    int64
-	report *Report
-}
-
-func (er *eventRun) send(c *eventCtx, ni int, to NodeID, m WireMsg) {
-	d := er.delay(er.rng, c.id, to)
-	checkDelay(d, c.id, to)
-	t := c.now + d
-	if er.fifo {
-		if last := c.clamp[ni]; t < last {
-			t = last
-		}
-		c.clamp[ni] = t
-	}
-	er.seq++
-	er.wheel.push(event{t: t, seq: er.seq, depth: c.depth + 1, from: c.id, to: to, toDense: c.nbrDense[ni], msg: m})
-}
-
-// eventScratch is the reusable per-run state: the calendar queue's bucket
-// ring, the node contexts, the protocol instances and the FIFO clamp backing
-// array — all dense-index addressed. Pooled so repeated runs — the parallel
-// experiment harness executes thousands — allocate it once per worker
-// instead of once per run.
+// eventScratch is the random-delay tier's pooled state beside its runner:
+// the calendar queue's bucket ring and the FIFO clamps, one per CSR
+// half-edge. Pooled so repeated runs — the parallel experiment harness
+// executes thousands — allocate it once per worker instead of once per
+// run.
 type eventScratch struct {
-	wheel  bucketQueue
-	ctxs   []eventCtx
-	protos []Protocol
-	clamp  []float64
+	wheel bucketQueue
+	// clamp holds, per directed link (CSR half-edge), the latest delivery
+	// time already scheduled on it; FIFO order clamps new delivery times
+	// to it.
+	clamp []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(eventScratch) }}
 
-func (s *eventScratch) reset(n, halfEdges int) {
-	if cap(s.ctxs) < n {
-		s.ctxs = make([]eventCtx, n)
-	}
-	s.ctxs = s.ctxs[:n]
-	if cap(s.protos) < n {
-		s.protos = make([]Protocol, n)
-	}
-	s.protos = s.protos[:n]
-	if cap(s.clamp) < halfEdges {
-		s.clamp = make([]float64, halfEdges)
-	}
-	s.clamp = s.clamp[:halfEdges]
+// reset readies s for a run: empty clamps and an empty wheel (an abnormal
+// exit — protocol panic, livelock abort — leaves events behind, flat
+// records that must not leak into this run).
+func (s *eventScratch) reset(halfEdges int) {
+	s.clamp = growCap(s.clamp, halfEdges)
 	clear(s.clamp)
 	s.wheel.reset()
-}
-
-func (s *eventScratch) release() {
-	// Reset the wheel (abnormal exits leave events behind — flat records,
-	// but stale ones must not leak into the next run) and zero the contexts
-	// and protocol slots so pooled memory does not pin protocol state or
-	// the snapshot's neighbour arrays.
-	s.wheel.reset()
-	for i := range s.ctxs {
-		s.ctxs[i] = eventCtx{}
-	}
-	clear(s.protos)
-	scratchPool.Put(s)
 }
 
 // Run executes the protocol to quiescence over a compiled snapshot.
@@ -280,74 +204,70 @@ func (e *EventEngine) Run(c *graph.CSR, f Factory) (protos []Protocol, rep *Repo
 			err = recoverRun(p)
 		}
 	}()
-	return e.run(c, f)
-}
-
-// run is the body of Run; callers own panic recovery.
-func (e *EventEngine) run(c *graph.CSR, f Factory) ([]Protocol, *Report, error) {
 	start := time.Now()
-	delay := e.Delay
 	maxMsgs := e.MaxMessages
 	if maxMsgs == 0 {
 		maxMsgs = DefaultMaxMessages
 	}
-	if isUnitDelay(delay) {
+	if isUnitDelay(e.Delay) {
 		return e.runRounds(c, f, maxMsgs, start, nil)
 	}
 	if e.Checkpoint != nil {
 		return nil, nil, errCheckpointTier
 	}
-	er := &eventRun{
-		rng:    rand.New(rand.NewSource(e.Seed)),
-		delay:  delay,
-		fifo:   e.FIFO,
-		trace:  e.Trace,
-		report: NewReport(),
-	}
-	n := c.N()
-	ids := c.Index().IDs()
-	scratch := scratchPool.Get().(*eventScratch)
-	defer scratch.release()
-	scratch.reset(n, c.HalfEdges())
-	er.wheel = &scratch.wheel
+	return e.runWheel(c, f, maxMsgs, start)
+}
 
-	for i := 0; i < n; i++ {
-		di := int32(i)
-		lo, hi := c.HalfEdge(di, 0), c.HalfEdge(di, c.Degree(di))
-		scratch.ctxs[i] = eventCtx{
-			eng:       er,
-			id:        ids[i],
-			neighbors: c.NeighborIDs(di),
-			nbrDense:  c.Neighbors(di),
-			clamp:     scratch.clamp[lo:hi],
-		}
-		scratch.protos[i] = f(ids[i], scratch.ctxs[i].neighbors)
-	}
+// runWheel is EventEngine's random-delay tier. The runner plays one
+// delivery at a time, in (time, sequence) order off the calendar queue;
+// after Init and after each delivery the driver walks the runner's send
+// slab in send order, drawing each send's delay, clamping it per directed
+// link under FIFO and numbering it — the order in which the sends
+// happened, so delays and sequence numbers are exactly those of sending
+// straight from the handler. Called from Run, which owns panic recovery.
+func (e *EventEngine) runWheel(c *graph.CSR, f Factory, maxMsgs int64, start time.Time) ([]Protocol, *Report, error) {
+	r := roundPool.Get().(*RoundRunner)
+	defer r.release()
+	r.Reset(c, f)
+	r.trace = e.Trace
+	s := scratchPool.Get().(*eventScratch)
+	defer scratchPool.Put(s)
+	s.reset(c.HalfEdges())
+	rng := rand.New(rand.NewSource(e.Seed))
+	var seq int64
+	now, depth := 0.0, int64(0)
 	// All nodes start independently; Init runs at time zero in ID order.
-	for i := 0; i < n; i++ {
-		scratch.protos[i].Init(&scratch.ctxs[i])
+	r.initAll()
+	for {
+		for _, d := range r.sent {
+			from, to := r.ids[d.From], r.ids[d.To]
+			dt := e.Delay(rng, from, to)
+			checkDelay(dt, from, to)
+			t := now + dt
+			if e.FIFO {
+				h := c.HalfEdge(d.From, slices.Index(c.Neighbors(d.From), d.To))
+				t = max(t, s.clamp[h])
+				s.clamp[h] = t
+			}
+			seq++
+			s.wheel.push(event{t: t, seq: seq, depth: depth + 1, d: d})
+		}
+		if s.wheel.empty() {
+			break
+		}
+		ev := s.wheel.pop()
+		if r.report.Messages >= maxMsgs {
+			return nil, nil, NewBudgetError(r.report.Messages, maxMsgs, r.report)
+		}
+		now, depth = ev.t, ev.depth
+		r.playAt(now, depth, []PendingDelivery{ev.d})
 	}
-	for !er.wheel.empty() {
-		ev := er.wheel.pop()
-		if er.report.Messages >= maxMsgs {
-			return nil, nil, NewBudgetError(er.report.Messages, maxMsgs, er.report)
-		}
-		ctx := &scratch.ctxs[ev.toDense]
-		ctx.now = ev.t
-		ctx.depth = ev.depth
-		er.report.record(ev.from, ev.msg, ev.depth)
-		if ev.t > er.report.VirtualTime {
-			er.report.VirtualTime = ev.t
-		}
-		if er.trace != nil {
-			er.trace(TraceEvent{Time: ev.t, Depth: ev.depth, From: ev.from, To: ev.to, Msg: ev.msg})
-		}
-		scratch.protos[ev.toDense].Recv(ctx, ev.from, ev.msg)
-	}
-	er.report.Finalize()
-	er.report.Wall = time.Since(start)
-	// Copy out of the pooled scratch: release clears its protocol slots.
-	return append([]Protocol(nil), scratch.protos...), er.report, nil
+	// Deliveries pop in time order, so the last one's time is the run's.
+	r.report.VirtualTime = now
+	r.report.Finalize()
+	r.report.Wall = time.Since(start)
+	// Copy out of the pooled runner: release clears its protocol slots.
+	return append([]Protocol(nil), r.protos...), r.report, nil
 }
 
 // Resume continues a run frozen at a round barrier: the factory rebuilds

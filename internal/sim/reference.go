@@ -2,7 +2,6 @@ package sim
 
 import (
 	"container/heap"
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -13,10 +12,10 @@ import (
 // EventEngine started from: container/heap over boxed events, a map keyed by
 // directed node pairs for the FIFO clamp, and fresh state every run. Its
 // per-node state (contexts, protocol instances) is addressed by the
-// snapshot's dense index like every other engine, but each delivery still
-// pays the NodeID->dense map lookup that the fast path precomputes into the
-// event. It is kept as the delivery-order oracle for EventEngine's optimised
-// fast path — tests assert the two produce identical reports and trees for
+// snapshot's dense index like every other engine, but each send still
+// pays the NodeID->dense map lookup that the fast path reads off the CSR.
+// It is kept as the delivery-order oracle for EventEngine's optimised fast
+// path — tests assert the two produce identical reports and trees for
 // identical seeds — and as the baseline the allocation benchmarks measure
 // the fast path against. Do not use it in the harness hot path.
 type ReferenceEngine struct {
@@ -28,7 +27,7 @@ type ReferenceEngine struct {
 	FIFO bool
 	// MaxMessages aborts the run when exceeded (0 means DefaultMaxMessages).
 	MaxMessages int64
-	// Trace, when non-nil, observes every delivery and Logf note.
+	// Trace, when non-nil, observes every delivery.
 	Trace func(TraceEvent)
 }
 
@@ -48,6 +47,7 @@ func (h *refHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = 
 type refCtx struct {
 	run       *refRun
 	id        NodeID
+	dense     int32
 	neighbors []NodeID
 	now       float64
 	depth     int64
@@ -61,18 +61,13 @@ func (c *refCtx) Send(to NodeID, m WireMsg) {
 	c.run.send(c, to, m)
 }
 
-func (c *refCtx) Logf(format string, args ...any) {
-	if c.run.trace != nil {
-		c.run.trace(TraceEvent{Time: c.now, Depth: c.depth, To: c.id, Note: fmt.Sprintf(format, args...)})
-	}
-}
-
 type refRun struct {
 	rng      *rand.Rand
 	delay    DelayFn
 	fifo     bool
 	trace    func(TraceEvent)
 	queue    refHeap
+	idx      *graph.Index
 	seq      int64
 	lastLink map[[2]NodeID]float64
 	report   *Report
@@ -90,7 +85,7 @@ func (rr *refRun) send(c *refCtx, to NodeID, m WireMsg) {
 		rr.lastLink[link] = t
 	}
 	rr.seq++
-	heap.Push(&rr.queue, event{t: t, seq: rr.seq, depth: c.depth + 1, from: c.id, to: to, msg: m})
+	heap.Push(&rr.queue, event{t: t, seq: rr.seq, depth: c.depth + 1, d: PendingDelivery{From: c.dense, To: rr.idx.MustOf(to), Msg: m}})
 }
 
 // Run executes the protocol to quiescence, mirroring EventEngine.Run with
@@ -120,12 +115,12 @@ func (e *ReferenceEngine) Run(c *graph.CSR, f Factory) (protos []Protocol, rep *
 		report:   NewReport(),
 	}
 	n := c.N()
-	idx := c.Index()
-	ids := idx.IDs()
+	rr.idx = c.Index()
+	ids := rr.idx.IDs()
 	ctxs := make([]refCtx, n)
 	plist := make([]Protocol, n)
 	for i := 0; i < n; i++ {
-		ctxs[i] = refCtx{run: rr, id: ids[i], neighbors: c.NeighborIDs(int32(i))}
+		ctxs[i] = refCtx{run: rr, id: ids[i], dense: int32(i), neighbors: c.NeighborIDs(int32(i))}
 		plist[i] = f(ids[i], ctxs[i].neighbors)
 	}
 	for i := 0; i < n; i++ {
@@ -136,18 +131,18 @@ func (e *ReferenceEngine) Run(c *graph.CSR, f Factory) (protos []Protocol, rep *
 		if rr.report.Messages >= maxMsgs {
 			return nil, nil, NewBudgetError(rr.report.Messages, maxMsgs, rr.report)
 		}
-		di := idx.MustOf(ev.to)
-		ctx := &ctxs[di]
+		ctx := &ctxs[ev.d.To]
 		ctx.now = ev.t
 		ctx.depth = ev.depth
-		rr.report.record(ev.from, ev.msg, ev.depth)
+		from := ids[ev.d.From]
+		rr.report.record(from, ev.d.Msg, ev.depth)
 		if ev.t > rr.report.VirtualTime {
 			rr.report.VirtualTime = ev.t
 		}
 		if rr.trace != nil {
-			rr.trace(TraceEvent{Time: ev.t, Depth: ev.depth, From: ev.from, To: ev.to, Msg: ev.msg})
+			rr.trace(TraceEvent{Time: ev.t, Depth: ev.depth, From: from, To: ctx.id, Msg: ev.d.Msg})
 		}
-		plist[di].Recv(ctx, ev.from, ev.msg)
+		plist[ev.d.To].Recv(ctx, from, ev.d.Msg)
 	}
 	rr.report.Finalize()
 	rr.report.Wall = time.Since(start)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"reflect"
 	"sync"
 	"time"
@@ -26,7 +25,9 @@ import (
 // end. EventEngine's unit tier (runRounds below) plays every node and
 // swaps the slab into the next round's inbox; internal/net's DistEngine
 // plays one process's share of a partitioned run and routes the slab to
-// the receivers' owners at the barrier.
+// the receivers' owners at the barrier. EventEngine's random-delay tier
+// (runWheel, event.go) is a third driver: it has the runner play one
+// delivery at a time and schedules the slab on its calendar queue.
 //
 // The barrier between two rounds is also the checkpoint cut (DESIGN.md
 // §8): with the inbox drained, the entire in-flight state of the run is
@@ -40,20 +41,20 @@ func isUnitDelay(d DelayFn) bool {
 	return d == nil || reflect.ValueOf(d).Pointer() == reflect.ValueOf(UnitDelay).Pointer()
 }
 
-// RoundRunner plays unit-delay rounds over a compiled snapshot. It holds a
-// protocol instance and a context for every node; a driver decides which
-// nodes it plays. The zero value is ready for Reset, and every slab keeps
-// its capacity across runs, so a warm runner plays without allocating.
-// All methods must be called from one goroutine.
+// RoundRunner plays unit-delay rounds over a compiled snapshot, or single
+// deliveries for the random-delay tier. It holds a protocol instance and a
+// context for every node; a driver decides which deliveries it plays. The
+// zero value is ready for Reset, and every slab keeps its capacity across
+// runs, so a warm runner plays without allocating. All methods must be
+// called from one goroutine.
 type RoundRunner struct {
 	ids    []NodeID
 	protos []Protocol
 	ctxs   []unitCtx
 	sent   []PendingDelivery // sends of the phase being played, in send order
 	ends   []int             // per played delivery: where its sends end in sent
-	cur    []PendingDelivery // the in-process driver's inbox slab
-	all    []int32           // the in-process driver's Init order: every node
-	round  int64             // round being played (0 while Init runs)
+	cur    []PendingDelivery // the unit tier's inbox slab
+	all    []int32           // the in-process drivers' Init order: every node
 	trace  func(TraceEvent)
 	report *Report
 	dense  []int64 // dense send counters lent to the report
@@ -77,12 +78,6 @@ func (c *unitCtx) Send(to NodeID, m WireMsg) {
 	r.sent = append(r.sent, PendingDelivery{From: c.dense, To: c.nbrDense[neighborAt(c.neighbors, c.id, to)], Msg: m})
 }
 
-func (c *unitCtx) Logf(format string, args ...any) {
-	if r := c.r; r.trace != nil {
-		r.trace(TraceEvent{Time: float64(r.round), Depth: r.round, To: c.id, Note: fmt.Sprintf(format, args...)})
-	}
-}
-
 // Reset readies r for a run over c: a context and a factory-built protocol
 // for every node, in dense order, empty slabs and a fresh report with r's
 // counter slabs lent to it.
@@ -97,7 +92,7 @@ func (r *RoundRunner) Reset(c *graph.CSR, f Factory) {
 		r.protos[v] = f(r.ids[v], r.ctxs[v].neighbors)
 	}
 	r.sent, r.ends, r.cur = r.sent[:0], r.ends[:0], r.cur[:0]
-	r.round, r.trace = 0, nil
+	r.trace = nil
 	r.dense = growCap(r.dense, n)
 	clear(r.dense)
 	r.report = NewReport()
@@ -117,7 +112,6 @@ func growCap[T any](s []T, n int) []T {
 // Init runs Init at the given nodes in order. Their sends form the slab
 // of round 1, and ends[i] closes the sends of nodes[i].
 func (r *RoundRunner) Init(nodes []int32) {
-	r.round = 0
 	r.sent = r.sent[:0]
 	r.ends = growCap(r.ends, len(nodes))
 	for i, v := range nodes {
@@ -130,20 +124,35 @@ func (r *RoundRunner) Init(nodes []int32) {
 // collects the handlers' sends into a fresh slab; ends[i] closes the sends
 // of inbox[i]. The inbox must not alias the send slab.
 func (r *RoundRunner) Play(round int64, inbox []PendingDelivery) {
-	r.round = round
+	r.playAt(float64(round), round, inbox)
+}
+
+// playAt is Play at virtual time t and causal depth depth, which differ
+// only on the random-delay tier: it counts each delivery on the dense
+// counters, traces it and runs the receiver's handler.
+func (r *RoundRunner) playAt(t float64, depth int64, inbox []PendingDelivery) {
 	r.sent = r.sent[:0]
 	r.ends = growCap(r.ends, len(inbox))
-	t := float64(round)
 	for i := range inbox {
 		d := &inbox[i]
 		from := r.ids[d.From]
-		r.report.recordFast(d.From, &d.Msg, round)
+		r.report.recordFast(d.From, &d.Msg, depth)
 		if r.trace != nil {
-			r.trace(TraceEvent{Time: t, Depth: round, From: from, To: r.ids[d.To], Msg: d.Msg})
+			r.trace(TraceEvent{Time: t, Depth: depth, From: from, To: r.ids[d.To], Msg: d.Msg})
 		}
 		r.protos[d.To].Recv(&r.ctxs[d.To], from, d.Msg)
 		r.ends[i] = len(r.sent)
 	}
+}
+
+// initAll runs Init at every node in dense (ID) order: the start of an
+// in-process run.
+func (r *RoundRunner) initAll() {
+	r.all = growCap(r.all, len(r.protos))
+	for v := range r.all {
+		r.all[v] = int32(v)
+	}
+	r.Init(r.all)
 }
 
 // Sent returns the sends of the last Init or Play, in send order, and per
@@ -185,11 +194,7 @@ func (e *EventEngine) runRounds(c *graph.CSR, f Factory, maxMsgs int64, start ti
 	if ck == nil {
 		// All nodes start independently; Init runs at time zero in ID order
 		// and its sends form round 1.
-		r.all = growCap(r.all, len(r.protos))
-		for v := range r.all {
-			r.all[v] = int32(v)
-		}
-		r.Init(r.all)
+		r.initAll()
 		if e.Checkpoint.Next(-1) == 0 {
 			return nil, nil, e.barrier(r, c, 0)
 		}

@@ -16,12 +16,13 @@
 //     longest chain of causally dependent messages, each taking one time
 //     unit); with randomised delays it acts as an asynchrony adversary while
 //     staying reproducible. Scheduling exploits the model's bounded delays
-//     (DESIGN.md §6): unit-delay runs execute as synchronous rounds on a
-//     RoundRunner — the same runner DistEngine drives, one process's share
-//     at a time — and randomised delays go through an O(1) calendar/bucket
-//     queue over the (now, now+1] delivery window. Pooled scratch and
-//     slice-indexed FIFO clamps keep the hot path allocation-free because
-//     the experiment harness runs it thousands of times per sweep.
+//     (DESIGN.md §6): both tiers host their nodes on a RoundRunner — the
+//     same runner DistEngine drives, one process's share at a time. Under
+//     unit delays it plays synchronous rounds; under randomised delays it
+//     plays one delivery at a time off an O(1) calendar/bucket queue over
+//     the (now, now+1] delivery window. Pooled runners and slice-indexed
+//     FIFO clamps keep the hot path allocation-free because the
+//     experiment harness runs it thousands of times per sweep.
 //   - ReferenceEngine: the straightforward implementation the other
 //     engines are differentially tested and benchmarked against; same
 //     semantics, none of the optimisations.
@@ -71,8 +72,6 @@ type Context interface {
 	// Send queues m for delivery to a neighbouring node. Sending to a
 	// non-neighbour panics: it is a protocol bug, not a runtime condition.
 	Send(to NodeID, m WireMsg)
-	// Logf records a trace note if tracing is enabled, else does nothing.
-	Logf(format string, args ...any)
 }
 
 // Factory creates the protocol instance for one node. The neighbour list is
@@ -89,24 +88,16 @@ type Engine interface {
 	Run(c *graph.CSR, f Factory) ([]Protocol, *Report, error)
 }
 
-// TraceEvent describes one observable simulator step for tools that render
-// waves (for example the Figure 2 reproduction).
+// TraceEvent describes one delivery for tools that render waves (for
+// example the Figure 2 reproduction).
 type TraceEvent struct {
 	Time  float64 // virtual delivery time (event engine only)
 	Depth int64   // causal depth of the delivery
 	From  NodeID
 	To    NodeID
-	Msg   WireMsg // zero (Msg.IsZero()) for Logf notes
-	Note  string
+	Msg   WireMsg
 }
 
-// IsMessage reports whether the event is a delivery (as opposed to a Logf
-// note).
-func (e TraceEvent) IsMessage() bool { return !e.Msg.IsZero() }
-
 func (e TraceEvent) String() string {
-	if !e.IsMessage() {
-		return fmt.Sprintf("t=%6.2f  %d: %s", e.Time, e.To, e.Note)
-	}
 	return fmt.Sprintf("t=%6.2f  %d -> %d  %s(%d words)", e.Time, e.From, e.To, e.Msg.Kind(), e.Msg.Words())
 }

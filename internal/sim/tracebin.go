@@ -17,20 +17,16 @@ import (
 // Format: magic | version | record stream. The opcode table is inline:
 // the first time an opcode appears it is written as 0 followed by its kind
 // string, assigning the next file-local index; later occurrences write the
-// index. Records:
+// index. Every record is one delivery:
 //
 //	0x01 delivery: time (uvarint of float64 bits), depth, from, to, wire record
-//	0x02 note:     time, depth, to, len-prefixed string
 
 var traceMagic = [8]byte{'M', 'D', 'G', 'S', 'T', 'T', 'R', '1'}
 
 // TraceVersion is the binary trace format version.
 const TraceVersion = 1
 
-const (
-	traceRecDelivery = 0x01
-	traceRecNote     = 0x02
-)
+const traceRecDelivery = 0x01
 
 // traceScratchPool recycles the writer's encode buffer: tracing is per
 // delivery, and the harness runs thousands of traced executions, so the
@@ -69,29 +65,20 @@ func (t *BinaryTraceWriter) Trace(e TraceEvent) {
 	if t.err != nil {
 		return
 	}
-	if e.IsMessage() {
-		t.buf = append(t.buf, traceRecDelivery)
-		t.buf = appendUvarint(t.buf, math.Float64bits(e.Time))
-		t.buf = appendVarint(t.buf, e.Depth)
-		t.buf = appendVarint(t.buf, int64(e.From))
-		t.buf = appendVarint(t.buf, int64(e.To))
-		// An opcode's first use splices its inline table entry ahead of
-		// the record's wire bytes.
-		if known := len(t.tab.kinds); t.enc(e.Msg.Op) == uint64(known) {
-			kind := t.tab.kinds[known]
-			t.buf = appendUvarint(t.buf, 0)
-			t.buf = appendUvarint(t.buf, uint64(len(kind)))
-			t.buf = append(t.buf, kind...)
-		}
-		t.buf = AppendWire(t.buf, e.Msg, t.enc)
-	} else {
-		t.buf = append(t.buf, traceRecNote)
-		t.buf = appendUvarint(t.buf, math.Float64bits(e.Time))
-		t.buf = appendVarint(t.buf, e.Depth)
-		t.buf = appendVarint(t.buf, int64(e.To))
-		t.buf = appendUvarint(t.buf, uint64(len(e.Note)))
-		t.buf = append(t.buf, e.Note...)
+	t.buf = append(t.buf, traceRecDelivery)
+	t.buf = appendUvarint(t.buf, math.Float64bits(e.Time))
+	t.buf = appendVarint(t.buf, e.Depth)
+	t.buf = appendVarint(t.buf, int64(e.From))
+	t.buf = appendVarint(t.buf, int64(e.To))
+	// An opcode's first use splices its inline table entry ahead of the
+	// record's wire bytes.
+	if known := len(t.tab.kinds); t.enc(e.Msg.Op) == uint64(known) {
+		kind := t.tab.kinds[known]
+		t.buf = appendUvarint(t.buf, 0)
+		t.buf = appendUvarint(t.buf, uint64(len(kind)))
+		t.buf = append(t.buf, kind...)
 	}
+	t.buf = AppendWire(t.buf, e.Msg, t.enc)
 	if len(t.buf) >= traceFlushAt {
 		t.flush()
 	}
@@ -139,26 +126,20 @@ func ReadBinaryTrace(r io.Reader) ([]TraceEvent, error) {
 	tab := newKindTable()
 	var events []TraceEvent
 	for c.Len() > 0 {
-		tag := c.Bytes(1)[0]
-		e := TraceEvent{Time: math.Float64frombits(c.Uvarint()), Depth: c.Varint()}
-		switch tag {
-		case traceRecDelivery:
-			e.From, e.To = NodeID(c.Varint()), NodeID(c.Varint())
-			// Inline table entries (a zero byte, then the kind) precede
-			// the opcode they define.
-			for c.Len() > 0 && c.buf[c.at] == 0 {
-				c.at++
-				if kind := c.Bytes(c.Uvarint()); c.Err() == nil && !tab.learn(string(kind)) {
-					return nil, traceFail(fmt.Sprintf("unknown message kind %q", kind))
-				}
-			}
-			e.Msg = c.Wire(tab.dec)
-		case traceRecNote:
-			e.To = NodeID(c.Varint())
-			e.Note = string(c.Bytes(c.Uvarint()))
-		default:
+		if tag := c.Bytes(1)[0]; tag != traceRecDelivery {
 			return nil, traceFail(fmt.Sprintf("unknown record 0x%02x", tag))
 		}
+		e := TraceEvent{Time: math.Float64frombits(c.Uvarint()), Depth: c.Varint(),
+			From: NodeID(c.Varint()), To: NodeID(c.Varint())}
+		// Inline table entries (a zero byte, then the kind) precede the
+		// opcode they define.
+		for c.Len() > 0 && c.buf[c.at] == 0 {
+			c.at++
+			if kind := c.Bytes(c.Uvarint()); c.Err() == nil && !tab.learn(string(kind)) {
+				return nil, traceFail(fmt.Sprintf("unknown message kind %q", kind))
+			}
+		}
+		e.Msg = c.Wire(tab.dec)
 		if err := c.Err(); err != nil {
 			return nil, err
 		}

@@ -26,7 +26,7 @@ import (
 
 // Op identifies one message type in the process-global wire-schema
 // registry. The zero value OpNone is reserved: a zero WireMsg means "no
-// message" (for example a trace event that is a Logf note).
+// message".
 type Op uint16
 
 // OpNone is the reserved null opcode.
@@ -63,9 +63,6 @@ func (m WireMsg) MsgRound() int {
 	}
 	return 0
 }
-
-// IsZero reports whether m is the null message (OpNone, no payload).
-func (m WireMsg) IsZero() bool { return m.Op == OpNone }
 
 func (m WireMsg) String() string {
 	return fmt.Sprintf("%s(%d words)", m.Kind(), m.Words())

@@ -114,7 +114,7 @@ func FuzzBinaryTraceRead(f *testing.F) {
 	var seed bytes.Buffer
 	bw := NewBinaryTraceWriter(&seed)
 	eng := &EventEngine{Delay: UnitDelay, FIFO: true, Trace: bw.Trace}
-	if _, _, err := eng.Run(graph.Gnp(12, 0.4, 3).Compile(), loggingTokenFactory(12)); err != nil {
+	if _, _, err := eng.Run(graph.Gnp(12, 0.4, 3).Compile(), tokenFactory(12)); err != nil {
 		f.Fatal(err)
 	}
 	if err := bw.Close(); err != nil {

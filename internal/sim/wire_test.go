@@ -44,8 +44,8 @@ func TestRegistryInvariants(t *testing.T) {
 // TestWireMsgAccessors pins the flat record's derived views.
 func TestWireMsgAccessors(t *testing.T) {
 	var zero WireMsg
-	if !zero.IsZero() || zero.Words() != 1 {
-		t.Errorf("zero record: IsZero=%v words=%d", zero.IsZero(), zero.Words())
+	if zero.Op != OpNone || zero.Words() != 1 {
+		t.Errorf("zero record: op=%d words=%d", zero.Op, zero.Words())
 	}
 	m := tokenMsg(7)
 	if m.Kind() != "token" || m.Words() != 2 || m.MsgRound() != 0 {
