@@ -51,12 +51,15 @@ func main() {
 		resumeIn = flag.String("resume", "", "resume an improvement run from this checkpoint file (same graph/flags as the checkpointing run) and finish it")
 		traceBin = flag.String("tracebin", "", "write the single trial's delivery trace in the compact binary form to this file")
 		dotOut   = flag.String("dot", "", "write the final tree (with non-tree edges dashed) as Graphviz DOT to this file (single trial only)")
-		verbose  = flag.Bool("verbose", false, "print message breakdown by kind and round (single trial only)")
+		verbose  = flag.Bool("verbose", false, "print the graph diameter and the message breakdown by kind and round (single trial only)")
 	)
 	flag.Parse()
 
 	if *trials < 1 {
 		fatal(fmt.Errorf("-trials must be at least 1"))
+	}
+	if *trials > 1 && (*dotOut != "" || *verbose) {
+		fatal(fmt.Errorf("-dot and -verbose report a single trial"))
 	}
 
 	// Validate the selector flags once, before any trial pays the
@@ -330,7 +333,13 @@ func writeResults(path string, results []mdegst.TrialSummary) error {
 }
 
 func printSingle(g *mdegst.Graph, res *mdegst.Result, initial string, verbose bool) {
-	fmt.Printf("graph:        n=%d m=%d maxdeg=%d diameter=%d\n", g.N(), g.M(), g.MaxDegree(), g.Diameter())
+	// The diameter costs one BFS per node, seconds on a few thousand
+	// nodes, so only -verbose pays for it.
+	if verbose {
+		fmt.Printf("graph:        n=%d m=%d maxdeg=%d diameter=%d\n", g.N(), g.M(), g.MaxDegree(), g.Diameter())
+	} else {
+		fmt.Printf("graph:        n=%d m=%d maxdeg=%d\n", g.N(), g.M(), g.MaxDegree())
+	}
 	fmt.Printf("initial tree: %s, degree k=%d\n", initial, res.InitialDegree)
 	fmt.Printf("final tree:   degree k*=%d (lower bound on Δ*: %d)\n", res.FinalDegree, mdegst.DegreeLowerBound(g))
 	fmt.Printf("improvement:  %d rounds, %d exchanges, %d messages, causal depth %d\n",
