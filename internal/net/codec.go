@@ -59,22 +59,6 @@ type roundHeader struct {
 	delivered int64
 }
 
-// roundMsg is one process's barrier contribution, materialised: the
-// header, the activity set, the (rank, send count) pairs of the
-// deliveries the sender played, and the delivery batch destined to the
-// receiving process.
-type roundMsg struct {
-	roundHeader
-	active []int32
-	counts []sim.RankCount
-	batch  []sim.OutMsg
-}
-
-func appendRoundMsg(b []byte, h roundHeader, active []int32, counts []sim.RankCount, batch []sim.OutMsg, t *WireTable) []byte {
-	b = appendRoundHeader(b, h, active, counts)
-	return appendRoundBatch(b, batch, t)
-}
-
 // appendRoundHeader encodes the control prefix, the activity set
 // (strictly ascending process ids) and the delta-encoded (rank, count)
 // header; the split from the batch encoder lets the engine meter header
@@ -222,39 +206,6 @@ func (d *batchDecoder) next(r *sim.Cursor, t *WireTable, m *sim.OutMsg) error {
 	return r.Err()
 }
 
-// parseRoundMsg is the materializing round-frame parser for a cluster of
-// procs processes — tests, fuzzing and anything that wants the whole
-// frame as values. The engine's hot path uses the streaming decodeRound
-// instead.
-func parseRoundMsg(payload []byte, t *WireTable, procs int) (*roundMsg, error) {
-	r := frameCursor(frameRound, payload)
-	act := make([]bool, procs)
-	h, err := decodeRoundHeader(&r, act)
-	if err != nil {
-		return nil, err
-	}
-	m := &roundMsg{roundHeader: h}
-	for q, a := range act {
-		if a {
-			m.active = append(m.active, int32(q))
-		}
-	}
-	m.counts = make([]sim.RankCount, r.Count(2))
-	cd := newCountsDecoder()
-	for i := range m.counts {
-		if m.counts[i], err = cd.next(&r); err != nil {
-			return nil, err
-		}
-	}
-	if m.batch, err = parseBatch(&r, t); err != nil {
-		return nil, err
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // roundExpect is what the local barrier knows when it decodes a peer's
 // round frame. At a full barrier the frame must close exactly the local
 // round, with the local rank space and delivered count. A process idle
@@ -360,8 +311,7 @@ func (s *arena) decodeRound(q int, payload []byte, t *WireTable, x *roundExpect)
 	return h, int64(nc), nil
 }
 
-// parseBatch materializes one pre-ranked delivery run (shard runs, tests,
-// fuzzing).
+// parseBatch materializes one pre-ranked delivery run of a shard.
 func parseBatch(r *sim.Cursor, t *WireTable) ([]sim.OutMsg, error) {
 	batch := make([]sim.OutMsg, r.Count(5))
 	bd := newBatchDecoder()

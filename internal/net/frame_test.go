@@ -138,30 +138,39 @@ func sampleIdx(table *WireTable) uint64 {
 	return 1
 }
 
+// roundPayload encodes a round frame the way the barrier's sendRound
+// does: the header, then the delivery batch.
+func roundPayload(h roundHeader, active []int32, counts []sim.RankCount, batch []sim.OutMsg, t *WireTable) []byte {
+	return appendRoundBatch(appendRoundHeader(nil, h, active, counts), batch, t)
+}
+
+// TestRoundMsgRoundTrip: the barrier's decoder recovers the header, the
+// activity set, the scattered counts and the batch a frame was encoded
+// from.
 func TestRoundMsgRoundTrip(t *testing.T) {
 	table := CanonicalTable()
 	h := roundHeader{seq: 11, round: 4, flags: roundFlagStop, rankSpace: 6, delivered: 1234}
-	active := []int32{0, 2}
-	counts := []sim.RankCount{{Rank: 0, Count: 2}, {Rank: 5, Count: 0}}
+	counts := []sim.RankCount{{Rank: 0, Count: 2}, {Rank: 5, Count: 3}}
 	batch := []sim.OutMsg{
 		{Parent: 3, Pos: 1, From: 2, To: 9, Msg: wireSample(table, sampleIdx(table))},
 	}
-	payload := appendRoundMsg(nil, h, active, counts, batch, table)
-	m, err := parseRoundMsg(payload, table, 3)
+	s := decodeScratch(3, h.rankSpace)
+	x := &roundExpect{seq: h.seq, round: h.round, rankSpace: h.rankSpace, delivered: h.delivered, limit: -1}
+	got, covered, err := s.decodeRound(1, roundPayload(h, []int32{0, 2}, counts, batch, table), table, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.roundHeader != h {
-		t.Fatalf("header lost: got %+v want %+v", m.roundHeader, h)
+	if got != h {
+		t.Fatalf("header lost: got %+v want %+v", got, h)
 	}
-	if !slices.Equal(m.active, active) {
-		t.Fatalf("activity set lost: %v", m.active)
+	if want := []bool{true, false, true}; !slices.Equal(s.act, want) {
+		t.Fatalf("activity marks %v, want %v", s.act, want)
 	}
-	if len(m.counts) != 2 || m.counts[0] != counts[0] || m.counts[1] != counts[1] {
-		t.Fatalf("counts lost: %+v", m.counts)
+	if want := []int64{2, 0, 0, 0, 0, 3}; covered != 2 || !slices.Equal(s.cnt[:h.rankSpace], want) {
+		t.Fatalf("counts lost: %d entries, rank slab %v, want 2 and %v", covered, s.cnt[:h.rankSpace], want)
 	}
-	if len(m.batch) != 1 || m.batch[0] != batch[0] {
-		t.Fatalf("batch lost: %+v", m.batch)
+	if !slices.Equal(s.rx[1], batch) {
+		t.Fatalf("batch lost: %+v", s.rx[1])
 	}
 }
 
@@ -197,12 +206,22 @@ func TestRoundHeaderDeltaSizeBound(t *testing.T) {
 	if hdr*2 > absolute {
 		t.Errorf("delta header %d bytes does not halve the absolute encoding's %d", hdr, absolute)
 	}
-	// And the compressed form round-trips unchanged.
-	m, err := parseRoundMsg(appendRoundMsg(nil, h, nil, counts, nil, CanonicalTable()), CanonicalTable(), 2)
-	if err != nil {
+	// And the compressed form round-trips unchanged through the header
+	// decoders decodeRound runs (its rank slab cannot span ranks this
+	// deep, so the counts are read off the cursor directly).
+	r := frameCursor(frameRound, roundPayload(h, nil, counts, nil, CanonicalTable()))
+	if _, err := decodeRoundHeader(&r, make([]bool, 2)); err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range m.counts {
+	if got := r.Count(2); got != n {
+		t.Fatalf("%d count entries, want %d", got, n)
+	}
+	cd := newCountsDecoder()
+	for i := range counts {
+		c, err := cd.next(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if c != counts[i] {
 			t.Fatalf("entry %d: got %+v want %+v", i, c, counts[i])
 		}
@@ -210,9 +229,8 @@ func TestRoundHeaderDeltaSizeBound(t *testing.T) {
 }
 
 // badRoundPayloads are hand-crafted round frames violating the pre-ranked
-// run invariants the decoders must enforce: both the materializing parser
-// and the engine's streaming decoder reject each with a *FrameError —
-// never a panic, never a silent mis-splice.
+// run invariants the decoder must enforce: the engine's decodeRound rejects
+// each with a *FrameError — never a panic, never a silent mis-splice.
 func badRoundPayloads(table *WireTable) map[string][]byte {
 	wm := wireSample(table, sampleIdx(table))
 	rec := func(b []byte, key ...uint64) []byte {
@@ -272,12 +290,8 @@ func TestRoundMsgSortedRunViolations(t *testing.T) {
 	table := CanonicalTable()
 	for name, payload := range badRoundPayloads(table) {
 		t.Run(name, func(t *testing.T) {
-			_, err := parseRoundMsg(payload, table, 2)
+			_, _, err := decodeScratch(2, 64).decodeRound(1, payload, table, fullExpect())
 			var fe *FrameError
-			if !errors.As(err, &fe) {
-				t.Errorf("parseRoundMsg: got %v, want *FrameError", err)
-			}
-			_, _, err = decodeScratch(2, 64).decodeRound(1, payload, table, fullExpect())
 			if !errors.As(err, &fe) {
 				t.Errorf("decodeRound: got %v, want *FrameError", err)
 			}
@@ -302,7 +316,7 @@ func soloHeaderCases(table *WireTable) []struct {
 	}
 	msg := func(h roundHeader, active []int32, cs []sim.RankCount) []byte {
 		h.seq = 1
-		return appendRoundMsg(nil, h, active, cs, nil, table)
+		return roundPayload(h, active, cs, nil, table)
 	}
 	return []struct {
 		name    string
@@ -362,7 +376,7 @@ func TestRoundFrameSoloAdoption(t *testing.T) {
 	table := CanonicalTable()
 	h := roundHeader{seq: 1, round: 12, rankSpace: 5, delivered: 40}
 	cs := []sim.RankCount{{Rank: 0, Count: 1}, {Rank: 1}, {Rank: 2, Count: 2}, {Rank: 3}, {Rank: 4, Count: 1}}
-	payload := appendRoundMsg(nil, h, []int32{0, 1}, cs, nil, table)
+	payload := roundPayload(h, []int32{0, 1}, cs, nil, table)
 	s := decodeScratch(2, 1)
 	got, covered, err := s.decodeRound(0, payload, table, &roundExpect{seq: 1, round: 7, solo: true, limit: 12})
 	if err != nil {
@@ -537,7 +551,7 @@ func FuzzFrameCodec(f *testing.F) {
 	counters, states, runs := sampleShard(table)
 
 	f.Add(appendFrame(nil, frameHello, appendHello(nil, 0, fp, table)))
-	f.Add(appendFrame(nil, frameRound, appendRoundMsg(nil, roundHeader{seq: 1, rankSpace: 1}, []int32{1}, []sim.RankCount{{Rank: 0, Count: 1}}, batch, table)))
+	f.Add(appendFrame(nil, frameRound, roundPayload(roundHeader{seq: 1, rankSpace: 1}, []int32{1}, []sim.RankCount{{Rank: 0, Count: 1}}, batch, table)))
 	f.Add(appendFrame(nil, frameFinal, appendShard(nil, 1, 2, counters, states, nil, table)))
 	f.Add(appendFrame(nil, frameCkpt, appendShard(nil, 1, 2, counters, states, runs, table)))
 	f.Add(appendFrame(nil, frameCkpt, unsortedShard(table)))
@@ -570,8 +584,6 @@ func FuzzFrameCodec(f *testing.F) {
 				_, err := parseHello(payload, fp, table)
 				typedOrNil(t, "parseHello", err)
 			case frameRound:
-				_, err := parseRoundMsg(payload, table, fp.Procs)
-				typedOrNil(t, "parseRoundMsg", err)
 				decodeRoundTyped(t, payload, table, fp.Procs)
 			case frameFinal, frameCkpt:
 				_, err := parseShard(typ, payload, table)
@@ -585,8 +597,6 @@ func FuzzFrameCodec(f *testing.F) {
 		// fail typed: frames from a corrupt peer can declare any type.
 		_, err := parseHello(b, fp, table)
 		typedOrNil(t, "parseHello(raw)", err)
-		_, err = parseRoundMsg(b, table, fp.Procs)
-		typedOrNil(t, "parseRoundMsg(raw)", err)
 		decodeRoundTyped(t, b, table, fp.Procs)
 		_, err = parseShard(frameCkpt, b, table)
 		typedOrNil(t, "parseShard(raw)", err)
