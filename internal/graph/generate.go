@@ -196,7 +196,8 @@ func Gnp(n int, p float64, seed int64) *Graph {
 }
 
 // Gnm returns a uniform random connected graph with n nodes and max(m, n-1)
-// edges: a uniform random spanning tree (Wilson) plus random extra edges.
+// edges: a uniform random spanning tree (a random Prüfer sequence) plus
+// random extra edges.
 func Gnm(n, m int, seed int64) *Graph {
 	mustAtLeast("Gnm", n, 2)
 	rng := rand.New(rand.NewSource(seed))
@@ -240,26 +241,27 @@ func randomTree(n int, rng *rand.Rand) *Graph {
 		deg[prufer[i]]++
 	}
 	// Decode: repeatedly attach the smallest leaf to the next code entry.
-	used := make([]bool, n)
+	// Leaves only appear at the pointer's scan or when a code entry's last
+	// occurrence turns its node into one; a node below the pointer that
+	// does is the smallest leaf at once, so the pointer moves forward only
+	// and the decode is linear.
+	ptr := 0
+	for deg[ptr] != 0 {
+		ptr++
+	}
+	leaf := ptr
 	for _, code := range prufer {
-		leaf := -1
-		for i := 0; i < n; i++ {
-			if !used[i] && deg[i] == 0 {
-				leaf = i
-				break
-			}
-		}
-		used[leaf] = true
 		g.MustAddEdge(NodeID(leaf), NodeID(code))
-		deg[code]--
-	}
-	var last []int
-	for i := 0; i < n; i++ {
-		if !used[i] {
-			last = append(last, i)
+		if deg[code]--; deg[code] == 0 && code < ptr {
+			leaf = code
+			continue
 		}
+		for ptr++; deg[ptr] != 0; ptr++ {
+		}
+		leaf = ptr
 	}
-	g.MustAddEdge(NodeID(last[0]), NodeID(last[1]))
+	// The largest node is never the smallest leaf while another exists.
+	g.MustAddEdge(NodeID(leaf), NodeID(n-1))
 	return g
 }
 
