@@ -104,7 +104,7 @@ func (n *BroadcastNode) Init(ctx sim.Context) {
 	n.pending = len(n.children)
 	n.sum = n.Value
 	for _, c := range n.children {
-		ctx.Send(c, sim.Msg(opPayload, 1))
+		sim.Send(ctx, c, sim.Msg(opPayload, 1))
 	}
 	if n.pending == 0 {
 		n.done = true
@@ -113,7 +113,7 @@ func (n *BroadcastNode) Init(ctx sim.Context) {
 
 // Recv forwards the payload down and aggregates acks up; the single
 // payload word decodes inline.
-func (n *BroadcastNode) Recv(ctx sim.Context, from sim.NodeID, m sim.WireMsg) {
+func (n *BroadcastNode) Recv(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) {
 	switch m.Op {
 	case opPayload:
 		if n.received {
@@ -125,7 +125,7 @@ func (n *BroadcastNode) Recv(ctx sim.Context, from sim.NodeID, m sim.WireMsg) {
 		n.pending = len(n.children)
 		n.sum = n.Value
 		for _, c := range n.children {
-			ctx.Send(c, sim.Msg(opPayload, int64(hop+1)))
+			sim.Send(ctx, c, sim.Msg(opPayload, int64(hop+1)))
 		}
 		if n.pending == 0 {
 			n.finish(ctx)
@@ -144,7 +144,7 @@ func (n *BroadcastNode) finish(ctx sim.Context) {
 	if !n.withAck || n.root {
 		return
 	}
-	ctx.Send(n.parent, sim.Msg(opAck, n.sum))
+	sim.Send(ctx, n.parent, sim.Msg(opAck, n.sum))
 }
 
 // Received reports whether the payload reached this node.

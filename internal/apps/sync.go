@@ -110,7 +110,7 @@ func (n *syncNode) Init(ctx sim.Context) {
 	}
 }
 
-func (n *syncNode) Recv(ctx sim.Context, from sim.NodeID, m sim.WireMsg) {
+func (n *syncNode) Recv(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) {
 	switch m.Op {
 	case opSyncPulse:
 		n.pulse(ctx, int(m.W[0]))
@@ -125,7 +125,7 @@ func (n *syncNode) Recv(ctx sim.Context, from sim.NodeID, m sim.WireMsg) {
 			n.inbox[msg.round] = box
 		}
 		box[from] = msg.value
-		ctx.Send(from, sim.Msg(opSyncAck, int64(msg.round)))
+		sim.Send(ctx, from, sim.Msg(opSyncAck, int64(msg.round)))
 	case opSyncAck:
 		if round := int(m.W[0]); round != n.round {
 			panic(fmt.Sprintf("sync: node %d in round %d got ack of round %d", n.id, n.round, round))
@@ -145,7 +145,7 @@ func (n *syncNode) Recv(ctx sim.Context, from sim.NodeID, m sim.WireMsg) {
 		n.finished = true
 		n.truncated = m.W[0] != 0
 		for _, c := range n.children {
-			ctx.Send(c, m)
+			sim.Send(ctx, c, *m)
 		}
 	default:
 		panic(fmt.Sprintf("sync: unexpected message %s", m.Kind()))
@@ -168,12 +168,12 @@ func (n *syncNode) pulse(ctx sim.Context, r int) {
 	n.ackPending = len(send)
 	n.safeKids = len(n.children)
 	for _, c := range n.children {
-		ctx.Send(c, sim.Msg(opSyncPulse, int64(r)))
+		sim.Send(ctx, c, sim.Msg(opSyncPulse, int64(r)))
 	}
 	// Deterministic send order.
 	for _, w := range ctx.Neighbors() {
 		if v, ok := send[w]; ok {
-			ctx.Send(w, sim.Msg(opSyncAlg, int64(r), v))
+			sim.Send(ctx, w, sim.Msg(opSyncAlg, int64(r), v))
 		}
 	}
 	n.maybeSafe(ctx)
@@ -187,7 +187,7 @@ func (n *syncNode) maybeSafe(ctx sim.Context) {
 	}
 	n.ackPending = -1 // fire once per round
 	if !n.root {
-		ctx.Send(n.parent, sim.Msg(opSyncSafe, int64(n.round), sim.B2W(n.aggDone), n.aggSent))
+		sim.Send(ctx, n.parent, sim.Msg(opSyncSafe, int64(n.round), sim.B2W(n.aggDone), n.aggSent))
 		return
 	}
 	// Root decision: halt when the algorithm is globally quiet, truncate
@@ -206,7 +206,7 @@ func (n *syncNode) halt(ctx sim.Context, truncated bool) {
 	n.finished = true
 	n.truncated = truncated
 	for _, c := range n.children {
-		ctx.Send(c, sim.Msg(opSyncHalt, sim.B2W(truncated)))
+		sim.Send(ctx, c, sim.Msg(opSyncHalt, sim.B2W(truncated)))
 	}
 }
 

@@ -21,7 +21,10 @@ import (
 // The protocol's own slices (child and size lists, deferred lists) grow as the run
 // goes on, which would mask the engine's count, so the factory carries
 // each node's slice capacity over from the previous run: after the warm-up
-// run, the protocol allocates the same per run at any length.
+// run, the protocol allocates the same per run at any length. NewFactory
+// hands out the same slab slot for a node on every run and resets it, so
+// the wrapper copies the slot's previous-run lists out before the reset
+// and refills them after.
 func TestRoundEngineCounterAllocFlat(t *testing.T) {
 	g := graph.Gnm(256, 768, 1)
 	c := g.Compile()
@@ -32,8 +35,12 @@ func TestRoundEngineCounterAllocFlat(t *testing.T) {
 	inner := NewFactory(Hybrid, 0, d)
 	prev := make(map[sim.NodeID]*Node, g.N())
 	f := func(id sim.NodeID, nbrs []sim.NodeID) sim.Protocol {
+		var old Node
+		if p := prev[id]; p != nil {
+			old = *p
+		}
 		n := inner(id, nbrs).(*Node)
-		if old := prev[id]; old != nil {
+		if prev[id] != nil {
 			n.children = append(old.children[:0], n.children...)
 			n.sizes = append(old.sizes[:0], n.sizes...)
 			n.deferred = old.deferred[:0]

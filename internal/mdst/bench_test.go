@@ -55,3 +55,41 @@ func BenchmarkFullImprovement(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPerMessage measures the improvement protocol's cost per
+// delivered message from a flood start, in the modes the pipeline
+// benchmark runs these graphs in: gnm in Hybrid mode at three sizes, whose
+// ns/msg ratio shows how the per-message cost scales, and the 64x64 grid
+// in Single mode. The flood tree is built outside the timer.
+func BenchmarkPerMessage(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		mode mdst.Mode
+	}{
+		{"gnm-128", graph.Gnm(128, 384, 1), mdst.Hybrid},
+		{"gnm-1k", graph.Gnm(1024, 3072, 1), mdst.Hybrid},
+		{"gnm-4096", graph.Gnm(4096, 12288, 1), mdst.Hybrid},
+		{"grid-4k", graph.Grid(64, 64), mdst.Single},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			c := tc.g.Compile()
+			eng := &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true}
+			t0, _, err := spanning.Build(eng, c, spanning.NewFloodFactory(c, c.Index().ID(0)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var msgs int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := mdst.Run(eng, c, t0, tc.mode, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				msgs = res.Report.Messages
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*msgs), "ns/msg")
+			b.ReportMetric(float64(msgs), "msgs")
+		})
+	}
+}

@@ -42,7 +42,7 @@ func (n *Node) onUpdate(ctx sim.Context, from sim.NodeID, msg mUpdate) {
 		}
 		n.parent = msg.v
 		n.hasParent = true
-		ctx.Send(msg.v, newChild(n.round, fell))
+		sim.Send(ctx, msg.v, newChild(n.round, fell))
 		return
 	}
 	// "Else: the identity found in its via variable becomes its parent and
@@ -60,7 +60,7 @@ func (n *Node) onUpdate(ctx sim.Context, from sim.NodeID, msg mUpdate) {
 	}
 	n.parent = via
 	n.hasParent = true
-	ctx.Send(via, newUpdate(n.round, msg.u, msg.v, false, fell))
+	sim.Send(ctx, via, newUpdate(n.round, msg.u, msg.v, false, fell))
 }
 
 func (n *Node) onChild(ctx sim.Context, from sim.NodeID, msg mChild) {
@@ -72,7 +72,7 @@ func (n *Node) onChild(ctx sim.Context, from sim.NodeID, msg mChild) {
 	if !n.hasParent {
 		panic(fmt.Sprintf("mdst: reattachment endpoint %d has no parent", n.id))
 	}
-	ctx.Send(n.parent, newRoundDone(n.round, msg.fell))
+	sim.Send(ctx, n.parent, newRoundDone(n.round, msg.fell))
 }
 
 func (n *Node) onRoundDone(ctx sim.Context, from sim.NodeID, msg mRoundDone) {
@@ -94,7 +94,7 @@ func (n *Node) onRoundDone(ctx sim.Context, from sim.NodeID, msg mRoundDone) {
 	if !n.hasParent {
 		panic(fmt.Sprintf("mdst: root %d received round-done it was not awaiting", n.id))
 	}
-	ctx.Send(n.parent, newRoundDone(n.round, msg.fell))
+	sim.Send(ctx, n.parent, newRoundDone(n.round, msg.fell))
 }
 
 // Multi-round grants (DESIGN.md deviation 4). Every owner proposes its
@@ -129,7 +129,7 @@ func (n *Node) release(ctx sim.Context) {
 	}
 	n.relPending = len(n.relTo)
 	for _, c := range n.relTo {
-		ctx.Send(c, newRelease(n.round))
+		sim.Send(ctx, c, newRelease(n.round))
 	}
 }
 
@@ -140,7 +140,7 @@ func (n *Node) onRelease(ctx sim.Context, from sim.NodeID) {
 	if n.isOwner {
 		n.claimStep = claimQuery
 		n.awaitingDone = true
-		ctx.Send(n.ownerArrival, newClaim(n.round, n.ownerBest.u, n.id, updQuery))
+		sim.Send(ctx, n.ownerArrival, newClaim(n.round, n.ownerBest.u, n.id, updQuery))
 		return
 	}
 	n.release(ctx)
@@ -157,7 +157,7 @@ func (n *Node) onReleased(ctx sim.Context, improved bool) {
 		n.settle(ctx, false)
 		return
 	}
-	ctx.Send(n.relFrom, newReleased(n.round, n.improved))
+	sim.Send(ctx, n.relFrom, newReleased(n.round, n.improved))
 }
 
 // settle concludes an owner's round once its exchange and every release
@@ -169,7 +169,7 @@ func (n *Node) settle(ctx sim.Context, fell bool) {
 			return
 		}
 		if n.claimStep == claimQuery {
-			ctx.Send(n.relFrom, newReleased(n.round, n.ownerSwapped || n.improved))
+			sim.Send(ctx, n.relFrom, newReleased(n.round, n.ownerSwapped || n.improved))
 			return
 		}
 	}
@@ -191,15 +191,15 @@ func (n *Node) onClaim(ctx sim.Context, from sim.NodeID, msg mUpdate) {
 		if won {
 			n.addChild(msg.u, 0)
 		}
-		ctx.Send(from, newAnswer(n.round, won))
+		sim.Send(ctx, from, newAnswer(n.round, won))
 	case n.id == msg.u:
 		n.register(owner)
-		ctx.Send(n.report.v, newClaim(n.round, msg.u, owner, query|sim.B2W(n.claim == owner)*updUWon))
+		sim.Send(ctx, n.report.v, newClaim(n.round, msg.u, owner, query|sim.B2W(n.claim == owner)*updUWon))
 	default:
 		if !n.hasReport || n.report.u != msg.u || n.reportVia == n.id {
 			panic(fmt.Sprintf("mdst: node %d got a claim on an edge at %d it did not report", n.id, msg.u))
 		}
-		ctx.Send(n.reportVia, newClaim(n.round, msg.u, owner, query))
+		sim.Send(ctx, n.reportVia, newClaim(n.round, msg.u, owner, query))
 	}
 }
 
@@ -228,7 +228,7 @@ func (n *Node) onAnswer(ctx sim.Context, from sim.NodeID, won bool) {
 			}
 			n.parent = from
 		}
-		ctx.Send(old, newAnswer(n.round, won))
+		sim.Send(ctx, old, newAnswer(n.round, won))
 		return
 	}
 	if won {

@@ -29,7 +29,7 @@ type countingNode struct {
 	c *deferralCounts
 }
 
-func (w countingNode) Recv(ctx sim.Context, from sim.NodeID, m sim.WireMsg) {
+func (w countingNode) Recv(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) {
 	n := w.Node
 	switch round := int(m.W[0]); {
 	case round > n.round && m.Op != opStart:
@@ -116,15 +116,30 @@ func TestDeferralReplayOrderPinned(t *testing.T) {
 
 // scriptCtx is a Context that records sends, for driving one node by hand.
 type scriptCtx struct {
-	id    sim.NodeID
-	nbrs  []sim.NodeID
-	sends []string
+	id   sim.NodeID
+	nbrs []sim.NodeID
+	out  []scriptSend
+}
+
+type scriptSend struct {
+	to sim.NodeID
+	m  sim.WireMsg
 }
 
 func (c *scriptCtx) ID() sim.NodeID          { return c.id }
 func (c *scriptCtx) Neighbors() []sim.NodeID { return c.nbrs }
-func (c *scriptCtx) Send(to sim.NodeID, m sim.WireMsg) {
-	c.sends = append(c.sends, fmt.Sprintf("%s->%d", m.Kind(), to))
+func (c *scriptCtx) Out(to sim.NodeID) *sim.WireMsg {
+	c.out = append(c.out, scriptSend{to: to})
+	return &c.out[len(c.out)-1].m
+}
+
+// sends renders the sends so far as "kind->receiver".
+func (c *scriptCtx) sends() []string {
+	s := make([]string, len(c.out))
+	for i, o := range c.out {
+		s[i] = fmt.Sprintf("%s->%d", o.m.Kind(), o.to)
+	}
+	return s
 }
 
 // TestDeferralReplayScripted drives one leaf through both deferral kinds:
@@ -137,16 +152,16 @@ func TestDeferralReplayScripted(t *testing.T) {
 	ctx := &scriptCtx{id: 5, nbrs: []sim.NodeID{1, 7, 8}}
 	// Probes from fragments (1,2) and (1,3), both below the leaf's future
 	// fragment (1,5), so each is answered with a cousin record.
-	n.Recv(ctx, 8, newBFS(2, 4, 1, 3))
-	n.Recv(ctx, 7, newBFS(2, 4, 1, 2))
-	if len(n.deferred) != 2 || len(ctx.sends) != 0 {
-		t.Fatalf("round-ahead probes: %d deferred, sends %v", len(n.deferred), ctx.sends)
+	n.Recv(ctx, 8, ptr(newBFS(2, 4, 1, 3)))
+	n.Recv(ctx, 7, ptr(newBFS(2, 4, 1, 2)))
+	if len(n.deferred) != 2 || len(ctx.sends()) != 0 {
+		t.Fatalf("round-ahead probes: %d deferred, sends %v", len(n.deferred), ctx.sends())
 	}
-	n.Recv(ctx, 1, newStart(2, noCand, Single, 0))
+	n.Recv(ctx, 1, ptr(newStart(2, noCand, Single, 0)))
 	if len(n.deferred) != 2 {
 		t.Fatalf("after start: %d deferred, want both probes waiting for a fragment", len(n.deferred))
 	}
-	n.Recv(ctx, 1, newCut(2, 4, 1, noLabel))
+	n.Recv(ctx, 1, ptr(newCut(2, 4, 1, noLabel)))
 	if len(n.deferred) != 0 {
 		t.Fatalf("after cut: %d still deferred", len(n.deferred))
 	}
@@ -156,7 +171,7 @@ func TestDeferralReplayScripted(t *testing.T) {
 		"mdst.cousin->8", "mdst.cousin->7",
 		"mdst.bfsback->1",
 	}
-	if fmt.Sprint(ctx.sends) != fmt.Sprint(want) {
-		t.Errorf("sends %v, want %v", ctx.sends, want)
+	if fmt.Sprint(ctx.sends()) != fmt.Sprint(want) {
+		t.Errorf("sends %v, want %v", ctx.sends(), want)
 	}
 }

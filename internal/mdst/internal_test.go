@@ -195,6 +195,34 @@ func TestMessageWords(t *testing.T) {
 
 func ptr(m sim.WireMsg) *sim.WireMsg { return &m }
 
+// The hot records are only ever written into a send slot (put*); these
+// build them as values for the tests.
+
+func newStart(round int, fell sim.NodeID, phase Mode, moved int) (m sim.WireMsg) {
+	putStart(&m, round, fell, phase, moved)
+	return m
+}
+
+func newDeg(round, k int, cand sim.NodeID, xBelow bool) (m sim.WireMsg) {
+	putDeg(&m, round, k, cand, xBelow)
+	return m
+}
+
+func newBFS(round, k int, word int64, fragRoot sim.NodeID) (m sim.WireMsg) {
+	putBFS(&m, round, k, word, fragRoot)
+	return m
+}
+
+func newCousin(round, deg int, owner, fragRoot sim.NodeID) (m sim.WireMsg) {
+	putCousin(&m, round, deg, owner, fragRoot)
+	return m
+}
+
+func newBFSBack(round int, improved, claimer bool, size, lo, hi int, report *edgeReport) (m sim.WireMsg) {
+	putBFSBack(&m, round, improved, claimer, size, lo, hi, report)
+	return m
+}
+
 // TestMessageRoundTrip pins the decode layer against the constructors:
 // every record decodes back to the field values it was built from.
 func TestMessageRoundTrip(t *testing.T) {

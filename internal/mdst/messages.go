@@ -20,9 +20,12 @@ import (
 // words; our BFSBack aggregate is larger, see DESIGN.md deviation notes
 // and experiment E6). The typed structs below are a decode layer only:
 // each handler decodes its record at entry so the protocol logic reads as
-// before, and the constructors encode at the send boundary. No message
-// ever exists as a heap object: the former pooled-pointer scheme (and the
-// interface boxing before it) is gone entirely.
+// before, and the encoders write at the send boundary: the records sent
+// per edge or per tree node each round (start, deg, bfs, cousin, bfsback)
+// straight into the engine's send slot (put*), the rest through a
+// constructor and sim.Send. No message ever exists as a heap object: the
+// former pooled-pointer scheme (and the interface boxing before it) is
+// gone entirely.
 
 // wire is the registered schema; opcode order is the declaration order.
 var wire = sim.Register("mdst",
@@ -82,8 +85,12 @@ type mStart struct {
 	moved int
 }
 
-func newStart(round int, fell sim.NodeID, phase Mode, moved int) sim.WireMsg {
-	return sim.WireMsg{Op: opStart, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(fell), int64(phase), int64(moved)}}
+// putStart writes a start record into m, a zeroed send slot (sim.Context
+// Out). The hot records are written in place this way, field by field,
+// never built on the stack and copied.
+func putStart(m *sim.WireMsg, round int, fell sim.NodeID, phase Mode, moved int) {
+	m.Op, m.Nw = opStart, 4
+	m.W[0], m.W[1], m.W[2], m.W[3] = int64(round), int64(fell), int64(phase), int64(moved)
 }
 
 func decStart(m *sim.WireMsg) mStart {
@@ -100,8 +107,9 @@ type mDeg struct {
 	xBelow bool
 }
 
-func newDeg(round, k int, cand sim.NodeID, xBelow bool) sim.WireMsg {
-	return sim.WireMsg{Op: opDeg, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(k), int64(cand), sim.B2W(xBelow)}}
+func putDeg(m *sim.WireMsg, round, k int, cand sim.NodeID, xBelow bool) {
+	m.Op, m.Nw = opDeg, 4
+	m.W[0], m.W[1], m.W[2], m.W[3] = int64(round), int64(k), int64(cand), sim.B2W(xBelow)
 }
 
 func decDeg(m *sim.WireMsg) mDeg {
@@ -175,8 +183,9 @@ type mBFS struct {
 	fragRoot sim.NodeID
 }
 
-func newBFS(round, k int, word int64, fragRoot sim.NodeID) sim.WireMsg {
-	return sim.WireMsg{Op: opBFS, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(k), word, int64(fragRoot)}}
+func putBFS(m *sim.WireMsg, round, k int, word int64, fragRoot sim.NodeID) {
+	m.Op, m.Nw = opBFS, 4
+	m.W[0], m.W[1], m.W[2], m.W[3] = int64(round), int64(k), word, int64(fragRoot)
 }
 
 func decBFS(m *sim.WireMsg) mBFS {
@@ -205,8 +214,9 @@ type mCousin struct {
 	fragRoot sim.NodeID
 }
 
-func newCousin(round, deg int, owner, fragRoot sim.NodeID) sim.WireMsg {
-	return sim.WireMsg{Op: opCousin, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(deg), int64(owner), int64(fragRoot)}}
+func putCousin(m *sim.WireMsg, round, deg int, owner, fragRoot sim.NodeID) {
+	m.Op, m.Nw = opCousin, 4
+	m.W[0], m.W[1], m.W[2], m.W[3] = int64(round), int64(deg), int64(owner), int64(fragRoot)
 }
 
 func decCousin(m *sim.WireMsg) mCousin {
@@ -235,17 +245,19 @@ type mBFSBack struct {
 	lo, hi    int
 }
 
-// newBFSBack encodes the long form when report is not nil, else the
+// putBFSBack writes the long form when report is not nil, else the
 // short form.
-func newBFSBack(round int, improved, claimer bool, size, lo, hi int, report *edgeReport) sim.WireMsg {
+func putBFSBack(m *sim.WireMsg, round int, improved, claimer bool, size, lo, hi int, report *edgeReport) {
 	flags := sim.B2W(improved) | sim.B2W(claimer)<<1
+	m.Op = opBFSBack
 	if report == nil {
-		return sim.WireMsg{Op: opBFSBack, Nw: 5, W: [sim.MaxPayloadWords]int64{
-			int64(round), flags, int64(size), int64(lo), int64(hi)}}
+		m.Nw = 5
+		m.W[0], m.W[1], m.W[2], m.W[3], m.W[4] = int64(round), flags, int64(size), int64(lo), int64(hi)
+		return
 	}
-	return sim.WireMsg{Op: opBFSBack, Nw: 8, W: [sim.MaxPayloadWords]int64{
-		int64(round), int64(size), flags,
-		int64(report.u), int64(report.v), int64(report.du), int64(report.dv), int64(report.vroot)}}
+	m.Nw = 8
+	m.W[0], m.W[1], m.W[2] = int64(round), int64(size), flags
+	m.W[3], m.W[4], m.W[5], m.W[6], m.W[7] = int64(report.u), int64(report.v), int64(report.du), int64(report.dv), int64(report.vroot)
 }
 
 func decBFSBack(m *sim.WireMsg) mBFSBack {

@@ -99,31 +99,37 @@ type deferredMsg struct {
 // Its persistent state is the local tree view (parent, children, their
 // subtree sizes) plus the exhausted flag; everything else is per-round.
 type Node struct {
-	id     sim.NodeID
-	mode   Mode
-	phase  Mode // Single or Multi; Hybrid switches Multi -> Single
-	target int  // stop once the maximum degree is <= target (0: improve fully)
+	// The deferral state (see deferState) leads, so that the loads of a
+	// delivery's first checks share a cache line: Recv reads deferred,
+	// process the round and the termination flag.
+	deferred   []deferredMsg
+	round      int
+	parent     sim.NodeID
+	hasParent  bool
+	fragKnown  bool
+	isOwner    bool
+	terminated bool
 
 	// The flags of each group lead the next one, so that they pack
 	// together: every delivery reads the first few cache lines.
-
-	// Tree view.
-	parent   sim.NodeID
-	children []sim.NodeID
-	sizes    []int // subtree size of each child, parallel to children (see sized)
 
 	// Cross-round state. The sizes describe the current tree once a
 	// Single round's wave reported them; an exchange leaves one size
 	// pending at each node of its path, which the next start's moved count
 	// completes (DESIGN.md deviation 7).
-	hasParent  bool
-	exhausted  bool
-	terminated bool
-	sized      bool // the last round was Single: sizes are exact
-	round      int
-	swaps      int        // exchanges this node applied as an owner
-	fixChild   sim.NodeID // child whose size is pending (noCand: none)
-	fixBase    int        // its size is the next start's moved count plus fixBase
+	exhausted bool
+	sized     bool // the last round was Single: sizes are exact
+	phase     Mode // Single or Multi; Hybrid switches Multi -> Single
+	id        sim.NodeID
+	mode      Mode
+	target    int // stop once the maximum degree is <= target (0: improve fully)
+	swaps     int        // exchanges this node applied as an owner
+	fixChild  sim.NodeID // child whose size is pending (noCand: none)
+	fixBase   int        // its size is the next start's moved count plus fixBase
+
+	// Tree view.
+	children []sim.NodeID
+	sizes    []int // subtree size of each child, parallel to children (see sized)
 
 	// SearchDegree state.
 	searchPending int
@@ -133,7 +139,6 @@ type Node struct {
 	xBelow        bool       // this subtree holds a node of X (see mStart)
 
 	// Fragment-member state.
-	fragKnown  bool
 	hasReport  bool
 	improved   bool // an exchange happened in this subtree (Multi)
 	frag       fragID
@@ -145,7 +150,6 @@ type Node struct {
 	size       int        // subtree size counted so far: 1 + the children's answers
 
 	// Owner state (acting root or, in Multi mode, any degree-k node).
-	isOwner      bool
 	actingRoot   bool
 	ownerHasBest bool
 	ownerSwapped bool
@@ -154,8 +158,6 @@ type Node struct {
 	ownerBest    edgeReport
 	ownerArrival sim.NodeID // child whose subtree reported ownerBest
 	moved        int        // acting root: size of the subtree its exchange moved
-
-	deferred []deferredMsg
 
 	// grant is the Multi-round grant state; nil in a Single-mode run,
 	// which never needs it (see NewFactory).
@@ -182,33 +184,49 @@ type grant struct {
 // stops the algorithm as soon as the maximum degree reaches it — the
 // paper's "cannot exceed a given value k" variant; zero improves to local
 // optimality.
+//
+// The factory holds every node in one slab in dense order, and the
+// children and subtree-size lists are capacity-capped windows of two
+// arenas laid out by the initial tree; a list that outgrows its window
+// moves to the heap. It resets a node each time it is asked for it, so
+// one factory serves any number of sequential runs but only one run at a
+// time: concurrent runs each need their own.
 func NewFactory(mode Mode, target int, initial *tree.Dense) sim.Factory {
 	idx := initial.Index()
-	// Multi and Hybrid nodes take their grant state from one slab per
-	// factory (each run builds its own). A Single-mode node carries none,
-	// which keeps it in a smaller allocation class: the extra bytes per
-	// solve made grid-4k collect garbage half again as often.
+	nv := initial.N()
+	nodes := make([]Node, nv)
+	// off[v] is where node v's window starts in the two arenas.
+	off := make([]int32, nv+1)
+	for v := range nv {
+		off[v+1] = off[v] + int32(len(initial.Children(int32(v))))
+	}
+	kids := make([]sim.NodeID, off[nv])
+	sizes := make([]int, off[nv])
+	// Multi and Hybrid nodes take their grant state from one more slab. A
+	// Single-mode node carries none: its grant pointer stays nil.
 	var grants []grant
 	if mode != Single {
-		grants = make([]grant, initial.N())
+		grants = make([]grant, nv)
 	}
 	return func(id sim.NodeID, _ []sim.NodeID) sim.Protocol {
 		di := idx.MustOf(id)
-		kids := initial.Children(di)
-		n := &Node{
+		lo, hi := off[di], off[di+1]
+		n := &nodes[di]
+		*n = Node{
 			id:       id,
 			mode:     mode,
 			phase:    mode.initialPhase(),
 			target:   target,
-			children: make([]sim.NodeID, len(kids)),
-			sizes:    make([]int, len(kids)),
+			children: kids[lo:hi:hi],
+			sizes:    sizes[lo:hi:hi],
 			fixChild: noCand,
 		}
+		clear(n.sizes)
 		if grants != nil {
 			n.grant = &grants[di]
 			n.resetGrant()
 		}
-		for k, ch := range kids {
+		for k, ch := range initial.Children(di) {
 			n.children[k] = idx.ID(ch)
 		}
 		if p := initial.Parent(di); p != tree.NoParent {
@@ -248,20 +266,26 @@ func (n *Node) Init(ctx sim.Context) {
 // node's round or before its fragment identity is known (the paper's
 // "the answer has to be delayed until x learns its fragment identity").
 // Messages are flat wire records: deferring one is a value copy, and a
-// processed one simply goes out of scope.
+// processed one is left in the engine's slab.
 //
 // Every deferred message was rejected under the node's current deferral
 // state (see deferState), so the list is replayed only when a processed
 // message changed that state; otherwise each entry would be rejected
-// again.
-func (n *Node) Recv(ctx sim.Context, from sim.NodeID, m sim.WireMsg) {
-	pending := len(n.deferred) > 0
-	before := n.deferState()
-	if !n.process(ctx, from, &m) {
-		n.deferred = append(n.deferred, deferredMsg{from: from, msg: m})
+// again. With the list empty, as it almost always is, the state is not
+// read at all.
+func (n *Node) Recv(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) {
+	if len(n.deferred) == 0 {
+		if !n.process(ctx, from, m) {
+			n.deferred = append(n.deferred, deferredMsg{from: from, msg: *m})
+		}
 		return
 	}
-	if pending && n.deferState() != before {
+	before := n.deferState()
+	if !n.process(ctx, from, m) {
+		n.deferred = append(n.deferred, deferredMsg{from: from, msg: *m})
+		return
+	}
+	if n.deferState() != before {
 		n.retryDeferred(ctx)
 	}
 }

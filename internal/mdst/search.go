@@ -27,7 +27,7 @@ func (n *Node) startRound(ctx sim.Context, round int, fell sim.NodeID, moved int
 	n.xBelow = inX
 	n.searchPending = len(n.children)
 	for _, c := range n.children {
-		ctx.Send(c, newStart(round, fell, n.phase, moved))
+		putStart(ctx.Out(c), round, fell, n.phase, moved)
 	}
 	if n.searchPending == 0 {
 		// A leaf reports at once: "every leaf of the ST sends a message
@@ -90,7 +90,7 @@ func (n *Node) reportDegree(ctx sim.Context) {
 		n.via = n.id
 	}
 	if n.hasParent {
-		ctx.Send(n.parent, newDeg(n.round, n.agg.k, n.agg.cand, n.xBelow))
+		putDeg(ctx.Out(n.parent), n.round, n.agg.k, n.agg.cand, n.xBelow)
 		return
 	}
 	n.decide(ctx)
@@ -126,7 +126,7 @@ func (n *Node) decide(ctx sim.Context) {
 	n.removeChild(via)
 	n.parent = via
 	n.hasParent = true
-	ctx.Send(via, newMove(n.round, n.kAll, target, size))
+	sim.Send(ctx, via, newMove(n.round, n.kAll, target, size))
 }
 
 func (n *Node) onMove(ctx sim.Context, from sim.NodeID, msg mMove) {
@@ -150,7 +150,7 @@ func (n *Node) onMove(ctx sim.Context, from sim.NodeID, msg mMove) {
 	n.removeChild(via) // before adding, so the lists need not grow
 	n.addChild(from, size)
 	n.parent = via
-	ctx.Send(via, newMove(n.round, msg.k, msg.target, msg.n))
+	sim.Send(ctx, via, newMove(n.round, msg.k, msg.target, msg.n))
 }
 
 // terminate broadcasts mTerm: the algorithm is finished and every node
@@ -158,13 +158,13 @@ func (n *Node) onMove(ctx sim.Context, from sim.NodeID, msg mMove) {
 func (n *Node) terminate(ctx sim.Context) {
 	n.terminated = true
 	for _, c := range n.children {
-		ctx.Send(c, newTerm(n.round))
+		sim.Send(ctx, c, newTerm(n.round))
 	}
 }
 
 func (n *Node) onTerm(ctx sim.Context, msg mTerm) {
 	n.terminated = true
 	for _, c := range n.children {
-		ctx.Send(c, newTerm(n.round))
+		sim.Send(ctx, c, newTerm(n.round))
 	}
 }

@@ -34,7 +34,7 @@ func (n *Node) becomeOwner(ctx sim.Context, k int) {
 		case n.phase == Multi:
 			word = int(n.up)
 		}
-		ctx.Send(c, newCut(n.round, k, n.id, word))
+		sim.Send(ctx, c, newCut(n.round, k, n.id, word))
 	}
 	if n.ownerPending == 0 {
 		n.ownerComplete(ctx)
@@ -120,10 +120,9 @@ func (n *Node) enterFragment(ctx sim.Context, f fragID, label int) {
 			word = int64(label)
 		}
 	}
-	m := newBFS(n.round, n.kAll, word, f.root)
-	probe := m
+	probeK := n.kAll
 	if n.phase == Multi {
-		probe.W[1] = int64(n.degree())
+		probeK = n.degree()
 	}
 	next, ci := label+1, 0
 	for _, w := range ctx.Neighbors() {
@@ -134,19 +133,18 @@ func (n *Node) enterFragment(ctx sim.Context, f fragID, label int) {
 		if ci < len(n.children) && n.children[ci] == w {
 			switch {
 			case n.phase == Multi && n.up != noCand:
-				ctx.Send(w, newCut(n.round, n.kAll, f.owner, int(n.up)))
-				ctx.Send(w, newCutRoot(n.round, f.root))
+				sim.Send(ctx, w, newCut(n.round, n.kAll, f.owner, int(n.up)))
+				sim.Send(ctx, w, newCutRoot(n.round, f.root))
 			case label != noLabel:
-				m.W[2] = int64(next)
-				ctx.Send(w, m)
+				putBFS(ctx.Out(w), n.round, n.kAll, int64(next), f.root)
 				next += n.sizes[ci]
 			default:
-				ctx.Send(w, m)
+				putBFS(ctx.Out(w), n.round, n.kAll, word, f.root)
 			}
 			ci++
 			continue
 		}
-		ctx.Send(w, probe)
+		putBFS(ctx.Out(w), n.round, probeK, word, f.root)
 	}
 	if n.bfsPending == 0 {
 		n.sendAggregate(ctx)
@@ -173,7 +171,7 @@ func (n *Node) onBFS(ctx sim.Context, from sim.NodeID, msg mBFS) bool {
 	if n.isOwner {
 		// Owners answer immediately: their degree k disqualifies the edge,
 		// but the answer unblocks the prober's count.
-		ctx.Send(from, newCousin(n.round, n.degree(), n.id, n.id))
+		putCousin(ctx.Out(from), n.round, n.degree(), n.id, n.id)
 		return true
 	}
 	if !n.fragKnown {
@@ -198,7 +196,7 @@ func (n *Node) onBFS(ctx sim.Context, from sim.NodeID, msg mBFS) bool {
 		if n.phase == Multi && msg.fragRoot == n.up {
 			n.record(from, msg.k, msg.fragRoot)
 		}
-		ctx.Send(from, newCousin(n.round, n.degree(), n.frag.owner, n.frag.root))
+		putCousin(ctx.Out(from), n.round, n.degree(), n.frag.owner, n.frag.root)
 		n.resolveNeighbor(ctx)
 	default:
 		// "(r,r') > (p,p')": our own BFS to that neighbour will be
@@ -330,7 +328,7 @@ func (n *Node) sendBack(ctx sim.Context, hasReport, improved, claimer bool) {
 	if hasReport {
 		report = &n.report
 	}
-	ctx.Send(n.parent, newBFSBack(n.round, improved, claimer, n.size, n.lo, n.hi, report))
+	putBFSBack(ctx.Out(n.parent), n.round, improved, claimer, n.size, n.lo, n.hi, report)
 }
 
 // ownerComplete runs the paper's Choose step once every fragment answered:
@@ -362,17 +360,17 @@ func (n *Node) ownerComplete(ctx sim.Context) {
 		n.ownerSwapped = true
 		n.swaps++
 		n.awaitingDone = true
-		ctx.Send(n.ownerArrival, newUpdate(n.round, n.ownerBest.u, n.ownerBest.v, true, false))
+		sim.Send(ctx, n.ownerArrival, newUpdate(n.round, n.ownerBest.u, n.ownerBest.v, true, false))
 		n.release(ctx)
 	case n.ownerBest.vroot == n.up:
 		// Through the parent fragment: register, report, wait.
 		n.claimStep = claimRegister
-		ctx.Send(n.ownerArrival, newClaim(n.round, n.ownerBest.u, n.id, 0))
+		sim.Send(ctx, n.ownerArrival, newClaim(n.round, n.ownerBest.u, n.id, 0))
 	default:
 		// Every claim on the endpoints is in: register and decide.
 		n.claimStep = claimCheck
 		n.awaitingDone = true
-		ctx.Send(n.ownerArrival, newClaim(n.round, n.ownerBest.u, n.id, updQuery))
+		sim.Send(ctx, n.ownerArrival, newClaim(n.round, n.ownerBest.u, n.id, updQuery))
 	}
 }
 

@@ -43,11 +43,11 @@ type allocToken struct {
 
 func (n *allocToken) Init(ctx sim.Context) {
 	if n.start {
-		ctx.Send(ctx.Neighbors()[len(ctx.Neighbors())-1], allocTokenMsg(1))
+		sim.Send(ctx, ctx.Neighbors()[len(ctx.Neighbors())-1], allocTokenMsg(1))
 	}
 }
 
-func (n *allocToken) Recv(ctx sim.Context, from sim.NodeID, m sim.WireMsg) {
+func (n *allocToken) Recv(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) {
 	hops := m.W[0]
 	n.seen++
 	if hops >= n.limit {
@@ -58,7 +58,7 @@ func (n *allocToken) Recv(ctx sim.Context, from sim.NodeID, m sim.WireMsg) {
 	if next == from && len(ns) > 1 {
 		next = ns[1]
 	}
-	ctx.Send(next, allocTokenMsg(hops+1))
+	sim.Send(ctx, next, allocTokenMsg(hops+1))
 }
 
 func (n *allocToken) EncodeState(e *sim.StateEncoder) {

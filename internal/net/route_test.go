@@ -19,13 +19,13 @@ type scripted struct {
 
 func (p *scripted) Init(ctx sim.Context) {
 	for i, to := range p.init {
-		ctx.Send(to, allocTokenMsg(100*int64(p.id)+int64(i)))
+		sim.Send(ctx, to, allocTokenMsg(100*int64(p.id)+int64(i)))
 	}
 }
 
-func (p *scripted) Recv(ctx sim.Context, _ sim.NodeID, m sim.WireMsg) {
+func (p *scripted) Recv(ctx sim.Context, _ sim.NodeID, m *sim.WireMsg) {
 	for i, to := range p.script[m.W[0]] {
-		ctx.Send(to, allocTokenMsg(10*m.W[0]+int64(i)))
+		sim.Send(ctx, to, allocTokenMsg(10*m.W[0]+int64(i)))
 	}
 }
 

@@ -85,15 +85,30 @@ type asyncCtx struct {
 	neighbors []NodeID
 	nbrDense  []int32
 	depth     int64 // causal depth of the message being processed
+	staged    int   // neighbour position of the staged send; -1: none
+	out       WireMsg
 }
 
 func (c *asyncCtx) ID() NodeID          { return c.id }
 func (c *asyncCtx) Neighbors() []NodeID { return c.neighbors }
 
-func (c *asyncCtx) Send(to NodeID, m WireMsg) {
+// Out posts the previously staged send and stages this one, so the sends
+// reach their mailboxes in send order.
+func (c *asyncCtx) Out(to NodeID) *WireMsg {
 	ni := neighborAt(c.neighbors, c.id, to)
-	c.run.wg.Add(1)
-	c.run.boxes[c.nbrDense[ni]].push(delivery{from: c.id, msg: m, depth: c.depth + 1})
+	c.flush()
+	c.staged, c.out = ni, WireMsg{}
+	return &c.out
+}
+
+// flush posts the staged send, if any; the node's loop calls it when a
+// handler returns.
+func (c *asyncCtx) flush() {
+	if c.staged >= 0 {
+		c.run.wg.Add(1)
+		c.run.boxes[c.nbrDense[c.staged]].push(delivery{from: c.id, msg: c.out, depth: c.depth + 1})
+		c.staged = -1
+	}
 }
 
 // Run executes the protocol to quiescence using real goroutines.
@@ -115,6 +130,7 @@ func (e *AsyncEngine) Run(c *graph.CSR, f Factory) ([]Protocol, *Report, error) 
 			id:        ids[i],
 			neighbors: c.NeighborIDs(di),
 			nbrDense:  c.Neighbors(di),
+			staged:    -1,
 		}
 		plist[i] = f(ids[i], ctxs[i].neighbors)
 	}
@@ -143,10 +159,12 @@ func (e *AsyncEngine) Run(c *graph.CSR, f Factory) ([]Protocol, *Report, error) 
 				fn()
 			}
 			safely(func() { proto.Init(ctx) })
+			ctx.flush()
 			run.wg.Done()
+			var d delivery // the record Recv reads in place
 			for {
-				d, ok := run.boxes[i].pop()
-				if !ok {
+				var ok bool
+				if d, ok = run.boxes[i].pop(); !ok {
 					return
 				}
 				if !dead {
@@ -154,7 +172,8 @@ func (e *AsyncEngine) Run(c *graph.CSR, f Factory) ([]Protocol, *Report, error) 
 					run.mu.Lock()
 					run.report.record(d.from, d.msg, d.depth)
 					run.mu.Unlock()
-					safely(func() { proto.Recv(ctx, d.from, d.msg) })
+					safely(func() { proto.Recv(ctx, d.from, &d.msg) })
+					ctx.flush()
 				}
 				run.wg.Done()
 			}

@@ -23,18 +23,18 @@ func (f *floodBench) Init(ctx Context) {
 	}
 	f.seen = true
 	for _, w := range ctx.Neighbors() {
-		ctx.Send(w, floodMsg())
+		Send(ctx, w, floodMsg())
 	}
 }
 
-func (f *floodBench) Recv(ctx Context, from NodeID, _ WireMsg) {
+func (f *floodBench) Recv(ctx Context, from NodeID, _ *WireMsg) {
 	if f.seen {
 		return
 	}
 	f.seen = true
 	for _, w := range ctx.Neighbors() {
 		if w != from {
-			ctx.Send(w, floodMsg())
+			Send(ctx, w, floodMsg())
 		}
 	}
 }

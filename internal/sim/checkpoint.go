@@ -179,7 +179,7 @@ func Capture(c *graph.CSR, round int64, rep *Report, protos []Protocol, pending 
 // breakdowns so the byte form is deterministic. The network plane also
 // uses it to ship per-process report shares and assemble checkpoint files.
 func (ck *Checkpoint) CaptureCounters(r *Report) {
-	r.syncHot() // fold any recordFast accumulators; the maps are read below
+	r.syncHot() // fold the round runner's accumulators; the maps are read below
 	ck.Messages = r.Messages
 	ck.Words = r.Words
 	ck.MaxWords = r.MaxWords

@@ -149,16 +149,27 @@ func (e event) before(o event) bool {
 
 // neighborAt returns the position of `to` in from's ascending neighbour
 // list and enforces the point-to-point model: a send to a non-neighbour is
-// a protocol bug and panics. Linear scan: degrees are small, and a binary
-// search measured slower even on the heavy-tailed workloads.
+// a protocol bug and panics. Short lists are scanned; above linearMax
+// entries — the hubs of heavy-tailed graphs — the list is bisected.
 func neighborAt(neighbors []NodeID, from, to NodeID) int {
-	for i, n := range neighbors {
-		if n == to {
+	lo, hi := 0, len(neighbors) // to, if present, sits in [lo, hi)
+	for hi-lo > linearMax {
+		if m := int(uint(lo+hi) >> 1); neighbors[m] <= to {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	for i := lo; i < hi; i++ {
+		if neighbors[i] == to {
 			return i
 		}
 	}
 	panic(nonNeighbor{from, to})
 }
+
+// linearMax is the list length below which neighborAt stops bisecting.
+const linearMax = 8
 
 // nonNeighbor is the panic of a send outside the point-to-point model; a
 // plain value keeps neighborAt inlinable.
@@ -175,6 +186,9 @@ func (e nonNeighbor) Error() string {
 // run.
 type eventScratch struct {
 	wheel bucketQueue
+	// one is the inbox of the delivery being played: the handler reads
+	// its record in place, so it lives here rather than on the stack.
+	one [1]PendingDelivery
 	// clamp holds, per directed link (CSR half-edge), the latest delivery
 	// time already scheduled on it; FIFO order clamps new delivery times
 	// to it.
@@ -239,7 +253,8 @@ func (e *EventEngine) runWheel(c *graph.CSR, f Factory, maxMsgs int64, start tim
 	// All nodes start independently; Init runs at time zero in ID order.
 	r.initAll()
 	for {
-		for _, d := range r.sent {
+		for i := range r.sent {
+			d := &r.sent[i]
 			from, to := r.ids[d.From], r.ids[d.To]
 			dt := e.Delay(rng, from, to)
 			checkDelay(dt, from, to)
@@ -250,7 +265,7 @@ func (e *EventEngine) runWheel(c *graph.CSR, f Factory, maxMsgs int64, start tim
 				s.clamp[h] = t
 			}
 			seq++
-			s.wheel.push(event{t: t, seq: seq, depth: depth + 1, d: d})
+			s.wheel.push(event{t: t, seq: seq, depth: depth + 1, d: *d})
 		}
 		if s.wheel.empty() {
 			break
@@ -260,7 +275,8 @@ func (e *EventEngine) runWheel(c *graph.CSR, f Factory, maxMsgs int64, start tim
 			return nil, nil, NewBudgetError(r.report.Messages, maxMsgs, r.report)
 		}
 		now, depth = ev.t, ev.depth
-		r.playAt(now, depth, []PendingDelivery{ev.d})
+		s.one[0] = ev.d
+		r.playAt(now, depth, s.one[:])
 	}
 	// Deliveries pop in time order, so the last one's time is the run's.
 	r.report.VirtualTime = now

@@ -51,14 +51,31 @@ type refCtx struct {
 	neighbors []NodeID
 	now       float64
 	depth     int64
+	staged    bool    // out holds a send to `to` not yet scheduled
+	to        NodeID  // the staged send's receiver
+	out       WireMsg // the staged send's record, filled by the handler
 }
 
 func (c *refCtx) ID() NodeID          { return c.id }
 func (c *refCtx) Neighbors() []NodeID { return c.neighbors }
 
-func (c *refCtx) Send(to NodeID, m WireMsg) {
+// Out schedules the previously staged send and stages this one. Each send
+// is scheduled before the next is made, so the delays are drawn in send
+// order, as if each had been scheduled when made.
+func (c *refCtx) Out(to NodeID) *WireMsg {
 	neighborAt(c.neighbors, c.id, to)
-	c.run.send(c, to, m)
+	c.flush()
+	c.staged, c.to, c.out = true, to, WireMsg{}
+	return &c.out
+}
+
+// flush schedules the staged send, if any; the engine calls it when a
+// handler returns.
+func (c *refCtx) flush() {
+	if c.staged {
+		c.staged = false
+		c.run.send(c, c.to, c.out)
+	}
 }
 
 type refRun struct {
@@ -67,6 +84,7 @@ type refRun struct {
 	fifo     bool
 	trace    func(TraceEvent)
 	queue    refHeap
+	ev       event // the delivery being played: its handler reads the record in place
 	idx      *graph.Index
 	seq      int64
 	lastLink map[[2]NodeID]float64
@@ -125,9 +143,11 @@ func (e *ReferenceEngine) Run(c *graph.CSR, f Factory) (protos []Protocol, rep *
 	}
 	for i := 0; i < n; i++ {
 		plist[i].Init(&ctxs[i])
+		ctxs[i].flush()
 	}
 	for rr.queue.Len() > 0 {
-		ev := heap.Pop(&rr.queue).(event)
+		rr.ev = heap.Pop(&rr.queue).(event)
+		ev := &rr.ev
 		if rr.report.Messages >= maxMsgs {
 			return nil, nil, NewBudgetError(rr.report.Messages, maxMsgs, rr.report)
 		}
@@ -142,7 +162,8 @@ func (e *ReferenceEngine) Run(c *graph.CSR, f Factory) (protos []Protocol, rep *
 		if rr.trace != nil {
 			rr.trace(TraceEvent{Time: ev.t, Depth: ev.depth, From: from, To: ctx.id, Msg: ev.d.Msg})
 		}
-		plist[ev.d.To].Recv(ctx, from, ev.d.Msg)
+		plist[ev.d.To].Recv(ctx, from, &ev.d.Msg)
+		ctx.flush()
 	}
 	rr.report.Finalize()
 	rr.report.Wall = time.Since(start)

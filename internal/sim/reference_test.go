@@ -158,16 +158,16 @@ type chatterNode struct{ budget int }
 
 func (c *chatterNode) Init(ctx Context) {
 	for _, w := range ctx.Neighbors() {
-		ctx.Send(w, tokenMsg(1))
+		Send(ctx, w, tokenMsg(1))
 	}
 }
 
-func (c *chatterNode) Recv(ctx Context, from NodeID, _ WireMsg) {
+func (c *chatterNode) Recv(ctx Context, from NodeID, _ *WireMsg) {
 	if c.budget == 0 {
 		return
 	}
 	c.budget--
-	ctx.Send(from, tokenMsg(1))
+	Send(ctx, from, tokenMsg(1))
 }
 
 // TestEventEngineScratchReuse runs the same workload repeatedly so the pooled

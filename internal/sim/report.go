@@ -41,11 +41,11 @@ type Report struct {
 	kindRound map[kindRoundKey]int64
 	finalized bool
 
-	// The recordFast accumulators, armed by adoptDenseSent and adoptKR on
-	// the round engines' hot paths. sentDense counts sends by dense node
-	// index — one array increment per message instead of a map op on a
-	// 64-bit key — and kr counts deliveries per (round, opcode) in a dense
-	// slab, so the hot path never touches kindRound. syncHot folds both
+	// The round runner's accumulators, armed by adoptDenseSent and adoptKR.
+	// sentDense is the runner's slab of sends by dense node index, which
+	// the runner bumps itself — one array increment per message instead
+	// of a map op on a 64-bit key — and kr counts deliveries per (round,
+	// opcode) in a dense slab, so the hot path never touches kindRound. syncHot folds both
 	// into the map-backed accumulators; Finalize, MergeParallel and
 	// checkpoint capture all sync first.
 	sentDense []int64
@@ -65,10 +65,11 @@ type Report struct {
 // without allocating. Other schemas' opcodes and rounds outside
 // [0, krMaxRounds) fall back to the kindRound map.
 type krSlab struct {
-	c    []uint32
-	base Op  // first opcode of the bound schema
-	w    int // opcodes in the bound schema; 0 while unbound
-	hi   int
+	c       []uint32
+	base    Op     // first opcode of the bound schema
+	w       int    // opcodes in the bound schema; 0 while unbound
+	rounded uint64 // bit i: the schema's i-th opcode is Rounded
+	hi      int
 }
 
 // krMaxRounds caps the slab at krMaxRounds rows.
@@ -77,11 +78,19 @@ const krMaxRounds = 1 << 16
 // krMinRows is the slab's first allocation, in rounds.
 const krMinRows = 64
 
-// bind ties an unbound slab to op's schema. OpNone and unknown opcodes
-// leave it unbound.
+// bind ties an unbound slab to op's schema and caches which of its
+// opcodes are Rounded. OpNone, unknown opcodes and schemas too wide for
+// the cache leave it unbound.
 func (s *krSlab) bind(op Op) {
-	if info := opInfo(op); info != nil && info.schema != nil {
-		s.base, s.w = info.schema.base, len(info.schema.specs)
+	info := opInfo(op)
+	if info == nil || info.schema == nil || len(info.schema.specs) > 64 {
+		return
+	}
+	s.base, s.w, s.rounded = info.schema.base, len(info.schema.specs), 0
+	for i, spec := range info.schema.specs {
+		if spec.Rounded {
+			s.rounded |= 1 << i
+		}
 	}
 }
 
@@ -151,7 +160,7 @@ func (r *Report) record(from NodeID, m WireMsg, depth int64) {
 	r.SentBy[from]++
 }
 
-// adoptDenseSent arms the dense recordFast accumulators. slab must be
+// adoptDenseSent arms the dense sender counters. slab must be
 // zeroed, sized len(ids), and remain owned by the caller (the runner
 // lends its pooled slab); Finalize detaches it again, so a finalized
 // report never pins pooled memory.
@@ -174,15 +183,27 @@ func (r *Report) adoptKR(s *krSlab) {
 // per-message path — all the scalar counters plus the dense (round,
 // opcode) counter, but no sender accounting.
 func (r *Report) recordKR(m *WireMsg, depth int64) {
-	r.Messages++
+	r.countPlay(1, depth)
+	r.countMsg(m)
+}
+
+// countPlay accounts n deliveries made at causal depth depth: the counts
+// a round runner takes once per played batch, not per delivery.
+func (r *Report) countPlay(n int, depth int64) {
+	r.Messages += int64(n)
+	if n > 0 && depth > r.CausalDepth {
+		r.CausalDepth = depth
+	}
+}
+
+// countMsg accounts one delivered record's words and its (round, opcode)
+// counter; countPlay accounts the delivery itself.
+func (r *Report) countMsg(m *WireMsg) {
 	r.countKR(m)
 	w := m.Words()
 	r.Words += int64(w)
 	if w > r.MaxWords {
 		r.MaxWords = w
-	}
-	if depth > r.CausalDepth {
-		r.CausalDepth = depth
 	}
 }
 
@@ -195,7 +216,7 @@ func (r *Report) countKR(m *WireMsg) {
 		}
 		if col := int(m.Op) - int(s.base); uint(col) < uint(s.w) {
 			round := 0
-			if wireReg.infos[m.Op].rounded {
+			if s.rounded>>col&1 != 0 {
 				round = int(m.W[0])
 			}
 			if uint(round) < krMaxRounds {
@@ -214,13 +235,6 @@ func (r *Report) countKR(m *WireMsg) {
 		}
 	}
 	r.kindRound[kindRoundKey{m.Op, m.MsgRound()}]++
-}
-
-// recordFast is recordKR plus sender accounting by dense index into the
-// adopted slab. Callers must have armed adoptDenseSent.
-func (r *Report) recordFast(fromDense int32, m *WireMsg, depth int64) {
-	r.recordKR(m, depth)
-	r.sentDense[fromDense]++
 }
 
 // foldKR folds the slab's counts into the kindRound map and zeroes it;
@@ -243,7 +257,7 @@ func (r *Report) foldDense() {
 	}
 }
 
-// syncHot folds every recordFast accumulator into the map-backed state,
+// syncHot folds every hot-path accumulator into the map-backed state,
 // making kindRound and SentBy authoritative again.
 func (r *Report) syncHot() {
 	r.foldKR()

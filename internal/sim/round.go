@@ -66,6 +66,7 @@ type unitCtx struct {
 	r         *RoundRunner
 	id        NodeID
 	dense     int32
+	next      int // the neighbour after the last send's: a broadcast's next receiver
 	neighbors []NodeID
 	nbrDense  []int32
 }
@@ -73,9 +74,19 @@ type unitCtx struct {
 func (c *unitCtx) ID() NodeID          { return c.id }
 func (c *unitCtx) Neighbors() []NodeID { return c.neighbors }
 
-func (c *unitCtx) Send(to NodeID, m WireMsg) {
+// Out appends the send's record to the runner's slab and hands it out to
+// be filled in place: the record is never copied on the way to the slab.
+// Handlers that send along their neighbour list in order find each
+// receiver at the cursor, the rest by neighborAt.
+func (c *unitCtx) Out(to NodeID) *WireMsg {
+	i := c.next
+	if i >= len(c.neighbors) || c.neighbors[i] != to {
+		i = neighborAt(c.neighbors, c.id, to)
+	}
+	c.next = i + 1
 	r := c.r
-	r.sent = append(r.sent, PendingDelivery{From: c.dense, To: c.nbrDense[neighborAt(c.neighbors, c.id, to)], Msg: m})
+	r.sent = append(r.sent, PendingDelivery{From: c.dense, To: c.nbrDense[i]})
+	return &r.sent[len(r.sent)-1].Msg
 }
 
 // Reset readies r for a run over c: a context and a factory-built protocol
@@ -122,25 +133,30 @@ func (r *RoundRunner) Init(nodes []int32) {
 
 // Play delivers inbox, in order, as round round (depth accounting), and
 // collects the handlers' sends into a fresh slab; ends[i] closes the sends
-// of inbox[i]. The inbox must not alias the send slab.
+// of inbox[i]. Each handler reads its record in place, so the inbox must
+// not alias the send slab.
 func (r *RoundRunner) Play(round int64, inbox []PendingDelivery) {
 	r.playAt(float64(round), round, inbox)
 }
 
 // playAt is Play at virtual time t and causal depth depth, which differ
-// only on the random-delay tier: it counts each delivery on the dense
-// counters, traces it and runs the receiver's handler.
+// only on the random-delay tier: it counts the deliveries and their depth
+// once, then each delivery on the dense counters, traces it and runs the
+// receiver's handler.
 func (r *RoundRunner) playAt(t float64, depth int64, inbox []PendingDelivery) {
 	r.sent = r.sent[:0]
 	r.ends = growCap(r.ends, len(inbox))
+	rep := r.report
+	rep.countPlay(len(inbox), depth)
 	for i := range inbox {
 		d := &inbox[i]
 		from := r.ids[d.From]
-		r.report.recordFast(d.From, &d.Msg, depth)
+		rep.countMsg(&d.Msg)
+		r.dense[d.From]++
 		if r.trace != nil {
 			r.trace(TraceEvent{Time: t, Depth: depth, From: from, To: r.ids[d.To], Msg: d.Msg})
 		}
-		r.protos[d.To].Recv(&r.ctxs[d.To], from, d.Msg)
+		r.protos[d.To].Recv(&r.ctxs[d.To], from, &d.Msg)
 		r.ends[i] = len(r.sent)
 	}
 }

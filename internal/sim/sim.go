@@ -56,9 +56,14 @@ type NodeID = graph.NodeID
 // decodes at its boundary (see wire.go). Both may send messages through the
 // Context. Engines guarantee that Init and all Recv calls for one node are
 // serialised.
+//
+// Recv's record points into the engine's delivery slab and is valid only
+// during the call: a protocol that keeps a message copies *m. It must not
+// write through m, and the record stays intact while the handler sends,
+// however many records it sends.
 type Protocol interface {
 	Init(ctx Context)
-	Recv(ctx Context, from NodeID, m WireMsg)
+	Recv(ctx Context, from NodeID, m *WireMsg)
 }
 
 // Context is a node's interface to the network. Sends are restricted to
@@ -69,10 +74,18 @@ type Context interface {
 	// Neighbors returns this node's adjacent nodes in ascending order.
 	// Nodes know their neighbours' identities, as the paper assumes.
 	Neighbors() []NodeID
-	// Send queues m for delivery to a neighbouring node. Sending to a
-	// non-neighbour panics: it is a protocol bug, not a runtime condition.
-	Send(to NodeID, m WireMsg)
+	// Out reserves the next send to a neighbouring node and returns its
+	// record, zeroed, for the handler to fill in place: the send is
+	// whatever the record holds when the handler calls Out again or
+	// returns, and the pointer is invalid from then on. Sending to a
+	// non-neighbour panics: it is a protocol bug, not a runtime
+	// condition.
+	Out(to NodeID) *WireMsg
 }
+
+// Send sends a copy of m to the neighbour to: Out plus one record copy,
+// for call sites that build the record first.
+func Send(ctx Context, to NodeID, m WireMsg) { *ctx.Out(to) = m }
 
 // Factory creates the protocol instance for one node. The neighbour list is
 // ascending and must not be modified.

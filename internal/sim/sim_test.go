@@ -42,10 +42,10 @@ func (n *tokenNode) Init(ctx Context) {
 	if !n.start {
 		return
 	}
-	ctx.Send(ctx.Neighbors()[len(ctx.Neighbors())-1], tokenMsg(1))
+	Send(ctx, ctx.Neighbors()[len(ctx.Neighbors())-1], tokenMsg(1))
 }
 
-func (n *tokenNode) Recv(ctx Context, from NodeID, m WireMsg) {
+func (n *tokenNode) Recv(ctx Context, from NodeID, m *WireMsg) {
 	hops := int(m.W[0])
 	n.seen++
 	if hops >= n.limit {
@@ -57,7 +57,7 @@ func (n *tokenNode) Recv(ctx Context, from NodeID, m WireMsg) {
 	if next == from && len(ns) > 1 {
 		next = ns[1]
 	}
-	ctx.Send(next, tokenMsg(hops+1))
+	Send(ctx, next, tokenMsg(hops+1))
 }
 
 func tokenFactory(limit int) Factory {
@@ -155,11 +155,11 @@ func (s *seqSender) Init(ctx Context) {
 		return
 	}
 	for i := 0; i < s.count; i++ {
-		ctx.Send(1, seqMsg(i))
+		Send(ctx, 1, seqMsg(i))
 	}
 }
 
-func (s *seqSender) Recv(_ Context, _ NodeID, m WireMsg) {
+func (s *seqSender) Recv(_ Context, _ NodeID, m *WireMsg) {
 	s.got = append(s.got, int(m.W[0]))
 }
 
@@ -213,10 +213,10 @@ type badSender struct{ id NodeID }
 
 func (b *badSender) Init(ctx Context) {
 	if b.id == 0 {
-		ctx.Send(99, tokenMsg(0))
+		Send(ctx, 99, tokenMsg(0))
 	}
 }
-func (b *badSender) Recv(Context, NodeID, WireMsg) {}
+func (b *badSender) Recv(Context, NodeID, *WireMsg) {}
 
 func TestNonNeighborSendFails(t *testing.T) {
 	g := graph.Path(3)
@@ -238,11 +238,11 @@ type chainReaction struct{}
 
 func (chainReaction) Init(ctx Context) {
 	for _, w := range ctx.Neighbors() {
-		ctx.Send(w, krMsg(0))
+		Send(ctx, w, krMsg(0))
 	}
 }
-func (chainReaction) Recv(ctx Context, from NodeID, m WireMsg) {
-	ctx.Send(from, krMsg(int(m.W[0])+1))
+func (chainReaction) Recv(ctx Context, from NodeID, m *WireMsg) {
+	Send(ctx, from, krMsg(int(m.W[0])+1))
 }
 
 // TestLivelockGuard pins the typed budget abort on every single-process
@@ -350,16 +350,16 @@ type panicNode struct{ at, seen int }
 
 func (p *panicNode) Init(ctx Context) {
 	if ctx.ID() == 0 {
-		ctx.Send(ctx.Neighbors()[0], tokenMsg(1))
+		Send(ctx, ctx.Neighbors()[0], tokenMsg(1))
 	}
 }
 
-func (p *panicNode) Recv(ctx Context, from NodeID, m WireMsg) {
+func (p *panicNode) Recv(ctx Context, from NodeID, m *WireMsg) {
 	p.seen++
 	if p.seen >= p.at {
 		panic("boom")
 	}
-	ctx.Send(ctx.Neighbors()[0], tokenMsg(int(m.W[0])+1))
+	Send(ctx, ctx.Neighbors()[0], tokenMsg(int(m.W[0])+1))
 }
 
 func TestTraceEvents(t *testing.T) {

@@ -121,7 +121,7 @@ type fakeTreeNode struct {
 }
 
 func (f *fakeTreeNode) Init(sim.Context)                          {}
-func (f *fakeTreeNode) Recv(sim.Context, sim.NodeID, sim.WireMsg) {}
+func (f *fakeTreeNode) Recv(sim.Context, sim.NodeID, *sim.WireMsg) {}
 func (f *fakeTreeNode) TreeInfo() (sim.NodeID, []sim.NodeID, bool) {
 	return f.parent, nil, f.isRoot
 }
@@ -130,7 +130,7 @@ func (f *fakeTreeNode) Finished() bool { return f.fin }
 type bareProto struct{}
 
 func (bareProto) Init(sim.Context)                          {}
-func (bareProto) Recv(sim.Context, sim.NodeID, sim.WireMsg) {}
+func (bareProto) Recv(sim.Context, sim.NodeID, *sim.WireMsg) {}
 
 // TestExtractDenseRejects exercises every validation branch of the dense
 // extraction on Path(4) (identities 0-1-2-3).

@@ -42,11 +42,11 @@ func (n *DFSNode) Init(ctx sim.Context) {
 
 // Recv handles token arrival and return, decoding the return record's
 // accepted flag at the boundary.
-func (n *DFSNode) Recv(ctx sim.Context, from sim.NodeID, m sim.WireMsg) {
+func (n *DFSNode) Recv(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) {
 	switch m.Op {
 	case opDFSDiscover:
 		if n.visited {
-			ctx.Send(from, sim.Msg(opDFSReturn, sim.B2W(false)))
+			sim.Send(ctx, from, sim.Msg(opDFSReturn, sim.B2W(false)))
 			return
 		}
 		n.visited = true
@@ -73,20 +73,20 @@ func (n *DFSNode) advance(ctx sim.Context) {
 		if !n.root && w == n.parent {
 			continue
 		}
-		ctx.Send(w, sim.Msg(opDFSDiscover))
+		sim.Send(ctx, w, sim.Msg(opDFSDiscover))
 		return
 	}
 	if n.root {
 		n.finish(ctx)
 		return
 	}
-	ctx.Send(n.parent, sim.Msg(opDFSReturn, sim.B2W(true)))
+	sim.Send(ctx, n.parent, sim.Msg(opDFSReturn, sim.B2W(true)))
 }
 
 func (n *DFSNode) finish(ctx sim.Context) {
 	n.finished = true
 	for _, c := range n.children {
-		ctx.Send(c, sim.Msg(opStDone))
+		sim.Send(ctx, c, sim.Msg(opStDone))
 	}
 }
 

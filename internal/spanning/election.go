@@ -36,13 +36,13 @@ func (n *ElectionNode) Init(ctx sim.Context) {
 		return
 	}
 	for _, w := range ctx.Neighbors() {
-		ctx.Send(w, sim.Msg(opElExplore, int64(n.id)))
+		sim.Send(ctx, w, sim.Msg(opElExplore, int64(n.id)))
 	}
 }
 
 // Recv drives extinction: adopt strictly smaller waves, resolve equal ones,
 // ignore larger ones (their senders will adopt ours instead).
-func (n *ElectionNode) Recv(ctx sim.Context, from sim.NodeID, m sim.WireMsg) {
+func (n *ElectionNode) Recv(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) {
 	switch m.Op {
 	case opElExplore:
 		init := sim.NodeID(m.W[0])
@@ -53,12 +53,12 @@ func (n *ElectionNode) Recv(ctx sim.Context, from sim.NodeID, m sim.WireMsg) {
 			n.children = nil
 			n.pending = len(ctx.Neighbors()) - 1
 			if n.pending == 0 {
-				ctx.Send(n.parent, sim.Msg(opElEcho, int64(n.best)))
+				sim.Send(ctx, n.parent, sim.Msg(opElEcho, int64(n.best)))
 				return
 			}
 			for _, w := range ctx.Neighbors() {
 				if w != from {
-					ctx.Send(w, sim.Msg(opElExplore, int64(n.best)))
+					sim.Send(ctx, w, sim.Msg(opElExplore, int64(n.best)))
 				}
 			}
 		case init == n.best:
@@ -85,13 +85,13 @@ func (n *ElectionNode) resolve(ctx sim.Context) {
 		n.finish(ctx)
 		return
 	}
-	ctx.Send(n.parent, sim.Msg(opElEcho, int64(n.best)))
+	sim.Send(ctx, n.parent, sim.Msg(opElEcho, int64(n.best)))
 }
 
 func (n *ElectionNode) finish(ctx sim.Context) {
 	n.finished = true
 	for _, c := range n.children {
-		ctx.Send(c, sim.Msg(opElDone))
+		sim.Send(ctx, c, sim.Msg(opElDone))
 	}
 }
 

@@ -60,13 +60,13 @@ func (n *FloodNode) Init(ctx sim.Context) {
 		return
 	}
 	for _, w := range ctx.Neighbors() {
-		ctx.Send(w, sim.Msg(opFloodExplore))
+		sim.Send(ctx, w, sim.Msg(opFloodExplore))
 	}
 }
 
 // Recv drives the explore/echo state machine; the wire records carry no
 // payload, so the opcode is the whole decode.
-func (n *FloodNode) Recv(ctx sim.Context, from sim.NodeID, m sim.WireMsg) {
+func (n *FloodNode) Recv(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) {
 	switch m.Op {
 	case opFloodExplore:
 		if !n.started {
@@ -74,12 +74,12 @@ func (n *FloodNode) Recv(ctx sim.Context, from sim.NodeID, m sim.WireMsg) {
 			n.parent = from
 			n.pending = len(ctx.Neighbors()) - 1
 			if n.pending == 0 {
-				ctx.Send(n.parent, sim.Msg(opFloodEcho))
+				sim.Send(ctx, n.parent, sim.Msg(opFloodEcho))
 				return
 			}
 			for _, w := range ctx.Neighbors() {
 				if w != from {
-					ctx.Send(w, sim.Msg(opFloodExplore))
+					sim.Send(ctx, w, sim.Msg(opFloodExplore))
 				}
 			}
 			return
@@ -103,13 +103,13 @@ func (n *FloodNode) resolve(ctx sim.Context) {
 		n.finish(ctx)
 		return
 	}
-	ctx.Send(n.parent, sim.Msg(opFloodEcho))
+	sim.Send(ctx, n.parent, sim.Msg(opFloodEcho))
 }
 
 func (n *FloodNode) finish(ctx sim.Context) {
 	n.finished = true
 	for _, c := range n.children {
-		ctx.Send(c, sim.Msg(opStDone))
+		sim.Send(ctx, c, sim.Msg(opStDone))
 	}
 }
 

@@ -156,14 +156,14 @@ func (n *GHSNode) Init(ctx sim.Context) {
 	n.level = 0
 	n.state = ghsFound
 	n.bestWt = ghsInfinity
-	ctx.Send(m, newGHSConnect(0))
+	sim.Send(ctx, m, newGHSConnect(0))
 }
 
 // Recv processes one message, then retries deferred messages until no more
 // can make progress.
-func (n *GHSNode) Recv(ctx sim.Context, from sim.NodeID, m sim.WireMsg) {
-	if !n.process(ctx, from, m) {
-		n.deferred = append(n.deferred, ghsDeferred{from: from, msg: m})
+func (n *GHSNode) Recv(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) {
+	if !n.process(ctx, from, *m) {
+		n.deferred = append(n.deferred, ghsDeferred{from: from, msg: *m})
 		return
 	}
 	n.retryDeferred(ctx)
@@ -226,7 +226,7 @@ func (n *GHSNode) onConnect(ctx sim.Context, from sim.NodeID, msg ghsConnect) bo
 	case msg.level < n.level:
 		// Absorb the lower-level fragment.
 		n.edges[from] = ghsBranch
-		ctx.Send(from, newGHSInitiate(n.level, n.frag, n.state))
+		sim.Send(ctx, from, newGHSInitiate(n.level, n.frag, n.state))
 		if n.state == ghsFind {
 			n.findCount++
 		}
@@ -235,7 +235,7 @@ func (n *GHSNode) onConnect(ctx sim.Context, from sim.NodeID, msg ghsConnect) bo
 		return false // defer: same/higher level over an untested edge
 	default:
 		// Merge: this edge becomes the new core at level+1.
-		ctx.Send(from, newGHSInitiate(n.level+1, ghsEdgeWeight(n.id, from), ghsFind))
+		sim.Send(ctx, from, newGHSInitiate(n.level+1, ghsEdgeWeight(n.id, from), ghsFind))
 		return true
 	}
 }
@@ -252,7 +252,7 @@ func (n *GHSNode) onInitiate(ctx sim.Context, from sim.NodeID, msg ghsInitiate) 
 		if w == from || n.edges[w] != ghsBranch {
 			continue
 		}
-		ctx.Send(w, newGHSInitiate(msg.level, msg.frag, msg.state))
+		sim.Send(ctx, w, newGHSInitiate(msg.level, msg.frag, msg.state))
 		if msg.state == ghsFind {
 			n.findCount++
 		}
@@ -282,7 +282,7 @@ func (n *GHSNode) test(ctx sim.Context) {
 	}
 	n.testing = true
 	n.testEdge = best
-	ctx.Send(best, newGHSTest(n.level, n.frag))
+	sim.Send(ctx, best, newGHSTest(n.level, n.frag))
 }
 
 func (n *GHSNode) onTest(ctx sim.Context, from sim.NodeID, msg ghsTest) bool {
@@ -290,14 +290,14 @@ func (n *GHSNode) onTest(ctx sim.Context, from sim.NodeID, msg ghsTest) bool {
 		return false // defer until this node catches up
 	}
 	if msg.frag != n.frag {
-		ctx.Send(from, sim.Msg(opGHSAccept))
+		sim.Send(ctx, from, sim.Msg(opGHSAccept))
 		return true
 	}
 	if n.edges[from] == ghsBasic {
 		n.edges[from] = ghsRejected
 	}
 	if !(n.testing && n.testEdge == from) {
-		ctx.Send(from, sim.Msg(opGHSReject))
+		sim.Send(ctx, from, sim.Msg(opGHSReject))
 	} else {
 		n.test(ctx)
 	}
@@ -325,7 +325,7 @@ func (n *GHSNode) onReject(ctx sim.Context, from sim.NodeID) {
 func (n *GHSNode) report(ctx sim.Context) {
 	if n.findCount == 0 && !n.testing {
 		n.state = ghsFound
-		ctx.Send(n.inBranch, newGHSReport(n.bestWt))
+		sim.Send(ctx, n.inBranch, newGHSReport(n.bestWt))
 	}
 }
 
@@ -357,10 +357,10 @@ func (n *GHSNode) onReport(ctx sim.Context, from sim.NodeID, msg ghsReport) bool
 // Connect across it.
 func (n *GHSNode) changeRoot(ctx sim.Context) {
 	if n.edges[n.bestEdge] == ghsBranch {
-		ctx.Send(n.bestEdge, sim.Msg(opGHSChangeRt))
+		sim.Send(ctx, n.bestEdge, sim.Msg(opGHSChangeRt))
 		return
 	}
-	ctx.Send(n.bestEdge, newGHSConnect(n.level))
+	sim.Send(ctx, n.bestEdge, newGHSConnect(n.level))
 	n.edges[n.bestEdge] = ghsBranch
 }
 
@@ -373,7 +373,7 @@ func (n *GHSNode) halt(ctx sim.Context, otherCore sim.NodeID) {
 		n.finished = true
 		for _, w := range ctx.Neighbors() {
 			if n.edges[w] == ghsBranch {
-				ctx.Send(w, sim.Msg(opGHSDone))
+				sim.Send(ctx, w, sim.Msg(opGHSDone))
 			}
 		}
 	}
@@ -388,7 +388,7 @@ func (n *GHSNode) onDone(ctx sim.Context, from sim.NodeID) {
 	n.hasParent = true
 	for _, w := range ctx.Neighbors() {
 		if w != from && n.edges[w] == ghsBranch {
-			ctx.Send(w, sim.Msg(opGHSDone))
+			sim.Send(ctx, w, sim.Msg(opGHSDone))
 		}
 	}
 }
