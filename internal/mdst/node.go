@@ -122,7 +122,7 @@ type Node struct {
 	phase     Mode // Single or Multi; Hybrid switches Multi -> Single
 	id        sim.NodeID
 	mode      Mode
-	target    int // stop once the maximum degree is <= target (0: improve fully)
+	target    int        // stop once the maximum degree is <= target (0: improve fully)
 	swaps     int        // exchanges this node applied as an owner
 	fixChild  sim.NodeID // child whose size is pending (noCand: none)
 	fixBase   int        // its size is the next start's moved count plus fixBase

@@ -120,7 +120,7 @@ type fakeTreeNode struct {
 	fin    bool
 }
 
-func (f *fakeTreeNode) Init(sim.Context)                          {}
+func (f *fakeTreeNode) Init(sim.Context)                           {}
 func (f *fakeTreeNode) Recv(sim.Context, sim.NodeID, *sim.WireMsg) {}
 func (f *fakeTreeNode) TreeInfo() (sim.NodeID, []sim.NodeID, bool) {
 	return f.parent, nil, f.isRoot
@@ -129,7 +129,7 @@ func (f *fakeTreeNode) Finished() bool { return f.fin }
 
 type bareProto struct{}
 
-func (bareProto) Init(sim.Context)                          {}
+func (bareProto) Init(sim.Context)                           {}
 func (bareProto) Recv(sim.Context, sim.NodeID, *sim.WireMsg) {}
 
 // TestExtractDenseRejects exercises every validation branch of the dense
