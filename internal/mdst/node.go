@@ -354,7 +354,8 @@ func (n *Node) process(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) bool {
 	case opCousin:
 		n.onCousin(ctx, from, decCousin(m))
 	case opBFSBack:
-		n.onBFSBack(ctx, from, decBFSBack(m))
+		msg := decBFSBack(m)
+		n.onBFSBack(ctx, from, &msg)
 	case opUpdate:
 		switch msg := decUpdate(m); {
 		case msg.release:

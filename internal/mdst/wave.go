@@ -239,10 +239,10 @@ func (n *Node) record(v sim.NodeID, dv int, vroot sim.NodeID) {
 
 // onBFSBack merges a child's aggregate. At a fragment member it folds into
 // the member's own aggregate; at an owner it feeds the Choose step.
-func (n *Node) onBFSBack(ctx sim.Context, from sim.NodeID, msg mBFSBack) {
+func (n *Node) onBFSBack(ctx sim.Context, from sim.NodeID, msg *mBFSBack) {
 	n.size += msg.size
 	if n.phase == Single {
-		n.childAnswered(from, &msg)
+		n.childAnswered(from, msg)
 	}
 	if msg.claimer {
 		n.relTo = append(n.relTo, from)

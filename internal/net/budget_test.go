@@ -17,7 +17,10 @@ import (
 // "solo" one token walks the ring, so all but Init's round are played by
 // one process alone and the cap trips inside that solo stretch: the lone
 // process must still send its frame (soloBarrier's cap condition), or the
-// idle process never learns the run ended.
+// idle process never learns the run ended. Both processes must report the
+// delivered count EventEngine reports on the same protocol and budget:
+// the budget, exactly, since each round holds more deliveries than the
+// budget has left when it trips.
 func TestDistBudgetAbort(t *testing.T) {
 	c := graph.Ring(64).Compile()
 	walk := func(allStart bool) sim.Factory {
@@ -35,6 +38,13 @@ func TestDistBudgetAbort(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			var want *sim.BudgetError
+			if _, _, err := (&sim.EventEngine{MaxMessages: tc.limit}).Run(c, tc.f); !errors.As(err, &want) {
+				t.Fatalf("EventEngine: got %v, want *sim.BudgetError", err)
+			}
+			if want.Messages != tc.limit {
+				t.Fatalf("EventEngine aborted after %d messages, want the budget %d", want.Messages, tc.limit)
+			}
 			m := newEngineMesh(t, c, 2)
 			errs := m.run(t, func(_ int, eng *DistEngine) error {
 				eng.MaxMessages = tc.limit
@@ -46,13 +56,10 @@ func TestDistBudgetAbort(t *testing.T) {
 				if !errors.As(err, &got[id]) {
 					t.Fatalf("process %d: got %v, want *sim.BudgetError", id, err)
 				}
-				if got[id].Limit != tc.limit || got[id].Messages < tc.limit {
-					t.Errorf("process %d aborted after %d messages under limit %d, want limit %d reached",
-						id, got[id].Messages, got[id].Limit, tc.limit)
+				if got[id].Limit != tc.limit || got[id].Messages != want.Messages {
+					t.Errorf("process %d aborted after %d messages under limit %d, want %d under limit %d as EventEngine",
+						id, got[id].Messages, got[id].Limit, want.Messages, tc.limit)
 				}
-			}
-			if got[0].Messages != got[1].Messages {
-				t.Errorf("processes disagree on the delivered count: %d vs %d", got[0].Messages, got[1].Messages)
 			}
 		})
 	}

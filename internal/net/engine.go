@@ -3,6 +3,7 @@ package net
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"mdegst/internal/graph"
@@ -219,7 +220,14 @@ func (st *barrierState) census(act []bool) {
 // delivered and total are barrier-agreed values, so every process takes
 // the same branch.
 func capTrips(delivered, total, maxMsgs int64) bool {
-	return delivered > maxMsgs || (delivered >= maxMsgs && total > 0)
+	return total > maxMsgs-delivered
+}
+
+// budgetPrefix returns how many of a round's inbox records fit the
+// message budget: those whose global rank is below left, the deliveries
+// the budget still admits. Ranks ascend along the inbox.
+func budgetPrefix(ranks []int64, left int64) int {
+	return sort.Search(len(ranks), func(i int) bool { return ranks[i] >= left })
 }
 
 // Run executes the protocol to quiescence across the mesh. The runner
@@ -345,7 +353,12 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (proto
 			}
 		}
 		if capTrips(st.delivered, st.total, maxMsgs) {
-			return nil, nil, sim.NewBudgetError(st.delivered, maxMsgs, r.Report())
+			// As EventEngine does, deliver what is left of the budget — the
+			// round's global-rank prefix, of which each process plays its
+			// share — and abort here, at the barrier every process reached.
+			left := maxMsgs - st.delivered
+			r.Play(st.round+1, st.inbox[:budgetPrefix(st.ranks, left)])
+			return nil, nil, sim.NewBudgetError(max(st.delivered, maxMsgs), maxMsgs, r.Report())
 		}
 		if st.total == 0 {
 			break

@@ -84,9 +84,17 @@ func (c *unitCtx) Out(to NodeID) *WireMsg {
 		i = neighborAt(c.neighbors, c.id, to)
 	}
 	c.next = i + 1
+	// Extend the slab by hand: appending a composite literal would build
+	// the 80-byte record on the stack and copy it over.
 	r := c.r
-	r.sent = append(r.sent, PendingDelivery{From: c.dense, To: c.nbrDense[i]})
-	return &r.sent[len(r.sent)-1].Msg
+	k := len(r.sent)
+	if k == cap(r.sent) {
+		r.sent = append(r.sent, PendingDelivery{})
+	}
+	r.sent = r.sent[:k+1]
+	d := &r.sent[k]
+	d.From, d.To, d.Msg = c.dense, c.nbrDense[i], WireMsg{}
+	return &d.Msg
 }
 
 // Reset readies r for a run over c: a context and a factory-built protocol
