@@ -276,13 +276,13 @@ func (n *Node) Init(ctx sim.Context) {
 func (n *Node) Recv(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) {
 	if len(n.deferred) == 0 {
 		if !n.process(ctx, from, m) {
-			n.deferred = append(n.deferred, deferredMsg{from: from, msg: *m})
+			n.deferMsg(from, m)
 		}
 		return
 	}
 	before := n.deferState()
 	if !n.process(ctx, from, m) {
-		n.deferred = append(n.deferred, deferredMsg{from: from, msg: *m})
+		n.deferMsg(from, m)
 		return
 	}
 	if n.deferState() != before {
@@ -304,24 +304,36 @@ func (n *Node) deferState() deferState {
 	return deferState{n.round, n.parent, n.hasParent, n.fragKnown, n.isOwner, n.terminated}
 }
 
-// retryDeferred replays the deferred list in arrival order, compacting
-// the entries that stay deferred in place, and passes over it again only
-// while a replayed message changed the deferral state.
+// retryDeferred replays the deferred list in arrival order, each record
+// read where it lies, compacting the entries that stay deferred in place,
+// and passes over it again only while a replayed message changed the
+// deferral state. No handler touches the list, so the records stay put
+// while they are processed.
 func (n *Node) retryDeferred(ctx sim.Context) {
 	for again := true; again; {
 		again = false
-		kept := n.deferred[:0]
+		kept := 0
 		for i := range n.deferred {
-			d := n.deferred[i]
+			d := &n.deferred[i]
 			before := n.deferState()
 			if !n.process(ctx, d.from, &d.msg) {
-				kept = append(kept, d)
+				if kept != i {
+					n.deferred[kept] = *d
+				}
+				kept++
 			} else if n.deferState() != before {
 				again = true
 			}
 		}
-		n.deferred = kept
+		n.deferred = n.deferred[:kept]
 	}
+}
+
+// deferMsg appends a copy of m, from from, to the deferred list.
+func (n *Node) deferMsg(from sim.NodeID, m *sim.WireMsg) {
+	n.deferred = append(n.deferred, deferredMsg{})
+	d := &n.deferred[len(n.deferred)-1]
+	d.from, d.msg = from, *m
 }
 
 // process handles one message, returning false to defer it. The wire
