@@ -53,7 +53,7 @@ type Report struct {
 	kr        *krSlab
 }
 
-// krSlab is the dense delivery counter behind recordKR. It binds to the
+// krSlab is the dense delivery counter behind countKR. It binds to the
 // wire schema of the first delivery it counts — an engine run executes one
 // protocol, so in practice every delivery — and c[round*w + op-base]
 // counts the deliveries of one of that schema's w opcodes in one
@@ -177,14 +177,6 @@ func (r *Report) adoptKR(s *krSlab) {
 	clear(s.c[:s.hi])
 	s.hi, s.w = 0, 0
 	r.kr = s
-}
-
-// recordKR accounts one delivery with the map ops taken off the
-// per-message path — all the scalar counters plus the dense (round,
-// opcode) counter, but no sender accounting.
-func (r *Report) recordKR(m *WireMsg, depth int64) {
-	r.countPlay(1, depth)
-	r.countMsg(m)
 }
 
 // countPlay accounts n deliveries made at causal depth depth: the counts

@@ -398,7 +398,8 @@ func TestDenseCounterMatchesMap(t *testing.T) {
 		m := WireMsg{Op: krWire.Op(0), Nw: 1}
 		m.W[0] = int64(round)
 		a.record(1, m, 1)
-		b.recordKR(&m, 1)
+		b.countPlay(1, 1)
+		b.countMsg(&m)
 	}
 	for round := 0; round < 300; round++ {
 		for k := 0; k <= round%3; k++ {
@@ -410,7 +411,8 @@ func TestDenseCounterMatchesMap(t *testing.T) {
 	}
 	tok := tokenMsg(7)
 	a.record(1, tok, 1)
-	b.recordKR(&tok, 1)
+	b.countPlay(1, 1)
+	b.countMsg(&tok)
 	deliver(-1)
 	deliver(krMaxRounds)
 	// Wrap one 32-bit counter: both sides hold 2^32-1 deliveries of round 5
