@@ -3,7 +3,7 @@ package net
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mdegst/internal/graph"
@@ -223,12 +223,6 @@ func capTrips(delivered, total, maxMsgs int64) bool {
 	return total > maxMsgs-delivered
 }
 
-// budgetPrefix returns how many of a round's inbox records fit the
-// message budget: those whose global rank is below left, the deliveries
-// the budget still admits. Ranks ascend along the inbox.
-func budgetPrefix(ranks []int64, left int64) int {
-	return sort.Search(len(ranks), func(i int) bool { return ranks[i] >= left })
-}
 
 // Run executes the protocol to quiescence across the mesh. The runner
 // already addresses every node's state densely and the final all-gather
@@ -354,10 +348,11 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (proto
 		}
 		if capTrips(st.delivered, st.total, maxMsgs) {
 			// As EventEngine does, deliver what is left of the budget — the
-			// round's global-rank prefix, of which each process plays its
-			// share — and abort here, at the barrier every process reached.
-			left := maxMsgs - st.delivered
-			r.Play(st.round+1, st.inbox[:budgetPrefix(st.ranks, left)])
+			// round's global-rank prefix, of which each process plays the
+			// share its ascending ranks place below the cut — and abort
+			// here, at the barrier every process reached.
+			fits, _ := slices.BinarySearch(st.ranks, maxMsgs-st.delivered)
+			r.Play(st.round+1, st.inbox[:fits])
 			return nil, nil, sim.NewBudgetError(max(st.delivered, maxMsgs), maxMsgs, r.Report())
 		}
 		if st.total == 0 {
