@@ -223,7 +223,6 @@ func capTrips(delivered, total, maxMsgs int64) bool {
 	return total > maxMsgs-delivered
 }
 
-
 // Run executes the protocol to quiescence across the mesh. The runner
 // already addresses every node's state densely and the final all-gather
 // writes peer states into that same slice, so it is the result. It is
