@@ -45,9 +45,9 @@ type Report struct {
 	// sentDense is the runner's slab of sends by dense node index, which
 	// the runner bumps itself — one array increment per message instead
 	// of a map op on a 64-bit key — and kr counts deliveries per (round,
-	// opcode) in a dense slab, so the hot path never touches kindRound. syncHot folds both
-	// into the map-backed accumulators; Finalize, MergeParallel and
-	// checkpoint capture all sync first.
+	// opcode) in a dense slab, so the hot path never touches kindRound.
+	// syncHot folds both into the map-backed accumulators; Finalize,
+	// MergeParallel and checkpoint capture all sync first.
 	sentDense []int64
 	sentIDs   []NodeID
 	kr        *krSlab

@@ -57,7 +57,7 @@ type NodeID = graph.NodeID
 // Context. Engines guarantee that Init and all Recv calls for one node are
 // serialised.
 //
-// Recv's record points into the engine's delivery slab and is valid only
+// Recv's record points into the engine's delivery memory and is valid only
 // during the call: a protocol that keeps a message copies *m. It must not
 // write through m, and the record stays intact while the handler sends,
 // however many records it sends.
