@@ -361,13 +361,14 @@ func printSingle(g *mdegst.Graph, res *mdegst.Result, initial string, verbose bo
 			fmt.Printf("  %-14s %8d\n", kd, res.Total.ByKind[kd])
 		}
 		fmt.Println("\nmessages by round:")
-		rounds := make([]int, 0, len(res.Improvement.ByRound))
-		for r := range res.Improvement.ByRound {
-			rounds = append(rounds, r)
+		byRound := make([]int64, res.Improvement.Rounds()+1)
+		for _, kr := range res.Improvement.KindRounds() {
+			byRound[kr.Round] += kr.Count
 		}
-		sort.Ints(rounds)
-		for _, r := range rounds {
-			fmt.Printf("  round %3d: %8d\n", r, res.Improvement.ByRound[r])
+		for r, v := range byRound {
+			if v != 0 {
+				fmt.Printf("  round %3d: %8d\n", r, v)
+			}
 		}
 		fmt.Println("\nfinal tree degree histogram:")
 		hist := res.Final.DegreeHistogram()

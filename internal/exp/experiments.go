@@ -498,17 +498,10 @@ func e7Spec(cfg Config) spec {
 		c := graph.Wheel(n).Compile()
 		t0 := mustStar(c)
 		res := mustRun(c, t0, mdst.Single)
-		// Collect the per-round maximum for each kind ("kind/round" keys).
+		// Collect the per-round maximum for each kind.
 		maxPerRound := map[string]int64{}
-		for key, count := range res.Report.ByKindRound {
-			i := lastSlash(key)
-			if i < 0 {
-				continue
-			}
-			kind := key[:i]
-			if count > maxPerRound[kind] {
-				maxPerRound[kind] = count
-			}
+		for _, kr := range res.Report.KindRounds() {
+			maxPerRound[kr.Kind()] = max(maxPerRound[kr.Kind()], kr.Count)
 		}
 		return e7Trial{n: c.N(), m: c.M(), rounds: res.Rounds, maxPerRound: maxPerRound}
 	}}
@@ -546,15 +539,6 @@ func e7Spec(cfg Config) spec {
 		return t
 	}
 	return spec{id: "E7", trials: trials, assemble: assemble}
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			return i
-		}
-	}
-	return -1
 }
 
 type e8Trial struct {

@@ -13,10 +13,11 @@ import (
 
 // TestRoundEngineCounterAllocFlat pins the round engine's pooled (round,
 // opcode) counter slab: an improvement on gnm-256 stopped at engine round
-// 40 and one stopped at round 800 must allocate the same up to a constant.
-// Every delivery bumps the slab, so a counter that allocated per round or
-// per protocol round would show up 20-fold. The stop is a checkpoint
-// barrier written to io.Discard.
+// 40 and one stopped at round 800 must allocate the same up to a constant,
+// and so must completed runs of 40 and 800 rounds, whose reports are
+// finalized. Every delivery bumps the slab, so a counter that allocated
+// per round or per protocol round would show up 20-fold. The stop is a
+// checkpoint barrier written to io.Discard.
 //
 // The protocol's own slices (child and size lists, deferred lists) grow as the run
 // goes on, which would mask the engine's count, so the factory carries
@@ -60,11 +61,50 @@ func TestRoundEngineCounterAllocFlat(t *testing.T) {
 	}
 	short, long := measure(40), measure(800)
 	t.Logf("allocs per run: 40 rounds -> %.0f, 800 rounds -> %.0f", short, long)
-	// The slack covers the checkpoint's (kind, round) table, which holds a
-	// few more protocol rounds at the later barrier, and pool entries a GC
-	// may steal mid-measure.
+	// The slack covers pool entries a GC may steal mid-measure.
 	if long > short+32 {
 		t.Errorf("allocs grew with round count: 40 rounds -> %.0f, 800 rounds -> %.0f", short, long)
+	}
+
+	// A completed run: the finalized report lists one (kind, round) entry
+	// per round, in one allocation at any length.
+	ring := graph.Ring(8).Compile()
+	complete := func(rounds int64) float64 {
+		p := &relay{rounds: rounds}
+		f := func(sim.NodeID, []sim.NodeID) sim.Protocol { return p }
+		run := func() {
+			_, rep, err := (&sim.EventEngine{Delay: sim.UnitDelay}).Run(ring, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.KindRounds()) != int(rounds) {
+				t.Fatalf("%d (kind, round) entries, want %d", len(rep.KindRounds()), rounds)
+			}
+		}
+		run() // warm the pooled slabs for this length
+		return testing.AllocsPerRun(10, run)
+	}
+	short, long = complete(40), complete(800)
+	t.Logf("allocs per completed run: 40 rounds -> %.0f, 800 rounds -> %.0f", short, long)
+	if long > short+32 {
+		t.Errorf("finalized report's allocs grew with round count: 40 rounds -> %.0f, 800 rounds -> %.0f", short, long)
+	}
+}
+
+// relay passes one mdst.term record back and forth, its round word
+// counting the hops, until hop rounds: a completed run of that many engine
+// and protocol rounds. One instance serves every node.
+type relay struct{ rounds int64 }
+
+func (p *relay) Init(ctx sim.Context) {
+	if ctx.ID() == 0 {
+		sim.Send(ctx, ctx.Neighbors()[0], sim.Msg(opTerm, 1))
+	}
+}
+
+func (p *relay) Recv(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) {
+	if m.W[0] < p.rounds {
+		sim.Send(ctx, from, sim.Msg(opTerm, m.W[0]+1))
 	}
 }
 
@@ -85,8 +125,8 @@ func TestHybridAllocBudget(t *testing.T) {
 		eng    func() sim.Engine
 		budget float64
 	}{
-		{"gnm-96/event-engine", func() sim.Engine { return &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true} }, 1532},
-		{"gnm-96/reference-engine", func() sim.Engine { return &sim.ReferenceEngine{Delay: sim.UnitDelay, FIFO: true} }, 77411},
+		{"gnm-96/event-engine", func() sim.Engine { return &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true} }, 681},
+		{"gnm-96/reference-engine", func() sim.Engine { return &sim.ReferenceEngine{Delay: sim.UnitDelay, FIFO: true} }, 55736},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			alloctest.Check(t, 5, tc.budget, func() {

@@ -59,25 +59,21 @@ var runPathDigests = map[string]string{
 	"grid6x8/reference/ghs":             "e5a9c50082706da2a4cf4aeaa70ee8ddc1978b171cb673cc09adf1cfd7c67b6b",
 }
 
-// digestReport writes the deterministic parts of a report: its rendering
-// plus the sorted ByKindRound and SentBy breakdowns.
+// digestReport writes the deterministic parts of a report: its rendering,
+// its "kind/round=count" lines in string order and its per-sender counts
+// in node order.
 func digestReport(h hash.Hash, r *sim.Report) {
 	io.WriteString(h, r.String())
-	kr := make([]string, 0, len(r.ByKindRound))
-	for k, v := range r.ByKindRound {
-		kr = append(kr, fmt.Sprintf("%s=%d", k, v))
+	kr := make([]string, 0, len(r.KindRounds()))
+	for _, c := range r.KindRounds() {
+		kr = append(kr, fmt.Sprintf("%s/%d=%d", c.Kind(), c.Round, c.Count))
 	}
 	slices.Sort(kr)
 	for _, s := range kr {
 		fmt.Fprintln(h, s)
 	}
-	ids := make([]sim.NodeID, 0, len(r.SentBy))
-	for id := range r.SentBy {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		fmt.Fprintf(h, "%d:%d\n", id, r.SentBy[id])
+	for _, c := range r.SentBy() {
+		fmt.Fprintf(h, "%d:%d\n", c.Node, c.Count)
 	}
 }
 

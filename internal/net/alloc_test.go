@@ -174,10 +174,10 @@ func TestDistFloodAllocBudget(t *testing.T) {
 		large  bool // ≥100k nodes: skipped under -short
 		budget float64
 	}{
-		{"gnm-4096/procs=2", func() *graph.Graph { return graph.Gnm(4096, 16384, 1) }, 2, false, 18187},
-		{"gnm-4096/procs=4", func() *graph.Graph { return graph.Gnm(4096, 16384, 1) }, 4, false, 38123},
-		{"grid-100k/procs=2", func() *graph.Graph { return graph.Grid(316, 316) }, 2, true, 501343},
-		{"grid-100k/procs=4", func() *graph.Graph { return graph.Grid(316, 316) }, 4, true, 1102593},
+		{"gnm-4096/procs=2", func() *graph.Graph { return graph.Gnm(4096, 16384, 1) }, 2, false, 17840},
+		{"gnm-4096/procs=4", func() *graph.Graph { return graph.Gnm(4096, 16384, 1) }, 4, false, 37107},
+		{"grid-100k/procs=2", func() *graph.Graph { return graph.Grid(316, 316) }, 2, true, 499097},
+		{"grid-100k/procs=4", func() *graph.Graph { return graph.Grid(316, 316) }, 4, true, 1097809},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.large && testing.Short() {

@@ -247,7 +247,7 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (proto
 	defer func() {
 		if p := recover(); p != nil {
 			protos, rep = nil, nil
-			err = fmt.Errorf("sim: protocol panic: %v", p)
+			err = sim.PanicError(p)
 		}
 	}()
 	start := time.Now()
@@ -293,7 +293,9 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (proto
 			return nil, nil, err
 		}
 		if self == 0 {
-			ck.RestoreCounters(r.Report())
+			if err := ck.RestoreCounters(r.Report()); err != nil {
+				return nil, nil, err
+			}
 		}
 		st.round = ck.Round
 		st.delivered = ck.Messages
@@ -385,7 +387,7 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (proto
 			ck = nil
 		}
 	}
-	if rep, err = e.finish(seq, st.round, start); err != nil {
+	if rep, err = e.finish(c, seq, st.round, start); err != nil {
 		return nil, nil, err
 	}
 	return r.Protos(), rep, nil
@@ -689,11 +691,11 @@ func (e *DistEngine) encodeShard(seq uint64, round int64, runs [][]sim.OutMsg) (
 	return appendShard(nil, seq, round, &cb, states, runs, t.Table()), nil
 }
 
-// takeShard takes in peer q's shard, a frame of type typ for run seq
-// frozen at round: it merges the shard's counters into merged, decodes
-// its states into the local instances (each node checked against the
-// owner table) and returns its delivery runs.
-func (e *DistEngine) takeShard(q int, typ byte, seq uint64, round int64, merged *sim.Report) ([][]sim.OutMsg, error) {
+// takeShard takes in peer q's shard, a frame of type typ for run seq over
+// c frozen at round: it merges the shard's counters into merged (each
+// sender checked against c), decodes its states into the local instances
+// (each node checked against the owner table) and returns its runs.
+func (e *DistEngine) takeShard(c *graph.CSR, q int, typ byte, seq uint64, round int64, merged *sim.Report) ([][]sim.OutMsg, error) {
 	t := e.T
 	got, payload, err := t.Recv(q)
 	if err != nil {
@@ -710,8 +712,15 @@ func (e *DistEngine) takeShard(q int, typ byte, seq uint64, round int64, merged 
 		return nil, &FrameError{Type: typ, Reason: fmt.Sprintf(
 			"process %d froze run %d at round %d, local run %d is at round %d", q, m.seq, m.round, seq, round)}
 	}
+	for _, s := range m.counters.SentBy {
+		if _, ok := c.Index().Of(s.Node); !ok {
+			return nil, &FrameError{Type: typ, Reason: fmt.Sprintf("process %d counted sends of node %d, which is not in the graph", q, s.Node)}
+		}
+	}
 	peerRep := sim.NewReport()
-	m.counters.RestoreCounters(peerRep)
+	if err := m.counters.RestoreCounters(peerRep); err != nil {
+		return nil, err
+	}
 	merged.MergeParallel(peerRep)
 	for _, s := range m.states {
 		if int(s.dense) >= len(e.Owner) || e.Owner[s.dense] != int32(q) {
@@ -729,7 +738,7 @@ func (e *DistEngine) takeShard(q int, typ byte, seq uint64, round int64, merged 
 // reports, and return the complete final state plane. Matching the
 // single-process engines, the merged report carries VirtualTime = the
 // final round.
-func (e *DistEngine) finish(seq uint64, round int64, start time.Time) (*sim.Report, error) {
+func (e *DistEngine) finish(c *graph.CSR, seq uint64, round int64, start time.Time) (*sim.Report, error) {
 	t := e.T
 	self := t.Self()
 	body, err := e.encodeShard(seq, round, nil)
@@ -754,7 +763,7 @@ func (e *DistEngine) finish(seq uint64, round int64, start time.Time) (*sim.Repo
 		if q == self {
 			continue
 		}
-		runs, err := e.takeShard(q, frameFinal, seq, round, merged)
+		runs, err := e.takeShard(c, q, frameFinal, seq, round, merged)
 		if err != nil {
 			return nil, err
 		}
@@ -813,7 +822,7 @@ func (e *DistEngine) commit(c *graph.CSR, seq uint64, round int64, off []int64, 
 	merged := sim.NewReport()
 	merged.MergeParallel(e.sc.runner.Report())
 	for q := 1; q < t.Procs(); q++ {
-		peerRuns, err := e.takeShard(q, frameCkpt, seq, round, merged)
+		peerRuns, err := e.takeShard(c, q, frameCkpt, seq, round, merged)
 		if err != nil {
 			return err
 		}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"mdegst/internal/graph"
 	"mdegst/internal/sim"
 )
 
@@ -430,6 +431,55 @@ func unsortedShard(table *WireTable) []byte {
 	return appendShard(nil, 1, 2, counters, states, bad, table)
 }
 
+// badCounterShards are shards no report can merge: counters with a round
+// outside [0, 2^16) or lists out of order or repeating an entry, and one
+// whose run carries a Rounded record with its round word out of range.
+func badCounterShards(table *WireTable) map[string][]byte {
+	op, _ := table.Dec(sampleIdx(table))
+	out := map[string][]byte{}
+	for name, edit := range map[string]func(ck *sim.Checkpoint){
+		"round -1":             func(ck *sim.Checkpoint) { ck.KindRounds = []sim.KindRoundCount{{Op: op, Round: -1, Count: 1}} },
+		"round 2^16":           func(ck *sim.Checkpoint) { ck.KindRounds = []sim.KindRoundCount{{Op: op, Round: 1 << 16, Count: 1}} },
+		"kind rounds unsorted": func(ck *sim.Checkpoint) { slices.Reverse(ck.KindRounds) },
+		"kind round repeated":  func(ck *sim.Checkpoint) { ck.KindRounds[1] = ck.KindRounds[0] },
+		"senders unsorted":     func(ck *sim.Checkpoint) { slices.Reverse(ck.SentBy) },
+		"sender repeated":      func(ck *sim.Checkpoint) { ck.SentBy[1] = ck.SentBy[0] },
+	} {
+		counters, states, _ := sampleShard(table)
+		edit(counters)
+		out[name] = appendShard(nil, 1, 2, counters, states, nil, table)
+	}
+	for i := 1; i < table.Len(); i++ {
+		if table.specs[i].rounded {
+			m := wireSample(table, uint64(i))
+			m.W[0] = 1 << 16
+			counters, states, _ := sampleShard(table)
+			out["rounded record"] = appendShard(nil, 1, 2, counters, states, [][]sim.OutMsg{{{Parent: 0, To: 1, Msg: m}}}, table)
+			break
+		}
+	}
+	return out
+}
+
+// TestTakeShardRejectsForeignSender pins the typed failure of a peer shard
+// that counts the sends of a node outside the graph.
+func TestTakeShardRejectsForeignSender(t *testing.T) {
+	trs := newMesh(t, 2)
+	c := graph.Ring(8).Compile()
+	counters := &sim.Checkpoint{Messages: 1, SentBy: []sim.SentByCount{{Node: 99, Count: 1}}}
+	if err := trs[1].Send(0, frameFinal, appendShard(nil, 1, 5, counters, nil, nil, trs[1].Table())); err != nil {
+		t.Fatal(err)
+	}
+	if err := trs[1].FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	e := &DistEngine{T: trs[0], Owner: make([]int32, c.N())}
+	var fe *FrameError
+	if _, err := e.takeShard(c, 1, frameFinal, 1, 5, sim.NewReport()); !errors.As(err, &fe) {
+		t.Fatalf("want a *FrameError, got %v", err)
+	}
+}
+
 func TestShardRoundTrip(t *testing.T) {
 	table := CanonicalTable()
 	counters, states, runs := sampleShard(table)
@@ -469,6 +519,15 @@ func TestShardRoundTrip(t *testing.T) {
 	var fe *FrameError
 	if _, err := parseShard(frameCkpt, unsortedShard(table), table); !errors.As(err, &fe) || fe.Type != frameCkpt {
 		t.Errorf("unsorted run: got %v, want a type %d *FrameError", err, frameCkpt)
+	}
+	bad := badCounterShards(table)
+	if len(bad) != 7 {
+		t.Fatalf("%d bad shards, want 7 (no Rounded kind in the table?)", len(bad))
+	}
+	for name, b := range bad {
+		if _, err := parseShard(frameCkpt, b, table); !errors.As(err, &fe) {
+			t.Errorf("%s: got %v, want a *FrameError", name, err)
+		}
 	}
 }
 
@@ -555,6 +614,9 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add(appendFrame(nil, frameFinal, appendShard(nil, 1, 2, counters, states, nil, table)))
 	f.Add(appendFrame(nil, frameCkpt, appendShard(nil, 1, 2, counters, states, runs, table)))
 	f.Add(appendFrame(nil, frameCkpt, unsortedShard(table)))
+	for _, b := range badCounterShards(table) {
+		f.Add(appendFrame(nil, frameCkpt, b))
+	}
 	f.Add(appendFrame(nil, frameCkptAck, appendCkptAck(nil, 1, 2)))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F})

@@ -165,9 +165,9 @@ func digest(tr *tree.Tree, rep *sim.Report) string {
 	var b bytes.Buffer
 	io.WriteString(&b, tr.String())
 	io.WriteString(&b, rep.String())
-	kr := make([]string, 0, len(rep.ByKindRound))
-	for k, v := range rep.ByKindRound {
-		kr = append(kr, fmt.Sprintf("%s=%d", k, v))
+	kr := make([]string, 0, len(rep.KindRounds()))
+	for _, c := range rep.KindRounds() {
+		kr = append(kr, fmt.Sprintf("%s/%d=%d", c.Kind(), c.Round, c.Count))
 	}
 	slices.Sort(kr)
 	for _, s := range kr {

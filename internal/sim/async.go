@@ -23,7 +23,7 @@ import (
 type AsyncEngine struct{}
 
 type delivery struct {
-	from  NodeID
+	from  int32 // the sender's dense index
 	msg   WireMsg
 	depth int64
 }
@@ -74,14 +74,27 @@ func (mb *mailbox) close() {
 type asyncRun struct {
 	wg       sync.WaitGroup // counts pending inits + unprocessed messages
 	boxes    []*mailbox     // dense node index -> mailbox
-	mu       sync.Mutex     // guards report maps
+	mu       sync.Mutex     // guards report
 	report   *Report
-	panicVal atomic.Value
+	panicVal atomic.Value // the first node panic, as a nodePanic
+}
+
+// nodePanic wraps a node's panic value, so every value panicVal stores
+// has one type.
+type nodePanic struct{ v any }
+
+// count accounts one delivery on the shared report.
+func (run *asyncRun) count(d *delivery) {
+	run.mu.Lock()
+	defer run.mu.Unlock()
+	run.report.countPlay(1, d.depth)
+	run.report.countMsg(d.from, &d.msg)
 }
 
 type asyncCtx struct {
 	run       *asyncRun
 	id        NodeID
+	dense     int32
 	neighbors []NodeID
 	nbrDense  []int32
 	depth     int64 // causal depth of the message being processed
@@ -106,7 +119,7 @@ func (c *asyncCtx) Out(to NodeID) *WireMsg {
 func (c *asyncCtx) flush() {
 	if c.staged >= 0 {
 		c.run.wg.Add(1)
-		c.run.boxes[c.nbrDense[c.staged]].push(delivery{from: c.id, msg: c.out, depth: c.depth + 1})
+		c.run.boxes[c.nbrDense[c.staged]].push(delivery{from: c.dense, msg: c.out, depth: c.depth + 1})
 		c.staged = -1
 	}
 }
@@ -118,7 +131,7 @@ func (e *AsyncEngine) Run(c *graph.CSR, f Factory) ([]Protocol, *Report, error) 
 	ids := c.Index().IDs()
 	run := &asyncRun{
 		boxes:  make([]*mailbox, n),
-		report: NewReport(),
+		report: newRunReport(new(counters), ids),
 	}
 	plist := make([]Protocol, n)
 	ctxs := make([]asyncCtx, n)
@@ -128,6 +141,7 @@ func (e *AsyncEngine) Run(c *graph.CSR, f Factory) ([]Protocol, *Report, error) 
 		ctxs[i] = asyncCtx{
 			run:       run,
 			id:        ids[i],
+			dense:     di,
 			neighbors: c.NeighborIDs(di),
 			nbrDense:  c.Neighbors(di),
 			staged:    -1,
@@ -147,12 +161,16 @@ func (e *AsyncEngine) Run(c *graph.CSR, f Factory) ([]Protocol, *Report, error) 
 			proto := plist[i]
 			// A panicking node is marked dead but keeps draining its
 			// mailbox, so the quiescence counter still reaches zero and
-			// the panic is reported instead of hanging the run.
+			// the panic is reported instead of hanging the run. A record
+			// the report cannot count fails the run with its *WireError.
 			dead := false
 			safely := func(fn func()) {
 				defer func() {
 					if p := recover(); p != nil {
-						run.panicVal.CompareAndSwap(nil, fmt.Sprintf("node %d: %v", ctx.id, p))
+						if _, ok := p.(*WireError); !ok {
+							p = fmt.Sprintf("node %d: %v", ctx.id, p)
+						}
+						run.panicVal.CompareAndSwap(nil, nodePanic{p})
 						dead = true
 					}
 				}()
@@ -169,10 +187,10 @@ func (e *AsyncEngine) Run(c *graph.CSR, f Factory) ([]Protocol, *Report, error) 
 				}
 				if !dead {
 					ctx.depth = d.depth
-					run.mu.Lock()
-					run.report.record(d.from, d.msg, d.depth)
-					run.mu.Unlock()
-					safely(func() { proto.Recv(ctx, d.from, &d.msg) })
+					safely(func() {
+						run.count(&d)
+						proto.Recv(ctx, ids[d.from], &d.msg)
+					})
 					ctx.flush()
 				}
 				run.wg.Done()
@@ -186,7 +204,7 @@ func (e *AsyncEngine) Run(c *graph.CSR, f Factory) ([]Protocol, *Report, error) 
 	}
 	loops.Wait()
 	if p := run.panicVal.Load(); p != nil {
-		return nil, nil, fmt.Errorf("sim: protocol panic: %v", p)
+		return nil, nil, PanicError(p.(nodePanic).v)
 	}
 	run.report.Finalize()
 	run.report.Wall = time.Since(start)

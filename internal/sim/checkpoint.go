@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
+	"slices"
 
 	"mdegst/internal/graph"
 )
@@ -126,17 +126,49 @@ type PendingDelivery struct {
 	Msg      WireMsg
 }
 
-// KindRoundCount is one (opcode, round) counter of the frozen report.
+// KindRoundCount is the count of one (opcode, round) pair: an entry of
+// the report's per-(kind, round) breakdown and of the checkpoint's
+// counters block.
 type KindRoundCount struct {
 	Op    Op
 	Round int
 	Count int64
 }
 
-// SentByCount is one per-node send counter of the frozen report.
+// Kind returns the registered kind string of the entry's opcode.
+func (k KindRoundCount) Kind() string { return opKind(k.Op) }
+
+// SentByCount is the send count of one node: an entry of the report's
+// per-sender breakdown and of the checkpoint's counters block.
 type SentByCount struct {
 	Node  NodeID
 	Count int64
+}
+
+// Counter lists sort by key, and merges sum equal keys with plus. A
+// kind-round key orders by opcode, then round; rounds lie in [0, 2^16).
+func (k KindRoundCount) key() int64                           { return int64(k.Op)<<32 | int64(k.Round) }
+func (k KindRoundCount) plus(o KindRoundCount) KindRoundCount { k.Count += o.Count; return k }
+func (s SentByCount) key() int64                              { return int64(s.Node) }
+func (s SentByCount) plus(o SentByCount) SentByCount          { s.Count += o.Count; return s }
+
+// badCounts returns why the lists are not a valid breakdown — a round
+// outside [0, maxRounds), or entries out of order or repeated — or "".
+func badCounts(kr []KindRoundCount, sb []SentByCount) string {
+	for i, k := range kr {
+		if k.Round < 0 || k.Round >= maxRounds {
+			return fmt.Sprintf("counter of %s in round %d outside [0, %d)", k.Kind(), k.Round, maxRounds)
+		}
+		if i > 0 && k.key() <= kr[i-1].key() {
+			return fmt.Sprintf("kind-round counter %d unsorted or repeated", i)
+		}
+	}
+	for i := 1; i < len(sb); i++ {
+		if sb[i].key() <= sb[i-1].key() {
+			return fmt.Sprintf("sender counter %d unsorted or repeated", i)
+		}
+	}
+	return ""
 }
 
 // Checkpoint is a run frozen at a round barrier.
@@ -175,45 +207,57 @@ func Capture(c *graph.CSR, round int64, rep *Report, protos []Protocol, pending 
 	return ck, nil
 }
 
-// CaptureCounters freezes r's counters into ck, sorting the map-backed
-// breakdowns so the byte form is deterministic. The network plane also
-// uses it to ship per-process report shares and assemble checkpoint files.
+// CaptureCounters freezes r's counters into ck. A running report's
+// accumulator is read, not consumed, so the run keeps counting. The
+// network plane also uses it to ship per-process report shares and
+// assemble checkpoint files.
 func (ck *Checkpoint) CaptureCounters(r *Report) {
-	r.syncHot() // fold the round runner's accumulators; the maps are read below
 	ck.Messages = r.Messages
 	ck.Words = r.Words
 	ck.MaxWords = r.MaxWords
 	ck.CausalDepth = r.CausalDepth
-	ck.KindRounds = ck.KindRounds[:0]
-	for k, v := range r.kindRound {
-		ck.KindRounds = append(ck.KindRounds, KindRoundCount{Op: k.op, Round: k.round, Count: v})
+	if r.run != nil {
+		ck.KindRounds, ck.SentBy = r.run.appendLists(ck.KindRounds[:0], ck.SentBy[:0])
+	} else {
+		ck.KindRounds = append(ck.KindRounds[:0], r.kindRounds...)
+		ck.SentBy = append(ck.SentBy[:0], r.sentBy...)
 	}
-	sort.Slice(ck.KindRounds, func(i, j int) bool {
-		a, b := ck.KindRounds[i], ck.KindRounds[j]
-		if a.Op != b.Op {
-			return a.Op < b.Op
-		}
-		return a.Round < b.Round
-	})
-	ck.SentBy = ck.SentBy[:0]
-	for n, v := range r.SentBy {
-		ck.SentBy = append(ck.SentBy, SentByCount{Node: n, Count: v})
-	}
-	sort.Slice(ck.SentBy, func(i, j int) bool { return ck.SentBy[i].Node < ck.SentBy[j].Node })
 }
 
-// RestoreCounters loads ck's counters into a fresh report (set, not add).
-func (ck *Checkpoint) RestoreCounters(r *Report) {
+// RestoreCounters loads ck's counters into a fresh report (set, not add):
+// into its accumulator when the report runs, else as its lists. It fails
+// with a *CheckpointError on lists a report cannot hold (see badCounts)
+// and, on a running report, on an opcode outside the accumulator's
+// schema or a sender outside the run's graph.
+func (ck *Checkpoint) RestoreCounters(r *Report) error {
+	if reason := badCounts(ck.KindRounds, ck.SentBy); reason != "" {
+		return ckptFail(reason)
+	}
 	r.Messages = ck.Messages
 	r.Words = ck.Words
 	r.MaxWords = ck.MaxWords
 	r.CausalDepth = ck.CausalDepth
-	for _, kr := range ck.KindRounds {
-		r.kindRound[kindRoundKey{op: kr.Op, round: kr.Round}] = kr.Count
+	s := r.run
+	if s == nil {
+		r.kindRounds, r.sentBy = slices.Clone(ck.KindRounds), slices.Clone(ck.SentBy)
+		r.addByKind(r.kindRounds)
+		return nil
 	}
-	for _, s := range ck.SentBy {
-		r.SentBy[s.Node] = s.Count
+	for _, k := range ck.KindRounds {
+		col := s.column(k.Op)
+		if col < 0 {
+			return ckptFail(fmt.Sprintf("counter of %s outside the run's wire schema", k.Kind()))
+		}
+		s.c[s.slot(col, int64(k.Round))] = k.Count
 	}
+	for _, c := range ck.SentBy {
+		i, ok := slices.BinarySearch(s.ids, c.Node)
+		if !ok {
+			return ckptFail(fmt.Sprintf("sender %d is not in the graph", c.Node))
+		}
+		s.sent[i] = c.Count
+	}
+	return nil
 }
 
 // encodeStates freezes every protocol's state; all must implement
@@ -275,6 +319,11 @@ func (ck *Checkpoint) ValidateAgainst(c *graph.CSR) error {
 			return &CheckpointError{Reason: fmt.Sprintf("pending delivery %d endpoints out of range", i)}
 		}
 	}
+	for _, s := range ck.SentBy {
+		if _, ok := c.Index().Of(s.Node); !ok {
+			return &CheckpointError{Reason: fmt.Sprintf("sender %d is not in the graph", s.Node)}
+		}
+	}
 	return nil
 }
 
@@ -289,7 +338,7 @@ func (ck *Checkpoint) ValidateAgainst(c *graph.CSR) error {
 //	states    count, then per node: len-prefixed opaque blob
 //	pending   count, then per delivery: from, to, wire record
 //
-// Every opcode in the file (pending slab, kindRound counters and any
+// Every opcode in the file (pending slab, kind-round counters and any
 // WireMsg inside a state blob) is the file-local table index, so the file
 // survives registry renumbering across binaries.
 
@@ -379,7 +428,9 @@ func (ck *Checkpoint) AppendCounters(b []byte, enc func(Op) uint64) []byte {
 }
 
 // ReadCounters decodes a counters block written by AppendCounters,
-// translating opcodes through dec. Failures land on the cursor.
+// translating opcodes through dec. Failures land on the cursor, among
+// them rounds outside [0, 2^16) and lists out of order or repeating an
+// entry: reports merge the lists as sorted.
 func (ck *Checkpoint) ReadCounters(c *Cursor, dec func(uint64) (Op, error)) {
 	ck.Messages, ck.Words = c.Varint(), c.Varint()
 	ck.MaxWords, ck.CausalDepth = int(c.Uvarint()), c.Varint()
@@ -394,6 +445,9 @@ func (ck *Checkpoint) ReadCounters(c *Cursor, dec func(uint64) (Op, error)) {
 	ck.SentBy = make([]SentByCount, c.Count(2))
 	for i := range ck.SentBy {
 		ck.SentBy[i] = SentByCount{Node: NodeID(c.Varint()), Count: c.Varint()}
+	}
+	if reason := badCounts(ck.KindRounds, ck.SentBy); reason != "" {
+		c.Fail(reason)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mdegst/internal/graph"
@@ -97,8 +98,8 @@ func assertReportsEqual(t *testing.T, label string, got, want *Report) {
 		got.CausalDepth != want.CausalDepth || got.VirtualTime != want.VirtualTime {
 		t.Fatalf("%s: scalar report fields diverge:\n got %+v\nwant %+v", label, got, want)
 	}
-	if !reflect.DeepEqual(got.ByKind, want.ByKind) || !reflect.DeepEqual(got.ByRound, want.ByRound) ||
-		!reflect.DeepEqual(got.ByKindRound, want.ByKindRound) || !reflect.DeepEqual(got.SentBy, want.SentBy) {
+	if !reflect.DeepEqual(got.ByKind, want.ByKind) || !slices.Equal(got.KindRounds(), want.KindRounds()) ||
+		!slices.Equal(got.SentBy(), want.SentBy()) {
 		t.Fatalf("%s: report breakdowns diverge:\n got %+v\nwant %+v", label, got, want)
 	}
 }
@@ -166,6 +167,56 @@ func TestCheckpointErrors(t *testing.T) {
 	if _, err := ReadCheckpoint(bytes.NewReader(corrupt)); !errors.As(err, &ce) {
 		t.Errorf("corrupted file: %v", err)
 	}
+
+	// Counters no report can merge or hold: ReadCheckpoint and
+	// RestoreCounters reject rounds outside [0, 2^16) and lists out of
+	// order or repeating an entry; Resume rejects a sender outside the
+	// graph and an opcode outside the run's wire schema.
+	edited := func(edit func(ck *Checkpoint)) ([]byte, *Checkpoint) {
+		ck, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(ck)
+		var out bytes.Buffer
+		if err := ck.Write(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes(), ck
+	}
+	for name, edit := range badCounters {
+		raw, ck := edited(edit)
+		if _, err := ReadCheckpoint(bytes.NewReader(raw)); !errors.As(err, &ce) {
+			t.Errorf("%s: ReadCheckpoint: %v", name, err)
+		}
+		if err := ck.RestoreCounters(NewReport()); !errors.As(err, &ce) {
+			t.Errorf("%s: RestoreCounters: %v", name, err)
+		}
+	}
+	for name, edit := range map[string]func(ck *Checkpoint){
+		"sender outside the graph": func(ck *Checkpoint) { ck.SentBy = append(ck.SentBy, SentByCount{999, 1}) },
+		"second schema":            func(ck *Checkpoint) { ck.KindRounds = append(ck.KindRounds, KindRoundCount{krWire.Op(0), 1, 1}) },
+	} {
+		raw, _ := edited(edit)
+		ck, err := ReadCheckpoint(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: the file itself is well formed: %v", name, err)
+		}
+		if _, _, err := (&EventEngine{Delay: UnitDelay, FIFO: true}).Resume(c, tokenFactory(10), ck); !errors.As(err, &ce) {
+			t.Errorf("%s: Resume: %v", name, err)
+		}
+	}
+}
+
+// badCounters edits a checkpoint's counters into each kind of list a
+// report cannot merge or hold.
+var badCounters = map[string]func(ck *Checkpoint){
+	"round -1":             func(ck *Checkpoint) { ck.KindRounds = []KindRoundCount{{opToken, -1, 1}} },
+	"round 2^16":           func(ck *Checkpoint) { ck.KindRounds = []KindRoundCount{{opToken, 1 << 16, 1}} },
+	"kind rounds unsorted": func(ck *Checkpoint) { ck.KindRounds = []KindRoundCount{{opSeq, 0, 1}, {opToken, 0, 1}} },
+	"kind round repeated":  func(ck *Checkpoint) { ck.KindRounds = []KindRoundCount{{opToken, 2, 1}, {opToken, 2, 1}} },
+	"senders unsorted":     func(ck *Checkpoint) { ck.SentBy = []SentByCount{{3, 1}, {1, 1}} },
+	"sender repeated":      func(ck *Checkpoint) { ck.SentBy = []SentByCount{{1, 1}, {1, 1}} },
 }
 
 // TestBinaryTraceRoundTrip pins the compact trace form: the traces of both

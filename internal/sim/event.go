@@ -37,11 +37,14 @@ func checkDelay(d float64, from, to NodeID) {
 	}
 }
 
-// recoverRun converts a protocol panic into an error, keeping delay-bound
-// violations as their own typed error instead of wrapping them as panics.
-func recoverRun(p any) error {
-	if bd, ok := p.(badDelay); ok {
-		return bd
+// PanicError converts a panic recovered from a protocol run into the run's
+// error, keeping delay-bound violations and records the report cannot
+// count (*WireError) as their own typed errors instead of wrapping them as
+// panics.
+func PanicError(p any) error {
+	switch p.(type) {
+	case badDelay, *WireError:
+		return p.(error)
 	}
 	return fmt.Errorf("sim: protocol panic: %v", p)
 }
@@ -215,7 +218,7 @@ func (e *EventEngine) Run(c *graph.CSR, f Factory) (protos []Protocol, rep *Repo
 	defer func() {
 		if p := recover(); p != nil {
 			protos, rep = nil, nil
-			err = recoverRun(p)
+			err = PanicError(p)
 		}
 	}()
 	start := time.Now()
@@ -296,7 +299,7 @@ func (e *EventEngine) Resume(c *graph.CSR, f Factory, ck *Checkpoint) (protos []
 	defer func() {
 		if p := recover(); p != nil {
 			protos, rep = nil, nil
-			err = recoverRun(p)
+			err = PanicError(p)
 		}
 	}()
 	start := time.Now()

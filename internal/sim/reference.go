@@ -112,7 +112,7 @@ func (e *ReferenceEngine) Run(c *graph.CSR, f Factory) (protos []Protocol, rep *
 	defer func() {
 		if p := recover(); p != nil {
 			protos, rep = nil, nil
-			err = recoverRun(p)
+			err = PanicError(p)
 		}
 	}()
 	start := time.Now()
@@ -130,11 +130,11 @@ func (e *ReferenceEngine) Run(c *graph.CSR, f Factory) (protos []Protocol, rep *
 		fifo:     e.FIFO,
 		trace:    e.Trace,
 		lastLink: make(map[[2]NodeID]float64),
-		report:   NewReport(),
 	}
 	n := c.N()
 	rr.idx = c.Index()
 	ids := rr.idx.IDs()
+	rr.report = newRunReport(new(counters), ids)
 	ctxs := make([]refCtx, n)
 	plist := make([]Protocol, n)
 	for i := 0; i < n; i++ {
@@ -155,7 +155,8 @@ func (e *ReferenceEngine) Run(c *graph.CSR, f Factory) (protos []Protocol, rep *
 		ctx.now = ev.t
 		ctx.depth = ev.depth
 		from := ids[ev.d.From]
-		rr.report.record(from, ev.d.Msg, ev.depth)
+		rr.report.countPlay(1, ev.depth)
+		rr.report.countMsg(ev.d.From, &ev.d.Msg)
 		if ev.t > rr.report.VirtualTime {
 			rr.report.VirtualTime = ev.t
 		}

@@ -2,22 +2,27 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 )
 
 // Report aggregates the complexity measures of one protocol execution.
+//
+// Its per-(kind, round) and per-sender breakdowns have one form at a
+// time. While an engine runs, they are the engine's dense accumulator
+// (counters): one counter per (round, opcode) and one per sending node.
+// Finalize converts them once into the sorted lists the checkpoint's
+// counters block also carries, and from then on those lists are the
+// breakdown: KindRounds and SentBy read them, and Add and MergeParallel
+// merge them.
 type Report struct {
 	// Messages is the total number of messages delivered.
 	Messages int64
-	// ByKind counts delivered messages per message kind.
+	// ByKind counts delivered messages per message kind. Finalize fills it
+	// from the (kind, round) list; Add and MergeParallel keep it current.
 	ByKind map[string]int64
-	// ByRound counts delivered messages per algorithm round for messages
-	// implementing Rounder; round 0 collects unrounded messages.
-	ByRound map[int]int64
-	// ByKindRound refines ByKind per round, keyed "kind/round".
-	ByKindRound map[string]int64
 	// Words is the total message volume in O(log n)-bit words.
 	Words int64
 	// MaxWords is the size of the largest single message observed; the
@@ -29,154 +34,131 @@ type Report struct {
 	// VirtualTime is the completion time of the discrete-event engine's
 	// clock (equals CausalDepth under UnitDelay); zero for AsyncEngine.
 	VirtualTime float64
-	// SentBy counts messages sent per node.
-	SentBy map[NodeID]int64
 	// Wall is the host wall-clock duration of the run.
 	Wall time.Duration
 
-	// kindRound accumulates per-(opcode, round) counts during the run
-	// without touching a kind string per message; Finalize materialises the
-	// public ByKind, ByRound and ByKindRound maps from it once at the end,
-	// rendering opcodes back to their registered kind strings.
-	kindRound map[kindRoundKey]int64
-	finalized bool
-
-	// The round runner's accumulators, armed by adoptDenseSent and adoptKR.
-	// sentDense is the runner's slab of sends by dense node index, which
-	// the runner bumps itself — one array increment per message instead
-	// of a map op on a 64-bit key — and kr counts deliveries per (round,
-	// opcode) in a dense slab, so the hot path never touches kindRound.
-	// syncHot folds both into the map-backed accumulators; Finalize,
-	// MergeParallel and checkpoint capture all sync first.
-	sentDense []int64
-	sentIDs   []NodeID
-	kr        *krSlab
+	// The finalized breakdown: deliveries per (opcode, round) sorted by
+	// opcode, then round, and sends per node sorted by node. Once set, a
+	// list is never written in place, so reports may share one.
+	kindRounds []KindRoundCount
+	sentBy     []SentByCount
+	// run is the engine's accumulator while the run counts; Finalize
+	// converts it into the lists and drops it.
+	run *counters
 }
 
-// krSlab is the dense delivery counter behind countKR. It binds to the
-// wire schema of the first delivery it counts — an engine run executes one
-// protocol, so in practice every delivery — and c[round*w + op-base]
-// counts the deliveries of one of that schema's w opcodes in one
-// algorithm round; every entry at or beyond hi is zero. Rows one schema
-// wide rather than NumOps() wide, and 32-bit counters, keep the slab
-// small (an mdst row is 44 bytes); a wrap carries 2^32 into the kindRound
-// map. Engines keep one in their pooled scratch and lend it to each run's
-// report (adoptKR), so a warm engine grows it once and then counts
-// without allocating. Other schemas' opcodes and rounds outside
-// [0, krMaxRounds) fall back to the kindRound map.
-type krSlab struct {
-	c       []uint32
-	base    Op     // first opcode of the bound schema
-	w       int    // opcodes in the bound schema; 0 while unbound
-	rounded uint64 // bit i: the schema's i-th opcode is Rounded
-	hi      int
+// maxRounds bounds the algorithm rounds a report counts: rounds lie in
+// [0, maxRounds). WireMsg.Validate rejects records outside it.
+const maxRounds = 1 << 16
+
+// minRows is the slab's first allocation, in rounds.
+const minRows = 64
+
+// counters is an engine's dense accumulator behind a running report.
+// c[round*w + op-base] counts the deliveries of one of the bound schema's
+// w opcodes in one algorithm round, and every entry at or beyond hi is
+// zero; sent[i] counts the messages dense node i sent. The slab binds to
+// the wire schema of the first delivery it counts (a run executes one
+// protocol). The round runner pools its accumulator and lends it to each
+// run's report, so a warm engine counts without allocating.
+type counters struct {
+	c    []int64
+	base Op  // first opcode of the bound schema
+	w    int // opcodes in the bound schema; 0 while unbound
+	hi   int
+	sent []int64
+	ids  []NodeID // dense index -> sender identity, ascending
 }
 
-// krMaxRounds caps the slab at krMaxRounds rows.
-const krMaxRounds = 1 << 16
-
-// krMinRows is the slab's first allocation, in rounds.
-const krMinRows = 64
-
-// bind ties an unbound slab to op's schema and caches which of its
-// opcodes are Rounded. OpNone, unknown opcodes and schemas too wide for
-// the cache leave it unbound.
-func (s *krSlab) bind(op Op) {
-	info := opInfo(op)
-	if info == nil || info.schema == nil || len(info.schema.specs) > 64 {
-		return
-	}
-	s.base, s.w, s.rounded = info.schema.base, len(info.schema.specs), 0
-	for i, spec := range info.schema.specs {
-		if spec.Rounded {
-			s.rounded |= 1 << i
+// column returns op's column, binding an unbound slab to op's schema, or
+// -1 when op lies outside the bound schema.
+func (s *counters) column(op Op) int {
+	if s.w == 0 {
+		info := opInfo(op)
+		if op == OpNone || info == nil {
+			return -1
 		}
+		s.base, s.w = info.schema.base, len(info.schema.specs)
 	}
+	if col := int(op) - int(s.base); uint(col) < uint(s.w) {
+		return col
+	}
+	return -1
+}
+
+// slot returns the index of column col in round, growing the slab, or -1
+// when the round lies outside [0, maxRounds).
+func (s *counters) slot(col int, round int64) int {
+	if uint64(round) >= maxRounds {
+		return -1
+	}
+	i := int(round)*s.w + col
+	if i >= len(s.c) {
+		s.grow(i)
+	}
+	if i >= s.hi {
+		s.hi = i + 1
+	}
+	return i
 }
 
 // grow makes index i addressable, at least doubling the slab. Entries
 // beyond hi stay zero: the copy carries them over and make zeroes the rest.
-func (s *krSlab) grow(i int) {
-	rows := 2 * len(s.c) / s.w
-	if rows < krMinRows {
-		rows = krMinRows
-	}
+func (s *counters) grow(i int) {
+	rows := max(2*len(s.c)/s.w, minRows)
 	for rows*s.w <= i {
 		rows *= 2
 	}
-	if rows > krMaxRounds {
-		rows = krMaxRounds
-	}
-	c := make([]uint32, rows*s.w)
+	c := make([]int64, min(rows, maxRounds)*s.w)
 	copy(c, s.c[:s.hi])
 	s.c = c
 }
 
-// drain calls f for every nonzero counter and zeroes the slab.
-func (s *krSlab) drain(f func(op Op, round int, v int64)) {
-	for i, v := range s.c[:s.hi] {
-		if v != 0 {
-			f(s.base+Op(i%s.w), i/s.w, int64(v))
-			s.c[i] = 0
+// appendLists appends the nonzero counters to kr, in (opcode, round)
+// order, and to sb, in node order.
+func (s *counters) appendLists(kr []KindRoundCount, sb []SentByCount) ([]KindRoundCount, []SentByCount) {
+	kr = slices.Grow(kr, nonzero(s.c[:s.hi]))
+	for col := 0; col < s.w; col++ {
+		for i := col; i < s.hi; i += s.w {
+			if v := s.c[i]; v != 0 {
+				kr = append(kr, KindRoundCount{Op: s.base + Op(col), Round: i / s.w, Count: v})
+			}
 		}
 	}
-	s.hi = 0
+	sb = slices.Grow(sb, nonzero(s.sent))
+	for i, v := range s.sent {
+		if v != 0 {
+			sb = append(sb, SentByCount{Node: s.ids[i], Count: v})
+		}
+	}
+	return kr, sb
 }
 
-// kindRoundKey is the allocation-free composite key of the hot-path
-// counter: the wire opcode and the algorithm round.
-type kindRoundKey struct {
-	op    Op
-	round int
+// nonzero returns the number of nonzero counters in c.
+func nonzero(c []int64) (n int) {
+	for _, v := range c {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // NewReport returns an empty report ready for Add.
 func NewReport() *Report {
-	return &Report{
-		ByKind:      make(map[string]int64),
-		ByRound:     make(map[int]int64),
-		ByKindRound: make(map[string]int64),
-		SentBy:      make(map[NodeID]int64),
-		kindRound:   make(map[kindRoundKey]int64),
-	}
+	return &Report{ByKind: make(map[string]int64)}
 }
 
-// record accounts one delivery. It is the per-message hot path: two map
-// increments on composite keys and a handful of scalar updates, no
-// allocations, no interface dispatch — kind and round come straight off
-// the wire record. Engines must call Finalize before handing the report
-// out.
-func (r *Report) record(from NodeID, m WireMsg, depth int64) {
-	r.Messages++
-	r.kindRound[kindRoundKey{m.Op, m.MsgRound()}]++
-	w := m.Words()
-	r.Words += int64(w)
-	if w > r.MaxWords {
-		r.MaxWords = w
-	}
-	if depth > r.CausalDepth {
-		r.CausalDepth = depth
-	}
-	r.SentBy[from]++
-}
-
-// adoptDenseSent arms the dense sender counters. slab must be
-// zeroed, sized len(ids), and remain owned by the caller (the runner
-// lends its pooled slab); Finalize detaches it again, so a finalized
-// report never pins pooled memory.
-func (r *Report) adoptDenseSent(slab []int64, ids []NodeID) {
-	r.sentDense = slab[:len(ids)]
-	r.sentIDs = ids
-}
-
-// adoptKR lends the report an engine's pooled (round, opcode) counter
-// slab. The slab may hold counts of an aborted earlier run: they are
-// cleared here. Finalize detaches it again; reports that are never
-// finalized (process shares) must not outlive their run.
-func (r *Report) adoptKR(s *krSlab) {
+// newRunReport returns an empty report counting on s, which it resets to
+// an unbound, zeroed slab for a run over nodes ids. Finalize detaches s
+// again, so a finalized report never pins an engine's pooled memory.
+func newRunReport(s *counters, ids []NodeID) *Report {
 	clear(s.c[:s.hi])
 	s.hi, s.w = 0, 0
-	r.kr = s
+	s.sent = growCap(s.sent, len(ids))
+	clear(s.sent)
+	s.ids = ids
+	return &Report{ByKind: make(map[string]int64), run: s}
 }
 
 // countPlay accounts n deliveries made at causal depth depth: the counts
@@ -188,10 +170,28 @@ func (r *Report) countPlay(n int, depth int64) {
 	}
 }
 
-// countMsg accounts one delivered record's words and its (round, opcode)
-// counter; countPlay accounts the delivery itself.
-func (r *Report) countMsg(m *WireMsg) {
-	r.countKR(m)
+// countMsg accounts one delivered record sent by dense node from: its
+// words, its (round, opcode) counter and its sender's counter;
+// countPlay accounts the delivery itself. A record the slab cannot hold
+// panics with a *WireError, which the engines return as the run's error.
+func (r *Report) countMsg(from int32, m *WireMsg) {
+	s := r.run
+	col := int(m.Op) - int(s.base)
+	if uint(col) >= uint(s.w) {
+		if col = s.column(m.Op); col < 0 {
+			panic(&WireError{Op: m.Op, Kind: opKind(m.Op), Reason: "opcode outside the run's wire schema"})
+		}
+	}
+	var round int64
+	if wireReg.infos[m.Op].rounded {
+		round = m.W[0]
+	}
+	i := s.slot(col, round)
+	if i < 0 {
+		panic(&WireError{Op: m.Op, Kind: opKind(m.Op), Reason: fmt.Sprintf("round %d outside [0, %d)", round, maxRounds)})
+	}
+	s.c[i]++
+	s.sent[from]++
 	w := m.Words()
 	r.Words += int64(w)
 	if w > r.MaxWords {
@@ -199,192 +199,123 @@ func (r *Report) countMsg(m *WireMsg) {
 	}
 }
 
-// countKR bumps m's (round, opcode) counter: one slab increment when a
-// slab is lent and m's opcode and round fit it, else the kindRound map.
-func (r *Report) countKR(m *WireMsg) {
-	if s := r.kr; s != nil {
-		if s.w == 0 {
-			s.bind(m.Op)
-		}
-		if col := int(m.Op) - int(s.base); uint(col) < uint(s.w) {
-			round := 0
-			if s.rounded>>col&1 != 0 {
-				round = int(m.W[0])
-			}
-			if uint(round) < krMaxRounds {
-				i := round*s.w + col
-				if i >= len(s.c) {
-					s.grow(i)
-				}
-				if s.c[i]++; s.c[i] == 0 {
-					r.kindRound[kindRoundKey{m.Op, round}] += 1 << 32
-				}
-				if i >= s.hi {
-					s.hi = i + 1
-				}
-				return
-			}
-		}
-	}
-	r.kindRound[kindRoundKey{m.Op, m.MsgRound()}]++
-}
-
-// foldKR folds the slab's counts into the kindRound map and zeroes it;
-// the slab stays lent, so counting continues on top.
-func (r *Report) foldKR() {
-	if r.kr != nil {
-		r.kr.drain(func(op Op, round int, v int64) { r.kindRound[kindRoundKey{op, round}] += v })
-	}
-}
-
-// foldDense folds the dense send counts into the public SentBy map and
-// zeroes the slab; like foldKR it leaves the slab lent, so counting
-// continues on top.
-func (r *Report) foldDense() {
-	for i, v := range r.sentDense {
-		if v != 0 {
-			r.SentBy[r.sentIDs[i]] += v
-			r.sentDense[i] = 0
-		}
-	}
-}
-
-// syncHot folds every hot-path accumulator into the map-backed state,
-// making kindRound and SentBy authoritative again.
-func (r *Report) syncHot() {
-	r.foldKR()
-	r.foldDense()
-}
-
-// Finalize materialises the public breakdown maps from the hot-path
-// accumulators: one string formatting per distinct (kind, round) pair
-// instead of one per message. The counter slab drains straight into the
-// public maps and goes back to its engine; kindRound is dropped once
-// folded, so every finalized report holds its counts in the public maps
-// only, whichever path accumulated them. Idempotent; engines call it
-// once per run.
+// Finalize converts the engine's accumulator into the report's sorted
+// lists and fills ByKind from them. Idempotent; engines call it once per
+// run, and every accessor calls it.
 func (r *Report) Finalize() {
-	if r.finalized {
+	if r.run == nil {
 		return
 	}
-	r.finalized = true
-	r.foldDense()
-	r.sentDense, r.sentIDs = nil, nil
-	if r.kr != nil {
-		r.kr.drain(r.addKindRound)
-		r.kr = nil
-	}
-	for k, v := range r.kindRound {
-		r.addKindRound(k.op, k.round, v)
-	}
-	r.kindRound = nil
+	r.kindRounds, r.sentBy = r.run.appendLists(nil, nil)
+	r.run = nil
+	r.addByKind(r.kindRounds)
 }
 
-// addKindRound adds v deliveries of (op, round) to the public breakdowns.
-func (r *Report) addKindRound(op Op, round int, v int64) {
-	kind := opKind(op)
-	r.ByKind[kind] += v
-	r.ByRound[round] += v
-	r.ByKindRound[fmt.Sprintf("%s/%d", kind, round)] += v
+// addByKind adds the counts of kr, sorted by opcode, to ByKind.
+func (r *Report) addByKind(kr []KindRoundCount) {
+	for i := 0; i < len(kr); {
+		op, sum := kr[i].Op, int64(0)
+		for ; i < len(kr) && kr[i].Op == op; i++ {
+			sum += kr[i].Count
+		}
+		r.ByKind[opKind(op)] += sum
+	}
+}
+
+// merge adds o's counts and breakdown to r, finalizing r. o may still be
+// running (DistEngine merges its runner's report at every commit): its
+// lists are then read off its accumulator, which keeps counting.
+func (r *Report) merge(o *Report) {
+	r.Finalize()
+	kr, sb := o.kindRounds, o.sentBy
+	if o.run != nil {
+		kr, sb = o.run.appendLists(nil, nil)
+	}
+	r.kindRounds = mergeCounts(r.kindRounds, kr)
+	r.sentBy = mergeCounts(r.sentBy, sb)
+	r.addByKind(kr)
+	r.Messages += o.Messages
+	r.Words += o.Words
+	r.MaxWords = max(r.MaxWords, o.MaxWords)
+}
+
+// mergeCounts merges two lists sorted by key, summing the counts of equal
+// keys. It never writes either input: the result is a fresh list, or b
+// itself when a is empty.
+func mergeCounts[T interface {
+	key() int64
+	plus(T) T
+}](a, b []T) []T {
+	if len(a) == 0 {
+		return b
+	}
+	out := make([]T, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch ka, kb := a[0].key(), b[0].key(); {
+		case ka < kb:
+			out, a = append(out, a[0]), a[1:]
+		case ka > kb:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0].plus(b[0])), a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // MergeParallel merges o into r as the accounting of a disjoint part of
 // the *same* execution — DistEngine merges its processes' reports with
-// it: counters and per-key breakdowns sum, while the time-like measures
+// it: counters and breakdowns sum, while the time-like measures
 // (CausalDepth, VirtualTime, Wall) take the maximum — the parts share one
-// clock, they do not run back to back (that composition is Add). Either
-// report may be finalized or not; the public breakdown maps are combined
-// either way.
+// clock, they do not run back to back (that composition is Add).
 func (r *Report) MergeParallel(o *Report) {
-	r.Messages += o.Messages
-	if r.finalized || o.finalized {
-		// Merge on the materialised public maps (Finalize is idempotent;
-		// o's hot-path accumulator is folded into its maps by it, so it
-		// must not be merged a second time).
-		r.Finalize()
-		o.Finalize()
-		for k, v := range o.ByKind {
-			r.ByKind[k] += v
-		}
-		for k, v := range o.ByRound {
-			r.ByRound[k] += v
-		}
-		for k, v := range o.ByKindRound {
-			r.ByKindRound[k] += v
-		}
-	} else {
-		o.syncHot()
-		for k, v := range o.kindRound {
-			r.kindRound[k] += v
-		}
-	}
-	r.Words += o.Words
-	if o.MaxWords > r.MaxWords {
-		r.MaxWords = o.MaxWords
-	}
-	if o.CausalDepth > r.CausalDepth {
-		r.CausalDepth = o.CausalDepth
-	}
-	if o.VirtualTime > r.VirtualTime {
-		r.VirtualTime = o.VirtualTime
-	}
-	for k, v := range o.SentBy {
-		r.SentBy[k] += v
-	}
-	if o.Wall > r.Wall {
-		r.Wall = o.Wall
-	}
+	r.merge(o)
+	r.CausalDepth = max(r.CausalDepth, o.CausalDepth)
+	r.VirtualTime = max(r.VirtualTime, o.VirtualTime)
+	r.Wall = max(r.Wall, o.Wall)
 }
 
-// Add merges o into r (used when composing pipeline phases). Causal measures
-// are summed because the phases run back to back. Both reports are finalized
-// first so the public breakdown maps are materialised before merging.
+// Add merges o into r (used when composing pipeline phases). Causal
+// measures are summed because the phases run back to back. The lists sort
+// by opcode first, so reports of different schemas (the spanning setup and
+// the mdst improvement) compose.
 func (r *Report) Add(o *Report) {
-	r.Finalize()
-	o.Finalize()
-	r.Messages += o.Messages
-	for k, v := range o.ByKind {
-		r.ByKind[k] += v
-	}
-	for k, v := range o.ByRound {
-		r.ByRound[k] += v
-	}
-	for k, v := range o.ByKindRound {
-		r.ByKindRound[k] += v
-	}
-	r.Words += o.Words
-	if o.MaxWords > r.MaxWords {
-		r.MaxWords = o.MaxWords
-	}
+	r.merge(o)
 	r.CausalDepth += o.CausalDepth
 	r.VirtualTime += o.VirtualTime
-	for k, v := range o.SentBy {
-		r.SentBy[k] += v
-	}
 	r.Wall += o.Wall
+}
+
+// KindRounds returns the deliveries per (opcode, round), sorted by opcode,
+// then round; unrounded kinds count under round 0. Shared: do not modify.
+func (r *Report) KindRounds() []KindRoundCount {
+	r.Finalize()
+	return r.kindRounds
+}
+
+// SentBy returns the messages sent per node, sorted by node, for the
+// nodes that sent any. Shared: do not modify.
+func (r *Report) SentBy() []SentByCount {
+	r.Finalize()
+	return r.sentBy
 }
 
 // Rounds returns the largest round number that carried messages.
 func (r *Report) Rounds() int {
-	r.Finalize()
-	max := 0
-	for round := range r.ByRound {
-		if round > max {
-			max = round
-		}
+	top := 0
+	for _, kr := range r.KindRounds() {
+		top = max(top, kr.Round)
 	}
-	return max
+	return top
 }
 
 // MaxSentByNode returns the largest per-node send count (hot-spot measure).
 func (r *Report) MaxSentByNode() int64 {
-	var max int64
-	for _, v := range r.SentBy {
-		if v > max {
-			max = v
-		}
+	var top int64
+	for _, s := range r.SentBy() {
+		top = max(top, s.Count)
 	}
-	return max
+	return top
 }
 
 // String renders a compact multi-line summary.

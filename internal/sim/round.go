@@ -57,8 +57,7 @@ type RoundRunner struct {
 	all    []int32           // the in-process drivers' Init order: every node
 	trace  func(TraceEvent)
 	report *Report
-	dense  []int64 // dense send counters lent to the report
-	kr     krSlab  // (round, opcode) counters lent to the report
+	cnt    counters // the accumulator lent to the report
 }
 
 // unitCtx is the Context of one node on the round runner.
@@ -99,7 +98,7 @@ func (c *unitCtx) Out(to NodeID) *WireMsg {
 
 // Reset readies r for a run over c: a context and a factory-built protocol
 // for every node, in dense order, empty slabs and a fresh report with r's
-// counter slabs lent to it.
+// accumulator lent to it.
 func (r *RoundRunner) Reset(c *graph.CSR, f Factory) {
 	n := c.N()
 	r.ids = c.Index().IDs()
@@ -112,11 +111,7 @@ func (r *RoundRunner) Reset(c *graph.CSR, f Factory) {
 	}
 	r.sent, r.ends, r.cur = r.sent[:0], r.ends[:0], r.cur[:0]
 	r.trace = nil
-	r.dense = growCap(r.dense, n)
-	clear(r.dense)
-	r.report = NewReport()
-	r.report.adoptDenseSent(r.dense, r.ids)
-	r.report.adoptKR(&r.kr)
+	r.report = newRunReport(&r.cnt, r.ids)
 }
 
 // growCap returns s resized to length n, reallocating only when the
@@ -149,8 +144,8 @@ func (r *RoundRunner) Play(round int64, inbox []PendingDelivery) {
 
 // playAt is Play at virtual time t and causal depth depth, which differ
 // only on the random-delay tier: it counts the deliveries and their depth
-// once, then each delivery on the dense counters, traces it and runs the
-// receiver's handler.
+// once, then each delivery on the report's accumulator, traces it and
+// runs the receiver's handler.
 func (r *RoundRunner) playAt(t float64, depth int64, inbox []PendingDelivery) {
 	r.sent = r.sent[:0]
 	r.ends = growCap(r.ends, len(inbox))
@@ -159,8 +154,7 @@ func (r *RoundRunner) playAt(t float64, depth int64, inbox []PendingDelivery) {
 	for i := range inbox {
 		d := &inbox[i]
 		from := r.ids[d.From]
-		rep.countMsg(&d.Msg)
-		r.dense[d.From]++
+		rep.countMsg(d.From, &d.Msg)
 		if r.trace != nil {
 			r.trace(TraceEvent{Time: t, Depth: depth, From: from, To: r.ids[d.To], Msg: d.Msg})
 		}
@@ -226,7 +220,9 @@ func (e *EventEngine) runRounds(c *graph.CSR, f Factory, maxMsgs int64, start ti
 		if err := ck.RestoreStates(r.protos); err != nil {
 			return nil, nil, err
 		}
-		ck.RestoreCounters(r.report)
+		if err := ck.RestoreCounters(r.report); err != nil {
+			return nil, nil, err
+		}
 		round = ck.Round
 		r.sent = append(r.sent, ck.Pending...)
 	}

@@ -3,7 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -276,11 +276,20 @@ func TestLivelockGuard(t *testing.T) {
 	}
 }
 
+// runReport returns a running report over nodes 0..3 that counted the
+// records, sent by dense node from, as deliveries at causal depth depth.
+func runReport(depth int64, from int32, msgs ...WireMsg) *Report {
+	r := newRunReport(new(counters), []NodeID{0, 1, 2, 3})
+	for i := range msgs {
+		r.countPlay(1, depth)
+		r.countMsg(from, &msgs[i])
+	}
+	return r
+}
+
 func TestReportMerge(t *testing.T) {
-	a, b := NewReport(), NewReport()
-	a.record(1, tokenMsg(0), 3)
-	b.record(2, tokenMsg(0), 5)
-	b.record(2, seqMsg(0), 1)
+	a := runReport(3, 1, tokenMsg(0))
+	b := runReport(5, 2, tokenMsg(0), seqMsg(0))
 	a.Add(b)
 	if a.Messages != 3 {
 		t.Errorf("messages = %d, want 3", a.Messages)
@@ -291,36 +300,41 @@ func TestReportMerge(t *testing.T) {
 	if a.CausalDepth != 8 {
 		t.Errorf("causal depth = %d, want 8 (phases compose)", a.CausalDepth)
 	}
-	if a.SentBy[2] != 2 {
-		t.Errorf("sentBy[2] = %d, want 2", a.SentBy[2])
+	if want := []KindRoundCount{{opToken, 0, 2}, {opSeq, 0, 1}}; !slices.Equal(a.KindRounds(), want) {
+		t.Errorf("kind rounds = %v, want %v", a.KindRounds(), want)
+	}
+	if want := []SentByCount{{1, 1}, {2, 2}}; !slices.Equal(a.SentBy(), want) {
+		t.Errorf("sent by = %v, want %v", a.SentBy(), want)
 	}
 }
 
-// TestMergeParallel pins the exported merge semantics on both finalization
-// states: counters sum, time-like measures take the maximum.
+// TestMergeParallel pins the exported merge semantics: counters sum,
+// time-like measures take the maximum, and a report merged while it still
+// runs keeps counting (DistEngine merges its runner's report at every
+// commit).
 func TestMergeParallel(t *testing.T) {
-	mk := func(n int64, depth int64, vt float64) *Report {
-		r := NewReport()
-		for i := int64(0); i < n; i++ {
-			r.record(1, tokenMsg(1), depth)
-		}
-		r.VirtualTime = vt
-		return r
-	}
-	for _, preFinalize := range []bool{false, true} {
-		a := mk(3, 4, 2.5)
-		b := mk(2, 9, 1.5)
-		if preFinalize {
+	tok := tokenMsg(1)
+	for _, running := range []bool{false, true} {
+		a := runReport(4, 1, tok, tok, tok)
+		b := runReport(9, 1, tok, tok)
+		a.VirtualTime, b.VirtualTime = 2.5, 1.5
+		if !running {
 			a.Finalize()
 			b.Finalize()
 		}
 		a.MergeParallel(b)
-		a.Finalize()
 		if a.Messages != 5 || a.CausalDepth != 9 || a.VirtualTime != 2.5 {
-			t.Fatalf("preFinalize=%v: merged %+v", preFinalize, a)
+			t.Fatalf("running=%v: merged %+v", running, a)
 		}
-		if a.ByKind["token"] != 5 || a.SentBy[1] != 5 {
-			t.Fatalf("preFinalize=%v: breakdowns %v %v", preFinalize, a.ByKind, a.SentBy)
+		if a.ByKind["token"] != 5 || !slices.Equal(a.SentBy(), []SentByCount{{1, 5}}) {
+			t.Fatalf("running=%v: breakdowns %v %v", running, a.ByKind, a.SentBy())
+		}
+		if running {
+			b.countPlay(1, 9)
+			b.countMsg(1, &tok)
+			if !slices.Equal(b.KindRounds(), []KindRoundCount{{opToken, 0, 3}}) {
+				t.Fatalf("merged report stopped counting: %v", b.KindRounds())
+			}
 		}
 	}
 }
@@ -384,52 +398,4 @@ var krWire = Register("simkr", OpSpec{Kind: "kr.round", MinPayload: 1, MaxPayloa
 // krMsg is a kr.round record of the given round.
 func krMsg(round int) WireMsg {
 	return WireMsg{Op: krWire.Op(0), Nw: 1, W: [MaxPayloadWords]int64{int64(round)}}
-}
-
-// TestDenseCounterMatchesMap feeds the same deliveries to the map-backed
-// record path and to the dense (round, opcode) slab, across slab growth,
-// a mid-run fold, another schema's opcode, rounds outside the slab's range
-// and a 32-bit counter wrap, and requires identical public breakdowns.
-func TestDenseCounterMatchesMap(t *testing.T) {
-	a, b := NewReport(), NewReport()
-	var slab krSlab
-	b.adoptKR(&slab)
-	deliver := func(round int) {
-		m := WireMsg{Op: krWire.Op(0), Nw: 1}
-		m.W[0] = int64(round)
-		a.record(1, m, 1)
-		b.countPlay(1, 1)
-		b.countMsg(&m)
-	}
-	for round := 0; round < 300; round++ {
-		for k := 0; k <= round%3; k++ {
-			deliver(round)
-		}
-		if round == 150 {
-			b.syncHot() // a checkpoint capture mid-run
-		}
-	}
-	tok := tokenMsg(7)
-	a.record(1, tok, 1)
-	b.countPlay(1, 1)
-	b.countMsg(&tok)
-	deliver(-1)
-	deliver(krMaxRounds)
-	// Wrap one 32-bit counter: both sides hold 2^32-1 deliveries of round 5
-	// before one more arrives.
-	a.kindRound[kindRoundKey{krWire.Op(0), 5}] += 1<<32 - 1
-	slab.c[5*slab.w+int(krWire.Op(0)-slab.base)] = 1<<32 - 1
-	deliver(5)
-	a.Finalize()
-	b.Finalize()
-	if b.kr != nil {
-		t.Error("Finalize kept the lent slab")
-	}
-	if !reflect.DeepEqual(a.ByKind, b.ByKind) || !reflect.DeepEqual(a.ByRound, b.ByRound) ||
-		!reflect.DeepEqual(a.ByKindRound, b.ByKindRound) || a.Messages != b.Messages {
-		t.Errorf("dense counter diverged from the map path:\nmap:   %v\ndense: %v", a.ByRound, b.ByRound)
-	}
-	if got := b.ByKindRound["kr.round/5"]; got != 1<<32+3 {
-		t.Errorf("wrapped counter = %d, want %d", got, int64(1<<32+3))
-	}
 }

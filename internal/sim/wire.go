@@ -55,15 +55,6 @@ func (m WireMsg) Kind() string { return opKind(m.Op) }
 // accounting, derived from the record instead of hand-written per type.
 func (m WireMsg) Words() int { return 1 + int(m.Nw) }
 
-// MsgRound returns the algorithm round the message belongs to: payload
-// word 0 for opcodes registered as Rounded, else 0 (unrounded).
-func (m WireMsg) MsgRound() int {
-	if info := opInfo(m.Op); info != nil && info.rounded {
-		return int(m.W[0])
-	}
-	return 0
-}
-
 func (m WireMsg) String() string {
 	return fmt.Sprintf("%s(%d words)", m.Kind(), m.Words())
 }
@@ -122,8 +113,8 @@ func (s *Schema) Op(i int) Op { return s.base + Op(i) }
 // Spec returns the schema's i-th spec.
 func (s *Schema) Spec(i int) OpSpec { return s.specs[i] }
 
-// wireInfo is the registry's per-opcode record, the hot-path lookup behind
-// Kind/MsgRound and report accounting.
+// wireInfo is the registry's per-opcode record, the lookup behind Kind,
+// Validate and report accounting.
 type wireInfo struct {
 	kind       string
 	schema     *Schema
@@ -220,9 +211,10 @@ func (e *WireError) Error() string {
 }
 
 // Validate checks m against its registered schema: known opcode, payload
-// count inside the declared bounds. Engines trust protocol constructors
-// and do not validate per send; decoders of external bytes (checkpoints,
-// binary traces) do.
+// count inside the declared bounds and, for Rounded opcodes, a round word
+// inside the [0, 2^16) rounds a Report counts. Engines trust protocol
+// constructors and do not validate per send; decoders of external bytes
+// (checkpoints, binary traces, cluster frames) do.
 func (m WireMsg) Validate() error {
 	info := opInfo(m.Op)
 	if m.Op == OpNone || info == nil {
@@ -231,6 +223,9 @@ func (m WireMsg) Validate() error {
 	if m.Nw < info.minW || m.Nw > info.maxW {
 		return &WireError{Op: m.Op, Kind: info.kind,
 			Reason: fmt.Sprintf("payload %d words outside schema bounds [%d,%d]", m.Nw, info.minW, info.maxW)}
+	}
+	if info.rounded && uint64(m.W[0]) >= maxRounds {
+		return &WireError{Op: m.Op, Kind: info.kind, Reason: fmt.Sprintf("round %d outside [0, %d)", m.W[0], maxRounds)}
 	}
 	return nil
 }

@@ -63,19 +63,27 @@ func FuzzWireCodec(f *testing.F) {
 // FuzzCheckpointRead fuzzes the checkpoint file reader: arbitrary bytes
 // must never panic, and any accepted input must round-trip Write -> Read.
 func FuzzCheckpointRead(f *testing.F) {
-	// A tiny valid checkpoint as seed corpus.
-	ck := &Checkpoint{Round: 2, N: 1, HalfEdges: 0, Messages: 3}
-	ck.States = [][]byte{{}}
-	ck.Pending = []PendingDelivery{{From: 0, To: 0, Msg: tokenMsg(1)}}
-	var buf []byte
-	{
+	// A tiny valid checkpoint as seed corpus, and one of each kind of
+	// counters a report cannot hold, and a pending record whose round
+	// word is out of range.
+	seed := func(edit func(ck *Checkpoint)) []byte {
+		ck := &Checkpoint{Round: 2, N: 1, HalfEdges: 0, Messages: 3}
+		ck.KindRounds = []KindRoundCount{{opToken, 0, 3}}
+		ck.SentBy = []SentByCount{{0, 3}}
+		ck.States = [][]byte{{}}
+		ck.Pending = []PendingDelivery{{From: 0, To: 0, Msg: tokenMsg(1)}}
+		edit(ck)
 		w := &sliceWriter{}
 		if err := ck.Write(w); err != nil {
 			f.Fatal(err)
 		}
-		buf = w.b
+		return w.b
 	}
-	f.Add(buf)
+	f.Add(seed(func(*Checkpoint) {}))
+	for _, edit := range badCounters {
+		f.Add(seed(edit))
+	}
+	f.Add(seed(func(ck *Checkpoint) { ck.Pending[0].Msg = krMsg(1 << 16) }))
 	f.Add([]byte("MDGSTCK1 garbage"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {

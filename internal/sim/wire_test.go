@@ -48,8 +48,8 @@ func TestWireMsgAccessors(t *testing.T) {
 		t.Errorf("zero record: op=%d words=%d", zero.Op, zero.Words())
 	}
 	m := tokenMsg(7)
-	if m.Kind() != "token" || m.Words() != 2 || m.MsgRound() != 0 {
-		t.Errorf("token record: kind=%q words=%d round=%d", m.Kind(), m.Words(), m.MsgRound())
+	if m.Kind() != "token" || m.Words() != 2 {
+		t.Errorf("token record: kind=%q words=%d", m.Kind(), m.Words())
 	}
 	if err := m.Validate(); err != nil {
 		t.Errorf("valid record rejected: %v", err)
@@ -103,6 +103,8 @@ func TestWireCodecMalformed(t *testing.T) {
 		"huge count":       {0x01, 0xff, 0xff, 0x01},
 		"truncated word":   {0x01, 0x01},
 		"out of op bounds": AppendWire(nil, WireMsg{Op: opFlood, Nw: 3}, nil),
+		"round -1":         AppendWire(nil, krMsg(-1), nil),
+		"round 2^16":       AppendWire(nil, krMsg(1<<16), nil),
 	} {
 		m, _, err := DecodeWire(b, nil)
 		if err == nil {
