@@ -86,9 +86,10 @@ func countEngines(trace func(sim.TraceEvent)) map[string]sim.Engine {
 
 // TestDenseCountersMatchTrace holds every engine's report to counts
 // tallied from its own delivery trace: the flood and the Hybrid
-// improvement on gnm-96 on each engine, and a Hybrid run frozen at a
-// barrier and resumed, whose two traces together must tally to the
-// resumed report.
+// improvement on gnm-96 and a 300-round relay, which grows the slab past
+// its first rows, on each engine, and a Hybrid run frozen at a barrier
+// and resumed, whose two traces together must tally to the resumed
+// report.
 func TestDenseCountersMatchTrace(t *testing.T) {
 	g := graph.Gnm(96, 288, 1)
 	c := g.Compile()
@@ -112,6 +113,13 @@ func TestDenseCountersMatchTrace(t *testing.T) {
 				t.Fatalf("Hybrid ran %d rounds; the tally needs a longer run", res.Report.Rounds())
 			}
 			tl.check(t, "hybrid", res.Report)
+
+			tl = newTally()
+			_, rep, err = countEngines(tl.add)[name].Run(graph.Path(2).Compile(), func(sim.NodeID, []sim.NodeID) sim.Protocol { return relay{} })
+			if err != nil {
+				t.Fatal(err)
+			}
+			tl.check(t, "relay", rep)
 		})
 	}
 
@@ -144,6 +152,22 @@ var (
 	countWire = sim.Register("simcount", sim.OpSpec{Kind: "count.round", MinPayload: 1, MaxPayload: 1, Rounded: true})
 	otherWire = sim.Register("simother", sim.OpSpec{Kind: "other.round", MinPayload: 1, MaxPayload: 1, Rounded: true})
 )
+
+// relay passes one count.round record back and forth, its round word
+// counting the hops up to 300.
+type relay struct{}
+
+func (relay) Init(ctx sim.Context) {
+	if ctx.ID() == 0 {
+		sim.Send(ctx, ctx.Neighbors()[0], sim.Msg(countWire.Op(0), 0))
+	}
+}
+
+func (relay) Recv(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) {
+	if m.W[0] < 300 {
+		sim.Send(ctx, from, sim.Msg(countWire.Op(0), m.W[0]+1))
+	}
+}
 
 // sender has node 0 send its records to its first neighbour at Init.
 type sender struct{ msgs []sim.WireMsg }
