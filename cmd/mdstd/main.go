@@ -34,6 +34,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -74,8 +75,6 @@ type clusterConfig struct {
 	Mode string `json:"mode,omitempty"`
 	// Target stops improvement at this maximum degree (0: full optimality).
 	Target int `json:"target,omitempty"`
-	// MaxMessages caps either phase (0: the engine default).
-	MaxMessages int64 `json:"max_messages,omitempty"`
 }
 
 type graphSpec struct {
@@ -178,9 +177,16 @@ func readConfig(path string) (*clusterConfig, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A key the config does not know (misspelt or retired) is an error
+	// that names it, never silently ignored.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	cfg := &clusterConfig{}
-	if err := json.Unmarshal(data, cfg); err != nil {
+	if err := dec.Decode(cfg); err != nil {
 		return nil, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("parsing %s: data after the config object", path)
 	}
 	if len(cfg.Addrs) == 0 {
 		return nil, fmt.Errorf("%s: config names no process addresses", path)
@@ -239,8 +245,7 @@ func runProcess(cfg *clusterConfig, id int, opts runOptions) error {
 		}
 	}()
 
-	p := net.Pipeline{Mode: mode, Target: cfg.Target, MaxMessages: cfg.MaxMessages,
-		CheckpointRound: -1, Stop: stopFlag.Load}
+	p := net.Pipeline{Mode: mode, Target: cfg.Target, CheckpointRound: -1, Stop: stopFlag.Load}
 	if opts.phases {
 		p.Stats = &net.NetStats{}
 	}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -34,6 +36,36 @@ func TestValidateOptions(t *testing.T) {
 			t.Errorf("%s: rejected: %v", tc.name, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestReadConfigRejectsUnknownKeys pins that a config key mdstd does not
+// know fails the read with an error naming it: a misspelt key and the
+// retired max_messages cap are refused, not silently ignored.
+func TestReadConfigRejectsUnknownKeys(t *testing.T) {
+	const base = `"addrs":["a","b"],"graph":{"family":"gnm","n":96,"m":288,"seed":1}`
+	cases := []struct {
+		name, body string
+		want       string // "" accepts
+	}{
+		{"valid", `{` + base + `,"partition":"bfs"}`, ""},
+		{"misspelt key", `{` + base + `,"partiton":"bfs"}`, `"partiton"`},
+		{"retired max_messages", `{` + base + `,"max_messages":1000}`, `"max_messages"`},
+		{"unknown graph key", `{"addrs":["a"],"graph":{"family":"gnm","n":8,"sed":1}}`, `"sed"`},
+		{"trailing data", `{` + base + `} {}`, "after the config object"},
+	}
+	for _, tc := range cases {
+		path := filepath.Join(t.TempDir(), "cluster.json")
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := readConfig(path)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: got %v, want an error containing %s", tc.name, err, tc.want)
 		}
 	}
 }

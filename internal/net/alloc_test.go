@@ -61,17 +61,10 @@ func (n *allocToken) Recv(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) {
 	sim.Send(ctx, next, allocTokenMsg(hops+1))
 }
 
-func (n *allocToken) EncodeState(e *sim.StateEncoder) {
-	e.Bool(n.start)
-	e.Int(n.limit)
-	e.Int(n.seen)
-}
-
-func (n *allocToken) DecodeState(d *sim.StateDecoder) error {
-	n.start = d.Bool()
-	n.limit = d.Int()
-	n.seen = d.Int()
-	return d.Err()
+func (n *allocToken) WalkState(s *sim.State) {
+	s.Bool(&n.start)
+	sim.Varint(s, &n.limit)
+	sim.Varint(s, &n.seen)
 }
 
 func allocTokenFactory(limit int64) sim.Factory {
@@ -174,10 +167,10 @@ func TestDistFloodAllocBudget(t *testing.T) {
 		large  bool // ≥100k nodes: skipped under -short
 		budget float64
 	}{
-		{"gnm-4096/procs=2", func() *graph.Graph { return graph.Gnm(4096, 16384, 1) }, 2, false, 17840},
-		{"gnm-4096/procs=4", func() *graph.Graph { return graph.Gnm(4096, 16384, 1) }, 4, false, 37107},
-		{"grid-100k/procs=2", func() *graph.Graph { return graph.Grid(316, 316) }, 2, true, 499097},
-		{"grid-100k/procs=4", func() *graph.Graph { return graph.Grid(316, 316) }, 4, true, 1097809},
+		{"gnm-4096/procs=2", func() *graph.Graph { return graph.Gnm(4096, 16384, 1) }, 2, false, 124},
+		{"gnm-4096/procs=4", func() *graph.Graph { return graph.Gnm(4096, 16384, 1) }, 4, false, 359},
+		{"grid-100k/procs=2", func() *graph.Graph { return graph.Grid(316, 316) }, 2, true, 149},
+		{"grid-100k/procs=4", func() *graph.Graph { return graph.Grid(316, 316) }, 4, true, 403},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.large && testing.Short() {

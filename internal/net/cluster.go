@@ -28,8 +28,6 @@ type Pipeline struct {
 	Mode mdst.Mode
 	// Target stops improvement at this maximum degree (0: full optimality).
 	Target int
-	// MaxMessages caps either phase (0: sim.DefaultMaxMessages).
-	MaxMessages int64
 	// CheckpointRound, when >= 0, freezes the improvement phase at that
 	// round barrier; process 0 writes the file to CheckpointW and the
 	// pipeline returns with Checkpointed set instead of a final tree.
@@ -86,7 +84,7 @@ func RunPipeline(t *Transport, c *graph.CSR, owner []int32, p Pipeline) (*Pipeli
 	if p.CheckpointEvery > 0 && p.CheckpointRound >= 0 {
 		return nil, fmt.Errorf("net: pipeline cannot freeze and commit periodically at once")
 	}
-	eng := &DistEngine{T: t, Owner: owner, MaxMessages: p.MaxMessages, Stop: p.Stop, Stats: p.Stats}
+	eng := &DistEngine{T: t, Owner: owner, Stop: p.Stop, Stats: p.Stats}
 	root := c.Source().Nodes()[0]
 	initial, setup, err := spanning.Build(eng, c, spanning.NewFloodFactory(c, root))
 	if errors.Is(err, sim.ErrStopped) {

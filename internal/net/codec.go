@@ -346,7 +346,9 @@ type shard struct {
 func appendShard(b []byte, seq uint64, round int64, ck *sim.Checkpoint, states []ownedState, runs [][]sim.OutMsg, t *WireTable) []byte {
 	b = appendUvarint(b, seq)
 	b = appendVarint(b, round)
-	b = ck.AppendCounters(b, t.Enc)
+	w := sim.Writer(b, t.Enc)
+	ck.WalkCounters(&w)
+	b = w.Bytes()
 	b = appendUvarint(b, uint64(len(states)))
 	for _, s := range states {
 		b = appendUvarint(b, uint64(s.dense))
@@ -363,9 +365,10 @@ func appendShard(b []byte, seq uint64, round int64, ck *sim.Checkpoint, states [
 // parseShard decodes a shard payload of frame type typ (frameFinal or
 // frameCkpt). Each run must be strictly key-sorted, like a round batch.
 func parseShard(typ byte, payload []byte, t *WireTable) (*shard, error) {
-	r := frameCursor(typ, payload)
+	s := sim.Reader(frameCursor(typ, payload), t.Dec)
+	r := s.Cursor()
 	m := &shard{seq: r.Uvarint(), round: r.Varint()}
-	m.counters.ReadCounters(&r, t.Dec)
+	m.counters.WalkCounters(&s)
 	m.states = make([]ownedState, r.Count(2))
 	for i := range m.states {
 		dense := r.Uvarint()
@@ -377,7 +380,7 @@ func parseShard(typ byte, payload []byte, t *WireTable) (*shard, error) {
 	m.runs = make([][]sim.OutMsg, r.Count(1))
 	for i := range m.runs {
 		var err error
-		if m.runs[i], err = parseBatch(&r, t); err != nil {
+		if m.runs[i], err = parseBatch(r, t); err != nil {
 			return nil, err
 		}
 	}

@@ -676,16 +676,16 @@ func (e *DistEngine) encodeShard(seq uint64, round int64, runs [][]sim.OutMsg) (
 	t := e.T
 	r := &e.sc.runner
 	states := e.sc.states[:0]
-	buf := e.sc.stateBytes[:0]
+	w := sim.Writer(e.sc.stateBytes[:0], t.Table().Enc)
 	for _, v := range e.sc.owned {
-		n0 := len(buf)
-		var err error
-		if buf, err = sim.AppendProtocolState(buf, r.Protos()[v], t.Table().Enc); err != nil {
+		n0 := len(w.Bytes())
+		if err := w.Protocol(r.Protos()[v]); err != nil {
 			return nil, err
 		}
+		buf := w.Bytes()
 		states = append(states, ownedState{dense: v, blob: buf[n0:len(buf):len(buf)]})
 	}
-	e.sc.states, e.sc.stateBytes = states, buf
+	e.sc.states, e.sc.stateBytes = states, w.Bytes()
 	var cb sim.Checkpoint
 	cb.CaptureCounters(r.Report())
 	return appendShard(nil, seq, round, &cb, states, runs, t.Table()), nil
@@ -722,11 +722,12 @@ func (e *DistEngine) takeShard(c *graph.CSR, q int, typ byte, seq uint64, round 
 		return nil, err
 	}
 	merged.MergeParallel(peerRep)
+	sr := sim.StateReader(t.Table().Dec)
 	for _, s := range m.states {
 		if int(s.dense) >= len(e.Owner) || e.Owner[s.dense] != int32(q) {
 			return nil, &FrameError{Type: typ, Reason: fmt.Sprintf("process %d sent the state of node %d it does not own", q, s.dense)}
 		}
-		if err := sim.DecodeProtocolState(e.sc.runner.Protos()[s.dense], s.blob, t.Table().Dec); err != nil {
+		if err := sr.Load(e.sc.runner.Protos()[s.dense], s.blob); err != nil {
 			return nil, err
 		}
 	}

@@ -81,15 +81,9 @@ func (n *lifeNode) Recv(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) {
 	}
 }
 
-func (n *lifeNode) EncodeState(e *sim.StateEncoder) {
-	e.Int(n.probes)
-	e.Int(n.bursts)
-}
-
-func (n *lifeNode) DecodeState(d *sim.StateDecoder) error {
-	n.probes = d.Int()
-	n.bursts = d.Int()
-	return d.Err()
+func (n *lifeNode) WalkState(s *sim.State) {
+	sim.Varint(s, &n.probes)
+	sim.Varint(s, &n.bursts)
 }
 
 func TestRecvRecordOutlivesSends(t *testing.T) {

@@ -26,13 +26,13 @@ import (
 // running binary does not know.
 
 // StateCodec is implemented by protocols whose node state can be frozen at
-// a round barrier. Encode and Decode must mirror each other exactly; the
-// factory-supplied construction state (identity, neighbour list, static
-// configuration) need not be encoded — Resume rebuilds instances through
-// the same Factory before decoding.
+// a round barrier. WalkState lists the state's fields once, as steps of s
+// (see State), which both writes and reads them. The factory-supplied
+// construction state (identity, neighbour list, static configuration) is
+// not walked: Resume rebuilds instances through the same Factory before
+// reading.
 type StateCodec interface {
-	EncodeState(e *StateEncoder)
-	DecodeState(d *StateDecoder) error
+	WalkState(s *State)
 }
 
 // CheckpointSpec arms barrier checkpointing on an engine in one of two
@@ -272,18 +272,16 @@ func (ck *Checkpoint) encodeStates(protos []Protocol) error {
 	}
 	ck.States = make([][]byte, len(protos))
 	ends := make([]int, len(protos))
-	enc := ck.tab.enc
-	var arena []byte
+	s := Writer(nil, ck.tab.enc)
 	for i, p := range protos {
-		var err error
-		if arena, err = AppendProtocolState(arena, p, enc); err != nil {
+		if err := s.Protocol(p); err != nil {
 			return err
 		}
-		ends[i] = len(arena)
+		ends[i] = len(s.buf)
 	}
 	start := 0
 	for i, end := range ends {
-		ck.States[i] = arena[start:end:end]
+		ck.States[i] = s.buf[start:end:end]
 		start = end
 	}
 	return nil
@@ -298,8 +296,9 @@ func (ck *Checkpoint) RestoreStates(protos []Protocol) error {
 	if ck.tab != nil {
 		dec = ck.tab.dec
 	}
+	s := StateReader(dec)
 	for i, p := range protos {
-		if err := DecodeProtocolState(p, ck.States[i], dec); err != nil {
+		if err := s.Load(p, ck.States[i]); err != nil {
 			return fmt.Errorf("sim: checkpoint: node state %d: %w", i, err)
 		}
 	}
@@ -334,7 +333,7 @@ func (ck *Checkpoint) ValidateAgainst(c *graph.CSR) error {
 // the body is varint-packed:
 //
 //	header    round, n, halfEdges
-//	counters  the counters block (AppendCounters)
+//	counters  the counters block (WalkCounters)
 //	states    count, then per node: len-prefixed opaque blob
 //	pending   count, then per delivery: from, to, wire record
 //
@@ -403,81 +402,69 @@ func (t *kindTable) dec(fileOp uint64) (Op, error) {
 	return t.ops[fileOp], nil
 }
 
-// AppendCounters appends the frozen report's counters block: messages,
+// WalkCounters walks the frozen report's counters block: messages,
 // words, maxWords, causalDepth, then kindRounds (count, then
 // opcode/round/count triples) and sentBy (count, then node/count pairs),
-// with opcodes translated by enc. Checkpoint files and the cluster's
-// shard frames carry this one block.
-func (ck *Checkpoint) AppendCounters(b []byte, enc func(Op) uint64) []byte {
-	b = appendVarint(b, ck.Messages)
-	b = appendVarint(b, ck.Words)
-	b = appendUvarint(b, uint64(ck.MaxWords))
-	b = appendVarint(b, ck.CausalDepth)
-	b = appendUvarint(b, uint64(len(ck.KindRounds)))
-	for _, kr := range ck.KindRounds {
-		b = appendUvarint(b, enc(kr.Op))
-		b = appendVarint(b, int64(kr.Round))
-		b = appendVarint(b, kr.Count)
+// with opcodes translated by the walk's table. Checkpoint files and the
+// cluster's shard frames carry this one block. Read, it fails on rounds
+// outside [0, 2^16) and on lists out of order or repeating an entry:
+// reports merge the lists as sorted.
+func (ck *Checkpoint) WalkCounters(s *State) {
+	Varint(s, &ck.Messages)
+	Varint(s, &ck.Words)
+	Uvarint(s, &ck.MaxWords)
+	Varint(s, &ck.CausalDepth)
+	List(s, &ck.KindRounds, 3, func(s *State, k *KindRoundCount) {
+		s.Op(&k.Op)
+		Varint(s, &k.Round)
+		Varint(s, &k.Count)
+	})
+	List(s, &ck.SentBy, 2, func(s *State, c *SentByCount) {
+		Varint(s, &c.Node)
+		Varint(s, &c.Count)
+	})
+	if s.reading {
+		if reason := badCounts(ck.KindRounds, ck.SentBy); reason != "" {
+			s.Fail(reason)
+		}
 	}
-	b = appendUvarint(b, uint64(len(ck.SentBy)))
-	for _, s := range ck.SentBy {
-		b = appendVarint(b, int64(s.Node))
-		b = appendVarint(b, s.Count)
-	}
-	return b
 }
 
-// ReadCounters decodes a counters block written by AppendCounters,
-// translating opcodes through dec. Failures land on the cursor, among
-// them rounds outside [0, 2^16) and lists out of order or repeating an
-// entry: reports merge the lists as sorted.
-func (ck *Checkpoint) ReadCounters(c *Cursor, dec func(uint64) (Op, error)) {
-	ck.Messages, ck.Words = c.Varint(), c.Varint()
-	ck.MaxWords, ck.CausalDepth = int(c.Uvarint()), c.Varint()
-	ck.KindRounds = make([]KindRoundCount, c.Count(3))
-	for i := range ck.KindRounds {
-		op, err := dec(c.Uvarint())
-		if err != nil {
-			c.Fail(err.Error())
-		}
-		ck.KindRounds[i] = KindRoundCount{Op: op, Round: int(c.Varint()), Count: c.Varint()}
+// walkBody walks the checkpoint body (see the file form above). Read, the
+// state count must equal n. State blobs stay opaque here: they embed
+// file-local opcodes, which the state walks translate through ck.tab.
+func (ck *Checkpoint) walkBody(s *State) {
+	Varint(s, &ck.Round)
+	Uvarint(s, &ck.N)
+	Uvarint(s, &ck.HalfEdges)
+	ck.WalkCounters(s)
+	n := len(ck.States)
+	s.Len(&n, 1)
+	if s.reading && n != ck.N {
+		s.Fail(fmt.Sprintf("%d states for n=%d", n, ck.N))
 	}
-	ck.SentBy = make([]SentByCount, c.Count(2))
-	for i := range ck.SentBy {
-		ck.SentBy[i] = SentByCount{Node: NodeID(c.Varint()), Count: c.Varint()}
-	}
-	if reason := badCounts(ck.KindRounds, ck.SentBy); reason != "" {
-		c.Fail(reason)
-	}
+	Each(s, &ck.States, n, (*State).Blob)
+	List(s, &ck.Pending, 4, func(s *State, p *PendingDelivery) {
+		Uvarint(s, &p.From)
+		Uvarint(s, &p.To)
+		s.Msg(&p.Msg)
+	})
 }
 
 // Write encodes ck in the versioned byte form. Output is deterministic:
 // equal checkpoints produce equal bytes.
 func (ck *Checkpoint) Write(w io.Writer) error {
-	// Two passes: the kind table is built while encoding the body, but
-	// must precede it in the file, so encode body first into its own buf.
-	// The table is shared with encodeStates — state blobs already embed
-	// its indices.
+	// Two passes: the kind table is built while walking the body, but
+	// must precede it in the file, so the body is walked first into its
+	// own buffer. The table is shared with encodeStates — state blobs
+	// already embed its indices.
 	if ck.tab == nil {
 		ck.tab = newKindTable()
 	}
 	tab := ck.tab
-	var body []byte
-	body = appendVarint(body, ck.Round)
-	body = appendUvarint(body, uint64(ck.N))
-	body = appendUvarint(body, uint64(ck.HalfEdges))
-	body = ck.AppendCounters(body, tab.enc)
-	body = appendUvarint(body, uint64(len(ck.States)))
-	for _, st := range ck.States {
-		body = appendUvarint(body, uint64(len(st)))
-		body = append(body, st...)
-	}
-	body = appendUvarint(body, uint64(len(ck.Pending)))
-	for _, p := range ck.Pending {
-		body = appendUvarint(body, uint64(p.From))
-		body = appendUvarint(body, uint64(p.To))
-		body = AppendWire(body, p.Msg, tab.enc)
-	}
+	s := Writer(nil, tab.enc)
+	ck.walkBody(&s)
+	body := s.buf
 
 	var out []byte
 	out = append(out, ckptMagic[:]...)
@@ -530,104 +517,198 @@ func ReadCheckpoint(rd io.Reader) (*Checkpoint, error) {
 		return nil, err
 	}
 
-	c = NewCursor(body, ckptFail)
-	ck := &Checkpoint{tab: tab, Round: c.Varint(), N: int(c.Uvarint()), HalfEdges: int(c.Uvarint())}
-	ck.ReadCounters(&c, tab.dec)
-	n := c.Count(1)
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	if n != ck.N {
-		return nil, ckptFail(fmt.Sprintf("%d states for n=%d", n, ck.N))
-	}
-	// State blobs embed file-local opcodes; they stay opaque here and the
-	// decoder translates through ck.tab (see StateDecoder.Msg).
-	ck.States = make([][]byte, n)
-	for i := range ck.States {
-		ck.States[i] = c.Bytes(c.Uvarint())
-	}
-	ck.Pending = make([]PendingDelivery, c.Count(4))
-	for i := range ck.Pending {
-		ck.Pending[i] = PendingDelivery{From: int32(c.Uvarint()), To: int32(c.Uvarint()), Msg: c.Wire(tab.dec)}
-	}
-	if err := c.Done(); err != nil {
+	ck := &Checkpoint{tab: tab}
+	s := Reader(NewCursor(body, ckptFail), tab.dec)
+	ck.walkBody(&s)
+	if err := s.c.Done(); err != nil {
 		return nil, err
 	}
 	return ck, nil
 }
 
-// --- state codec --------------------------------------------------------
+// --- the walk ---------------------------------------------------------
 
-// StateEncoder serialises one node's protocol state as a varint word
-// stream. Encode and decode call sequences must mirror exactly.
-type StateEncoder struct {
-	buf   []byte
-	opEnc func(Op) uint64
+// State is one walk over a frozen-run layout: a node's protocol state
+// (StateCodec), the counters block (WalkCounters) or the checkpoint body.
+// Each layout is a single list of steps. A writing walk appends every
+// field to its bytes; a reading walk fills every field from its cursor, so
+// the writer and the reader cannot drift apart. Checks of what was read
+// run on the reading side only (Reading) and fail through Fail. Failures
+// are the cursor's, so they are sticky: after the first one every later
+// step reads zero, and the walk's owner checks for a failure once at the
+// end.
+type State struct {
+	buf     []byte // writing: the bytes so far
+	c       Cursor // reading
+	reading bool
+	enc     func(Op) uint64
+	dec     func(uint64) (Op, error)
 }
 
-// Int appends a signed integer (identities, counters, enums).
-func (e *StateEncoder) Int(v int64) { e.buf = appendVarint(e.buf, v) }
+// Writer returns a walk that appends to buf, translating opcodes with enc
+// (nil keeps process-local opcodes).
+func Writer(buf []byte, enc func(Op) uint64) State { return State{buf: buf, enc: enc} }
 
-// Bool appends a flag.
-func (e *StateEncoder) Bool(b bool) {
+// Reader returns a walk that reads c, translating opcodes with dec (nil
+// keeps process-local opcodes).
+func Reader(c Cursor, dec func(uint64) (Op, error)) State {
+	return State{c: c, reading: true, dec: dec}
+}
+
+// Reading reports whether the walk fills fields rather than writing them.
+func (s *State) Reading() bool { return s.reading }
+
+// Bytes returns what a writing walk has appended.
+func (s *State) Bytes() []byte { return s.buf }
+
+// Cursor returns a reading walk's cursor, for the parts of a format that
+// are not walked.
+func (s *State) Cursor() *Cursor { return &s.c }
+
+// Fail records a reading walk's failure unless an earlier one stands.
+func (s *State) Fail(reason string) { s.c.Fail(reason) }
+
+type integer interface {
+	~int | ~int8 | ~int16 | ~int32 | ~int64 | ~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64
+}
+
+// Varint steps over an integer field as a zigzag varint.
+func Varint[T integer](s *State, p *T) {
+	if s.reading {
+		*p = T(s.c.Varint())
+		return
+	}
+	s.buf = appendVarint(s.buf, int64(*p))
+}
+
+// Uvarint steps over a non-negative integer field as an unsigned varint.
+func Uvarint[T integer](s *State, p *T) {
+	if s.reading {
+		*p = T(s.c.Uvarint())
+		return
+	}
+	s.buf = appendUvarint(s.buf, uint64(*p))
+}
+
+// Bool steps over a flag, the varint 0 or 1.
+func (s *State) Bool(p *bool) {
+	if s.reading {
+		*p = s.c.Varint() != 0
+		return
+	}
 	var v int64
-	if b {
+	if *p {
 		v = 1
 	}
-	e.Int(v)
+	s.buf = appendVarint(s.buf, v)
 }
 
-// ID appends a node identity.
-func (e *StateEncoder) ID(v NodeID) { e.Int(int64(v)) }
+// Op steps over an opcode, written as its index in the walk's table, which
+// the walk must have.
+func (s *State) Op(p *Op) {
+	if !s.reading {
+		s.buf = appendUvarint(s.buf, s.enc(*p))
+		return
+	}
+	op, err := s.dec(s.c.Uvarint())
+	if err != nil {
+		s.c.Fail(err.Error())
+	}
+	*p = op
+}
 
-// IDs appends a length-prefixed identity list.
-func (e *StateEncoder) IDs(vs []NodeID) {
-	e.Int(int64(len(vs)))
-	for _, v := range vs {
-		e.ID(v)
+// Msg steps over a wire record (a deferred message, say), its opcode
+// translated through the walk's table.
+func (s *State) Msg(p *WireMsg) {
+	if s.reading {
+		*p = s.c.Wire(s.dec)
+		return
+	}
+	s.buf = AppendWire(s.buf, *p, s.enc)
+}
+
+// Blob steps over a length-prefixed byte string; read, it aliases the
+// cursor's buffer.
+func (s *State) Blob(p *[]byte) {
+	if s.reading {
+		*p = s.c.Bytes(s.c.Uvarint())
+		return
+	}
+	s.buf = appendUvarint(s.buf, uint64(len(*p)))
+	s.buf = append(s.buf, *p...)
+}
+
+// Len steps over a list length as an unsigned varint. Read, the length is
+// bounded by the bytes left, each element taking at least minBytes.
+func (s *State) Len(n *int, minBytes int) {
+	if s.reading {
+		*n = s.c.Count(minBytes)
+		return
+	}
+	s.buf = appendUvarint(s.buf, uint64(*n))
+}
+
+// Each walks the elements of *p through step once the caller has walked
+// their number n. Writing, it steps through *p as it stands. Reading, it
+// first makes *p n zeroed elements long, in its own array when that has
+// room, and fails on an n below zero or above the bytes left (every
+// element takes at least one byte), so no input allocates past its size.
+func Each[T any](s *State, p *[]T, n int, step func(*State, *T)) {
+	if s.reading {
+		if n < 0 || n > s.c.Len() {
+			s.c.Fail(fmt.Sprintf("list of %d entries with %d bytes left", n, s.c.Len()))
+			n = 0
+		}
+		if *p == nil || cap(*p) < n {
+			*p = make([]T, n)
+		} else {
+			*p = (*p)[:n]
+			clear(*p)
+		}
+	}
+	for i := range *p {
+		step(s, &(*p)[i])
 	}
 }
 
-// Msg appends a wire record (a deferred message, say), translating its
-// opcode to the checkpoint file's table when the encoder is bound to one.
-func (e *StateEncoder) Msg(m WireMsg) { e.buf = AppendWire(e.buf, m, e.opEnc) }
-
-// StateDecoder mirrors StateEncoder. Errors are sticky: after the first
-// malformed read every further value is zero and Err reports the failure
-// (checked by the engine after DecodeState returns).
-type StateDecoder struct {
-	c     Cursor
-	opDec func(uint64) (Op, error)
+// List walks a list as its length (see Len) and then its elements.
+func List[T any](s *State, p *[]T, minBytes int, step func(*State, *T)) {
+	n := len(*p)
+	s.Len(&n, minBytes)
+	Each(s, p, n, step)
 }
 
-// Err returns the first decoding error.
-func (d *StateDecoder) Err() error { return d.c.Err() }
-
-// Int reads a signed integer.
-func (d *StateDecoder) Int() int64 { return d.c.Varint() }
-
-// Bool reads a flag.
-func (d *StateDecoder) Bool() bool { return d.Int() != 0 }
-
-// ID reads a node identity.
-func (d *StateDecoder) ID() NodeID { return NodeID(d.Int()) }
-
-// IDs reads a length-prefixed identity list.
-func (d *StateDecoder) IDs() []NodeID {
-	n := d.Int()
-	if n < 0 || n > int64(d.c.Len()) {
-		d.c.Fail(fmt.Sprintf("identity list of %d entries", n))
-	}
-	if d.c.Err() != nil {
-		return nil
-	}
-	vs := make([]NodeID, n)
-	for i := range vs {
-		vs[i] = d.ID()
-	}
-	return vs
+// IDs steps over a list of node identities; its length is a zigzag
+// varint.
+func (s *State) IDs(p *[]NodeID) {
+	n := len(*p)
+	Varint(s, &n)
+	Each(s, p, n, Varint[NodeID])
 }
 
-// Msg reads a wire record, translating the file-local opcode back through
-// the registry when bound to a checkpoint file.
-func (d *StateDecoder) Msg() WireMsg { return d.c.Wire(d.opDec) }
+// Protocol walks p's state; p must implement StateCodec.
+func (s *State) Protocol(p Protocol) error {
+	sc, ok := p.(StateCodec)
+	if !ok {
+		return &CheckpointError{Reason: fmt.Sprintf("protocol %T does not implement StateCodec", p)}
+	}
+	sc.WalkState(s)
+	return s.c.Err()
+}
+
+// StateReader returns a walk that reads node-state blobs (see Load),
+// translating opcodes through dec (nil keeps process-local opcodes).
+func StateReader(dec func(uint64) (Op, error)) *State {
+	s := Reader(NewCursor(nil, stateFail), dec)
+	return &s
+}
+
+// Load reads blob, one node's state, into p. The walk must consume the
+// blob exactly.
+func (s *State) Load(p Protocol, blob []byte) error {
+	s.c = NewCursor(blob, s.c.fail)
+	if err := s.Protocol(p); err != nil {
+		return err
+	}
+	return s.c.Done()
+}

@@ -15,14 +15,7 @@ import (
 
 // tokenNode gains checkpoint support for the engine-level tests: the whole
 // mutable state is the seen counter.
-func (n *tokenNode) EncodeState(e *StateEncoder) {
-	e.Int(int64(n.seen))
-}
-
-func (n *tokenNode) DecodeState(d *StateDecoder) error {
-	n.seen = int(d.Int())
-	return d.Err()
-}
+func (n *tokenNode) WalkState(s *State) { Varint(s, &n.seen) }
 
 // runTraced executes the factory on eng collecting the trace.
 func runTraced(t *testing.T, mkEng func(trace func(TraceEvent)) Engine, c *graph.CSR, f Factory) ([]Protocol, *Report, []TraceEvent) {

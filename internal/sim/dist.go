@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // The wire records of the distributed round plane (DESIGN.md §9, §13).
 // internal/net's DistEngine plays one process's share of a partitioned
 // run on a RoundRunner and routes the runner's send slab at every barrier.
@@ -36,32 +34,4 @@ type OutMsg struct {
 type RankCount struct {
 	Rank  int64
 	Count int64
-}
-
-// AppendProtocolState appends one protocol's state to buf as a varint
-// word stream, translating opcodes with enc (nil keeps process-local
-// opcodes), so callers encoding many states can amortise into one arena.
-// The protocol must implement StateCodec.
-func AppendProtocolState(buf []byte, p Protocol, enc func(Op) uint64) ([]byte, error) {
-	sc, ok := p.(StateCodec)
-	if !ok {
-		return nil, &CheckpointError{Reason: fmt.Sprintf("protocol %T does not implement StateCodec", p)}
-	}
-	e := StateEncoder{opEnc: enc, buf: buf}
-	sc.EncodeState(&e)
-	return e.buf, nil
-}
-
-// DecodeProtocolState mirrors AppendProtocolState: the blob must decode
-// exactly, with no trailing bytes, the same contract as checkpoint resume.
-func DecodeProtocolState(p Protocol, blob []byte, dec func(uint64) (Op, error)) error {
-	sc, ok := p.(StateCodec)
-	if !ok {
-		return &CheckpointError{Reason: fmt.Sprintf("protocol %T does not implement StateCodec", p)}
-	}
-	d := StateDecoder{c: NewCursor(blob, stateFail), opDec: dec}
-	if err := sc.DecodeState(&d); err != nil {
-		return err
-	}
-	return d.c.Done()
 }

@@ -121,25 +121,15 @@ func (n *FloodNode) TreeInfo() (sim.NodeID, []sim.NodeID, bool) {
 // Finished implements TreeNode.
 func (n *FloodNode) Finished() bool { return n.finished }
 
-// EncodeState implements sim.StateCodec: flood supports barrier
+// WalkState implements sim.StateCodec: flood supports barrier
 // checkpoint/resume. The designated-root flag is factory state and not
-// encoded.
-func (n *FloodNode) EncodeState(e *sim.StateEncoder) {
-	e.Bool(n.started)
-	e.Bool(n.finished)
-	e.ID(n.parent)
-	e.IDs(n.children)
-	e.Int(int64(n.pending))
-}
-
-// DecodeState implements sim.StateCodec.
-func (n *FloodNode) DecodeState(d *sim.StateDecoder) error {
-	n.started = d.Bool()
-	n.finished = d.Bool()
-	n.parent = d.ID()
-	n.children = d.IDs()
-	n.pending = int(d.Int())
-	return d.Err()
+// walked.
+func (n *FloodNode) WalkState(s *sim.State) {
+	s.Bool(&n.started)
+	s.Bool(&n.finished)
+	sim.Varint(s, &n.parent)
+	s.IDs(&n.children)
+	sim.Varint(s, &n.pending)
 }
 
 var _ sim.StateCodec = (*FloodNode)(nil)

@@ -114,8 +114,8 @@ type Options struct {
 	// with unit delays). Use NewAsyncEngine for true concurrency or
 	// NewRandomDelayEngine for a seeded asynchrony adversary.
 	Engine Engine
-	// Seed feeds the sequential helpers (InitialRandom) and defaults any
-	// seeded engine construction.
+	// Seed seeds the InitialRandom tree only. A seeded engine takes its
+	// seed at construction (NewRandomDelayEngine), not from here.
 	Seed int64
 	// TargetDegree, when positive, stops the improvement as soon as the
 	// tree's maximum degree is at most this value — the paper's "degree
