@@ -150,7 +150,7 @@ func improveFactory(t *testing.T, c *mdegst.CompiledGraph, mode mdegst.Mode, t0 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mdst.NewFactory(mode, 0, d)
+	return mdst.NewFactory(c, mode, 0, d)
 }
 
 // traceEngine builds the tracing unit-delay engine.
@@ -183,11 +183,13 @@ func assertSameReport(t *testing.T, label string, got, want *mdegst.Report) {
 // equal to what `mdstrun -graph gnm -n 96 -m 288 -seed 1 -mode M
 // -checkpoint F -checkpoint-round R` and `-tracebin F` write. Any change
 // to the shared codecs (counters block, kind table, state blobs, pending
-// slab) must leave these bytes alone.
+// slab) must leave these bytes alone. (They were recorded again when the
+// node state gained the published degrees of DESIGN.md deviation 8, format
+// 5, and Single rounds stopped probing edges that cannot qualify.)
 var frozenRunDigests = map[string]string{
-	"single/checkpoint-3":  "dd95603e01ca580a758268a620eb12e11c1f7a1fd30398d47d80ff84cfa8d748",
-	"hybrid/checkpoint-20": "0e1186d073a07fd6bda0e00ca068a0a9f68bd00272df47d8c666b3e2542f0065",
-	"hybrid/tracebin":      "b2b4c96edc7c723ead0c6c6bcb5de9d265c07dd6977e6745e4b9da1ae7721d7c",
+	"single/checkpoint-3":  "cf7f77972c2a20388005dcb996d590d0bf363c35a02e7aeee935c58ab6411c7f",
+	"hybrid/checkpoint-20": "9ecf791b399f42e42e8b3ae784da0d371d170e177a807f4fcfb1873df5f780aa",
+	"hybrid/tracebin":      "46d8bbd772c44542e2a4fde5e09219276144e8e894fa9cd81d837cafed9f87e1",
 }
 
 func TestFrozenRunBytesPinned(t *testing.T) {

@@ -33,7 +33,7 @@ func TestRoundEngineCounterAllocFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := NewFactory(Hybrid, 0, d)
+	inner := NewFactory(c, Hybrid, 0, d)
 	prev := make(map[sim.NodeID]*Node, g.N())
 	f := func(id sim.NodeID, nbrs []sim.NodeID) sim.Protocol {
 		var old Node
@@ -125,8 +125,8 @@ func TestHybridAllocBudget(t *testing.T) {
 		eng    func() sim.Engine
 		budget float64
 	}{
-		{"gnm-96/event-engine", func() sim.Engine { return &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true} }, 681},
-		{"gnm-96/reference-engine", func() sim.Engine { return &sim.ReferenceEngine{Delay: sim.UnitDelay, FIFO: true} }, 55736},
+		{"gnm-96/event-engine", func() sim.Engine { return &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true} }, 669},
+		{"gnm-96/reference-engine", func() sim.Engine { return &sim.ReferenceEngine{Delay: sim.UnitDelay, FIFO: true} }, 44838},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			alloctest.Check(t, 5, tc.budget, func() {

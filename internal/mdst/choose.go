@@ -21,12 +21,17 @@ import (
 
 func (n *Node) onUpdate(ctx sim.Context, from sim.NodeID, msg mUpdate) {
 	n.exhausted = false
-	fell := msg.fell
+	fell, pub := msg.fell, msg.pub
 	if msg.first {
 		// We are the cut child c and lose the owner. Unless we are u,
 		// which gains v in its place, our via child only turns into our
-		// parent, so our degree drops by one.
+		// parent, so our degree drops by one. Either way the cut edge
+		// leaves both its ends' published degrees (DESIGN.md deviation 8):
+		// learn the owner's, and pass ours on to it.
 		fell = n.id != msg.u && n.degree() == n.kAll-1
+		n.belief[neighborIndex(ctx, from)] = msg.pub
+		n.loseCutEdge()
+		pub = int(n.pub)
 	}
 	// On every hop after the first, the sender (our former parent) has
 	// reversed its pointer and is now our child; on the first hop the
@@ -42,7 +47,7 @@ func (n *Node) onUpdate(ctx sim.Context, from sim.NodeID, msg mUpdate) {
 		}
 		n.parent = msg.v
 		n.hasParent = true
-		sim.Send(ctx, msg.v, newChild(n.round, fell))
+		sim.Send(ctx, msg.v, newChild(n.round, fell, pub))
 		return
 	}
 	// "Else: the identity found in its via variable becomes its parent and
@@ -60,7 +65,7 @@ func (n *Node) onUpdate(ctx sim.Context, from sim.NodeID, msg mUpdate) {
 	}
 	n.parent = via
 	n.hasParent = true
-	sim.Send(ctx, via, newUpdate(n.round, msg.u, msg.v, false, fell))
+	sim.Send(ctx, via, newUpdate(n.round, msg.u, msg.v, false, fell, pub))
 }
 
 func (n *Node) onChild(ctx sim.Context, from sim.NodeID, msg mChild) {
@@ -72,7 +77,7 @@ func (n *Node) onChild(ctx sim.Context, from sim.NodeID, msg mChild) {
 	if !n.hasParent {
 		panic(fmt.Sprintf("mdst: reattachment endpoint %d has no parent", n.id))
 	}
-	sim.Send(ctx, n.parent, newRoundDone(n.round, msg.fell))
+	sim.Send(ctx, n.parent, newRoundDone(n.round, msg.fell, msg.pub))
 }
 
 func (n *Node) onRoundDone(ctx sim.Context, from sim.NodeID, msg mRoundDone) {
@@ -88,13 +93,14 @@ func (n *Node) onRoundDone(ctx sim.Context, from sim.NodeID, msg mRoundDone) {
 	n.fixChild, n.fixBase = from, n.sizes[n.childIndex(from)]
 	if n.isOwner && n.awaitingDone {
 		n.awaitingDone = false
+		n.belief[neighborIndex(ctx, n.ownerArrival)] = msg.pub
 		n.settle(ctx, msg.fell)
 		return
 	}
 	if !n.hasParent {
 		panic(fmt.Sprintf("mdst: root %d received round-done it was not awaiting", n.id))
 	}
-	sim.Send(ctx, n.parent, newRoundDone(n.round, msg.fell))
+	sim.Send(ctx, n.parent, newRoundDone(n.round, msg.fell, msg.pub))
 }
 
 // Multi-round grants (DESIGN.md deviation 4). Every owner proposes its

@@ -49,31 +49,44 @@ func typedCheckpointError(err error) bool {
 //     its subtree sizes and labels;
 //   - gnm32-hybrid-round2-format3.mdck, written before Multi rounds gained
 //     their grants and the state of a node in a Multi round (format 3)
-//     gained the grant fields; its nodes are all in a Multi round, so the
-//     state format itself must refuse it.
+//     gained the grant fields;
+//   - gnm32-hybrid-round2-format4.mdck and gnm32-single-round2-format3.mdck,
+//     written before the node state gained the published degrees (format
+//     5, DESIGN.md deviation 8): the first holds nodes in a Multi round
+//     (format 4), the second nodes in a Single round (format 3).
 //
 // Reading or resuming any of them must fail with a typed error; none may
-// resume into a run.
+// resume into a run. The last three must fail on the state format itself.
 func TestOldCheckpointRefused(t *testing.T) {
-	for _, file := range []string{"gnm32-hybrid-round2.mdck", "gnm32-hybrid-round2-format2.mdck", "gnm32-hybrid-round2-format3.mdck"} {
-		raw, err := os.ReadFile(filepath.Join("testdata", file))
+	for _, tc := range []struct {
+		file   string
+		mode   mdst.Mode
+		reason string // the state-format refusal, if the file gets that far
+	}{
+		{"gnm32-hybrid-round2.mdck", mdst.Hybrid, ""},
+		{"gnm32-hybrid-round2-format2.mdck", mdst.Hybrid, ""},
+		{"gnm32-hybrid-round2-format3.mdck", mdst.Hybrid, "mdst format 3, this binary reads 5"},
+		{"gnm32-hybrid-round2-format4.mdck", mdst.Hybrid, "mdst format 4, this binary reads 5"},
+		{"gnm32-single-round2-format3.mdck", mdst.Single, "mdst format 3, this binary reads 5"},
+	} {
+		raw, err := os.ReadFile(filepath.Join("testdata", tc.file))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ck, err := sim.ReadCheckpoint(bytes.NewReader(raw))
 		if err == nil {
 			c, t0 := compatInstance(t)
-			_, err = mdst.Resume(unitFIFO(), c, t0, mdst.Hybrid, 0, ck)
+			_, err = mdst.Resume(unitFIFO(), c, t0, tc.mode, 0, ck)
 			if err == nil {
-				t.Fatalf("%s: an old-format checkpoint resumed into a run", file)
+				t.Fatalf("%s: an old-format checkpoint resumed into a run", tc.file)
 			}
 		}
 		if !typedCheckpointError(err) {
-			t.Fatalf("%s: old checkpoint failed untyped: %v", file, err)
+			t.Fatalf("%s: old checkpoint failed untyped: %v", tc.file, err)
 		}
 		var ce *sim.CheckpointError
-		if strings.HasSuffix(file, "format3.mdck") && (!errors.As(err, &ce) || !strings.Contains(ce.Reason, "format 3 in a multi round")) {
-			t.Fatalf("%s: %v, want the format-3 Multi-round refusal", file, err)
+		if tc.reason != "" && (!errors.As(err, &ce) || !strings.Contains(ce.Reason, tc.reason)) {
+			t.Fatalf("%s: %v, want the refusal %q", tc.file, err, tc.reason)
 		}
 	}
 }
@@ -112,11 +125,12 @@ func TestStateFormatRefused(t *testing.T) {
 }
 
 // TestCraftedStateRefused resumes fresh checkpoints in which one node's
-// state claims an implausible count, and requires each resume to fail with
-// *sim.CheckpointError. A state is a run of varints that opens with the
-// format, phase, parent, hasParent, the children list and then the
-// subtree-size list, and closes with the deferred-message count (zero at a
-// FIFO barrier, so the state holds no wire record).
+// state claims an implausible count or phase, and requires each resume to
+// fail with *sim.CheckpointError. A state is a run of varints that opens
+// with the format, phase, parent, hasParent, the children list, the subtree-size
+// list, sized, fixChild, fixBase and then the belief list, and closes with
+// the deferred-message count (zero at a FIFO barrier, so the state holds
+// no wire record).
 func TestCraftedStateRefused(t *testing.T) {
 	c, t0 := compatInstance(t)
 	for _, tc := range []struct {
@@ -124,7 +138,9 @@ func TestCraftedStateRefused(t *testing.T) {
 		craft  func(fields []int64) // edits the state's fields in place
 		reason string
 	}{
+		{"phase", func(f []int64) { f[1] = 7 }, "phase 7"},
 		{"size count", func(f []int64) { f[5+f[4]]++ }, "subtree sizes"},
+		{"belief count", func(f []int64) { f[9+f[4]+f[5+f[4]]]-- }, "published degrees"},
 		{"negative deferred count", func(f []int64) { f[len(f)-1] = -1 }, "deferred"},
 		{"huge deferred count", func(f []int64) { f[len(f)-1] = 1<<20 + 1 }, "deferred"},
 	} {

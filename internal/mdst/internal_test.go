@@ -165,7 +165,7 @@ func TestMessageWords(t *testing.T) {
 		m    sim.WireMsg
 		want int
 	}{
-		{newStart(1, noCand, Single, 7), 5},
+		{newStart(mStart{round: 1, cut: noCand, owner: noCand, phase: Single, moved: 7}), 5},
 		{newDeg(1, 3, 2, true), 5},
 		{newMove(1, 3, 2, 16), 5},
 		{newCut(1, 3, 2, 5), 5},
@@ -174,11 +174,11 @@ func TestMessageWords(t *testing.T) {
 		{newCutRoot(1, 5), 3},
 		{newBFSBack(1, true, true, 3, noLo, noLabel, nil), 6},
 		{newBFSBack(1, true, false, 3, noLo, noLabel, &edgeReport{u: 1, v: 2, du: 3, dv: 4, vroot: 5}), 9},
-		{newUpdate(1, 2, 3, true, true), 5},
+		{newUpdate(1, 2, 3, true, true, 6), 5},
 		{newClaim(1, 2, 3, updQuery|updUWon), 5},
 		{newRelease(1), 3},
-		{newChild(1, true), 3},
-		{newRoundDone(1, true), 3},
+		{newChild(1, true, 6), 3},
+		{newRoundDone(1, true, 6), 3},
 		{newAnswer(1, false), 3},
 		{newReleased(1, true), 3},
 		{newTerm(1), 2},
@@ -198,8 +198,8 @@ func ptr(m sim.WireMsg) *sim.WireMsg { return &m }
 // The hot records are only ever written into a send slot (put*); these
 // build them as values for the tests.
 
-func newStart(round int, fell sim.NodeID, phase Mode, moved int) (m sim.WireMsg) {
-	putStart(&m, round, fell, phase, moved)
+func newStart(s mStart) (m sim.WireMsg) {
+	putStart(&m, &s)
 	return m
 }
 
@@ -227,8 +227,13 @@ func newBFSBack(round int, improved, claimer bool, size, lo, hi int, report *edg
 // every record decodes back to the field values it was built from.
 func TestMessageRoundTrip(t *testing.T) {
 	rep := edgeReport{u: 7, v: 9, du: 3, dv: 2, vroot: 11}
-	if got := decStart(ptr(newStart(4, 8, Multi, 12))); got != (mStart{round: 4, fell: 8, phase: Multi, moved: 12}) {
-		t.Errorf("start round-trip: %+v", got)
+	for _, want := range []mStart{
+		{round: 4, cut: 8, owner: 3, fell: true, phase: Single, moved: 12},
+		{round: 4, cut: noCand, owner: noCand, phase: Multi},
+	} {
+		if got := decStart(ptr(newStart(want))); got != want {
+			t.Errorf("start round-trip: %+v", got)
+		}
 	}
 	if got := decDeg(ptr(newDeg(4, 6, noCand, true))); got != (mDeg{round: 4, k: 6, cand: noCand, xBelow: true}) {
 		t.Errorf("deg round-trip: %+v", got)
@@ -265,8 +270,11 @@ func TestMessageRoundTrip(t *testing.T) {
 			t.Errorf("bfsback short round-trip: %+v", got)
 		}
 	}
-	for _, f := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
-		if got := decUpdate(ptr(newUpdate(4, 7, 9, f[0], f[1]))); got != (mUpdate{round: 4, u: 7, v: 9, first: f[0], fell: f[1]}) {
+	// A published degree may fall below zero (DESIGN.md deviation 8).
+	pubs := []int{0, 5, -2}
+	for i, f := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+		pub := pubs[i%len(pubs)]
+		if got := decUpdate(ptr(newUpdate(4, 7, 9, f[0], f[1], pub))); got != (mUpdate{round: 4, u: 7, v: 9, first: f[0], fell: f[1], pub: pub}) {
 			t.Errorf("update round-trip: %+v", got)
 		}
 	}
@@ -286,11 +294,12 @@ func TestMessageRoundTrip(t *testing.T) {
 	if got := decUpdate(ptr(newRelease(4))); got != (mUpdate{round: 4, release: true}) {
 		t.Errorf("release round-trip: %+v", got)
 	}
-	for _, b := range []bool{false, true} {
-		if got := decChild(ptr(newChild(4, b))); got != (mChild{round: 4, fell: b}) {
+	for i, b := range []bool{false, true} {
+		pub := pubs[i+1]
+		if got := decChild(ptr(newChild(4, b, pub))); got != (mChild{round: 4, fell: b, pub: pub}) {
 			t.Errorf("child round-trip: %+v", got)
 		}
-		if got := decRoundDone(ptr(newRoundDone(4, b))); got != (mRoundDone{round: 4, fell: b}) {
+		if got := decRoundDone(ptr(newRoundDone(4, b, pub))); got != (mRoundDone{round: 4, fell: b, pub: pub}) {
 			t.Errorf("rounddone round-trip: %+v", got)
 		}
 		if got := decRoundDone(ptr(newAnswer(4, b))); got != (mRoundDone{round: 4, answer: true, won: b}) {

@@ -53,7 +53,7 @@ func Run(eng sim.Engine, c *graph.CSR, initial *tree.Dense, mode Mode, target in
 	if err := initial.Validate(c); err != nil {
 		return nil, fmt.Errorf("mdst: initial tree invalid: %w", err)
 	}
-	protos, rep, err := eng.Run(c, NewFactory(mode, target, initial))
+	protos, rep, err := eng.Run(c, NewFactory(c, mode, target, initial))
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +68,7 @@ func Resume(eng sim.ResumableEngine, c *graph.CSR, initial *tree.Dense, mode Mod
 	if err := initial.Validate(c); err != nil {
 		return nil, fmt.Errorf("mdst: initial tree invalid: %w", err)
 	}
-	protos, rep, err := eng.Resume(c, NewFactory(mode, target, initial), ck)
+	protos, rep, err := eng.Resume(c, NewFactory(c, mode, target, initial), ck)
 	if err != nil {
 		return nil, err
 	}

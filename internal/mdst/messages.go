@@ -70,31 +70,36 @@ const (
 )
 
 // mStart begins a round: broadcast from the acting root down the tree.
-// fell names the child c the previous round's exchange cut from its owner
-// when c's degree fell from k-1 to k-2, and is noCand otherwise: the nodes
-// of X (c's non-tree neighbours of degree at most k-2) recognise
+// After a Single round's exchange it announces the two published degrees
+// that exchange lowered (DESIGN.md deviation 8): those of the owner and of
+// the cut child c, which both lost the cut edge; both are noCand when the
+// round exchanged nothing. fell says c's degree fell from k-1 to k-2: the
+// nodes of X (c's non-tree neighbours of degree at most k-2) recognise
 // themselves from it, and their ancestors lose their exhausted flags
-// (DESIGN.md deviation 1). phase is the round's mode (Single or Multi —
-// Hybrid runs switch mid-algorithm). moved is the size of the subtree that
-// exchange moved, which completes the subtree sizes its path left pending
-// (deviation 7).
+// (deviation 1). phase is the round's mode (Single or Multi — Hybrid runs
+// switch mid-algorithm). moved is the size of the subtree that exchange
+// moved, which completes the subtree sizes its path left pending
+// (deviation 7). fell, phase and moved share the last word.
 type mStart struct {
-	round int
-	fell  sim.NodeID
-	phase Mode
-	moved int
+	round      int
+	cut, owner sim.NodeID
+	fell       bool
+	phase      Mode
+	moved      int
 }
 
 // putStart writes a start record into m, a zeroed send slot (sim.Context
 // Out). The hot records are written in place this way, field by field,
 // never built on the stack and copied.
-func putStart(m *sim.WireMsg, round int, fell sim.NodeID, phase Mode, moved int) {
+func putStart(m *sim.WireMsg, s *mStart) {
 	m.Op, m.Nw = opStart, 4
-	m.W[0], m.W[1], m.W[2], m.W[3] = int64(round), int64(fell), int64(phase), int64(moved)
+	m.W[0], m.W[1], m.W[2] = int64(s.round), int64(s.cut), int64(s.owner)
+	m.W[3] = int64(s.moved)<<3 | sim.B2W(s.fell)<<2 | int64(s.phase)
 }
 
 func decStart(m *sim.WireMsg) mStart {
-	return mStart{round: int(m.W[0]), fell: sim.NodeID(m.W[1]), phase: Mode(m.W[2]), moved: int(m.W[3])}
+	return mStart{round: int(m.W[0]), cut: sim.NodeID(m.W[1]), owner: sim.NodeID(m.W[2]),
+		fell: m.W[3]&4 != 0, phase: Mode(m.W[3] & 3), moved: int(m.W[3] >> 3)}
 }
 
 // mDeg is the SearchDegree convergecast: the maximum tree degree in the
@@ -174,8 +179,9 @@ func decCut(m *sim.WireMsg) mCut {
 // owner, the acting root, so there the owner word is redundant and carries
 // a pre-order label instead (deviation 7): the receiver's own on a tree
 // edge, the sender's on a probe. The phase, known to both ends, says which
-// (see fields). No receiver reads a probe's k, so a Multi-round probe
-// carries the sender's degree there (deviation 4).
+// (see fields). A probe carries the sender's degree in place of k: a Multi
+// round's receiver may record the edge from it (deviation 4), and a full
+// Single round learns the published degrees from it (deviation 8).
 type mBFS struct {
 	round    int
 	k        int
@@ -284,8 +290,11 @@ func decBFSBack(m *sim.WireMsg) mBFSBack {
 // mUpdate travels from the owner down the via chain to the chosen outgoing
 // edge, reversing the path (the paper's "update" message). fell, set by
 // the first receiver c, says c's degree fell from k-1 to k-2; it rides on
-// through child and rounddone back to the owner. The flags share one
-// word, which keeps the record within the paper's four numbers.
+// through child and rounddone back to the owner. pub is the published
+// degree of an end of the cut edge (DESIGN.md deviation 8): the owner's on
+// the first hop, c's from there on, so that through child and rounddone
+// each end learns the other's. The flags and pub share one word, which
+// keeps the record within the paper's four numbers.
 //
 // Multi rounds also run their grants on update (DESIGN.md deviation 4):
 //   - a claim travels the same chain, changing nothing, and carries the
@@ -300,6 +309,7 @@ type mUpdate struct {
 	u, v  sim.NodeID // a claim carries its owner in v
 	first bool       // true on the hop leaving the owner (the cut edge)
 	fell  bool
+	pub   int
 
 	claim, query, uWon, release bool
 }
@@ -313,8 +323,12 @@ const (
 	updRelease
 )
 
-func newUpdate(round int, u, v sim.NodeID, first, fell bool) sim.WireMsg {
-	flags := sim.B2W(first) | sim.B2W(fell)<<1
+// pubShift places a published degree above the flags of update, child and
+// rounddone. The shift is arithmetic, so a negative degree survives it.
+const pubShift = 8
+
+func newUpdate(round int, u, v sim.NodeID, first, fell bool, pub int) sim.WireMsg {
+	flags := sim.B2W(first) | sim.B2W(fell)<<1 | int64(pub)<<pubShift
 	return sim.WireMsg{Op: opUpdate, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(u), int64(v), flags}}
 }
 
@@ -334,15 +348,16 @@ func decUpdate(m *sim.WireMsg) mUpdate {
 	}
 	f := m.W[3]
 	return mUpdate{round: int(m.W[0]), u: sim.NodeID(m.W[1]), v: sim.NodeID(m.W[2]),
-		first: f&updFirst != 0, fell: f&updFell != 0,
+		first: f&updFirst != 0, fell: f&updFell != 0, pub: int(f >> pubShift),
 		claim: f&updClaim != 0, query: f&updQuery != 0, uWon: f&updUWon != 0}
 }
 
 // mChild is the paper's "child" message: the reattachment handshake,
-// carrying update's fell bit.
+// carrying update's fell bit and c's published degree.
 type mChild struct {
 	round int
 	fell  bool
+	pub   int
 }
 
 // Flags of rounddone; child carries only doneFell.
@@ -354,14 +369,19 @@ const (
 	doneImproved
 )
 
-func newChild(round int, fell bool) sim.WireMsg { return roundFlags(opChild, round, sim.B2W(fell)) }
+func newChild(round int, fell bool, pub int) sim.WireMsg {
+	return roundFlags(opChild, round, sim.B2W(fell)|int64(pub)<<pubShift)
+}
 
-func decChild(m *sim.WireMsg) mChild { return mChild{round: int(m.W[0]), fell: m.W[1]&doneFell != 0} }
+func decChild(m *sim.WireMsg) mChild {
+	return mChild{round: int(m.W[0]), fell: m.W[1]&doneFell != 0, pub: int(m.W[1] >> pubShift)}
+}
 
 // mRoundDone notifies the waiting owner that its exchange completed ("a
 // round is terminated when a node received a child message"); the paper
 // does not say how the root learns this, so we convergecast it (deviation
-// documented in DESIGN.md). It carries update's fell bit to the owner.
+// documented in DESIGN.md). It carries update's fell bit and c's published
+// degree to the owner.
 //
 // In a Multi round's grant it also carries v's answer to a claim, to u
 // and up the via chain to the claiming owner (answer; won says the owner
@@ -372,10 +392,11 @@ func decChild(m *sim.WireMsg) mChild { return mChild{round: int(m.W[0]), fell: m
 type mRoundDone struct {
 	round                                 int
 	fell, answer, won, released, improved bool
+	pub                                   int
 }
 
-func newRoundDone(round int, fell bool) sim.WireMsg {
-	return roundFlags(opRoundDone, round, sim.B2W(fell))
+func newRoundDone(round int, fell bool, pub int) sim.WireMsg {
+	return roundFlags(opRoundDone, round, sim.B2W(fell)|int64(pub)<<pubShift)
 }
 
 func newAnswer(round int, won bool) sim.WireMsg {
@@ -389,7 +410,7 @@ func newReleased(round int, improved bool) sim.WireMsg {
 func decRoundDone(m *sim.WireMsg) mRoundDone {
 	f := m.W[1]
 	return mRoundDone{round: int(m.W[0]), fell: f&doneFell != 0, answer: f&doneAnswer != 0, won: f&doneWon != 0,
-		released: f&doneReleased != 0, improved: f&doneImproved != 0}
+		released: f&doneReleased != 0, improved: f&doneImproved != 0, pub: int(f >> pubShift)}
 }
 
 // roundFlags encodes the records whose payload is the round and a flags

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"mdegst/internal/graph"
 	"mdegst/internal/sim"
 	"mdegst/internal/tree"
 )
@@ -119,6 +120,7 @@ type Node struct {
 	// completes (DESIGN.md deviation 7).
 	exhausted bool
 	sized     bool // the last round was Single: sizes are exact
+	known     bool // the published degrees are known (see belief)
 	phase     Mode // Single or Multi; Hybrid switches Multi -> Single
 	id        sim.NodeID
 	mode      Mode
@@ -131,6 +133,13 @@ type Node struct {
 	children []sim.NodeID
 	sizes    []int // subtree size of each child, parallel to children (see sized)
 
+	// Published degrees (DESIGN.md deviation 8): pub never exceeds this
+	// node's tree degree, and once known is set every neighbour in this
+	// node's round believes it. belief holds each neighbour's pub,
+	// parallel to the neighbour list; a Single round probes a non-tree
+	// edge only when both ends publish at most k-2.
+	belief []int
+
 	// SearchDegree state.
 	searchPending int
 	agg           degAgg
@@ -140,7 +149,8 @@ type Node struct {
 
 	// Fragment-member state.
 	hasReport  bool
-	improved   bool // an exchange happened in this subtree (Multi)
+	improved   bool  // an exchange happened in this subtree (Multi)
+	pub        int32 // this node's published degree (see belief)
 	frag       fragID
 	bfsPending int
 	report     edgeReport
@@ -178,20 +188,21 @@ type grant struct {
 	claimStep  uint8        // owner: where its claim stands (claimNone, ...)
 }
 
-// NewFactory returns a sim.Factory for the improvement protocol starting
-// from the given initial rooted spanning tree: each node's view (parent,
-// sorted children) is read from the dense tree's slices. A positive target
-// stops the algorithm as soon as the maximum degree reaches it — the
-// paper's "cannot exceed a given value k" variant; zero improves to local
-// optimality.
+// NewFactory returns a sim.Factory for the improvement protocol over c
+// starting from the given initial rooted spanning tree of it: each node's
+// view (parent, sorted children) is read from the dense tree's slices. A
+// positive target stops the algorithm as soon as the maximum degree reaches
+// it — the paper's "cannot exceed a given value k" variant; zero improves
+// to local optimality.
 //
-// The factory holds every node in one slab in dense order, and the
-// children and subtree-size lists are capacity-capped windows of two
-// arenas laid out by the initial tree; a list that outgrows its window
-// moves to the heap. It resets a node each time it is asked for it, so
-// one factory serves any number of sequential runs but only one run at a
-// time: concurrent runs each need their own.
-func NewFactory(mode Mode, target int, initial *tree.Dense) sim.Factory {
+// The factory holds every node in one slab in dense order. The children
+// and subtree-size lists are capacity-capped windows of two arenas laid
+// out by the initial tree; a list that outgrows its window moves to the
+// heap. The size arena also holds every node's belief window, laid out
+// by c's half edges. The factory resets a node each time it is asked for
+// it, so one factory serves any number of sequential runs but only one
+// run at a time: concurrent runs each need their own.
+func NewFactory(c *graph.CSR, mode Mode, target int, initial *tree.Dense) sim.Factory {
 	idx := initial.Index()
 	nv := initial.N()
 	nodes := make([]Node, nv)
@@ -201,7 +212,8 @@ func NewFactory(mode Mode, target int, initial *tree.Dense) sim.Factory {
 		off[v+1] = off[v] + int32(len(initial.Children(int32(v))))
 	}
 	kids := make([]sim.NodeID, off[nv])
-	sizes := make([]int, off[nv])
+	ints := make([]int, int(off[nv])+c.HalfEdges())
+	sizes, beliefs := ints[:off[nv]], ints[off[nv]:]
 	// Multi and Hybrid nodes take their grant state from one more slab. A
 	// Single-mode node carries none: its grant pointer stays nil.
 	var grants []grant
@@ -211,6 +223,8 @@ func NewFactory(mode Mode, target int, initial *tree.Dense) sim.Factory {
 	return func(id sim.NodeID, _ []sim.NodeID) sim.Protocol {
 		di := idx.MustOf(id)
 		lo, hi := off[di], off[di+1]
+		blo := c.HalfEdge(di, 0)
+		bhi := blo + int32(c.Degree(di))
 		n := &nodes[di]
 		*n = Node{
 			id:       id,
@@ -219,9 +233,11 @@ func NewFactory(mode Mode, target int, initial *tree.Dense) sim.Factory {
 			target:   target,
 			children: kids[lo:hi:hi],
 			sizes:    sizes[lo:hi:hi],
+			belief:   beliefs[blo:bhi:bhi],
 			fixChild: noCand,
 		}
 		clear(n.sizes)
+		clear(n.belief)
 		if grants != nil {
 			n.grant = &grants[di]
 			n.resetGrant()
@@ -258,7 +274,7 @@ func (n *Node) degree() int {
 // Init starts round 1 at the initial root; all other nodes are event-driven.
 func (n *Node) Init(ctx sim.Context) {
 	if !n.hasParent {
-		n.startRound(ctx, 1, noCand, 0)
+		n.startRound(ctx, mStart{round: 1, cut: noCand, owner: noCand, phase: n.phase})
 	}
 }
 
@@ -441,6 +457,16 @@ func (n *Node) ownContribution() degAgg {
 		cand = noCand
 	}
 	return degAgg{k: n.degree(), cand: cand}
+}
+
+// neighborIndex returns w's position in the sorted neighbour list, which
+// belief parallels.
+func neighborIndex(ctx sim.Context, w sim.NodeID) int {
+	i, ok := slices.BinarySearch(ctx.Neighbors(), w)
+	if !ok {
+		panic(fmt.Sprintf("mdst: %d is no neighbour", w))
+	}
+	return i
 }
 
 // childIndex returns c's position in the sorted children list. It runs

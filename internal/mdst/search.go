@@ -11,28 +11,64 @@ import (
 
 // startRound begins a round at this node: the tree root calls it directly,
 // every other node on mStart. It forwards mStart down the tree and starts
-// the SearchDegree convergecast; fell is the previous exchange's cut child
-// if its degree fell to k-2, else noCand, and moved the size of the subtree
-// that exchange moved (see mStart).
-func (n *Node) startRound(ctx sim.Context, round int, fell sim.NodeID, moved int) {
+// the SearchDegree convergecast (see mStart for the fields).
+func (n *Node) startRound(ctx sim.Context, s mStart) {
+	fell := noCand
+	if s.fell {
+		fell = s.cut
+	}
 	inX := n.inX(ctx, fell) // before resetRound: reads last round's kAll
 	if n.fixChild != noCand {
 		if n.sized {
-			n.sizes[n.childIndex(n.fixChild)] = moved + n.fixBase
+			n.sizes[n.childIndex(n.fixChild)] = s.moved + n.fixBase
 		}
 		n.fixChild = noCand
 	}
-	n.round = round
+	n.round = s.round
+	n.phase = s.phase
+	n.publish(ctx, s.cut, s.owner)
 	n.resetRound()
 	n.xBelow = inX
 	n.searchPending = len(n.children)
 	for _, c := range n.children {
-		putStart(ctx.Out(c), round, fell, n.phase, moved)
+		putStart(ctx.Out(c), &s)
 	}
 	if n.searchPending == 0 {
 		// A leaf reports at once: "every leaf of the ST sends a message
 		// with its degree".
 		n.reportDegree(ctx)
+	}
+}
+
+// publish brings the published degrees up to the round (DESIGN.md
+// deviation 8). A Single round that follows a Single round knows them: it
+// lowers the beliefs in the cut edge's two ends, which lowered their own
+// pub at the exchange and passed it to each other over the cut edge. Any
+// other Single round is a full one, which publishes the true degree and
+// learns the neighbours' from the wave. Multi rounds publish nothing.
+func (n *Node) publish(ctx sim.Context, cut, owner sim.NodeID) {
+	n.known = n.phase == Single && n.sized
+	switch {
+	case n.phase != Single:
+		n.pub = 0
+	case !n.known:
+		n.pub = int32(n.degree())
+	case n.id != cut && n.id != owner:
+		for _, w := range [2]sim.NodeID{cut, owner} {
+			if i, ok := slices.BinarySearch(ctx.Neighbors(), w); ok {
+				n.belief[i]--
+			}
+		}
+	}
+}
+
+// loseCutEdge lowers the published degree of an end of a Single round's
+// cut edge, which this node just lost; its neighbours follow at the next
+// start.
+func (n *Node) loseCutEdge() {
+	if n.phase == Single {
+		n.pub--
+		n.known = false
 	}
 }
 
@@ -55,8 +91,7 @@ func (n *Node) onStart(ctx sim.Context, from sim.NodeID, msg mStart) {
 	if msg.round != n.round+1 {
 		panic(fmt.Sprintf("mdst: node %d in round %d got start of round %d", n.id, n.round, msg.round))
 	}
-	n.phase = msg.phase
-	n.startRound(ctx, msg.round, msg.fell, msg.moved)
+	n.startRound(ctx, msg)
 }
 
 func (n *Node) onDeg(ctx sim.Context, from sim.NodeID, msg mDeg) {

@@ -21,13 +21,12 @@ import (
 // stateFormat numbers the layout below. The first layout had no such word
 // and opened with the phase (0 or 1), so its states fail the check too.
 // Format 3 added the subtree sizes and labels (DESIGN.md deviation 7),
-// format 4 the Multi-round grant state (deviation 4). A node in a Single
-// round holds no grant state, so its state keeps format 3 and Single runs
-// checkpoint as before; a format-3 state of a node in a Multi round was
-// written before grants existed and is refused.
+// format 4 the Multi-round grant state (deviation 4), which a node in a
+// Single round kept writing as format 3. Format 5 adds the published
+// degrees (deviation 8) to every node, so both older formats are refused;
+// the phase alone now says whether the grant state follows.
 const (
-	stateFormat       = 4
-	singleStateFormat = 3
+	stateFormat = 5
 	// maxDeferred bounds the deferred-message count a state may claim.
 	maxDeferred = 1 << 20
 )
@@ -35,16 +34,13 @@ const (
 // WalkState implements sim.StateCodec.
 func (n *Node) WalkState(s *sim.State) {
 	format := stateFormat
-	if n.phase == Single {
-		format = singleStateFormat
-	}
 	sim.Varint(s, &format)
-	if s.Reading() && format != stateFormat && format != singleStateFormat {
+	if s.Reading() && format != stateFormat {
 		s.Fail(fmt.Sprintf("mdst format %d, this binary reads %d", format, stateFormat))
 	}
 	sim.Varint(s, &n.phase)
-	if s.Reading() && format == singleStateFormat && n.phase != Single {
-		s.Fail(fmt.Sprintf("mdst format %d in a %v round, this binary reads %d", format, n.phase, stateFormat))
+	if s.Reading() && n.phase != Single && n.phase != Multi {
+		s.Fail(fmt.Sprintf("mdst state in a round of phase %d", n.phase))
 	}
 	sim.Varint(s, &n.parent)
 	s.Bool(&n.hasParent)
@@ -58,6 +54,14 @@ func (n *Node) WalkState(s *sim.State) {
 	s.Bool(&n.sized)
 	sim.Varint(s, &n.fixChild)
 	sim.Varint(s, &n.fixBase)
+	nb := len(n.belief)
+	sim.Varint(s, &nb)
+	if s.Reading() && nb != len(n.belief) {
+		s.Fail(fmt.Sprintf("mdst state has %d published degrees for %d neighbours", nb, len(n.belief)))
+	}
+	sim.Each(s, &n.belief, len(n.belief), sim.Varint[int])
+	sim.Varint(s, &n.pub)
+	s.Bool(&n.known)
 	sim.Varint(s, &n.round)
 	s.Bool(&n.exhausted)
 	s.Bool(&n.terminated)
@@ -93,12 +97,13 @@ func (n *Node) WalkState(s *sim.State) {
 	s.Bool(&n.ownerSwapped)
 	s.Bool(&n.awaitingDone)
 
-	// A read format-3 state leaves the grant state cleared. Only a Multi
-	// or Hybrid node has grant state to walk, whatever the bytes claim.
+	// Only a node in a Multi round has grant state to walk, and only a
+	// Multi or Hybrid node can hold it; a read Single-round state leaves
+	// it cleared.
 	if s.Reading() && n.grant != nil {
 		n.resetGrant()
 	}
-	if format == stateFormat {
+	if n.phase != Single {
 		if n.grant == nil {
 			s.Fail("mdst state of a Multi-round node in a Single-mode run")
 		} else {

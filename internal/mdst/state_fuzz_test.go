@@ -18,7 +18,8 @@ import (
 // re-write and re-read to a fixed point. The corpus holds the real states
 // of gnm-96 runs frozen at several barriers: the flood build, and the
 // improvement protocol in Single and Hybrid mode (Multi rounds, Single
-// rounds and deferred records).
+// rounds, the full Single round that learns the published degrees and
+// deferred records).
 func FuzzNodeState(f *testing.F) {
 	c := graph.Gnm(96, 288, 1).Compile()
 	root := c.Index().ID(0)
@@ -49,16 +50,18 @@ func FuzzNodeState(f *testing.F) {
 	}
 	seed(flood, spanning.NewFloodFactory(c, root), 1, 3)
 	// Barrier 400 holds deferred records in both modes; a Hybrid run is in
-	// Multi rounds up to about 1000 and in Single rounds at 2000.
-	seed(improve(mdst.Single), mdst.NewFactory(mdst.Single, 0, t0), 2, 400)
-	seed(improve(mdst.Hybrid), mdst.NewFactory(mdst.Hybrid, 0, t0), 2, 400, 2000)
+	// Multi rounds up to about 1030, then in its full Single round at 1100
+	// (learning the published degrees) and in Single rounds that know them
+	// at 1500.
+	seed(improve(mdst.Single), mdst.NewFactory(c, mdst.Single, 0, t0), 2, 400)
+	seed(improve(mdst.Hybrid), mdst.NewFactory(c, mdst.Hybrid, 0, t0), 2, 400, 1100, 1500)
 	f.Add([]byte{})
 
 	// The fresh nodes: root has children, so a read may refill its lists
 	// in place.
 	fresh := []sim.Factory{
-		mdst.NewFactory(mdst.Single, 0, t0),
-		mdst.NewFactory(mdst.Hybrid, 0, t0),
+		mdst.NewFactory(c, mdst.Single, 0, t0),
+		mdst.NewFactory(c, mdst.Hybrid, 0, t0),
 		spanning.NewFloodFactory(c, root),
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {

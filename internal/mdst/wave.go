@@ -2,6 +2,7 @@ package mdst
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"mdegst/internal/sim"
@@ -94,10 +95,14 @@ func (n *Node) joinMulti(ctx sim.Context) {
 // enterFragment adopts a fragment identity and pre-order label and
 // broadcasts the BFS wave to every neighbour except the tree parent. In a
 // Single round each child's record carries the child's label and each
-// probe the sender's, or noLabel when its degree exceeds k-2. A Multi
-// round's probe carries the sender's degree in place of k, and when the
-// owner has a parent fragment each child gets a relayed cut and a short
-// cut in place of the bfs (DESIGN.md deviation 4).
+// probe the sender's, or noLabel when its degree exceeds k-2. Every probe
+// carries the sender's degree in place of k. When the owner has a parent
+// fragment, a Multi round's child gets a relayed cut and a short cut in
+// place of the bfs (DESIGN.md deviation 4).
+//
+// A Single round that knows the published degrees probes a non-tree edge
+// only when both ends publish at most k-2 (deviation 8); both ends decide
+// alike, so neither waits for the other over a skipped edge.
 //
 // With a label, a maximum-degree member decides its exhausted flag in the
 // wave (deviation 7): it counts as exhausted until some child's answer
@@ -110,27 +115,30 @@ func (n *Node) enterFragment(ctx sim.Context, f fragID, label int) {
 	n.frag = f
 	n.label = label
 	n.bfsPending = 0
-	if label != noLabel && n.degree() == n.kAll {
+	deg := n.degree()
+	if label != noLabel && deg == n.kAll {
 		n.exhausted = true
 	}
 	word := int64(f.owner)
 	if n.phase == Single {
 		word = noLabel
-		if n.degree() <= n.kAll-2 {
+		if deg <= n.kAll-2 {
 			word = int64(label)
 		}
 	}
-	probeK := n.kAll
-	if n.phase == Multi {
-		probeK = n.degree()
+	// Knowing the published degrees, probe only edges whose far end
+	// publishes at most lim.
+	lim := n.kAll - 2
+	if int(n.pub) > lim {
+		lim = math.MinInt
 	}
 	next, ci := label+1, 0
-	for _, w := range ctx.Neighbors() {
+	for i, w := range ctx.Neighbors() {
 		if n.hasParent && w == n.parent {
 			continue
 		}
-		n.bfsPending++
 		if ci < len(n.children) && n.children[ci] == w {
+			n.bfsPending++
 			switch {
 			case n.phase == Multi && n.up != noCand:
 				sim.Send(ctx, w, newCut(n.round, n.kAll, f.owner, int(n.up)))
@@ -144,7 +152,11 @@ func (n *Node) enterFragment(ctx sim.Context, f fragID, label int) {
 			ci++
 			continue
 		}
-		putBFS(ctx.Out(w), n.round, probeK, word, f.root)
+		if n.known && n.belief[i] > lim {
+			continue
+		}
+		n.bfsPending++
+		putBFS(ctx.Out(w), n.round, deg, word, f.root)
 	}
 	if n.bfsPending == 0 {
 		n.sendAggregate(ctx)
@@ -171,6 +183,9 @@ func (n *Node) onBFS(ctx sim.Context, from sim.NodeID, msg mBFS) bool {
 	if n.isOwner {
 		// Owners answer immediately: their degree k disqualifies the edge,
 		// but the answer unblocks the prober's count.
+		if n.phase == Single && !n.known {
+			n.belief[neighborIndex(ctx, from)] = msg.k // a full round (deviation 8)
+		}
 		putCousin(ctx.Out(from), n.round, n.degree(), n.id, n.id)
 		return true
 	}
@@ -178,6 +193,10 @@ func (n *Node) onBFS(ctx sim.Context, from sim.NodeID, msg mBFS) bool {
 		// "the answer has to be delayed until x learns its fragment
 		// identity" (paper, first case).
 		return false
+	}
+	if n.phase == Single && !n.known {
+		// A full round: learn the prober's published degree (deviation 8).
+		n.belief[neighborIndex(ctx, from)] = msg.k
 	}
 	if label != noLabel && n.degree() <= n.kAll-2 {
 		// A qualifying edge: record where its far end lies (deviation 7).
@@ -214,6 +233,9 @@ func (n *Node) onBFS(ctx sim.Context, from sim.NodeID, msg mBFS) bool {
 func (n *Node) onCousin(ctx sim.Context, from sim.NodeID, msg mCousin) {
 	if !n.fragKnown {
 		panic(fmt.Sprintf("mdst: node %d got cousin answer without fragment", n.id))
+	}
+	if n.phase == Single && !n.known {
+		n.belief[neighborIndex(ctx, from)] = msg.deg
 	}
 	theirs := fragID{owner: msg.owner, root: msg.fragRoot}
 	if theirs != n.frag && (n.phase == Single || msg.owner == n.frag.owner || msg.fragRoot == n.up) {
@@ -357,10 +379,11 @@ func (n *Node) ownerComplete(ctx sim.Context) {
 		// from the children set" — the cut half of the exchange; update,
 		// child and rounddone do the rest.
 		n.moved = n.removeChild(n.ownerArrival)
+		n.loseCutEdge()
 		n.ownerSwapped = true
 		n.swaps++
 		n.awaitingDone = true
-		sim.Send(ctx, n.ownerArrival, newUpdate(n.round, n.ownerBest.u, n.ownerBest.v, true, false))
+		sim.Send(ctx, n.ownerArrival, newUpdate(n.round, n.ownerBest.u, n.ownerBest.v, true, false, int(n.pub)))
 		n.release(ctx)
 	case n.ownerBest.vroot == n.up:
 		// Through the parent fragment: register, report, wait.
@@ -384,24 +407,25 @@ func (n *Node) finishOwner(ctx sim.Context, fell bool) {
 		return
 	}
 	// Acting root: decide what the next round is.
+	next := mStart{round: n.round + 1, cut: noCand, owner: noCand, phase: n.phase}
 	switch n.phase {
 	case Single:
-		c := noCand
-		if fell {
-			c = n.ownerArrival
+		if n.ownerSwapped {
+			next.cut, next.owner = n.ownerArrival, n.id
 		}
-		n.startRound(ctx, n.round+1, c, n.moved)
+		next.fell, next.moved = fell, n.moved
+		n.startRound(ctx, next)
 	case Multi:
 		// Multi rounds set no exhausted flags, so there is none to clear.
 		if n.ownerSwapped || n.improved {
-			n.startRound(ctx, n.round+1, noCand, 0)
+			n.startRound(ctx, next)
 			return
 		}
 		if n.mode == Hybrid {
 			// Multi rounds stalled: continue with Single rounds until
 			// full local optimality.
-			n.phase = Single
-			n.startRound(ctx, n.round+1, noCand, 0)
+			next.phase = Single
+			n.startRound(ctx, next)
 			return
 		}
 		// No exchange anywhere: locally optimal tree.

@@ -343,20 +343,29 @@ type shard struct {
 	runs     [][]sim.OutMsg
 }
 
-func appendShard(b []byte, seq uint64, round int64, ck *sim.Checkpoint, states []ownedState, runs [][]sim.OutMsg, t *WireTable) []byte {
-	b = appendUvarint(b, seq)
-	b = appendVarint(b, round)
+// walkHead steps over everything of a shard but its runs, in one walk
+// that both appendShard and parseShard take, as the checkpoint body's does
+// (DESIGN.md §8). The runs follow in the round batch's codec.
+func (m *shard) walkHead(s *sim.State) {
+	sim.Uvarint(s, &m.seq)
+	sim.Varint(s, &m.round)
+	m.counters.WalkCounters(s)
+	sim.List(s, &m.states, 2, func(s *sim.State, o *ownedState) {
+		dense := uint64(o.dense)
+		sim.Uvarint(s, &dense)
+		if s.Reading() && dense > limitNode {
+			s.Fail("state node outside the node bound")
+		}
+		o.dense = int32(dense)
+		s.Blob(&o.blob)
+	})
+}
+
+func appendShard(b []byte, m *shard, t *WireTable) []byte {
 	w := sim.Writer(b, t.Enc)
-	ck.WalkCounters(&w)
-	b = w.Bytes()
-	b = appendUvarint(b, uint64(len(states)))
-	for _, s := range states {
-		b = appendUvarint(b, uint64(s.dense))
-		b = appendUvarint(b, uint64(len(s.blob)))
-		b = append(b, s.blob...)
-	}
-	b = appendUvarint(b, uint64(len(runs)))
-	for _, run := range runs {
+	m.walkHead(&w)
+	b = appendUvarint(w.Bytes(), uint64(len(m.runs)))
+	for _, run := range m.runs {
 		b = appendRoundBatch(b, run, t)
 	}
 	return b
@@ -366,17 +375,9 @@ func appendShard(b []byte, seq uint64, round int64, ck *sim.Checkpoint, states [
 // frameCkpt). Each run must be strictly key-sorted, like a round batch.
 func parseShard(typ byte, payload []byte, t *WireTable) (*shard, error) {
 	s := sim.Reader(frameCursor(typ, payload), t.Dec)
+	m := &shard{}
+	m.walkHead(&s)
 	r := s.Cursor()
-	m := &shard{seq: r.Uvarint(), round: r.Varint()}
-	m.counters.WalkCounters(&s)
-	m.states = make([]ownedState, r.Count(2))
-	for i := range m.states {
-		dense := r.Uvarint()
-		if dense > limitNode {
-			return nil, r.Fail("state node outside the node bound")
-		}
-		m.states[i] = ownedState{dense: int32(dense), blob: r.Bytes(r.Uvarint())}
-	}
 	m.runs = make([][]sim.OutMsg, r.Count(1))
 	for i := range m.runs {
 		var err error

@@ -686,9 +686,9 @@ func (e *DistEngine) encodeShard(seq uint64, round int64, runs [][]sim.OutMsg) (
 		states = append(states, ownedState{dense: v, blob: buf[n0:len(buf):len(buf)]})
 	}
 	e.sc.states, e.sc.stateBytes = states, w.Bytes()
-	var cb sim.Checkpoint
-	cb.CaptureCounters(r.Report())
-	return appendShard(nil, seq, round, &cb, states, runs, t.Table()), nil
+	m := shard{seq: seq, round: round, states: states, runs: runs}
+	m.counters.CaptureCounters(r.Report())
+	return appendShard(nil, &m, t.Table()), nil
 }
 
 // takeShard takes in peer q's shard, a frame of type typ for run seq over

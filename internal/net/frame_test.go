@@ -428,7 +428,7 @@ func sampleShard(table *WireTable) (*sim.Checkpoint, []ownedState, [][]sim.OutMs
 func unsortedShard(table *WireTable) []byte {
 	counters, states, runs := sampleShard(table)
 	bad := [][]sim.OutMsg{{runs[0][1], runs[0][0]}}
-	return appendShard(nil, 1, 2, counters, states, bad, table)
+	return appendShard(nil, &shard{seq: 1, round: 2, counters: *counters, states: states, runs: bad}, table)
 }
 
 // badCounterShards are shards no report can merge: counters with a round
@@ -447,14 +447,14 @@ func badCounterShards(table *WireTable) map[string][]byte {
 	} {
 		counters, states, _ := sampleShard(table)
 		edit(counters)
-		out[name] = appendShard(nil, 1, 2, counters, states, nil, table)
+		out[name] = appendShard(nil, &shard{seq: 1, round: 2, counters: *counters, states: states}, table)
 	}
 	for i := 1; i < table.Len(); i++ {
 		if table.specs[i].rounded {
 			m := wireSample(table, uint64(i))
 			m.W[0] = 1 << 16
 			counters, states, _ := sampleShard(table)
-			out["rounded record"] = appendShard(nil, 1, 2, counters, states, [][]sim.OutMsg{{{Parent: 0, To: 1, Msg: m}}}, table)
+			out["rounded record"] = appendShard(nil, &shard{seq: 1, round: 2, counters: *counters, states: states, runs: [][]sim.OutMsg{{{Parent: 0, To: 1, Msg: m}}}}, table)
 			break
 		}
 	}
@@ -467,7 +467,7 @@ func TestTakeShardRejectsForeignSender(t *testing.T) {
 	trs := newMesh(t, 2)
 	c := graph.Ring(8).Compile()
 	counters := &sim.Checkpoint{Messages: 1, SentBy: []sim.SentByCount{{Node: 99, Count: 1}}}
-	if err := trs[1].Send(0, frameFinal, appendShard(nil, 1, 5, counters, nil, nil, trs[1].Table())); err != nil {
+	if err := trs[1].Send(0, frameFinal, appendShard(nil, &shard{seq: 1, round: 5, counters: *counters}, trs[1].Table())); err != nil {
 		t.Fatal(err)
 	}
 	if err := trs[1].FlushAll(); err != nil {
@@ -487,7 +487,7 @@ func TestShardRoundTrip(t *testing.T) {
 		typ  byte
 		runs [][]sim.OutMsg
 	}{{frameFinal, nil}, {frameCkpt, runs}} {
-		m, err := parseShard(tc.typ, appendShard(nil, 11, 7, counters, states, tc.runs, table), table)
+		m, err := parseShard(tc.typ, appendShard(nil, &shard{seq: 11, round: 7, counters: *counters, states: states, runs: tc.runs}, table), table)
 		if err != nil {
 			t.Fatalf("type %d: %v", tc.typ, err)
 		}
@@ -611,8 +611,8 @@ func FuzzFrameCodec(f *testing.F) {
 
 	f.Add(appendFrame(nil, frameHello, appendHello(nil, 0, fp, table)))
 	f.Add(appendFrame(nil, frameRound, roundPayload(roundHeader{seq: 1, rankSpace: 1}, []int32{1}, []sim.RankCount{{Rank: 0, Count: 1}}, batch, table)))
-	f.Add(appendFrame(nil, frameFinal, appendShard(nil, 1, 2, counters, states, nil, table)))
-	f.Add(appendFrame(nil, frameCkpt, appendShard(nil, 1, 2, counters, states, runs, table)))
+	f.Add(appendFrame(nil, frameFinal, appendShard(nil, &shard{seq: 1, round: 2, counters: *counters, states: states}, table)))
+	f.Add(appendFrame(nil, frameCkpt, appendShard(nil, &shard{seq: 1, round: 2, counters: *counters, states: states, runs: runs}, table)))
 	f.Add(appendFrame(nil, frameCkpt, unsortedShard(table)))
 	for _, b := range badCounterShards(table) {
 		f.Add(appendFrame(nil, frameCkpt, b))

@@ -22,7 +22,12 @@ import (
 // short forms and no kind: the short cut carries a relayed fragment
 // wave's root (3 words), the short update a release (3 words); claims
 // keep update's four numbers, and child and rounddone carry their answers
-// and acknowledgements in the flags word they already had.
+// and acknowledgements in the flags word they already had. The published
+// degrees of deviation 8 add no word either: start's three numbers after
+// the round name the cut child and the owner and pack the fell bit, the
+// phase and the moved size into one word, and update, child and rounddone
+// carry a cut edge end's published degree above the bits of their flags
+// word.
 func TestWireWordsAudit(t *testing.T) {
 	type bounds struct {
 		minWords, maxWords int
