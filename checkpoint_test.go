@@ -13,7 +13,6 @@ import (
 	"mdegst/internal/mdst"
 	"mdegst/internal/sim"
 	"mdegst/internal/spanning"
-	"mdegst/internal/tree"
 )
 
 // The checkpoint/resume differential corpus for the real protocols: an
@@ -93,7 +92,7 @@ func TestMDSTCheckpointResumeEveryBarrier(t *testing.T) {
 			}
 			var resumeTrace []sim.TraceEvent
 			reng := checkpointTraceEngine(nil, func(e sim.TraceEvent) { resumeTrace = append(resumeTrace, e) })
-			if _, _, err := reng.Resume(c, improveFactory(t, c, mode, t0), ck); err != nil {
+			if _, _, err := reng.Resume(c, mdst.NewFactory(c, mode, 0, t0), ck); err != nil {
 				t.Fatal(err)
 			}
 			whole := append(append([]sim.TraceEvent{}, prefix...), resumeTrace...)
@@ -135,22 +134,11 @@ func TestFloodCheckpointResume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("barrier %d: %v", r, err)
 		}
-		if !tr.ToTree().Equal(fullT.ToTree()) {
+		if !tr.Equal(fullT) {
 			t.Fatalf("barrier %d: tree differs", r)
 		}
 		assertSameReport(t, fmt.Sprintf("flood barrier %d", r), rep, fullRep)
 	}
-}
-
-// improveFactory is the improvement protocol factory used for the raw
-// engine-level resume leg.
-func improveFactory(t *testing.T, c *mdegst.CompiledGraph, mode mdegst.Mode, t0 *mdegst.Tree) sim.Factory {
-	t.Helper()
-	d, err := tree.FromTree(t0, c.Index())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mdst.NewFactory(c, mode, 0, d)
 }
 
 // traceEngine builds the tracing unit-delay engine.

@@ -88,7 +88,10 @@ func generate(family string, n, m int, p float64, k int, radius float64, seed in
 	case "torus":
 		return mdegst.Torus(n, max(k, 3)), nil
 	case "hypercube":
-		return mdegst.Hypercube(n), nil
+		// -n counts nodes, as in mdstrun and mdstd: the largest hypercube
+		// that fits in n.
+		g, _, err := mdegst.NamedGraph(family, n, m, p, k, seed)
+		return g, err
 	case "caterpillar":
 		return mdegst.Caterpillar(n, k), nil
 	case "lollipop":

@@ -67,8 +67,10 @@ type clusterConfig struct {
 	Graph graphSpec `json:"graph"`
 	// Partition assigns dense nodes to processes: "contiguous" (default),
 	// "bfs" or "refined" (BFS regions with greedy cut refinement). On
-	// gnm-256 Hybrid over 2 processes, process 0 sends 28,409, 26,565 and
-	// 26,072 frames respectively.
+	// gnm-256 Hybrid over 2 processes, process 0 sends 7,598 frames
+	// (502,682 bytes), 6,917 (407,498) and 6,787 (380,225) respectively.
+	// No strategy is fastest everywhere: refined beats contiguous there
+	// but loses on a 64×64 grid in Single mode (DESIGN.md §9).
 	Partition string `json:"partition,omitempty"`
 	// Mode is the improvement variant: "single" (default), "multi" or
 	// "hybrid".

@@ -170,7 +170,7 @@ func main() {
 		}
 		printSingle(c.Source(), res, *initial, *verbose)
 		if *dotOut != "" {
-			writeDOT(*dotOut, c.Source(), res)
+			writeDOT(*dotOut, c, res)
 		}
 		if *jsonOut != "" {
 			if err := writeResults(*jsonOut, []mdegst.TrialSummary{mdegst.NewTrialSummary(*seed, c.Source(), res)}); err != nil {
@@ -205,7 +205,7 @@ func main() {
 		}()
 	}
 
-	runTrial := func(s int64) (*mdegst.Graph, *mdegst.Result, error) {
+	runTrial := func(s int64) (*mdegst.CompiledGraph, *mdegst.Result, error) {
 		c := shared
 		if c == nil {
 			g, _, err := mdegst.NamedGraph(*family, *n, *m, *p, *k, s)
@@ -230,17 +230,18 @@ func main() {
 			opts.Engine = mdegst.NewAsyncEngine()
 		}
 		res, err := mdegst.RunCompiled(c, opts)
-		return c.Source(), res, err
+		return c, res, err
 	}
 
 	if *trials == 1 {
-		g, res, err := runTrial(*seed)
+		c, res, err := runTrial(*seed)
 		if err != nil {
 			fatal(err)
 		}
+		g := c.Source()
 		printSingle(g, res, *initial, *verbose)
 		if *dotOut != "" {
-			writeDOT(*dotOut, g, res)
+			writeDOT(*dotOut, c, res)
 		}
 		if *jsonOut != "" {
 			if err := writeResults(*jsonOut, []mdegst.TrialSummary{mdegst.NewTrialSummary(*seed, g, res)}); err != nil {
@@ -269,12 +270,12 @@ func main() {
 			defer wg.Done()
 			for i := range jobs {
 				s := *seed + int64(i)
-				g, res, err := runTrial(s)
+				c, res, err := runTrial(s)
 				if err != nil {
 					errs[i] = err
 					continue
 				}
-				results[i] = mdegst.NewTrialSummary(s, g, res)
+				results[i] = mdegst.NewTrialSummary(s, c.Source(), res)
 			}
 		}()
 	}
@@ -383,12 +384,12 @@ func printSingle(g *mdegst.Graph, res *mdegst.Result, initial string, verbose bo
 	}
 }
 
-func writeDOT(path string, g *mdegst.Graph, res *mdegst.Result) {
+func writeDOT(path string, c *mdegst.CompiledGraph, res *mdegst.Result) {
 	f, err := os.Create(path)
 	if err != nil {
 		fatal(err)
 	}
-	if err := res.Final.WriteDOT(f, g); err != nil {
+	if err := res.Final.WriteDOT(f, c); err != nil {
 		fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -18,7 +18,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	k, _ := t0.MaxDegree()
+	k, _ := t0.MaxDegree(nil)
 	fmt.Printf("network: n=%d m=%d, initial tree degree %d\n\n", g.N(), g.M(), k)
 
 	engines := []struct {

@@ -18,7 +18,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	k0, _ := t0.MaxDegree()
+	k0, _ := t0.MaxDegree(nil)
 	fmt.Printf("network: n=%d m=%d; worst-case initial tree degree k=%d\n\n", g.N(), g.M(), k0)
 
 	fmt.Printf("%-8s %10s %8s %8s %12s\n", "target", "final k", "rounds", "swaps", "messages")

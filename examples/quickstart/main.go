@@ -31,7 +31,7 @@ func main() {
 	fmt.Printf("time (causal depth under unit delays): %d\n", res.Total.CausalDepth)
 
 	// The final tree is a regular rooted tree: walk it.
-	fmt.Printf("root: %d, height: %d\n", res.Final.Root, res.Final.Height())
+	fmt.Printf("root: %d, height: %d\n", res.Final.Index().ID(res.Final.Root()), res.Final.Height())
 	hist := res.Final.DegreeHistogram()
 	for d := 1; d <= res.FinalDegree; d++ {
 		if hist[d] > 0 {

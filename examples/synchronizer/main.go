@@ -14,7 +14,6 @@ import (
 	"mdegst"
 	"mdegst/internal/apps"
 	"mdegst/internal/sim"
-	"mdegst/internal/tree"
 )
 
 func main() {
@@ -31,8 +30,8 @@ func main() {
 	}
 	improved := improvedRes.Final
 
-	kStar, _ := star.MaxDegree()
-	kImp, _ := improved.MaxDegree()
+	kStar, _ := star.MaxDegree(nil)
+	kImp, _ := improved.MaxDegree(nil)
 	fmt.Printf("network: n=%d m=%d; control trees: star degree %d, improved degree %d\n\n",
 		g.N(), g.M(), kStar, kImp)
 
@@ -46,12 +45,8 @@ func main() {
 		{"star (worst case)", star},
 		{"MDegST (improved)", improved},
 	} {
-		ctrl, err := tree.FromTree(tc.ctrl, c.Index())
-		if err != nil {
-			log.Fatal(err)
-		}
 		res, err := apps.RunSync(&sim.AsyncEngine{}, c, apps.SyncConfig{
-			Tree:       ctrl,
+			Tree:       tc.ctrl,
 			NewMachine: apps.NewBFSMachine(source),
 		})
 		if err != nil {

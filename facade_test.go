@@ -2,10 +2,13 @@ package mdegst_test
 
 import (
 	"bytes"
+	"io"
+	"math"
 	"strings"
 	"testing"
 
 	"mdegst"
+	"mdegst/internal/tree"
 )
 
 func TestTargetDegreeOption(t *testing.T) {
@@ -45,50 +48,31 @@ func TestBuildSpanningTreeErrors(t *testing.T) {
 
 // TestImproveRejectsBadTree holds every facade entry point that takes a
 // caller-supplied initial tree to the same input contract: a tree that is
-// not a spanning tree of the graph — wrong graph, non-edge parent link,
-// Children disagreeing with Parent, detached or cyclic nodes — is an error,
-// never a run.
+// not a spanning tree of the graph — a tree of another graph, a forest, a
+// tree with a non-graph edge — is an error, never a run.
 func TestImproveRejectsBadTree(t *testing.T) {
 	g := mdegst.Ring(6)
 	c := mdegst.Compile(g)
-	// path is the spanning path 0-1-2-3-4-5 of the ring, rooted at 0.
-	path := func() *mdegst.Tree {
-		return &mdegst.Tree{
-			Root:     0,
-			Parent:   map[mdegst.NodeID]mdegst.NodeID{1: 0, 2: 1, 3: 2, 4: 3, 5: 4},
-			Children: map[mdegst.NodeID][]mdegst.NodeID{0: {1}, 1: {2}, 2: {3}, 3: {4}, 4: {5}, 5: nil},
+	// links builds a tree over c's index from a dense parent table.
+	links := func(parent ...int32) *mdegst.Tree {
+		tr, err := tree.FromParentDense(c.Index(), 0, parent)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return tr
 	}
+	// path is the spanning path 0-1-2-3-4-5 of the ring, rooted at 0.
+	path := func() *mdegst.Tree { return links(tree.NoParent, 0, 1, 2, 3, 4) }
 	other, _, err := mdegst.BuildSpanningTree(mdegst.Ring(8), mdegst.InitialFlood, mdegst.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	forest := path()
+	forest.CutChild(2, 3)
 	bad := map[string]*mdegst.Tree{
 		"different graph": other,
-		"non-edge parent": func() *mdegst.Tree {
-			tr := path()
-			tr.Parent[3] = 0
-			tr.Children[2], tr.Children[0] = nil, []mdegst.NodeID{1, 3}
-			return tr
-		}(),
-		"children disagree": func() *mdegst.Tree {
-			tr := path()
-			tr.Children[4] = nil
-			tr.Children[0] = []mdegst.NodeID{1, 5}
-			return tr
-		}(),
-		"detached node": func() *mdegst.Tree {
-			tr := path()
-			delete(tr.Parent, 5)
-			tr.Children[4] = nil
-			return tr
-		}(),
-		"cycle": func() *mdegst.Tree {
-			tr := path()
-			tr.Parent[1], tr.Parent[2] = 2, 1
-			tr.Children[0], tr.Children[1], tr.Children[2] = nil, []mdegst.NodeID{2}, []mdegst.NodeID{1, 3}
-			return tr
-		}(),
+		"forest":          forest,
+		"non-edge parent": links(tree.NoParent, 0, 1, 0, 3, 4), // (3,0) is no ring edge
 	}
 	var ck bytes.Buffer
 	if ok, err := mdegst.CheckpointImprove(c, path(), mdegst.Options{}, 0, &ck); err != nil || !ok {
@@ -103,8 +87,20 @@ func TestImproveRejectsBadTree(t *testing.T) {
 			_, err := mdegst.ImproveCompiled(c, tr, mdegst.Options{})
 			return err
 		},
+		"CheckpointImprove": func(tr *mdegst.Tree) error {
+			_, err := mdegst.CheckpointImprove(c, tr, mdegst.Options{}, 0, io.Discard)
+			return err
+		},
 		"ResumeImprove": func(tr *mdegst.Tree) error {
 			_, err := mdegst.ResumeImprove(c, tr, mdegst.Options{}, bytes.NewReader(ck.Bytes()))
+			return err
+		},
+		"ImproveSequential": func(tr *mdegst.Tree) error {
+			_, _, _, err := mdegst.ImproveSequential(g, tr, mdegst.ModeHybrid)
+			return err
+		},
+		"FurerRaghavachari": func(tr *mdegst.Tree) error {
+			_, _, err := mdegst.FurerRaghavachari(g, tr)
 			return err
 		},
 	}
@@ -113,9 +109,26 @@ func TestImproveRejectsBadTree(t *testing.T) {
 			t.Errorf("%s: valid tree rejected: %v", ename, err)
 		}
 		for tname, tr := range bad {
-			if err := run(tr); err == nil {
-				t.Errorf("%s: %s accepted", ename, tname)
+			if err := run(tr); err == nil || !strings.Contains(err.Error(), "mdegst: initial tree invalid") {
+				t.Errorf("%s: %s gave %v, want an invalid initial tree", ename, tname, err)
 			}
+		}
+	}
+}
+
+// TestNamedGraphHypercubeCountsNodes pins -n as a node count for the
+// hypercube: the largest hypercube that fits, and an error, before any
+// allocation, where that would have more than 30 dimensions.
+func TestNamedGraphHypercubeCountsNodes(t *testing.T) {
+	for n, want := range map[int]int{2: 2, 64: 64, 100: 64} {
+		g, _, err := mdegst.NamedGraph("hypercube", n, 0, 0, 0, 1)
+		if err != nil || g.N() != want {
+			t.Errorf("n=%d: %v (%v), want %d nodes", n, g, err, want)
+		}
+	}
+	for _, n := range []int{1 << 31, math.MaxInt} {
+		if _, _, err := mdegst.NamedGraph("hypercube", n, 0, 0, 0, 1); err == nil {
+			t.Errorf("n=%d: a hypercube above dimension 30 accepted", n)
 		}
 	}
 }
@@ -158,7 +171,7 @@ func TestDOTThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := res.Final.WriteDOT(&b, g); err != nil {
+	if err := res.Final.WriteDOT(&b, mdegst.Compile(g)); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "spanningtree") {

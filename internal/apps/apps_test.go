@@ -29,7 +29,7 @@ func TestBroadcastReachesEveryone(t *testing.T) {
 	if res.Report.Messages != int64(g.N()-1) {
 		t.Errorf("messages = %d, want n-1 = %d", res.Report.Messages, g.N()-1)
 	}
-	if h := st.ToTree().Height(); res.Depth != h {
+	if h := st.Height(); res.Depth != h {
 		t.Errorf("depth %d, tree height %d", res.Depth, h)
 	}
 }

@@ -767,7 +767,7 @@ func a2Spec(cfg Config) spec {
 				res := mustRun(c, t0, mode)
 				twinTree, st := mustTwin(c, t0, mode)
 				return a2Trial{
-					identical: res.Tree.Equal(twinTree.ToTree()),
+					identical: res.Tree.Equal(twinTree),
 					roundsEq:  res.Rounds == st.Rounds,
 					swapsEq:   res.Swaps == st.Swaps,
 				}

@@ -348,7 +348,7 @@ var sequentialDigests = map[string]string{
 	"wheel48/star/twin-single":            "acf25b05ef44412c1e4d997b7f7a08800f48b5c5796e68c5f9a9dddf540d5cfa",
 }
 
-func digestTree(h hash.Hash, t *tree.Dense) { io.WriteString(h, t.ToTree().String()) }
+func digestTree(h hash.Hash, t *tree.Dense) { io.WriteString(h, t.String()) }
 
 // relabel maps node i of g to 7i+3, so the corpus also covers identities
 // that are not dense indices.

@@ -110,9 +110,13 @@ func Torus(rows, cols int) *Graph {
 	return g
 }
 
-// Hypercube returns the d-dimensional hypercube on 2^d nodes (d >= 1).
+// Hypercube returns the d-dimensional hypercube on 2^d nodes
+// (1 <= d <= 30).
 func Hypercube(d int) *Graph {
 	mustAtLeast("Hypercube", d, 1)
+	if d > 30 {
+		panic(fmt.Sprintf("graph: Hypercube parameter %d above maximum 30", d))
+	}
 	g := New()
 	n := 1 << d
 	for i := 0; i < n; i++ {

@@ -101,6 +101,21 @@ func TestGeneratorShapes(t *testing.T) {
 	}
 }
 
+// TestHypercubeRejectsDimension checks the dimension guard, which stops
+// every case below before anything is allocated.
+func TestHypercubeRejectsDimension(t *testing.T) {
+	for _, d := range []int{-1, 0, 31, 64} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Hypercube(%d) accepted", d)
+				}
+			}()
+			Hypercube(d)
+		}()
+	}
+}
+
 func TestRandomGeneratorsConnectedAndValid(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		gs := map[string]*Graph{

@@ -30,7 +30,7 @@ import (
 // Result summarises one improvement run.
 type Result struct {
 	// Tree is the final spanning tree (validated against the graph).
-	Tree *tree.Tree
+	Tree *tree.Dense
 	// Report carries the message/time accounting of the run.
 	Report *sim.Report
 	// Rounds is the number of protocol rounds executed, including the
@@ -95,7 +95,7 @@ func extract(c *graph.CSR, initial *tree.Dense, protos []sim.Protocol, rep *sim.
 	initDeg, _ := initial.MaxDegree(nil)
 	finalDeg, _ := final.MaxDegree(nil)
 	return &Result{
-		Tree:          final.ToTree(),
+		Tree:          final,
 		Report:        rep,
 		Rounds:        rounds,
 		Swaps:         swaps,

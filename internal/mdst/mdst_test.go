@@ -77,8 +77,8 @@ func TestDistributedMatchesSequentialTwin(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want := twin.ToTree(); !res.Tree.Equal(want) {
-						t.Fatalf("trees differ:\ndistributed:\n%v\ntwin:\n%v", res.Tree, want)
+					if !res.Tree.Equal(twin) {
+						t.Fatalf("trees differ:\ndistributed:\n%v\ntwin:\n%v", res.Tree, twin)
 					}
 					if res.Rounds != stats.Rounds {
 						t.Errorf("rounds = %d, twin = %d", res.Rounds, stats.Rounds)
@@ -155,7 +155,7 @@ func TestDeliveryOrderIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range []mdst.Mode{mdst.Single, mdst.Multi, mdst.Hybrid} {
-			var ref *tree.Tree
+			var ref *tree.Dense
 			for ename, mk := range engines {
 				name := fmt.Sprintf("g%d/%s/%s", gi, mode, ename)
 				t.Run(name, func(t *testing.T) {
@@ -185,7 +185,10 @@ func TestDeliveryOrderIndependence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !res.Tree.HasEdge(won[0], won[1]) || res.Tree.HasEdge(lost[0], lost[1]) {
+					has := func(e [2]graph.NodeID) bool {
+						return res.Tree.HasEdge(c.Index().MustOf(e[0]), c.Index().MustOf(e[1]))
+					}
+					if !has(won) || has(lost) {
 						t.Errorf("the smaller owner's edge %v did not win over %v:\n%v", won, lost, res.Tree)
 					}
 				})
@@ -213,11 +216,10 @@ func TestFigure1Exchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t0 := d.ToTree()
-	if err := t0.Validate(g); err != nil {
+	if err := d.Validate(c); err != nil {
 		t.Fatal(err)
 	}
-	deg0, at := t0.MaxDegree()
+	deg0, at := d.MaxDegree(nil)
 	if deg0 != 3 || at[0] != 0 {
 		t.Fatalf("setup: max degree %d at %v, want 3 at node 0", deg0, at)
 	}
@@ -336,7 +338,7 @@ func TestAsyncRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Tree.Equal(want.ToTree()) {
+		if !res.Tree.Equal(want) {
 			t.Errorf("seed %d: async result differs from twin", seed)
 		}
 	}

@@ -367,11 +367,7 @@ func TestImprovementOutcomePinned(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				d, err := tree.FromTree(res.Tree, tc.c.Index())
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkOutcome(t, tc.name+"/run-"+mode.String(), outcomeDigest(d, res.Swaps, res.FinalDegree))
+				checkOutcome(t, tc.name+"/run-"+mode.String(), outcomeDigest(res.Tree, res.Swaps, res.FinalDegree))
 			})
 		}
 		for _, mode := range []mdst.Mode{mdst.Single, mdst.Multi, mdst.Hybrid} {

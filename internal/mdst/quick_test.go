@@ -34,14 +34,14 @@ func TestQuickDistributedEqualsTwin(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if res.Tree.Validate(g) != nil || res.FinalDegree > res.InitialDegree {
+		if res.Tree.Validate(c) != nil || res.FinalDegree > res.InitialDegree {
 			return false
 		}
 		want, stats, err := fr.Twin(c, t0, mode, target)
 		if err != nil {
 			return false
 		}
-		return res.Tree.Equal(want.ToTree()) && res.Rounds == stats.Rounds && res.Swaps == stats.Swaps
+		return res.Tree.Equal(want) && res.Rounds == stats.Rounds && res.Swaps == stats.Swaps
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

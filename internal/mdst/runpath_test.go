@@ -77,7 +77,7 @@ func digestReport(h hash.Hash, r *sim.Report) {
 	}
 }
 
-func digestTree(h hash.Hash, t *tree.Tree) { io.WriteString(h, t.String()) }
+func digestTree(h hash.Hash, t *tree.Dense) { io.WriteString(h, t.String()) }
 
 // TestRunPathPinned runs flood→mdst Hybrid and the DFS, GHS and election
 // builds over three graph families on every deterministic engine tier and
@@ -111,7 +111,7 @@ func TestRunPathPinned(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				digestTree(h, t0.ToTree())
+				digestTree(h, t0)
 				digestReport(h, rep)
 				res, err := mdst.Run(eng, c, t0, mdst.Hybrid, 0)
 				if err != nil {
@@ -149,7 +149,7 @@ func buildDigest(c *graph.CSR, f sim.Factory) func(sim.Engine, hash.Hash) error 
 		if err != nil {
 			return err
 		}
-		digestTree(h, tr.ToTree())
+		digestTree(h, tr)
 		digestReport(h, rep)
 		return nil
 	}

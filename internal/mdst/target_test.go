@@ -2,7 +2,6 @@ package mdst_test
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"mdegst/internal/fr"
@@ -32,7 +31,7 @@ func TestTargetDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !res.Tree.Equal(want.ToTree()) {
+				if !res.Tree.Equal(want) {
 					t.Fatal("trees differ")
 				}
 				if res.Rounds != stats.Rounds || res.Swaps != stats.Swaps {
@@ -100,7 +99,7 @@ func TestTargetAlreadyMet(t *testing.T) {
 	if res.Rounds != 1 || res.Swaps != 0 {
 		t.Errorf("rounds=%d swaps=%d, want 1 and 0", res.Rounds, res.Swaps)
 	}
-	if !slices.Equal(res.Tree.Edges(), t0.ToTree().Edges()) {
+	if !res.Tree.Equal(t0) {
 		t.Error("tree was modified although the target was already met")
 	}
 }

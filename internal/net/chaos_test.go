@@ -128,7 +128,7 @@ func superviseChaos(t *testing.T, c *graph.CSR, k int, every int64, dir string, 
 
 // refPeriodic is the uninterrupted reference: the unit event engine running
 // the same pipeline with the same periodic cadence committing into refDir.
-func refPeriodic(t *testing.T, c *graph.CSR, every int64, refDir string) (*tree.Tree, *sim.Report, *mdst.Result) {
+func refPeriodic(t *testing.T, c *graph.CSR, every int64, refDir string) (*tree.Dense, *sim.Report, *mdst.Result) {
 	t.Helper()
 	root := c.Source().Nodes()[0]
 	base := &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true}
@@ -142,7 +142,7 @@ func refPeriodic(t *testing.T, c *graph.CSR, every int64, refDir string) (*tree.
 	if err != nil {
 		t.Fatal(err)
 	}
-	return initial.ToTree(), setup, res
+	return initial, setup, res
 }
 
 // checkCommittedFiles requires the cluster's checkpoint directory to hold
@@ -192,7 +192,7 @@ func cadenceFor(depth int64) int64 {
 
 // checkRecovered asserts every process of the recovered cluster holds the
 // reference pipeline outcome.
-func checkRecovered(t *testing.T, rs []*PipelineResult, wantInit *tree.Tree, wantSetup *sim.Report, wantRes *mdst.Result) {
+func checkRecovered(t *testing.T, rs []*PipelineResult, wantInit *tree.Dense, wantSetup *sim.Report, wantRes *mdst.Result) {
 	t.Helper()
 	for id, r := range rs {
 		what := fmt.Sprintf("recovered process %d", id)

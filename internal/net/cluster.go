@@ -66,7 +66,7 @@ type PipelineResult struct {
 	// the improvement phase, nil when it hit the flood build).
 	Stopped bool
 	// Initial is the flood spanning tree, Setup its message accounting.
-	Initial *tree.Tree
+	Initial *tree.Dense
 	Setup   *sim.Report
 	// Result is the completed improvement run.
 	Result *mdst.Result
@@ -93,7 +93,7 @@ func RunPipeline(t *Transport, c *graph.CSR, owner []int32, p Pipeline) (*Pipeli
 	if err != nil {
 		return nil, fmt.Errorf("net: flood phase: %w", err)
 	}
-	out := &PipelineResult{Initial: initial.ToTree(), Setup: setup}
+	out := &PipelineResult{Initial: initial, Setup: setup}
 	if p.CheckpointEvery > 0 {
 		eng.Checkpoint = &sim.CheckpointSpec{Every: p.CheckpointEvery, Sink: p.CheckpointSink}
 	} else if p.CheckpointRound >= 0 && p.Resume == nil {

@@ -77,7 +77,7 @@ func waitOrFatal(t *testing.T, wg *sync.WaitGroup, d time.Duration, msg string) 
 
 // runInProcess is the reference: the same pipeline on an in-process
 // engine.
-func runInProcess(t *testing.T, c *graph.CSR, eng sim.Engine) (*tree.Tree, *sim.Report, *mdst.Result) {
+func runInProcess(t *testing.T, c *graph.CSR, eng sim.Engine) (*tree.Dense, *sim.Report, *mdst.Result) {
 	t.Helper()
 	root := c.Source().Nodes()[0]
 	initial, setup, err := spanning.Build(eng, c, spanning.NewFloodFactory(c, root))
@@ -88,7 +88,7 @@ func runInProcess(t *testing.T, c *graph.CSR, eng sim.Engine) (*tree.Tree, *sim.
 	if err != nil {
 		t.Fatal(err)
 	}
-	return initial.ToTree(), setup, res
+	return initial, setup, res
 }
 
 // normalizeReport strips the field that legitimately differs between
@@ -109,15 +109,15 @@ func checkReport(t *testing.T, what string, got, want *sim.Report) {
 	}
 }
 
-func checkTree(t *testing.T, what string, got, want *tree.Tree) {
+func checkTree(t *testing.T, what string, got, want *tree.Dense) {
 	t.Helper()
-	if !reflect.DeepEqual(got, want) {
+	if !got.Equal(want) {
 		t.Errorf("%s: tree diverged (got root %v degree %v, want root %v degree %v)",
-			what, got.Root, firstOf(got.MaxDegree()), want.Root, firstOf(want.MaxDegree()))
+			what, got.Root(), firstOf(got.MaxDegree(nil)), want.Root(), firstOf(want.MaxDegree(nil)))
 	}
 }
 
-func firstOf(d int, _ []graph.NodeID) int { return d }
+func firstOf(d int, _ []int32) int { return d }
 
 func checkResult(t *testing.T, what string, got, want *mdst.Result) {
 	t.Helper()

@@ -161,7 +161,7 @@ func soloStretch(t *testing.T, act []uint32, from int64) (round int64, lone int)
 
 // digest renders the deterministic outputs of one run: the tree, the
 // report and its sorted per-(kind, round) breakdown.
-func digest(tr *tree.Tree, rep *sim.Report) string {
+func digest(tr *tree.Dense, rep *sim.Report) string {
 	var b bytes.Buffer
 	io.WriteString(&b, tr.String())
 	io.WriteString(&b, rep.String())
@@ -270,7 +270,7 @@ func TestDistSoloEquivalence(t *testing.T) {
 							t.Fatalf("process %d: %v", id, errs[id])
 						}
 						what := fmt.Sprintf("process %d/%d", id, k)
-						if digest(rs[id].Initial, rs[id].Setup) != digest(initial.ToTree(), setup) {
+						if digest(rs[id].Initial, rs[id].Setup) != digest(initial, setup) {
 							t.Errorf("%s: flood tree or report diverged", what)
 						}
 						checkDigest(t, what, rs[id].Result, want)

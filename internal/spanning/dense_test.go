@@ -60,8 +60,8 @@ func TestBuildCompiledDenseMatchesMap(t *testing.T) {
 				if err := got.Validate(c); err != nil {
 					t.Fatal(err)
 				}
-				if w, g := want.ToTree(), got.ToTree(); !w.Equal(g) {
-					t.Fatalf("trees diverged\noracle:\n%s\nengine:\n%s", w, g)
+				if !want.Equal(got) {
+					t.Fatalf("trees diverged\noracle:\n%s\nengine:\n%s", want, got)
 				}
 				requireSameReport(t, gname+"/"+ename, wantRep, gotRep)
 			})
@@ -107,7 +107,7 @@ func TestFloodFactorySnapReusable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if !want.ToTree().Equal(d.ToTree()) {
+		if !want.Equal(d) {
 			t.Fatalf("trial %d: slab factory produced a different tree", trial)
 		}
 	}

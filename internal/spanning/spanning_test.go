@@ -1,6 +1,7 @@
 package spanning
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"testing"
@@ -61,14 +62,25 @@ func testEngines() map[string]sim.Engine {
 	}
 }
 
-// buildTree runs Build over c and returns the map-keyed view of the tree
-// that the assertions below read.
-func buildTree(eng sim.Engine, c *graph.CSR, f sim.Factory) (*tree.Tree, *sim.Report, error) {
-	d, rep, err := Build(eng, c, f)
-	if err != nil {
-		return nil, nil, err
+// treeEdges returns d's edges by identity in normalised ascending order.
+func treeEdges(d *tree.Dense) []graph.Edge {
+	var es []graph.Edge
+	for i := int32(0); int(i) < d.N(); i++ {
+		if p := d.Parent(i); p != tree.NoParent {
+			es = append(es, graph.NewEdge(d.Index().ID(i), d.Index().ID(p)))
+		}
 	}
-	return d.ToTree(), rep, nil
+	slices.SortFunc(es, func(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+	return es
+}
+
+// depth returns the number of edges between dense node i and d's root.
+func depth(d *tree.Dense, i int32) int {
+	n := 0
+	for ; i != d.Root(); i = d.Parent(i) {
+		n++
+	}
+	return n
 }
 
 // TestProtocolsProduceSpanningTrees runs every protocol over every graph on
@@ -83,11 +95,11 @@ func TestProtocolsProduceSpanningTrees(t *testing.T) {
 				}
 				name := gname + "/" + pname + "/" + ename
 				t.Run(name, func(t *testing.T) {
-					st, rep, err := buildTree(eng, c, factory)
+					st, rep, err := Build(eng, c, factory)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := st.Validate(g); err != nil {
+					if err := st.Validate(c); err != nil {
 						t.Fatal(err)
 					}
 					if rep.Messages == 0 && g.N() > 1 {
@@ -105,7 +117,7 @@ func TestFloodUnitDelayIsBFS(t *testing.T) {
 	g := graph.Gnp(40, 0.15, 21)
 	c := g.Compile()
 	root := g.Nodes()[0]
-	st, _, err := buildTree(&sim.EventEngine{Delay: sim.UnitDelay}, c, NewFloodFactory(c, root))
+	st, _, err := Build(&sim.EventEngine{Delay: sim.UnitDelay}, c, NewFloodFactory(c, root))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,10 +125,9 @@ func TestFloodUnitDelayIsBFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bfs.ToTree()
-	for _, v := range g.Nodes() {
-		if st.Depth(v) != want.Depth(v) {
-			t.Errorf("node %d: flood depth %d, BFS depth %d", v, st.Depth(v), want.Depth(v))
+	for i := int32(0); int(i) < c.N(); i++ {
+		if depth(st, i) != depth(bfs, i) {
+			t.Errorf("node %d: flood depth %d, BFS depth %d", c.Index().ID(i), depth(st, i), depth(bfs, i))
 		}
 	}
 }
@@ -127,9 +138,9 @@ func TestDFSDeterministicAcrossEngines(t *testing.T) {
 	g := graph.Gnp(30, 0.2, 33)
 	root := g.Nodes()[0]
 	c := g.Compile()
-	var trees []*tree.Tree
+	var trees []*tree.Dense
 	for _, eng := range testEngines() {
-		st, _, err := buildTree(eng, c, NewDFSFactory(root))
+		st, _, err := Build(eng, c, NewDFSFactory(root))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +156,7 @@ func TestDFSDeterministicAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !trees[0].Equal(want.ToTree()) {
+	if !trees[0].Equal(want) {
 		t.Error("distributed DFS differs from sequential DFS")
 	}
 }
@@ -190,11 +201,11 @@ func TestGHSMatchesKruskal(t *testing.T) {
 				continue // GHS assumes FIFO channels
 			}
 			t.Run(gname+"/"+ename, func(t *testing.T) {
-				st, _, err := buildTree(eng, c, NewGHSFactory())
+				st, _, err := Build(eng, c, NewGHSFactory())
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := st.Edges()
+				got := treeEdges(st)
 				if len(got) != len(want) {
 					t.Fatalf("edge count %d, want %d", len(got), len(want))
 				}
@@ -317,7 +328,7 @@ func TestRandomSTVariety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if slices.Equal(a.ToTree().Edges(), b.ToTree().Edges()) {
+	if slices.Equal(treeEdges(a), treeEdges(b)) {
 		t.Error("two seeds produced identical random spanning trees (possible but astronomically unlikely)")
 	}
 }

@@ -1,21 +1,28 @@
+// Package tree provides Dense, the one rooted spanning tree type: a
+// slice-backed tree over a graph snapshot's dense index. Every tree-building
+// and tree-improving algorithm works on it, the public facade and its result
+// fields carry it, and it holds the paper's re-rooting (path reversal), the
+// cut/attach primitives of improvement swaps, validation against a host
+// graph, degree queries and the text and Graphviz renderings.
 package tree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"mdegst/internal/graph"
 )
 
 // Dense is the slice-backed rooted tree over a graph.Index: the parent of
 // dense node i is parent[i] (NoParent for the root or a detached subtree
-// top) and children[i] holds i's children as a sorted dense slice. It is the
-// representation every tree-improving hot path works on; Tree remains the
-// map-keyed facade view, with FromTree/ToTree converting between the two.
+// top) and children[i] holds i's children as a sorted dense slice.
 //
 // Because dense indices are assigned in ascending NodeID order, "ascending
-// dense index" and "ascending NodeID" are the same order: algorithms ported
-// from the map representation keep their deterministic tie-breaking.
+// dense index" and "ascending NodeID" are the same order: every listing by
+// dense index is also a listing by identity, which keeps tie-breaking and
+// output deterministic.
 type Dense struct {
 	idx      *graph.Index
 	root     int32
@@ -46,42 +53,6 @@ func NewDense(idx *graph.Index, root int32) *Dense {
 		d.parent[i] = NoParent
 	}
 	return d
-}
-
-// FromTree converts the map-keyed facade tree to its dense form over idx.
-func FromTree(t *Tree, idx *graph.Index) (*Dense, error) {
-	root, ok := idx.Of(t.Root)
-	if !ok {
-		return nil, fmt.Errorf("tree: root %d not in index", t.Root)
-	}
-	d := NewDense(idx, root)
-	n := idx.N()
-	if t.N() != n {
-		return nil, fmt.Errorf("tree: has %d nodes, index %d", t.N(), n)
-	}
-	counts := make([]int32, n)
-	for v, p := range t.Parent {
-		vi, ok1 := idx.Of(v)
-		pi, ok2 := idx.Of(p)
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("tree: edge (%d,%d) not in index", v, p)
-		}
-		d.parent[vi] = pi
-		counts[pi]++
-	}
-	d.kidArena = make([]int32, n-1+1)
-	at := int32(0)
-	for i := int32(0); int(i) < n; i++ {
-		d.children[i] = d.kidArena[at:at:(at + counts[i])]
-		at += counts[i]
-	}
-	// Filling in ascending child order keeps every list sorted.
-	for i := int32(0); int(i) < n; i++ {
-		if p := d.parent[i]; p != NoParent {
-			d.children[p] = append(d.children[p], i)
-		}
-	}
-	return d, nil
 }
 
 // FromParentDense builds a Dense tree directly from a dense parent table:
@@ -156,23 +127,6 @@ func FromParentDense(idx *graph.Index, root int32, parent []int32) (*Dense, erro
 	return d, nil
 }
 
-// ToTree converts back to the map-keyed facade tree.
-func (d *Dense) ToTree() *Tree {
-	t := New(d.idx.ID(d.root))
-	for i, p := range d.parent {
-		v := d.idx.ID(int32(i))
-		if p != NoParent {
-			t.Parent[v] = d.idx.ID(p)
-		}
-		ch := make([]graph.NodeID, len(d.children[i]))
-		for k, c := range d.children[i] {
-			ch[k] = d.idx.ID(c)
-		}
-		t.Children[v] = ch
-	}
-	return t
-}
-
 // Clone returns a deep copy sharing the index.
 func (d *Dense) Clone() *Dense {
 	c := &Dense{
@@ -229,6 +183,55 @@ func (d *Dense) MaxDegree(at []int32) (int, []int32) {
 		}
 	}
 	return max, at
+}
+
+// DegreeHistogram returns tree degree -> number of nodes.
+func (d *Dense) DegreeHistogram() map[int]int {
+	h := make(map[int]int)
+	for i := range d.parent {
+		h[d.Degree(int32(i))]++
+	}
+	return h
+}
+
+// Height returns the largest number of edges between the root and a node.
+func (d *Dense) Height() int {
+	depth := make([]int, len(d.parent))
+	h := 0
+	// WalkSubtree lists every parent before its children.
+	for _, i := range d.WalkSubtree(d.root, nil) {
+		if p := d.parent[i]; p != NoParent {
+			depth[i] = depth[p] + 1
+			h = max(h, depth[i])
+		}
+	}
+	return h
+}
+
+// Equal reports whether two trees have the same root and parent links over
+// the same node identities; their indexes may come from separate compiles.
+func (d *Dense) Equal(o *Dense) bool {
+	return d.root == o.root && slices.Equal(d.parent, o.parent) && sameIndex(d.idx, o.idx)
+}
+
+// sameIndex reports whether two indexes encode the same bijection.
+func sameIndex(a, b *graph.Index) bool {
+	return a == b || slices.Equal(a.IDs(), b.IDs())
+}
+
+// String renders the tree as an indented outline of node identities, each
+// with its tree degree and children ascending, useful in failure output.
+func (d *Dense) String() string {
+	var b strings.Builder
+	var rec func(i int32, depth int)
+	rec = func(i int32, depth int) {
+		fmt.Fprintf(&b, "%s%d (deg %d)\n", strings.Repeat("  ", depth), d.idx.ID(i), d.Degree(i))
+		for _, c := range d.children[i] {
+			rec(c, depth+1)
+		}
+	}
+	rec(d.root, 0)
+	return b.String()
 }
 
 // HasEdge reports whether (i,j) is a tree edge.
@@ -319,17 +322,10 @@ func (d *Dense) WalkSubtree(v int32, out []int32) []int32 {
 // edge is a graph edge, children lists are sorted and mutually consistent
 // with parents, and the root reaches every node.
 func (d *Dense) Validate(c *graph.CSR) error {
-	if c.Index() != d.idx {
-		// A different Index object is acceptable only if it encodes the
-		// same bijection; cheap length check first, then spot equality.
-		if c.N() != d.N() {
-			return fmt.Errorf("tree: index mismatch with snapshot")
-		}
-		for i := int32(0); int(i) < d.N(); i++ {
-			if c.Index().ID(i) != d.idx.ID(i) {
-				return fmt.Errorf("tree: index mismatch with snapshot at dense %d", i)
-			}
-		}
+	// A different Index object is acceptable if it encodes the same
+	// bijection, as another compile of the same graph does.
+	if !sameIndex(c.Index(), d.idx) {
+		return fmt.Errorf("tree: index mismatch with snapshot")
 	}
 	if d.parent[d.root] != NoParent {
 		return fmt.Errorf("tree: root %d has a parent", d.idx.ID(d.root))

@@ -3,6 +3,7 @@ package tree
 import (
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mdegst/internal/graph"
@@ -39,8 +40,8 @@ func edgeKey(a, b int32) [2]int32 {
 	return [2]int32{a, b}
 }
 
-// checkDense fails unless d validates against c and every child list is
-// strictly ascending.
+// checkDense fails unless d validates against c, every child list is
+// strictly ascending and the independent oracle accepts d.
 func checkDense(t *testing.T, c *graph.CSR, d *Dense, what string) {
 	t.Helper()
 	if err := d.Validate(c); err != nil {
@@ -54,6 +55,7 @@ func checkDense(t *testing.T, c *graph.CSR, d *Dense, what string) {
 			}
 		}
 	}
+	checkSpanning(t, c.Source(), d, what)
 }
 
 // requireSame fails unless a and b have the same root, parents and child
@@ -76,6 +78,34 @@ func requireSame(t *testing.T, a, b *Dense, what string) {
 	}
 }
 
+// checkSpanning is the independent oracle: it rebuilds d's edge set by
+// identity as a builder graph and fails unless that graph is a tree on
+// src's nodes whose every edge is an edge of src. It shares no code with
+// Dense or the CSR.
+func checkSpanning(t *testing.T, src *graph.Graph, d *Dense, what string) {
+	t.Helper()
+	h := graph.New()
+	for _, v := range src.Nodes() {
+		h.AddNode(v)
+	}
+	for i := int32(0); int(i) < d.N(); i++ {
+		p := d.Parent(i)
+		if p == NoParent {
+			continue
+		}
+		u, v := d.Index().ID(i), d.Index().ID(p)
+		if !src.HasEdge(u, v) {
+			t.Fatalf("%s: tree edge (%d,%d) not in the graph", what, u, v)
+		}
+		if err := h.AddEdge(u, v); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	if h.N() != src.N() || !h.IsTree() {
+		t.Fatalf("%s: the edge set is not a spanning tree (%d nodes, %d edges, graph %d nodes)", what, h.N(), h.M(), src.N())
+	}
+}
+
 // TestDenseMirrorsTree is the property test of the slice-backed tree: on
 // random spanning trees of random graphs (half of them over scrambled
 // identities), each random operation must meet its specification. A rooted
@@ -86,7 +116,7 @@ func requireSame(t *testing.T, a, b *Dense, what string) {
 //     by the attaching one and keeps the root;
 //   - every operation leaves a tree that validates with ascending children.
 //
-// The facade conversion and Clone must round-trip the result.
+// Clone must copy the result.
 func TestDenseMirrorsTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 30; trial++ {
@@ -149,45 +179,48 @@ func TestDenseMirrorsTree(t *testing.T) {
 				}
 			}
 		}
-		back, err := FromTree(d.ToTree(), c.Index())
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSame(t, d, back, "facade round trip")
-		if err := d.ToTree().Validate(g); err != nil {
-			t.Fatalf("facade tree invalid: %v", err)
-		}
 		requireSame(t, d, d.Clone(), "clone")
 	}
 }
 
-// TestDenseWalkSubtree pins preorder child-ascending iteration.
+// TestDenseWalkSubtree checks that the walk from i lists i first, every
+// node whose parent chain reaches i exactly once and nothing else, and each
+// node after its parent.
 func TestDenseWalkSubtree(t *testing.T) {
-	c := graph.Path(6).Compile()
+	c := graph.Gnm(24, 40, 5).Compile()
 	d := randomSpanningTree(t, c, 1)
-	tr := d.ToTree()
 	for i := int32(0); int(i) < d.N(); i++ {
-		want := tr.SubtreeNodes(c.Index().ID(i)) // ascending
 		got := d.WalkSubtree(i, nil)
-		if len(got) != len(want) {
-			t.Fatalf("subtree of %d: %d nodes vs %d", i, len(got), len(want))
+		if got[0] != i {
+			t.Fatalf("subtree of %d starts at %d", i, got[0])
 		}
-		seen := make(map[graph.NodeID]bool)
-		for _, j := range got {
-			seen[c.Index().ID(j)] = true
+		pos := make(map[int32]int, len(got))
+		for k, j := range got {
+			if _, dup := pos[j]; dup {
+				t.Fatalf("subtree of %d lists %d twice", i, j)
+			}
+			pos[j] = k
+			if j != i && pos[d.Parent(j)] >= k {
+				t.Fatalf("subtree of %d lists %d before its parent", i, j)
+			}
 		}
-		for _, w := range want {
-			if !seen[w] {
-				t.Fatalf("subtree of %d misses %d", i, w)
+		for j := int32(0); int(j) < d.N(); j++ {
+			below := false
+			for v := j; v != NoParent && !below; v = d.Parent(v) {
+				below = v == i
+			}
+			if _, listed := pos[j]; listed != below {
+				t.Fatalf("subtree of %d: node %d listed %v, below %v", i, j, listed, below)
 			}
 		}
 	}
 }
 
-// TestFromParentDenseMatchesFromTree checks the direct dense constructor
-// against the FromTree conversion on random spanning trees: same parents,
-// same sorted children, and both validate against the snapshot.
-func TestFromParentDenseMatchesFromTree(t *testing.T) {
+// TestFromParentDenseMatchesOracle checks the dense constructor on random
+// spanning trees: it keeps the parent table, derives each child list as
+// the ascending set of nodes naming that parent, validates against the
+// snapshot, and the independent oracle accepts it.
+func TestFromParentDenseMatchesOracle(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Path(1),
 		graph.Path(2),
@@ -197,16 +230,30 @@ func TestFromParentDenseMatchesFromTree(t *testing.T) {
 		graph.BarabasiAlbert(60, 3, 9),
 	}
 	for gi, g := range graphs {
+		if gi%2 == 1 {
+			g, _ = graph.RelabelRandom(g, int64(gi))
+		}
 		c := g.Compile()
 		for seed := int64(0); seed < 4; seed++ {
-			got := randomSpanningTree(t, c, seed*31+int64(gi))
-			checkDense(t, c, got, "FromParentDense")
-			want, err := FromTree(got.ToTree(), c.Index())
+			root := int32(rand.New(rand.NewSource(seed*31 + int64(gi))).Intn(c.N()))
+			parent, _ := c.BFSParents(root)
+			got, err := FromParentDense(c.Index(), root, parent)
 			if err != nil {
 				t.Fatalf("graph %d seed %d: %v", gi, seed, err)
 			}
-			checkDense(t, c, want, "FromTree")
-			requireSame(t, want, got, "FromParentDense")
+			checkDense(t, c, got, "FromParentDense")
+			kids := make([][]int32, c.N())
+			for j, p := range parent {
+				if p != NoParent {
+					kids[p] = append(kids[p], int32(j))
+				}
+			}
+			for i := int32(0); int(i) < c.N(); i++ {
+				if got.Parent(i) != parent[i] || !slices.Equal(got.Children(i), kids[i]) {
+					t.Fatalf("graph %d seed %d: node %d has parent %d children %v, want %d %v",
+						gi, seed, i, got.Parent(i), got.Children(i), parent[i], kids[i])
+				}
+			}
 		}
 	}
 }

@@ -8,9 +8,9 @@ import (
 )
 
 func TestWriteDOT(t *testing.T) {
-	g, tr := buildSample(t)
+	c, d := sampleDense(t)
 	var b strings.Builder
-	if err := tr.WriteDOT(&b, g); err != nil {
+	if err := d.WriteDOT(&b, c); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -29,9 +29,9 @@ func TestWriteDOT(t *testing.T) {
 }
 
 func TestWriteDOTWithoutGraph(t *testing.T) {
-	_, tr := buildSample(t)
+	_, d := sampleDense(t)
 	var b strings.Builder
-	if err := tr.WriteDOT(&b, nil); err != nil {
+	if err := d.WriteDOT(&b, nil); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(b.String(), "dashed") {
@@ -41,14 +41,13 @@ func TestWriteDOTWithoutGraph(t *testing.T) {
 
 func TestWriteDOTRootIsHotSpot(t *testing.T) {
 	// A star tree: the root is also the unique maximum-degree node.
-	g := graph.Star(5)
-	d, err := FromParentDense(g.Compile().Index(), 0, []int32{NoParent, 0, 0, 0, 0})
+	c := graph.Star(5).Compile()
+	d, err := FromParentDense(c.Index(), 0, []int32{NoParent, 0, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := d.ToTree()
 	var b strings.Builder
-	if err := tr.WriteDOT(&b, g); err != nil {
+	if err := d.WriteDOT(&b, c); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), `fillcolor=red`) {

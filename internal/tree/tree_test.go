@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -39,64 +40,54 @@ func sampleDense(t *testing.T) (*graph.CSR, *Dense) {
 	return c, d
 }
 
-// buildSample returns the sample graph and its tree in the facade form.
-func buildSample(t *testing.T) (*graph.Graph, *Tree) {
-	t.Helper()
-	c, d := sampleDense(t)
-	return c.Source(), d.ToTree()
-}
-
 func TestDegreesAndQueries(t *testing.T) {
-	g, tr := buildSample(t)
-	if err := tr.Validate(g); err != nil {
+	c, d := sampleDense(t)
+	if err := d.Validate(c); err != nil {
 		t.Fatal(err)
 	}
-	wantDeg := map[graph.NodeID]int{0: 2, 1: 3, 2: 2, 3: 1, 4: 1, 5: 1}
-	for v, d := range wantDeg {
-		if tr.Degree(v) != d {
-			t.Errorf("deg(%d)=%d, want %d", v, tr.Degree(v), d)
+	wantDeg := []int{2, 3, 2, 1, 1, 1}
+	for i, deg := range wantDeg {
+		if d.Degree(int32(i)) != deg {
+			t.Errorf("deg(%d)=%d, want %d", i, d.Degree(int32(i)), deg)
 		}
 	}
-	max, at := tr.MaxDegree()
-	if max != 3 || len(at) != 1 || at[0] != 1 {
+	max, at := d.MaxDegree(nil)
+	if max != 3 || !slices.Equal(at, []int32{1}) {
 		t.Errorf("max degree %d at %v, want 3 at [1]", max, at)
 	}
-	if tr.Depth(4) != 2 || tr.Height() != 2 {
-		t.Errorf("depth(4)=%d height=%d", tr.Depth(4), tr.Height())
+	if d.Height() != 2 {
+		t.Errorf("height=%d, want 2", d.Height())
 	}
-	h := tr.DegreeHistogram()
-	if h[1] != 3 || h[2] != 2 || h[3] != 1 {
+	if h := d.DegreeHistogram(); !maps.Equal(h, map[int]int{1: 3, 2: 2, 3: 1}) {
 		t.Errorf("histogram %v", h)
 	}
-}
-
-func TestPaths(t *testing.T) {
-	_, tr := buildSample(t)
-	if p, want := tr.PathToRoot(4), []graph.NodeID{4, 1, 0}; !slices.Equal(p, want) {
-		t.Errorf("path to root %v, want %v", p, want)
-	}
-	if got := tr.PathToRoot(0); !slices.Equal(got, []graph.NodeID{0}) {
-		t.Errorf("root path = %v", got)
+	d.Reroot(3)
+	if d.Height() != 4 {
+		t.Errorf("height after rerooting at a leaf %d, want 4", d.Height())
 	}
 }
 
-func TestSubtreeNodes(t *testing.T) {
-	_, tr := buildSample(t)
-	got := tr.SubtreeNodes(1)
-	want := []graph.NodeID{1, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("subtree = %v", got)
+// TestString pins the outline's format, which failure output and the
+// sequential layer's digests read: identities, degrees, children ascending.
+func TestString(t *testing.T) {
+	g := graph.New()
+	for _, e := range [][2]graph.NodeID{{10, 4}, {10, 7}, {4, 30}, {4, 20}, {7, 5}} {
+		g.MustAddEdge(e[0], e[1])
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("subtree = %v, want %v", got, want)
-		}
+	idx := g.Compile().Index() // 4, 5, 7, 10, 20, 30
+	d, err := FromParentDense(idx, 3, []int32{3, 2, 3, NoParent, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "10 (deg 2)\n  4 (deg 3)\n    20 (deg 1)\n    30 (deg 1)\n  7 (deg 2)\n    5 (deg 1)\n"
+	if got := d.String(); got != want {
+		t.Errorf("outline\n%s\nwant\n%s", got, want)
 	}
 }
 
 func TestReroot(t *testing.T) {
 	c, d := sampleDense(t)
-	edgesBefore := d.ToTree().Edges()
+	edgesBefore := edgeSet(d)
 	d.Reroot(4)
 	if d.Root() != 4 {
 		t.Fatalf("root = %d", d.Root())
@@ -104,7 +95,7 @@ func TestReroot(t *testing.T) {
 	if err := d.Validate(c); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(d.ToTree().Edges(), edgesBefore) {
+	if !maps.Equal(edgeSet(d), edgesBefore) {
 		t.Fatal("reroot changed the edge set")
 	}
 	// Degrees are invariant under rerooting.
@@ -151,27 +142,53 @@ func TestSwapErrors(t *testing.T) {
 }
 
 func TestEqualAndSameEdges(t *testing.T) {
-	_, a := buildSample(t)
-	_, b := buildSample(t)
+	_, a := sampleDense(t)
+	_, b := sampleDense(t)
 	if !a.Equal(b) {
 		t.Error("identical trees not equal")
 	}
-	_, d := sampleDense(t)
-	d.Reroot(4)
-	b = d.ToTree()
+	other, err := FromParentDense(sampleGraph().Compile().Index(), 0, []int32{NoParent, 0, 0, 1, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Equal(other) {
+		t.Error("equal trees over separately compiled indexes not equal")
+	}
+	b.Reroot(4)
 	if a.Equal(b) {
 		t.Error("rerooted tree equal to original")
 	}
-	if !slices.Equal(a.Edges(), b.Edges()) {
+	if !maps.Equal(edgeSet(a), edgeSet(b)) {
 		t.Error("rerooted tree must keep the same edges")
+	}
+	g, _ := graph.RelabelRandom(sampleGraph(), 1)
+	relabelled, err := FromParentDense(g.Compile().Index(), 0, []int32{NoParent, 0, 0, 1, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Equal(relabelled) {
+		t.Error("equal links over other identities compared equal")
 	}
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
-	g, tr := buildSample(t)
-	tr.Parent[5] = 1 // edge (1,5) is not in g... and children list now lies
-	if err := tr.Validate(g); err == nil {
+	c, d := sampleDense(t)
+	// Edge (1,5) is not in the graph.
+	bad, err := FromParentDense(c.Index(), 0, []int32{NoParent, 0, 0, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bad.Validate(c); err == nil {
+		t.Error("tree with a non-graph edge passed validation")
+	}
+	d.parent[5] = 1 // and the children lists now lie
+	if err := d.Validate(c); err == nil {
 		t.Error("corrupted tree passed validation")
+	}
+	_, d = sampleDense(t)
+	d.CutChild(0, 2)
+	if err := d.Validate(c); err == nil {
+		t.Error("forest passed validation")
 	}
 }
 

@@ -30,8 +30,10 @@ type (
 	NodeID = graph.NodeID
 	// Edge is an undirected edge in normalised (U < V) form.
 	Edge = graph.Edge
-	// Tree is a rooted spanning tree.
-	Tree = tree.Tree
+	// Tree is a rooted spanning tree over a compiled graph's dense index:
+	// Parent and Children take and return dense indices, and
+	// Index().ID(i) names node i.
+	Tree = tree.Dense
 	// Mode selects the improvement protocol variant.
 	Mode = mdst.Mode
 	// Report is the message/time accounting of one protocol execution.
@@ -196,26 +198,12 @@ type Result struct {
 // selected method. Distributed methods run on the engine and return their
 // message report; sequential helpers return a nil report.
 func BuildSpanningTree(g *Graph, method InitialTree, opts Options) (*Tree, *Report, error) {
-	if g.N() == 0 {
-		return nil, nil, fmt.Errorf("mdegst: empty graph")
-	}
 	return BuildSpanningTreeCompiled(g.Compile(), method, opts)
 }
 
 // BuildSpanningTreeCompiled is BuildSpanningTree over a pre-compiled
-// snapshot.
+// snapshot; the tree is over c's index.
 func BuildSpanningTreeCompiled(c *CompiledGraph, method InitialTree, opts Options) (*Tree, *Report, error) {
-	d, rep, err := buildInitial(c, method, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d.ToTree(), rep, nil
-}
-
-// buildInitial builds the startup spanning tree in the dense form the
-// improvement protocol starts from. Sequential builders carry no message
-// report.
-func buildInitial(c *CompiledGraph, method InitialTree, opts Options) (*tree.Dense, *Report, error) {
 	if c.N() == 0 {
 		return nil, nil, fmt.Errorf("mdegst: empty graph")
 	}
@@ -254,7 +242,7 @@ func Run(g *Graph, opts Options) (*Result, error) {
 
 // RunCompiled is Run over a pre-compiled snapshot.
 func RunCompiled(c *CompiledGraph, opts Options) (*Result, error) {
-	initial, setup, err := buildInitial(c, opts.Initial, opts)
+	initial, setup, err := BuildSpanningTreeCompiled(c, opts.Initial, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +250,7 @@ func RunCompiled(c *CompiledGraph, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := improvement(initial.ToTree(), r)
+	res := improvement(initial, r)
 	res.Setup = setup
 	if setup != nil {
 		res.Total.Add(setup)
@@ -277,25 +265,24 @@ func Improve(g *Graph, initial *Tree, opts Options) (*Result, error) {
 
 // ImproveCompiled is Improve over a pre-compiled snapshot.
 func ImproveCompiled(c *CompiledGraph, initial *Tree, opts Options) (*Result, error) {
-	d, err := denseInitial(c, initial)
-	if err != nil {
+	if err := checkInitial(c, initial); err != nil {
 		return nil, err
 	}
-	r, err := mdst.Run(opts.engine(), c, d, opts.Mode, opts.TargetDegree)
+	r, err := mdst.Run(opts.engine(), c, initial, opts.Mode, opts.TargetDegree)
 	if err != nil {
 		return nil, err
 	}
 	return improvement(initial, r), nil
 }
 
-// denseInitial checks a caller-supplied tree against the snapshot's graph
-// and converts it to the dense form the protocol starts from. The full
-// Validate comes first because tree.FromTree reads only Parent.
-func denseInitial(c *CompiledGraph, initial *Tree) (*tree.Dense, error) {
-	if err := initial.Validate(c.Source()); err != nil {
-		return nil, fmt.Errorf("mdegst: initial tree invalid: %w", err)
+// checkInitial checks a caller-supplied tree against the snapshot. A tree
+// built over another compile of the same graph passes: its index encodes
+// the same bijection.
+func checkInitial(c *CompiledGraph, initial *Tree) error {
+	if err := initial.Validate(c); err != nil {
+		return fmt.Errorf("mdegst: initial tree invalid: %w", err)
 	}
-	return tree.FromTree(initial, c.Index())
+	return nil
 }
 
 // improvement wraps an improvement run's result for the facade.
@@ -331,12 +318,11 @@ func CheckpointImprove(c *CompiledGraph, initial *Tree, opts Options, round int6
 	if opts.Engine != nil {
 		return false, fmt.Errorf("mdegst: checkpointing picks its own unit-delay engine; Options.Engine must be nil")
 	}
-	d, err := denseInitial(c, initial)
-	if err != nil {
+	if err := checkInitial(c, initial); err != nil {
 		return false, err
 	}
 	spec := &sim.CheckpointSpec{Round: round, W: w}
-	_, err = mdst.Run(checkpointEngine(spec), c, d, opts.Mode, opts.TargetDegree)
+	_, err := mdst.Run(checkpointEngine(spec), c, initial, opts.Mode, opts.TargetDegree)
 	switch {
 	case err == nil:
 		return false, nil
@@ -361,11 +347,10 @@ func ResumeImprove(c *CompiledGraph, initial *Tree, opts Options, r io.Reader) (
 	if err != nil {
 		return nil, err
 	}
-	d, err := denseInitial(c, initial)
-	if err != nil {
+	if err := checkInitial(c, initial); err != nil {
 		return nil, err
 	}
-	res, err := mdst.Resume(checkpointEngine(nil), c, d, opts.Mode, opts.TargetDegree, ck)
+	res, err := mdst.Resume(checkpointEngine(nil), c, initial, opts.Mode, opts.TargetDegree, ck)
 	if err != nil {
 		return nil, err
 	}
@@ -384,40 +369,34 @@ func checkpointEngine(spec *sim.CheckpointSpec) sim.ResumableEngine {
 // the oracle the distributed runs are tested against.
 func ImproveSequential(g *Graph, initial *Tree, mode Mode) (*Tree, int, int, error) {
 	c := g.Compile()
-	d, err := denseInitial(c, initial)
+	if err := checkInitial(c, initial); err != nil {
+		return nil, 0, 0, err
+	}
+	t, stats, err := fr.Twin(c, initial, mode, 0)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	t, stats, err := fr.Twin(c, d, mode, 0)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return t.ToTree(), stats.Rounds, stats.Swaps, nil
+	return t, stats.Rounds, stats.Swaps, nil
 }
 
 // FurerRaghavachari runs the classic sequential local search (the paper's
 // reference [3]) and returns the improved tree and its exchange count.
 func FurerRaghavachari(g *Graph, initial *Tree) (*Tree, int, error) {
 	c := g.Compile()
-	d, err := denseInitial(c, initial)
+	if err := checkInitial(c, initial); err != nil {
+		return nil, 0, err
+	}
+	t, stats, err := fr.FurerRaghavachari(c, initial)
 	if err != nil {
 		return nil, 0, err
 	}
-	t, stats, err := fr.FurerRaghavachari(c, d)
-	if err != nil {
-		return nil, 0, err
-	}
-	return t.ToTree(), stats.Swaps, nil
+	return t, stats.Swaps, nil
 }
 
 // ExactMinDegree returns Δ*, the optimal spanning tree degree, with a
 // witness tree. Exponential: limited to small graphs (see exact package).
 func ExactMinDegree(g *Graph) (int, *Tree, error) {
-	d, t, err := exact.MinDegree(g.Compile())
-	if err != nil {
-		return 0, nil, err
-	}
-	return d, t.ToTree(), nil
+	return exact.MinDegree(g.Compile())
 }
 
 // DegreeLowerBound returns a cheap lower bound on Δ* valid for any size.

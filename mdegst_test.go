@@ -14,7 +14,7 @@ func TestRunPipelineDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Final.Validate(g); err != nil {
+	if err := res.Final.Validate(mdegst.Compile(g)); err != nil {
 		t.Fatal(err)
 	}
 	if res.FinalDegree > res.InitialDegree {
@@ -40,7 +40,7 @@ func TestRunAllInitialTreeMethods(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := res.Final.Validate(g); err != nil {
+			if err := res.Final.Validate(mdegst.Compile(g)); err != nil {
 				t.Fatal(err)
 			}
 			distributed := m != mdegst.InitialStar && m != mdegst.InitialRandom
@@ -67,7 +67,7 @@ func TestRunAllModesAllEngines(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := res.Final.Validate(g); err != nil {
+				if err := res.Final.Validate(mdegst.Compile(g)); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -127,7 +127,7 @@ func TestFurerRaghavachariFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := improved.Validate(g); err != nil {
+	if err := improved.Validate(mdegst.Compile(g)); err != nil {
 		t.Fatal(err)
 	}
 	if swaps == 0 {
@@ -146,7 +146,7 @@ func TestQuickPipelineInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if res.Final.Validate(g) != nil {
+		if res.Final.Validate(mdegst.Compile(g)) != nil {
 			return false
 		}
 		return res.FinalDegree <= res.InitialDegree && res.FinalDegree >= mdegst.DegreeLowerBound(g)

@@ -97,8 +97,11 @@ func NamedGraph(family string, n, m int, p float64, k int, seed int64) (*Graph, 
 		return Grid(side, side), false, nil
 	case "hypercube":
 		d := 1
-		for 1<<(d+1) <= n {
+		for d <= 30 && 1<<(d+1) <= n {
 			d++
+		}
+		if d > 30 {
+			return nil, false, fmt.Errorf("mdegst: a hypercube on %d nodes has more than 30 dimensions", n)
 		}
 		return Hypercube(d), false, nil
 	case "hamchords":
