@@ -58,49 +58,40 @@ func main() {
 	}
 }
 
+// generate builds the family through mdegst.NamedGraph, which knows most
+// families and rejects sizes their generators cannot build, or through
+// local, whose families (and grid and geo, whose -k and -radius flags
+// NamedGraph does not take) are graphgen's own.
 func generate(family string, n, m int, p float64, k int, radius float64, seed int64) (*mdegst.Graph, error) {
-	if m == 0 {
-		m = 3 * n
-	}
-	switch family {
-	case "gnp":
-		return mdegst.Gnp(n, p, seed), nil
-	case "gnm":
-		return mdegst.Gnm(n, m, seed), nil
-	case "ba":
-		return mdegst.BarabasiAlbert(n, k, seed), nil
-	case "geo":
-		return mdegst.RandomGeometric(n, radius, seed), nil
-	case "tree":
-		return mdegst.RandomTree(n, seed), nil
-	case "hamchords":
-		return mdegst.HamiltonianPlusChords(n, k*n, seed), nil
-	case "ring":
-		return mdegst.Ring(n), nil
-	case "star":
-		return mdegst.StarGraph(n), nil
-	case "wheel":
-		return mdegst.Wheel(n), nil
-	case "complete":
-		return mdegst.Complete(n), nil
-	case "grid":
-		return mdegst.Grid(n, max(k, 2)), nil
-	case "torus":
-		return mdegst.Torus(n, max(k, 3)), nil
-	case "hypercube":
-		// -n counts nodes, as in mdstrun and mdstd: the largest hypercube
-		// that fits in n.
+	f, ok := local[family]
+	if !ok {
 		g, _, err := mdegst.NamedGraph(family, n, m, p, k, seed)
 		return g, err
-	case "caterpillar":
-		return mdegst.Caterpillar(n, k), nil
-	case "lollipop":
-		return mdegst.Lollipop(max(k, 3), n), nil
-	case "bipartite":
-		return mdegst.CompleteBipartite(n, max(k, 1)), nil
-	default:
-		return nil, fmt.Errorf("unknown family %q", family)
 	}
+	if n < f.minN {
+		return nil, fmt.Errorf("family %s needs n >= %d, got %d", family, f.minN, n)
+	}
+	if family == "caterpillar" && k < 0 {
+		return nil, fmt.Errorf("family caterpillar needs k >= 0 legs, got %d", k)
+	}
+	return f.build(n, k, radius, seed), nil
+}
+
+// local lists graphgen's own families, each with the smallest -n its
+// generator accepts.
+var local = map[string]struct {
+	minN  int
+	build func(n, k int, radius float64, seed int64) *mdegst.Graph
+}{
+	"geo": {2, func(n, _ int, radius float64, seed int64) *mdegst.Graph {
+		return mdegst.RandomGeometric(n, radius, seed)
+	}},
+	"tree":        {1, func(n, _ int, _ float64, seed int64) *mdegst.Graph { return mdegst.RandomTree(n, seed) }},
+	"grid":        {1, func(n, k int, _ float64, _ int64) *mdegst.Graph { return mdegst.Grid(n, max(k, 2)) }},
+	"torus":       {3, func(n, k int, _ float64, _ int64) *mdegst.Graph { return mdegst.Torus(n, max(k, 3)) }},
+	"caterpillar": {2, func(n, k int, _ float64, _ int64) *mdegst.Graph { return mdegst.Caterpillar(n, k) }},
+	"lollipop":    {1, func(n, k int, _ float64, _ int64) *mdegst.Graph { return mdegst.Lollipop(max(k, 3), n) }},
+	"bipartite":   {1, func(n, k int, _ float64, _ int64) *mdegst.Graph { return mdegst.CompleteBipartite(n, max(k, 1)) }},
 }
 
 func inspectFile(path string) error {

@@ -68,7 +68,7 @@ type clusterConfig struct {
 	// Partition assigns dense nodes to processes: "contiguous" (default),
 	// "bfs" or "refined" (BFS regions with greedy cut refinement). On
 	// gnm-256 Hybrid over 2 processes, process 0 sends 7,598 frames
-	// (502,682 bytes), 6,917 (407,498) and 6,787 (380,225) respectively.
+	// (532,606 bytes), 6,917 (434,754) and 6,787 (406,962) respectively.
 	// No strategy is fastest everywhere: refined beats contiguous there
 	// but loses on a 64×64 grid in Single mode (DESIGN.md §9).
 	Partition string `json:"partition,omitempty"`

@@ -133,6 +133,54 @@ func TestNamedGraphHypercubeCountsNodes(t *testing.T) {
 	}
 }
 
+// TestNamedGraphRejectsSizes runs every family NamedGraph knows at its
+// minimum size and one below it: the minimum builds a graph of at least
+// that many nodes, and one below returns an error instead of the
+// generator's panic. The gnm edge count, the ba attachment and the gnp
+// probability are held to their ranges the same way.
+func TestNamedGraphRejectsSizes(t *testing.T) {
+	minN := map[string]int{
+		"gnp": 2, "gnm": 2, "ba": 2, "geo": 2, "hamchords": 2, "wheel": 4,
+		"ring": 3, "star": 2, "complete": 1, "grid": 4, "hypercube": 2,
+	}
+	for family, n := range minN {
+		if g, _, err := mdegst.NamedGraph(family, n, 0, 0.5, 2, 1); err != nil || g.N() < n {
+			t.Errorf("%s at its minimum n=%d: %v", family, n, err)
+		}
+		if _, _, err := mdegst.NamedGraph(family, n-1, 0, 0.5, 2, 1); err == nil {
+			t.Errorf("%s at n=%d, below its minimum, built a graph", family, n-1)
+		}
+	}
+	for _, tc := range []struct {
+		family string
+		n, m   int
+		p      float64
+		k      int
+		ok     bool
+	}{
+		{"gnm", 10, 9, 0, 0, true},
+		{"gnm", 10, 45, 0, 0, true},
+		{"gnm", 10, 8, 0, 0, false},
+		{"gnm", 10, 46, 0, 0, false},
+		{"gnm", 10, 100, 0, 0, false},
+		{"gnm", 4, 0, 0, 0, true}, // the default 3n, capped at the 6 edges of K4
+		{"ba", 10, 0, 0, 1, true},
+		{"ba", 10, 0, 0, 0, false},
+		{"gnp", 10, 0, 1, 0, true},
+		{"gnp", 10, 0, -0.1, 0, false},
+		{"gnp", 10, 0, 1.5, 0, false},
+		{"tree", 10, 0, 0, 0, false}, // graphgen's own family, unknown here
+	} {
+		g, _, err := mdegst.NamedGraph(tc.family, tc.n, tc.m, tc.p, tc.k, 1)
+		if (err == nil) != tc.ok {
+			t.Errorf("%+v: got error %v", tc, err)
+		}
+		if tc.ok && tc.family == "gnm" && tc.m > 0 && (err != nil || g.M() != tc.m) {
+			t.Errorf("%+v: built %v edges, want %d", tc, g, tc.m)
+		}
+	}
+}
+
 func TestInitialTreeStrings(t *testing.T) {
 	names := map[mdegst.InitialTree]string{
 		mdegst.InitialFlood:    "flood",

@@ -46,8 +46,10 @@ const roundFlagStop = uint64(1)
 
 // roundHeader is the control prefix of a round frame: the run and round
 // the frame closes, the sender's control flags, the round's rank space
-// (its global delivery count) and the cluster's cumulative delivered
-// count through that round. On the wire the sender's next-round activity
+// (its global delivery count), the cluster's cumulative delivered count
+// through that round and the sender's view of the run guard (the highest
+// protocol round delivered and the delivered count when it first
+// appeared; sim.Guard). On the wire the sender's next-round activity
 // set follows it — the processes it queued records for, itself included —
 // which is how every process learns whether the next round is a solo
 // round (DESIGN.md §13).
@@ -57,6 +59,8 @@ type roundHeader struct {
 	flags     uint64
 	rankSpace int64
 	delivered int64
+	top       int64
+	since     int64
 }
 
 // appendRoundHeader encodes the control prefix, the activity set
@@ -71,6 +75,8 @@ func appendRoundHeader(b []byte, h roundHeader, active []int32, counts []sim.Ran
 	b = appendUvarint(b, h.flags)
 	b = appendUvarint(b, uint64(h.rankSpace))
 	b = appendUvarint(b, uint64(h.delivered))
+	b = appendUvarint(b, uint64(h.top))
+	b = appendUvarint(b, uint64(h.since))
 	b = appendUvarint(b, uint64(len(active)))
 	for _, q := range active {
 		b = appendUvarint(b, uint64(q))
@@ -94,7 +100,11 @@ func appendRoundHeader(b []byte, h roundHeader, active []int32, counts []sim.Ran
 // cluster process, so a name outside the cluster is a typed error.
 func decodeRoundHeader(r *sim.Cursor, act []bool) (roundHeader, error) {
 	h := roundHeader{seq: r.Uvarint(), round: r.Varint(), flags: r.Uvarint(),
-		rankSpace: readRank(r, "rank space"), delivered: readRank(r, "delivered count")}
+		rankSpace: readRank(r, "rank space"), delivered: readRank(r, "delivered count"),
+		top: readRank(r, "protocol round"), since: readRank(r, "progress mark")}
+	if h.since > h.delivered {
+		return h, r.Fail(fmt.Sprintf("progress mark %d past the delivered count %d", h.since, h.delivered))
+	}
 	prev := int64(-1)
 	for i, n := 0, r.Count(1); i < n; i++ {
 		q := r.Uvarint()

@@ -3,7 +3,6 @@ package net
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"mdegst/internal/graph"
@@ -34,18 +33,14 @@ import (
 // pipeline phases (flood build, improvement) apart on the shared
 // connections.
 //
-// All processes of one run must be constructed with identical Owner,
-// MaxMessages and Checkpoint.Round/Every configuration — the topology
-// config file is that single source of truth for cmd/mdstd.
+// All processes of one run must be constructed with identical Owner and
+// Checkpoint.Round/Every configuration — the topology config file is that
+// single source of truth for cmd/mdstd.
 type DistEngine struct {
 	// T is the established transport mesh.
 	T *Transport
 	// Owner maps every dense node to its owning process.
 	Owner []int32
-	// MaxMessages aborts the run when exceeded, checked at barrier
-	// granularity with the same outcome as EventEngine's per-delivery
-	// check (0 means sim.DefaultMaxMessages).
-	MaxMessages int64
 	// Checkpoint, when non-nil, arms barrier checkpointing. Freeze mode
 	// (Every == 0) stops the run at the barrier after round
 	// Checkpoint.Round: the peers upload their shards to process 0, which
@@ -202,6 +197,14 @@ type barrierState struct {
 	stop      bool                  // the barrier agreed a graceful stop
 	active    int                   // processes with deliveries next round
 	lone      int                   // the active process when active == 1
+	guard     sim.Guard             // the run's progress window, merged at every frame heard
+}
+
+// header is the control prefix of this process's frame closing st.round:
+// the barrier's counts and the process's view of the run's progress.
+func (st *barrierState) header(seq, flags uint64, rankSpace int64) roundHeader {
+	return roundHeader{seq: seq, round: st.round, flags: flags, rankSpace: rankSpace, delivered: st.delivered,
+		top: int64(st.guard.Top()), since: st.guard.Since()}
 }
 
 // census counts the processes the activity marks name.
@@ -213,14 +216,6 @@ func (st *barrierState) census(act []bool) {
 			st.lone = q
 		}
 	}
-}
-
-// capTrips is EventEngine's cap predicate at barrier granularity: the run
-// fails exactly when delivering the pending messages would exceed the cap.
-// delivered and total are barrier-agreed values, so every process takes
-// the same branch.
-func capTrips(delivered, total, maxMsgs int64) bool {
-	return total > maxMsgs-delivered
 }
 
 // Run executes the protocol to quiescence across the mesh. The runner
@@ -256,17 +251,13 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (proto
 	if len(e.Owner) != c.N() {
 		return nil, nil, fmt.Errorf("net: owner table covers %d nodes, snapshot has %d", len(e.Owner), c.N())
 	}
-	maxMsgs := e.MaxMessages
-	if maxMsgs == 0 {
-		maxMsgs = sim.DefaultMaxMessages
-	}
 	e.seq++
 	seq := e.seq
 	r := &e.sc.runner
 	r.Reset(c, f)
 	e.sc.reset(e.Owner, self, t.Procs())
 
-	var st barrierState
+	st := barrierState{guard: sim.NewGuard(c)}
 	if ck == nil {
 		// Init is round 0, with dense node indices as ranks.
 		r.Init(e.sc.owned)
@@ -297,6 +288,7 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (proto
 				return nil, nil, err
 			}
 		}
+		st.guard.Resume(ck)
 		st.round = ck.Round
 		st.delivered = ck.Messages
 		st.total = int64(len(ck.Pending))
@@ -347,14 +339,10 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (proto
 				return nil, nil, sim.ErrCheckpointed
 			}
 		}
-		if capTrips(st.delivered, st.total, maxMsgs) {
-			// As EventEngine does, deliver what is left of the budget — the
-			// round's global-rank prefix, of which each process plays the
-			// share its ascending ranks place below the cut — and abort
-			// here, at the barrier every process reached.
-			fits, _ := slices.BinarySearch(st.ranks, maxMsgs-st.delivered)
-			r.Play(st.round+1, st.inbox[:fits])
-			return nil, nil, sim.NewBudgetError(max(st.delivered, maxMsgs), maxMsgs, r.Report())
+		// The guard and the counts are barrier-agreed, so every process
+		// aborts here, at the barrier where EventEngine's round tier does.
+		if st.guard.Trips(st.delivered, st.total) {
+			return nil, nil, st.guard.Abort(st.delivered)
 		}
 		if st.total == 0 {
 			break
@@ -369,8 +357,9 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (proto
 			e.sc.counts = route(e.sc.out, e.sc.counts[:0], e.Owner, sent, ends, st.ranks)
 			rankSpace := st.total
 			st.delivered += rankSpace
+			st.guard.Observe(r.Report(), st.delivered)
 			if st.active == 1 && spec.Next(st.round-1) != st.round {
-				err = e.soloBarrier(seq, &st, rankSpace, maxMsgs)
+				err = e.soloBarrier(seq, &st, rankSpace)
 			} else {
 				err = e.fullBarrier(seq, &st, rankSpace, -1)
 			}
@@ -482,7 +471,7 @@ func (e *DistEngine) fullBarrier(seq uint64, st *barrierState, rankSpace int64, 
 		stop, covered = st.stop, rankSpace
 	}
 	e.markOwn()
-	h := roundHeader{seq: seq, round: st.round, flags: e.stopFlags(), rankSpace: rankSpace, delivered: st.delivered}
+	h := st.header(seq, e.stopFlags(), rankSpace)
 	if err := e.sendRound(h); err != nil {
 		return err
 	}
@@ -505,6 +494,7 @@ func (e *DistEngine) fullBarrier(seq uint64, st *barrierState, rankSpace int64, 
 			return err
 		}
 		stop = stop || ph.flags&roundFlagStop != 0
+		st.guard.Merge(int(ph.top), ph.since)
 		covered += cov
 	}
 	if covered != rankSpace {
@@ -517,9 +507,9 @@ func (e *DistEngine) fullBarrier(seq uint64, st *barrierState, rankSpace int64, 
 // soloBarrier closes a round this process played alone. Its counts cover
 // the whole rank space, so it computes the offsets and its next inbox
 // locally, and it sends a frame — to every peer — only when one must
-// hear: it queued records for a peer, the run goes quiescent, the message
-// cap trips, or it latched a stop. Forced barriers never come here.
-func (e *DistEngine) soloBarrier(seq uint64, st *barrierState, rankSpace, maxMsgs int64) error {
+// hear: it queued records for a peer, the run goes quiescent, the guard
+// trips, or it latched a stop. Forced barriers never come here.
+func (e *DistEngine) soloBarrier(seq uint64, st *barrierState, rankSpace int64) error {
 	counts := e.sc.counts
 	if int64(len(counts)) != rankSpace {
 		return &FrameError{Type: frameRound, Reason: fmt.Sprintf("solo round played %d of %d deliveries", len(counts), rankSpace)}
@@ -535,8 +525,8 @@ func (e *DistEngine) soloBarrier(seq uint64, st *barrierState, rankSpace, maxMsg
 	if err := e.splice(st, rankSpace); err != nil {
 		return err
 	}
-	if peers || st.total == 0 || st.stop || capTrips(st.delivered, st.total, maxMsgs) {
-		return e.sendRound(roundHeader{seq: seq, round: st.round, flags: flags, rankSpace: rankSpace, delivered: st.delivered})
+	if peers || st.total == 0 || st.stop || st.guard.Trips(st.delivered, st.total) {
+		return e.sendRound(st.header(seq, flags, rankSpace))
 	}
 	return nil
 }
@@ -558,6 +548,7 @@ func (e *DistEngine) awaitLone(seq uint64, st *barrierState) error {
 		return err
 	}
 	st.round, st.delivered = h.round, h.delivered
+	st.guard.Merge(int(h.top), h.since)
 	st.stop = h.flags&roundFlagStop != 0
 	if e.Checkpoint.Next(h.round-1) == h.round {
 		return e.fullBarrier(seq, st, h.rankSpace, lone)

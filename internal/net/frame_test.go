@@ -248,6 +248,8 @@ func badRoundPayloads(table *WireTable) map[string][]byte {
 		b = appendUvarint(b, 0)    // flags
 		b = appendUvarint(b, 64)   // rank space
 		b = appendUvarint(b, 0)    // delivered
+		b = appendUvarint(b, 0)    // highest protocol round
+		b = appendUvarint(b, 0)    // delivered when it appeared
 		b = appendUvarint(b, 0)    // empty activity set
 		return appendUvarint(b, ncounts)
 	}
@@ -351,6 +353,9 @@ func soloHeaderCases(table *WireTable) []struct {
 		{"solo frame passes the forced barrier",
 			msg(roundHeader{round: 9, rankSpace: 3, delivered: 9}, []int32{1}, counts(3)),
 			&roundExpect{seq: 1, round: 5, solo: true, limit: 8}},
+		{"progress mark past the delivered count",
+			msg(roundHeader{round: 7, rankSpace: 3, delivered: 9, top: 2, since: 10}, []int32{1}, counts(3)),
+			&roundExpect{seq: 1, round: 5, solo: true, limit: -1}},
 		{"full-barrier frame for another round",
 			msg(roundHeader{round: 6, rankSpace: 3, delivered: 9}, []int32{1}, counts(3)),
 			&roundExpect{seq: 1, round: 5, rankSpace: 3, delivered: 9, limit: -1}},
@@ -371,11 +376,12 @@ func TestRoundFrameSoloHeaderViolations(t *testing.T) {
 }
 
 // TestRoundFrameSoloAdoption: a process idle in a solo stretch adopts the
-// lone process's frame — round, rank space, delivered count, activity set
-// and counts — even when the frame's rank space outgrows the slabs.
+// lone process's frame — round, rank space, delivered count, run guard
+// view, activity set and counts — even when the frame's rank space
+// outgrows the slabs.
 func TestRoundFrameSoloAdoption(t *testing.T) {
 	table := CanonicalTable()
-	h := roundHeader{seq: 1, round: 12, rankSpace: 5, delivered: 40}
+	h := roundHeader{seq: 1, round: 12, rankSpace: 5, delivered: 40, top: 3, since: 31}
 	cs := []sim.RankCount{{Rank: 0, Count: 1}, {Rank: 1}, {Rank: 2, Count: 2}, {Rank: 3}, {Rank: 4, Count: 1}}
 	payload := roundPayload(h, []int32{0, 1}, cs, nil, table)
 	s := decodeScratch(2, 1)

@@ -32,7 +32,10 @@ import (
 // frames one shard payload — seq, round, counters, owned states, then one
 // delivery run per destination process — so a checkpoint upload carries
 // per-destination runs instead of one merged stream (DESIGN.md §9).
-const handshakeVersion = 5
+// Version 6 added the run guard's view (highest protocol round and the
+// delivered count when it first appeared) to the round header, so every
+// process trips the guard at the same barrier (DESIGN.md §9).
+const handshakeVersion = 6
 
 // handshakeMagic opens every hello payload.
 var handshakeMagic = [8]byte{'M', 'D', 'S', 'T', 'N', 'E', 'T', '1'}

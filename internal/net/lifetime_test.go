@@ -14,7 +14,10 @@ import (
 // records big enough to make any send slab grow, each filled with the
 // probe's words inverted, then forwards the probe and re-reads its record.
 // An engine whose inbox aliased its send slab, or that handed out a slot
-// the sends reuse, would show the burst's words there.
+// the sends reuse, would show the burst's words there. Every eighth node of
+// a 64-node ring starts a probe, so the run guard's round-0 window
+// (16·n·(n+m) deliveries, sim.Window) admits the bursts, and on two
+// processes the probe from node 32 crosses between them.
 
 var lifeWire = sim.Register("netlife",
 	sim.OpSpec{Kind: "netlife.probe", MinPayload: sim.MaxPayloadWords, MaxPayload: sim.MaxPayloadWords},
@@ -41,11 +44,14 @@ func putProbe(m *sim.WireMsg, hops int64) {
 }
 
 type lifeNode struct {
+	start          bool
 	probes, bursts int64
 }
 
 func (n *lifeNode) Init(ctx sim.Context) {
-	putProbe(ctx.Out(ctx.Neighbors()[0]), 1)
+	if n.start {
+		putProbe(ctx.Out(ctx.Neighbors()[0]), 1)
+	}
 }
 
 func (n *lifeNode) Recv(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) {
@@ -82,14 +88,16 @@ func (n *lifeNode) Recv(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) {
 }
 
 func (n *lifeNode) WalkState(s *sim.State) {
+	s.Bool(&n.start)
 	sim.Varint(s, &n.probes)
 	sim.Varint(s, &n.bursts)
 }
 
 func TestRecvRecordOutlivesSends(t *testing.T) {
-	c := graph.Ring(8).Compile()
-	f := func(sim.NodeID, []sim.NodeID) sim.Protocol { return new(lifeNode) }
-	want := int64(c.N()) * lifeHops * (lifeBurst + 1)
+	c := graph.Ring(64).Compile()
+	f := func(id sim.NodeID, _ []sim.NodeID) sim.Protocol { return &lifeNode{start: id%8 == 0} }
+	const probers = 8
+	want := int64(probers * lifeHops * (lifeBurst + 1))
 	check := func(t *testing.T, protos []sim.Protocol, rep *sim.Report) {
 		t.Helper()
 		if rep.Messages != want {
@@ -100,7 +108,7 @@ func TestRecvRecordOutlivesSends(t *testing.T) {
 			probes += p.(*lifeNode).probes
 			bursts += p.(*lifeNode).bursts
 		}
-		if probes != int64(c.N())*lifeHops || bursts != probes*lifeBurst {
+		if probes != probers*lifeHops || bursts != probes*lifeBurst {
 			t.Errorf("nodes saw %d probes and %d burst records", probes, bursts)
 		}
 	}

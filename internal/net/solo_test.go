@@ -221,7 +221,7 @@ func TestDistSoloFramesPinned(t *testing.T) {
 	}
 	// The round frames' byte form: payload bytes each process handed to
 	// the transport, and the rank/count header share of them.
-	wantBytes := [2][2]int64{{502682, 185225}, {509846, 188264}}
+	wantBytes := [2][2]int64{{532606, 215149}, {539623, 218041}}
 	for id, s := range stats {
 		if got := [2]int64{s.BytesSent, s.HeaderBytes}; got != wantBytes[id] {
 			t.Errorf("process %d sent %d round-frame bytes (%d header), want %d (%d header)",

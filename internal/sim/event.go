@@ -64,34 +64,6 @@ func UniformDelay(lo float64) DelayFn {
 	}
 }
 
-// DefaultMaxMessages caps runaway protocols in the event engine.
-const DefaultMaxMessages = 200_000_000
-
-// BudgetError is the typed abort of a run that reached its message budget
-// (MaxMessages, DefaultMaxMessages when unset): Messages had been delivered
-// and the run still had deliveries pending. The engines that enforce a
-// budget (EventEngine, ReferenceEngine and internal/net's DistEngine) abort
-// through NewBudgetError; callers match it with errors.As. AsyncEngine has
-// no message budget.
-type BudgetError struct {
-	Messages int64 // deliveries made when the run aborted
-	Limit    int64 // the budget
-	// Rounds is the highest protocol round among the deliveries the
-	// aborting report had counted (Report.Rounds): a run that aborts in an
-	// early round is likelier stuck than one that aborts late.
-	Rounds int
-}
-
-func (e *BudgetError) Error() string {
-	return fmt.Sprintf("sim: exceeded %d messages by protocol round %d; protocol livelock?", e.Limit, e.Rounds)
-}
-
-// NewBudgetError builds the budget abort after delivered messages under
-// limit, taking Rounds from the run's report.
-func NewBudgetError(delivered, limit int64, rep *Report) error {
-	return &BudgetError{Messages: delivered, Limit: limit, Rounds: rep.Rounds()}
-}
-
 // EventEngine is a deterministic discrete-event simulator: events are
 // delivered in (time, sequence) order, delays come from a seeded RNG, and
 // the whole run is reproducible.
@@ -121,9 +93,6 @@ type EventEngine struct {
 	// The paper's channels are FIFO; disable to stress protocols under
 	// reordering.
 	FIFO bool
-	// MaxMessages aborts the run when exceeded (0 means
-	// DefaultMaxMessages); it converts protocol livelock into an error.
-	MaxMessages int64
 	// Trace, when non-nil, observes every delivery.
 	Trace func(TraceEvent)
 	// Checkpoint, when non-nil, arms barrier checkpointing on the
@@ -222,17 +191,13 @@ func (e *EventEngine) Run(c *graph.CSR, f Factory) (protos []Protocol, rep *Repo
 		}
 	}()
 	start := time.Now()
-	maxMsgs := e.MaxMessages
-	if maxMsgs == 0 {
-		maxMsgs = DefaultMaxMessages
-	}
 	if isUnitDelay(e.Delay) {
-		return e.runRounds(c, f, maxMsgs, start, nil)
+		return e.runRounds(c, f, start, nil)
 	}
 	if e.Checkpoint != nil {
 		return nil, nil, errCheckpointTier
 	}
-	return e.runWheel(c, f, maxMsgs, start)
+	return e.runWheel(c, f, start)
 }
 
 // runWheel is EventEngine's random-delay tier. The runner plays one
@@ -242,7 +207,7 @@ func (e *EventEngine) Run(c *graph.CSR, f Factory) (protos []Protocol, rep *Repo
 // link under FIFO and numbering it — the order in which the sends
 // happened, so delays and sequence numbers are exactly those of sending
 // straight from the handler. Called from Run, which owns panic recovery.
-func (e *EventEngine) runWheel(c *graph.CSR, f Factory, maxMsgs int64, start time.Time) ([]Protocol, *Report, error) {
+func (e *EventEngine) runWheel(c *graph.CSR, f Factory, start time.Time) ([]Protocol, *Report, error) {
 	r := roundPool.Get().(*RoundRunner)
 	defer r.release()
 	r.Reset(c, f)
@@ -251,6 +216,7 @@ func (e *EventEngine) runWheel(c *graph.CSR, f Factory, maxMsgs int64, start tim
 	defer scratchPool.Put(s)
 	s.reset(c.HalfEdges())
 	rng := rand.New(rand.NewSource(e.Seed))
+	g := NewGuard(c)
 	var seq int64
 	now, depth := 0.0, int64(0)
 	// All nodes start independently; Init runs at time zero in ID order.
@@ -274,8 +240,8 @@ func (e *EventEngine) runWheel(c *graph.CSR, f Factory, maxMsgs int64, start tim
 			break
 		}
 		ev := s.wheel.pop()
-		if r.report.Messages >= maxMsgs {
-			return nil, nil, NewBudgetError(r.report.Messages, maxMsgs, r.report)
+		if g.Observe(r.report, r.report.Messages); g.Trips(r.report.Messages, 1) {
+			return nil, nil, g.Abort(r.report.Messages)
 		}
 		now, depth = ev.t, ev.depth
 		s.one[0] = ev.d
@@ -309,11 +275,7 @@ func (e *EventEngine) Resume(c *graph.CSR, f Factory, ck *Checkpoint) (protos []
 	if err := ck.ValidateAgainst(c); err != nil {
 		return nil, nil, err
 	}
-	maxMsgs := e.MaxMessages
-	if maxMsgs == 0 {
-		maxMsgs = DefaultMaxMessages
-	}
-	return e.runRounds(c, f, maxMsgs, start, ck)
+	return e.runRounds(c, f, start, ck)
 }
 
 var _ ResumableEngine = (*EventEngine)(nil)

@@ -25,8 +25,6 @@ type ReferenceEngine struct {
 	Delay DelayFn
 	// FIFO preserves per-link delivery order under random delays.
 	FIFO bool
-	// MaxMessages aborts the run when exceeded (0 means DefaultMaxMessages).
-	MaxMessages int64
 	// Trace, when non-nil, observes every delivery.
 	Trace func(TraceEvent)
 }
@@ -120,10 +118,6 @@ func (e *ReferenceEngine) Run(c *graph.CSR, f Factory) (protos []Protocol, rep *
 	if delay == nil {
 		delay = UnitDelay
 	}
-	maxMsgs := e.MaxMessages
-	if maxMsgs == 0 {
-		maxMsgs = DefaultMaxMessages
-	}
 	rr := &refRun{
 		rng:      rand.New(rand.NewSource(e.Seed)),
 		delay:    delay,
@@ -145,11 +139,12 @@ func (e *ReferenceEngine) Run(c *graph.CSR, f Factory) (protos []Protocol, rep *
 		plist[i].Init(&ctxs[i])
 		ctxs[i].flush()
 	}
+	g := NewGuard(c)
 	for rr.queue.Len() > 0 {
 		rr.ev = heap.Pop(&rr.queue).(event)
 		ev := &rr.ev
-		if rr.report.Messages >= maxMsgs {
-			return nil, nil, NewBudgetError(rr.report.Messages, maxMsgs, rr.report)
+		if g.Observe(rr.report, rr.report.Messages); g.Trips(rr.report.Messages, 1) {
+			return nil, nil, g.Abort(rr.report.Messages)
 		}
 		ctx := &ctxs[ev.d.To]
 		ctx.now = ev.t

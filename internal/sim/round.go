@@ -203,11 +203,12 @@ func (r *RoundRunner) release() {
 // counters are restored and the pending slab becomes the first inbox — the
 // run goes on as if it had never stopped. Called from EventEngine.Run and
 // Resume, which own panic recovery.
-func (e *EventEngine) runRounds(c *graph.CSR, f Factory, maxMsgs int64, start time.Time, ck *Checkpoint) ([]Protocol, *Report, error) {
+func (e *EventEngine) runRounds(c *graph.CSR, f Factory, start time.Time, ck *Checkpoint) ([]Protocol, *Report, error) {
 	r := roundPool.Get().(*RoundRunner)
 	defer r.release()
 	r.Reset(c, f)
 	r.trace = e.Trace
+	g := NewGuard(c)
 	round := int64(0)
 	if ck == nil {
 		// All nodes start independently; Init runs at time zero in ID order
@@ -223,18 +224,18 @@ func (e *EventEngine) runRounds(c *graph.CSR, f Factory, maxMsgs int64, start ti
 		if err := ck.RestoreCounters(r.report); err != nil {
 			return nil, nil, err
 		}
+		g.Resume(ck)
 		round = ck.Round
 		r.sent = append(r.sent, ck.Pending...)
 	}
 	for len(r.sent) > 0 {
 		r.cur, r.sent = r.sent, r.cur[:0]
-		round++
-		// The budget admits maxMsgs deliveries: play what is left of it and
-		// abort if the round holds more.
-		if left := maxMsgs - r.report.Messages; int64(len(r.cur)) > left {
-			r.Play(round, r.cur[:max(left, 0)])
-			return nil, nil, NewBudgetError(r.report.Messages, maxMsgs, r.report)
+		// The guard sees the rounds played so far and stops the run here,
+		// at the barrier, if this round would overrun its window.
+		if g.Observe(r.report, r.report.Messages); g.Trips(r.report.Messages, int64(len(r.cur))) {
+			return nil, nil, g.Abort(r.report.Messages)
 		}
+		round++
 		r.Play(round, r.cur)
 		// A resumed run re-enters at ck.Round+1, so the barrier it resumed
 		// from is never re-committed.

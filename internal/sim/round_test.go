@@ -97,18 +97,33 @@ func TestRoundEngineConcurrent(t *testing.T) {
 	}
 }
 
-// TestRoundEngineLivelockGuard pins the MaxMessages abort on the round tier
-// (the generic guard test runs under UnitDelay too, but this one fixes the
-// exact path after tier selection).
+// TestRoundEngineLivelockGuard pins the round tier's abort for protocols
+// stuck in one round on rings of two sizes, so the window follows the
+// graph: every round from 1 on gets 16·(n+m), round 0 n times that. A ring of n
+// carries 2n records per round and round r opens in the tier's round r+1,
+// so each window divides into whole rounds and the tier aborts after
+// exactly the window, plus the 2n·(r+1) deliveries that opened round r
+// when r > 0.
 func TestRoundEngineLivelockGuard(t *testing.T) {
-	g := graph.Ring(4)
-	_, _, err := (&EventEngine{Delay: UnitDelay, MaxMessages: 500}).Run(g.Compile(), func(NodeID, []NodeID) Protocol { return chainReaction{} })
-	var be *BudgetError
-	if !errors.As(err, &be) || be.Messages != 500 || be.Limit != 500 {
-		t.Fatalf("want a budget abort at 500 messages, got %v", err)
-	}
-	// Rounds 0..61 carry 496 deliveries; the budget's last 4 are round 62's.
-	if be.Rounds != 62 {
-		t.Fatalf("budget abort names round %d, want 62", be.Rounds)
+	for _, n := range []int{4, 16} {
+		for _, stuck := range []int{0, 1, 3} {
+			c := graph.Ring(n).Compile()
+			_, _, err := (&EventEngine{Delay: UnitDelay}).Run(c, func(NodeID, []NodeID) Protocol { return stuckAt(stuck) })
+			var be *BudgetError
+			if !errors.As(err, &be) {
+				t.Fatalf("ring %d stuck at %d: want *BudgetError, got %v", n, stuck, err)
+			}
+			window := int64(16 * 2 * n)
+			if stuck == 0 {
+				window *= int64(n)
+			}
+			want := BudgetError{Messages: window, Limit: window, Rounds: stuck}
+			if stuck > 0 {
+				want.Messages += int64(2 * n * (stuck + 1))
+			}
+			if *be != want || Window(c, stuck) != window {
+				t.Errorf("ring %d stuck at %d: aborted at %+v (window %d), want %+v", n, stuck, *be, Window(c, stuck), want)
+			}
+		}
 	}
 }

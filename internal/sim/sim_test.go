@@ -231,9 +231,9 @@ func TestNonNeighborSendFails(t *testing.T) {
 	}
 }
 
-// chainReaction floods to test the livelock guard: every delivery of a
-// round-h record answers with a round-h+1 record, so a ring of 4 carries
-// 8 records per round.
+// chainReaction floods to test the run guard: every delivery of a
+// round-h record answers with a round-h+1 record, so a ring of 4 carries 8
+// records per round and opens a new protocol round every round.
 type chainReaction struct{}
 
 func (chainReaction) Init(ctx Context) {
@@ -245,33 +245,72 @@ func (chainReaction) Recv(ctx Context, from NodeID, m *WireMsg) {
 	Send(ctx, from, krMsg(int(m.W[0])+1))
 }
 
-// TestLivelockGuard pins the typed budget abort on every single-process
-// tier: each stops exactly before the delivery that would exceed the cap,
-// and names the highest protocol round it delivered (under unit delays the
-// 1,000 deliveries are rounds 0..124, 8 each).
+// stuckAt is chainReaction that stops opening rounds at round r: from
+// then on every record answers with another round-r record, forever.
+type stuckAt int
+
+func (s stuckAt) Init(ctx Context) { chainReaction{}.Init(ctx) }
+func (s stuckAt) Recv(ctx Context, from NodeID, m *WireMsg) {
+	Send(ctx, from, krMsg(min(int(m.W[0])+1, int(s))))
+}
+
+// TestLivelockGuard pins the typed budget abort of a protocol stuck in
+// protocol round 1 on every single-process tier. The window follows from
+// the graph (16·(n+m) = 128 deliveries on a ring of 4). The round tier
+// opens round 1 by its second round (16 deliveries) and aborts at the
+// barrier before the round that would pass the window: after 16+128. The
+// per-delivery tiers abort before the delivery that would pass it, and
+// ReferenceEngine under the wheel tier's delays aborts where the wheel
+// tier does.
 func TestLivelockGuard(t *testing.T) {
-	g := graph.Ring(4)
+	c := graph.Ring(4).Compile()
+	delay := UniformDelay(0.5)
 	engines := map[string]Engine{
-		"rounds":    &EventEngine{Delay: UnitDelay, MaxMessages: 1000},
-		"wheel":     &EventEngine{Delay: UniformDelay(0.5), Seed: 1, MaxMessages: 1000},
-		"reference": &ReferenceEngine{Delay: UnitDelay, MaxMessages: 1000},
+		"rounds":    &EventEngine{Delay: UnitDelay},
+		"wheel":     &EventEngine{Delay: delay, Seed: 1},
+		"reference": &ReferenceEngine{Delay: delay, Seed: 1},
 	}
-	rounds := map[string]int{"rounds": 124, "wheel": 127, "reference": 124}
+	got := map[string]*BudgetError{}
 	for name, eng := range engines {
-		_, _, err := eng.Run(g.Compile(), func(NodeID, []NodeID) Protocol { return chainReaction{} })
+		_, _, err := eng.Run(c, func(NodeID, []NodeID) Protocol { return stuckAt(1) })
 		var be *BudgetError
 		if !errors.As(err, &be) {
-			t.Errorf("%s: want *BudgetError, got %v", name, err)
-			continue
+			t.Fatalf("%s: want *BudgetError, got %v", name, err)
 		}
-		if be.Messages != 1000 || be.Limit != 1000 {
-			t.Errorf("%s: aborted at %d of %d messages, want 1000 of 1000", name, be.Messages, be.Limit)
+		if be.Limit != Window(c, 1) || be.Limit != 128 || be.Rounds != 1 {
+			t.Errorf("%s: aborted in round %d under window %d, want round 1 under 128", name, be.Rounds, be.Limit)
 		}
-		if be.Rounds != rounds[name] {
-			t.Errorf("%s: aborted by round %d, want %d", name, be.Rounds, rounds[name])
+		if !strings.Contains(be.Error(), "protocol round above 1 within a window of 128 deliveries") {
+			t.Errorf("%s: error %q does not name the round and the window", name, be.Error())
 		}
-		if !strings.Contains(be.Error(), fmt.Sprintf("protocol round %d", rounds[name])) {
-			t.Errorf("%s: error %q does not name the round", name, be.Error())
+		got[name] = be
+	}
+	if got["rounds"].Messages != 16+128 {
+		t.Errorf("round tier aborted after %d messages, want %d", got["rounds"].Messages, 16+128)
+	}
+	if *got["wheel"] != *got["reference"] {
+		t.Errorf("wheel tier aborted at %+v, ReferenceEngine at %+v", *got["wheel"], *got["reference"])
+	}
+	if m := got["wheel"].Messages; m <= 128 || m > 16+128 {
+		t.Errorf("wheel tier aborted after %d messages, want one window past its first round-1 delivery", m)
+	}
+}
+
+// TestLivelockEndsAtRoundBound: a livelock that keeps opening rounds never
+// trips the guard; every tier ends it where the report's round domain
+// does, with the *WireError naming round 2^16.
+func TestLivelockEndsAtRoundBound(t *testing.T) {
+	c := graph.Ring(4).Compile()
+	engines := map[string]Engine{
+		"rounds":    &EventEngine{Delay: UnitDelay},
+		"wheel":     &EventEngine{Delay: UniformDelay(0.5), Seed: 1},
+		"reference": &ReferenceEngine{Delay: UnitDelay},
+	}
+	for name, eng := range engines {
+		_, _, err := eng.Run(c, func(NodeID, []NodeID) Protocol { return chainReaction{} })
+		var we *WireError
+		if !errors.As(err, &we) || !strings.Contains(we.Reason, fmt.Sprintf("round %d outside", maxRounds)) {
+			t.Errorf("%s: want the round-domain *WireError, got %v", name, err)
 		}
 	}
 }
