@@ -173,11 +173,13 @@ func assertSameReport(t *testing.T, label string, got, want *mdegst.Report) {
 // to the shared codecs (counters block, kind table, state blobs, pending
 // slab) must leave these bytes alone. (They were recorded again when the
 // node state gained the published degrees of DESIGN.md deviation 8, format
-// 5, and Single rounds stopped probing edges that cannot qualify.)
+// 5, and Single rounds stopped probing edges that cannot qualify, and
+// again when most Single rounds stopped running the deg convergecast and
+// the node state moved to format 6, deviation 9.)
 var frozenRunDigests = map[string]string{
-	"single/checkpoint-3":  "cf7f77972c2a20388005dcb996d590d0bf363c35a02e7aeee935c58ab6411c7f",
-	"hybrid/checkpoint-20": "9ecf791b399f42e42e8b3ae784da0d371d170e177a807f4fcfb1873df5f780aa",
-	"hybrid/tracebin":      "46d8bbd772c44542e2a4fde5e09219276144e8e894fa9cd81d837cafed9f87e1",
+	"single/checkpoint-3":  "8c3b8d7b0805d9b4352be80f3555a4fa9b303de84ab80a16fb3f7394a201d07c",
+	"hybrid/checkpoint-20": "a6a4e3300deb397773c56b8be37c3692272c6a4cef26c45f71150403d9fe04a1",
+	"hybrid/tracebin":      "dfd7f7c964c68c354cd74dd848d1c7e047965f1a96caf9b41ed992a5ca26e2f4",
 }
 
 func TestFrozenRunBytesPinned(t *testing.T) {

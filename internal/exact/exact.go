@@ -77,8 +77,9 @@ func checkExact(c *graph.CSR) error {
 // DegreeLowerBound returns a lower bound on Δ*: removing any vertex v splits
 // a spanning tree into deg_T(v) subtrees, each containing a component of
 // G - v, so Δ* >= components(G-v) for every v; and any tree on n >= 3 nodes
-// has a vertex of degree at least 2. It runs in O(n+m) time and memory, so
-// it certifies runs at any size.
+// has a vertex of degree at least 2, on 2 nodes one of degree 1, while the
+// tree on one node (or none) has degree 0. It runs in O(n+m) time and
+// memory, so it certifies runs at any size.
 //
 // One iterative DFS with articulation-point low-links yields
 // components(G-v) for every v at once. With C the number of components of
@@ -93,12 +94,12 @@ func checkExact(c *graph.CSR) error {
 // C - 1.
 func DegreeLowerBound(c *graph.CSR) int {
 	n := c.N()
+	if n <= 1 {
+		return 0
+	}
 	lb := 1
 	if n >= 3 {
 		lb = 2
-	}
-	if n == 0 {
-		return lb
 	}
 	disc := make([]int32, n) // 1-based discovery time; 0 = unvisited
 	low := make([]int32, n)

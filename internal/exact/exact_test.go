@@ -92,11 +92,16 @@ func TestErrors(t *testing.T) {
 }
 
 func TestDegreeLowerBound(t *testing.T) {
+	one := graph.New()
+	one.AddNode(7)
 	cases := []struct {
 		name string
 		g    *graph.Graph
 		want int
 	}{
+		{"empty", graph.New(), 0},
+		{"one node", one, 0},
+		{"one edge", graph.Path(2), 1},
 		{"star", graph.Star(9), 8},
 		{"path", graph.Path(6), 2},
 		{"complete", graph.Complete(5), 2},
@@ -113,6 +118,9 @@ func TestDegreeLowerBound(t *testing.T) {
 // differential oracle: one DFS sweep over G-v per vertex v.
 func sweepLowerBound(c *graph.CSR) int {
 	n := c.N()
+	if n <= 1 {
+		return 0
+	}
 	lb := 1
 	if n >= 3 {
 		lb = 2
@@ -232,21 +240,34 @@ func TestLowerBoundMatchesSweep(t *testing.T) {
 
 // TestLowerBoundScale runs the bound on a 1000×1000 grid — a million
 // nodes, where the per-vertex sweep would take hours — and requires the
-// answer 2 (a grid has no cut vertex) within a second.
+// answer 2 (a grid has no cut vertex) in linear time: the million-node
+// grid may take at most 40 times as long as a 250×250 grid timed in the
+// same process, whose node count is 16 times smaller. Each size takes its
+// fastest of three runs, so the ratio holds on any host and under the race
+// detector, which slows both alike.
 func TestLowerBoundScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-node grid")
 	}
-	c := graph.Grid(1000, 1000).Compile()
-	start := time.Now()
-	lb := DegreeLowerBound(c)
-	took := time.Since(start)
-	t.Logf("1000x1000 grid: bound %d in %v", lb, took)
+	fastest := func(c *graph.CSR) (lb int, best time.Duration) {
+		for range 3 {
+			start := time.Now()
+			lb = DegreeLowerBound(c)
+			if took := time.Since(start); best == 0 || took < best {
+				best = took
+			}
+		}
+		return lb, best
+	}
+	small, large := graph.Grid(250, 250).Compile(), graph.Grid(1000, 1000).Compile()
+	_, base := fastest(small)
+	lb, took := fastest(large)
+	t.Logf("1000x1000 grid: bound %d in %v; 250x250 grid in %v (%.1fx)", lb, took, base, float64(took)/float64(base))
 	if lb != 2 {
 		t.Errorf("grid lower bound %d, want 2", lb)
 	}
-	if took > time.Second {
-		t.Errorf("bound took %v on a 1000x1000 grid, want under 1s", took)
+	if took > 40*base {
+		t.Errorf("bound took %v on a 1000x1000 grid, more than 40x the %v of a 250x250 grid", took, base)
 	}
 }
 

@@ -751,7 +751,7 @@ func a1Spec(cfg Config) spec {
 }
 
 type a2Trial struct {
-	identical, roundsEq, swapsEq bool
+	identical, roundsEq, swapsEq, searchesEq bool
 }
 
 // a2Spec is the oracle ablation: the distributed run must equal the
@@ -767,9 +767,10 @@ func a2Spec(cfg Config) spec {
 				res := mustRun(c, t0, mode)
 				twinTree, st := mustTwin(c, t0, mode)
 				return a2Trial{
-					identical: res.Tree.Equal(twinTree),
-					roundsEq:  res.Rounds == st.Rounds,
-					swapsEq:   res.Swaps == st.Swaps,
+					identical:  res.Tree.Equal(twinTree),
+					roundsEq:   res.Rounds == st.Rounds,
+					swapsEq:    res.Swaps == st.Swaps,
+					searchesEq: res.Report.ByKind["mdst.deg"] == int64(c.N()-1)*int64(st.Searches),
 				}
 			})
 		}
@@ -779,14 +780,14 @@ func a2Spec(cfg Config) spec {
 			ID:     "A2",
 			Title:  "distributed protocol vs sequential twin (exact equality)",
 			Claim:  "the distributed protocol is a faithful distribution of the sequential improvement (correctness argument)",
-			Header: []string{"family", "mode", "identical tree", "rounds equal", "swaps equal"},
+			Header: []string{"family", "mode", "identical tree", "rounds equal", "swaps equal", "deg equal"},
 		}
 		i := 0
 		for _, w := range fams {
 			for _, mode := range ablationModes {
 				tr := results[i].(a2Trial)
 				i++
-				t.Add(w.name, mode.String(), tr.identical, tr.roundsEq, tr.swapsEq)
+				t.Add(w.name, mode.String(), tr.identical, tr.roundsEq, tr.swapsEq, tr.searchesEq)
 			}
 		}
 		return t

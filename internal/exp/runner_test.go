@@ -148,7 +148,7 @@ func TestHarnessAllocBudget(t *testing.T) {
 		ids    []string
 		budget float64
 	}{
-		{"E1,E3,E5-quick/parallel=1", []string{"E1", "E3", "E5"}, 7242},
+		{"E1,E3,E5-quick/parallel=1", []string{"E1", "E3", "E5"}, 7009},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			alloctest.Check(t, 5, tc.budget, func() {

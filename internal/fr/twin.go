@@ -22,8 +22,15 @@ import (
 )
 
 // TwinStats mirrors the distributed run's round/exchange accounting.
+// Searches counts the rounds that run SearchDegree's deg convergecast, in
+// which each node but the root sends one deg: every Multi round, every
+// Single round whose previous round was not Single, and every Single
+// round after an exchange whose cut child fell to degree k-2. Every other
+// round takes its owner from the previous round's wave and exchange
+// (DESIGN.md deviation 9).
 type TwinStats struct {
 	Rounds        int
+	Searches      int
 	Swaps         int
 	InitialDegree int
 	FinalDegree   int
@@ -154,11 +161,15 @@ func (tw *twinRun) run(mode mdst.Mode, target int) TwinStats {
 		phase = mdst.Single
 	}
 	// labelled: the previous round was Single, so the nodes know their
-	// subtree sizes and this round's wave can label the tree.
-	labelled := false
+	// subtree sizes and this round's wave can label the tree. fused: it
+	// also found this round's owner.
+	labelled, fused := false, false
 
 	for {
 		stats.Rounds++
+		if phase != mdst.Single || !fused {
+			stats.Searches++
+		}
 		k, maxNodes := d.MaxDegree(tw.maxBuf)
 		tw.maxBuf = maxNodes
 		if k <= stop {
@@ -183,6 +194,7 @@ func (tw *twinRun) run(mode mdst.Mode, target int) TwinStats {
 			}
 			labelled = true
 			c, fell := tw.roundSingle(p, k)
+			fused = !fell
 			if c != noFrag {
 				stats.Swaps++
 			} else {

@@ -14,7 +14,7 @@ import (
 // Ring returns the n-cycle (n >= 3).
 func Ring(n int) *Graph {
 	mustAtLeast("Ring", n, 3)
-	g := New()
+	g := newSized(n)
 	for i := 0; i < n; i++ {
 		g.MustAddEdge(NodeID(i), NodeID((i+1)%n))
 	}
@@ -24,7 +24,7 @@ func Ring(n int) *Graph {
 // Path returns the n-node path graph (n >= 1).
 func Path(n int) *Graph {
 	mustAtLeast("Path", n, 1)
-	g := New()
+	g := newSized(n)
 	g.AddNode(0)
 	for i := 1; i < n; i++ {
 		g.MustAddEdge(NodeID(i-1), NodeID(i))
@@ -35,7 +35,7 @@ func Path(n int) *Graph {
 // Complete returns K_n (n >= 1).
 func Complete(n int) *Graph {
 	mustAtLeast("Complete", n, 1)
-	g := New()
+	g := newSized(n)
 	g.AddNode(0)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -49,7 +49,7 @@ func Complete(n int) *Graph {
 // spanning tree has degree n-1, the paper's worst case.
 func Star(n int) *Graph {
 	mustAtLeast("Star", n, 2)
-	g := New()
+	g := newSized(n)
 	for i := 1; i < n; i++ {
 		g.MustAddEdge(0, NodeID(i))
 	}
@@ -61,7 +61,7 @@ func Star(n int) *Graph {
 // while the hub-star spanning tree has degree n-1.
 func Wheel(n int) *Graph {
 	mustAtLeast("Wheel", n, 4)
-	g := New()
+	g := newSized(n)
 	for i := 1; i < n; i++ {
 		g.MustAddEdge(0, NodeID(i))
 		next := i + 1
@@ -80,7 +80,7 @@ func Grid(rows, cols int) *Graph {
 	if rows*cols < 2 {
 		panic("graph: Grid needs at least 2 nodes")
 	}
-	g := New()
+	g := newSized(rows * cols)
 	id := func(r, c int) NodeID { return NodeID(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -99,7 +99,7 @@ func Grid(rows, cols int) *Graph {
 func Torus(rows, cols int) *Graph {
 	mustAtLeast("Torus rows", rows, 3)
 	mustAtLeast("Torus cols", cols, 3)
-	g := New()
+	g := newSized(rows * cols)
 	id := func(r, c int) NodeID { return NodeID(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -117,8 +117,8 @@ func Hypercube(d int) *Graph {
 	if d > 30 {
 		panic(fmt.Sprintf("graph: Hypercube parameter %d above maximum 30", d))
 	}
-	g := New()
 	n := 1 << d
+	g := newSized(n)
 	for i := 0; i < n; i++ {
 		for b := 0; b < d; b++ {
 			j := i ^ (1 << b)
@@ -134,7 +134,7 @@ func Hypercube(d int) *Graph {
 func CompleteBipartite(a, b int) *Graph {
 	mustAtLeast("CompleteBipartite a", a, 1)
 	mustAtLeast("CompleteBipartite b", b, 1)
-	g := New()
+	g := newSized(a + b)
 	for i := 0; i < a; i++ {
 		for j := 0; j < b; j++ {
 			g.MustAddEdge(NodeID(i), NodeID(a+j))
@@ -184,7 +184,7 @@ func Gnp(n int, p float64, seed int64) *Graph {
 		panic(fmt.Sprintf("graph: Gnp probability %v out of range", p))
 	}
 	rng := rand.New(rand.NewSource(seed))
-	g := New()
+	g := newSized(n)
 	for i := 0; i < n; i++ {
 		g.AddNode(NodeID(i))
 	}
@@ -229,7 +229,7 @@ func RandomTree(n int, seed int64) *Graph {
 // randomTree samples a uniform spanning tree of K_n via a random Prüfer
 // sequence.
 func randomTree(n int, rng *rand.Rand) *Graph {
-	g := New()
+	g := newSized(n)
 	if n == 1 {
 		g.AddNode(0)
 		return g
@@ -310,7 +310,7 @@ func RandomGeometric(n int, radius float64, seed int64) *Graph {
 		xs[i] = rng.Float64()
 		ys[i] = rng.Float64()
 	}
-	g := New()
+	g := newSized(n)
 	for i := 0; i < n; i++ {
 		g.AddNode(NodeID(i))
 	}
@@ -407,7 +407,7 @@ func RelabelRandom(g *Graph, seed int64) (*Graph, map[NodeID]NodeID) {
 	for i, v := range nodes {
 		mapping[v] = NodeID(perm[i]*7919 + 13) // spaced, non-contiguous
 	}
-	out := New()
+	out := newSized(len(nodes))
 	for _, v := range nodes {
 		out.AddNode(mapping[v])
 	}

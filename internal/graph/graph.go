@@ -10,7 +10,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NodeID names a processor in the network. The paper's model requires
@@ -46,21 +46,30 @@ func (e Edge) String() string { return fmt.Sprintf("(%d,%d)", e.U, e.V) }
 
 // Graph is a simple undirected graph (no self-loops, no multi-edges).
 // The zero value is an empty graph ready to use.
+//
+// Each node owns one slot: slot maps its identity to its position in adj,
+// the sorted neighbour lists. An edge between two existing nodes costs two
+// map lookups and no map write.
 type Graph struct {
-	adj   map[NodeID][]NodeID // sorted neighbour lists
-	nodes []NodeID            // sorted; kept in sync with adj
-	dirty bool                // nodes needs re-sorting
+	slot  map[NodeID]int32
+	adj   [][]NodeID // sorted neighbour lists, by slot
+	nodes []NodeID   // sorted when not dirty
+	dirty bool       // nodes needs re-sorting
 	m     int
 }
 
 // New returns an empty graph.
-func New() *Graph {
-	return &Graph{adj: make(map[NodeID][]NodeID)}
+func New() *Graph { return newSized(0) }
+
+// newSized returns an empty graph with room for n nodes, which saves the
+// generators that know their size the map's and the lists' growth.
+func newSized(n int) *Graph {
+	return &Graph{slot: make(map[NodeID]int32, n), adj: make([][]NodeID, 0, n), nodes: make([]NodeID, 0, n)}
 }
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	c := New()
+	c := newSized(g.N())
 	for _, v := range g.Nodes() {
 		c.AddNode(v)
 	}
@@ -71,21 +80,27 @@ func (g *Graph) Clone() *Graph {
 }
 
 // AddNode inserts an isolated node. Adding an existing node is a no-op.
-func (g *Graph) AddNode(v NodeID) {
-	if g.adj == nil {
-		g.adj = make(map[NodeID][]NodeID)
+func (g *Graph) AddNode(v NodeID) { g.slotOf(v) }
+
+// slotOf returns v's slot, adding v as an isolated node if it is new.
+func (g *Graph) slotOf(v NodeID) int32 {
+	if s, ok := g.slot[v]; ok {
+		return s
 	}
-	if _, ok := g.adj[v]; ok {
-		return
+	if g.slot == nil {
+		g.slot = make(map[NodeID]int32)
 	}
-	g.adj[v] = nil
+	s := int32(len(g.adj))
+	g.slot[v] = s
+	g.adj = append(g.adj, nil)
 	g.nodes = append(g.nodes, v)
 	g.dirty = true
+	return s
 }
 
 // HasNode reports whether v is a node of g.
 func (g *Graph) HasNode(v NodeID) bool {
-	_, ok := g.adj[v]
+	_, ok := g.slot[v]
 	return ok
 }
 
@@ -95,13 +110,14 @@ func (g *Graph) AddEdge(u, v NodeID) error {
 	if u == v {
 		return fmt.Errorf("graph: self-loop at node %d", u)
 	}
-	if g.HasEdge(u, v) {
+	su, sv := g.slotOf(u), g.slotOf(v)
+	i, dup := slices.BinarySearch(g.adj[su], v)
+	if dup {
 		return fmt.Errorf("graph: duplicate edge %v", NewEdge(u, v))
 	}
-	g.AddNode(u)
-	g.AddNode(v)
-	g.adj[u] = insertSorted(g.adj[u], v)
-	g.adj[v] = insertSorted(g.adj[v], u)
+	g.adj[su] = slices.Insert(g.adj[su], i, v)
+	j, _ := slices.BinarySearch(g.adj[sv], u)
+	g.adj[sv] = slices.Insert(g.adj[sv], j, u)
 	g.m++
 	return nil
 }
@@ -116,20 +132,26 @@ func (g *Graph) MustAddEdge(u, v NodeID) {
 // RemoveEdge deletes the undirected edge (u,v) if present and reports
 // whether it was removed.
 func (g *Graph) RemoveEdge(u, v NodeID) bool {
-	if !g.HasEdge(u, v) {
+	su, okU := g.slot[u]
+	sv, okV := g.slot[v]
+	if !okU || !okV {
 		return false
 	}
-	g.adj[u] = removeSorted(g.adj[u], v)
-	g.adj[v] = removeSorted(g.adj[v], u)
+	i, ok := slices.BinarySearch(g.adj[su], v)
+	if !ok {
+		return false
+	}
+	g.adj[su] = slices.Delete(g.adj[su], i, i+1)
+	j, _ := slices.BinarySearch(g.adj[sv], u)
+	g.adj[sv] = slices.Delete(g.adj[sv], j, j+1)
 	g.m--
 	return true
 }
 
 // HasEdge reports whether the undirected edge (u,v) exists.
 func (g *Graph) HasEdge(u, v NodeID) bool {
-	ns := g.adj[u]
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= v })
-	return i < len(ns) && ns[i] == v
+	_, ok := slices.BinarySearch(g.Neighbors(u), v)
+	return ok
 }
 
 // N returns the number of nodes.
@@ -142,7 +164,7 @@ func (g *Graph) M() int { return g.m }
 // callers must not modify it.
 func (g *Graph) Nodes() []NodeID {
 	if g.dirty {
-		sort.Slice(g.nodes, func(i, j int) bool { return g.nodes[i] < g.nodes[j] })
+		slices.Sort(g.nodes)
 		g.dirty = false
 	}
 	return g.nodes
@@ -150,10 +172,15 @@ func (g *Graph) Nodes() []NodeID {
 
 // Neighbors returns v's neighbours in ascending order. The returned slice is
 // shared; callers must not modify it.
-func (g *Graph) Neighbors(v NodeID) []NodeID { return g.adj[v] }
+func (g *Graph) Neighbors(v NodeID) []NodeID {
+	if s, ok := g.slot[v]; ok {
+		return g.adj[s]
+	}
+	return nil
+}
 
 // Degree returns the number of neighbours of v.
-func (g *Graph) Degree(v NodeID) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v NodeID) int { return len(g.Neighbors(v)) }
 
 // MaxDegree returns the maximum node degree of g (0 for an empty graph).
 func (g *Graph) MaxDegree() int {
@@ -193,7 +220,7 @@ func (g *Graph) DegreeHistogram() map[int]int {
 func (g *Graph) Edges() []Edge {
 	es := make([]Edge, 0, g.m)
 	for _, u := range g.Nodes() {
-		for _, v := range g.adj[u] {
+		for _, v := range g.Neighbors(u) {
 			if u < v {
 				es = append(es, Edge{U: u, V: v})
 			}
@@ -216,8 +243,9 @@ func (g *Graph) String() string {
 // count). It is used by tests and costs O(n+m).
 func (g *Graph) Validate() error {
 	count := 0
-	for v, ns := range g.adj {
-		if !sort.SliceIsSorted(ns, func(i, j int) bool { return ns[i] < ns[j] }) {
+	for v, s := range g.slot {
+		ns := g.adj[s]
+		if !slices.IsSorted(ns) {
 			return fmt.Errorf("graph: neighbours of %d not sorted", v)
 		}
 		for i, w := range ns {
@@ -237,20 +265,4 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: edge count mismatch: have %d half-edges, want %d", count, 2*g.m)
 	}
 	return nil
-}
-
-func insertSorted(ns []NodeID, v NodeID) []NodeID {
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= v })
-	ns = append(ns, 0)
-	copy(ns[i+1:], ns[i:])
-	ns[i] = v
-	return ns
-}
-
-func removeSorted(ns []NodeID, v NodeID) []NodeID {
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= v })
-	if i < len(ns) && ns[i] == v {
-		return append(ns[:i], ns[i+1:]...)
-	}
-	return ns
 }

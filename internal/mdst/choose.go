@@ -20,7 +20,11 @@ import (
 // size pending until the next start delivers S.
 
 func (n *Node) onUpdate(ctx sim.Context, from sim.NodeID, msg mUpdate) {
+	if !n.hasReport {
+		panic(fmt.Sprintf("mdst: node %d got an update for an edge it did not report", n.id))
+	}
 	n.exhausted = false
+	u, v := n.report.u, n.report.v
 	fell, pub := msg.fell, msg.pub
 	if msg.first {
 		// We are the cut child c and lose the owner. Unless we are u,
@@ -28,36 +32,38 @@ func (n *Node) onUpdate(ctx sim.Context, from sim.NodeID, msg mUpdate) {
 		// parent, so our degree drops by one. Either way the cut edge
 		// leaves both its ends' published degrees (DESIGN.md deviation 8):
 		// learn the owner's, and pass ours on to it.
-		fell = n.id != msg.u && n.degree() == n.kAll-1
+		fell = n.id != u && n.degree() == n.kAll-1
 		n.belief[neighborIndex(ctx, from)] = msg.pub
 		n.loseCutEdge()
 		pub = int(n.pub)
 	}
 	// On every hop after the first, the sender (our former parent) has
 	// reversed its pointer and is now our child; on the first hop the
-	// sender is the owner that just cut us.
-	if !msg.first {
+	// sender is the owner that just cut us. From c on, the update gathers
+	// the next round's SearchDegree aggregate unless c fell, which the
+	// next round's own search handles (DESIGN.md deviation 9).
+	in := msg.cycle
+	if msg.first {
+		in = optAgg{noAgg, n.phase == Single && !fell}
+	} else {
 		n.fixChild, n.fixBase = from, -n.subtreeSize()
 	}
-	if n.id == msg.u {
+	if n.id == u {
 		// "If e is an outgoing edge of x: the node at the next extremity
 		// of e becomes the parent of x."
 		if !msg.first {
 			n.addChild(from, 0)
 		}
-		n.parent = msg.v
+		n.parent = v
 		n.hasParent = true
-		sim.Send(ctx, msg.v, newChild(n.round, fell, pub))
+		sim.Send(ctx, v, newChild(n.round, fell, pub, n.onCycle(from, in, false)))
 		return
 	}
 	// "Else: the identity found in its via variable becomes its parent and
 	// the same identity is suppressed from the set of its children."
-	if !n.hasReport || n.report.u != msg.u || n.report.v != msg.v {
-		panic(fmt.Sprintf("mdst: node %d got update for edge (%d,%d) it did not report", n.id, msg.u, msg.v))
-	}
 	via := n.reportVia
 	if via == n.id {
-		panic(fmt.Sprintf("mdst: node %d is not %d yet has a self via", n.id, msg.u))
+		panic(fmt.Sprintf("mdst: node %d is not %d yet has a self via", n.id, u))
 	}
 	n.removeChild(via) // before adding, so the lists need not grow
 	if !msg.first {
@@ -65,7 +71,7 @@ func (n *Node) onUpdate(ctx sim.Context, from sim.NodeID, msg mUpdate) {
 	}
 	n.parent = via
 	n.hasParent = true
-	sim.Send(ctx, via, newUpdate(n.round, msg.u, msg.v, false, fell, pub))
+	sim.Send(ctx, via, newUpdate(n.round, false, fell, pub, n.onCycle(from, in, false)))
 }
 
 func (n *Node) onChild(ctx sim.Context, from sim.NodeID, msg mChild) {
@@ -77,7 +83,36 @@ func (n *Node) onChild(ctx sim.Context, from sim.NodeID, msg mChild) {
 	if !n.hasParent {
 		panic(fmt.Sprintf("mdst: reattachment endpoint %d has no parent", n.id))
 	}
-	sim.Send(ctx, n.parent, newRoundDone(n.round, msg.fell, msg.pub))
+	sim.Send(ctx, n.parent, newRoundDone(n.round, msg.fell, msg.pub, n.onCycle(from, msg.cycle, true)))
+}
+
+// onCycle brings this node's SearchDegree aggregate up to the tree its
+// round's exchange leaves (DESIGN.md deviation 9) and returns it for the
+// next hop of the cycle, or nil when the cycle carries none. in is what
+// the cycle gathered so far, from the sender, which is now this node's
+// child (on the first hop, at c, it gathered nothing). keep says whether
+// part still lies below this node: on v…p it does, while on p…u the
+// child holding the report turns into the parent (at p it is c, which
+// leaves).
+//
+// Off the cycle no node changes its degree, flag or subtree, so the
+// wave's aggregates stand there. On it every node has just cleared its
+// flag, and its own entry can only have risen except at p and c, whose
+// old entries never entered an aggregate on the new tree: the owner's
+// never does, and c's subtree is gathered afresh from its node up.
+func (n *Node) onCycle(from sim.NodeID, in optAgg, keep bool) *degAgg {
+	if !in.ok {
+		return nil
+	}
+	if !keep {
+		n.part = noAgg
+	}
+	agg, via := n.search()
+	if m := mergeAgg(agg, in.degAgg); m != agg {
+		agg, via = m, from
+	}
+	n.agg, n.via, n.part = agg, via, noAgg
+	return &n.agg
 }
 
 func (n *Node) onRoundDone(ctx sim.Context, from sim.NodeID, msg mRoundDone) {
@@ -94,13 +129,14 @@ func (n *Node) onRoundDone(ctx sim.Context, from sim.NodeID, msg mRoundDone) {
 	if n.isOwner && n.awaitingDone {
 		n.awaitingDone = false
 		n.belief[neighborIndex(ctx, n.ownerArrival)] = msg.pub
+		n.onCycle(from, msg.cycle, false)
 		n.settle(ctx, msg.fell)
 		return
 	}
 	if !n.hasParent {
 		panic(fmt.Sprintf("mdst: root %d received round-done it was not awaiting", n.id))
 	}
-	sim.Send(ctx, n.parent, newRoundDone(n.round, msg.fell, msg.pub))
+	sim.Send(ctx, n.parent, newRoundDone(n.round, msg.fell, msg.pub, n.onCycle(from, msg.cycle, true)))
 }
 
 // Multi-round grants (DESIGN.md deviation 4). Every owner proposes its

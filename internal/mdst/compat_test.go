@@ -53,10 +53,13 @@ func typedCheckpointError(err error) bool {
 //   - gnm32-hybrid-round2-format4.mdck and gnm32-single-round2-format3.mdck,
 //     written before the node state gained the published degrees (format
 //     5, DESIGN.md deviation 8): the first holds nodes in a Multi round
-//     (format 4), the second nodes in a Single round (format 3).
+//     (format 4), the second nodes in a Single round (format 3);
+//   - gnm32-hybrid-round2-format5.mdck and gnm32-single-round2-format5.mdck,
+//     written before the node state gained the part of the SearchDegree
+//     aggregate a Single round's wave keeps apart (format 6, deviation 9).
 //
 // Reading or resuming any of them must fail with a typed error; none may
-// resume into a run. The last three must fail on the state format itself.
+// resume into a run. The last five must fail on the state format itself.
 func TestOldCheckpointRefused(t *testing.T) {
 	for _, tc := range []struct {
 		file   string
@@ -65,9 +68,11 @@ func TestOldCheckpointRefused(t *testing.T) {
 	}{
 		{"gnm32-hybrid-round2.mdck", mdst.Hybrid, ""},
 		{"gnm32-hybrid-round2-format2.mdck", mdst.Hybrid, ""},
-		{"gnm32-hybrid-round2-format3.mdck", mdst.Hybrid, "mdst format 3, this binary reads 5"},
-		{"gnm32-hybrid-round2-format4.mdck", mdst.Hybrid, "mdst format 4, this binary reads 5"},
-		{"gnm32-single-round2-format3.mdck", mdst.Single, "mdst format 3, this binary reads 5"},
+		{"gnm32-hybrid-round2-format3.mdck", mdst.Hybrid, "mdst format 3, this binary reads 6"},
+		{"gnm32-hybrid-round2-format4.mdck", mdst.Hybrid, "mdst format 4, this binary reads 6"},
+		{"gnm32-single-round2-format3.mdck", mdst.Single, "mdst format 3, this binary reads 6"},
+		{"gnm32-hybrid-round2-format5.mdck", mdst.Hybrid, "mdst format 5, this binary reads 6"},
+		{"gnm32-single-round2-format5.mdck", mdst.Single, "mdst format 5, this binary reads 6"},
 	} {
 		raw, err := os.ReadFile(filepath.Join("testdata", tc.file))
 		if err != nil {

@@ -72,39 +72,43 @@ func runCounted(t *testing.T, eng sim.Engine, g *graph.Graph, mode Mode) (string
 
 // TestDeferralReplayOrderPinned runs the non-FIFO engines of
 // TestDeliveryOrderIndependence on a gnm instance where hundreds of BFS
-// probes are deferred, and requires each run's Report and final tree to
-// equal the recorded values. The causal depth and virtual time move with
-// any change of replay order. (The Multi rows were recorded before the
-// deferred list learned to skip retries and compact in place; only their
-// word counts moved since, when start, move, cut and bfsback widened. The
+// probes are deferred, and requires each run's Report, final tree and
+// deferral counts to equal the recorded values. The causal depth and
+// virtual time move with any change of replay order. (The Multi rows were
+// recorded before the deferred list learned to skip retries and compact
+// in place; only their word counts moved since, when start, move, cut and
+// bfsback widened and when bfsback's long form packed its words. The
 // Single and Hybrid rows were recorded again when Single rounds stopped
-// probing edges that cannot qualify, DESIGN.md deviation 8.) Round-ahead deferrals cannot occur on
-// these runs: a node's round-(r+1) traffic other than start needs the
-// root's round-(r+1) decision, which waits for this node's own degree
-// report, which it sends only after start. TestDeferralReplayScripted
-// covers that branch.
+// probing edges that cannot qualify, DESIGN.md deviation 8, and when most
+// Single rounds stopped running the deg convergecast, deviation 9.)
+// Round-ahead deferrals occur only in those fused rounds: there the owner
+// acts before the round's start has reached every node, so its wave's
+// probes can overtake the start. A round that runs deg cannot, because the
+// root's decision waits for every node's degree report, which each sends
+// only after its start; the Multi rows therefore have none.
 func TestDeferralReplayOrderPinned(t *testing.T) {
 	g := graph.Gnm(40, 120, 3)
 	golden := []struct {
 		mode        Mode
 		seed        int64
+		roundAhead  int
 		fragUnknown int
 		tree        string
 		report      string
 	}{
-		{Single, 3, 713, "b9580babdde49d48", "messages=5934 words=31036 maxWords=9 causalDepth=1271 virtualTime=667.1 rounds=20\n  mdst.bfs     2627\n  mdst.bfsback 741\n  mdst.child   17\n  mdst.cousin  648\n  mdst.cut     98\n  mdst.deg     780\n  mdst.move    60\n  mdst.rounddone 62\n  mdst.start   780\n  mdst.term    39\n  mdst.update  82\n"},
-		{Single, 4, 713, "b9580babdde49d48", "messages=5934 words=31036 maxWords=9 causalDepth=1275 virtualTime=666.3 rounds=20\n  mdst.bfs     2627\n  mdst.bfsback 741\n  mdst.child   17\n  mdst.cousin  648\n  mdst.cut     98\n  mdst.deg     780\n  mdst.move    60\n  mdst.rounddone 62\n  mdst.start   780\n  mdst.term    39\n  mdst.update  82\n"},
-		{Multi, 3, 473, "ffedfbb462836187", "messages=3506 words=18042 maxWords=9 causalDepth=419 virtualTime=227.2 rounds=9\n  mdst.bfs     1599\n  mdst.bfsback 351\n  mdst.child   13\n  mdst.cousin  589\n  mdst.cut     128\n  mdst.deg     351\n  mdst.move    11\n  mdst.rounddone 37\n  mdst.start   351\n  mdst.term    39\n  mdst.update  37\n"},
-		{Multi, 4, 459, "ffedfbb462836187", "messages=3506 words=18042 maxWords=9 causalDepth=416 virtualTime=225.2 rounds=9\n  mdst.bfs     1599\n  mdst.bfsback 351\n  mdst.child   13\n  mdst.cousin  589\n  mdst.cut     128\n  mdst.deg     351\n  mdst.move    11\n  mdst.rounddone 37\n  mdst.start   351\n  mdst.term    39\n  mdst.update  37\n"},
-		{Hybrid, 3, 565, "53609c4467b2f192", "messages=5088 words=26529 maxWords=9 causalDepth=1214 virtualTime=638.9 rounds=17\n  mdst.bfs     2055\n  mdst.bfsback 624\n  mdst.child   19\n  mdst.cousin  638\n  mdst.cut     149\n  mdst.deg     663\n  mdst.move    56\n  mdst.rounddone 71\n  mdst.start   663\n  mdst.term    39\n  mdst.update  111\n"},
-		{Hybrid, 4, 553, "53609c4467b2f192", "messages=5088 words=26529 maxWords=9 causalDepth=1213 virtualTime=641.0 rounds=17\n  mdst.bfs     2055\n  mdst.bfsback 624\n  mdst.child   19\n  mdst.cousin  638\n  mdst.cut     149\n  mdst.deg     663\n  mdst.move    56\n  mdst.rounddone 71\n  mdst.start   663\n  mdst.term    39\n  mdst.update  111\n"},
+		{Single, 3, 347, 476, "b9580babdde49d48", "messages=5427 words=29335 maxWords=9 causalDepth=978 virtualTime=510.1 rounds=20\n  mdst.bfs     2627\n  mdst.bfsback 741\n  mdst.child   17\n  mdst.cousin  648\n  mdst.cut     98\n  mdst.deg     273\n  mdst.move    60\n  mdst.rounddone 62\n  mdst.start   780\n  mdst.term    39\n  mdst.update  82\n"},
+		{Single, 4, 357, 484, "b9580babdde49d48", "messages=5427 words=29335 maxWords=9 causalDepth=969 virtualTime=524.6 rounds=20\n  mdst.bfs     2627\n  mdst.bfsback 741\n  mdst.child   17\n  mdst.cousin  648\n  mdst.cut     98\n  mdst.deg     273\n  mdst.move    60\n  mdst.rounddone 62\n  mdst.start   780\n  mdst.term    39\n  mdst.update  82\n"},
+		{Multi, 3, 0, 473, "ffedfbb462836187", "messages=3506 words=17696 maxWords=7 causalDepth=419 virtualTime=227.2 rounds=9\n  mdst.bfs     1599\n  mdst.bfsback 351\n  mdst.child   13\n  mdst.cousin  589\n  mdst.cut     128\n  mdst.deg     351\n  mdst.move    11\n  mdst.rounddone 37\n  mdst.start   351\n  mdst.term    39\n  mdst.update  37\n"},
+		{Multi, 4, 0, 459, "ffedfbb462836187", "messages=3506 words=17696 maxWords=7 causalDepth=416 virtualTime=225.2 rounds=9\n  mdst.bfs     1599\n  mdst.bfsback 351\n  mdst.child   13\n  mdst.cousin  589\n  mdst.cut     128\n  mdst.deg     351\n  mdst.move    11\n  mdst.rounddone 37\n  mdst.start   351\n  mdst.term    39\n  mdst.update  37\n"},
+		{Hybrid, 3, 16, 565, "53609c4467b2f192", "messages=5010 words=25957 maxWords=9 causalDepth=1118 virtualTime=592.6 rounds=17\n  mdst.bfs     2055\n  mdst.bfsback 624\n  mdst.child   19\n  mdst.cousin  638\n  mdst.cut     149\n  mdst.deg     585\n  mdst.move    56\n  mdst.rounddone 71\n  mdst.start   663\n  mdst.term    39\n  mdst.update  111\n"},
+		{Hybrid, 4, 17, 554, "53609c4467b2f192", "messages=5010 words=25957 maxWords=9 causalDepth=1117 virtualTime=602.9 rounds=17\n  mdst.bfs     2055\n  mdst.bfsback 624\n  mdst.child   19\n  mdst.cousin  638\n  mdst.cut     149\n  mdst.deg     585\n  mdst.move    56\n  mdst.rounddone 71\n  mdst.start   663\n  mdst.term    39\n  mdst.update  111\n"},
 	}
 	for _, want := range golden {
 		t.Run(fmt.Sprintf("%s/seed%d", want.mode, want.seed), func(t *testing.T) {
 			eng := &sim.EventEngine{Delay: sim.UniformDelay(0.02), Seed: want.seed, FIFO: false}
 			report, tree, counts := runCounted(t, eng, g, want.mode)
-			if counts.fragUnknown != want.fragUnknown || counts.roundAhead != 0 {
-				t.Errorf("deferrals %+v, want %d fragment-unknown and no round-ahead", counts, want.fragUnknown)
+			if counts != (deferralCounts{roundAhead: want.roundAhead, fragUnknown: want.fragUnknown}) {
+				t.Errorf("deferrals %+v, want %d round-ahead and %d fragment-unknown", counts, want.roundAhead, want.fragUnknown)
 			}
 			if tree != want.tree {
 				t.Errorf("final tree digest %s, want %s", tree, want.tree)

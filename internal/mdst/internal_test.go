@@ -172,13 +172,18 @@ func TestMessageWords(t *testing.T) {
 		{newBFS(1, 3, 2, 4), 5},
 		{newCousin(1, 3, 2, 4), 5},
 		{newCutRoot(1, 5), 3},
-		{newBFSBack(1, true, true, 3, noLo, noLabel, nil), 6},
-		{newBFSBack(1, true, false, 3, noLo, noLabel, &edgeReport{u: 1, v: 2, du: 3, dv: 4, vroot: 5}), 9},
-		{newUpdate(1, 2, 3, true, true, 6), 5},
+		{newBFSBack(1, true, true, 3, noLo, noLabel, nil, nil), 6},
+		{newBFSBack(1, true, false, 3, noLo, noLabel, &edgeReport{u: 1, v: 2, du: 3, dv: 4, vroot: 5}, nil), 7},
+		{newBFSBack(1, false, false, 3, noLo, noLabel, nil, &degAgg{k: 4, cand: 9}), 8},
+		{newBFSBack(1, false, false, 3, noLo, noLabel, &edgeReport{u: 1, v: 2, du: 3, dv: 4, vroot: 5}, &degAgg{k: 4, cand: 9}), 9},
+		{newUpdate(1, true, true, 6, nil), 3},
+		{newUpdate(1, false, false, 6, &degAgg{k: 4, cand: noCand}), 5},
 		{newClaim(1, 2, 3, updQuery|updUWon), 5},
 		{newRelease(1), 3},
-		{newChild(1, true, 6), 3},
-		{newRoundDone(1, true, 6), 3},
+		{newChild(1, true, 6, nil), 3},
+		{newChild(1, false, 6, &degAgg{k: 4, cand: 9}), 5},
+		{newRoundDone(1, true, 6, nil), 3},
+		{newRoundDone(1, false, 6, &degAgg{k: 4, cand: 9}), 5},
 		{newAnswer(1, false), 3},
 		{newReleased(1, true), 3},
 		{newTerm(1), 2},
@@ -218,8 +223,8 @@ func newCousin(round, deg int, owner, fragRoot sim.NodeID) (m sim.WireMsg) {
 	return m
 }
 
-func newBFSBack(round int, improved, claimer bool, size, lo, hi int, report *edgeReport) (m sim.WireMsg) {
-	putBFSBack(&m, round, improved, claimer, size, lo, hi, report)
+func newBFSBack(round int, improved, claimer bool, size, lo, hi int, report *edgeReport, search *degAgg) (m sim.WireMsg) {
+	putBFSBack(&m, round, improved, claimer, size, lo, hi, report, search)
 	return m
 }
 
@@ -260,13 +265,17 @@ func TestMessageRoundTrip(t *testing.T) {
 	if got := decCousin(ptr(newCousin(4, 6, 2, 3))); got != (mCousin{round: 4, deg: 6, owner: 2, fragRoot: 3}) {
 		t.Errorf("cousin round-trip: %+v", got)
 	}
-	for _, f := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
-		long := mBFSBack{round: 4, hasReport: true, report: rep, improved: f[0], claimer: f[1], size: 6, lo: noLo, hi: noLabel}
-		if got := decBFSBack(ptr(newBFSBack(4, f[0], f[1], 6, 0, 0, &rep))); got != long {
+	// A Single round's bfsback and an exchange's cycle records may carry
+	// a SearchDegree aggregate (DESIGN.md deviation 9), noCand included.
+	aggs := []optAgg{{}, {degAgg{k: 5, cand: 12}, true}, {degAgg{k: 3, cand: noCand}, true}}
+	for i, f := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+		a := aggs[i%len(aggs)]
+		long := mBFSBack{round: 4, hasReport: true, report: rep, improved: f[0], claimer: f[1], size: 6, lo: noLo, hi: noLabel, search: a}
+		if got := decBFSBack(ptr(newBFSBack(4, f[0], f[1], 6, 0, 0, &rep, a.ptr()))); got != long {
 			t.Errorf("bfsback long round-trip: %+v", got)
 		}
-		short := mBFSBack{round: 4, improved: f[0], claimer: f[1], size: 6, lo: 2, hi: 30}
-		if got := decBFSBack(ptr(newBFSBack(4, f[0], f[1], 6, 2, 30, nil))); got != short {
+		short := mBFSBack{round: 4, improved: f[0], claimer: f[1], size: 6, lo: 2, hi: 30, search: a}
+		if got := decBFSBack(ptr(newBFSBack(4, f[0], f[1], 6, 2, 30, nil, a.ptr()))); got != short {
 			t.Errorf("bfsback short round-trip: %+v", got)
 		}
 	}
@@ -274,7 +283,8 @@ func TestMessageRoundTrip(t *testing.T) {
 	pubs := []int{0, 5, -2}
 	for i, f := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
 		pub := pubs[i%len(pubs)]
-		if got := decUpdate(ptr(newUpdate(4, 7, 9, f[0], f[1], pub))); got != (mUpdate{round: 4, u: 7, v: 9, first: f[0], fell: f[1], pub: pub}) {
+		a := aggs[i%len(aggs)]
+		if got := decUpdate(ptr(newUpdate(4, f[0], f[1], pub, a.ptr()))); got != (mUpdate{round: 4, first: f[0], fell: f[1], pub: pub, cycle: a}) {
 			t.Errorf("update round-trip: %+v", got)
 		}
 	}
@@ -296,10 +306,11 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 	for i, b := range []bool{false, true} {
 		pub := pubs[i+1]
-		if got := decChild(ptr(newChild(4, b, pub))); got != (mChild{round: 4, fell: b, pub: pub}) {
+		a := aggs[i+1]
+		if got := decChild(ptr(newChild(4, b, pub, a.ptr()))); got != (mChild{round: 4, fell: b, pub: pub, cycle: a}) {
 			t.Errorf("child round-trip: %+v", got)
 		}
-		if got := decRoundDone(ptr(newRoundDone(4, b, pub))); got != (mRoundDone{round: 4, fell: b, pub: pub}) {
+		if got := decRoundDone(ptr(newRoundDone(4, b, pub, a.ptr()))); got != (mRoundDone{round: 4, fell: b, pub: pub, cycle: a}) {
 			t.Errorf("rounddone round-trip: %+v", got)
 		}
 		if got := decRoundDone(ptr(newAnswer(4, b))); got != (mRoundDone{round: 4, answer: true, won: b}) {

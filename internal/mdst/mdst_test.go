@@ -60,8 +60,10 @@ func initialTrees(t *testing.T, c *graph.CSR) map[string]*tree.Dense {
 
 // TestDistributedMatchesSequentialTwin is the central differential test:
 // the distributed protocol and its sequential twin must agree exactly —
-// same final tree (root, orientation and all), same rounds, same exchanges —
-// for every graph family, initial tree and mode.
+// same final tree (root, orientation and all), same rounds, same exchanges,
+// and one deg per non-root node in exactly the rounds the twin says run
+// the SearchDegree convergecast (DESIGN.md deviation 9) — for every graph
+// family, initial tree and mode.
 func TestDistributedMatchesSequentialTwin(t *testing.T) {
 	for _, tc := range testGraphs() {
 		c := tc.g.Compile()
@@ -69,23 +71,7 @@ func TestDistributedMatchesSequentialTwin(t *testing.T) {
 			for _, mode := range []mdst.Mode{mdst.Single, mdst.Multi, mdst.Hybrid} {
 				name := fmt.Sprintf("%s/%s/%s", tc.name, tname, mode)
 				t.Run(name, func(t *testing.T) {
-					res, err := mdst.Run(unitEngine(), c, t0, mode, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					twin, stats, err := fr.Twin(c, t0, mode, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !res.Tree.Equal(twin) {
-						t.Fatalf("trees differ:\ndistributed:\n%v\ntwin:\n%v", res.Tree, twin)
-					}
-					if res.Rounds != stats.Rounds {
-						t.Errorf("rounds = %d, twin = %d", res.Rounds, stats.Rounds)
-					}
-					if res.Swaps != stats.Swaps {
-						t.Errorf("swaps = %d, twin = %d", res.Swaps, stats.Swaps)
-					}
+					res := matchTwin(t, c, t0, mode)
 					if res.FinalDegree > res.InitialDegree {
 						t.Errorf("degree increased: %d -> %d", res.InitialDegree, res.FinalDegree)
 					}
@@ -93,6 +79,58 @@ func TestDistributedMatchesSequentialTwin(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFloodStartMatchesTwin holds the larger flood-started runs to the
+// twin as TestDistributedMatchesSequentialTwin does: gnm-1k and ba-2k in
+// Hybrid mode, grid-4k in Single mode, where most rounds take their owner
+// from the previous round.
+func TestFloodStartMatchesTwin(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		mode mdst.Mode
+	}{
+		{"gnm-1k", graph.Gnm(1024, 3072, 1), mdst.Hybrid},
+		{"ba-2k", graph.BarabasiAlbert(2048, 2, 1), mdst.Hybrid},
+		{"grid-4k", graph.Grid(64, 64), mdst.Single},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.g.Compile()
+			t0, _, err := spanning.Build(unitEngine(), c, spanning.NewFloodFactory(c, c.Index().ID(0)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			matchTwin(t, c, t0, tc.mode)
+		})
+	}
+}
+
+// matchTwin runs the protocol and its twin from t0 and requires the same
+// tree, rounds and swaps, and (n-1)·Searches deg records.
+func matchTwin(t *testing.T, c *graph.CSR, t0 *tree.Dense, mode mdst.Mode) *mdst.Result {
+	t.Helper()
+	res, err := mdst.Run(unitEngine(), c, t0, mode, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, stats, err := fr.Twin(c, t0, mode, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Tree.Equal(twin) {
+		t.Fatalf("trees differ:\ndistributed:\n%v\ntwin:\n%v", res.Tree, twin)
+	}
+	if res.Rounds != stats.Rounds {
+		t.Errorf("rounds = %d, twin = %d", res.Rounds, stats.Rounds)
+	}
+	if res.Swaps != stats.Swaps {
+		t.Errorf("swaps = %d, twin = %d", res.Swaps, stats.Swaps)
+	}
+	if got, want := res.Report.ByKind["mdst.deg"], int64(c.N()-1)*int64(stats.Searches); got != want {
+		t.Errorf("deg records = %d, want (n-1)·%d = %d", got, stats.Searches, want)
+	}
+	return res
 }
 
 // contestedGraph builds a graph and start tree in which two owners hanging

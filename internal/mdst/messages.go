@@ -37,8 +37,8 @@ var wire = sim.Register("mdst",
 	sim.OpSpec{Kind: "mdst.cousin", MinPayload: 4, MaxPayload: 4, Rounded: true},
 	sim.OpSpec{Kind: "mdst.bfsback", MinPayload: 5, MaxPayload: 8, Rounded: true},
 	sim.OpSpec{Kind: "mdst.update", MinPayload: 2, MaxPayload: 4, Rounded: true},
-	sim.OpSpec{Kind: "mdst.child", MinPayload: 2, MaxPayload: 2, Rounded: true},
-	sim.OpSpec{Kind: "mdst.rounddone", MinPayload: 2, MaxPayload: 2, Rounded: true},
+	sim.OpSpec{Kind: "mdst.child", MinPayload: 2, MaxPayload: 4, Rounded: true},
+	sim.OpSpec{Kind: "mdst.rounddone", MinPayload: 2, MaxPayload: 4, Rounded: true},
 	sim.OpSpec{Kind: "mdst.term", MinPayload: 1, MaxPayload: 1, Rounded: true},
 )
 
@@ -104,7 +104,9 @@ func decStart(m *sim.WireMsg) mStart {
 
 // mDeg is the SearchDegree convergecast: the maximum tree degree in the
 // sender's subtree, the minimum identity of an eligible node attaining it
-// (noCand if none) and whether the subtree holds a node of X.
+// (noCand if none) and whether the subtree holds a node of X. Only rounds
+// that cannot take their owner from the previous round run it (DESIGN.md
+// deviation 9).
 type mDeg struct {
 	round  int
 	k      int
@@ -236,11 +238,14 @@ func decCousin(m *sim.WireMsg) mCousin {
 // variable-size record, its payload length telling the forms apart: the
 // short form (no edge to report) carries round, flags, the size and the
 // subtree's qualifying label range lo..hi; the long form carries round,
-// size, flags and the five edge-report words, and needs no range: the
-// report alone proves every ancestor in the fragment eligible. The flags
-// word holds the improvement flag and, in a Multi round, the claimer flag:
-// the sender's subtree holds an owner whose claim on this fragment waits
-// for the fragment's owner to release it (deviation 4).
+// size and flags in one word, the edge's two ends, their two degrees in
+// one word and the far fragment root, and needs no range: the report
+// alone proves every ancestor in the fragment eligible. The flags hold
+// the improvement flag and, in a Multi round, the claimer flag: the
+// sender's subtree holds an owner whose claim on this fragment waits for
+// the fragment's owner to release it (deviation 4). A Single round's
+// record of either form ends with the sender's subtree's SearchDegree
+// aggregate, k and cand (deviation 9).
 type mBFSBack struct {
 	round     int
 	hasReport bool
@@ -249,67 +254,111 @@ type mBFSBack struct {
 	claimer   bool
 	size      int
 	lo, hi    int
+	search    optAgg // set on a Single round's record
 }
 
 // putBFSBack writes the long form when report is not nil, else the
-// short form.
-func putBFSBack(m *sim.WireMsg, round int, improved, claimer bool, size, lo, hi int, report *edgeReport) {
+// short form, and appends the aggregate when search is not nil.
+func putBFSBack(m *sim.WireMsg, round int, improved, claimer bool, size, lo, hi int, report *edgeReport, search *degAgg) {
 	flags := sim.B2W(improved) | sim.B2W(claimer)<<1
 	m.Op = opBFSBack
+	m.W[0] = int64(round)
 	if report == nil {
 		m.Nw = 5
-		m.W[0], m.W[1], m.W[2], m.W[3], m.W[4] = int64(round), flags, int64(size), int64(lo), int64(hi)
-		return
+		m.W[1], m.W[2], m.W[3], m.W[4] = flags, int64(size), int64(lo), int64(hi)
+	} else {
+		m.Nw = 6
+		m.W[1], m.W[2], m.W[3] = int64(size)<<2|flags, int64(report.u), int64(report.v)
+		m.W[4], m.W[5] = int64(report.du)<<32|int64(report.dv), int64(report.vroot)
 	}
-	m.Nw = 8
-	m.W[0], m.W[1], m.W[2] = int64(round), int64(size), flags
-	m.W[3], m.W[4], m.W[5], m.W[6], m.W[7] = int64(report.u), int64(report.v), int64(report.du), int64(report.dv), int64(report.vroot)
+	appendAgg(m, search)
 }
 
 func decBFSBack(m *sim.WireMsg) mBFSBack {
-	if m.Nw == 5 {
-		return mBFSBack{round: int(m.W[0]), improved: m.W[1]&1 != 0, claimer: m.W[1]&2 != 0,
-			size: int(m.W[2]), lo: int(m.W[3]), hi: int(m.W[4])}
+	var b mBFSBack
+	b.search = decAgg(m, 7)
+	b.round = int(m.W[0])
+	if m.Nw == 5 || m.Nw == 7 {
+		b.improved, b.claimer = m.W[1]&1 != 0, m.W[1]&2 != 0
+		b.size, b.lo, b.hi = int(m.W[2]), int(m.W[3]), int(m.W[4])
+		return b
 	}
-	return mBFSBack{
-		round:     int(m.W[0]),
-		hasReport: true,
-		improved:  m.W[2]&1 != 0,
-		claimer:   m.W[2]&2 != 0,
-		size:      int(m.W[1]),
-		lo:        noLo,
-		hi:        noLabel,
-		report: edgeReport{
-			u: sim.NodeID(m.W[3]), v: sim.NodeID(m.W[4]),
-			du: int(m.W[5]), dv: int(m.W[6]),
-			vroot: sim.NodeID(m.W[7]),
-		},
+	b.hasReport = true
+	b.improved, b.claimer, b.size = m.W[1]&1 != 0, m.W[1]&2 != 0, int(m.W[1]>>2)
+	b.lo, b.hi = noLo, noLabel
+	b.report = edgeReport{
+		u: sim.NodeID(m.W[2]), v: sim.NodeID(m.W[3]),
+		du: int(m.W[4] >> 32), dv: int(uint32(m.W[4])),
+		vroot: sim.NodeID(m.W[5]),
+	}
+	return b
+}
+
+// optAgg is a SearchDegree aggregate that a record may carry (DESIGN.md
+// deviation 9): a Single round's bfsback carries its sender's subtree's,
+// and an exchange's update, child and rounddone carry the aggregate that
+// its cycle gathers from the cut child c back to the owner. ok is false on
+// a record that carries none.
+type optAgg struct {
+	degAgg
+	ok bool
+}
+
+// ptr returns the aggregate to append, nil when there is none.
+func (o *optAgg) ptr() *degAgg {
+	if !o.ok {
+		return nil
+	}
+	return &o.degAgg
+}
+
+// appendAgg appends a SearchDegree aggregate, k then cand, to m's payload
+// unless a is nil.
+func appendAgg(m *sim.WireMsg, a *degAgg) {
+	if a != nil {
+		m.W[m.Nw], m.W[m.Nw+1] = int64(a.k), int64(a.cand)
+		m.Nw += 2
 	}
 }
 
+// decAgg reads the aggregate appendAgg put at the end of m, which holds
+// one exactly when its payload is at least least words long.
+func decAgg(m *sim.WireMsg, least uint8) optAgg {
+	if m.Nw < least {
+		return optAgg{}
+	}
+	return optAgg{degAgg{k: int(m.W[m.Nw-2]), cand: sim.NodeID(m.W[m.Nw-1])}, true}
+}
+
 // mUpdate travels from the owner down the via chain to the chosen outgoing
-// edge, reversing the path (the paper's "update" message). fell, set by
-// the first receiver c, says c's degree fell from k-1 to k-2; it rides on
-// through child and rounddone back to the owner. pub is the published
-// degree of an end of the cut edge (DESIGN.md deviation 8): the owner's on
-// the first hop, c's from there on, so that through child and rounddone
-// each end learns the other's. The flags and pub share one word, which
-// keeps the record within the paper's four numbers.
+// edge, reversing the path (the paper's "update" message). Every node on
+// the chain reported the chosen edge (u, v) itself, so the record need not
+// name it. fell, set by the first receiver c, says c's degree fell from
+// k-1 to k-2; it rides on through child and rounddone back to the owner.
+// pub is the published degree of an end of the cut edge (DESIGN.md
+// deviation 8): the owner's on the first hop, c's from there on, so that
+// through child and rounddone each end learns the other's. The flags and
+// pub share one word. From c on, a Single round's update may also carry
+// the SearchDegree aggregate the cycle gathers (deviation 9), which keeps
+// the record within the paper's four numbers.
 //
 // Multi rounds also run their grants on update (DESIGN.md deviation 4):
-//   - a claim travels the same chain, changing nothing, and carries the
-//     claiming owner where v would be (u knows v from its report): u and
-//     then v register it, and with query set they decide whether the owner
-//     won them, u passing uWon on to v;
-//   - a release, the short form (round, flags), travels down the children
-//     that reported a claimer below them, telling each claiming owner
-//     that its parent fragment's claims are all in.
+//   - a claim travels the same chain, changing nothing, and carries u and
+//     the claiming owner (in v): u and then v register it, and with query
+//     set they decide whether the owner won them, u passing uWon on to v;
+//   - a release travels down the children that reported a claimer below
+//     them, telling each claiming owner that its parent fragment's claims
+//     are all in.
+//
+// Every form opens with (round, flags); a claim adds u and the owner, and
+// an exchange's update may add the aggregate.
 type mUpdate struct {
 	round int
-	u, v  sim.NodeID // a claim carries its owner in v
+	u, v  sim.NodeID // a claim's u and owner
 	first bool       // true on the hop leaving the owner (the cut edge)
 	fell  bool
 	pub   int
+	cycle optAgg
 
 	claim, query, uWon, release bool
 }
@@ -327,37 +376,42 @@ const (
 // rounddone. The shift is arithmetic, so a negative degree survives it.
 const pubShift = 8
 
-func newUpdate(round int, u, v sim.NodeID, first, fell bool, pub int) sim.WireMsg {
-	flags := sim.B2W(first) | sim.B2W(fell)<<1 | int64(pub)<<pubShift
-	return sim.WireMsg{Op: opUpdate, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(u), int64(v), flags}}
+func newUpdate(round int, first, fell bool, pub int, cycle *degAgg) sim.WireMsg {
+	m := roundFlags(opUpdate, round, sim.B2W(first)|sim.B2W(fell)<<1|int64(pub)<<pubShift)
+	appendAgg(&m, cycle)
+	return m
 }
 
 // newClaim is a claim by owner on the edge recorded at u; flags holds
 // updQuery and updUWon.
 func newClaim(round int, u, owner sim.NodeID, flags int64) sim.WireMsg {
-	return sim.WireMsg{Op: opUpdate, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(u), int64(owner), updClaim | flags}}
+	return sim.WireMsg{Op: opUpdate, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), updClaim | flags, int64(u), int64(owner)}}
 }
 
 func newRelease(round int) sim.WireMsg {
-	return sim.WireMsg{Op: opUpdate, Nw: 2, W: [sim.MaxPayloadWords]int64{int64(round), updRelease}}
+	return roundFlags(opUpdate, round, updRelease)
 }
 
 func decUpdate(m *sim.WireMsg) mUpdate {
-	if m.Nw == 2 {
-		return mUpdate{round: int(m.W[0]), release: true}
+	round, f := int(m.W[0]), m.W[1]
+	switch {
+	case f&updRelease != 0:
+		return mUpdate{round: round, release: true}
+	case f&updClaim != 0:
+		return mUpdate{round: round, u: sim.NodeID(m.W[2]), v: sim.NodeID(m.W[3]),
+			claim: true, query: f&updQuery != 0, uWon: f&updUWon != 0}
 	}
-	f := m.W[3]
-	return mUpdate{round: int(m.W[0]), u: sim.NodeID(m.W[1]), v: sim.NodeID(m.W[2]),
-		first: f&updFirst != 0, fell: f&updFell != 0, pub: int(f >> pubShift),
-		claim: f&updClaim != 0, query: f&updQuery != 0, uWon: f&updUWon != 0}
+	return mUpdate{round: round, first: f&updFirst != 0, fell: f&updFell != 0, pub: int(f >> pubShift), cycle: decAgg(m, 4)}
 }
 
 // mChild is the paper's "child" message: the reattachment handshake,
-// carrying update's fell bit and c's published degree.
+// carrying update's fell bit, c's published degree and the SearchDegree
+// aggregate the cycle gathered, if any (DESIGN.md deviation 9).
 type mChild struct {
 	round int
 	fell  bool
 	pub   int
+	cycle optAgg
 }
 
 // Flags of rounddone; child carries only doneFell.
@@ -369,19 +423,22 @@ const (
 	doneImproved
 )
 
-func newChild(round int, fell bool, pub int) sim.WireMsg {
-	return roundFlags(opChild, round, sim.B2W(fell)|int64(pub)<<pubShift)
+func newChild(round int, fell bool, pub int, cycle *degAgg) sim.WireMsg {
+	m := roundFlags(opChild, round, sim.B2W(fell)|int64(pub)<<pubShift)
+	appendAgg(&m, cycle)
+	return m
 }
 
 func decChild(m *sim.WireMsg) mChild {
-	return mChild{round: int(m.W[0]), fell: m.W[1]&doneFell != 0, pub: int(m.W[1] >> pubShift)}
+	return mChild{round: int(m.W[0]), fell: m.W[1]&doneFell != 0, pub: int(m.W[1] >> pubShift), cycle: decAgg(m, 4)}
 }
 
 // mRoundDone notifies the waiting owner that its exchange completed ("a
 // round is terminated when a node received a child message"); the paper
 // does not say how the root learns this, so we convergecast it (deviation
-// documented in DESIGN.md). It carries update's fell bit and c's published
-// degree to the owner.
+// documented in DESIGN.md). It carries update's fell bit, c's published
+// degree and the cycle's SearchDegree aggregate, if any, to the owner
+// (deviation 9).
 //
 // In a Multi round's grant it also carries v's answer to a claim, to u
 // and up the via chain to the claiming owner (answer; won says the owner
@@ -393,10 +450,13 @@ type mRoundDone struct {
 	round                                 int
 	fell, answer, won, released, improved bool
 	pub                                   int
+	cycle                                 optAgg
 }
 
-func newRoundDone(round int, fell bool, pub int) sim.WireMsg {
-	return roundFlags(opRoundDone, round, sim.B2W(fell)|int64(pub)<<pubShift)
+func newRoundDone(round int, fell bool, pub int, cycle *degAgg) sim.WireMsg {
+	m := roundFlags(opRoundDone, round, sim.B2W(fell)|int64(pub)<<pubShift)
+	appendAgg(&m, cycle)
+	return m
 }
 
 func newAnswer(round int, won bool) sim.WireMsg {
@@ -410,7 +470,7 @@ func newReleased(round int, improved bool) sim.WireMsg {
 func decRoundDone(m *sim.WireMsg) mRoundDone {
 	f := m.W[1]
 	return mRoundDone{round: int(m.W[0]), fell: f&doneFell != 0, answer: f&doneAnswer != 0, won: f&doneWon != 0,
-		released: f&doneReleased != 0, improved: f&doneImproved != 0, pub: int(f >> pubShift)}
+		released: f&doneReleased != 0, improved: f&doneImproved != 0, pub: int(f >> pubShift), cycle: decAgg(m, 4)}
 }
 
 // roundFlags encodes the records whose payload is the round and a flags

@@ -140,10 +140,13 @@ type Node struct {
 	// edge only when both ends publish at most k-2.
 	belief []int
 
-	// SearchDegree state.
+	// SearchDegree state (see search). A Single round's wave gathers it
+	// for the next round, and the exchange's cycle updates it (DESIGN.md
+	// deviation 9), so it outlives the next start.
 	searchPending int
-	agg           degAgg
+	agg           degAgg     // the subtree's aggregate, less part (and, in the wave, this node)
 	via           sim.NodeID // neighbour (or self) that contributed agg
+	part          degAgg     // in the wave: that of the child holding the best report
 	kAll          int        // round's maximum degree, known after search/cut
 	xBelow        bool       // this subtree holds a node of X (see mStart)
 
@@ -405,11 +408,11 @@ func (n *Node) process(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) bool {
 	return true
 }
 
-// resetRound clears all per-round state.
+// resetRound clears all per-round state but the SearchDegree aggregate
+// and the report's via (see search), which the round's search and wave
+// reset.
 func (n *Node) resetRound() {
 	n.searchPending = 0
-	n.agg = degAgg{cand: noCand}
-	n.via = n.id
 	n.kAll = 0
 	n.xBelow = false
 	n.fragKnown = false
@@ -417,7 +420,6 @@ func (n *Node) resetRound() {
 	n.bfsPending = 0
 	n.hasReport = false
 	n.report = edgeReport{}
-	n.reportVia = n.id
 	n.improved = false
 	n.label = noLabel
 	n.lo, n.hi = noLo, noLabel
@@ -446,6 +448,45 @@ func (n *Node) resetGrant() {
 	n.relTo = n.relTo[:0]
 	n.relFrom = noCand
 	n.relPending = 0
+}
+
+// noAgg is the empty SearchDegree aggregate, which every entry beats.
+var noAgg = degAgg{cand: noCand}
+
+// resetSearch empties the SearchDegree aggregate: for a deg convergecast,
+// or for a Single round's wave to gather the next round's.
+func (n *Node) resetSearch() {
+	n.agg, n.via, n.part = noAgg, n.id, noAgg
+}
+
+// take merges a into agg. Any change to the aggregate means that a
+// supplied the winning entry, so the via pointer follows from, the
+// neighbour (or self) a came from ("each node keeps, in a variable named
+// via, by which processor arrived the maximum degree with minimum
+// identity").
+func (n *Node) take(from sim.NodeID, a degAgg) {
+	if m := mergeAgg(n.agg, a); m != n.agg {
+		n.agg, n.via = m, from
+	}
+}
+
+// search returns the SearchDegree aggregate of this node's subtree and the
+// neighbour (or self) toward its candidate, along which MoveRoot travels.
+// After a deg convergecast agg holds it whole. After a Single round's wave
+// it is agg, part (via the child holding the report) and this node's own
+// entry, which may only have risen since; on the exchange's cycle, part
+// is dropped when that child stops being one (see gather). An owner's part
+// never outlives its round, so reportVia is part's via wherever search
+// reads it.
+func (n *Node) search() (degAgg, sim.NodeID) {
+	agg, via := n.agg, n.via
+	if m := mergeAgg(agg, n.part); m != agg {
+		agg, via = m, n.reportVia
+	}
+	if m := mergeAgg(agg, n.ownContribution()); m != agg {
+		agg, via = m, n.id
+	}
+	return agg, via
 }
 
 // ownContribution is this node's SearchDegree entry: its degree and, if

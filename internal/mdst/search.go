@@ -11,12 +11,16 @@ import (
 
 // startRound begins a round at this node: the tree root calls it directly,
 // every other node on mStart. It forwards mStart down the tree and starts
-// the SearchDegree convergecast (see mStart for the fields).
+// the SearchDegree convergecast (see mStart for the fields), unless the
+// previous round found the round's owner already (DESIGN.md deviation 9):
+// a Single round after a Single round whose exchange, if any, did not
+// make c fall. Then the root decides at once.
 func (n *Node) startRound(ctx sim.Context, s mStart) {
 	fell := noCand
 	if s.fell {
 		fell = s.cut
 	}
+	fused := s.phase == Single && n.sized && !s.fell
 	inX := n.inX(ctx, fell) // before resetRound: reads last round's kAll
 	if n.fixChild != noCand {
 		if n.sized {
@@ -29,10 +33,17 @@ func (n *Node) startRound(ctx sim.Context, s mStart) {
 	n.publish(ctx, s.cut, s.owner)
 	n.resetRound()
 	n.xBelow = inX
-	n.searchPending = len(n.children)
 	for _, c := range n.children {
 		putStart(ctx.Out(c), &s)
 	}
+	if fused {
+		if !n.hasParent {
+			n.decide(ctx)
+		}
+		return
+	}
+	n.resetSearch()
+	n.searchPending = len(n.children)
 	if n.searchPending == 0 {
 		// A leaf reports at once: "every leaf of the ST sends a message
 		// with its degree".
@@ -95,15 +106,7 @@ func (n *Node) onStart(ctx sim.Context, from sim.NodeID, msg mStart) {
 }
 
 func (n *Node) onDeg(ctx sim.Context, from sim.NodeID, msg mDeg) {
-	child := degAgg{k: msg.k, cand: msg.cand}
-	// Any change to the aggregate means the child's subtree supplied the
-	// winning entry, so the via pointer follows it ("each node keeps, in a
-	// variable named via, by which processor arrived the maximum degree
-	// with minimum identity").
-	if merged := mergeAgg(n.agg, child); merged != n.agg {
-		n.agg = merged
-		n.via = from
-	}
+	n.take(from, degAgg{k: msg.k, cand: msg.cand})
 	n.xBelow = n.xBelow || msg.xBelow
 	n.searchPending--
 	if n.searchPending == 0 {
@@ -120,10 +123,7 @@ func (n *Node) reportDegree(ctx sim.Context) {
 	if n.xBelow {
 		n.exhausted = false
 	}
-	if merged := mergeAgg(n.agg, n.ownContribution()); merged != n.agg {
-		n.agg = merged
-		n.via = n.id
-	}
+	n.take(n.id, n.ownContribution())
 	if n.hasParent {
 		putDeg(ctx.Out(n.parent), n.round, n.agg.k, n.agg.cand, n.xBelow)
 		return
@@ -131,29 +131,30 @@ func (n *Node) reportDegree(ctx sim.Context) {
 	n.decide(ctx)
 }
 
-// decide runs at the root once the whole tree reported: terminate, act as
-// owner, or move the root toward the chosen maximum-degree node.
+// decide runs at the root once it knows the whole tree's aggregate:
+// terminate, act as owner, or move the root toward the chosen
+// maximum-degree node.
 func (n *Node) decide(ctx sim.Context) {
-	n.kAll = n.agg.k
+	agg, via := n.search()
+	n.kAll = agg.k
 	// "until no improvement is found or k = 2 (the tree is a chain)" —
 	// or the caller's degree target is met.
 	if n.kAll <= n.stopDegree() {
 		n.terminate(ctx)
 		return
 	}
-	if n.agg.cand == noCand {
+	if agg.cand == noCand {
 		// Single mode: every maximum-degree node is exhausted — the tree
 		// is locally optimal for all of them.
 		n.terminate(ctx)
 		return
 	}
-	if n.agg.cand == n.id {
+	if agg.cand == n.id {
 		n.becomeOwner(ctx, n.kAll)
 		return
 	}
 	// MoveRoot with path reversal: "Neighbour via becomes the parent".
-	target := n.agg.cand
-	via := n.via
+	target := agg.cand
 	if via == n.id {
 		panic(fmt.Sprintf("mdst: root %d has no via toward target %d", n.id, target))
 	}
@@ -178,7 +179,7 @@ func (n *Node) onMove(ctx sim.Context, from sim.NodeID, msg mMove) {
 		n.becomeOwner(ctx, msg.k)
 		return
 	}
-	via := n.via
+	_, via := n.search()
 	if via == n.id {
 		panic(fmt.Sprintf("mdst: node %d has no via toward target %d", n.id, msg.target))
 	}

@@ -22,11 +22,13 @@ import (
 // and opened with the phase (0 or 1), so its states fail the check too.
 // Format 3 added the subtree sizes and labels (DESIGN.md deviation 7),
 // format 4 the Multi-round grant state (deviation 4), which a node in a
-// Single round kept writing as format 3. Format 5 adds the published
-// degrees (deviation 8) to every node, so both older formats are refused;
-// the phase alone now says whether the grant state follows.
+// Single round kept writing as format 3. Format 5 added the published
+// degrees (deviation 8) to every node, and format 6 the part of the
+// SearchDegree aggregate a Single round's wave keeps apart (deviation 9),
+// so every older format is refused; the phase alone says whether the
+// grant state follows.
 const (
-	stateFormat = 5
+	stateFormat = 6
 	// maxDeferred bounds the deferred-message count a state may claim.
 	maxDeferred = 1 << 20
 )
@@ -71,6 +73,8 @@ func (n *Node) WalkState(s *sim.State) {
 	sim.Varint(s, &n.agg.k)
 	sim.Varint(s, &n.agg.cand)
 	sim.Varint(s, &n.via)
+	sim.Varint(s, &n.part.k)
+	sim.Varint(s, &n.part.cand)
 	sim.Varint(s, &n.kAll)
 	s.Bool(&n.xBelow)
 	sim.Varint(s, &n.moved)

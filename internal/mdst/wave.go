@@ -18,6 +18,7 @@ import (
 // rounds, never are. In a Multi round the cut names the owner's parent
 // fragment instead (deviation 4).
 func (n *Node) becomeOwner(ctx sim.Context, k int) {
+	n.resetSearch()
 	n.isOwner = true
 	n.actingRoot = !n.hasParent
 	n.kAll = k
@@ -115,6 +116,8 @@ func (n *Node) enterFragment(ctx sim.Context, f fragID, label int) {
 	n.frag = f
 	n.label = label
 	n.bfsPending = 0
+	n.resetSearch()
+	n.reportVia = n.id
 	deg := n.degree()
 	if label != noLabel && deg == n.kAll {
 		n.exhausted = true
@@ -253,6 +256,8 @@ func (n *Node) record(v sim.NodeID, dv int, vroot sim.NodeID) {
 	}
 	rep := edgeReport{u: n.id, v: v, du: n.degree(), dv: dv, vroot: vroot}
 	if !n.hasReport || rep.better(n.report) {
+		// The report moves to this node, whose own entry search adds.
+		n.gather(n.id, n.reportVia, true, noAgg)
 		n.hasReport = true
 		n.report = rep
 		n.reportVia = n.id
@@ -269,29 +274,32 @@ func (n *Node) onBFSBack(ctx sim.Context, from sim.NodeID, msg *mBFSBack) {
 	if msg.claimer {
 		n.relTo = append(n.relTo, from)
 	}
+	n.improved = n.improved || msg.improved
 	if n.isOwner {
 		n.ownerPending--
-		n.improved = n.improved || msg.improved
-		if msg.hasReport {
-			if !n.ownerHasBest || msg.report.better(n.ownerBest) {
-				n.ownerHasBest = true
-				n.ownerBest = msg.report
-				n.ownerArrival = from
-			}
+		best := msg.hasReport && (!n.ownerHasBest || msg.report.better(n.ownerBest))
+		if msg.search.ok {
+			n.gather(from, n.ownerArrival, best, msg.search.degAgg)
+		}
+		if best {
+			n.ownerHasBest = true
+			n.ownerBest = msg.report
+			n.ownerArrival = from
 		}
 		if n.ownerPending == 0 {
 			n.ownerComplete(ctx)
 		}
 		return
 	}
-	n.improved = n.improved || msg.improved
 	n.lo, n.hi = min(n.lo, msg.lo), max(n.hi, msg.hi)
-	if msg.hasReport {
-		if !n.hasReport || msg.report.better(n.report) {
-			n.hasReport = true
-			n.report = msg.report
-			n.reportVia = from
-		}
+	best := msg.hasReport && (!n.hasReport || msg.report.better(n.report))
+	if msg.search.ok {
+		n.gather(from, n.reportVia, best, msg.search.degAgg)
+	}
+	if best {
+		n.hasReport = true
+		n.report = msg.report
+		n.reportVia = from
 	}
 	n.resolveNeighbor(ctx)
 }
@@ -344,13 +352,35 @@ func (n *Node) sendAggregate(ctx sim.Context) {
 	n.sendBack(ctx, n.hasReport, n.improved, n.grant != nil && len(n.relTo) > 0)
 }
 
-// sendBack sends this node's bfsback to its parent.
+// sendBack sends this node's bfsback to its parent. In a Single round it
+// carries the subtree's SearchDegree aggregate (DESIGN.md deviation 9).
 func (n *Node) sendBack(ctx sim.Context, hasReport, improved, claimer bool) {
 	var report *edgeReport
 	if hasReport {
 		report = &n.report
 	}
-	putBFSBack(ctx.Out(n.parent), n.round, improved, claimer, n.size, n.lo, n.hi, report)
+	var search *degAgg
+	if n.phase == Single {
+		agg, _ := n.search()
+		search = &agg
+	}
+	putBFSBack(ctx.Out(n.parent), n.round, improved, claimer, n.size, n.lo, n.hi, report, search)
+}
+
+// gather folds a, the aggregate of from's subtree, into this node's in a
+// Single round's wave (DESIGN.md deviation 9), with holder the child (or
+// self) holding the best report so far. The holder's aggregate stays
+// apart, in part, because the holder stops being a child if the report
+// is chosen: then the exchange's cycle runs through it and this node,
+// and recomputes the aggregate there (see onCycle). When from takes the
+// report over (best), the old part joins agg and a becomes the new part.
+func (n *Node) gather(from, holder sim.NodeID, best bool, a degAgg) {
+	if !best {
+		n.take(from, a)
+		return
+	}
+	n.take(holder, n.part)
+	n.part = a
 }
 
 // ownerComplete runs the paper's Choose step once every fragment answered:
@@ -383,7 +413,7 @@ func (n *Node) ownerComplete(ctx sim.Context) {
 		n.ownerSwapped = true
 		n.swaps++
 		n.awaitingDone = true
-		sim.Send(ctx, n.ownerArrival, newUpdate(n.round, n.ownerBest.u, n.ownerBest.v, true, false, int(n.pub)))
+		sim.Send(ctx, n.ownerArrival, newUpdate(n.round, true, false, int(n.pub), nil))
 		n.release(ctx)
 	case n.ownerBest.vroot == n.up:
 		// Through the parent fragment: register, report, wait.

@@ -191,10 +191,12 @@ func checkDigest(t *testing.T, what string, got, want *mdst.Result) {
 // benchmark's deployment workload: gnm(256, 768, 1), Hybrid, two
 // processes over the contiguous partition. Every protocol round is still
 // counted, but a process now sends only when a peer must hear, so the
-// cluster sends 15,155 round frames instead of the every-round exchange's
-// 2 × 12,478 = 24,956.
+// cluster sends 12,854 round frames instead of the every-round exchange's
+// 2 × 10,264 = 20,528. (The counts were recorded again when most Single
+// rounds stopped running the deg convergecast, DESIGN.md deviation 9,
+// which took 2,214 rounds off the run.)
 func TestDistSoloFramesPinned(t *testing.T) {
-	const rounds, frames, everyRound = 12478, 15155, 24956
+	const rounds, frames, everyRound = 10264, 12854, 20528
 	c := graph.Gnm(256, 768, 1).Compile()
 	stats := []*NetStats{{}, {}}
 	rs, errs := runLoopback(t, c, 2, func(id int) Pipeline {
@@ -221,7 +223,7 @@ func TestDistSoloFramesPinned(t *testing.T) {
 	}
 	// The round frames' byte form: payload bytes each process handed to
 	// the transport, and the rank/count header share of them.
-	wantBytes := [2][2]int64{{532606, 215149}, {539623, 218041}}
+	wantBytes := [2][2]int64{{498816, 191494}, {506374, 194197}}
 	for id, s := range stats {
 		if got := [2]int64{s.BytesSent, s.HeaderBytes}; got != wantBytes[id] {
 			t.Errorf("process %d sent %d round-frame bytes (%d header), want %d (%d header)",

@@ -15,8 +15,15 @@ import (
 //
 // mdst.bfsback is the one variable-size record: the short (no report)
 // form carries round, improvement flag, subtree size and the qualifying
-// label range (6 words); the long form carries round, subtree size,
-// improvement flag and the five report words (9 words, E6's maxWords).
+// label range (6 words); the long form carries round, subtree size and
+// flags in one word, the report's ends, their degrees in one word and the
+// far fragment root (7 words). A Single round's bfsback appends its
+// subtree's SearchDegree aggregate, k and cand (8 or 9 words, E6's
+// maxWords), and so do an exchange's update, child and rounddone when
+// the next round takes its owner from them (DESIGN.md deviation 9):
+// update no longer names the edge, which every node on its chain
+// reported, so an exchange's update carries 3 words, or 5 with the
+// aggregate, within the four numbers.
 // start, move and cut carry a fourth number for the subtree sizes and
 // labels of DESIGN.md deviation 7. Multi rounds' grants (deviation 4) add
 // short forms and no kind: the short cut carries a relayed fragment
@@ -43,8 +50,8 @@ func TestWireWordsAudit(t *testing.T) {
 		"mdst.cousin":    {5, 5, true},
 		"mdst.bfsback":   {6, 9, true},
 		"mdst.update":    {3, 5, true},
-		"mdst.child":     {3, 3, true},
-		"mdst.rounddone": {3, 3, true},
+		"mdst.child":     {3, 5, true},
+		"mdst.rounddone": {3, 5, true},
 		"mdst.term":      {2, 2, true},
 		// spanning: flood (Chang's echo).
 		"st.explore": {1, 1, false},
